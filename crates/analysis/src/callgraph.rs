@@ -242,10 +242,11 @@ pub struct EntryPoint {
 /// the resolution rules — so the list is versioned with the analyzer.
 ///
 /// The set covers the three layers of the latency path: the serving
-/// facade (`ServingModel::predict*` and the frozen snapshot it hands to
-/// its worker), the model fast paths (`CostModel` / `FrozenModel`
-/// context planning and packed prediction), the `nn` inference kernel
-/// set, and the telemetry record calls those paths are allowed to make.
+/// service (`ShardedServing::predict*`, its `ServingModel` façade and
+/// the dispatcher loop that prices in place), the model fast paths
+/// (`CostModel` / `FrozenModel` context planning and packed
+/// prediction), the `nn` inference kernel set, and the telemetry record
+/// calls those paths are allowed to make.
 /// `CostModel::predict_batch` is deliberately absent: it spawns scoped
 /// threads per call, which is a throughput API, not the steady-state
 /// latency path.
@@ -260,9 +261,9 @@ pub const HOT_ENTRY_POINTS: &[EntryPoint] = &[
         self_ty: Some("ServingModel"),
         name: "predict_many",
     },
-    // The sharded service's client side and its per-shard dispatcher
-    // loop: both run per-request in steady state, so the whole
-    // queue/coalesce/settle path is held to the same standard.
+    // The service's client side and its per-shard dispatcher loop:
+    // both run per-request in steady state, so the whole
+    // queue/coalesce/price/settle path is held to the same standard.
     EntryPoint {
         krate: "core",
         self_ty: Some("ShardedServing"),

@@ -15,8 +15,8 @@ fn root() -> &'static Path {
 fn workspace_sources() -> Vec<(String, String)> {
     let sources = collect_sources(root()).expect("workspace sources readable");
     assert!(
-        sources.iter().any(|(p, _)| p.ends_with("serving/mod.rs")),
-        "expected the serving module among {} sources",
+        sources.iter().any(|(p, _)| p.ends_with("serving/shard.rs")),
+        "expected the serving service among {} sources",
         sources.len()
     );
     sources
@@ -44,14 +44,15 @@ fn workspace_is_clean_under_allowlist() {
     );
 }
 
-/// Splices `payload` into `ServingModel::predict_many_inner`'s body,
-/// in memory only, and returns the doctored source set.
+/// Splices `payload` into `ShardedServing::predict_many_inner`'s body
+/// — the one request path every serving call takes — in memory only,
+/// and returns the doctored source set.
 fn inject_into_serving(payload: &str) -> Vec<(String, String)> {
     let anchor = "let _span = telemetry::span(\"serving.predict\");";
     let mut sources = workspace_sources();
     let mut hit = false;
     for (path, text) in &mut sources {
-        if path.ends_with("crates/core/src/serving/mod.rs") {
+        if path.ends_with("crates/core/src/serving/shard.rs") {
             assert!(text.contains(anchor), "anchor line moved; update this test");
             *text = text.replace(anchor, &format!("{anchor}\n        {payload}"));
             hit = true;
@@ -62,7 +63,7 @@ fn inject_into_serving(payload: &str) -> Vec<(String, String)> {
 }
 
 /// Negative control: a fresh, unjustified `unwrap()` reachable from
-/// `ServingModel::predict` must fail the ratchet.
+/// `ShardedServing::predict` must fail the ratchet.
 #[test]
 fn injected_unwrap_is_caught() {
     let sources = inject_into_serving("let _poisoned = plans.first().unwrap();");
@@ -71,7 +72,7 @@ fn injected_unwrap_is_caught() {
     assert!(
         outcome.over.iter().any(|v| {
             v.rule == RULE_HOT_PANIC
-                && v.path.ends_with("serving/mod.rs")
+                && v.path.ends_with("serving/shard.rs")
                 && v.message.contains(".unwrap()")
         }),
         "injected unwrap not flagged; over = {:?}",
@@ -80,7 +81,7 @@ fn injected_unwrap_is_caught() {
 }
 
 /// Negative control: a fresh, unjustified allocation (`Vec::new` +
-/// `push`) reachable from `ServingModel::predict` must fail the ratchet.
+/// `push`) reachable from `ShardedServing::predict` must fail the ratchet.
 #[test]
 fn injected_alloc_is_caught() {
     let sources = inject_into_serving(
@@ -91,7 +92,7 @@ fn injected_alloc_is_caught() {
     let hits: Vec<_> = outcome
         .over
         .iter()
-        .filter(|v| v.rule == RULE_HOT_ALLOC && v.path.ends_with("serving/mod.rs"))
+        .filter(|v| v.rule == RULE_HOT_ALLOC && v.path.ends_with("serving/shard.rs"))
         .collect();
     assert!(
         hits.iter().any(|v| v.message.contains("Vec::new"))

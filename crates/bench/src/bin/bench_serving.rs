@@ -22,13 +22,13 @@
 //! * in the full run, coalescing must beat one-at-a-time by at least
 //!   [`MIN_FULL_SPEEDUP`]x at [`CLIENTS`] concurrent clients — **when
 //!   the machine has at least [`MIN_GATE_CORES`] cores**. The sharded
-//!   tier's win is mostly inference parallelism (shards) plus handoff
+//!   tier's win is mostly inference parallelism (shards) plus wake-up
 //!   amortization (coalescing); on a 1–2 core box both services are
 //!   serialized onto the same CPU and the contract is not expressible,
 //!   so the gate degrades to a no-collapse floor and says so.
 //!
 //! The shard count scales with the hardware (`min(cores, 4)`): spawning
-//! four dispatcher/worker pairs on one core only adds scheduler thrash.
+//! four dispatchers on one core only adds scheduler thrash.
 //!
 //! Usage:
 //! `bench_serving [--out FILE] [--check FILE] [--smoke] [--seed N]`

@@ -13,10 +13,10 @@
 //!   observed runs → word2vec → samples);
 //! * [`metrics`] — RE, MSE, COR and R² (Eqs. 12–15);
 //! * [`selection`] — plan selection with a trained model (Fig. 1's use);
-//! * [`serving`] — production guard rails: deadlines, admission control
-//!   and graceful degradation to an analytical fallback; its
-//!   [`serving::shard`] submodule scales that to a sharded,
-//!   cross-request-batching, multi-tenant service.
+//! * [`serving`] — the production service ([`ShardedServing`]): sharded,
+//!   cross-request-batching and multi-tenant, with deadlines, admission
+//!   control and graceful degradation to an analytical fallback;
+//!   [`ServingModel`] is its single-caller façade.
 //!
 //! Quickstart: see `examples/quickstart.rs` at the workspace root.
 

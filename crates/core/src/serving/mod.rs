@@ -3,21 +3,15 @@
 //!
 //! A trained [`CostModel`](crate::model::CostModel) is the *fast path*;
 //! production plan selection cannot afford to block on it forever or to
-//! crash when a checkpoint is corrupt. [`ServingModel`] wraps the model
-//! with three guard rails, every trip counted in telemetry:
+//! crash when a checkpoint is corrupt. [`shard::ShardedServing`] is the
+//! service that wraps it — the whole request path, every guard rail and
+//! the one state machine live there, and each [`FallbackReason`] names
+//! one way a call ends up with the analytical answer instead.
 //!
-//! * **checkpoint validation** — a bundle that fails
-//!   [`ModelBundle::load`](crate::persist::ModelBundle::load) produces a
-//!   permanently degraded server instead of a panic
-//!   (`serving.fallback.checkpoint`);
-//! * **admission control** — plans larger than
-//!   [`ServingConfig::max_plan_nodes`] skip the network
-//!   (`serving.fallback.admission`);
-//! * **per-predict deadline** — inference runs on a dedicated worker
-//!   thread; if it misses [`ServingConfig::deadline`] the caller gets the
-//!   analytical estimate instead (`serving.fallback.deadline`), and the
-//!   next call falls back immediately while the worker is still busy
-//!   (`serving.fallback.busy`).
+//! This module holds the vocabulary ([`ServingConfig`],
+//! [`FallbackReason`], [`SloStats`], [`ServingPrediction`]) and
+//! [`ServingModel`], a single-caller (`&mut self`) façade over a
+//! one-shard service.
 //!
 //! The fallback is any [`FallbackModel`] — in this workspace the GPSJ
 //! analytical baseline (`baselines::gpsj::GpsjModel`) implements it, and
@@ -56,13 +50,11 @@ pub mod shard;
 
 use crate::model::FrozenModel;
 use crate::persist::ModelBundle;
-use encoding::plan_encoder::EncodedPlan;
-use encoding::PlanEncoder;
-use handoff::Handoff;
-use raal_sync::mpsc::RecvTimeoutError;
+use shard::{ShardConfig, ShardedServing};
 use sparksim::plan::physical::PhysicalPlan;
 use sparksim::resource::{ClusterConfig, ResourceConfig};
 use std::path::Path;
+use std::sync::Arc;
 use std::time::Duration;
 
 /// An always-available analytical estimator that backs up the deep
@@ -87,17 +79,13 @@ where
 /// Serving-time guard-rail settings.
 #[derive(Debug, Clone)]
 pub struct ServingConfig {
-    /// Per-predict budget; a model answer that misses it is discarded in
-    /// favour of the fallback.
+    /// Per-predict budget: how long the caller waits for the model's
+    /// answer before taking the fallback's instead.
     pub deadline: Duration,
     /// Largest plan (in physical nodes) admitted to the deep model.
     pub max_plan_nodes: usize,
     /// Cluster used to normalise resource feature vectors.
     pub cluster: ClusterConfig,
-    /// Serve predictions through the int8 weight tier (the default).
-    /// Disable to pin the f32 fast path, e.g. while calibrating the
-    /// quantization error budget against production traffic.
-    pub quantized: bool,
     /// Target fraction of predictions the deep model should answer
     /// (the serving SLO). The complement is the error budget that
     /// [`SloStats::error_budget_burn`] meters per fallback reason.
@@ -110,7 +98,6 @@ impl Default for ServingConfig {
             deadline: Duration::from_millis(50),
             max_plan_nodes: 64,
             cluster: ClusterConfig::default(),
-            quantized: true,
             slo_target: 0.99,
         }
     }
@@ -125,13 +112,13 @@ pub enum FallbackReason {
     Admission,
     /// The model did not answer within [`ServingConfig::deadline`].
     Deadline,
-    /// The worker was still busy with a previously timed-out request.
+    /// The shard's queue was full or closed (shut down).
     Busy,
-    /// The worker thread died; the server is permanently degraded.
+    /// Pricing panicked on the shard's dispatcher; that shard answers
+    /// analytically from then on.
     WorkerLost,
     /// The tenant already had its fair share of requests in flight
-    /// ([`shard::ShardConfig::tenant_inflight`]); only the sharded
-    /// service produces this reason.
+    /// ([`shard::ShardConfig::tenant_inflight`]).
     TenantQuota,
 }
 
@@ -185,8 +172,8 @@ impl FallbackReason {
 
 /// Point-in-time serving-quality statistics: how often the deep model
 /// actually answered, and which guard rail ate the misses. Maintained
-/// by [`ServingModel`] itself (plain counters, no telemetry required)
-/// and mirrored into the `serving.slo.*` gauges after every call when
+/// by the service itself (plain counters, no telemetry required) and
+/// mirrored into the `serving.slo.*` gauges after every call when
 /// telemetry is enabled.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct SloStats {
@@ -263,81 +250,31 @@ pub struct ServingPrediction {
     pub source: PredictionSource,
 }
 
-struct Request {
-    generation: u64,
-    /// The K candidate plans of one serving call; the worker scores them
-    /// as a single packed batch (one head matmul per layer).
-    plans: Vec<EncodedPlan>,
-    resources: Vec<f32>,
-}
+/// The tenant every [`ServingModel`] call is accounted under.
+const FACADE_TENANT: &str = "serving_model";
 
-struct Response {
-    generation: u64,
-    seconds: Vec<f64>,
-}
-
-/// The deep cost model behind deadlines, admission control and an
-/// analytical fallback. See the [module docs](self) for the contract.
+/// The single-caller face of the serving service: a [`ShardedServing`]
+/// with one shard and one fixed tenant behind `&mut self` call shapes
+/// that take no tenant id. Everything it does — guard rails,
+/// accounting, telemetry — is the service's; see [`shard`] for the
+/// contract and the request path.
 pub struct ServingModel {
-    /// The inference worker behind its request/response channels; `None`
-    /// once the server is degraded (no worker was ever spawned, or it
-    /// was lost and torn down).
-    handoff: Option<Handoff<Request, Response>>,
-    encoder: Option<PlanEncoder>,
-    /// The frozen (`Arc`-shared, quantized-at-load) model; the worker
-    /// thread holds a clone of the same handle, so both see one copy of
-    /// the weights.
-    model: Option<FrozenModel>,
-    fallback: Box<dyn FallbackModel + Send>,
-    cfg: ServingConfig,
-    generation: u64,
-    /// A request whose response we stopped waiting for is still in
-    /// flight; the worker must drain it before accepting new work.
-    pending: bool,
-    degraded: Option<FallbackReason>,
-    /// Lifetime serving-quality counters, updated from the predictions
-    /// actually returned (so they work with telemetry disabled).
-    slo: SloStats,
+    service: ShardedServing,
 }
 
 impl ServingModel {
-    /// Serves a loaded bundle. Quantizes and freezes the model once
-    /// ([`FrozenModel::freeze`]) and spawns the inference worker
-    /// immediately; the worker shares the frozen weights by reference
-    /// count, not by copy.
+    fn one_shard(cfg: ServingConfig) -> ShardConfig {
+        ShardConfig { shards: 1, serving: cfg, ..ShardConfig::default() }
+    }
+
+    /// Serves a loaded bundle ([`ShardedServing::new`] with one shard).
     pub fn new(
         bundle: ModelBundle,
-        fallback: Box<dyn FallbackModel + Send>,
+        fallback: Box<dyn FallbackModel + Send + Sync>,
         cfg: ServingConfig,
     ) -> Self {
-        let encoder = bundle.encoder();
-        let frozen = FrozenModel::freeze(bundle.model);
-        let worker_model = frozen.clone();
-        let quantized = cfg.quantized;
-        let handoff = Handoff::spawn(move |req: Request| {
-            let items: Vec<(&EncodedPlan, &[f32])> =
-                req.plans.iter().map(|p| (p, req.resources.as_slice())).collect();
-            // Packed scoring on the worker thread itself: the worker's
-            // arena is reused across requests, so a warmed serving
-            // loop performs no inference-scratch allocation.
-            let seconds = if quantized {
-                worker_model.predict_packed(&items)
-            } else {
-                worker_model.model().predict_packed(&items)
-            };
-            Response { generation: req.generation, seconds }
-        });
-        let slo = SloStats { slo_target: cfg.slo_target, ..SloStats::default() };
         Self {
-            handoff: Some(handoff),
-            encoder: Some(encoder),
-            model: Some(frozen),
-            fallback,
-            cfg,
-            generation: 0,
-            pending: false,
-            degraded: None,
-            slo,
+            service: ShardedServing::new(bundle, Arc::from(fallback), Self::one_shard(cfg)),
         }
     }
 
@@ -347,33 +284,23 @@ impl ServingModel {
     /// error or panic.
     pub fn from_checkpoint(
         path: &Path,
-        fallback: Box<dyn FallbackModel + Send>,
+        fallback: Box<dyn FallbackModel + Send + Sync>,
         cfg: ServingConfig,
     ) -> Self {
-        match ModelBundle::load(path) {
-            Ok(bundle) => Self::new(bundle, fallback, cfg),
-            Err(_) => Self::degraded(fallback, cfg, FallbackReason::Checkpoint),
-        }
+        let service =
+            ShardedServing::from_checkpoint(path, Arc::from(fallback), Self::one_shard(cfg));
+        Self { service }
     }
 
     /// A server with no deep model at all — every predict is answered by
     /// the fallback with the given sticky reason.
     pub fn degraded(
-        fallback: Box<dyn FallbackModel + Send>,
+        fallback: Box<dyn FallbackModel + Send + Sync>,
         cfg: ServingConfig,
         reason: FallbackReason,
     ) -> Self {
-        let slo = SloStats { slo_target: cfg.slo_target, ..SloStats::default() };
         Self {
-            handoff: None,
-            encoder: None,
-            model: None,
-            fallback,
-            cfg,
-            generation: 0,
-            pending: false,
-            degraded: Some(reason),
-            slo,
+            service: ShardedServing::degraded(Arc::from(fallback), Self::one_shard(cfg), reason),
         }
     }
 
@@ -381,70 +308,45 @@ impl ServingModel {
     /// is a reference-count bump — replicas share one copy of the
     /// weights ([`FrozenModel`]).
     pub fn model(&self) -> Option<&FrozenModel> {
-        self.model.as_ref()
+        self.service.model()
     }
 
-    /// True when the deep model is out of the serving path for good.
+    /// True when the server was built without a deep model.
     pub fn is_degraded(&self) -> bool {
-        self.degraded.is_some()
+        self.service.is_degraded()
     }
 
     /// The active configuration.
     pub fn config(&self) -> &ServingConfig {
-        &self.cfg
+        &self.service.config().serving
     }
 
     /// Adjusts the per-predict deadline at runtime (e.g. tightening
     /// under load, loosening for batch scoring).
     pub fn set_deadline(&mut self, deadline: Duration) {
-        self.cfg.deadline = deadline;
+        self.service.set_deadline(deadline);
     }
 
     /// Scores a plan, never failing and never exceeding roughly one
-    /// deadline of latency: the deep model's answer if it arrives in
-    /// time, the fallback's otherwise. Increments `serving.predict`
-    /// plus either `serving.predict.model` or the per-reason
-    /// `serving.fallback.*` counter.
+    /// deadline of latency ([`ShardedServing::predict`]).
     pub fn predict(&mut self, plan: &PhysicalPlan, res: &ResourceConfig) -> ServingPrediction {
-        let mut out = self.predict_many(&[plan], res);
-        debug_assert_eq!(out.len(), 1);
-        out.remove(0)
+        self.service.predict(FACADE_TENANT, plan, res)
     }
 
     /// Scores K candidate plans under one resource configuration in a
-    /// single worker round trip: the admitted plans are shipped together
-    /// and the worker prices them as one packed batch (one head matmul
-    /// per layer, [`crate::model::CostModel::predict_packed`]), so
-    /// candidate selection pays one deadline, not K. Oversized plans
-    /// fall back individually (`serving.fallback.admission`); a deadline
-    /// miss falls back for every admitted plan. Increments
-    /// `serving.predict` once per plan.
+    /// single round trip, so candidate selection pays one deadline, not
+    /// K ([`ShardedServing::predict_many`]).
     pub fn predict_many(
         &mut self,
         plans: &[&PhysicalPlan],
         res: &ResourceConfig,
     ) -> Vec<ServingPrediction> {
-        let t0 = telemetry::clock_us();
-        let out = self.predict_many_inner(plans, res);
-        telemetry::observe("serving.predict_us", telemetry::clock_us().saturating_sub(t0));
-        for p in &out {
-            self.slo.total += 1;
-            match p.source {
-                PredictionSource::Model => self.slo.model += 1,
-                // PANIC-FREE: idx() enumerates the variants and
-                // by_reason is sized to the variant count.
-                PredictionSource::Fallback(reason) => self.slo.by_reason[reason.idx()] += 1,
-            }
-        }
-        if !out.is_empty() {
-            self.publish_slo();
-        }
-        out
+        self.service.predict_many(FACADE_TENANT, plans, res)
     }
 
     /// Lifetime serving-quality counters for this server.
     pub fn slo_stats(&self) -> SloStats {
-        self.slo
+        self.service.slo_stats()
     }
 
     /// A consistent snapshot of the process-wide metrics registry —
@@ -452,156 +354,6 @@ impl ServingModel {
     /// `serving.predict_us` latency histogram included. Empty when
     /// telemetry is disabled; [`Self::slo_stats`] is the always-on view.
     pub fn metrics_snapshot(&self) -> telemetry::MetricsSnapshot {
-        telemetry::metrics_snapshot()
-    }
-
-    /// Mirrors [`SloStats`] into the registered `serving.slo.*` gauges.
-    fn publish_slo(&self) {
-        telemetry::gauge("serving.slo.hit_rate", self.slo.hit_rate());
-        telemetry::gauge("serving.slo.fallback_rate", self.slo.fallback_rate());
-        for reason in FallbackReason::ALL {
-            telemetry::gauge(reason.burn_gauge(), self.slo.error_budget_burn(reason));
-        }
-    }
-
-    fn predict_many_inner(
-        &mut self,
-        plans: &[&PhysicalPlan],
-        res: &ResourceConfig,
-    ) -> Vec<ServingPrediction> {
-        let _span = telemetry::span("serving.predict");
-        telemetry::count("serving.predict", plans.len() as u64);
-        if plans.is_empty() {
-            // HOT-ALLOC: Vec::new is capacity 0 — no heap allocation.
-            return Vec::new();
-        }
-        if let Some(reason) = self.degraded {
-            // HOT-ALLOC: one response vector per request — the serving
-            // API hands owned predictions back to the caller.
-            return plans.iter().map(|p| self.fall_back(p, res, reason)).collect();
-        }
-        // Per-plan admission: oversized plans are answered analytically,
-        // the rest ride in one batch.
-        // HOT-ALLOC: per-request batch assembly — the slot vector, the
-        // admitted-index list and the response vector are all sized by
-        // the caller's batch and returned to (or dropped with) it.
-        // PANIC-FREE: i ranges over 0..plans.len() == out.len().
-        let mut out: Vec<Option<ServingPrediction>> = plans
-            .iter()
-            .map(|p| {
-                (p.len() > self.cfg.max_plan_nodes)
-                    .then(|| self.fall_back(p, res, FallbackReason::Admission))
-            })
-            .collect();
-        let admitted: Vec<usize> = (0..plans.len()).filter(|&i| out[i].is_none()).collect();
-        if admitted.is_empty() {
-            // HOT-ALLOC: the per-request response vector.
-            return out.into_iter().flatten().collect();
-        }
-        // Drain any response from a request we previously abandoned.
-        if self.pending {
-            if let Some(handoff) = &self.handoff {
-                while handoff.try_recv().is_ok() {
-                    self.pending = false;
-                }
-            }
-            if self.pending {
-                return self.resolve_all(out, plans, res, FallbackReason::Busy);
-            }
-        }
-        let (encoded, features) = match &self.encoder {
-            // HOT-ALLOC: encoding builds one owned EncodedPlan per
-            // admitted plan; the worker takes ownership across the
-            // channel. PANIC-FREE: admitted holds indices < plans.len().
-            Some(encoder) => (
-                admitted.iter().map(|&i| encoder.encode(plans[i])).collect::<Vec<_>>(),
-                res.feature_vector(&self.cfg.cluster),
-            ),
-            None => return self.mark_lost(out, plans, res),
-        };
-        self.generation += 1;
-        let generation = self.generation;
-        let sent = match &self.handoff {
-            Some(handoff) => {
-                handoff.send(Request { generation, plans: encoded, resources: features })
-            }
-            None => false,
-        };
-        if !sent {
-            return self.mark_lost(out, plans, res);
-        }
-        loop {
-            let received = match &self.handoff {
-                Some(handoff) => handoff.recv_timeout(self.cfg.deadline),
-                None => Err(RecvTimeoutError::Disconnected),
-            };
-            match received {
-                Ok(resp) if resp.generation == generation => {
-                    telemetry::count("serving.predict.model", admitted.len() as u64);
-                    // PANIC-FREE: admitted holds indices < out.len().
-                    // HOT-ALLOC: the per-request response vector.
-                    for (&i, &seconds) in admitted.iter().zip(resp.seconds.iter()) {
-                        out[i] =
-                            Some(ServingPrediction { seconds, source: PredictionSource::Model });
-                    }
-                    return out.into_iter().flatten().collect();
-                }
-                // A stale response from an abandoned request; keep
-                // waiting (each drained stale answer frees the worker,
-                // so this loop is bounded by the generation counter).
-                Ok(_stale) => continue,
-                Err(RecvTimeoutError::Timeout) => {
-                    self.pending = true;
-                    return self.resolve_all(out, plans, res, FallbackReason::Deadline);
-                }
-                Err(RecvTimeoutError::Disconnected) => {
-                    return self.mark_lost(out, plans, res);
-                }
-            }
-        }
-    }
-
-    /// Fills every unresolved slot with a fallback answer for `reason`.
-    fn resolve_all(
-        &self,
-        out: Vec<Option<ServingPrediction>>,
-        plans: &[&PhysicalPlan],
-        res: &ResourceConfig,
-        reason: FallbackReason,
-    ) -> Vec<ServingPrediction> {
-        // HOT-ALLOC: the per-request response vector.
-        out.into_iter()
-            .zip(plans.iter())
-            .map(|(slot, plan)| match slot {
-                Some(p) => p,
-                None => self.fall_back(plan, res, reason),
-            })
-            .collect()
-    }
-
-    fn mark_lost(
-        &mut self,
-        out: Vec<Option<ServingPrediction>>,
-        plans: &[&PhysicalPlan],
-        res: &ResourceConfig,
-    ) -> Vec<ServingPrediction> {
-        self.degraded = Some(FallbackReason::WorkerLost);
-        // Tearing down the handoff closes the request channel and joins
-        // the (dead or dying) worker thread.
-        self.handoff = None;
-        self.resolve_all(out, plans, res, FallbackReason::WorkerLost)
-    }
-
-    fn fall_back(
-        &self,
-        plan: &PhysicalPlan,
-        res: &ResourceConfig,
-        reason: FallbackReason,
-    ) -> ServingPrediction {
-        telemetry::count(reason.counter(), 1);
-        ServingPrediction {
-            seconds: self.fallback.estimate_seconds(plan, res),
-            source: PredictionSource::Fallback(reason),
-        }
+        self.service.metrics_snapshot()
     }
 }

@@ -1,28 +1,29 @@
-//! Sharded multi-tenant serving: N frozen-model replicas behind
-//! striped request queues, with cross-request batching and per-tenant
-//! fair-share admission.
+//! The serving service: N frozen-model replicas behind striped request
+//! queues, with cross-request batching, per-tenant fair-share admission
+//! and one thread per shard.
 //!
-//! [`ServingModel`](super::ServingModel) is one worker behind one
-//! caller; this module is the cluster-scale version. A
-//! [`ShardedServing`] service owns [`ShardConfig::shards`] *shards*,
-//! each a [`BatchQueue`] + dispatcher thread + [`Handoff`] inference
-//! worker holding a clone of one Arc-shared [`FrozenModel`] (a
-//! reference-count bump — all shards price with the same weights).
-//! Client threads call [`ShardedServing::predict`] concurrently through
-//! `&self`; each call is striped round-robin onto a shard queue, and
-//! the shard's **coalescer** packs every request that is queued at
-//! dispatch time — up to [`ShardConfig::max_batch`] of them — into a
-//! single [`predict_packed`](FrozenModel::predict_packed) call, so
-//! concurrent tenants share one head matmul per layer exactly the way
-//! one caller's `predict_many` batch does.
+//! A [`ShardedServing`] service owns [`ShardConfig::shards`] *shards*,
+//! each a [`BatchQueue`] plus one dispatcher thread holding a clone of
+//! one Arc-shared [`FrozenModel`] (a reference-count bump — all shards
+//! price with the same weights). Client threads call
+//! [`ShardedServing::predict`] concurrently through `&self`; each call
+//! is striped round-robin onto a shard queue, and the shard's
+//! dispatcher packs every request that is queued at dispatch time — up
+//! to [`ShardConfig::max_batch`] of them — into a single
+//! [`predict_packed`](FrozenModel::predict_packed) call that it runs
+//! itself, so concurrent tenants share one head matmul per layer
+//! exactly the way one caller's `predict_many` batch does.
 //!
-//! The guard rails of the single-worker server all carry over, per
-//! shard: the dispatcher runs `predict_many`'s generation/pending
-//! state machine over the same [`Handoff`] protocol (deadline →
-//! `serving.fallback.deadline`, wedged worker → `serving.fallback.busy`,
-//! dead worker → `serving.fallback.worker_lost`), oversized plans fall
-//! back at admission, and a corrupt checkpoint degrades the whole
-//! service instead of panicking. Two additions are new here:
+//! Every guard rail answers from the analytical fallback and counts
+//! the trip: a corrupt checkpoint degrades the whole service
+//! (`serving.fallback.checkpoint`), oversized plans fall back at
+//! admission (`serving.fallback.admission`), a full or closed shard
+//! queue sheds (`serving.fallback.busy`), and a pricing panic is caught
+//! on the dispatcher, which settles that batch and every later one on
+//! its shard analytically (`serving.fallback.worker_lost`). The
+//! **client owns the deadline**: its [`ReplySlot::wait_deadline`] is
+//! the only timeout in the path (`serving.fallback.deadline`); the
+//! dispatcher never times out. Tenancy adds two things:
 //!
 //! * **fair-share admission** — a tenant with
 //!   [`ShardConfig::tenant_inflight`] requests already in flight is
@@ -31,39 +32,6 @@
 //! * **per-tenant telemetry** — every call counts
 //!   `serving.tenant.predict.<tenant>`, every shed request counts
 //!   `serving.tenant.shed.<tenant>`.
-//!
-//! A permanently degraded service still answers every call from the
-//! analytical fallback:
-//!
-//! ```
-//! use raal::serving::shard::{ShardConfig, ShardedServing};
-//! use raal::serving::{FallbackReason, PredictionSource};
-//! use sparksim::catalog::Catalog;
-//! use sparksim::engine::Engine;
-//! use sparksim::resource::{ClusterConfig, ResourceConfig};
-//! use sparksim::schema::{ColumnDef, TableSchema};
-//! use sparksim::storage::{Column, ColumnData, Table};
-//! use sparksim::types::DataType;
-//! use std::sync::Arc;
-//!
-//! let mut catalog = Catalog::new();
-//! catalog.register(Table::new(
-//!     TableSchema::new("t", vec![ColumnDef::new("id", DataType::Int, false)]),
-//!     vec![Column::non_null(ColumnData::Int((0..100).collect()))],
-//! ));
-//! let engine = Engine::new(catalog);
-//! let plan = engine.plan_candidates("SELECT COUNT(*) FROM t").unwrap().remove(0);
-//!
-//! let service = ShardedServing::from_checkpoint(
-//!     std::path::Path::new("/nonexistent/raal.json"),
-//!     Arc::new(|_: &sparksim::PhysicalPlan, _: &ResourceConfig| 42.0),
-//!     ShardConfig::default(),
-//! );
-//! assert!(service.is_degraded());
-//! let pred = service.predict("tenant-a", &plan, &ResourceConfig::default_for(&ClusterConfig::default()));
-//! assert_eq!(pred.seconds, 42.0);
-//! assert_eq!(pred.source, PredictionSource::Fallback(FallbackReason::Checkpoint));
-//! ```
 //!
 //! The building blocks ([`BatchQueue`], [`ReplySlot`]) are public on
 //! purpose: they are built on [`raal_sync`] primitives, so the
@@ -74,7 +42,6 @@
 
 #![deny(missing_docs)]
 
-use super::handoff::Handoff;
 use super::{
     FallbackModel, FallbackReason, PredictionSource, ServingConfig, ServingPrediction, SloStats,
 };
@@ -83,12 +50,12 @@ use crate::persist::ModelBundle;
 use encoding::plan_encoder::EncodedPlan;
 use encoding::PlanEncoder;
 use raal_sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
-use raal_sync::mpsc::RecvTimeoutError;
 use raal_sync::sync::{Condvar, Mutex, MutexGuard};
 use raal_sync::thread;
 use sparksim::plan::physical::PhysicalPlan;
 use sparksim::resource::ResourceConfig;
 use std::collections::{HashMap, VecDeque};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::Arc;
 use std::time::Duration;
@@ -130,12 +97,12 @@ fn wait_timeout<'a, T>(
 }
 
 /// Sharded-service settings. The per-request guard rails (deadline,
-/// admission size, quantization tier, SLO target) live in the embedded
-/// [`ServingConfig`]; the fields here shape the fleet around them.
+/// admission size, SLO target) live in the embedded [`ServingConfig`];
+/// the fields here shape the fleet around them.
 #[derive(Debug, Clone)]
 pub struct ShardConfig {
-    /// Number of shards (queue + dispatcher + inference worker trios).
-    /// Each shard prices one coalesced batch at a time, so this is the
+    /// Number of shards (a queue and one dispatcher thread each). Each
+    /// shard prices one coalesced batch at a time, so this is the
     /// service's inference parallelism. Clamped to at least 1.
     pub shards: usize,
     /// Most requests one dispatch may coalesce into a single packed
@@ -147,12 +114,11 @@ pub struct ShardConfig {
     /// arrivals to the fallback (`serving.fallback.busy`) instead of
     /// growing without limit.
     pub queue_capacity: usize,
-    /// Fair-share cap: the most requests one tenant may have in flight
-    /// (queued or being priced) across the whole service before new
-    /// ones are shed (`serving.fallback.tenant_quota`).
+    /// Fair-share cap: the most calls one tenant may have inside the
+    /// service at once, across all shards, before new ones are shed
+    /// (`serving.fallback.tenant_quota`).
     pub tenant_inflight: u32,
-    /// The per-request guard rails, shared with the single-worker
-    /// [`ServingModel`](super::ServingModel).
+    /// The per-request guard rails.
     pub serving: ServingConfig,
 }
 
@@ -176,8 +142,8 @@ impl Default for ShardConfig {
 /// `true`; a client whose [`wait_deadline`](Self::wait_deadline)
 /// expires moves `Waiting → Abandoned`, after which `complete` returns
 /// `false` — so both sides always agree on who owned the outcome (the
-/// service uses that agreement to release the tenant's in-flight slot
-/// exactly once).
+/// service uses that agreement to count each request's answer exactly
+/// once).
 pub struct ReplySlot<T> {
     state: Mutex<SlotState<T>>,
     cv: Condvar,
@@ -216,30 +182,36 @@ impl<T> ReplySlot<T> {
     /// Waits up to `deadline` for the outcome. `None` means the wait
     /// expired and the slot is now `Abandoned`: a later `complete` will
     /// return `false` and the value will be dropped by the completer.
+    ///
+    /// This is the only timeout on a serving call, so the bound is
+    /// absolute: the expiry is fixed once on entry, a wake without an
+    /// outcome waits only for what is left of it, and a zero deadline
+    /// never waits at all.
     pub fn wait_deadline(&self, deadline: Duration) -> Option<T> {
+        let budget_ns = u64::try_from(deadline.as_nanos()).unwrap_or(u64::MAX);
+        let expires_ns = telemetry::clock_ns().saturating_add(budget_ns);
+        let mut remaining = deadline;
         let mut state = lock(&self.state);
         loop {
+            // Checked before the expiry on every pass, so a completer
+            // that slipped in between a timeout and reacquiring the
+            // lock still wins.
             match std::mem::replace(&mut *state, SlotState::Abandoned) {
                 SlotState::Done(value) => return Some(value),
                 SlotState::Abandoned => return None,
                 SlotState::Waiting => {}
             }
-            *state = SlotState::Waiting;
-            let (reacquired, timed_out) = wait_timeout(&self.cv, state, deadline);
-            state = reacquired;
-            if timed_out {
-                // The completer may have slipped in between the timeout
-                // and reacquiring the lock; prefer its answer.
-                return match std::mem::replace(&mut *state, SlotState::Abandoned) {
-                    SlotState::Done(value) => Some(value),
-                    _ => None,
-                };
+            if remaining.is_zero() {
+                return None;
             }
-            // Woken without timeout: re-check the state. Only
-            // `complete` notifies, so a wake without `Done` is a
-            // spurious one and the loop re-arms the full deadline —
-            // acceptable, since that costs latency only on a wakeup
-            // that real condvars essentially never deliver.
+            *state = SlotState::Waiting;
+            let (reacquired, timed_out) = wait_timeout(&self.cv, state, remaining);
+            state = reacquired;
+            remaining = if timed_out {
+                Duration::ZERO
+            } else {
+                Duration::from_nanos(expires_ns.saturating_sub(telemetry::clock_ns()))
+            };
         }
     }
 }
@@ -433,53 +405,29 @@ struct ShardJob {
     plans: Vec<EncodedPlan>,
     resources: Vec<f32>,
     fallback: Vec<f64>,
-    tenant: Arc<TenantEntry>,
     reply: Arc<ReplySlot<JobOutcome>>,
 }
 
-/// One coalesced batch shipped to a shard's inference worker.
-struct WorkRequest {
-    generation: u64,
-    /// Per job: its encoded plans and its resource feature vector.
-    jobs: Vec<(Vec<EncodedPlan>, Vec<f32>)>,
-}
-
-/// The worker's packed answer, tagged with the request generation so
-/// the dispatcher can discard answers to batches it stopped waiting on.
-struct WorkResponse {
-    generation: u64,
-    seconds: Vec<f64>,
-}
-
-/// Everything a shard's dispatcher thread needs.
-struct ShardRuntime {
-    queue: Arc<BatchQueue<ShardJob>>,
-    deadline: Duration,
-    max_batch: usize,
-}
-
-/// A shard dispatcher: drains the queue in coalesced batches, ships
-/// each batch to the inference worker over the [`Handoff`], and settles
-/// every job's [`ReplySlot`] — with the packed model answer when it
-/// arrives in time, with the job's precomputed analytical estimates
-/// otherwise. Runs `predict_many`'s generation/pending state machine,
-/// so a deadline miss degrades exactly like the single-worker server:
-/// the next batch falls back `Busy` until the stale answer is drained,
-/// and a dead worker turns every later batch into `WorkerLost`.
+/// A shard dispatcher: drains the queue in coalesced batches, prices
+/// each batch itself with one [`FrozenModel::predict_packed`] call and
+/// settles every job's [`ReplySlot`] with its share of the answer. It
+/// never times out — the waiting client owns the deadline, and a job
+/// whose client gave up simply fails to settle.
 ///
-/// Exits when the queue is closed and fully drained; dropping the
-/// handoff then closes the request channel and joins the worker.
-fn dispatch_loop(rt: ShardRuntime, handoff: Handoff<WorkRequest, WorkResponse>) {
-    // HOT-ALLOC: two scratch vectors per dispatcher lifetime, reused
+/// A panic while pricing is caught here: the batch is settled
+/// `WorkerLost` from the jobs' precomputed analytical estimates and
+/// the shard stays lost, so every later batch on it falls back the
+/// same way without touching the model again.
+///
+/// Exits when the queue is closed and fully drained.
+fn dispatch_loop(queue: Arc<BatchQueue<ShardJob>>, model: FrozenModel, max_batch: usize) {
+    // HOT-ALLOC: one scratch vector per dispatcher lifetime, reused
     // across every batch.
-    let mut batch: Vec<ShardJob> = Vec::with_capacity(rt.max_batch);
-    let mut counts: Vec<usize> = Vec::with_capacity(rt.max_batch);
-    let mut generation: u64 = 0;
-    let mut pending = false;
+    let mut batch: Vec<ShardJob> = Vec::with_capacity(max_batch);
     let mut lost = false;
     loop {
         debug_assert!(batch.is_empty());
-        if !rt.queue.drain(rt.max_batch, &mut batch) {
+        if !queue.drain(max_batch, &mut batch) {
             return;
         }
         let _span = telemetry::span("serving.shard.dispatch");
@@ -490,51 +438,26 @@ fn dispatch_loop(rt: ShardRuntime, handoff: Handoff<WorkRequest, WorkResponse>) 
             settle_fallback(&mut batch, FallbackReason::WorkerLost);
             continue;
         }
-        // Drain any response from a batch we previously abandoned; the
-        // worker is busy until it lands.
-        if pending {
-            while handoff.try_recv().is_ok() {
-                pending = false;
-            }
-            if pending {
-                settle_fallback(&mut batch, FallbackReason::Busy);
-                continue;
-            }
-        }
-        generation = generation.wrapping_add(1);
-        counts.clear();
-        // HOT-ALLOC: per-batch assembly — the job payloads are moved
-        // (not copied) into the request shipped across the channel.
-        let mut jobs = Vec::with_capacity(batch.len());
-        for job in &mut batch {
-            counts.push(job.plans.len());
-            jobs.push((std::mem::take(&mut job.plans), std::mem::take(&mut job.resources)));
-        }
-        if !handoff.send(WorkRequest { generation, jobs }) {
-            lost = true;
-            settle_fallback(&mut batch, FallbackReason::WorkerLost);
-            continue;
-        }
-        loop {
-            match handoff.recv_timeout(rt.deadline) {
-                Ok(resp) if resp.generation == generation => {
-                    settle_model(&mut batch, &counts, resp.seconds);
-                    break;
-                }
-                // A stale response from an abandoned batch; each
-                // drained one frees the worker, so this is bounded by
-                // the generation counter.
-                Ok(_stale) => continue,
-                Err(RecvTimeoutError::Timeout) => {
-                    pending = true;
-                    settle_fallback(&mut batch, FallbackReason::Deadline);
-                    break;
-                }
-                Err(RecvTimeoutError::Disconnected) => {
-                    lost = true;
-                    settle_fallback(&mut batch, FallbackReason::WorkerLost);
-                    break;
-                }
+        // PANIC-FREE: the one place a pricing panic is allowed to
+        // surface — it is contained to this batch and turned into the
+        // sticky WorkerLost state below, never unwound into a client.
+        let priced = catch_unwind(AssertUnwindSafe(|| {
+            // One packed pricing pass over the whole coalesced batch:
+            // every job's plans share one head matmul per layer, and
+            // this thread's arena is reused across batches.
+            // HOT-ALLOC: per-batch item list of borrowed plan/resource
+            // pairs, sized by the batch.
+            let items: Vec<(&EncodedPlan, &[f32])> = batch
+                .iter()
+                .flat_map(|job| job.plans.iter().map(move |p| (p, job.resources.as_slice())))
+                .collect();
+            model.predict_packed(&items)
+        }));
+        match priced {
+            Ok(seconds) => settle_model(&mut batch, seconds),
+            Err(_panic) => {
+                lost = true;
+                settle_fallback(&mut batch, FallbackReason::WorkerLost);
             }
         }
     }
@@ -546,31 +469,30 @@ fn dispatch_loop(rt: ShardRuntime, handoff: Handoff<WorkRequest, WorkResponse>) 
 /// counted its own fallback is not double-counted.
 fn settle_fallback(batch: &mut Vec<ShardJob>, reason: FallbackReason) {
     for job in batch.drain(..) {
-        let ShardJob { fallback, tenant, reply, .. } = job;
+        let ShardJob { fallback, reply, .. } = job;
         let delivered = fallback.len() as u64;
         let outcome = JobOutcome {
             source: PredictionSource::Fallback(reason),
             seconds: fallback,
         };
         if reply.complete(outcome) {
-            tenant.release();
             telemetry::count(reason.counter(), delivered);
         }
     }
 }
 
-/// Splits the worker's packed `seconds` back per job and settles each
-/// slot with the model answer. A length mismatch (a mangled batch —
-/// never produced by a correct worker) falls back analytically rather
-/// than handing a client someone else's estimate.
-fn settle_model(batch: &mut Vec<ShardJob>, counts: &[usize], seconds: Vec<f64>) {
+/// Splits the packed `seconds` back per job and settles each slot with
+/// the model answer. A length mismatch (a mangled batch — never
+/// produced by a correct pricer) falls back analytically rather than
+/// handing a client someone else's estimate.
+fn settle_model(batch: &mut Vec<ShardJob>, seconds: Vec<f64>) {
     let mut remaining = seconds.into_iter();
-    for (i, job) in batch.drain(..).enumerate() {
-        let want = counts.get(i).copied().unwrap_or(0);
+    for job in batch.drain(..) {
+        let ShardJob { plans, fallback, reply, .. } = job;
+        let want = plans.len();
         // HOT-ALLOC: the per-job response vector handed to the waiting
         // client.
         let secs: Vec<f64> = remaining.by_ref().take(want).collect();
-        let ShardJob { fallback, tenant, reply, .. } = job;
         let intact = secs.len() == want && want == fallback.len();
         let delivered = fallback.len() as u64;
         let outcome = if intact {
@@ -582,7 +504,6 @@ fn settle_model(batch: &mut Vec<ShardJob>, counts: &[usize], seconds: Vec<f64>) 
             }
         };
         if reply.complete(outcome) {
-            tenant.release();
             if intact {
                 telemetry::count("serving.predict.model", delivered);
             } else {
@@ -640,9 +561,9 @@ impl ServiceStats {
 /// [module docs](self) for the architecture and `docs/SERVING.md` for
 /// the operator's guide.
 ///
-/// Unlike [`ServingModel`](super::ServingModel), every method takes
-/// `&self`: the service is `Send + Sync` and meant to be shared across
-/// client threads (`Arc<ShardedServing>` or a scoped borrow).
+/// Every method takes `&self`: the service is `Send + Sync` and meant
+/// to be shared across client threads (`Arc<ShardedServing>` or a
+/// scoped borrow).
 ///
 /// ```
 /// use encoding::word2vec::{train as w2v_train, W2vConfig};
@@ -700,8 +621,8 @@ impl ServiceStats {
 /// assert!(pred.seconds.is_finite());
 /// assert_eq!(service.slo_stats().total, 1);
 ///
-/// // Shutdown drains the queues, joins every dispatcher and worker,
-/// // and is idempotent; later predicts shed to the fallback.
+/// // Shutdown drains the queues, joins every dispatcher, and is
+/// // idempotent; later predicts shed to the fallback.
 /// service.shutdown();
 /// assert!(service.predict("tenant-a", &plan, &res).source != PredictionSource::Model);
 /// ```
@@ -721,9 +642,8 @@ pub struct ShardedServing {
 impl ShardedServing {
     /// Serves a loaded bundle across [`ShardConfig::shards`] shards.
     /// The model is quantized and frozen once ([`FrozenModel::freeze`]);
-    /// every shard's worker holds a reference-counted clone of the same
-    /// weights. Spawns two threads per shard (dispatcher + inference
-    /// worker) immediately.
+    /// every shard's dispatcher holds a reference-counted clone of the
+    /// same weights. Spawns one thread per shard immediately.
     pub fn new(
         bundle: ModelBundle,
         fallback: Arc<dyn FallbackModel + Send + Sync>,
@@ -736,31 +656,8 @@ impl ShardedServing {
         let mut dispatchers = Vec::with_capacity(shards);
         for _ in 0..shards {
             let queue = Arc::new(BatchQueue::bounded(cfg.queue_capacity));
-            let worker_model = frozen.clone();
-            let quantized = cfg.serving.quantized;
-            let handoff = Handoff::spawn(move |req: WorkRequest| {
-                // One packed pricing pass over the whole coalesced
-                // batch: every job's plans share one head matmul per
-                // layer, and the worker's thread-local arena is reused
-                // across requests.
-                let items: Vec<(&EncodedPlan, &[f32])> = req
-                    .jobs
-                    .iter()
-                    .flat_map(|(plans, res)| plans.iter().map(move |p| (p, res.as_slice())))
-                    .collect();
-                let seconds = if quantized {
-                    worker_model.predict_packed(&items)
-                } else {
-                    worker_model.model().predict_packed(&items)
-                };
-                WorkResponse { generation: req.generation, seconds }
-            });
-            let rt = ShardRuntime {
-                queue: queue.clone(),
-                deadline: cfg.serving.deadline,
-                max_batch: cfg.max_batch.max(1),
-            };
-            dispatchers.push(thread::spawn(move || dispatch_loop(rt, handoff)));
+            let (jobs, model, max_batch) = (queue.clone(), frozen.clone(), cfg.max_batch.max(1));
+            dispatchers.push(thread::spawn(move || dispatch_loop(jobs, model, max_batch)));
             queues.push(queue);
         }
         let tenants = TenantTable::new(cfg.tenant_inflight);
@@ -781,7 +678,7 @@ impl ShardedServing {
     /// Loads a checkpoint and serves it sharded; a bundle that fails
     /// [`ModelBundle::load`] validation yields a permanently degraded
     /// service (every predict answered by the fallback) instead of an
-    /// error or panic. See the [module docs](self) for an example.
+    /// error or panic.
     pub fn from_checkpoint(
         path: &Path,
         fallback: Arc<dyn FallbackModel + Send + Sync>,
@@ -826,6 +723,13 @@ impl ShardedServing {
         &self.cfg
     }
 
+    /// Rewrites [`ServingConfig::deadline`], the budget every later
+    /// client-side wait reads (the [`ServingModel`](super::ServingModel)
+    /// façade's `set_deadline`).
+    pub(super) fn set_deadline(&mut self, deadline: Duration) {
+        self.cfg.serving.deadline = deadline;
+    }
+
     /// Number of live shards (0 for a degraded service).
     pub fn shards(&self) -> usize {
         self.queues.len()
@@ -839,6 +743,8 @@ impl ShardedServing {
     /// Scores one plan for `tenant`: the deep model's packed answer if
     /// it arrives within [`ServingConfig::deadline`], the analytical
     /// fallback's otherwise — never a panic, never an unbounded wait.
+    /// Increments `serving.predict` plus either `serving.predict.model`
+    /// or the per-reason `serving.fallback.*` counter.
     ///
     /// ```
     /// use raal::serving::shard::{ShardConfig, ShardedServing};
@@ -924,8 +830,8 @@ impl ShardedServing {
 
     /// Drains and stops the service: closes every shard queue (later
     /// pushes shed to the fallback), lets each dispatcher finish the
-    /// backlog, then joins the dispatcher and inference-worker threads.
-    /// Idempotent; also run by `Drop`.
+    /// backlog, then joins the dispatcher threads. Idempotent; also run
+    /// by `Drop`.
     ///
     /// ```
     /// use raal::serving::shard::{ShardConfig, ShardedServing};
@@ -991,7 +897,7 @@ impl ShardedServing {
         // admitted-index list and the response vector are all sized by
         // the caller's batch and returned to (or dropped with) it.
         // PANIC-FREE: i ranges over 0..plans.len() == out.len().
-        let mut out: Vec<Option<ServingPrediction>> = plans
+        let out: Vec<Option<ServingPrediction>> = plans
             .iter()
             .map(|p| {
                 (p.len() > self.cfg.serving.max_plan_nodes)
@@ -1004,11 +910,27 @@ impl ShardedServing {
             return out.into_iter().flatten().collect();
         }
         // Fair share: a tenant at its in-flight cap is shed before any
-        // queue or encoding work happens on its behalf.
+        // queue or encoding work happens on its behalf. The slot is
+        // held for exactly the span of this call — given back here, on
+        // the client thread, whichever way the call was answered.
         if !entry.try_acquire(self.tenants.limit) {
             telemetry::count(&entry.shed_counter, admitted.len() as u64);
             return self.resolve_all(out, plans, res, FallbackReason::TenantQuota);
         }
+        let out = self.price_admitted(out, &admitted, plans, res);
+        entry.release();
+        out
+    }
+
+    /// Encodes the `admitted` plans, queues them on a shard as one job
+    /// and waits out the deadline for the dispatcher's answer.
+    fn price_admitted(
+        &self,
+        mut out: Vec<Option<ServingPrediction>>,
+        admitted: &[usize],
+        plans: &[&PhysicalPlan],
+        res: &ResourceConfig,
+    ) -> Vec<ServingPrediction> {
         let (encoded, features) = match &self.encoder {
             // HOT-ALLOC: encoding builds one owned EncodedPlan per
             // admitted plan; the shard takes ownership via the queue.
@@ -1017,10 +939,7 @@ impl ShardedServing {
                 admitted.iter().map(|&i| encoder.encode(plans[i])).collect::<Vec<_>>(),
                 res.feature_vector(&self.cfg.serving.cluster),
             ),
-            None => {
-                entry.release();
-                return self.resolve_all(out, plans, res, FallbackReason::WorkerLost);
-            }
+            None => return self.resolve_all(out, plans, res, FallbackReason::WorkerLost),
         };
         // The fallback is priced eagerly on the client thread: it must
         // be cheap and total, and this keeps borrowed plans off the
@@ -1033,13 +952,12 @@ impl ShardedServing {
             .collect();
         // HOT-ALLOC: one reply cell per request, shared with the shard.
         let reply = Arc::new(ReplySlot::new());
-        // HOT-ALLOC: Arc::clone bumps reference counts; the job struct
+        // HOT-ALLOC: Arc::clone bumps a reference count; the job struct
         // itself rides inline in the queue's VecDeque slot.
         let job = ShardJob {
             plans: encoded,
             resources: features,
             fallback: fallback_secs,
-            tenant: entry.clone(),
             reply: reply.clone(),
         };
         let shard = self.pick_shard();
@@ -1048,7 +966,6 @@ impl ShardedServing {
         // slot; ring growth is amortized and capped by queue_capacity.
         if self.queues[shard].push(job).is_err() {
             // Full or closed queue: shed immediately.
-            entry.release();
             return self.resolve_all(out, plans, res, FallbackReason::Busy);
         }
         match reply.wait_deadline(self.cfg.serving.deadline) {
@@ -1066,13 +983,10 @@ impl ShardedServing {
                 // HOT-ALLOC: the per-request response vector.
                 out.into_iter().flatten().collect()
             }
-            None => {
-                // We abandoned the slot: the in-flight release is ours
-                // (the dispatcher's later complete() returns false and
-                // skips it), and so is the fallback accounting.
-                entry.release();
-                self.resolve_all(out, plans, res, FallbackReason::Deadline)
-            }
+            // The deadline passed and we abandoned the slot: the
+            // dispatcher's later complete() returns false, so the
+            // fallback accounting is ours.
+            None => self.resolve_all(out, plans, res, FallbackReason::Deadline),
         }
     }
 
@@ -1121,5 +1035,43 @@ impl ShardedServing {
 impl Drop for ShardedServing {
     fn drop(&mut self) {
         self.shutdown();
+    }
+}
+
+#[cfg(all(test, not(raal_model_check)))]
+mod tests {
+    use super::*;
+    use std::sync::atomic::{AtomicBool, Ordering};
+
+    /// The client-side wait is the only bound on a serving call, so it
+    /// must hold against wakes that bring no outcome: a second thread
+    /// keeps notifying the slot's condvar without ever completing it,
+    /// and the wait still gives up on time instead of re-arming its
+    /// deadline on every wake.
+    #[test]
+    fn wait_deadline_is_absolute_under_wakes_without_an_outcome() {
+        let deadline = Duration::from_millis(20);
+        let slot: ReplySlot<u32> = ReplySlot::new();
+        let stop = AtomicBool::new(false);
+        // The hammer stops by itself after 10 deadlines, so that a wait
+        // which does re-arm fails the assertion below rather than hangs.
+        let give_up_ns = telemetry::clock_ns() + 10 * deadline.as_nanos() as u64;
+        let (got, waited) = std::thread::scope(|s| {
+            s.spawn(|| {
+                while !stop.load(Ordering::SeqCst) && telemetry::clock_ns() < give_up_ns {
+                    slot.cv.notify_all();
+                    std::thread::sleep(Duration::from_micros(200));
+                }
+            });
+            let t0 = telemetry::clock_ns();
+            let got = slot.wait_deadline(deadline);
+            let waited = Duration::from_nanos(telemetry::clock_ns() - t0);
+            stop.store(true, Ordering::SeqCst);
+            (got, waited)
+        });
+        assert_eq!(got, None);
+        assert!(waited >= deadline, "gave up early: {waited:?}");
+        assert!(waited < 5 * deadline, "wakes re-armed the deadline: waited {waited:?}");
+        assert!(!slot.complete(1), "an expired wait leaves the slot abandoned");
     }
 }

@@ -1,10 +1,11 @@
-//! Model-check suite for the serving worker handoff. Compiled only in
-//! the model-check configuration (`RUSTFLAGS="--cfg raal_model_check"`),
+//! Model-check suite for the serving shard's queue/slot protocol and the
+//! (now unused by serving) worker handoff. Compiled only in the
+//! model-check configuration (`RUSTFLAGS="--cfg raal_model_check"`),
 //! where `raal_sync` swaps its std re-exports for schedule-explored
-//! twins: these tests run the *production* [`Handoff`] code — the same
-//! channel protocol `ServingModel::predict_many` drives — across every
-//! thread interleaving up to the preemption bound, with trivial work
-//! functions standing in for inference.
+//! twins: these tests run the *production* [`BatchQueue`], [`ReplySlot`]
+//! and [`Handoff`] code across every thread interleaving up to the
+//! preemption bound, with trivial work functions standing in for
+//! inference.
 //!
 //! A plain `cargo test` compiles this file to nothing; CI runs it in the
 //! dedicated model-check job. See DESIGN.md §14 for how to write and
@@ -199,7 +200,7 @@ fn shutdown_with_queued_requests_sheds_or_serves_every_job() {
 /// dispatcher completing the slot. In every interleaving exactly one
 /// side owns the outcome — `complete()` returns `true` iff the client's
 /// wait returned `Some` — which is the agreement the service uses to
-/// release a tenant's in-flight slot exactly once.
+/// count each request's answer exactly once.
 #[test]
 fn reply_slot_settles_exactly_once_under_abandonment() {
     explore("shard-replyslot-abandon", cfg(), || {

@@ -72,7 +72,7 @@ fn tiny_bundle() -> ModelBundle {
     ModelBundle::new(model, &encoder)
 }
 
-fn gpsj_fallback() -> Box<dyn raal::serving::FallbackModel + Send> {
+fn gpsj_fallback() -> Box<dyn raal::serving::FallbackModel + Send + Sync> {
     Box::new(|plan: &PhysicalPlan, _res: &ResourceConfig| 1.0 + plan.len() as f64)
 }
 
