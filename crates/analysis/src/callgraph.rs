@@ -242,11 +242,13 @@ pub struct EntryPoint {
 /// the resolution rules — so the list is versioned with the analyzer.
 ///
 /// The set covers the three layers of the latency path: the serving
-/// service (`ShardedServing::predict*`, its `ServingModel` façade and
-/// the dispatcher loop that prices in place), the model fast paths
-/// (`CostModel` / `FrozenModel` context planning and packed
-/// prediction), the `nn` inference kernel set, and the telemetry record
-/// calls those paths are allowed to make.
+/// service (`ShardedServing::predict*` — which price a fully cached
+/// call on the calling thread — its `ServingModel` façade and the
+/// dispatcher loop that prices everything else), the model fast paths
+/// (`CostModel` / `FrozenModel` context planning, packed prediction
+/// and `price_contexts`, the head both serving routes end in), the
+/// `nn` inference kernel set, and the telemetry record calls those
+/// paths are allowed to make.
 /// `CostModel::predict_batch` is deliberately absent: it spawns scoped
 /// threads per call, which is a throughput API, not the steady-state
 /// latency path.
@@ -298,6 +300,11 @@ pub const HOT_ENTRY_POINTS: &[EntryPoint] = &[
         krate: "core",
         self_ty: Some("FrozenModel"),
         name: "predict_packed",
+    },
+    EntryPoint {
+        krate: "core",
+        self_ty: Some("FrozenModel"),
+        name: "price_contexts",
     },
     EntryPoint {
         krate: "core",

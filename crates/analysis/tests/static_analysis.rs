@@ -44,7 +44,7 @@ fn workspace_is_clean_under_allowlist() {
     );
 }
 
-/// Splices `payload` into `ShardedServing::predict_many_inner`'s body
+/// Splices `payload` into `ShardedServing::answer`'s body
 /// — the one request path every serving call takes — in memory only,
 /// and returns the doctored source set.
 fn inject_into_serving(payload: &str) -> Vec<(String, String)> {

@@ -203,6 +203,14 @@ impl PlanContext {
     pub fn num_nodes(&self) -> usize {
         self.n
     }
+
+    /// Heap bytes this context holds (buffer capacities, which for a
+    /// context drawn from the inference arena can exceed what it uses;
+    /// a `clone()` is exact-sized).
+    pub fn heap_bytes(&self) -> usize {
+        (self.h.capacity() + self.p.capacity() + self.keys.capacity() + self.stats.capacity())
+            * std::mem::size_of::<f32>()
+    }
 }
 
 impl std::fmt::Debug for CostModel {
@@ -593,8 +601,9 @@ impl CostModel {
         if let Some(qw) = qw {
             qw.assert_current(self);
         }
-        // Cache accounting: hits are derivable downstream as
-        // `infer.predict.with_context - infer.plan_context.build`.
+        // Counts builds only. Contexts reused by a caller's own sweep
+        // show up in `infer.predict.with_context`; the serving cache
+        // reports its reuse as `serving.plan_cache.hit` / `.miss`.
         telemetry::count("infer.plan_context.build", 1);
         INFER_ARENA.with(|cell| {
             let arena = &mut *cell.borrow_mut();
@@ -810,106 +819,154 @@ impl CostModel {
         resources: &[f32],
         qw: Option<&QuantizedWeights>,
     ) -> f64 {
-        // PANIC-FREE: deliberate staleness / tier-mismatch guards —
-        // pricing a context from another model state would silently
-        // return garbage, so these fail loudly instead.
-        assert!(
-            self.context_is_current(ctx),
-            "stale PlanContext: the model was mutated, retrained or deserialised after \
-             plan_context() — recompute the context"
-        );
-        assert_eq!(
-            ctx.quantized,
-            qw.is_some(),
-            "PlanContext tier mismatch: a context must be priced through the same weight \
-             tier (f32 or int8) it was built with"
-        );
+        telemetry::count("infer.predict.with_context", 1);
+        let mut y = [0.0f64];
+        self.price_contexts_impl(&[(ctx, resources)], qw, &mut y);
+        let [y] = y;
+        y
+    }
+
+    /// Prices K caller-held contexts, each against its own resource
+    /// vector, with one batched matmul per head layer — the
+    /// resource-dependent half of [`CostModel::predict_packed`], and
+    /// the K-plan form of [`CostModel::predict_with_context`] (same
+    /// bits per item, same panics on a stale or wrong-tier context).
+    pub(crate) fn price_contexts_with(
+        &self,
+        items: &[(&PlanContext, &[f32])],
+        qw: Option<&QuantizedWeights>,
+    ) -> Vec<f64> {
+        telemetry::count("infer.predict.with_context", items.len() as u64);
+        // HOT-ALLOC: the K-element result vector handed to the caller.
+        let mut ys = vec![0.0f64; items.len()];
+        self.price_contexts_impl(items, qw, &mut ys);
+        ys
+    }
+
+    /// The one head implementation: resource attention over each
+    /// context's cached keys, the `[p | m | rvec | stats]` feature rows
+    /// (`[p | stats]` for resource-blind ablations) packed into a
+    /// `K x head_in` matrix, and `head1`/`head2`/`out` run once over
+    /// all K rows. Every matmul computes its rows independently in the
+    /// accumulation order of the `rows = 1` kernel, so an item's result
+    /// does not depend on K or on its neighbours. Writes one estimate
+    /// per item into `out` (same length as `items`).
+    fn price_contexts_impl(
+        &self,
+        items: &[(&PlanContext, &[f32])],
+        qw: Option<&QuantizedWeights>,
+        out: &mut [f64],
+    ) {
+        debug_assert_eq!(items.len(), out.len());
+        if items.is_empty() {
+            return;
+        }
         if let Some(qw) = qw {
             qw.assert_current(self);
         }
-        telemetry::count("infer.predict.with_context", 1);
-        let _head_span = telemetry::kernel_span("infer.head");
-        let y = INFER_ARENA.with(|cell| {
+        for (ctx, _) in items {
+            // PANIC-FREE: deliberate staleness / tier-mismatch guards —
+            // pricing a context from another model state would silently
+            // return garbage, so these fail loudly instead.
+            assert!(
+                self.context_is_current(ctx),
+                "stale PlanContext: the model was mutated, retrained or deserialised after \
+                 plan_context() — recompute the context"
+            );
+            assert_eq!(
+                ctx.quantized,
+                qw.is_some(),
+                "PlanContext tier mismatch: a context must be priced through the same weight \
+                 tier (f32 or int8) it was built with"
+            );
+        }
+        let kcount = items.len();
+        let hidden = self.cfg.hidden;
+        let head_in = self.head1.in_dim;
+        INFER_ARENA.with(|cell| {
             let arena = &mut *cell.borrow_mut();
-            let hidden = self.cfg.hidden;
-
-            // Assemble the head input `[p | m | rvec | stats]` (or
-            // `[p | stats]` for resource-blind ablations).
-            let mut features = arena.take(self.head1.in_dim);
-            let mut at = 0usize;
-            // PANIC-FREE: head1.in_dim = hidden (+ hidden + resource_dim
-            // when resource attention is on) + stats, so every `at`
-            // window below fits; the resource width guard is deliberate.
-            features[at..at + hidden].copy_from_slice(&ctx.p);
-            at += hidden;
+            let mut features = arena.take(kcount * head_in);
             if self.cfg.resource_attention {
-                assert_eq!(
-                    resources.len(),
-                    self.cfg.resource_dim,
-                    "resource vector width mismatch"
-                );
                 let k = self.cfg.latent_k;
-                let mut q = arena.take(k);
+                let rdim = self.cfg.resource_dim;
+                // Pack the K resource vectors and project them with one
+                // matmul (`K x rdim @ rdim x k`); each row's accumulation
+                // is independent, so row i equals the single-item `q`.
+                let mut rvecs = arena.take(kcount * rdim);
+                for (row, (_, res)) in rvecs.chunks_mut(rdim).zip(items.iter()) {
+                    // PANIC-FREE: deliberate width guard per item.
+                    assert_eq!(res.len(), rdim, "resource vector width mismatch");
+                    row.copy_from_slice(res);
+                }
+                let mut qs = arena.take(kcount * k);
                 match qw.and_then(|qw| qw.wr.as_ref()) {
-                    Some(qm) => {
-                        quant::matmul_q8_into(resources, 1, self.cfg.resource_dim, qm, &mut q)
-                    }
+                    Some(qm) => quant::matmul_q8_into(&rvecs, kcount, rdim, qm, &mut qs),
                     None => infer::matmul_into(
-                        resources,
-                        1,
-                        self.cfg.resource_dim,
+                        &rvecs,
+                        kcount,
+                        rdim,
                         self.proj(self.wr, "attn.res.wr"),
                         k,
-                        &mut q,
+                        &mut qs,
                     ),
                 }
                 let mut scores = arena.take(0);
+                for (((ctx, res), frow), q) in
+                    items.iter().zip(features.chunks_mut(head_in)).zip(qs.chunks(k))
                 {
-                    // PANIC-FREE: at = hidden here and in_dim leaves at
-                    // least hidden + resource_dim + stats beyond it.
-                    let (m_slot, _) = features[at..].split_at_mut(hidden);
-                    dot_attention_into(
-                        &q,
-                        &ctx.keys,
-                        &ctx.h,
-                        k,
-                        hidden,
-                        None,
-                        ctx.n,
-                        &mut scores,
-                        m_slot,
-                    );
+                    // PANIC-FREE: frow has head_in = 2*hidden + rdim +
+                    // stats elements, so every segment offset below
+                    // stays inside it.
+                    frow[..hidden].copy_from_slice(&ctx.p);
+                    {
+                        let (m_slot, _) = frow[hidden..].split_at_mut(hidden);
+                        dot_attention_into(
+                            q,
+                            &ctx.keys,
+                            &ctx.h,
+                            k,
+                            hidden,
+                            None,
+                            ctx.n,
+                            &mut scores,
+                            m_slot,
+                        );
+                    }
+                    // PANIC-FREE: same head_in layout argument as above.
+                    frow[2 * hidden..2 * hidden + rdim].copy_from_slice(res);
+                    frow[2 * hidden + rdim..].copy_from_slice(&ctx.stats);
                 }
-                at += hidden;
-                arena.give(q);
+                arena.give(rvecs);
+                arena.give(qs);
                 arena.give(scores);
-                // PANIC-FREE: same in_dim layout argument as above.
-                features[at..at + self.cfg.resource_dim].copy_from_slice(resources);
-                at += self.cfg.resource_dim;
+            } else {
+                for ((ctx, _), frow) in items.iter().zip(features.chunks_mut(head_in)) {
+                    // PANIC-FREE: head_in = hidden + stats in the
+                    // resource-blind layout.
+                    frow[..hidden].copy_from_slice(&ctx.p);
+                    frow[hidden..].copy_from_slice(&ctx.stats);
+                }
             }
-            // PANIC-FREE: the stats block is the final in_dim segment
-            // (debug-asserted below).
-            features[at..at + ctx.stats.len()].copy_from_slice(&ctx.stats);
-            debug_assert_eq!(at + ctx.stats.len(), self.head1.in_dim);
 
-            // Prediction head.
-            let z1 = self
-                .head1
-                .infer_with(&self.store, &features, 1, arena, qw.map(|q| &q.head1));
+            // One batched matmul per head layer for all K plans.
+            let _head_span = telemetry::kernel_span("infer.head");
+            let z1 =
+                self.head1
+                    .infer_with(&self.store, &features, kcount, arena, qw.map(|q| &q.head1));
             let z2 = self
                 .head2
-                .infer_with(&self.store, &z1, 1, arena, qw.map(|q| &q.head2));
-            let out = self.out.infer_with(&self.store, &z2, 1, arena, qw.map(|q| &q.out));
-            // PANIC-FREE: the output layer has out_dim = 1, so out[0]
-            // exists (shape::check pins the head shapes).
-            let y = out[0] * self.label_std + self.label_mean;
+                .infer_with(&self.store, &z1, kcount, arena, qw.map(|q| &q.head2));
+            let ys = self
+                .out
+                .infer_with(&self.store, &z2, kcount, arena, qw.map(|q| &q.out));
+            for (slot, &y) in out.iter_mut().zip(ys.iter()) {
+                *slot = denormalize_seconds(y * self.label_std + self.label_mean);
+            }
             arena.give(features);
             arena.give(z1);
             arena.give(z2);
-            arena.give(out);
-            y
+            arena.give(ys);
         });
-        denormalize_seconds(y)
     }
 
     /// Predicts a batch of `(plan, resources)` pairs, sharding the work
@@ -974,104 +1031,17 @@ impl CostModel {
             return Vec::new();
         }
         telemetry::count("infer.predict.packed", items.len() as u64);
-        let kcount = items.len();
-        let hidden = self.cfg.hidden;
-        let head_in = self.head1.in_dim;
-        // HOT-ALLOC: one K-element spine per batch; the contexts inside
-        // draw their buffers from the arena and are recycled below.
+        // HOT-ALLOC: two K-element spines and the result vector per
+        // batch; the contexts themselves draw their buffers from the
+        // arena and are recycled below.
         let ctxs: Vec<PlanContext> = items
             .iter()
             .map(|(plan, _)| self.plan_context_impl(plan, qw))
             .collect();
-        let ys = INFER_ARENA.with(|cell| {
-            let arena = &mut *cell.borrow_mut();
-            let mut features = arena.take(kcount * head_in);
-            if self.cfg.resource_attention {
-                let k = self.cfg.latent_k;
-                let rdim = self.cfg.resource_dim;
-                // Pack the K resource vectors and project them with one
-                // matmul (`K x rdim @ rdim x k`); each row's accumulation
-                // is independent, so row i equals the single-item `q`.
-                let mut rvecs = arena.take(kcount * rdim);
-                for (row, (_, res)) in rvecs.chunks_mut(rdim).zip(items.iter()) {
-                    // PANIC-FREE: deliberate width guard per item.
-                    assert_eq!(res.len(), rdim, "resource vector width mismatch");
-                    row.copy_from_slice(res);
-                }
-                let mut qs = arena.take(kcount * k);
-                match qw.and_then(|qw| qw.wr.as_ref()) {
-                    Some(qm) => quant::matmul_q8_into(&rvecs, kcount, rdim, qm, &mut qs),
-                    None => infer::matmul_into(
-                        &rvecs,
-                        kcount,
-                        rdim,
-                        self.proj(self.wr, "attn.res.wr"),
-                        k,
-                        &mut qs,
-                    ),
-                }
-                let mut scores = arena.take(0);
-                for (i, ctx) in ctxs.iter().enumerate() {
-                    // PANIC-FREE: i < kcount; features has kcount rows of
-                    // head_in = 2*hidden + rdim + stats, so every segment
-                    // offset below stays inside frow, and qs has
-                    // kcount * k elements.
-                    let frow = &mut features[i * head_in..(i + 1) * head_in];
-                    frow[..hidden].copy_from_slice(&ctx.p);
-                    {
-                        let (m_slot, _) = frow[hidden..].split_at_mut(hidden);
-                        dot_attention_into(
-                            &qs[i * k..(i + 1) * k],
-                            &ctx.keys,
-                            &ctx.h,
-                            k,
-                            hidden,
-                            None,
-                            ctx.n,
-                            &mut scores,
-                            m_slot,
-                        );
-                    }
-                    // PANIC-FREE: same head_in layout argument as above.
-                    frow[2 * hidden..2 * hidden + rdim].copy_from_slice(items[i].1);
-                    frow[2 * hidden + rdim..].copy_from_slice(&ctx.stats);
-                }
-                arena.give(rvecs);
-                arena.give(qs);
-                arena.give(scores);
-            } else {
-                for (i, ctx) in ctxs.iter().enumerate() {
-                    // PANIC-FREE: i < kcount; head_in = hidden + stats in
-                    // the resource-blind layout.
-                    let frow = &mut features[i * head_in..(i + 1) * head_in];
-                    frow[..hidden].copy_from_slice(&ctx.p);
-                    frow[hidden..].copy_from_slice(&ctx.stats);
-                }
-            }
-
-            // One batched matmul per head layer for all K plans.
-            let _head_span = telemetry::kernel_span("infer.head");
-            let z1 =
-                self.head1
-                    .infer_with(&self.store, &features, kcount, arena, qw.map(|q| &q.head1));
-            let z2 = self
-                .head2
-                .infer_with(&self.store, &z1, kcount, arena, qw.map(|q| &q.head2));
-            let out = self
-                .out
-                .infer_with(&self.store, &z2, kcount, arena, qw.map(|q| &q.out));
-            // HOT-ALLOC: the K-element result vector handed to the
-            // caller; all intermediate buffers come from the arena.
-            let ys: Vec<f64> = out
-                .iter()
-                .map(|&o| denormalize_seconds(o * self.label_std + self.label_mean))
-                .collect();
-            arena.give(features);
-            arena.give(z1);
-            arena.give(z2);
-            arena.give(out);
-            ys
-        });
+        let pairs: Vec<(&PlanContext, &[f32])> =
+            ctxs.iter().zip(items).map(|(ctx, (_, res))| (ctx, *res)).collect();
+        let mut ys = vec![0.0f64; items.len()];
+        self.price_contexts_impl(&pairs, qw, &mut ys);
         for ctx in ctxs {
             self.recycle_context(ctx);
         }
@@ -1294,6 +1264,15 @@ impl FrozenModel {
         self.inner
             .model
             .predict_with_context_quant(ctx, resources, &self.inner.quant)
+    }
+
+    /// Prices K quantized contexts, each against its own resource
+    /// vector, in one packed head pass: the second half of
+    /// [`Self::predict_packed`] for callers that keep their contexts
+    /// (the serving plan-context cache). Item `i` gets the bits
+    /// [`Self::predict_with_context`] returns for it.
+    pub fn price_contexts(&self, items: &[(&PlanContext, &[f32])]) -> Vec<f64> {
+        self.inner.model.price_contexts_with(items, Some(&self.inner.quant))
     }
 
     /// Returns a context's buffers to the thread-local arena.

@@ -46,6 +46,7 @@
 //! ```
 
 pub mod handoff;
+mod plan_cache;
 pub mod shard;
 
 use crate::model::FrozenModel;

@@ -10,9 +10,20 @@
 //! is striped round-robin onto a shard queue, and the shard's
 //! dispatcher packs every request that is queued at dispatch time — up
 //! to [`ShardConfig::max_batch`] of them — into a single
-//! [`predict_packed`](FrozenModel::predict_packed) call that it runs
+//! [`price_contexts`](FrozenModel::price_contexts) call that it runs
 //! itself, so concurrent tenants share one head matmul per layer
 //! exactly the way one caller's `predict_many` batch does.
+//!
+//! Before it encodes anything, a client looks each admitted plan up in
+//! the service-wide plan-context cache (the `plan_cache` module; keyed
+//! by [`PhysicalPlan::structural_hash`], a hit confirmed by `==`). A
+//! plan that hits travels as its cached [`PlanContext`] and skips the
+//! encoder and the plan layer; a call whose admitted plans **all** hit
+//! is not queued at all — the calling thread runs the head itself. The
+//! route is chosen from that observation alone; there is no setting
+//! for it. A plan is admitted to the cache on its second recent
+//! sighting, so a stream of distinct plans pays one hash per plan and
+//! retains nothing.
 //!
 //! Every guard rail answers from the analytical fallback and counts
 //! the trip: a corrupt checkpoint degrades the whole service
@@ -23,7 +34,11 @@
 //! its shard analytically (`serving.fallback.worker_lost`). The
 //! **client owns the deadline**: its [`ReplySlot::wait_deadline`] is
 //! the only timeout in the path (`serving.fallback.deadline`); the
-//! dispatcher never times out. Tenancy adds two things:
+//! dispatcher never times out. A call priced in place never waits, so
+//! there a deadline only matters when it is zero — which no answer
+//! meets, cached or not — and a pricing panic is caught on the calling
+//! thread and answered `worker_lost` without marking any shard.
+//! Tenancy adds two things:
 //!
 //! * **fair-share admission** — a tenant with
 //!   [`ShardConfig::tenant_inflight`] requests already in flight is
@@ -42,14 +57,15 @@
 
 #![deny(missing_docs)]
 
+use super::plan_cache::{CachedPlan, Lookup, PlanCache};
 use super::{
     FallbackModel, FallbackReason, PredictionSource, ServingConfig, ServingPrediction, SloStats,
 };
-use crate::model::FrozenModel;
+use crate::model::{FrozenModel, PlanContext};
 use crate::persist::ModelBundle;
 use encoding::plan_encoder::EncodedPlan;
 use encoding::PlanEncoder;
-use raal_sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use raal_sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use raal_sync::sync::{Condvar, Mutex, MutexGuard};
 use raal_sync::thread;
 use sparksim::plan::physical::PhysicalPlan;
@@ -65,7 +81,7 @@ use std::time::Duration;
 /// stays consistent across a panicking holder, because each critical
 /// section is a handful of field writes with no invariant spanning an
 /// unwind point.
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+pub(super) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     match m.lock() {
         Ok(guard) => guard,
         Err(poisoned) => poisoned.into_inner(),
@@ -397,22 +413,48 @@ struct JobOutcome {
     seconds: Vec<f64>,
 }
 
+/// Bytes of plan keys and contexts the plan-context cache may retain —
+/// about 4% of the benchmark's resident set, room for roughly six
+/// hundred plans of the size it serves.
+const PLAN_CACHE_BYTES: usize = 8 << 20;
+
+/// The resource feature vector a job is priced under.
+type ResourceFeatures = [f32; ResourceConfig::NUM_FEATURES];
+
+/// One admitted plan of a serving call, after the client's cache
+/// lookup.
+enum JobPlan {
+    /// Resident in the plan-context cache: nothing left to build.
+    Cached(Arc<CachedPlan>),
+    /// Not resident: encoded on the client, its context is built by
+    /// the dispatcher. `admit` is set on the plan's second recent
+    /// sighting and carries the cache key (fingerprint and an owned
+    /// copy of the plan); the dispatcher then keeps the context it
+    /// builds instead of recycling it.
+    Encoded {
+        plan: EncodedPlan,
+        admit: Option<(u64, PhysicalPlan)>,
+    },
+}
+
 /// One queued serving call: the admitted plans of a `predict_many`,
-/// pre-encoded and priced analytically on the client thread (the
-/// fallback must be cheap and total, and pricing it eagerly means the
-/// dispatcher never needs the borrowed `PhysicalPlan`s).
+/// looked up or encoded — and priced analytically — on the client
+/// thread (the fallback must be cheap and total, and pricing it eagerly
+/// means the dispatcher never needs the borrowed `PhysicalPlan`s). A
+/// call whose plans were all resident is never queued: its client
+/// prices it in place.
 struct ShardJob {
-    plans: Vec<EncodedPlan>,
-    resources: Vec<f32>,
+    plans: Vec<JobPlan>,
+    resources: ResourceFeatures,
     fallback: Vec<f64>,
     reply: Arc<ReplySlot<JobOutcome>>,
 }
 
 /// A shard dispatcher: drains the queue in coalesced batches, prices
-/// each batch itself with one [`FrozenModel::predict_packed`] call and
-/// settles every job's [`ReplySlot`] with its share of the answer. It
-/// never times out — the waiting client owns the deadline, and a job
-/// whose client gave up simply fails to settle.
+/// each batch itself ([`price_batch`]) and settles every job's
+/// [`ReplySlot`] with its share of the answer. It never times out — the
+/// waiting client owns the deadline, and a job whose client gave up
+/// simply fails to settle.
 ///
 /// A panic while pricing is caught here: the batch is settled
 /// `WorkerLost` from the jobs' precomputed analytical estimates and
@@ -420,10 +462,16 @@ struct ShardJob {
 /// same way without touching the model again.
 ///
 /// Exits when the queue is closed and fully drained.
-fn dispatch_loop(queue: Arc<BatchQueue<ShardJob>>, model: FrozenModel, max_batch: usize) {
-    // HOT-ALLOC: one scratch vector per dispatcher lifetime, reused
+fn dispatch_loop(
+    queue: Arc<BatchQueue<ShardJob>>,
+    model: FrozenModel,
+    cache: Arc<PlanCache>,
+    max_batch: usize,
+) {
+    // HOT-ALLOC: two scratch vectors per dispatcher lifetime, reused
     // across every batch.
     let mut batch: Vec<ShardJob> = Vec::with_capacity(max_batch);
+    let mut built: Vec<PlanContext> = Vec::new();
     let mut lost = false;
     loop {
         debug_assert!(batch.is_empty());
@@ -442,25 +490,73 @@ fn dispatch_loop(queue: Arc<BatchQueue<ShardJob>>, model: FrozenModel, max_batch
         // surface — it is contained to this batch and turned into the
         // sticky WorkerLost state below, never unwound into a client.
         let priced = catch_unwind(AssertUnwindSafe(|| {
-            // One packed pricing pass over the whole coalesced batch:
-            // every job's plans share one head matmul per layer, and
-            // this thread's arena is reused across batches.
-            // HOT-ALLOC: per-batch item list of borrowed plan/resource
-            // pairs, sized by the batch.
-            let items: Vec<(&EncodedPlan, &[f32])> = batch
-                .iter()
-                .flat_map(|job| job.plans.iter().map(move |p| (p, job.resources.as_slice())))
-                .collect();
-            model.predict_packed(&items)
+            price_batch(&model, &cache, &mut batch, &mut built, total_plans)
         }));
         match priced {
             Ok(seconds) => settle_model(&mut batch, seconds),
             Err(_panic) => {
                 lost = true;
+                built.clear();
                 settle_fallback(&mut batch, FallbackReason::WorkerLost);
             }
         }
     }
+}
+
+/// One packed pricing pass over a coalesced batch: builds the contexts
+/// the clients did not find in the cache, prices them together with
+/// the cached ones in a single [`FrozenModel::price_contexts`] call —
+/// every job's plans share one head matmul per layer — and returns one
+/// estimate per plan, in batch order. Contexts of plans marked for
+/// admission are copied into the cache (exact-sized; before the jobs
+/// are settled, so a client's next call already finds them); every
+/// built context then goes back to this thread's arena.
+fn price_batch(
+    model: &FrozenModel,
+    cache: &PlanCache,
+    batch: &mut [ShardJob],
+    built: &mut Vec<PlanContext>,
+    total_plans: usize,
+) -> Vec<f64> {
+    let plans = || {
+        batch
+            .iter()
+            .flat_map(|job| job.plans.iter().map(move |plan| (job, plan)))
+    };
+    for (_, plan) in plans() {
+        if let JobPlan::Encoded { plan, .. } = plan {
+            // HOT-ALLOC: amortized growth of the reused scratch spine.
+            built.push(model.plan_context(plan));
+        }
+    }
+    let seconds = {
+        let mut fresh = built.iter();
+        // HOT-ALLOC: per-batch item list of borrowed context/resource
+        // pairs, sized by the batch.
+        let mut items: Vec<(&PlanContext, &[f32])> = Vec::with_capacity(total_plans);
+        for (job, plan) in plans() {
+            let context = match plan {
+                JobPlan::Cached(cached) => Some(cached.context()),
+                JobPlan::Encoded { .. } => fresh.next(),
+            };
+            if let Some(context) = context {
+                items.push((context, job.resources.as_slice()));
+            }
+        }
+        model.price_contexts(&items)
+    };
+    let mut fresh = built.drain(..);
+    for plan in batch.iter_mut().flat_map(|job| job.plans.iter_mut()) {
+        if let JobPlan::Encoded { admit, .. } = plan {
+            let Some(context) = fresh.next() else { break };
+            if let Some((fingerprint, key)) = admit.take() {
+                // HOT-ALLOC: once per admitted plan, not per request.
+                cache.insert(fingerprint, key, context.clone());
+            }
+            model.recycle_context(context);
+        }
+    }
+    seconds
 }
 
 /// Settles every job in `batch` with its precomputed analytical
@@ -637,7 +733,20 @@ pub struct ShardedServing {
     next_shard: AtomicUsize,
     degraded: Option<FallbackReason>,
     stats: ServiceStats,
+    cache: Arc<PlanCache>,
+    /// Set by [`Self::shutdown`]: from then on no call is priced in
+    /// place, so a shut-down service sheds cached plans like any other.
+    closed: AtomicBool,
 }
+
+/// What a response slot holds until its route answers it. Every route
+/// writes every slot — oversized plans at admission, admitted plans in
+/// [`ShardedServing::settle_admitted`] — so this value never reaches a
+/// caller.
+const UNANSWERED: ServingPrediction = ServingPrediction {
+    seconds: f64::NAN,
+    source: PredictionSource::Fallback(FallbackReason::WorkerLost),
+};
 
 impl ShardedServing {
     /// Serves a loaded bundle across [`ShardConfig::shards`] shards.
@@ -652,12 +761,15 @@ impl ShardedServing {
         let encoder = bundle.encoder();
         let frozen = FrozenModel::freeze(bundle.model);
         let shards = cfg.shards.max(1);
+        let cache = Arc::new(PlanCache::new(PLAN_CACHE_BYTES));
         let mut queues = Vec::with_capacity(shards);
         let mut dispatchers = Vec::with_capacity(shards);
         for _ in 0..shards {
             let queue = Arc::new(BatchQueue::bounded(cfg.queue_capacity));
-            let (jobs, model, max_batch) = (queue.clone(), frozen.clone(), cfg.max_batch.max(1));
-            dispatchers.push(thread::spawn(move || dispatch_loop(jobs, model, max_batch)));
+            let (jobs, model, contexts) = (queue.clone(), frozen.clone(), cache.clone());
+            let max_batch = cfg.max_batch.max(1);
+            dispatchers
+                .push(thread::spawn(move || dispatch_loop(jobs, model, contexts, max_batch)));
             queues.push(queue);
         }
         let tenants = TenantTable::new(cfg.tenant_inflight);
@@ -672,6 +784,8 @@ impl ShardedServing {
             next_shard: AtomicUsize::new(0),
             degraded: None,
             stats: ServiceStats::new(),
+            cache,
+            closed: AtomicBool::new(false),
         }
     }
 
@@ -710,6 +824,8 @@ impl ShardedServing {
             next_shard: AtomicUsize::new(0),
             degraded: Some(reason),
             stats: ServiceStats::new(),
+            cache: Arc::new(PlanCache::new(PLAN_CACHE_BYTES)),
+            closed: AtomicBool::new(false),
         }
     }
 
@@ -778,33 +894,50 @@ impl ShardedServing {
         plan: &PhysicalPlan,
         res: &ResourceConfig,
     ) -> ServingPrediction {
-        let mut out = self.predict_many(tenant, &[plan], res);
-        debug_assert_eq!(out.len(), 1);
-        // PANIC-FREE: predict_many returns exactly one prediction per
-        // input plan.
-        out.remove(0)
+        let mut out = [UNANSWERED];
+        self.serve(tenant, &[plan], res, &mut out);
+        let [prediction] = out;
+        prediction
     }
 
     /// Scores K candidate plans for `tenant` under one resource
     /// configuration. The admitted plans travel as one job; the shard's
     /// coalescer may pack them together with other tenants' concurrent
-    /// jobs into a single [`FrozenModel::predict_packed`] call.
-    /// Oversized plans fall back individually at admission; a shed,
-    /// timed-out or failed job falls back for every admitted plan.
+    /// jobs into a single [`FrozenModel::price_contexts`] call — unless
+    /// every one of them is in the plan-context cache, in which case
+    /// the calling thread prices them itself. Oversized plans fall back
+    /// individually at admission; a shed, timed-out or failed job falls
+    /// back for every admitted plan.
     pub fn predict_many(
         &self,
         tenant: &str,
         plans: &[&PhysicalPlan],
         res: &ResourceConfig,
     ) -> Vec<ServingPrediction> {
+        // HOT-ALLOC: one response vector per request — the serving API
+        // hands owned predictions back to the caller.
+        let mut out = vec![UNANSWERED; plans.len()];
+        self.serve(tenant, plans, res, &mut out);
+        out
+    }
+
+    /// Answers `plans` into `out` (one slot per plan), timed and
+    /// counted.
+    fn serve(
+        &self,
+        tenant: &str,
+        plans: &[&PhysicalPlan],
+        res: &ResourceConfig,
+        out: &mut [ServingPrediction],
+    ) {
+        debug_assert_eq!(plans.len(), out.len());
         let t0 = telemetry::clock_us();
-        let out = self.predict_many_inner(tenant, plans, res);
+        self.answer(tenant, plans, res, out);
         telemetry::observe("serving.predict_us", telemetry::clock_us().saturating_sub(t0));
-        self.stats.record(&out);
+        self.stats.record(out);
         if !out.is_empty() {
             self.publish_slo();
         }
-        out
     }
 
     /// Lifetime serving-quality counters for this service, aggregated
@@ -846,6 +979,7 @@ impl ShardedServing {
     /// service.shutdown(); // idempotent
     /// ```
     pub fn shutdown(&self) {
+        self.closed.store(true, Ordering::SeqCst);
         for queue in &self.queues {
             queue.close();
         }
@@ -872,90 +1006,111 @@ impl ShardedServing {
         n % self.queues.len()
     }
 
-    fn predict_many_inner(
+    /// Per-plan admission: oversized plans are answered analytically.
+    fn admits(&self, plan: &PhysicalPlan) -> bool {
+        plan.len() <= self.cfg.serving.max_plan_nodes
+    }
+
+    fn answer(
         &self,
         tenant: &str,
         plans: &[&PhysicalPlan],
         res: &ResourceConfig,
-    ) -> Vec<ServingPrediction> {
+        out: &mut [ServingPrediction],
+    ) {
         let _span = telemetry::span("serving.predict");
         telemetry::count("serving.predict", plans.len() as u64);
         if plans.is_empty() {
-            // HOT-ALLOC: Vec::new is capacity 0 — no heap allocation.
-            return Vec::new();
+            return;
         }
         let entry = self.tenants.entry(tenant);
         telemetry::count(&entry.predict_counter, plans.len() as u64);
         if let Some(reason) = self.degraded {
-            // HOT-ALLOC: one response vector per request — the serving
-            // API hands owned predictions back to the caller.
-            return plans.iter().map(|p| self.fall_back(p, res, reason)).collect();
+            for (plan, slot) in plans.iter().zip(out.iter_mut()) {
+                *slot = self.fall_back(plan, res, reason);
+            }
+            return;
         }
-        // Per-plan admission: oversized plans are answered analytically,
-        // the rest ride in one job.
-        // HOT-ALLOC: per-request batch assembly — the slot vector, the
-        // admitted-index list and the response vector are all sized by
-        // the caller's batch and returned to (or dropped with) it.
-        // PANIC-FREE: i ranges over 0..plans.len() == out.len().
-        let out: Vec<Option<ServingPrediction>> = plans
-            .iter()
-            .map(|p| {
-                (p.len() > self.cfg.serving.max_plan_nodes)
-                    .then(|| self.fall_back(p, res, FallbackReason::Admission))
-            })
-            .collect();
-        let admitted: Vec<usize> = (0..plans.len()).filter(|&i| out[i].is_none()).collect();
-        if admitted.is_empty() {
-            // HOT-ALLOC: the per-request response vector.
-            return out.into_iter().flatten().collect();
+        let mut admitted = 0usize;
+        for (plan, slot) in plans.iter().zip(out.iter_mut()) {
+            if self.admits(plan) {
+                admitted += 1;
+            } else {
+                *slot = self.fall_back(plan, res, FallbackReason::Admission);
+            }
+        }
+        if admitted == 0 {
+            return;
         }
         // Fair share: a tenant at its in-flight cap is shed before any
-        // queue or encoding work happens on its behalf. The slot is
-        // held for exactly the span of this call — given back here, on
-        // the client thread, whichever way the call was answered.
+        // lookup, encoding or queue work happens on its behalf. The
+        // slot is held for exactly the span of this call — given back
+        // here, on the client thread, whichever way the call was
+        // answered.
         if !entry.try_acquire(self.tenants.limit) {
-            telemetry::count(&entry.shed_counter, admitted.len() as u64);
-            return self.resolve_all(out, plans, res, FallbackReason::TenantQuota);
+            telemetry::count(&entry.shed_counter, admitted as u64);
+            return self.shed(plans, res, out, FallbackReason::TenantQuota);
         }
-        let out = self.price_admitted(out, &admitted, plans, res);
+        self.price_admitted(plans, res, out, admitted);
         entry.release();
-        out
     }
 
-    /// Encodes the `admitted` plans, queues them on a shard as one job
-    /// and waits out the deadline for the dispatcher's answer.
+    /// Looks every admitted plan up in the plan-context cache, encoding
+    /// the ones that miss. If all of them hit, prices them in place;
+    /// otherwise queues them on a shard as one job and waits out the
+    /// deadline for the dispatcher's answer.
     fn price_admitted(
         &self,
-        mut out: Vec<Option<ServingPrediction>>,
-        admitted: &[usize],
         plans: &[&PhysicalPlan],
         res: &ResourceConfig,
-    ) -> Vec<ServingPrediction> {
-        let (encoded, features) = match &self.encoder {
-            // HOT-ALLOC: encoding builds one owned EncodedPlan per
-            // admitted plan; the shard takes ownership via the queue.
-            // PANIC-FREE: admitted holds indices < plans.len().
-            Some(encoder) => (
-                admitted.iter().map(|&i| encoder.encode(plans[i])).collect::<Vec<_>>(),
-                res.feature_vector(&self.cfg.serving.cluster),
-            ),
-            None => return self.resolve_all(out, plans, res, FallbackReason::WorkerLost),
+        out: &mut [ServingPrediction],
+        admitted: usize,
+    ) {
+        let (Some(encoder), Some(model)) = (&self.encoder, &self.model) else {
+            return self.shed(plans, res, out, FallbackReason::WorkerLost);
         };
+        let features = res.feature_array(&self.cfg.serving.cluster);
+        // HOT-ALLOC: the per-request job payload, one slot per admitted
+        // plan (owned by the shard until settle when the job is
+        // queued). A plan is cloned only on its second recent sighting,
+        // and encoding builds one owned EncodedPlan per missing plan.
+        let mut job_plans: Vec<JobPlan> = Vec::with_capacity(admitted);
+        let mut hits = 0usize;
+        for plan in plans.iter().filter(|p| self.admits(p)) {
+            let fingerprint = plan.structural_hash();
+            job_plans.push(match self.cache.lookup(fingerprint, plan) {
+                Lookup::Hit(cached) => {
+                    hits += 1;
+                    JobPlan::Cached(cached)
+                }
+                Lookup::Miss { seen_before } => JobPlan::Encoded {
+                    plan: encoder.encode(plan),
+                    // HOT-ALLOC: the cache key, cloned on a plan's
+                    // second recent sighting only — a stream of
+                    // distinct plans never pays for it.
+                    admit: seen_before.then(|| (fingerprint, (*plan).clone())),
+                },
+            });
+        }
+        if hits == admitted && !self.closed.load(Ordering::SeqCst) {
+            return self.price_in_place(model, &job_plans, &features, plans, res, out);
+        }
         // The fallback is priced eagerly on the client thread: it must
         // be cheap and total, and this keeps borrowed plans off the
         // dispatcher entirely.
         // HOT-ALLOC: per-request job payload (owned by the shard until
-        // settle). PANIC-FREE: admitted holds indices < plans.len().
-        let fallback_secs: Vec<f64> = admitted
+        // settle).
+        let fallback_secs: Vec<f64> = plans
             .iter()
-            .map(|&i| self.fallback.estimate_seconds(plans[i], res))
+            .filter(|p| self.admits(p))
+            .map(|p| self.fallback.estimate_seconds(p, res))
             .collect();
         // HOT-ALLOC: one reply cell per request, shared with the shard.
         let reply = Arc::new(ReplySlot::new());
         // HOT-ALLOC: Arc::clone bumps a reference count; the job struct
         // itself rides inline in the queue's VecDeque slot.
         let job = ShardJob {
-            plans: encoded,
+            plans: job_plans,
             resources: features,
             fallback: fallback_secs,
             reply: reply.clone(),
@@ -966,46 +1121,87 @@ impl ShardedServing {
         // slot; ring growth is amortized and capped by queue_capacity.
         if self.queues[shard].push(job).is_err() {
             // Full or closed queue: shed immediately.
-            return self.resolve_all(out, plans, res, FallbackReason::Busy);
+            return self.shed(plans, res, out, FallbackReason::Busy);
         }
         match reply.wait_deadline(self.cfg.serving.deadline) {
             Some(outcome) => {
-                // PANIC-FREE: admitted holds indices < out.len().
-                // HOT-ALLOC: the per-request response vector.
-                for (k, &i) in admitted.iter().enumerate() {
-                    out[i] = Some(match outcome.seconds.get(k) {
-                        Some(&seconds) => ServingPrediction { seconds, source: outcome.source },
-                        // Defensive: a short outcome (never produced by
-                        // a correct dispatcher) answers analytically.
-                        None => self.fall_back(plans[i], res, FallbackReason::WorkerLost),
-                    });
-                }
-                // HOT-ALLOC: the per-request response vector.
-                out.into_iter().flatten().collect()
+                let mut seconds = outcome.seconds.iter();
+                self.settle_admitted(plans, out, |plan| match seconds.next() {
+                    Some(&seconds) => ServingPrediction { seconds, source: outcome.source },
+                    // Defensive: a short outcome (never produced by a
+                    // correct dispatcher) answers analytically.
+                    None => self.fall_back(plan, res, FallbackReason::WorkerLost),
+                });
             }
             // The deadline passed and we abandoned the slot: the
             // dispatcher's later complete() returns false, so the
             // fallback accounting is ours.
-            None => self.resolve_all(out, plans, res, FallbackReason::Deadline),
+            None => self.shed(plans, res, out, FallbackReason::Deadline),
         }
     }
 
-    /// Fills every unresolved slot with a fallback answer for `reason`.
-    fn resolve_all(
+    /// The full-hit route: every admitted plan's context is in hand, so
+    /// the calling thread runs the head itself — no job, no reply slot,
+    /// no queue. The guard rails mean what they mean on the queue
+    /// route: a zero deadline is never met ([`ReplySlot::wait_deadline`]
+    /// "never waits at all"), and a panic while pricing is contained
+    /// and answered `WorkerLost`.
+    fn price_in_place(
         &self,
-        out: Vec<Option<ServingPrediction>>,
+        model: &FrozenModel,
+        cached: &[JobPlan],
+        features: &ResourceFeatures,
         plans: &[&PhysicalPlan],
         res: &ResourceConfig,
+        out: &mut [ServingPrediction],
+    ) {
+        if self.cfg.serving.deadline.is_zero() {
+            return self.shed(plans, res, out, FallbackReason::Deadline);
+        }
+        // PANIC-FREE: a pricing panic is contained here, as the
+        // dispatcher contains its own, never unwound into the caller.
+        let priced = catch_unwind(AssertUnwindSafe(|| {
+            let mut cached = cached.iter();
+            self.settle_admitted(plans, out, |plan| match cached.next() {
+                Some(JobPlan::Cached(hit)) => ServingPrediction {
+                    seconds: model.predict_with_context(hit.context(), features),
+                    source: PredictionSource::Model,
+                },
+                // Defensive: this route is only taken when every
+                // admitted plan hit.
+                _ => self.fall_back(plan, res, FallbackReason::WorkerLost),
+            });
+        }));
+        match priced {
+            Ok(()) => telemetry::count("serving.predict.model", cached.len() as u64),
+            Err(_panic) => self.shed(plans, res, out, FallbackReason::WorkerLost),
+        }
+    }
+
+    /// Writes `answer(plan)` into the slot of every admitted plan, in
+    /// plan order.
+    fn settle_admitted(
+        &self,
+        plans: &[&PhysicalPlan],
+        out: &mut [ServingPrediction],
+        mut answer: impl FnMut(&PhysicalPlan) -> ServingPrediction,
+    ) {
+        for (plan, slot) in plans.iter().zip(out.iter_mut()) {
+            if self.admits(plan) {
+                *slot = answer(plan);
+            }
+        }
+    }
+
+    /// Answers every admitted plan from the fallback, for `reason`.
+    fn shed(
+        &self,
+        plans: &[&PhysicalPlan],
+        res: &ResourceConfig,
+        out: &mut [ServingPrediction],
         reason: FallbackReason,
-    ) -> Vec<ServingPrediction> {
-        // HOT-ALLOC: the per-request response vector.
-        out.into_iter()
-            .zip(plans.iter())
-            .map(|(slot, plan)| match slot {
-                Some(p) => p,
-                None => self.fall_back(plan, res, reason),
-            })
-            .collect()
+    ) {
+        self.settle_admitted(plans, out, |plan| self.fall_back(plan, res, reason));
     }
 
     fn fall_back(

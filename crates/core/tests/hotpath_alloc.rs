@@ -10,13 +10,23 @@
 //! allocates a waker — and a process-global counter would (flakily)
 //! pick that up. The test warms the thread-local inference arena, arms
 //! the counter, runs a batch of predictions through both weight tiers,
-//! and asserts the count stayed at zero.
+//! and asserts the count stayed at zero. A second test holds the served
+//! route for a cached plan to one allocation per call.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use encoding::plan_encoder::{EncodedPlan, PLAN_STAT_FEATURES};
-use raal::{CostModel, FrozenModel, ModelConfig};
+use encoding::word2vec::{train as w2v_train, W2vConfig};
+use encoding::{EncoderConfig, PlanEncoder};
+use raal::serving::{PredictionSource, ServingConfig};
+use raal::{CostModel, FrozenModel, ModelBundle, ModelConfig, ShardConfig, ShardedServing};
+use sparksim::catalog::Catalog;
+use sparksim::engine::Engine;
+use sparksim::resource::{ClusterConfig, ResourceConfig};
+use sparksim::schema::{ColumnDef, TableSchema};
+use sparksim::storage::{Column, ColumnData, Table};
+use sparksim::types::DataType;
 
 /// System allocator wrapper that counts the armed thread's allocations.
 struct CountingAlloc;
@@ -122,4 +132,67 @@ fn steady_state_predict_is_allocation_free() {
         "quantized steady-state predict_seconds touched the heap {n_quant} time(s)"
     );
     assert_eq!(n_f32, 0, "f32 steady-state predict_seconds touched the heap {n_f32} time(s)");
+}
+
+/// The serving path for a plan whose context is cached: fingerprint,
+/// lookup, equality confirm and the head all run on the calling thread
+/// out of its arena, and the only heap allocation left per `predict`
+/// is the one-slot list of looked-up plans. (A miss encodes the plan,
+/// builds a job and a reply slot — a dozen allocations — so staying at
+/// one also shows these calls hit.)
+#[test]
+fn served_hit_allocates_at_most_once_per_predict() {
+    let mut catalog = Catalog::new();
+    catalog.register(Table::new(
+        TableSchema::new("t", vec![ColumnDef::new("id", DataType::Int, false)]),
+        vec![Column::non_null(ColumnData::Int((0..100).collect()))],
+    ));
+    let plan = Engine::new(catalog)
+        .plan_candidates("SELECT COUNT(*) FROM t WHERE id < 40")
+        .unwrap()
+        .remove(0);
+    let corpus = vec![vec!["filescan".to_string(), "hashaggregate".to_string()]];
+    let encoder = PlanEncoder::new(
+        w2v_train(&corpus, &W2vConfig { dim: 4, epochs: 1, ..Default::default() }),
+        EncoderConfig { max_nodes: 32, structure: true },
+    );
+    let model = CostModel::new(ModelConfig {
+        hidden: 8,
+        latent_k: 4,
+        head_hidden: 8,
+        ..ModelConfig::raal(encoder.node_dim())
+    });
+    let service = ShardedServing::new(
+        ModelBundle::new(model, &encoder),
+        std::sync::Arc::new(|plan: &sparksim::PhysicalPlan, _: &ResourceConfig| plan.len() as f64),
+        ShardConfig {
+            shards: 1,
+            serving: ServingConfig {
+                deadline: std::time::Duration::from_secs(30),
+                ..Default::default()
+            },
+            ..Default::default()
+        },
+    );
+    let cluster = ClusterConfig::default();
+    let sweep: Vec<ResourceConfig> = (1..=4)
+        .map(|executors| ResourceConfig { executors, ..ResourceConfig::default_for(&cluster) })
+        .collect();
+
+    // Warm-up: two sightings admit the plan, the rest warm this
+    // thread's arena on the in-place route.
+    for res in sweep.iter().cycle().take(8) {
+        assert_eq!(service.predict("warm", &plan, res).source, PredictionSource::Model);
+    }
+
+    const CALLS: u64 = 64;
+    let (allocs, all_model) = count_allocs(|| {
+        sweep
+            .iter()
+            .cycle()
+            .take(CALLS as usize)
+            .all(|res| service.predict("warm", &plan, res).source == PredictionSource::Model)
+    });
+    assert!(all_model);
+    assert!(allocs <= CALLS, "{allocs} allocations over {CALLS} served hits");
 }

@@ -2,8 +2,9 @@
 //! guard rails, fair-share shedding, shutdown semantics, the assembled
 //! service under faults (pricing panic, full queues, shutdown in
 //! flight) with its accounting conservation law, and the bit-identity
-//! property — batched (coalesced) predictions must equal the same
-//! requests served one at a time, exactly.
+//! property — batched (coalesced) predictions, and predictions priced
+//! from a cached plan context, must equal the same requests served one
+//! at a time, exactly.
 
 use encoding::word2vec::{train as w2v_train, W2vConfig};
 use encoding::{EncoderConfig, PlanEncoder};
@@ -510,6 +511,121 @@ fn under_faults_every_call_is_answered_and_counted_once() {
     });
 }
 
+/// The plan-context cache may change *where* a plan is priced — on the
+/// dispatcher from a fresh context, on the dispatcher from a cached
+/// one, or in place on the caller's thread — never *what* it is priced
+/// at: over a stream mixing a hot set under varying resources, plans
+/// never seen twice and `predict_many` calls that hit only in part,
+/// every answer is the model's and carries exactly the bits
+/// `FrozenModel::predict_packed` gives the freshly encoded plan. Every
+/// admitted plan is one cache lookup, counted once.
+#[test]
+fn warm_plans_are_priced_from_cached_contexts_with_the_same_bits() {
+    const CLIENTS: usize = 4;
+    const ROUNDS: usize = 24;
+    let engine = engine();
+    let mut hot = candidate_plans(&engine);
+    hot.push(some_plan(&engine));
+    // Two never-repeated plans per client and round: the literal (and
+    // the row estimate it moves) makes each one distinct.
+    let unique: Vec<PhysicalPlan> = (0..2 * CLIENTS * ROUNDS)
+        .map(|n| {
+            let sql = format!("SELECT t.x, COUNT(*) FROM t WHERE t.id < {} GROUP BY t.x", n + 1);
+            engine.plan_candidates(&sql).unwrap().remove(0)
+        })
+        .collect();
+    let cluster = ClusterConfig::default();
+    let resources_for = |t: usize, r: usize| ResourceConfig {
+        executors: 1 + (t + r) % 6,
+        cores_per_executor: 1 + r % 3,
+        memory_per_executor_gb: 1.0 + ((3 * t + r) % 8) as f64,
+        ..resources()
+    };
+    let bundle = tiny_bundle();
+    let encoder = bundle.encoder();
+    let frozen = FrozenModel::freeze(bundle.model);
+    let reference = |plan: &PhysicalPlan, res: &ResourceConfig| {
+        let features = res.feature_vector(&cluster);
+        frozen.predict_packed(&[(&encoder.encode(plan), features.as_slice())])[0]
+    };
+
+    telemetry::testing::capture(|| {
+        let service = ShardedServing::new(tiny_bundle(), analytical(), generous(2));
+        let sent = AtomicU64::new(0);
+        std::thread::scope(|s| {
+            for t in 0..CLIENTS {
+                let (service, sent, hot, unique) = (&service, &sent, &hot, &unique);
+                let (reference, resources_for) = (&reference, &resources_for);
+                s.spawn(move || {
+                    let tenant = format!("reuse-{t}");
+                    for r in 0..ROUNDS {
+                        let res = resources_for(t, r);
+                        let fresh = &unique[2 * (t * ROUNDS + r)..][..2];
+                        let call: Vec<&PhysicalPlan> = match r % 3 {
+                            0 => vec![&hot[(t + r) % hot.len()]],
+                            1 => vec![&fresh[0]],
+                            _ => vec![&hot[r % hot.len()], &fresh[1], &hot[(r + 1) % hot.len()]],
+                        };
+                        let preds = if call.len() == 1 {
+                            vec![service.predict(&tenant, call[0], &res)]
+                        } else {
+                            service.predict_many(&tenant, &call, &res)
+                        };
+                        assert_eq!(preds.len(), call.len());
+                        for (plan, pred) in call.iter().zip(&preds) {
+                            assert_eq!(pred.source, PredictionSource::Model);
+                            assert_eq!(
+                                pred.seconds.to_bits(),
+                                reference(plan, &res).to_bits(),
+                                "client {t} round {r}: served bits differ from predict_packed"
+                            );
+                        }
+                        sent.fetch_add(call.len() as u64, Ordering::Relaxed);
+                    }
+                });
+            }
+        });
+        let sent = sent.load(Ordering::Relaxed);
+        let stats = service.slo_stats();
+        assert_eq!((stats.total, stats.model), (sent, sent));
+        assert_eq!(stats.total, stats.model + stats.by_reason.iter().sum::<u64>());
+
+        let snap = telemetry::metrics_snapshot();
+        let counted = |name: &str| snap.counters.get(name).copied().unwrap_or(0);
+        let of_ours: u64 = snap
+            .counters
+            .iter()
+            .filter(|(k, _)| k.starts_with("serving.tenant.predict.reuse_"))
+            .map(|(_, n)| n)
+            .sum();
+        assert_eq!(of_ours, sent);
+        let (hits, misses) =
+            (counted("serving.plan_cache.hit"), counted("serving.plan_cache.miss"));
+        // Each hot plan misses at least twice before it is resident and
+        // no unique plan ever hits; past that the split depends on how
+        // the clients interleave.
+        let unique_sent = 2 * CLIENTS * (ROUNDS / 3);
+        assert!(misses >= (unique_sent + 2 * hot.len()) as u64, "{misses} misses");
+        assert!(hits > 0, "no lookup ever hit");
+        // The cache counters carry no tenant, and the registry is
+        // process-global (ROADMAP item 4a): they are exact whenever no
+        // other test's tenant counted into this capture, and can only
+        // run ahead otherwise.
+        let alone = snap
+            .counters
+            .keys()
+            .all(|k| !k.starts_with("serving.tenant.predict.") || k.contains(".reuse_"));
+        if alone {
+            assert_eq!(hits + misses, sent, "one lookup per admitted plan");
+            assert_eq!(counted("serving.plan_cache.insert"), hot.len() as u64);
+            assert_eq!(counted("serving.plan_cache.evict"), 0);
+            assert!(snap.gauges["serving.plan_cache.bytes"] > 0.0);
+        } else {
+            assert!(hits + misses >= sent);
+        }
+    });
+}
+
 #[test]
 fn shutdown_under_traffic_completes_and_sheds_later_predicts() {
     let engine = engine();
@@ -567,7 +683,7 @@ fn slo_gauges_and_batch_histograms_reach_the_registry() {
     telemetry::testing::capture(|| {
         let service = ShardedServing::new(tiny_bundle(), analytical(), generous(1));
         let refs = [&plan, &plan];
-        let preds = service.predict_many("tenant-a", &refs, &resources());
+        let preds = service.predict_many("gauges", &refs, &resources());
         assert_eq!(preds.len(), 2);
         service.shutdown();
         let snap = service.metrics_snapshot();
@@ -575,7 +691,7 @@ fn slo_gauges_and_batch_histograms_reach_the_registry() {
         assert_eq!(snap.gauges["serving.slo.burn.tenant_quota"], 0.0);
         assert!(snap.counters["serving.shard.batches"] >= 1);
         assert!(snap.hists["serving.batch_size"].all.count >= 1);
-        assert_eq!(snap.counters["serving.tenant.predict.tenant_a"], 2);
+        assert_eq!(snap.counters["serving.tenant.predict.gauges"], 2);
     });
 }
 

@@ -67,7 +67,7 @@ impl fmt::Display for CmpOp {
 }
 
 /// A scalar expression.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Hash, Serialize, Deserialize)]
 pub enum Expr {
     /// Qualified column reference.
     Column(ColumnRef),

@@ -50,7 +50,7 @@ impl JoinEdge {
 }
 
 /// One aggregate in the select list.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Hash)]
 pub struct AggSpec {
     /// Aggregate function.
     pub func: AggFunc,

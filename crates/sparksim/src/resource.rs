@@ -90,8 +90,16 @@ impl ResourceConfig {
     /// available value on the cluster, in Table I order
     /// `[node, core, executor, e-core, e-memory, n-throughput, d-throughput]`.
     pub fn feature_vector(&self, cluster: &ClusterConfig) -> Vec<f32> {
-        let max_executors = cluster.total_cores() as f64; // 1 core per executor minimum
-        vec![
+        self.feature_array(cluster).to_vec()
+    }
+
+    /// [`Self::feature_vector`] as a fixed-size array, for callers that
+    /// encode per request and must not allocate.
+    pub fn feature_array(&self, cluster: &ClusterConfig) -> [f32; Self::NUM_FEATURES] {
+        // 1 core per executor minimum
+        let max_executors = cluster.total_cores() as f64;
+        // PANIC-FREE: every division below is f64 by f64.
+        [
             // The full set of nodes (and their cores) hosts every
             // application, so the first two Table I features saturate.
             1.0,

@@ -3,6 +3,7 @@
 use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 /// Logical column type.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -89,6 +90,21 @@ impl Value {
                 let (x, y) = (a.as_f64()?, b.as_f64()?);
                 x.partial_cmp(&y)
             }
+        }
+    }
+}
+
+/// Floats hash by bit pattern: values that are `==` hash equal except
+/// `0.0` / `-0.0`, so this serves fingerprints that are confirmed by
+/// `==` afterwards, not `Eq`-keyed maps (`Value` is not `Eq`).
+impl Hash for Value {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        std::mem::discriminant(self).hash(state);
+        match self {
+            Value::Null => {}
+            Value::Int(i) => i.hash(state),
+            Value::Float(f) => f.to_bits().hash(state),
+            Value::Str(s) => s.hash(state),
         }
     }
 }

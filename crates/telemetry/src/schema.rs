@@ -99,7 +99,11 @@ pub const SPAN_NAMES: &[&str] = &[
 /// Registered counter names (`telemetry::count`). The `serving.*`
 /// family tracks degraded-mode serving: one `serving.predict` per call,
 /// split into `serving.predict.model` (deep model answered in time) and
-/// the `serving.fallback.*` reasons (analytical-baseline answers).
+/// the `serving.fallback.*` reasons (analytical-baseline answers). The
+/// `serving.plan_cache.*` family meters the plan-context cache: every
+/// admitted plan is one `hit` or one `miss`
+/// (hit rate = `hit / (hit + miss)`), `insert` and `evict` count
+/// entries entering and leaving it.
 pub const COUNTER_NAMES: &[&str] = &[
     "infer.predict.single",
     "infer.plan_context.build",
@@ -117,6 +121,10 @@ pub const COUNTER_NAMES: &[&str] = &[
     "serving.fallback.worker_lost",
     "serving.fallback.tenant_quota",
     "serving.shard.batches",
+    "serving.plan_cache.hit",
+    "serving.plan_cache.miss",
+    "serving.plan_cache.insert",
+    "serving.plan_cache.evict",
     "sparksim.jobs.completed",
     "monitor.samples",
     "monitor.drift.alarms",
@@ -134,8 +142,12 @@ pub const HISTOGRAM_NAMES: &[&str] =
 /// tracker — deadline hit-rate, overall fallback rate, and per-reason
 /// error-budget burn (fraction of the configured error budget consumed;
 /// > 1 means the budget is blown).
+///
+/// `serving.plan_cache.bytes` is what the plan-context cache currently
+/// retains (plan keys + contexts).
 pub const GAUGE_NAMES: &[&str] = &[
     "train.loss",
+    "serving.plan_cache.bytes",
     "serving.slo.hit_rate",
     "serving.slo.fallback_rate",
     "serving.slo.burn.checkpoint",

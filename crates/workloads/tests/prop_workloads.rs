@@ -25,6 +25,39 @@ fn tpch() -> &'static workloads::TpchDataset {
     })
 }
 
+/// The serving plan-context cache keys on
+/// `PhysicalPlan::structural_hash`; over a few thousand generated
+/// candidate plans, two plans share a hash only when they are equal.
+#[test]
+fn structural_hash_does_not_collide_over_generated_plans() {
+    let data = imdb();
+    let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(11);
+    let planner = Planner::new(&data.catalog, PlannerOptions::default());
+    let mut plans = Vec::new();
+    for sql in generate_queries(&data.graph, &QueryGenConfig::default(), 800, &mut rng) {
+        let spec = resolve(&parse(&sql).expect("generated SQL parses"), &data.catalog)
+            .expect("generated SQL resolves");
+        plans.extend(planner.enumerate(&spec));
+    }
+    assert!(plans.len() >= 2000, "only {} plans generated", plans.len());
+    let mut by_hash: Vec<(u64, usize)> = plans
+        .iter()
+        .enumerate()
+        .map(|(i, p)| (p.structural_hash(), i))
+        .collect();
+    by_hash.sort_unstable();
+    let mut distinct = 1;
+    for pair in by_hash.windows(2) {
+        let ((ha, a), (hb, b)) = (pair[0], pair[1]);
+        if ha == hb {
+            assert_eq!(plans[a], plans[b], "two different plans hash to {ha:#x}");
+        } else {
+            distinct += 1;
+        }
+    }
+    assert!(distinct >= 2000, "only {distinct} distinct plans among {}", plans.len());
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
 

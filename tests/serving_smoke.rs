@@ -1,7 +1,8 @@
 //! Tier-1 smoke for the serving path: train → bundle → serve. The
 //! service must answer from the model with exactly the bits
 //! `FrozenModel::predict_packed` produces for the same encoded plans,
-//! and the single-caller `ServingModel` façade must agree with it.
+//! the single-caller `ServingModel` façade must agree with it, and a
+//! repeated plan (the plan-context cache's route) must not change a bit.
 
 use raal::dataset::{collect, CollectionConfig};
 use raal::serving::{PredictionSource, ServingConfig, ServingModel};
@@ -70,7 +71,13 @@ fn served_predictions_are_the_frozen_models_bits() {
     let encoded: Vec<_> = plans.iter().map(|p| encoder.encode(p)).collect();
     let features = res.feature_vector(&cluster);
     let items: Vec<_> = encoded.iter().map(|e| (e, features.as_slice())).collect();
-    let expected = FrozenModel::freeze(model.clone()).predict_packed(&items);
+    let frozen = FrozenModel::freeze(model.clone());
+    let expected = frozen.predict_packed(&items);
+    // And the first plan under a second resource state, for the
+    // repeat-plan case below.
+    let scaled = ResourceConfig { executors: res.executors + 1, ..res.clone() };
+    let scaled_features = scaled.feature_vector(&cluster);
+    let expected_scaled = frozen.predict_packed(&[(&encoded[0], scaled_features.as_slice())])[0];
 
     let serving = ServingConfig {
         deadline: Duration::from_secs(30),
@@ -101,5 +108,14 @@ fn served_predictions_are_the_frozen_models_bits() {
         }
     }
     assert_eq!(service.slo_stats().model, plans.len() as u64);
+
+    // The same plan again, under resources the service has not seen:
+    // from its third sighting on it is priced on this thread from the
+    // cached context, and must still be `predict_packed`'s bits.
+    for sighting in 2..=4 {
+        let got = service.predict("smoke", plans[0], &scaled);
+        assert_eq!(got.source, PredictionSource::Model, "sighting {sighting}");
+        assert_eq!(got.seconds.to_bits(), expected_scaled.to_bits(), "sighting {sighting}");
+    }
     assert_eq!(facade.predict(plans[0], &res).seconds.to_bits(), expected[0].to_bits());
 }
