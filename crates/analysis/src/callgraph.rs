@@ -56,7 +56,7 @@ const KEYWORDS: &[&str] = &[
 /// Method names from the std prelude vocabulary (Iterator / Option /
 /// Result / collections / Default / Clone / Display). A dotted call
 /// with one of these names almost always targets std — linking
-/// `predict_packed_with`'s `.collect()` to an unrelated
+/// `predict_packed`'s `.collect()` to an unrelated
 /// `Collector::collect` three crates away, or a kernel's
 /// `.enumerate()` to `Planner::enumerate`, would drag entire crates
 /// into hot-path reachability. These names are therefore treated as
@@ -310,11 +310,6 @@ pub const HOT_ENTRY_POINTS: &[EntryPoint] = &[
         krate: "core",
         self_ty: Some("CostModel"),
         name: "predict_seconds",
-    },
-    EntryPoint {
-        krate: "core",
-        self_ty: Some("CostModel"),
-        name: "predict_seconds_quant",
     },
     EntryPoint {
         krate: "core",

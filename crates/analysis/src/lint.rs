@@ -17,7 +17,7 @@
 //!   non-test code are drawn from the [`telemetry::schema`] registry, so
 //!   downstream log consumers can rely on a closed vocabulary.
 //! * **`i8-intrinsic-safety`** — every `_mm*epi8*` intrinsic call site
-//!   (the int8 inference tier's widening loads and conversions) sits
+//!   (the int8 kernel's widening loads and conversions) sits
 //!   inside a block documented by a `SAFETY` comment within the
 //!   preceding lines; `use` declarations are exempt.
 //! * **`atomic-ordering`** — every `Ordering::Relaxed` in non-test code

@@ -78,54 +78,6 @@ impl ParamShape {
     }
 }
 
-/// Shape of an int8 mirror of a registered parameter (a quantized
-/// weight matrix plus its per-row scale vector), as produced by the
-/// quantized inference tier.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct QuantParamShape {
-    /// Name of the source parameter the codes mirror.
-    pub name: String,
-    /// Code-matrix rows.
-    pub rows: usize,
-    /// Code-matrix cols.
-    pub cols: usize,
-    /// Length of the per-row scale vector.
-    pub scales: usize,
-}
-
-/// Checks that an int8 mirror structurally matches its f32 source: the
-/// code matrix must have the source's exact shape and carry one
-/// dequantization scale per row. This is how the shape checker "accepts
-/// a quantized param store" — every mirror is validated against the
-/// architecture's declared f32 shape before a quantized kernel may run.
-pub fn check_quant_mirror(src: &ParamShape, mirror: &QuantParamShape) -> Result<(), ShapeError> {
-    if src.name != mirror.name {
-        return Err(ShapeError {
-            layer: src.name.clone(),
-            message: format!("int8 mirror is named '{}', expected '{}'", mirror.name, src.name),
-        });
-    }
-    if (mirror.rows, mirror.cols) != (src.rows, src.cols) {
-        return Err(ShapeError {
-            layer: src.name.clone(),
-            message: format!(
-                "int8 mirror is {}x{}, expected the source shape {}x{}",
-                mirror.rows, mirror.cols, src.rows, src.cols
-            ),
-        });
-    }
-    if mirror.scales != src.rows {
-        return Err(ShapeError {
-            layer: src.name.clone(),
-            message: format!(
-                "int8 mirror carries {} per-row scales for {} rows",
-                mirror.scales, src.rows
-            ),
-        });
-    }
-    Ok(())
-}
-
 /// One stage of the model as seen by the shape checker.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ShapeOp {
@@ -608,61 +560,5 @@ mod tests {
         let text = report.to_string();
         assert!(text.contains("plan.lstm") && text.contains("[n, 64]"), "{text}");
         assert!(text.contains("head.out") && text.contains("[1, 1]"), "{text}");
-    }
-
-    #[test]
-    fn quant_mirror_with_matching_shape_is_accepted() {
-        let src = ParamShape::new("plan.lstm.wx", 132, 256);
-        let mirror = QuantParamShape {
-            name: "plan.lstm.wx".into(),
-            rows: 132,
-            cols: 256,
-            scales: 132,
-        };
-        check_quant_mirror(&src, &mirror).expect("structurally identical mirror");
-    }
-
-    #[test]
-    fn quant_mirror_name_drift_is_rejected() {
-        let src = ParamShape::new("attn.node.wq", 64, 32);
-        let mirror = QuantParamShape {
-            name: "attn.node.wk".into(),
-            rows: 64,
-            cols: 32,
-            scales: 64,
-        };
-        let e = check_quant_mirror(&src, &mirror).unwrap_err();
-        assert_eq!(e.layer, "attn.node.wq");
-        assert!(e.message.contains("named 'attn.node.wk'"), "{e}");
-    }
-
-    #[test]
-    fn quant_mirror_shape_drift_is_rejected() {
-        let src = ParamShape::new("head.1.w", 143, 64);
-        let mirror = QuantParamShape {
-            name: "head.1.w".into(),
-            rows: 64,
-            cols: 143,
-            scales: 64,
-        };
-        let e = check_quant_mirror(&src, &mirror).unwrap_err();
-        assert_eq!(e.layer, "head.1.w");
-        assert!(e.message.contains("64x143") && e.message.contains("143x64"), "{e}");
-    }
-
-    #[test]
-    fn quant_mirror_scale_count_mismatch_is_rejected() {
-        let src = ParamShape::new("head.out.w", 32, 1);
-        // A per-column scale vector (or a truncated one) must be refused:
-        // dequantization folds exactly one scale per contraction row.
-        let mirror = QuantParamShape {
-            name: "head.out.w".into(),
-            rows: 32,
-            cols: 1,
-            scales: 1,
-        };
-        let e = check_quant_mirror(&src, &mirror).unwrap_err();
-        assert_eq!(e.layer, "head.out.w");
-        assert!(e.message.contains("1 per-row scales for 32 rows"), "{e}");
     }
 }

@@ -1,60 +1,26 @@
 //! `bench_inference` — the inference engine's performance contract.
 //!
 //! Measures the serving-relevant latencies of the RAAL cost model —
-//! single-plan p50, a 64-configuration resource sweep, K-plan packed
-//! scoring, and the quantized (int8) tier against f32 — and writes
-//! `BENCH_inference.json`: a machine-readable report whose *tracked*
-//! metrics are dimensionless speedup ratios (machine-independent enough
-//! to ratchet in CI, unlike absolute latencies, which are recorded but
-//! not compared).
-//!
-//! Two accuracy gates run inside the harness itself, so the perf file
-//! can never be regenerated from a model whose quantized tier drifted:
-//!
-//! * the int8 path must stay within the relative-error budget of the
-//!   f32 path in normalised label space (the same 15% bound the
-//!   `quant_infer` property test pins);
-//! * fig1-style plan selection over each query's candidate set must
-//!   pick the same plan in both tiers (near-ties within 5% excepted).
+//! single-plan p50, a 64-configuration resource sweep and K-plan packed
+//! scoring — and writes `BENCH_inference.json`: a machine-readable
+//! report whose *tracked* metrics are three dimensionless speedup
+//! ratios (machine-independent enough to ratchet in CI, unlike absolute
+//! latencies, which are recorded but not compared).
 //!
 //! Usage:
 //! `bench_inference [--out FILE] [--check FILE] [--full] [--seed N]`
 //!
 //! `--check FILE` re-measures and exits non-zero if any tracked metric
-//! regressed more than 10% against the baseline in FILE — the CI
-//! perf-ratchet job runs `--check BENCH_inference.json`.
+//! regressed more than 10% against the baseline in FILE, or is tracked
+//! there and no longer measured — the CI perf-ratchet job runs
+//! `--check BENCH_inference.json`.
 
-use bench::{build_model, run_pipeline, section, train_config, Workload};
+use bench::{build_model, run_pipeline, section, train_config, Metric, Workload};
 use raal::{train, FrozenModel, ModelConfig};
-use serde::Serialize;
 
 /// Tracked-metric regression tolerance: fail `--check` when a ratio
 /// drops below `baseline * (1 - TOLERANCE)`.
 const TOLERANCE: f64 = 0.10;
-/// Quantized-vs-f32 budget in normalised log-seconds space (matches the
-/// `quant_infer` property-test gate).
-const QUANT_REL_BUDGET: f64 = 0.15;
-/// Near-tie band for the ranking gate: candidates whose f32 costs are
-/// within this fraction of each other may legitimately swap order.
-const NEAR_TIE: f64 = 0.05;
-
-#[derive(Serialize)]
-struct Metric {
-    name: &'static str,
-    value: f64,
-    unit: &'static str,
-    /// Tracked metrics are ratcheted by `--check`; untracked ones are
-    /// recorded for context only.
-    tracked: bool,
-}
-
-#[derive(Serialize)]
-struct Report {
-    schema: &'static str,
-    /// The telemetry run manifest (run id, git sha, host identity).
-    manifest: serde::Value,
-    metrics: Vec<Metric>,
-}
 
 struct Opts {
     out: std::path::PathBuf,
@@ -104,11 +70,11 @@ fn parse_opts() -> Opts {
 
 fn main() {
     let opts = parse_opts();
-    section("bench_inference — quantized batched inference engine");
+    section("bench_inference — batched inference engine");
 
     // Same setup as the Table IX harness: a briefly-trained RAAL model
     // (weights don't matter for latency, but training de-zeroes the
-    // ReLU head so the accuracy gates bite) over the IMDB workload.
+    // ReLU head) over the IMDB workload.
     let bench = bench::build_bench(Workload::Imdb, opts.full, opts.seed);
     let pipeline = run_pipeline(&bench, opts.full, opts.seed, true);
     let tcfg = {
@@ -121,28 +87,18 @@ fn main() {
     train(&mut model, &train_subset, &tcfg);
     let cluster = bench.engine.simulator().cluster();
 
-    // Up to 100 distinct queries: one (plan, encoded, resources) per
-    // query for the latency metrics, plus each query's full candidate
-    // set for the ranking gate.
-    let mut singles = Vec::new();
-    let mut candidate_sets: Vec<Vec<encoding::EncodedPlan>> = Vec::new();
-    let mut current_query = usize::MAX;
-    for run in &pipeline.collection.plan_runs {
-        if run.plan_idx == 0 {
-            if singles.len() >= 100 {
-                break;
-            }
+    // Up to 100 distinct queries: one (encoded plan, resources) each.
+    let singles: Vec<_> = pipeline
+        .collection
+        .plan_runs
+        .iter()
+        .filter(|run| run.plan_idx == 0)
+        .take(100)
+        .map(|run| {
             let (res, _) = &run.observations[0];
-            singles.push((pipeline.encoder.encode(&run.plan), res.feature_vector(cluster)));
-            candidate_sets.push(Vec::new());
-            current_query = run.query_idx;
-        }
-        if run.query_idx == current_query {
-            if let Some(set) = candidate_sets.last_mut() {
-                set.push(pipeline.encoder.encode(&run.plan));
-            }
-        }
-    }
+            (pipeline.encoder.encode(&run.plan), res.feature_vector(cluster))
+        })
+        .collect();
     let n = singles.len();
     assert!(n >= 50, "need enough distinct queries, got {n}");
     println!("benchmarking over {n} plans (best-of-5 timings)\n");
@@ -157,7 +113,6 @@ fn main() {
         best
     };
 
-    // ---- f32 tier.
     let tape_ms = time_ms(&|| {
         for (enc, feats) in &singles {
             std::hint::black_box(model.predict_seconds_tape(enc, feats));
@@ -195,73 +150,9 @@ fn main() {
         }
     });
 
-    // ---- Accuracy gates + quantized tier (freeze consumes the model,
-    // so the f32 reference predictions are captured first).
-    let f32_preds: Vec<f64> = singles
-        .iter()
-        .map(|(enc, feats)| model.predict_seconds(enc, feats))
-        .collect();
-    let f32_rankings: Vec<Vec<f64>> = candidate_sets
-        .iter()
-        .zip(&singles)
-        .map(|(set, (_, feats))| {
-            let items: Vec<_> = set.iter().map(|e| (e, feats.as_slice())).collect();
-            model.predict_batch(&items)
-        })
-        .collect();
+    // K-plan packed scoring through the frozen handle the service
+    // holds: K=16 sequential vs one packed GEMM per head layer.
     let frozen = FrozenModel::freeze(model);
-
-    let mut quant_rel_err_max = 0.0f64;
-    for ((enc, feats), &f32_pred) in singles.iter().zip(&f32_preds) {
-        let q_pred = frozen.predict_seconds(enc, feats);
-        let (yq, yf) = ((1.0 + q_pred).ln(), (1.0 + f32_pred).ln());
-        quant_rel_err_max = quant_rel_err_max.max((yq - yf).abs() / yf.abs().max(1.0));
-    }
-    assert!(
-        quant_rel_err_max <= QUANT_REL_BUDGET,
-        "ACCURACY GATE FAILED: quantized tier diverged from f32 by {quant_rel_err_max:.4} \
-         (budget {QUANT_REL_BUDGET}) in normalised label space"
-    );
-    println!("accuracy gate: max quant-vs-f32 relative error {quant_rel_err_max:.5} (budget {QUANT_REL_BUDGET})");
-
-    let mut ranked_queries = 0usize;
-    for (set, (f32_costs, (_, feats))) in
-        candidate_sets.iter().zip(f32_rankings.iter().zip(&singles))
-    {
-        if set.len() < 2 {
-            continue;
-        }
-        ranked_queries += 1;
-        let items: Vec<_> = set.iter().map(|e| (e, feats.as_slice())).collect();
-        let q_costs = frozen.predict_packed(&items);
-        let argmin = |xs: &[f64]| {
-            xs.iter()
-                .enumerate()
-                .min_by(|a, b| a.1.partial_cmp(b.1).expect("finite costs"))
-                .map(|(i, _)| i)
-                .expect("non-empty")
-        };
-        let (fi, qi) = (argmin(f32_costs), argmin(&q_costs));
-        let near_tie = (f32_costs[fi] - f32_costs[qi]).abs()
-            <= NEAR_TIE * f32_costs[fi].max(f32_costs[qi]).max(1e-9);
-        assert!(
-            fi == qi || near_tie,
-            "RANKING GATE FAILED: quantization changed plan selection from candidate {fi} \
-             ({} s) to {qi} ({} s) — beyond the {NEAR_TIE} near-tie band",
-            f32_costs[fi],
-            f32_costs[qi],
-        );
-    }
-    println!("ranking gate: plan selection agreed on all {ranked_queries} multi-candidate queries");
-
-    let quant_ms = time_ms(&|| {
-        for (enc, feats) in &singles {
-            std::hint::black_box(frozen.predict_seconds(enc, feats));
-        }
-    });
-
-    // ---- K-plan packed scoring: K=16 sequential vs one packed GEMM
-    // per layer, both on the quantized tier.
     let k = 16.min(n);
     let pack_items: Vec<_> = singles.iter().take(k).map(|(e, f)| (e, f.as_slice())).collect();
     let pack_seq_ms = time_ms(&|| {
@@ -274,157 +165,29 @@ fn main() {
     });
 
     let metrics = vec![
-        Metric {
-            name: "single_plan_p50_us_f32",
-            value: fast_ms / n as f64 * 1e3,
-            unit: "us",
-            tracked: false,
-        },
-        Metric {
-            name: "single_plan_p50_us_quant",
-            value: quant_ms / n as f64 * 1e3,
-            unit: "us",
-            tracked: false,
-        },
-        Metric {
-            name: "tape_total_ms",
-            value: tape_ms,
-            unit: "ms",
-            tracked: false,
-        },
-        Metric {
-            name: "sweep64_naive_ms",
-            value: sweep_naive_ms,
-            unit: "ms",
-            tracked: false,
-        },
-        Metric {
-            name: "sweep64_cached_ms",
-            value: sweep_cached_ms,
-            unit: "ms",
-            tracked: false,
-        },
-        Metric {
-            name: "pack16_seq_ms",
-            value: pack_seq_ms,
-            unit: "ms",
-            tracked: false,
-        },
-        Metric {
-            name: "pack16_packed_ms",
-            value: pack_ms,
-            unit: "ms",
-            tracked: false,
-        },
-        Metric {
-            name: "quant_rel_err_max",
-            value: quant_rel_err_max,
-            unit: "ratio",
-            tracked: false,
-        },
-        Metric {
-            name: "fast_vs_tape",
-            value: tape_ms / fast_ms,
-            unit: "ratio",
-            tracked: true,
-        },
-        Metric {
-            name: "sweep_cache_speedup",
-            value: sweep_naive_ms / sweep_cached_ms,
-            unit: "ratio",
-            tracked: true,
-        },
-        Metric {
-            name: "batch_pack_speedup",
-            value: pack_seq_ms / pack_ms,
-            unit: "ratio",
-            tracked: true,
-        },
-        Metric {
-            name: "quant_speedup",
-            value: fast_ms / quant_ms,
-            unit: "ratio",
-            tracked: true,
-        },
+        Metric::info("single_plan_p50_us_f32", fast_ms / n as f64 * 1e3, "us"),
+        Metric::info("tape_total_ms", tape_ms, "ms"),
+        Metric::info("sweep64_naive_ms", sweep_naive_ms, "ms"),
+        Metric::info("sweep64_cached_ms", sweep_cached_ms, "ms"),
+        Metric::info("pack16_seq_ms", pack_seq_ms, "ms"),
+        Metric::info("pack16_packed_ms", pack_ms, "ms"),
+        Metric::tracked("fast_vs_tape", tape_ms / fast_ms),
+        Metric::tracked("sweep_cache_speedup", sweep_naive_ms / sweep_cached_ms),
+        Metric::tracked("batch_pack_speedup", pack_seq_ms / pack_ms),
     ];
-
-    println!("\n{:>24} {:>14} {:>8} {:>8}", "metric", "value", "unit", "tracked");
-    for m in &metrics {
-        println!("{:>24} {:>14.4} {:>8} {:>8}", m.name, m.value, m.unit, m.tracked);
-    }
+    bench::print_metrics(&metrics);
 
     if let Some(baseline_path) = &opts.check {
-        check_against(baseline_path, &metrics);
+        bench::check_against(baseline_path, &metrics, TOLERANCE);
         return;
     }
-
-    let manifest_text =
-        telemetry::manifest_json(&[("bench_inference_plans", telemetry::Value::UInt(n as u64))]);
-    let manifest: serde::Value =
-        serde_json::from_str(&manifest_text).expect("telemetry manifest is valid JSON");
-    let report = Report {
-        schema: "raal.bench_inference/v1",
-        manifest,
+    bench::write_report(
+        &opts.out,
+        "raal.bench_inference/v1",
+        &[("bench_inference_plans", telemetry::Value::UInt(n as u64))],
         metrics,
-    };
-    let json = serde_json::to_string(&report).expect("serialise report");
-    std::fs::write(&opts.out, json + "\n").expect("write report");
-    println!("\n  -> wrote {}", opts.out.display());
-    // Flush counter/histogram summaries (the `infer.quant.*` counters in
-    // particular) so a telemetry-enabled run validates end to end.
+    );
+    // Flush counter/histogram summaries so a telemetry-enabled run
+    // validates end to end.
     telemetry::shutdown();
-}
-
-/// Compares tracked metrics against a committed baseline, failing the
-/// process when any ratio regressed more than [`TOLERANCE`].
-fn check_against(baseline_path: &std::path::Path, metrics: &[Metric]) {
-    let text = std::fs::read_to_string(baseline_path)
-        .unwrap_or_else(|e| panic!("cannot read baseline {}: {e}", baseline_path.display()));
-    let baseline: serde::Value = serde_json::from_str(&text).expect("baseline parses as JSON");
-    let entries = match baseline.get("metrics") {
-        Some(serde::Value::Array(a)) => a,
-        _ => panic!("baseline {} has no metrics array", baseline_path.display()),
-    };
-    let baseline_value = |name: &str| -> Option<f64> {
-        entries.iter().find_map(|m| {
-            let is_name = matches!(m.get("name"), Some(serde::Value::Str(s)) if s == name);
-            let tracked = matches!(m.get("tracked"), Some(serde::Value::Bool(true)));
-            if !is_name || !tracked {
-                return None;
-            }
-            match m.get("value") {
-                Some(serde::Value::Float(v)) => Some(*v),
-                Some(serde::Value::Int(v)) => Some(*v as f64),
-                Some(serde::Value::UInt(v)) => Some(*v as f64),
-                _ => None,
-            }
-        })
-    };
-    let mut failures = Vec::new();
-    println!("\nperf ratchet vs {} (tolerance {TOLERANCE}):", baseline_path.display());
-    for m in metrics.iter().filter(|m| m.tracked) {
-        match baseline_value(m.name) {
-            Some(base) => {
-                let floor = base * (1.0 - TOLERANCE);
-                let ok = m.value >= floor;
-                println!(
-                    "  {:>22}: {:.3} vs baseline {:.3} (floor {:.3}) {}",
-                    m.name,
-                    m.value,
-                    base,
-                    floor,
-                    if ok { "ok" } else { "REGRESSED" }
-                );
-                if !ok {
-                    failures.push(m.name);
-                }
-            }
-            None => println!("  {:>22}: {:.3} (no baseline — new metric)", m.name, m.value),
-        }
-    }
-    if !failures.is_empty() {
-        eprintln!("perf ratchet FAILED: {failures:?} regressed more than {TOLERANCE:.0}%");
-        std::process::exit(1);
-    }
-    println!("perf ratchet passed.");
 }

@@ -35,14 +35,14 @@
 //!
 //! `--smoke` shrinks the run to ~10k predictions for CI smoke jobs;
 //! `--check FILE` re-measures and exits non-zero if a tracked metric
-//! regressed more than [`TOLERANCE`] against the baseline in FILE.
+//! regressed more than [`TOLERANCE`] against the baseline in FILE, or
+//! is tracked there and no longer measured.
 
-use bench::{build_model, run_pipeline, section, train_config, Workload};
+use bench::{build_model, run_pipeline, section, train_config, Metric, Workload};
 use raal::persist::ModelBundle;
 use raal::serving::shard::{ShardConfig, ShardedServing};
 use raal::serving::{FallbackModel, ServingConfig};
 use raal::{train, ModelConfig};
-use serde::Serialize;
 use sparksim::plan::physical::PhysicalPlan;
 use sparksim::resource::ResourceConfig;
 use std::sync::Arc;
@@ -71,24 +71,6 @@ const MIN_GATE_CORES: usize = 4;
 /// Floor applied instead on narrower machines: coalescing may not win
 /// without parallelism, but it must never collapse throughput.
 const MIN_SERIAL_SPEEDUP: f64 = 0.75;
-
-#[derive(Serialize)]
-struct Metric {
-    name: &'static str,
-    value: f64,
-    unit: &'static str,
-    /// Tracked metrics are ratcheted by `--check`; untracked ones are
-    /// recorded for context only.
-    tracked: bool,
-}
-
-#[derive(Serialize)]
-struct Report {
-    schema: &'static str,
-    /// The telemetry run manifest (run id, git sha, host identity).
-    manifest: serde::Value,
-    metrics: Vec<Metric>,
-}
 
 struct Opts {
     out: std::path::PathBuf,
@@ -300,159 +282,34 @@ fn main() {
     }
 
     let metrics = vec![
-        Metric {
-            name: "predictions",
-            value: total as f64,
-            unit: "count",
-            tracked: false,
-        },
-        Metric {
-            name: "client_threads",
-            value: CLIENTS as f64,
-            unit: "count",
-            tracked: false,
-        },
-        Metric {
-            name: "machine_cores",
-            value: cores as f64,
-            unit: "count",
-            tracked: false,
-        },
-        Metric {
-            name: "batched_p50_us",
-            value: q(0.50),
-            unit: "us",
-            tracked: false,
-        },
-        Metric {
-            name: "batched_p95_us",
-            value: q(0.95),
-            unit: "us",
-            tracked: false,
-        },
-        Metric {
-            name: "batched_p99_us",
-            value: q(0.99),
-            unit: "us",
-            tracked: false,
-        },
-        Metric {
-            name: "sequential_p50_us",
-            value: sq(0.50),
-            unit: "us",
-            tracked: false,
-        },
-        Metric {
-            name: "sequential_p95_us",
-            value: sq(0.95),
-            unit: "us",
-            tracked: false,
-        },
-        Metric {
-            name: "sequential_p99_us",
-            value: sq(0.99),
-            unit: "us",
-            tracked: false,
-        },
-        Metric {
-            name: "batched_throughput_per_s",
-            value: batched_tput,
-            unit: "1/s",
-            tracked: false,
-        },
-        Metric {
-            name: "sequential_throughput_per_s",
-            value: seq_tput,
-            unit: "1/s",
-            tracked: false,
-        },
-        Metric {
-            name: "model_hit_rate",
-            value: slo.hit_rate(),
-            unit: "ratio",
-            tracked: false,
-        },
-        Metric {
-            name: "batched_vs_sequential",
-            value: speedup,
-            unit: "ratio",
-            tracked: true,
-        },
+        Metric::info("predictions", total as f64, "count"),
+        Metric::info("client_threads", CLIENTS as f64, "count"),
+        Metric::info("machine_cores", cores as f64, "count"),
+        Metric::info("batched_p50_us", q(0.50), "us"),
+        Metric::info("batched_p95_us", q(0.95), "us"),
+        Metric::info("batched_p99_us", q(0.99), "us"),
+        Metric::info("sequential_p50_us", sq(0.50), "us"),
+        Metric::info("sequential_p95_us", sq(0.95), "us"),
+        Metric::info("sequential_p99_us", sq(0.99), "us"),
+        Metric::info("batched_throughput_per_s", batched_tput, "1/s"),
+        Metric::info("sequential_throughput_per_s", seq_tput, "1/s"),
+        Metric::info("model_hit_rate", slo.hit_rate(), "ratio"),
+        Metric::tracked("batched_vs_sequential", speedup),
     ];
-
-    println!("\n{:>28} {:>14} {:>8} {:>8}", "metric", "value", "unit", "tracked");
-    for m in &metrics {
-        println!("{:>28} {:>14.4} {:>8} {:>8}", m.name, m.value, m.unit, m.tracked);
-    }
+    bench::print_metrics(&metrics);
 
     if let Some(baseline_path) = &opts.check {
-        check_against(baseline_path, &metrics);
+        bench::check_against(baseline_path, &metrics, TOLERANCE);
         return;
     }
-
-    let manifest_text = telemetry::manifest_json(&[
-        ("bench_serving_predictions", telemetry::Value::UInt(total)),
-        ("bench_serving_clients", telemetry::Value::UInt(CLIENTS as u64)),
-    ]);
-    let manifest: serde::Value =
-        serde_json::from_str(&manifest_text).expect("telemetry manifest is valid JSON");
-    let report = Report { schema: "raal.bench_serving/v1", manifest, metrics };
-    let json = serde_json::to_string(&report).expect("serialise report");
-    std::fs::write(&opts.out, json + "\n").expect("write report");
-    println!("\n  -> wrote {}", opts.out.display());
+    bench::write_report(
+        &opts.out,
+        "raal.bench_serving/v1",
+        &[
+            ("bench_serving_predictions", telemetry::Value::UInt(total)),
+            ("bench_serving_clients", telemetry::Value::UInt(CLIENTS as u64)),
+        ],
+        metrics,
+    );
     telemetry::shutdown();
-}
-
-/// Compares tracked metrics against a committed baseline, failing the
-/// process when any ratio regressed more than [`TOLERANCE`].
-fn check_against(baseline_path: &std::path::Path, metrics: &[Metric]) {
-    let text = std::fs::read_to_string(baseline_path)
-        .unwrap_or_else(|e| panic!("cannot read baseline {}: {e}", baseline_path.display()));
-    let baseline: serde::Value = serde_json::from_str(&text).expect("baseline parses as JSON");
-    let entries = match baseline.get("metrics") {
-        Some(serde::Value::Array(a)) => a,
-        _ => panic!("baseline {} has no metrics array", baseline_path.display()),
-    };
-    let baseline_value = |name: &str| -> Option<f64> {
-        entries.iter().find_map(|m| {
-            let is_name = matches!(m.get("name"), Some(serde::Value::Str(s)) if s == name);
-            let tracked = matches!(m.get("tracked"), Some(serde::Value::Bool(true)));
-            if !is_name || !tracked {
-                return None;
-            }
-            match m.get("value") {
-                Some(serde::Value::Float(v)) => Some(*v),
-                Some(serde::Value::Int(v)) => Some(*v as f64),
-                Some(serde::Value::UInt(v)) => Some(*v as f64),
-                _ => None,
-            }
-        })
-    };
-    let mut failures = Vec::new();
-    println!("\nperf ratchet vs {} (tolerance {TOLERANCE}):", baseline_path.display());
-    for m in metrics.iter().filter(|m| m.tracked) {
-        match baseline_value(m.name) {
-            Some(base) => {
-                let floor = base * (1.0 - TOLERANCE);
-                let ok = m.value >= floor;
-                println!(
-                    "  {:>22}: {:.3} vs baseline {:.3} (floor {:.3}) {}",
-                    m.name,
-                    m.value,
-                    base,
-                    floor,
-                    if ok { "ok" } else { "REGRESSED" }
-                );
-                if !ok {
-                    failures.push(m.name);
-                }
-            }
-            None => println!("  {:>22}: {:.3} (no baseline — new metric)", m.name, m.value),
-        }
-    }
-    if !failures.is_empty() {
-        eprintln!("perf ratchet FAILED: {failures:?} regressed more than {TOLERANCE:.0}%");
-        std::process::exit(1);
-    }
-    println!("perf ratchet passed.");
 }

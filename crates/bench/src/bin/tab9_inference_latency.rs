@@ -12,14 +12,12 @@
 //!   vs the tape-free fast path (`predict_seconds`);
 //! * `predict_batch` (threaded sharding of the fast path);
 //! * a 64-configuration resource sweep per plan, naive (full forward per
-//!   configuration) vs `PlanContext` reuse (`predict_with_context`);
-//! * the quantized tier (`FrozenModel`, int8 weights) one plan at a time
-//!   and as one cross-plan packed GEMM (`predict_packed`).
+//!   configuration) vs `PlanContext` reuse (`predict_with_context`).
 
 use baselines::gpsj::{GpsjModel, GpsjParams};
 use baselines::tlstm::{train_tlstm, TlstmConfig, TlstmModel};
 use bench::{build_model, run_pipeline, section, train_config, write_tsv, HarnessOpts, Workload};
-use raal::{train, FrozenModel, ModelConfig};
+use raal::{train, ModelConfig};
 
 fn main() {
     let opts = HarnessOpts::from_env();
@@ -155,26 +153,12 @@ fn main() {
         }
     });
 
-    // ---- Quantized tier: int8 weights, one plan at a time and packed.
-    // Freezing consumes the model, so this comes after the f32 rows.
-    let frozen = FrozenModel::freeze(raal_model);
-    let quant_ms = time_it(&|| {
-        for (_, enc, res) in plans.iter().take(n) {
-            std::hint::black_box(frozen.predict_seconds(enc, &res.feature_vector(cluster)));
-        }
-    });
-    let packed_ms = time_it(&|| {
-        std::hint::black_box(frozen.predict_packed(&batch_refs));
-    });
-
     let single_speedup = tape_ms / fast_ms;
     let sweep_speedup = naive_sweep_ms / cached_sweep_ms;
     println!("{:>24} {:>12} {:>12}", "path", "total(ms)", "speedup");
     println!("{:>24} {tape_ms:>12.3} {:>12}", "tape (reference)", "1.0x");
     println!("{:>24} {fast_ms:>12.3} {:>11.1}x", "fast path", single_speedup);
     println!("{:>24} {batch_ms:>12.3} {:>11.1}x", "fast path (batched)", tape_ms / batch_ms);
-    println!("{:>24} {quant_ms:>12.3} {:>11.1}x", "quantized (int8)", tape_ms / quant_ms);
-    println!("{:>24} {packed_ms:>12.3} {:>11.1}x", "quantized packed", tape_ms / packed_ms);
     println!("\nresource sweep: {sweep_plans} plans x {} configurations", sweep_configs.len());
     println!("{:>24} {naive_sweep_ms:>12.3} {:>12}", "naive (full forward)", "1.0x");
     println!("{:>24} {cached_sweep_ms:>12.3} {:>11.1}x", "PlanContext cached", sweep_speedup);
@@ -190,16 +174,6 @@ fn main() {
                 format!("{batch_ms:.3}"),
                 format!("{:.2}", tape_ms / batch_ms),
             ],
-            vec![
-                "quant_100_plans".into(),
-                format!("{quant_ms:.3}"),
-                format!("{:.2}", tape_ms / quant_ms),
-            ],
-            vec![
-                "packed_quant_100_plans".into(),
-                format!("{packed_ms:.3}"),
-                format!("{:.2}", tape_ms / packed_ms),
-            ],
             vec!["sweep_naive_8x64".into(), format!("{naive_sweep_ms:.3}"), "1.00".into()],
             vec![
                 "sweep_cached_8x64".into(),
@@ -210,6 +184,6 @@ fn main() {
     );
 
     // Flush counter/histogram summaries so a telemetry-enabled run
-    // (including the quantized-tier counters) validates end to end.
+    // validates end to end.
     telemetry::shutdown();
 }

@@ -4,7 +4,9 @@
 //! per-experiment index). This library holds the shared plumbing: argument
 //! parsing, dataset/engine construction at two scales (`--full` ≈ paper
 //! scale, default = reduced-but-shape-preserving), the standard
-//! collect→encode→train pipeline, and TSV output.
+//! collect→encode→train pipeline, TSV output, and the `BENCH_*.json`
+//! report + `--check` ratchet shared by `bench_inference` and
+//! `bench_serving`.
 
 #![warn(missing_docs)]
 
@@ -12,6 +14,7 @@ use encoding::word2vec::W2vConfig;
 use encoding::{EncoderConfig, PlanEncoder};
 use raal::dataset::{collect, Collection, CollectionConfig};
 use raal::{CostModel, ModelConfig, TrainConfig};
+use serde::Serialize;
 use sparksim::plan::planner::PlannerOptions;
 use sparksim::{ClusterConfig, Engine, SimulatorConfig};
 use std::io::Write as _;
@@ -242,6 +245,191 @@ pub fn section(title: &str) {
     println!("\n=== {title} ===");
 }
 
+/// One entry of a `BENCH_*.json` report.
+#[derive(Debug, Clone, Serialize)]
+pub struct Metric {
+    /// Metric name (the ratchet's key).
+    pub name: &'static str,
+    /// Measured value.
+    pub value: f64,
+    /// Unit label.
+    pub unit: &'static str,
+    /// Tracked metrics are ratcheted by `--check`; untracked ones are
+    /// recorded for context only.
+    pub tracked: bool,
+}
+
+impl Metric {
+    /// A metric recorded for context only.
+    pub fn info(name: &'static str, value: f64, unit: &'static str) -> Self {
+        Self { name, value, unit, tracked: false }
+    }
+
+    /// A higher-is-better ratio the `--check` ratchet holds.
+    pub fn tracked(name: &'static str, value: f64) -> Self {
+        Self { name, value, unit: "ratio", tracked: true }
+    }
+}
+
+#[derive(Serialize)]
+struct Report {
+    schema: &'static str,
+    /// The telemetry run manifest (run id, git sha, host identity).
+    manifest: serde::Value,
+    metrics: Vec<Metric>,
+}
+
+/// Prints the metric table of a bench run.
+pub fn print_metrics(metrics: &[Metric]) {
+    println!("\n{:>28} {:>14} {:>8} {:>8}", "metric", "value", "unit", "tracked");
+    for m in metrics {
+        println!("{:>28} {:>14.4} {:>8} {:>8}", m.name, m.value, m.unit, m.tracked);
+    }
+}
+
+/// Writes a `BENCH_*.json` report: schema tag, the telemetry run
+/// manifest extended with `manifest_fields`, and the metrics.
+pub fn write_report(
+    path: &Path,
+    schema: &'static str,
+    manifest_fields: &[(&str, telemetry::Value)],
+    metrics: Vec<Metric>,
+) {
+    let manifest: serde::Value = serde_json::from_str(&telemetry::manifest_json(manifest_fields))
+        .expect("telemetry manifest is valid JSON");
+    let json = serde_json::to_string(&Report { schema, manifest, metrics }).expect("serialise");
+    std::fs::write(path, json + "\n").expect("write report");
+    println!("\n  -> wrote {}", path.display());
+}
+
+/// What the ratchet found for one metric name.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Verdict {
+    /// At or above `baseline * (1 - tolerance)`.
+    Held,
+    /// Below that floor.
+    Regressed,
+    /// Tracked in the run, not in the baseline: reported, not compared.
+    New,
+    /// Tracked in the baseline, absent (or untracked) in the run: a
+    /// metric cannot leave the ratchet by being deleted from the
+    /// harness — the baseline has to be re-recorded without it.
+    Missing,
+}
+
+impl Verdict {
+    /// Whether this verdict fails `--check`.
+    pub fn fails(self) -> bool {
+        matches!(self, Verdict::Regressed | Verdict::Missing)
+    }
+}
+
+/// One row of a ratchet comparison.
+#[derive(Debug, Clone, PartialEq)]
+pub struct RatchetRow {
+    /// Metric name.
+    pub name: String,
+    /// The run's value (`None` when [`Verdict::Missing`]).
+    pub value: Option<f64>,
+    /// The baseline's value (`None` when [`Verdict::New`]).
+    pub baseline: Option<f64>,
+    /// The comparison's outcome.
+    pub verdict: Verdict,
+}
+
+/// Compares a run's tracked metrics with a baseline report's tracked
+/// metrics (both higher-is-better): one row per name tracked on either
+/// side, the run's first.
+///
+/// # Panics
+/// Panics if `baseline` has no `metrics` array.
+pub fn ratchet(baseline: &serde::Value, metrics: &[Metric], tolerance: f64) -> Vec<RatchetRow> {
+    let entries = match baseline.get("metrics") {
+        Some(serde::Value::Array(a)) => a,
+        _ => panic!("baseline has no metrics array"),
+    };
+    let tracked_baseline: Vec<(&str, f64)> = entries
+        .iter()
+        .filter(|m| matches!(m.get("tracked"), Some(serde::Value::Bool(true))))
+        .filter_map(|m| {
+            let name = match m.get("name") {
+                Some(serde::Value::Str(s)) => s.as_str(),
+                _ => return None,
+            };
+            let value = match m.get("value") {
+                Some(serde::Value::Float(v)) => *v,
+                Some(serde::Value::Int(v)) => *v as f64,
+                Some(serde::Value::UInt(v)) => *v as f64,
+                _ => return None,
+            };
+            Some((name, value))
+        })
+        .collect();
+    let run: Vec<&Metric> = metrics.iter().filter(|m| m.tracked).collect();
+    let mut rows: Vec<RatchetRow> = run
+        .iter()
+        .map(|m| {
+            let baseline = tracked_baseline.iter().find(|(n, _)| *n == m.name).map(|(_, v)| *v);
+            let verdict = match baseline {
+                None => Verdict::New,
+                Some(base) if m.value >= base * (1.0 - tolerance) => Verdict::Held,
+                Some(_) => Verdict::Regressed,
+            };
+            RatchetRow {
+                name: m.name.to_string(),
+                value: Some(m.value),
+                baseline,
+                verdict,
+            }
+        })
+        .collect();
+    for (name, base) in tracked_baseline {
+        if !run.iter().any(|m| m.name == name) {
+            rows.push(RatchetRow {
+                name: name.to_string(),
+                value: None,
+                baseline: Some(base),
+                verdict: Verdict::Missing,
+            });
+        }
+    }
+    rows
+}
+
+/// `--check`: runs [`ratchet`] against the report at `baseline_path`,
+/// prints every row, and exits the process non-zero if any row
+/// [fails](Verdict::fails).
+pub fn check_against(baseline_path: &Path, metrics: &[Metric], tolerance: f64) {
+    let text = std::fs::read_to_string(baseline_path)
+        .unwrap_or_else(|e| panic!("cannot read baseline {}: {e}", baseline_path.display()));
+    let baseline: serde::Value = serde_json::from_str(&text).expect("baseline parses as JSON");
+    let rows = ratchet(&baseline, metrics, tolerance);
+    println!("\nperf ratchet vs {} (tolerance {tolerance}):", baseline_path.display());
+    let show = |v: Option<f64>| v.map_or("-".to_string(), |v| format!("{v:.3}"));
+    for r in &rows {
+        println!(
+            "  {:>22}: {} vs baseline {} {:?}",
+            r.name,
+            show(r.value),
+            show(r.baseline),
+            r.verdict
+        );
+    }
+    let failures: Vec<&str> = rows
+        .iter()
+        .filter(|r| r.verdict.fails())
+        .map(|r| r.name.as_str())
+        .collect();
+    if !failures.is_empty() {
+        eprintln!(
+            "perf ratchet FAILED: {failures:?} regressed more than {:.0}% or went missing",
+            tolerance * 100.0
+        );
+        std::process::exit(1);
+    }
+    println!("perf ratchet passed.");
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -260,5 +448,54 @@ mod tests {
         let path = write_tsv(&dir, "t.tsv", &["a", "b"], &[vec!["1".into(), "2".into()]]);
         let content = std::fs::read_to_string(path).unwrap();
         assert_eq!(content, "a\tb\n1\t2\n");
+    }
+
+    fn baseline() -> serde::Value {
+        serde_json::from_str(
+            r#"{"metrics":[{"name":"kept","value":2.0,"unit":"ratio","tracked":true},
+                           {"name":"dropped","value":1.5,"unit":"ratio","tracked":true},
+                           {"name":"context","value":9,"unit":"us","tracked":false}]}"#,
+        )
+        .unwrap()
+    }
+
+    fn verdicts(metrics: &[Metric]) -> Vec<(String, Verdict)> {
+        ratchet(&baseline(), metrics, 0.10)
+            .into_iter()
+            .map(|r| (r.name, r.verdict))
+            .collect()
+    }
+
+    #[test]
+    fn ratchet_fails_a_tracked_baseline_metric_missing_from_the_run() {
+        // Deleting a metric from the harness must not un-ratchet it; an
+        // untracked baseline entry ("context") is nobody's business.
+        let got = verdicts(&[Metric::tracked("kept", 2.0)]);
+        assert_eq!(
+            got,
+            vec![("kept".to_string(), Verdict::Held), ("dropped".to_string(), Verdict::Missing)]
+        );
+        assert!(Verdict::Missing.fails());
+        // Demoting it to untracked in the run is the same deletion.
+        let got = verdicts(&[Metric::tracked("kept", 2.0), Metric::info("dropped", 1.5, "ratio")]);
+        assert_eq!(got[1], ("dropped".to_string(), Verdict::Missing));
+    }
+
+    #[test]
+    fn ratchet_reports_a_new_metric_and_fails_a_regressed_one() {
+        let got = verdicts(&[
+            Metric::tracked("kept", 1.79),
+            Metric::tracked("dropped", 1.36),
+            Metric::tracked("fresh", 0.1),
+        ]);
+        assert_eq!(
+            got,
+            vec![
+                ("kept".to_string(), Verdict::Regressed),
+                ("dropped".to_string(), Verdict::Held),
+                ("fresh".to_string(), Verdict::New),
+            ]
+        );
+        assert!(Verdict::Regressed.fails() && !Verdict::New.fails() && !Verdict::Held.fails());
     }
 }

@@ -34,7 +34,6 @@ pub use dataset::{collect, Collection, CollectionConfig};
 pub use metrics::{EvalSet, MetricSummary};
 pub use model::{
     thread_arena_stats, CostModel, FrozenModel, ModelConfig, PlanContext, PlanLayerKind,
-    QuantizedWeights,
 };
 pub use persist::ModelBundle;
 pub use selection::{evaluate_selection, select_plan, SelectionOutcome};

@@ -76,15 +76,15 @@ impl ModelBundle {
     }
 
     /// Consumes the bundle into a serving-ready pair: the model frozen
-    /// (quantized once, [`FrozenModel::freeze`]) plus its encoder.
+    /// ([`FrozenModel::freeze`]) plus its encoder.
     pub fn freeze(self) -> (FrozenModel, PlanEncoder) {
         let encoder = self.encoder();
         (FrozenModel::freeze(self.model), encoder)
     }
 
     /// [`ModelBundle::load`] followed by [`ModelBundle::freeze`]: the
-    /// one-call path from a checkpoint on disk to shareable quantized
-    /// weights, used by replicas that never train.
+    /// one-call path from a checkpoint on disk to shareable weights,
+    /// used by replicas that never train.
     pub fn load_frozen(path: &Path) -> std::io::Result<(FrozenModel, PlanEncoder)> {
         Ok(Self::load(path)?.freeze())
     }
@@ -136,7 +136,7 @@ mod tests {
     }
 
     #[test]
-    fn load_frozen_round_trips_quantized_predictions() {
+    fn load_frozen_round_trips_predictions() {
         let encoder = tiny_encoder();
         let model = CostModel::new(ModelConfig {
             hidden: 8,
@@ -150,18 +150,26 @@ mod tests {
             plan_stats: vec![0.3; PLAN_STAT_FEATURES],
         };
         let res = vec![0.5f32; 7];
+        let expected = model.predict_seconds(&plan, &res);
 
         let dir = std::env::temp_dir().join("raal_persist_test");
         let path = dir.join("frozen.json");
         ModelBundle::new(model, &encoder).save(&path).unwrap();
         let (frozen, enc) = ModelBundle::load_frozen(&path).unwrap();
-        // The quantized and f32 tiers of the same frozen handle must
-        // agree with themselves across calls, and the encoder survives.
-        assert_eq!(frozen.predict_seconds(&plan, &res), frozen.predict_seconds(&plan, &res));
-        assert_eq!(
-            frozen.predict_seconds_f32(&plan, &res),
-            frozen.model().predict_seconds(&plan, &res)
-        );
+        // A frozen handle serves the saved model's bits, through every
+        // name it answers to, and the encoder survives.
+        assert_eq!(frozen.predict_seconds(&plan, &res), expected);
+        assert_eq!(frozen.predict_seconds_f32(&plan, &res), expected);
+        assert_eq!(frozen.model().predict_seconds(&plan, &res), expected);
         assert_eq!(enc.node_dim(), encoder.node_dim());
+        // The weights the kernels stream sit on a cache line after a
+        // load, and after the clone serving set-ups make (DESIGN.md §9).
+        let copy = frozen.model().clone();
+        for store in [frozen.model().store(), copy.store()] {
+            for id in store.ids() {
+                let at = store.value(id).data().as_ptr() as usize;
+                assert_eq!(at % 64, 0, "{} is off the cache line", store.name(id));
+            }
+        }
     }
 }

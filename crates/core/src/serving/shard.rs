@@ -750,7 +750,7 @@ const UNANSWERED: ServingPrediction = ServingPrediction {
 
 impl ShardedServing {
     /// Serves a loaded bundle across [`ShardConfig::shards`] shards.
-    /// The model is quantized and frozen once ([`FrozenModel::freeze`]);
+    /// The model is frozen once ([`FrozenModel::freeze`]);
     /// every shard's dispatcher holds a reference-counted clone of the
     /// same weights. Spawns one thread per shard immediately.
     pub fn new(

@@ -9,8 +9,8 @@
 //! concurrently park on its test-completion channel — which lazily
 //! allocates a waker — and a process-global counter would (flakily)
 //! pick that up. The test warms the thread-local inference arena, arms
-//! the counter, runs a batch of predictions through both weight tiers,
-//! and asserts the count stayed at zero. A second test holds the served
+//! the counter, runs a batch of predictions, and asserts the count
+//! stayed at zero. A second test holds the served
 //! route for a cached plan to one allocation per call.
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -105,33 +105,22 @@ fn steady_state_predict_is_allocation_free() {
     let resources = vec![1.0f32, 1.0, 0.25, 0.5, 0.25, 0.9, 0.8];
 
     // Warmup: populate the thread-local arena pools (and any lazy
-    // telemetry state) for both weight tiers.
+    // telemetry state).
     let mut warm = 0.0;
     for _ in 0..32 {
         warm += frozen.predict_seconds(&plan, &resources);
-        warm += frozen.predict_seconds_f32(&plan, &resources);
     }
     assert!(warm.is_finite());
 
     // Steady state: every buffer comes from the arena, so the global
     // allocator must not be touched at all.
-    let (n_quant, y_quant) = count_allocs(|| {
+    let (allocs, y) = count_allocs(|| {
         (0..64)
             .map(|_| frozen.predict_seconds(&plan, &resources))
             .sum::<f64>()
     });
-    let (n_f32, y_f32) = count_allocs(|| {
-        (0..64)
-            .map(|_| frozen.predict_seconds_f32(&plan, &resources))
-            .sum::<f64>()
-    });
-
-    assert!(y_quant.is_finite() && y_f32.is_finite());
-    assert_eq!(
-        n_quant, 0,
-        "quantized steady-state predict_seconds touched the heap {n_quant} time(s)"
-    );
-    assert_eq!(n_f32, 0, "f32 steady-state predict_seconds touched the heap {n_f32} time(s)");
+    assert!(y.is_finite());
+    assert_eq!(allocs, 0, "steady-state predict_seconds touched the heap {allocs} time(s)");
 }
 
 /// The serving path for a plan whose context is cached: fingerprint,

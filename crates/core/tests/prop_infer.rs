@@ -1,10 +1,16 @@
-//! Property test: the tape-free inference engine agrees with the
-//! autograd-tape reference forward pass across random plans, random
-//! resource vectors and every model variant.
+//! The inference engine's contracts, across random plans, random
+//! resource vectors and every model variant:
+//!
+//! * the tape-free path agrees with the autograd-tape reference forward
+//!   pass within 1e-5, and a frozen handle returns the same bits;
+//! * packed/batched scoring agrees with per-item scoring bit-for-bit;
+//! * `FrozenModel` is a shareable `Send + Sync` handle and replicas
+//!   share one weight copy;
+//! * a warmed prediction loop stops allocating inference scratch.
 
 use encoding::plan_encoder::{EncodedPlan, PLAN_STAT_FEATURES};
 use proptest::prelude::*;
-use raal::{CostModel, ModelConfig};
+use raal::{CostModel, FrozenModel, ModelConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -77,5 +83,100 @@ proptest! {
         // The cached-context path must agree with the one-shot fast path.
         let ctx = model.plan_context(&plan);
         prop_assert_eq!(model.predict_with_context(&ctx, &resources), fast);
+
+        // Freezing moves the model, it does not change an answer — and a
+        // context built before the move is still current after it.
+        let frozen = FrozenModel::freeze(model);
+        prop_assert_eq!(frozen.predict_seconds(&plan, &resources), fast);
+        prop_assert_eq!(frozen.predict_with_context(&ctx, &resources), fast);
+        frozen.recycle_context(ctx);
     }
+
+    /// Packed K-plan scoring is bit-identical to per-item scoring: head
+    /// matmuls accumulate each row independently in the same order at
+    /// any row count.
+    #[test]
+    fn packed_batch_matches_per_item(
+        k in 1usize..6,
+        seed in 0u64..1_000_000,
+        variant_idx in 0usize..4,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let plans: Vec<EncodedPlan> =
+            (0..k).map(|i| random_plan(&mut rng, 2 + (i % 6))).collect();
+        let cfg = ModelConfig { seed: seed ^ 0xba7c4, ..variant(variant_idx) };
+        let resources: Vec<f32> =
+            (0..cfg.resource_dim).map(|_| rng.gen_range(0.0f32..1.0)).collect();
+        let frozen = FrozenModel::freeze(CostModel::new(cfg));
+        let items: Vec<(&EncodedPlan, &[f32])> =
+            plans.iter().map(|p| (p, resources.as_slice())).collect();
+
+        let packed = frozen.predict_packed(&items);
+        let batched = frozen.predict_batch(&items);
+        for (i, plan) in plans.iter().enumerate() {
+            let single = frozen.predict_seconds(plan, &resources);
+            prop_assert_eq!(packed[i], single, "packed row {} diverged", i);
+            prop_assert_eq!(batched[i], single, "batch row {} diverged", i);
+        }
+    }
+}
+
+#[test]
+fn frozen_model_is_send_sync_and_shares_weights() {
+    fn assert_send_sync<T: Send + Sync>() {}
+    assert_send_sync::<FrozenModel>();
+
+    let frozen = FrozenModel::freeze(CostModel::new(variant(0)));
+    assert_eq!(frozen.replicas(), 1);
+    let replica = frozen.clone();
+    assert_eq!(frozen.replicas(), 2);
+
+    // Replicas answer from the same weights, concurrently.
+    let mut rng = StdRng::seed_from_u64(11);
+    let plan = random_plan(&mut rng, 5);
+    let resources: Vec<f32> = vec![0.5; frozen.model().config().resource_dim];
+    let expected = frozen.predict_seconds(&plan, &resources);
+    let got = std::thread::spawn(move || replica.predict_seconds(&plan, &resources))
+        .join()
+        .unwrap();
+    assert_eq!(got, expected);
+    assert_eq!(frozen.replicas(), 1);
+}
+
+/// The arena contract the serving loop relies on: after a warm-up
+/// prediction sizes the thread-local pool, further predictions on
+/// same-shaped inputs perform no fresh inference-scratch allocations
+/// and the arena's high-water mark stays put.
+#[test]
+fn warmed_predictions_reuse_arena_scratch() {
+    let mut rng = StdRng::seed_from_u64(23);
+    let plan = random_plan(&mut rng, 6);
+    let cfg = variant(0);
+    let resources: Vec<f32> = vec![0.5; cfg.resource_dim];
+    let frozen = FrozenModel::freeze(CostModel::new(cfg));
+
+    // Run on a dedicated thread so this test owns its thread-local arena.
+    let (warm, done) = std::thread::spawn(move || {
+        // The pool is LIFO and a buffer only ever grows, so it takes a
+        // few passes before every slot has met its largest request.
+        for _ in 0..8 {
+            let _ = frozen.predict_seconds(&plan, &resources);
+        }
+        let warm = raal::thread_arena_stats();
+        for _ in 0..32 {
+            let _ = frozen.predict_seconds(&plan, &resources);
+        }
+        (warm, raal::thread_arena_stats())
+    })
+    .join()
+    .unwrap();
+    assert!(done.takes > warm.takes, "the steady-state loop never touched the arena");
+    assert_eq!(
+        done.fresh_allocs, warm.fresh_allocs,
+        "steady-state predictions allocated fresh scratch: {done:?} after warm-up {warm:?}"
+    );
+    assert_eq!(
+        done.high_water_len, warm.high_water_len,
+        "arena high-water mark moved in steady state"
+    );
 }

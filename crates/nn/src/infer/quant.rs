@@ -1,22 +1,24 @@
 //! Int8 weight quantization and the f32-accumulating i8 matmul kernel.
 //!
-//! The quantized tier trades a bounded amount of accuracy for a 4x
-//! smaller weight footprint: each weight matrix is snapshot once (at
-//! freeze / checkpoint-load time, never in the hot loop) into a
-//! [`QuantizedMatrix`] — symmetric int8 codes with one f32 scale per
-//! *row* of the `k x n` right-hand side, so a row's largest-magnitude
-//! entry maps to ±127 and an all-zero row gets scale 0. The matmul
-//! kernel [`matmul_q8_into`] folds the row scale into the broadcast
-//! left-hand scalar (`a[i][kk] * scale[kk]`) and accumulates in f32, so
-//! its structure — and its AVX2 / scalar dispatch, including the
-//! `force-scalar` feature and Miri — mirrors [`crate::infer::matmul_into`]
-//! exactly; the only new instruction is the i8→f32 lane conversion.
+//! **Benchmark-pinned.** No model weight goes through this module any
+//! more: the int8 serving tier it was built for measured slower than
+//! f32 and was deleted (DESIGN.md §13). The module stays, unchanged,
+//! only because the repo benchmark times `matmul_q8_into` against
+//! `matmul_into`; it goes with the next change to that benchmark. Until
+//! then the unsafe kernel compiles, so its unit tests, the `epi8`
+//! `SAFETY` lint rule and the Miri / AddressSanitizer CI steps stay too.
 //!
-//! Accuracy is a contract, not a hope: per-entry the code round-trips to
-//! within half a quantization step (`scale/2 = max_abs(row)/254`), and
-//! end-to-end the quantized model path is property-tested against the
-//! f32 fast path in `crates/core/tests/quant_infer.rs`, mirroring the
-//! 1e-5 tape pin of `prop_infer.rs` at a wider budget.
+//! A weight matrix is snapshot into a [`QuantizedMatrix`] — symmetric
+//! int8 codes with one f32 scale per *row* of the `k x n` right-hand
+//! side, so a row's largest-magnitude entry maps to ±127 and an
+//! all-zero row gets scale 0. The matmul kernel [`matmul_q8_into`]
+//! folds the row scale into the broadcast left-hand scalar
+//! (`a[i][kk] * scale[kk]`) and accumulates in f32, so its structure —
+//! and its AVX2 / scalar dispatch, including the `force-scalar` feature
+//! and Miri — mirrors [`crate::infer::matmul_into`] exactly; the only
+//! new instruction is the i8→f32 lane conversion. Per entry the code
+//! round-trips to within half a quantization step
+//! (`scale/2 = max_abs(row)/254`).
 
 /// A weight matrix frozen to symmetric int8 codes with per-row scales.
 ///

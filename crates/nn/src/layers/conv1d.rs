@@ -3,7 +3,6 @@
 //! layer).
 
 use crate::graph::{Graph, Var};
-use crate::infer::quant::{self, QuantizedMatrix};
 use crate::infer::{self, InferArena};
 use crate::init;
 use crate::params::{ParamId, ParamStore};
@@ -103,21 +102,6 @@ impl Conv1d {
         n: usize,
         arena: &mut InferArena,
     ) -> Vec<f32> {
-        self.infer_seq_with(store, xs, n, arena, None)
-    }
-
-    /// [`Conv1d::infer_seq`] with an optional int8 weight snapshot: when
-    /// given, each window's affine map runs through the i8 kernel (bias
-    /// and ReLU stay f32). The snapshot must come from this layer's
-    /// current kernel tensor ([`Conv1d::quantize_weights`]).
-    pub fn infer_seq_with(
-        &self,
-        store: &ParamStore,
-        xs: &[f32],
-        n: usize,
-        arena: &mut InferArena,
-        qw: Option<&QuantizedMatrix>,
-    ) -> Vec<f32> {
         // PANIC-FREE: deliberate input guards; the model constructor
         // fixes in_dim and every serving caller encodes to that width.
         assert!(n > 0, "Conv1d sequence must be non-empty");
@@ -144,27 +128,13 @@ impl Conv1d {
             }
             // PANIC-FREE: t < n and out has length n * out_dim.
             let row = &mut out[t * self.out_dim..(t + 1) * self.out_dim];
-            match qw {
-                Some(qw) => quant::matmul_q8_into(&flat, 1, self.width * self.in_dim, qw, row),
-                None => {
-                    infer::matmul_into(&flat, 1, self.width * self.in_dim, w, self.out_dim, row)
-                }
-            }
+            infer::matmul_into(&flat, 1, self.width * self.in_dim, w, self.out_dim, row);
             for (o, &bias) in row.iter_mut().zip(b.iter()) {
                 *o = (*o + bias).max(0.0);
             }
         }
         arena.give(flat);
         out
-    }
-
-    /// Snapshots the kernel matrix to int8 (the bias stays f32).
-    pub fn quantize_weights(&self, store: &ParamStore) -> QuantizedMatrix {
-        QuantizedMatrix::quantize(
-            store.value(self.w).data(),
-            self.width * self.in_dim,
-            self.out_dim,
-        )
     }
 }
 

@@ -2,7 +2,6 @@
 
 use super::param_shape;
 use crate::graph::{Graph, Var};
-use crate::infer::quant::{self, QuantizedMatrix};
 use crate::infer::{self, InferArena};
 use crate::init;
 use crate::params::{ParamId, ParamStore};
@@ -102,33 +101,13 @@ impl Dense {
         rows: usize,
         arena: &mut InferArena,
     ) -> Vec<f32> {
-        self.infer_with(store, x, rows, arena, None)
-    }
-
-    /// [`Dense::infer`] with an optional int8 weight snapshot: when `qw`
-    /// is given the affine map runs through the i8 kernel (the bias and
-    /// the activation stay f32). `qw` must have been quantized from this
-    /// layer's current weight tensor.
-    pub fn infer_with(
-        &self,
-        store: &ParamStore,
-        x: &[f32],
-        rows: usize,
-        arena: &mut InferArena,
-        qw: Option<&QuantizedMatrix>,
-    ) -> Vec<f32> {
         // PANIC-FREE: deliberate input guard; the model constructor
         // fixes in_dim and every serving caller encodes to that width.
         assert_eq!(x.len(), rows * self.in_dim, "dense layer input width mismatch");
         let b = store.value(self.b).data();
         let mut out = arena.take(rows * self.out_dim);
-        match qw {
-            Some(qw) => quant::matmul_q8_into(x, rows, self.in_dim, qw, &mut out),
-            None => {
-                let w = store.value(self.w).data();
-                infer::matmul_into(x, rows, self.in_dim, w, self.out_dim, &mut out);
-            }
-        }
+        let w = store.value(self.w).data();
+        infer::matmul_into(x, rows, self.in_dim, w, self.out_dim, &mut out);
         for r in 0..rows {
             // PANIC-FREE: r < rows and out has length rows * out_dim.
             let row = &mut out[r * self.out_dim..(r + 1) * self.out_dim];
@@ -138,11 +117,6 @@ impl Dense {
         }
         infer::activate(&mut out, self.activation);
         out
-    }
-
-    /// Snapshots the weight matrix to int8 (the bias stays f32).
-    pub fn quantize_weights(&self, store: &ParamStore) -> QuantizedMatrix {
-        QuantizedMatrix::quantize(store.value(self.w).data(), self.in_dim, self.out_dim)
     }
 }
 

@@ -5,7 +5,6 @@
 //! with `c' = f ⊙ c + i ⊙ g` and `h' = o ⊙ tanh(c')`.
 
 use crate::graph::{Graph, Var};
-use crate::infer::quant::{self, QuantizedMatrix};
 use crate::infer::{self, InferArena};
 use crate::init;
 use crate::params::{ParamId, ParamStore};
@@ -113,22 +112,6 @@ impl LstmCell {
         n: usize,
         arena: &mut InferArena,
     ) -> Vec<f32> {
-        self.infer_seq_with(store, xs, n, arena, None)
-    }
-
-    /// [`LstmCell::infer_seq`] with an optional int8 snapshot of
-    /// `(Wx, Wh)`: when given, both gate matmuls run through the i8
-    /// kernel (the bias and the recurrent state stay f32). The snapshot
-    /// must come from this cell's current weight tensors
-    /// ([`LstmCell::quantize_weights`]).
-    pub fn infer_seq_with(
-        &self,
-        store: &ParamStore,
-        xs: &[f32],
-        n: usize,
-        arena: &mut InferArena,
-        qw: Option<(&QuantizedMatrix, &QuantizedMatrix)>,
-    ) -> Vec<f32> {
         // PANIC-FREE: deliberate input guards; the model constructor
         // fixes in_dim and every serving caller encodes to that width.
         assert!(n > 0, "LSTM sequence must be non-empty");
@@ -150,16 +133,8 @@ impl LstmCell {
             // PANIC-FREE: t < n and xs.len() == n * in_dim (asserted at
             // entry), so the step slice is always in bounds.
             let x_t = &xs[t * self.in_dim..(t + 1) * self.in_dim];
-            match qw {
-                Some((qwx, qwh)) => {
-                    quant::matmul_q8_into(x_t, 1, self.in_dim, qwx, &mut xz);
-                    quant::matmul_q8_into(&h, 1, hidden, qwh, &mut hz);
-                }
-                None => {
-                    infer::matmul_into(x_t, 1, self.in_dim, wx, gates, &mut xz);
-                    infer::matmul_into(&h, 1, hidden, wh, gates, &mut hz);
-                }
-            }
+            infer::matmul_into(x_t, 1, self.in_dim, wx, gates, &mut xz);
+            infer::matmul_into(&h, 1, hidden, wh, gates, &mut hz);
             // z = (x@Wx + h@Wh) + b, associated exactly like the tape.
             // PANIC-FREE: j < gates; xz/hz are arena buffers of length
             // gates and b is the gate bias tensor of the same length.
@@ -194,15 +169,6 @@ impl LstmCell {
         arena.give(hz);
         arena.give(ct);
         out
-    }
-
-    /// Snapshots `(Wx, Wh)` to int8 (the bias stays f32).
-    pub fn quantize_weights(&self, store: &ParamStore) -> (QuantizedMatrix, QuantizedMatrix) {
-        let gates = 4 * self.hidden;
-        (
-            QuantizedMatrix::quantize(store.value(self.wx).data(), self.in_dim, gates),
-            QuantizedMatrix::quantize(store.value(self.wh).data(), self.hidden, gates),
-        )
     }
 }
 

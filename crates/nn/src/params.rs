@@ -8,7 +8,7 @@ use serde::{Deserialize, Serialize};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct ParamId(usize);
 
-#[derive(Clone, Serialize, Deserialize)]
+#[derive(Serialize, Deserialize)]
 struct ParamEntry {
     name: String,
     value: Tensor,
@@ -26,8 +26,32 @@ fn empty_tensor() -> Tensor {
     Tensor::zeros(0, 0)
 }
 
+/// A copy's value is cache-line aligned like the original's
+/// ([`Tensor::align`]): serving prices through clones of a trained model.
+impl Clone for ParamEntry {
+    fn clone(&self) -> Self {
+        let mut value = self.value.clone();
+        value.align();
+        Self {
+            name: self.name.clone(),
+            value,
+            grad: self.grad.clone(),
+            m: self.m.clone(),
+            v: self.v.clone(),
+        }
+    }
+}
+
 /// Holds every trainable tensor of a model, its accumulated gradient and
 /// its optimizer moments. Serialisable (values only) for checkpointing.
+///
+/// Every value starts on a cache-line boundary ([`Tensor::align`]) — from
+/// registration, through in-place optimizer steps and `clone`, and again
+/// after [`ParamStore::restore_state`] — so the speed of the inference
+/// kernels that stream the weights does not depend on where the
+/// allocator happened to put them in this run. Only assigning a whole
+/// tensor through [`ParamStore::value_mut`] gives that up, until the
+/// next `clone` or `restore_state`.
 #[derive(Clone, Default, Serialize, Deserialize)]
 pub struct ParamStore {
     params: Vec<ParamEntry>,
@@ -40,8 +64,9 @@ impl ParamStore {
     }
 
     /// Registers a new parameter and returns its handle.
-    pub fn register(&mut self, name: impl Into<String>, value: Tensor) -> ParamId {
+    pub fn register(&mut self, name: impl Into<String>, mut value: Tensor) -> ParamId {
         let (r, c) = value.shape();
+        value.align();
         self.params.push(ParamEntry {
             name: name.into(),
             value,
@@ -130,9 +155,10 @@ impl ParamStore {
     }
 
     /// Re-initialises optimizer state after deserialisation (`grad`/`m`/`v`
-    /// are not checkpointed).
+    /// are not checkpointed) and re-aligns the deserialised values.
     pub fn restore_state(&mut self) {
         for p in &mut self.params {
+            p.value.align();
             let (r, c) = p.value.shape();
             if p.grad.shape() != (r, c) {
                 p.grad = Tensor::zeros(r, c);
@@ -188,6 +214,39 @@ mod tests {
         let before = s.grad_norm();
         s.clip_grad_norm(10.0); // already below the cap: unchanged
         assert!((s.grad_norm() - before).abs() < 1e-7);
+    }
+
+    /// Not under Miri (see `Tensor::align`'s test).
+    #[test]
+    #[cfg_attr(miri, ignore)]
+    fn values_sit_on_a_cache_line_after_register_clone_step_and_restore() {
+        let mut s = ParamStore::new();
+        // Odd sizes in between, so the allocator has no reason to hand
+        // out line-aligned blocks by itself.
+        let ids: Vec<ParamId> = [3usize, 64, 5, 256, 7, 1000]
+            .iter()
+            .map(|&n| s.register(format!("w{n}"), Tensor::full(1, n, 0.5)))
+            .collect();
+        let aligned = |s: &ParamStore| {
+            ids.iter()
+                .all(|&id| s.value(id).data().as_ptr().align_offset(64) == 0)
+        };
+        assert!(aligned(&s));
+        for &id in &ids {
+            let ones = Tensor::full(1, s.value(id).len(), 1.0);
+            s.grad_mut(id).axpy(1.0, &ones);
+        }
+        crate::optim::Sgd::new(0.1).step(&mut s);
+        assert!(aligned(&s), "an optimizer step updates in place");
+        let copy = s.clone();
+        assert!(aligned(&copy));
+        let mut back: ParamStore =
+            serde_json::from_str(&serde_json::to_string(&copy).unwrap()).unwrap();
+        back.restore_state();
+        assert!(aligned(&back));
+        for &id in &ids {
+            assert_eq!(back.value(id), s.value(id));
+        }
     }
 
     #[test]

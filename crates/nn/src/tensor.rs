@@ -5,23 +5,67 @@
 //! with explicit shapes outperforms anything fancier and keeps the autograd
 //! engine easy to verify against finite differences.
 
-use serde::{Deserialize, Serialize};
+use serde::{DeError, Deserialize, Serialize, Value};
 use std::fmt;
+
+/// Boundary, in bytes, [`Tensor::align`] puts the first element on: one
+/// cache line, so no 32-byte vector load at a multiple of eight elements
+/// straddles two.
+const LINE_BYTES: usize = 64;
 
 /// A dense row-major matrix of `f32`. Vectors are represented as `1 x n`
 /// (row) or `n x 1` (column) matrices.
-#[derive(Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Clone)]
 pub struct Tensor {
     rows: usize,
     cols: usize,
-    data: Vec<f32>,
+    /// `lead` unused elements, then the row-major ones.
+    buf: Vec<f32>,
+    /// Front padding of `buf`; non-zero only after [`Tensor::align`].
+    lead: usize,
+}
+
+/// Shape and elements; where the elements sit in memory is not part of a
+/// tensor's value.
+impl PartialEq for Tensor {
+    fn eq(&self, other: &Self) -> bool {
+        self.shape() == other.shape() && self.data() == other.data()
+    }
+}
+
+/// The derive's format (`rows`, `cols`, `data`), without the padding.
+impl Serialize for Tensor {
+    fn to_value(&self) -> Value {
+        Value::Object(vec![
+            ("rows".to_string(), self.rows.to_value()),
+            ("cols".to_string(), self.cols.to_value()),
+            ("data".to_string(), self.data().to_value()),
+        ])
+    }
+}
+
+impl Deserialize for Tensor {
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        let field = |name: &str| match v {
+            Value::Object(_) => v
+                .get(name)
+                .ok_or_else(|| DeError::new(format!("missing field `{name}` in Tensor"))),
+            other => Err(DeError::new(format!("expected object for Tensor, found {other:?}"))),
+        };
+        Ok(Tensor {
+            rows: usize::from_value(field("rows")?)?,
+            cols: usize::from_value(field("cols")?)?,
+            buf: Vec::from_value(field("data")?)?,
+            lead: 0,
+        })
+    }
 }
 
 impl fmt::Debug for Tensor {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "Tensor({}x{})", self.rows, self.cols)?;
         if self.len() <= 16 {
-            write!(f, " {:?}", self.data)?;
+            write!(f, " {:?}", self.data())?;
         }
         Ok(())
     }
@@ -41,17 +85,17 @@ impl Tensor {
             cols,
             data.len()
         );
-        Self { rows, cols, data }
+        Self { rows, cols, buf: data, lead: 0 }
     }
 
     /// Creates a `rows x cols` tensor filled with zeros.
     pub fn zeros(rows: usize, cols: usize) -> Self {
-        Self { rows, cols, data: vec![0.0; rows * cols] }
+        Self::from_vec(rows, cols, vec![0.0; rows * cols])
     }
 
     /// Creates a `rows x cols` tensor filled with `value`.
     pub fn full(rows: usize, cols: usize, value: f32) -> Self {
-        Self { rows, cols, data: vec![value; rows * cols] }
+        Self::from_vec(rows, cols, vec![value; rows * cols])
     }
 
     /// Creates a `1 x n` row vector from a slice.
@@ -90,46 +134,74 @@ impl Tensor {
     /// Total number of elements.
     #[inline]
     pub fn len(&self) -> usize {
-        self.data.len()
+        self.data().len()
     }
 
     /// True when the tensor holds no elements.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
+        self.data().is_empty()
     }
 
     /// Immutable view of the underlying row-major data.
     #[inline]
     pub fn data(&self) -> &[f32] {
-        &self.data
+        // PANIC-FREE: `lead` is 0 or the padding `align` itself put in
+        // front of the elements, so it never exceeds `buf.len()`.
+        &self.buf[self.lead..]
     }
 
     /// Mutable view of the underlying row-major data.
     #[inline]
     pub fn data_mut(&mut self) -> &mut [f32] {
-        &mut self.data
+        &mut self.buf[self.lead..]
+    }
+
+    /// Moves the elements so that the first one sits on a cache-line
+    /// boundary, unless it already does. Nothing a caller can observe
+    /// through this type changes; what changes is that the inference
+    /// kernels' 32-byte loads of this tensor no longer straddle cache
+    /// lines on some runs and not on others — where the allocator puts a
+    /// plain `Vec<f32>` differs from run to run, and on the LSTM weights
+    /// that was worth 10% of a served prediction. [`crate::ParamStore`]
+    /// aligns every parameter value; nothing else needs to.
+    pub fn align(&mut self) {
+        let slack = LINE_BYTES / std::mem::size_of::<f32>() - 1;
+        if self.is_empty() || self.data().as_ptr().align_offset(LINE_BYTES) == 0 {
+            return;
+        }
+        let mut buf: Vec<f32> = Vec::with_capacity(self.len() + slack);
+        let lead = buf.as_ptr().align_offset(LINE_BYTES);
+        if lead > slack {
+            // `align_offset` may decline to answer (Miri does).
+            return;
+        }
+        buf.resize(lead, 0.0);
+        buf.extend_from_slice(self.data());
+        self.buf = buf;
+        self.lead = lead;
     }
 
     /// Element accessor.
     #[inline]
     pub fn get(&self, r: usize, c: usize) -> f32 {
         debug_assert!(r < self.rows && c < self.cols);
-        self.data[r * self.cols + c]
+        self.data()[r * self.cols + c]
     }
 
     /// Element mutator.
     #[inline]
     pub fn set(&mut self, r: usize, c: usize, v: f32) {
         debug_assert!(r < self.rows && c < self.cols);
-        self.data[r * self.cols + c] = v;
+        let i = r * self.cols + c;
+        self.data_mut()[i] = v;
     }
 
     /// Returns row `r` as a slice.
     #[inline]
     pub fn row_slice(&self, r: usize) -> &[f32] {
         debug_assert!(r < self.rows);
-        &self.data[r * self.cols..(r + 1) * self.cols]
+        &self.data()[r * self.cols..(r + 1) * self.cols]
     }
 
     /// Extracts the single element of a `1 x 1` tensor.
@@ -138,7 +210,7 @@ impl Tensor {
     /// Panics if the tensor is not `1 x 1`.
     pub fn item(&self) -> f32 {
         assert_eq!(self.shape(), (1, 1), "item() requires a 1x1 tensor");
-        self.data[0]
+        self.data()[0]
     }
 
     /// Matrix product `self @ rhs`.
@@ -153,16 +225,17 @@ impl Tensor {
         );
         let (m, k, n) = (self.rows, self.cols, rhs.cols);
         let mut out = vec![0.0f32; m * n];
+        let (a, b) = (self.data(), rhs.data());
         // i-k-j loop order: streams through `rhs` rows, cache friendly.
         // Deliberately branch-free: a zero-skip test on `a` costs an
         // unpredictable branch per inner row and blocks vectorisation,
         // which is a net loss on the mostly-dense activations seen here
         // (adding `0.0 * b` leaves the f32 accumulation unchanged).
         for i in 0..m {
-            let a_row = &self.data[i * k..(i + 1) * k];
+            let a_row = &a[i * k..(i + 1) * k];
             let o_row = &mut out[i * n..(i + 1) * n];
             for (kk, &a) in a_row.iter().enumerate() {
-                let b_row = &rhs.data[kk * n..(kk + 1) * n];
+                let b_row = &b[kk * n..(kk + 1) * n];
                 for (o, &b) in o_row.iter_mut().zip(b_row.iter()) {
                     *o += a * b;
                 }
@@ -176,28 +249,25 @@ impl Tensor {
     /// striding the full output column-by-column.
     pub fn transpose(&self) -> Tensor {
         const BLOCK: usize = 32;
-        let mut out = Tensor::zeros(self.cols, self.rows);
+        let src = self.data();
+        let mut out = vec![0.0f32; src.len()];
         for rb in (0..self.rows).step_by(BLOCK) {
             let r_end = (rb + BLOCK).min(self.rows);
             for cb in (0..self.cols).step_by(BLOCK) {
                 let c_end = (cb + BLOCK).min(self.cols);
                 for r in rb..r_end {
                     for c in cb..c_end {
-                        out.data[c * self.rows + r] = self.data[r * self.cols + c];
+                        out[c * self.rows + r] = src[r * self.cols + c];
                     }
                 }
             }
         }
-        out
+        Tensor::from_vec(self.cols, self.rows, out)
     }
 
     /// Element-wise map into a new tensor.
     pub fn map(&self, f: impl Fn(f32) -> f32) -> Tensor {
-        Tensor {
-            rows: self.rows,
-            cols: self.cols,
-            data: self.data.iter().map(|&x| f(x)).collect(),
-        }
+        Tensor::from_vec(self.rows, self.cols, self.data().iter().map(|&x| f(x)).collect())
     }
 
     /// Element-wise binary combination into a new tensor.
@@ -206,16 +276,11 @@ impl Tensor {
     /// Panics on shape mismatch.
     pub fn zip(&self, rhs: &Tensor, f: impl Fn(f32, f32) -> f32) -> Tensor {
         assert_eq!(self.shape(), rhs.shape(), "zip shape mismatch");
-        Tensor {
-            rows: self.rows,
-            cols: self.cols,
-            data: self
-                .data
-                .iter()
-                .zip(rhs.data.iter())
-                .map(|(&a, &b)| f(a, b))
-                .collect(),
-        }
+        Tensor::from_vec(
+            self.rows,
+            self.cols,
+            self.data().iter().zip(rhs.data()).map(|(&a, &b)| f(a, b)).collect(),
+        )
     }
 
     /// In-place `self += alpha * rhs`.
@@ -224,7 +289,7 @@ impl Tensor {
     /// Panics on shape mismatch.
     pub fn axpy(&mut self, alpha: f32, rhs: &Tensor) {
         assert_eq!(self.shape(), rhs.shape(), "axpy shape mismatch");
-        for (a, &b) in self.data.iter_mut().zip(rhs.data.iter()) {
+        for (a, &b) in self.data_mut().iter_mut().zip(rhs.data()) {
             *a += alpha * b;
         }
     }
@@ -251,17 +316,17 @@ impl Tensor {
 
     /// Sum of all elements.
     pub fn sum(&self) -> f32 {
-        self.data.iter().sum()
+        self.data().iter().sum()
     }
 
     /// Frobenius norm.
     pub fn norm(&self) -> f32 {
-        self.data.iter().map(|&x| x * x).sum::<f32>().sqrt()
+        self.data().iter().map(|&x| x * x).sum::<f32>().sqrt()
     }
 
     /// Fills the tensor with zeros, keeping its allocation.
     pub fn fill_zero(&mut self) {
-        self.data.iter_mut().for_each(|x| *x = 0.0);
+        self.data_mut().fill(0.0);
     }
 
     /// Vertical concatenation (stacking rows).
@@ -275,7 +340,7 @@ impl Tensor {
         let mut data = Vec::with_capacity(rows * cols);
         for p in parts {
             assert_eq!(p.cols, cols, "concat_rows column mismatch");
-            data.extend_from_slice(&p.data);
+            data.extend_from_slice(p.data());
         }
         Tensor::from_vec(rows, cols, data)
     }
@@ -304,7 +369,7 @@ impl Tensor {
         Tensor::from_vec(
             len,
             self.cols,
-            self.data[start * self.cols..(start + len) * self.cols].to_vec(),
+            self.data()[start * self.cols..(start + len) * self.cols].to_vec(),
         )
     }
 
@@ -322,8 +387,8 @@ impl Tensor {
     /// Numerically stable softmax applied independently to each row.
     pub fn softmax_rows(&self) -> Tensor {
         let mut out = self.clone();
-        for r in 0..out.rows {
-            let row = &mut out.data[r * out.cols..(r + 1) * out.cols];
+        let cols = out.cols;
+        for row in out.data_mut().chunks_mut(cols.max(1)) {
             let max = row.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
             let mut sum = 0.0;
             for x in row.iter_mut() {
@@ -339,7 +404,7 @@ impl Tensor {
 
     /// True when every element is finite.
     pub fn all_finite(&self) -> bool {
-        self.data.iter().all(|x| x.is_finite())
+        self.data().iter().all(|x| x.is_finite())
     }
 }
 
@@ -439,6 +504,34 @@ mod tests {
         assert!(s.all_finite());
         // Row of equal logits -> uniform.
         assert!((s.get(1, 0) - 1.0 / 3.0).abs() < 1e-6);
+    }
+
+    /// Not under Miri: its `align_offset` declines to answer, and
+    /// `align` then leaves the tensor where it is.
+    #[test]
+    #[cfg_attr(miri, ignore)]
+    fn align_moves_the_elements_to_a_cache_line_and_changes_nothing_else() {
+        // Several sizes, so that whatever the allocator's habits some of
+        // the plain vectors start off a line boundary.
+        for n in [2usize, 3, 8, 17, 64, 256, 1000] {
+            let plain = Tensor::from_vec(1, n, (0..n).map(|i| i as f32).collect());
+            let mut t = plain.clone();
+            t.align();
+            assert_eq!(t.data().as_ptr() as usize % LINE_BYTES, 0, "n = {n}");
+            assert_eq!(t, plain);
+            assert_eq!((t.len(), t.shape()), (n, (1, n)));
+            assert_eq!(t.get(0, n - 1), (n - 1) as f32);
+            assert_eq!(serde_json::to_string(&t).unwrap(), serde_json::to_string(&plain).unwrap());
+            t.data_mut()[0] = -1.0;
+            t.set(0, n - 1, -2.0);
+            assert_eq!((t.data()[0], t.row_slice(0)[n - 1]), (-1.0, -2.0));
+            let kept = t.data().as_ptr();
+            t.align();
+            assert_eq!(t.data().as_ptr(), kept, "an aligned tensor is left where it is");
+        }
+        let mut empty = Tensor::zeros(0, 0);
+        empty.align();
+        assert!(empty.is_empty());
     }
 
     #[test]

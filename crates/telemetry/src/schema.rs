@@ -92,7 +92,7 @@ pub const SPAN_NAMES: &[&str] = &[
     "infer.node_attention",
     "infer.resource_keys",
     "infer.head",
-    // Kernel spans: quantized tier.
+    // Kernel span of the benchmark-pinned int8 kernel (`nn::infer::quant`).
     "infer.quant.matmul",
 ];
 
@@ -110,7 +110,6 @@ pub const COUNTER_NAMES: &[&str] = &[
     "infer.predict.with_context",
     "infer.predict.packed",
     "infer.quant.build",
-    "infer.quant.predict",
     "infer.arena.alloc",
     "serving.predict",
     "serving.predict.model",

@@ -1,7 +1,8 @@
 //! Tier-1 smoke for the serving path: train → bundle → serve. The
 //! service must answer from the model with exactly the bits
-//! `FrozenModel::predict_packed` produces for the same encoded plans,
-//! the single-caller `ServingModel` façade must agree with it, and a
+//! `FrozenModel::predict_packed` produces for the same encoded plans —
+//! which are the bits `CostModel::predict_seconds` of the source model
+//! produces one plan at a time — the single-caller `ServingModel` façade must agree with it, and a
 //! repeated plan (the plan-context cache's route) must not change a bit.
 
 use raal::dataset::{collect, CollectionConfig};
@@ -78,6 +79,15 @@ fn served_predictions_are_the_frozen_models_bits() {
     let scaled = ResourceConfig { executors: res.executors + 1, ..res.clone() };
     let scaled_features = scaled.feature_vector(&cluster);
     let expected_scaled = frozen.predict_packed(&[(&encoded[0], scaled_features.as_slice())])[0];
+    // One weight tier: freezing and packing change no bit of what the
+    // trained model itself predicts, so neither does serving.
+    for (e, want) in encoded.iter().zip(&expected) {
+        assert_eq!(model.predict_seconds(e, &features).to_bits(), want.to_bits());
+    }
+    assert_eq!(
+        model.predict_seconds(&encoded[0], &scaled_features).to_bits(),
+        expected_scaled.to_bits()
+    );
 
     let serving = ServingConfig {
         deadline: Duration::from_secs(30),
