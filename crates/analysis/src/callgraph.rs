@@ -245,9 +245,9 @@ pub struct EntryPoint {
 /// service (`ShardedServing::predict*` — which price a fully cached
 /// call on the calling thread — its `ServingModel` façade and the
 /// dispatcher loop that prices everything else), the model fast paths
-/// (`CostModel` / `FrozenModel` context planning, packed prediction
-/// and `price_contexts`, the head both serving routes end in), the
-/// `nn` inference kernel set, and the telemetry record calls those
+/// (`CostModel` / `FrozenModel` context planning, per-plan prediction
+/// and `predict_with_context`, the head both serving routes end in),
+/// the `nn` inference kernel set, and the telemetry record calls those
 /// paths are allowed to make.
 /// `CostModel::predict_batch` is deliberately absent: it spawns scoped
 /// threads per call, which is a throughput API, not the steady-state
@@ -265,7 +265,7 @@ pub const HOT_ENTRY_POINTS: &[EntryPoint] = &[
     },
     // The service's client side and its per-shard dispatcher loop:
     // both run per-request in steady state, so the whole
-    // queue/coalesce/price/settle path is held to the same standard.
+    // queue/price/settle path is held to the same standard.
     EntryPoint {
         krate: "core",
         self_ty: Some("ShardedServing"),
@@ -300,11 +300,6 @@ pub const HOT_ENTRY_POINTS: &[EntryPoint] = &[
         krate: "core",
         self_ty: Some("FrozenModel"),
         name: "predict_packed",
-    },
-    EntryPoint {
-        krate: "core",
-        self_ty: Some("FrozenModel"),
-        name: "price_contexts",
     },
     EntryPoint {
         krate: "core",

@@ -191,19 +191,25 @@ pub fn validate_children(children: &[Vec<usize>]) -> Result<(), DagError> {
 
 /// Cross-checks signed adjacency rows against the child lists.
 ///
-/// `rows[i]` is node `i`'s structure row; only the first
-/// `width.min(rows[i].len())` columns are inspected (the encoder
-/// truncates plans longer than its `max_nodes` to that window, so
-/// out-of-window relations legitimately vanish). The child lists must
-/// already satisfy [`validate_children`].
-pub fn validate_signed_rows(
+/// Columns `cols` of `rows[i]` are node `i`'s structure row — the rows
+/// are borrowed where they lie, inside the encoder's wider feature
+/// rows, not copied out. Only the columns a row actually has are
+/// inspected (the encoder truncates plans longer than its `max_nodes`
+/// to that window, so out-of-window relations legitimately vanish).
+/// The child lists must already satisfy [`validate_children`].
+pub fn validate_signed_rows<R: AsRef<[f32]>>(
     children: &[Vec<usize>],
-    rows: &[Vec<f32>],
-    width: usize,
+    rows: &[R],
+    cols: std::ops::Range<usize>,
 ) -> Result<(), DagError> {
     validate_children(children)?;
     let n = children.len();
     assert_eq!(rows.len(), n, "one signed row per node");
+    let width = cols.len();
+    let signed = |node: usize| -> &[f32] {
+        let row = rows[node].as_ref();
+        row.get(cols.start..cols.end.min(row.len())).unwrap_or(&[])
+    };
 
     // Parent map (validated single-parent above).
     let mut parent: Vec<Option<usize>> = vec![None; n];
@@ -213,9 +219,8 @@ pub fn validate_signed_rows(
         }
     }
 
-    for (node, row) in rows.iter().enumerate() {
-        let window = width.min(row.len());
-        for (col, &v) in row.iter().take(window).enumerate() {
+    for node in 0..n {
+        for (col, &v) in signed(node).iter().enumerate() {
             let is_child = children[node].contains(&col);
             let is_parent = parent[node] == Some(col);
             if v == 1.0 {
@@ -239,11 +244,8 @@ pub fn validate_signed_rows(
         // Every +1 child entry must be mirrored by the child's -1: check
         // from the child lists so a zeroed child row is caught.
         for &c in &children[node] {
-            if node < width && c < rows.len() {
-                let crow = &rows[c];
-                if node < crow.len() && crow[node] != -1.0 {
-                    return Err(DagError::MissingParentEntry { child: c, parent: node });
-                }
+            if node < width && signed(c).get(node).is_some_and(|&v| v != -1.0) {
+                return Err(DagError::MissingParentEntry { child: c, parent: node });
             }
         }
     }
@@ -289,7 +291,7 @@ mod tests {
     fn valid_tree_passes() {
         validate_children(&valid_children()).unwrap();
         let rows = rows_for(&valid_children(), 8);
-        validate_signed_rows(&valid_children(), &rows, 8).unwrap();
+        validate_signed_rows(&valid_children(), &rows, 0..8).unwrap();
     }
 
     #[test]
@@ -364,7 +366,7 @@ mod tests {
         let mut rows = rows_for(&children, 8);
         rows[0][2] = 1.0; // claims a child it does not have
         assert_eq!(
-            validate_signed_rows(&children, &rows, 8),
+            validate_signed_rows(&children, &rows, 0..8),
             Err(DagError::OrphanChildEntry { node: 0, col: 2 })
         );
     }
@@ -375,7 +377,7 @@ mod tests {
         let mut rows = rows_for(&children, 8);
         rows[1][3] = 0.0; // child 1 forgets its parent 3
         assert_eq!(
-            validate_signed_rows(&children, &rows, 8),
+            validate_signed_rows(&children, &rows, 0..8),
             Err(DagError::MissingParentEntry { child: 1, parent: 3 })
         );
     }
@@ -386,7 +388,7 @@ mod tests {
         let mut rows = rows_for(&children, 8);
         rows[3][0] = 0.5;
         assert_eq!(
-            validate_signed_rows(&children, &rows, 8),
+            validate_signed_rows(&children, &rows, 0..8),
             Err(DagError::BadEntry { node: 3, col: 0, value: 0.5 })
         );
     }
@@ -396,7 +398,7 @@ mod tests {
         // Width-2 window: node 3's edges to 1 and 2 fall partly outside.
         let children = valid_children();
         let rows = rows_for(&children, 2);
-        validate_signed_rows(&children, &rows, 2).unwrap();
+        validate_signed_rows(&children, &rows, 0..2).unwrap();
     }
 
     #[test]

@@ -1,10 +1,9 @@
 //! `bench_inference` — the inference engine's performance contract.
 //!
 //! Measures the serving-relevant latencies of the RAAL cost model —
-//! single-plan p50, a 64-configuration resource sweep and K-plan packed
-//! scoring — and writes `BENCH_inference.json`: a machine-readable
-//! report whose *tracked* metrics are three dimensionless speedup
-//! ratios (machine-independent enough to ratchet in CI, unlike absolute
+//! single-plan p50 and a 64-configuration resource sweep — and writes
+//! `BENCH_inference.json`: a machine-readable report whose *tracked*
+//! metrics are two dimensionless speedup ratios (machine-independent enough to ratchet in CI, unlike absolute
 //! latencies, which are recorded but not compared).
 //!
 //! Usage:
@@ -16,7 +15,7 @@
 //! `--check BENCH_inference.json`.
 
 use bench::{build_model, run_pipeline, section, train_config, Metric, Workload};
-use raal::{train, FrozenModel, ModelConfig};
+use raal::{train, ModelConfig};
 
 /// Tracked-metric regression tolerance: fail `--check` when a ratio
 /// drops below `baseline * (1 - TOLERANCE)`.
@@ -70,7 +69,7 @@ fn parse_opts() -> Opts {
 
 fn main() {
     let opts = parse_opts();
-    section("bench_inference — batched inference engine");
+    section("bench_inference — inference engine");
 
     // Same setup as the Table IX harness: a briefly-trained RAAL model
     // (weights don't matter for latency, but training de-zeroes the
@@ -150,30 +149,13 @@ fn main() {
         }
     });
 
-    // K-plan packed scoring through the frozen handle the service
-    // holds: K=16 sequential vs one packed GEMM per head layer.
-    let frozen = FrozenModel::freeze(model);
-    let k = 16.min(n);
-    let pack_items: Vec<_> = singles.iter().take(k).map(|(e, f)| (e, f.as_slice())).collect();
-    let pack_seq_ms = time_ms(&|| {
-        for (enc, feats) in singles.iter().take(k) {
-            std::hint::black_box(frozen.predict_seconds(enc, feats));
-        }
-    });
-    let pack_ms = time_ms(&|| {
-        std::hint::black_box(frozen.predict_packed(&pack_items));
-    });
-
     let metrics = vec![
         Metric::info("single_plan_p50_us_f32", fast_ms / n as f64 * 1e3, "us"),
         Metric::info("tape_total_ms", tape_ms, "ms"),
         Metric::info("sweep64_naive_ms", sweep_naive_ms, "ms"),
         Metric::info("sweep64_cached_ms", sweep_cached_ms, "ms"),
-        Metric::info("pack16_seq_ms", pack_seq_ms, "ms"),
-        Metric::info("pack16_packed_ms", pack_ms, "ms"),
         Metric::tracked("fast_vs_tape", tape_ms / fast_ms),
         Metric::tracked("sweep_cache_speedup", sweep_naive_ms / sweep_cached_ms),
-        Metric::tracked("batch_pack_speedup", pack_seq_ms / pack_ms),
     ];
     bench::print_metrics(&metrics);
 

@@ -5,8 +5,7 @@
 //! parsing, dataset/engine construction at two scales (`--full` ≈ paper
 //! scale, default = reduced-but-shape-preserving), the standard
 //! collect→encode→train pipeline, TSV output, and the `BENCH_*.json`
-//! report + `--check` ratchet shared by `bench_inference` and
-//! `bench_serving`.
+//! report + `--check` ratchet of `bench_inference`.
 
 #![warn(missing_docs)]
 

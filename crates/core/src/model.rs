@@ -722,7 +722,11 @@ impl CostModel {
     }
 
     /// Predicts seconds from a precomputed [`PlanContext`], paying only
-    /// the resource-aware attention and the dense head.
+    /// the resource attention over the context's cached keys, the
+    /// `[p | m | rvec | stats]` feature row (`[p | stats]` for
+    /// resource-blind ablations) and `head1`/`head2`/`out`. The one head
+    /// implementation: every prediction entry point ends here, once per
+    /// plan.
     ///
     /// # Panics
     /// Panics if the context is stale — produced by a different model, or
@@ -731,139 +735,80 @@ impl CostModel {
     /// round trip.
     pub fn predict_with_context(&self, ctx: &PlanContext, resources: &[f32]) -> f64 {
         telemetry::count("infer.predict.with_context", 1);
-        let mut y = [0.0f64];
-        self.price_contexts_into(&[(ctx, resources)], &mut y);
-        let [y] = y;
-        y
-    }
-
-    /// Prices K caller-held contexts, each against its own resource
-    /// vector, with one batched matmul per head layer — the
-    /// resource-dependent half of [`CostModel::predict_packed`], and
-    /// the K-plan form of [`CostModel::predict_with_context`] (same
-    /// bits per item, same panics on a stale context).
-    pub(crate) fn price_contexts(&self, items: &[(&PlanContext, &[f32])]) -> Vec<f64> {
-        telemetry::count("infer.predict.with_context", items.len() as u64);
-        // HOT-ALLOC: the K-element result vector handed to the caller.
-        let mut ys = vec![0.0f64; items.len()];
-        self.price_contexts_into(items, &mut ys);
-        ys
-    }
-
-    /// The one head implementation: resource attention over each
-    /// context's cached keys, the `[p | m | rvec | stats]` feature rows
-    /// (`[p | stats]` for resource-blind ablations) packed into a
-    /// `K x head_in` matrix, and `head1`/`head2`/`out` run once over
-    /// all K rows. Every matmul computes its rows independently in the
-    /// accumulation order of the `rows = 1` kernel, so an item's result
-    /// does not depend on K or on its neighbours. Writes one estimate
-    /// per item into `out` (same length as `items`).
-    fn price_contexts_into(&self, items: &[(&PlanContext, &[f32])], out: &mut [f64]) {
-        debug_assert_eq!(items.len(), out.len());
-        if items.is_empty() {
-            return;
-        }
-        for (ctx, _) in items {
-            // PANIC-FREE: deliberate staleness guard — pricing a context
-            // from another model state would silently return garbage,
-            // so this fails loudly instead.
-            assert!(
-                self.context_is_current(ctx),
-                "stale PlanContext: the model was mutated, retrained or deserialised after \
-                 plan_context() — recompute the context"
-            );
-        }
-        let kcount = items.len();
+        // PANIC-FREE: deliberate staleness guard — pricing a context
+        // from another model state would silently return garbage, so
+        // this fails loudly instead.
+        assert!(
+            self.context_is_current(ctx),
+            "stale PlanContext: the model was mutated, retrained or deserialised after \
+             plan_context() — recompute the context"
+        );
         let hidden = self.cfg.hidden;
-        let head_in = self.head1.in_dim;
         INFER_ARENA.with(|cell| {
             let arena = &mut *cell.borrow_mut();
-            let mut features = arena.take(kcount * head_in);
+            // `features` has head_in elements: 2*hidden + rdim + stats
+            // with resource attention, hidden + stats without.
+            let mut features = arena.take(self.head1.in_dim);
+            let (p_slot, rest) = features.split_at_mut(hidden);
+            p_slot.copy_from_slice(&ctx.p);
             if self.cfg.resource_attention {
                 let k = self.cfg.latent_k;
                 let rdim = self.cfg.resource_dim;
-                // Pack the K resource vectors and project them with one
-                // matmul (`K x rdim @ rdim x k`); each row's accumulation
-                // is independent, so row i equals the single-item `q`.
-                let mut rvecs = arena.take(kcount * rdim);
-                for (row, (_, res)) in rvecs.chunks_mut(rdim).zip(items.iter()) {
-                    // PANIC-FREE: deliberate width guard per item.
-                    assert_eq!(res.len(), rdim, "resource vector width mismatch");
-                    row.copy_from_slice(res);
-                }
-                let mut qs = arena.take(kcount * k);
+                // PANIC-FREE: deliberate width guard.
+                assert_eq!(resources.len(), rdim, "resource vector width mismatch");
+                let mut q = arena.take(k);
                 infer::matmul_into(
-                    &rvecs,
-                    kcount,
+                    resources,
+                    1,
                     rdim,
                     self.proj(self.wr, "attn.res.wr"),
                     k,
-                    &mut qs,
+                    &mut q,
                 );
                 let mut scores = arena.take(0);
-                for (((ctx, res), frow), q) in
-                    items.iter().zip(features.chunks_mut(head_in)).zip(qs.chunks(k))
-                {
-                    // PANIC-FREE: frow has head_in = 2*hidden + rdim +
-                    // stats elements, so every segment offset below
-                    // stays inside it.
-                    frow[..hidden].copy_from_slice(&ctx.p);
-                    {
-                        let (m_slot, _) = frow[hidden..].split_at_mut(hidden);
-                        dot_attention_into(
-                            q,
-                            &ctx.keys,
-                            &ctx.h,
-                            k,
-                            hidden,
-                            None,
-                            ctx.n,
-                            &mut scores,
-                            m_slot,
-                        );
-                    }
-                    // PANIC-FREE: same head_in layout argument as above.
-                    frow[2 * hidden..2 * hidden + rdim].copy_from_slice(res);
-                    frow[2 * hidden + rdim..].copy_from_slice(&ctx.stats);
-                }
-                arena.give(rvecs);
-                arena.give(qs);
+                let (m_slot, rest) = rest.split_at_mut(hidden);
+                dot_attention_into(
+                    &q,
+                    &ctx.keys,
+                    &ctx.h,
+                    k,
+                    hidden,
+                    None,
+                    ctx.n,
+                    &mut scores,
+                    m_slot,
+                );
+                let (r_slot, stats_slot) = rest.split_at_mut(rdim);
+                r_slot.copy_from_slice(resources);
+                stats_slot.copy_from_slice(&ctx.stats);
+                arena.give(q);
                 arena.give(scores);
             } else {
-                for ((ctx, _), frow) in items.iter().zip(features.chunks_mut(head_in)) {
-                    // PANIC-FREE: head_in = hidden + stats in the
-                    // resource-blind layout.
-                    frow[..hidden].copy_from_slice(&ctx.p);
-                    frow[hidden..].copy_from_slice(&ctx.stats);
-                }
+                rest.copy_from_slice(&ctx.stats);
             }
 
-            // One batched matmul per head layer for all K plans.
             let _head_span = telemetry::kernel_span("infer.head");
-            let z1 = self.head1.infer(&self.store, &features, kcount, arena);
-            let z2 = self.head2.infer(&self.store, &z1, kcount, arena);
-            let ys = self.out.infer(&self.store, &z2, kcount, arena);
-            for (slot, &y) in out.iter_mut().zip(ys.iter()) {
-                *slot = denormalize_seconds(y * self.label_std + self.label_mean);
-            }
+            let z1 = self.head1.infer(&self.store, &features, 1, arena);
+            let z2 = self.head2.infer(&self.store, &z1, 1, arena);
+            let ys = self.out.infer(&self.store, &z2, 1, arena);
+            // PANIC-FREE: `out` is a `head_hidden/2 x 1` layer run over
+            // one row, so `ys` holds exactly one element.
+            let seconds = denormalize_seconds(ys[0] * self.label_std + self.label_mean);
             arena.give(features);
             arena.give(z1);
             arena.give(z2);
             arena.give(ys);
-        });
+            seconds
+        })
     }
 
     /// Predicts a batch of `(plan, resources)` pairs, sharding the work
     /// across `std::thread::available_parallelism()` scoped threads (the
-    /// same pattern the trainer uses for batch gradients). Each shard
-    /// runs through [`CostModel::predict_packed`], so within a shard the
-    /// K candidate plans share one batched head matmul per layer, and
-    /// each thread reuses its own inference arena — large batches run
-    /// allocation-free after warmup.
+    /// same pattern the trainer uses for batch gradients). Each thread
+    /// prices its shard plan by plan out of its own inference arena, so
+    /// large batches run allocation-free after warmup and every result
+    /// is [`CostModel::predict_seconds`]'s for that item.
     pub fn predict_batch(&self, items: &[(&EncodedPlan, &[f32])]) -> Vec<f64> {
-        if items.is_empty() {
-            return Vec::new();
-        }
         let threads = std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1)
@@ -876,42 +821,26 @@ impl CostModel {
         std::thread::scope(|scope| {
             for (slots, shard) in out.chunks_mut(chunk).zip(items.chunks(chunk)) {
                 scope.spawn(move || {
-                    let got = self.predict_packed(shard);
-                    slots.copy_from_slice(&got);
+                    for (slot, (plan, resources)) in slots.iter_mut().zip(shard) {
+                        *slot = self.predict_seconds(plan, resources);
+                    }
                 });
             }
         });
         out
     }
 
-    /// Scores K candidate plans as *one* batched matmul per head layer
-    /// (cross-plan GEMM packing) on the calling thread: the per-plan
-    /// contexts and attention are computed item by item (they have
-    /// ragged shapes), then the K head-input feature rows are packed
-    /// into a single `K x head_in` matrix so `head1`/`head2`/`out` each
-    /// run once instead of K times. Every head matmul computes its rows
-    /// independently in the same accumulation order as the `rows = 1`
-    /// kernel, so each result is bit-identical to
-    /// [`CostModel::predict_seconds`] on the same item.
+    /// Scores K candidate plans on the calling thread: a loop over
+    /// [`CostModel::predict_seconds`], so each result is that call's by
+    /// construction. Packing the K head inputs into one matmul per
+    /// layer measured 0.96x of this loop (DESIGN.md §17); the name
+    /// stays because the benchmark package links it.
     pub fn predict_packed(&self, items: &[(&EncodedPlan, &[f32])]) -> Vec<f64> {
-        if items.is_empty() {
-            // HOT-ALLOC: Vec::new is capacity 0 — no heap allocation.
-            return Vec::new();
-        }
-        telemetry::count("infer.predict.packed", items.len() as u64);
-        // HOT-ALLOC: two K-element spines and the result vector per
-        // batch; the contexts themselves draw their buffers from the
-        // arena and are recycled below.
-        let ctxs: Vec<PlanContext> =
-            items.iter().map(|(plan, _)| self.plan_context(plan)).collect();
-        let pairs: Vec<(&PlanContext, &[f32])> =
-            ctxs.iter().zip(items).map(|(ctx, (_, res))| (ctx, *res)).collect();
-        let mut ys = vec![0.0f64; items.len()];
-        self.price_contexts_into(&pairs, &mut ys);
-        for ctx in ctxs {
-            self.recycle_context(ctx);
-        }
-        ys
+        // HOT-ALLOC: the K-element result vector handed to the caller.
+        items
+            .iter()
+            .map(|(plan, resources)| self.predict_seconds(plan, resources))
+            .collect()
     }
 
     /// Restores internal optimizer buffers after deserialisation.
@@ -970,15 +899,6 @@ impl FrozenModel {
     /// See [`CostModel::predict_with_context`].
     pub fn predict_with_context(&self, ctx: &PlanContext, resources: &[f32]) -> f64 {
         self.0.predict_with_context(ctx, resources)
-    }
-
-    /// Prices K contexts, each against its own resource vector, in one
-    /// packed head pass: the second half of [`Self::predict_packed`] for
-    /// callers that keep their contexts (the serving plan-context
-    /// cache). Item `i` gets the bits [`Self::predict_with_context`]
-    /// returns for it.
-    pub fn price_contexts(&self, items: &[(&PlanContext, &[f32])]) -> Vec<f64> {
-        self.0.price_contexts(items)
     }
 
     /// See [`CostModel::recycle_context`].

@@ -1,6 +1,6 @@
 //! The serving service: N frozen-model replicas behind striped request
-//! queues, with cross-request batching, per-tenant fair-share admission
-//! and one thread per shard.
+//! queues, with per-tenant fair-share admission and one thread per
+//! shard.
 //!
 //! A [`ShardedServing`] service owns [`ShardConfig::shards`] *shards*,
 //! each a [`BatchQueue`] plus one dispatcher thread holding a clone of
@@ -8,18 +8,16 @@
 //! price with the same weights). Client threads call
 //! [`ShardedServing::predict`] concurrently through `&self`; each call
 //! is striped round-robin onto a shard queue, and the shard's
-//! dispatcher packs every request that is queued at dispatch time — up
-//! to [`ShardConfig::max_batch`] of them — into a single
-//! [`price_contexts`](FrozenModel::price_contexts) call that it runs
-//! itself, so concurrent tenants share one head matmul per layer
-//! exactly the way one caller's `predict_many` batch does.
+//! dispatcher prices and settles the queued jobs one at a time, plan by
+//! plan, so no job's answer waits for a later job's arithmetic.
 //!
 //! Before it encodes anything, a client looks each admitted plan up in
 //! the service-wide plan-context cache (the `plan_cache` module; keyed
 //! by [`PhysicalPlan::structural_hash`], a hit confirmed by `==`). A
-//! plan that hits travels as its cached [`PlanContext`] and skips the
-//! encoder and the plan layer; a call whose admitted plans **all** hit
-//! is not queued at all — the calling thread runs the head itself. The
+//! plan that hits travels as its cached
+//! [`PlanContext`](crate::model::PlanContext) and skips the encoder and
+//! the plan layer; a call whose admitted plans **all** hit is not
+//! queued at all — the calling thread runs the head itself. The
 //! route is chosen from that observation alone; there is no setting
 //! for it. A plan is admitted to the cache on its second recent
 //! sighting, so a stream of distinct plans pays one hash per plan and
@@ -30,7 +28,7 @@
 //! (`serving.fallback.checkpoint`), oversized plans fall back at
 //! admission (`serving.fallback.admission`), a full or closed shard
 //! queue sheds (`serving.fallback.busy`), and a pricing panic is caught
-//! on the dispatcher, which settles that batch and every later one on
+//! on the dispatcher, which settles that job and every later one on
 //! its shard analytically (`serving.fallback.worker_lost`). The
 //! **client owns the deadline**: its [`ReplySlot::wait_deadline`] is
 //! the only timeout in the path (`serving.fallback.deadline`); the
@@ -51,7 +49,7 @@
 //! The building blocks ([`BatchQueue`], [`ReplySlot`]) are public on
 //! purpose: they are built on [`raal_sync`] primitives, so the
 //! model-check suite (`crates/core/tests/model_check.rs`) explores the
-//! *real* coalescer protocol — not a test double — across all bounded
+//! *real* queue and settle protocol — not a test double — across all bounded
 //! schedules, proving no request is lost, none is answered twice, and
 //! shutdown completes with requests still queued.
 
@@ -61,7 +59,7 @@ use super::plan_cache::{CachedPlan, Lookup, PlanCache};
 use super::{
     FallbackModel, FallbackReason, PredictionSource, ServingConfig, ServingPrediction, SloStats,
 };
-use crate::model::{FrozenModel, PlanContext};
+use crate::model::FrozenModel;
 use crate::persist::ModelBundle;
 use encoding::plan_encoder::EncodedPlan;
 use encoding::PlanEncoder;
@@ -118,14 +116,9 @@ fn wait_timeout<'a, T>(
 #[derive(Debug, Clone)]
 pub struct ShardConfig {
     /// Number of shards (a queue and one dispatcher thread each). Each
-    /// shard prices one coalesced batch at a time, so this is the
-    /// service's inference parallelism. Clamped to at least 1.
+    /// shard prices one job at a time, so this is the service's
+    /// inference parallelism. Clamped to at least 1.
     pub shards: usize,
-    /// Most requests one dispatch may coalesce into a single packed
-    /// inference call. Larger batches amortise the per-layer matmul
-    /// further but put more requests behind one deadline. Clamped to
-    /// at least 1.
-    pub max_batch: usize,
     /// Bound on queued requests per shard; a full queue sheds new
     /// arrivals to the fallback (`serving.fallback.busy`) instead of
     /// growing without limit.
@@ -142,7 +135,6 @@ impl Default for ShardConfig {
     fn default() -> Self {
         Self {
             shards: 4,
-            max_batch: 32,
             queue_capacity: 1024,
             tenant_inflight: 64,
             serving: ServingConfig::default(),
@@ -157,9 +149,8 @@ impl Default for ShardConfig {
 /// [`complete`](Self::complete) moves `Waiting → Done` and returns
 /// `true`; a client whose [`wait_deadline`](Self::wait_deadline)
 /// expires moves `Waiting → Abandoned`, after which `complete` returns
-/// `false` — so both sides always agree on who owned the outcome (the
-/// service uses that agreement to count each request's answer exactly
-/// once).
+/// `false` — so both sides always agree on who owned the outcome, and
+/// the client returns (and counts) exactly one answer.
 pub struct ReplySlot<T> {
     state: Mutex<SlotState<T>>,
     cv: Condvar,
@@ -407,7 +398,7 @@ fn sanitize_tenant(tenant: &str) -> String {
 }
 
 /// The answer a dispatcher settles a [`ReplySlot`] with: one source for
-/// the whole coalesced job, and one estimate per admitted plan.
+/// the whole job, and one estimate per admitted plan.
 struct JobOutcome {
     source: PredictionSource,
     seconds: Vec<f64>,
@@ -450,163 +441,80 @@ struct ShardJob {
     reply: Arc<ReplySlot<JobOutcome>>,
 }
 
-/// A shard dispatcher: drains the queue in coalesced batches, prices
-/// each batch itself ([`price_batch`]) and settles every job's
-/// [`ReplySlot`] with its share of the answer. It never times out — the
-/// waiting client owns the deadline, and a job whose client gave up
-/// simply fails to settle.
+/// Jobs a dispatcher takes from its queue per lock acquisition.
+const DRAIN: usize = 32;
+
+/// A shard dispatcher: takes what is queued, then prices
+/// ([`price_job`]) and settles one job at a time, so a job's answer
+/// never waits for the job behind it. It never times out — the waiting
+/// client owns the deadline, and a job whose client gave up simply
+/// fails to settle — and it counts nothing: the client counts the
+/// answer it returns.
 ///
-/// A panic while pricing is caught here: the batch is settled
-/// `WorkerLost` from the jobs' precomputed analytical estimates and
-/// the shard stays lost, so every later batch on it falls back the
-/// same way without touching the model again.
+/// A panic while pricing is caught here: that job is settled
+/// `WorkerLost` from its precomputed analytical estimates and the shard
+/// stays lost, so every later job on it — those already taken from the
+/// queue included — falls back the same way, the model untouched.
 ///
 /// Exits when the queue is closed and fully drained.
-fn dispatch_loop(
-    queue: Arc<BatchQueue<ShardJob>>,
-    model: FrozenModel,
-    cache: Arc<PlanCache>,
-    max_batch: usize,
-) {
-    // HOT-ALLOC: two scratch vectors per dispatcher lifetime, reused
-    // across every batch.
-    let mut batch: Vec<ShardJob> = Vec::with_capacity(max_batch);
-    let mut built: Vec<PlanContext> = Vec::new();
+fn dispatch_loop(queue: Arc<BatchQueue<ShardJob>>, model: FrozenModel, cache: Arc<PlanCache>) {
+    // HOT-ALLOC: one scratch vector per dispatcher lifetime.
+    let mut taken: Vec<ShardJob> = Vec::with_capacity(DRAIN);
     let mut lost = false;
-    loop {
-        debug_assert!(batch.is_empty());
-        if !queue.drain(max_batch, &mut batch) {
-            return;
-        }
+    while queue.drain(DRAIN, &mut taken) {
         let _span = telemetry::span("serving.shard.dispatch");
-        telemetry::count("serving.shard.batches", 1);
-        let total_plans: usize = batch.iter().map(|job| job.plans.len()).sum();
-        telemetry::observe("serving.batch_size", total_plans as u64);
-        if lost {
-            settle_fallback(&mut batch, FallbackReason::WorkerLost);
-            continue;
-        }
-        // PANIC-FREE: the one place a pricing panic is allowed to
-        // surface — it is contained to this batch and turned into the
-        // sticky WorkerLost state below, never unwound into a client.
-        let priced = catch_unwind(AssertUnwindSafe(|| {
-            price_batch(&model, &cache, &mut batch, &mut built, total_plans)
-        }));
-        match priced {
-            Ok(seconds) => settle_model(&mut batch, seconds),
-            Err(_panic) => {
-                lost = true;
-                built.clear();
-                settle_fallback(&mut batch, FallbackReason::WorkerLost);
-            }
+        for ShardJob { plans, resources, fallback, reply } in taken.drain(..) {
+            // PANIC-FREE: the one place a pricing panic is allowed to
+            // surface — it is contained to this job and turned into the
+            // sticky WorkerLost state, never unwound into a client.
+            let priced = if lost {
+                None
+            } else {
+                catch_unwind(AssertUnwindSafe(|| price_job(&model, &cache, plans, &resources))).ok()
+            };
+            lost = priced.is_none();
+            reply.complete(match priced {
+                Some(seconds) => JobOutcome { source: PredictionSource::Model, seconds },
+                None => JobOutcome {
+                    source: PredictionSource::Fallback(FallbackReason::WorkerLost),
+                    seconds: fallback,
+                },
+            });
         }
     }
 }
 
-/// One packed pricing pass over a coalesced batch: builds the contexts
-/// the clients did not find in the cache, prices them together with
-/// the cached ones in a single [`FrozenModel::price_contexts`] call —
-/// every job's plans share one head matmul per layer — and returns one
-/// estimate per plan, in batch order. Contexts of plans marked for
-/// admission are copied into the cache (exact-sized; before the jobs
-/// are settled, so a client's next call already finds them); every
-/// built context then goes back to this thread's arena.
-fn price_batch(
+/// Prices one job plan by plan: a cached plan through its resident
+/// context, an encoded one through a context built here — the same
+/// [`FrozenModel::predict_with_context`] call either way, and the one
+/// the in-place route makes. The context of a plan marked for admission
+/// is copied into the cache (exact-sized; before the job is settled, so
+/// its client's next call finds it); built contexts go back to the arena.
+fn price_job(
     model: &FrozenModel,
     cache: &PlanCache,
-    batch: &mut [ShardJob],
-    built: &mut Vec<PlanContext>,
-    total_plans: usize,
+    plans: Vec<JobPlan>,
+    resources: &ResourceFeatures,
 ) -> Vec<f64> {
-    let plans = || {
-        batch
-            .iter()
-            .flat_map(|job| job.plans.iter().map(move |plan| (job, plan)))
-    };
-    for (_, plan) in plans() {
-        if let JobPlan::Encoded { plan, .. } = plan {
-            // HOT-ALLOC: amortized growth of the reused scratch spine.
-            built.push(model.plan_context(plan));
-        }
-    }
-    let seconds = {
-        let mut fresh = built.iter();
-        // HOT-ALLOC: per-batch item list of borrowed context/resource
-        // pairs, sized by the batch.
-        let mut items: Vec<(&PlanContext, &[f32])> = Vec::with_capacity(total_plans);
-        for (job, plan) in plans() {
-            let context = match plan {
-                JobPlan::Cached(cached) => Some(cached.context()),
-                JobPlan::Encoded { .. } => fresh.next(),
-            };
-            if let Some(context) = context {
-                items.push((context, job.resources.as_slice()));
+    // HOT-ALLOC: the per-job response vector handed to the waiting
+    // client.
+    let mut seconds = Vec::with_capacity(plans.len());
+    for plan in plans {
+        seconds.push(match plan {
+            JobPlan::Cached(cached) => model.predict_with_context(cached.context(), resources),
+            JobPlan::Encoded { plan, admit } => {
+                let context = model.plan_context(&plan);
+                let priced = model.predict_with_context(&context, resources);
+                if let Some((fingerprint, key)) = admit {
+                    // HOT-ALLOC: once per admitted plan, not per request.
+                    cache.insert(fingerprint, key, context.clone());
+                }
+                model.recycle_context(context);
+                priced
             }
-        }
-        model.price_contexts(&items)
-    };
-    let mut fresh = built.drain(..);
-    for plan in batch.iter_mut().flat_map(|job| job.plans.iter_mut()) {
-        if let JobPlan::Encoded { admit, .. } = plan {
-            let Some(context) = fresh.next() else { break };
-            if let Some((fingerprint, key)) = admit.take() {
-                // HOT-ALLOC: once per admitted plan, not per request.
-                cache.insert(fingerprint, key, context.clone());
-            }
-            model.recycle_context(context);
-        }
+        });
     }
     seconds
-}
-
-/// Settles every job in `batch` with its precomputed analytical
-/// estimates for `reason`. Telemetry counts only the jobs this side
-/// actually delivered — a job whose client already timed out and
-/// counted its own fallback is not double-counted.
-fn settle_fallback(batch: &mut Vec<ShardJob>, reason: FallbackReason) {
-    for job in batch.drain(..) {
-        let ShardJob { fallback, reply, .. } = job;
-        let delivered = fallback.len() as u64;
-        let outcome = JobOutcome {
-            source: PredictionSource::Fallback(reason),
-            seconds: fallback,
-        };
-        if reply.complete(outcome) {
-            telemetry::count(reason.counter(), delivered);
-        }
-    }
-}
-
-/// Splits the packed `seconds` back per job and settles each slot with
-/// the model answer. A length mismatch (a mangled batch — never
-/// produced by a correct pricer) falls back analytically rather than
-/// handing a client someone else's estimate.
-fn settle_model(batch: &mut Vec<ShardJob>, seconds: Vec<f64>) {
-    let mut remaining = seconds.into_iter();
-    for job in batch.drain(..) {
-        let ShardJob { plans, fallback, reply, .. } = job;
-        let want = plans.len();
-        // HOT-ALLOC: the per-job response vector handed to the waiting
-        // client.
-        let secs: Vec<f64> = remaining.by_ref().take(want).collect();
-        let intact = secs.len() == want && want == fallback.len();
-        let delivered = fallback.len() as u64;
-        let outcome = if intact {
-            JobOutcome { source: PredictionSource::Model, seconds: secs }
-        } else {
-            JobOutcome {
-                source: PredictionSource::Fallback(FallbackReason::WorkerLost),
-                seconds: fallback,
-            }
-        };
-        if reply.complete(outcome) {
-            if intact {
-                telemetry::count("serving.predict.model", delivered);
-            } else {
-                telemetry::count(FallbackReason::WorkerLost.counter(), delivered);
-            }
-        }
-    }
 }
 
 /// Lifetime service-quality counters, shared by every client thread.
@@ -621,39 +529,45 @@ impl ServiceStats {
         Self {
             total: AtomicU64::new(0),
             model: AtomicU64::new(0),
-            by_reason: [
-                AtomicU64::new(0),
-                AtomicU64::new(0),
-                AtomicU64::new(0),
-                AtomicU64::new(0),
-                AtomicU64::new(0),
-                AtomicU64::new(0),
-            ],
+            by_reason: std::array::from_fn(|_| AtomicU64::new(0)),
         }
     }
 
+    /// Counts every answer of one call, here and in telemetry
+    /// (`serving.predict.model`, `serving.fallback.*`) — the only place
+    /// either is bumped, so [`SloStats`] and the counters agree by
+    /// construction.
     fn record(&self, out: &[ServingPrediction]) {
+        let mut model = 0u64;
+        let mut by_reason = [0u64; 6];
+        for p in out {
+            match p.source {
+                PredictionSource::Model => model += 1,
+                // PANIC-FREE: idx() enumerates the FallbackReason
+                // variants and by_reason is sized to that count.
+                PredictionSource::Fallback(reason) => by_reason[reason.idx()] += 1,
+            }
+        }
         // ORDERING: monotone statistics counters; readers only report,
         // no data is published through them.
         self.total.fetch_add(out.len() as u64, Ordering::Relaxed);
-        for p in out {
-            match p.source {
+        if model > 0 {
+            // ORDERING: same monotone statistics counters.
+            self.model.fetch_add(model, Ordering::Relaxed);
+            telemetry::count("serving.predict.model", model);
+        }
+        for (reason, n) in FallbackReason::ALL.into_iter().zip(by_reason) {
+            if n > 0 {
+                // PANIC-FREE: idx() is below the array's length, as above.
                 // ORDERING: same monotone statistics counters.
-                PredictionSource::Model => {
-                    self.model.fetch_add(1, Ordering::Relaxed);
-                }
-                PredictionSource::Fallback(reason) => {
-                    // PANIC-FREE: idx() enumerates the FallbackReason
-                    // variants and by_reason is sized to that count.
-                    // ORDERING: same monotone statistics counters.
-                    self.by_reason[reason.idx()].fetch_add(1, Ordering::Relaxed);
-                }
+                self.by_reason[reason.idx()].fetch_add(n, Ordering::Relaxed);
+                telemetry::count(reason.counter(), n);
             }
         }
     }
 }
 
-/// The sharded, batching, multi-tenant serving service. See the
+/// The sharded, multi-tenant serving service. See the
 /// [module docs](self) for the architecture and `docs/SERVING.md` for
 /// the operator's guide.
 ///
@@ -767,9 +681,7 @@ impl ShardedServing {
         for _ in 0..shards {
             let queue = Arc::new(BatchQueue::bounded(cfg.queue_capacity));
             let (jobs, model, contexts) = (queue.clone(), frozen.clone(), cache.clone());
-            let max_batch = cfg.max_batch.max(1);
-            dispatchers
-                .push(thread::spawn(move || dispatch_loop(jobs, model, contexts, max_batch)));
+            dispatchers.push(thread::spawn(move || dispatch_loop(jobs, model, contexts)));
             queues.push(queue);
         }
         let tenants = TenantTable::new(cfg.tenant_inflight);
@@ -856,8 +768,8 @@ impl ShardedServing {
         self.model.as_ref()
     }
 
-    /// Scores one plan for `tenant`: the deep model's packed answer if
-    /// it arrives within [`ServingConfig::deadline`], the analytical
+    /// Scores one plan for `tenant`: the deep model's answer if it
+    /// arrives within [`ServingConfig::deadline`], the analytical
     /// fallback's otherwise — never a panic, never an unbounded wait.
     /// Increments `serving.predict` plus either `serving.predict.model`
     /// or the per-reason `serving.fallback.*` counter.
@@ -901,11 +813,10 @@ impl ShardedServing {
     }
 
     /// Scores K candidate plans for `tenant` under one resource
-    /// configuration. The admitted plans travel as one job; the shard's
-    /// coalescer may pack them together with other tenants' concurrent
-    /// jobs into a single [`FrozenModel::price_contexts`] call — unless
-    /// every one of them is in the plan-context cache, in which case
-    /// the calling thread prices them itself. Oversized plans fall back
+    /// configuration. The admitted plans travel as one job, priced and
+    /// settled together by one shard's dispatcher — unless every one of
+    /// them is in the plan-context cache, in which case the calling
+    /// thread prices them itself. Oversized plans fall back
     /// individually at admission; a shed, timed-out or failed job falls
     /// back for every admitted plan.
     pub fn predict_many(
@@ -1134,8 +1045,8 @@ impl ShardedServing {
                 });
             }
             // The deadline passed and we abandoned the slot: the
-            // dispatcher's later complete() returns false, so the
-            // fallback accounting is ours.
+            // dispatcher's later complete() returns false and its
+            // outcome is dropped.
             None => self.shed(plans, res, out, FallbackReason::Deadline),
         }
     }
@@ -1172,9 +1083,8 @@ impl ShardedServing {
                 _ => self.fall_back(plan, res, FallbackReason::WorkerLost),
             });
         }));
-        match priced {
-            Ok(()) => telemetry::count("serving.predict.model", cached.len() as u64),
-            Err(_panic) => self.shed(plans, res, out, FallbackReason::WorkerLost),
+        if priced.is_err() {
+            self.shed(plans, res, out, FallbackReason::WorkerLost);
         }
     }
 
@@ -1210,7 +1120,6 @@ impl ShardedServing {
         res: &ResourceConfig,
         reason: FallbackReason,
     ) -> ServingPrediction {
-        telemetry::count(reason.counter(), 1);
         ServingPrediction {
             seconds: self.fallback.estimate_seconds(plan, res),
             source: PredictionSource::Fallback(reason),
@@ -1237,7 +1146,45 @@ impl Drop for ShardedServing {
 #[cfg(all(test, not(raal_model_check)))]
 mod tests {
     use super::*;
+    use crate::model::{CostModel, ModelConfig};
+    use encoding::plan_encoder::PLAN_STAT_FEATURES;
     use std::sync::atomic::{AtomicBool, Ordering};
+
+    /// When pricing panics, the jobs the dispatcher had already taken
+    /// from its queue are settled `WorkerLost` like the one that
+    /// tripped it — each from its own analytical estimates.
+    #[test]
+    fn a_pricing_panic_settles_the_jobs_already_taken() {
+        const NODE_DIM: usize = 6;
+        let model = FrozenModel::freeze(CostModel::new(ModelConfig::raal(NODE_DIM)));
+        let queue = Arc::new(BatchQueue::bounded(2));
+        let mut replies = Vec::new();
+        for fallback in [1.0, 2.0] {
+            // One feature wider than the model reads: the LSTM kernel's
+            // input guard panics.
+            let plan = EncodedPlan {
+                node_features: vec![vec![0.0; NODE_DIM + 1]],
+                children: vec![vec![]],
+                plan_stats: vec![0.0; PLAN_STAT_FEATURES],
+            };
+            let reply = Arc::new(ReplySlot::new());
+            let job = ShardJob {
+                plans: vec![JobPlan::Encoded { plan, admit: None }],
+                resources: [0.5; ResourceConfig::NUM_FEATURES],
+                fallback: vec![fallback],
+                reply: reply.clone(),
+            };
+            assert!(queue.push(job).is_ok());
+            replies.push((reply, fallback));
+        }
+        queue.close();
+        dispatch_loop(queue, model, Arc::new(PlanCache::new(PLAN_CACHE_BYTES)));
+        for (reply, fallback) in replies {
+            let outcome = reply.wait_deadline(Duration::ZERO).expect("settled");
+            assert_eq!(outcome.source, PredictionSource::Fallback(FallbackReason::WorkerLost));
+            assert_eq!(outcome.seconds, [fallback]);
+        }
+    }
 
     /// The client-side wait is the only bound on a serving call, so it
     /// must hold against wakes that bring no outcome: a second thread

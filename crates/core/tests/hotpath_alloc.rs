@@ -12,21 +12,25 @@
 //! the counter, runs a batch of predictions, and asserts the count
 //! stayed at zero. A second test holds the served
 //! route for a cached plan to one allocation per call.
+//!
+//! The queued route of an uncached plan runs on two threads (caller
+//! and dispatcher), so a third test tallies it process-wide: every test
+//! here holds [`SERIAL`] so that tally sees no neighbour, and it reads
+//! allocations per call rounded down, which absorbs the harness
+//! thread's one-off waker.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard};
+
+mod common;
 
 use encoding::plan_encoder::{EncodedPlan, PLAN_STAT_FEATURES};
-use encoding::word2vec::{train as w2v_train, W2vConfig};
-use encoding::{EncoderConfig, PlanEncoder};
 use raal::serving::{PredictionSource, ServingConfig};
-use raal::{CostModel, FrozenModel, ModelBundle, ModelConfig, ShardConfig, ShardedServing};
-use sparksim::catalog::Catalog;
+use raal::{CostModel, FrozenModel, ModelConfig, ShardConfig, ShardedServing};
 use sparksim::engine::Engine;
 use sparksim::resource::{ClusterConfig, ResourceConfig};
-use sparksim::schema::{ColumnDef, TableSchema};
-use sparksim::storage::{Column, ColumnData, Table};
-use sparksim::types::DataType;
 
 /// System allocator wrapper that counts the armed thread's allocations.
 struct CountingAlloc;
@@ -38,7 +42,19 @@ thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
 }
 
+/// The process-wide tally: every thread's allocations while `WATCH_ALL`.
+static WATCH_ALL: AtomicBool = AtomicBool::new(false);
+static ALL_ALLOCS: AtomicU64 = AtomicU64::new(0);
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
 fn tally() {
+    if WATCH_ALL.load(Ordering::Relaxed) {
+        ALL_ALLOCS.fetch_add(1, Ordering::Relaxed);
+    }
     // try_with: TLS may be unavailable during thread teardown; those
     // allocations belong to the runtime, not the measured code.
     let _ = ARMED.try_with(|armed| {
@@ -92,8 +108,35 @@ fn toy_plan(n: usize) -> EncodedPlan {
     }
 }
 
+/// `SELECT COUNT(*) FROM t WHERE id < bound`: one plan shape, a
+/// different plan (literal, row estimates) per `bound`.
+fn count_below(engine: &Engine, bound: usize) -> sparksim::PhysicalPlan {
+    engine
+        .plan_candidates(&format!("SELECT COUNT(*) FROM t WHERE id < {bound}"))
+        .unwrap()
+        .remove(0)
+}
+
+/// The tiny bundle behind one shard, with a deadline no call here
+/// comes near.
+fn one_shard_service() -> ShardedServing {
+    ShardedServing::new(
+        common::tiny_bundle(),
+        std::sync::Arc::new(|plan: &sparksim::PhysicalPlan, _: &ResourceConfig| plan.len() as f64),
+        ShardConfig {
+            shards: 1,
+            serving: ServingConfig {
+                deadline: std::time::Duration::from_secs(30),
+                ..Default::default()
+            },
+            ..Default::default()
+        },
+    )
+}
+
 #[test]
 fn steady_state_predict_is_allocation_free() {
+    let _serial = serial();
     let model = CostModel::new(ModelConfig {
         hidden: 8,
         latent_k: 4,
@@ -131,38 +174,9 @@ fn steady_state_predict_is_allocation_free() {
 /// one also shows these calls hit.)
 #[test]
 fn served_hit_allocates_at_most_once_per_predict() {
-    let mut catalog = Catalog::new();
-    catalog.register(Table::new(
-        TableSchema::new("t", vec![ColumnDef::new("id", DataType::Int, false)]),
-        vec![Column::non_null(ColumnData::Int((0..100).collect()))],
-    ));
-    let plan = Engine::new(catalog)
-        .plan_candidates("SELECT COUNT(*) FROM t WHERE id < 40")
-        .unwrap()
-        .remove(0);
-    let corpus = vec![vec!["filescan".to_string(), "hashaggregate".to_string()]];
-    let encoder = PlanEncoder::new(
-        w2v_train(&corpus, &W2vConfig { dim: 4, epochs: 1, ..Default::default() }),
-        EncoderConfig { max_nodes: 32, structure: true },
-    );
-    let model = CostModel::new(ModelConfig {
-        hidden: 8,
-        latent_k: 4,
-        head_hidden: 8,
-        ..ModelConfig::raal(encoder.node_dim())
-    });
-    let service = ShardedServing::new(
-        ModelBundle::new(model, &encoder),
-        std::sync::Arc::new(|plan: &sparksim::PhysicalPlan, _: &ResourceConfig| plan.len() as f64),
-        ShardConfig {
-            shards: 1,
-            serving: ServingConfig {
-                deadline: std::time::Duration::from_secs(30),
-                ..Default::default()
-            },
-            ..Default::default()
-        },
-    );
+    let _serial = serial();
+    let plan = count_below(&common::engine(), 40);
+    let service = one_shard_service();
     let cluster = ClusterConfig::default();
     let sweep: Vec<ResourceConfig> = (1..=4)
         .map(|executors| ResourceConfig { executors, ..ResourceConfig::default_for(&cluster) })
@@ -184,4 +198,41 @@ fn served_hit_allocates_at_most_once_per_predict() {
     });
     assert!(all_model);
     assert!(allocs <= CALLS, "{allocs} allocations over {CALLS} served hits");
+}
+
+/// The queued route, for a plan the cache has never seen: the caller
+/// encodes it, queues one job and waits; the dispatcher builds its
+/// context out of its arena, prices it and settles the job. Counted on
+/// both threads, per `predict`, over same-shaped plans none of which
+/// repeats (a repeat would be cached and leave this route).
+#[test]
+fn queued_miss_allocations_per_predict_are_held() {
+    /// It read 136 at the parent commit, where the dispatcher also
+    /// built a batch-level item list and result vector per drain and
+    /// the encoder's self-check cloned every structure row. Nearly all
+    /// of what is left is the encoder (ROADMAP item 4d).
+    const PER_PREDICT: u64 = 129;
+    const WARM: usize = 16;
+    const CALLS: u64 = 64;
+    let _serial = serial();
+    let engine = common::engine();
+    // Three-digit bounds: every statement tokenizes to the same shape.
+    let plans: Vec<_> = (100..100 + WARM + CALLS as usize)
+        .map(|bound| count_below(&engine, bound))
+        .collect();
+    let service = one_shard_service();
+    let res = ResourceConfig::default_for(&ClusterConfig::default());
+    let served_by_model =
+        |plan| service.predict("miss", plan, &res).source == PredictionSource::Model;
+
+    // Warm-up: both threads' arenas, the queue's ring, the tenant entry.
+    assert!(plans[..WARM].iter().all(served_by_model));
+
+    ALL_ALLOCS.store(0, Ordering::Relaxed);
+    WATCH_ALL.store(true, Ordering::SeqCst);
+    let all_model = plans[WARM..].iter().all(served_by_model);
+    WATCH_ALL.store(false, Ordering::SeqCst);
+    assert!(all_model);
+    let per_predict = ALL_ALLOCS.load(Ordering::Relaxed) / CALLS;
+    assert!(per_predict <= PER_PREDICT, "{per_predict} allocations per queued predict");
 }

@@ -103,7 +103,7 @@ fn stale_drain_preserves_response_order() {
     });
 }
 
-/// The sharded coalescer's core promise, explored on the production
+/// The shard dispatcher's core promise, explored on the production
 /// [`BatchQueue`]/[`ReplySlot`] types: every pushed job is drained by
 /// the dispatcher **exactly once** (no lost requests, no
 /// double-dispatch), and for every job the dispatcher's `complete()`
@@ -118,8 +118,8 @@ fn coalescer_drains_each_job_exactly_once() {
         let slots: Vec<Arc<ReplySlot<u32>>> = (0..2).map(|_| Arc::new(ReplySlot::new())).collect();
         let qd = q.clone();
         let dispatcher = thread::spawn(move || {
-            // The real dispatch loop's shape: drain in coalesced
-            // batches until closed-and-empty, settle every job.
+            // The real dispatch loop's shape: take what is queued until
+            // closed-and-empty, settle every job in turn.
             let mut batch = Vec::new();
             let mut log = Vec::new();
             while qd.drain(2, &mut batch) {

@@ -92,9 +92,9 @@ proptest! {
         frozen.recycle_context(ctx);
     }
 
-    /// Packed K-plan scoring is bit-identical to per-item scoring: head
-    /// matmuls accumulate each row independently in the same order at
-    /// any row count.
+    /// K-plan scoring, on one thread (`predict_packed`) or sharded
+    /// across threads (`predict_batch`), is bit-identical to per-item
+    /// scoring on every variant: both are loops over the per-plan path.
     #[test]
     fn packed_batch_matches_per_item(
         k in 1usize..6,

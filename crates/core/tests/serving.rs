@@ -1,76 +1,13 @@
 //! Integration tests for degraded-mode serving: every guard rail must
 //! produce a fallback answer (never a panic) and count the trip.
 
-use encoding::word2vec::{train as w2v_train, W2vConfig};
-use encoding::{EncoderConfig, PlanEncoder};
-use raal::model::{CostModel, ModelConfig};
-use raal::persist::ModelBundle;
+mod common;
+
+use common::{engine, resources, some_plan, tiny_bundle};
 use raal::serving::{FallbackReason, PredictionSource, ServingConfig, ServingModel};
-use sparksim::catalog::Catalog;
-use sparksim::engine::Engine;
 use sparksim::plan::physical::PhysicalPlan;
 use sparksim::resource::{ClusterConfig, ResourceConfig};
-use sparksim::schema::{ColumnDef, TableSchema};
-use sparksim::storage::{Column, ColumnData, Table};
-use sparksim::types::DataType;
 use std::time::Duration;
-
-fn engine() -> Engine {
-    let mut catalog = Catalog::new();
-    catalog.register(Table::new(
-        TableSchema::new(
-            "t",
-            vec![
-                ColumnDef::new("id", DataType::Int, false),
-                ColumnDef::new("x", DataType::Int, false),
-            ],
-        ),
-        vec![
-            Column::non_null(ColumnData::Int((0..200).collect())),
-            Column::non_null(ColumnData::Int((0..200).map(|i| i % 10).collect())),
-        ],
-    ));
-    catalog.register(Table::new(
-        TableSchema::new(
-            "u",
-            vec![
-                ColumnDef::new("t_id", DataType::Int, false),
-                ColumnDef::new("y", DataType::Int, false),
-            ],
-        ),
-        vec![
-            Column::non_null(ColumnData::Int((0..400).map(|i| i % 200).collect())),
-            Column::non_null(ColumnData::Int((0..400).map(|i| i % 7).collect())),
-        ],
-    ));
-    Engine::new(catalog)
-}
-
-fn some_plan(engine: &Engine) -> PhysicalPlan {
-    engine
-        .plan_candidates("SELECT t.x, COUNT(*) FROM t GROUP BY t.x")
-        .unwrap()
-        .remove(0)
-}
-
-fn resources() -> ResourceConfig {
-    ResourceConfig::default_for(&ClusterConfig::default())
-}
-
-fn tiny_bundle() -> ModelBundle {
-    let corpus = vec![vec!["filescan".to_string(), "hashaggregate".to_string()]];
-    let encoder = PlanEncoder::new(
-        w2v_train(&corpus, &W2vConfig { dim: 4, epochs: 1, ..Default::default() }),
-        EncoderConfig { max_nodes: 32, structure: true },
-    );
-    let model = CostModel::new(ModelConfig {
-        hidden: 8,
-        latent_k: 4,
-        head_hidden: 8,
-        ..ModelConfig::raal(encoder.node_dim())
-    });
-    ModelBundle::new(model, &encoder)
-}
 
 fn gpsj_fallback() -> Box<dyn raal::serving::FallbackModel + Send + Sync> {
     Box::new(|plan: &PhysicalPlan, _res: &ResourceConfig| 1.0 + plan.len() as f64)
@@ -285,24 +222,6 @@ fn slo_stats_meter_hits_fallbacks_and_budget_burn() {
     // burns 2x the budget.
     assert_eq!(stats.error_budget_burn(FallbackReason::Admission), 2.0);
     assert_eq!(stats.error_budget_burn(FallbackReason::Deadline), 0.0);
-}
-
-#[test]
-fn slo_gauges_and_latency_reach_the_registry() {
-    let engine = engine();
-    let plan = some_plan(&engine);
-    let cfg = ServingConfig { max_plan_nodes: 1, ..ServingConfig::default() };
-    telemetry::testing::capture(|| {
-        let mut serving = ServingModel::new(tiny_bundle(), gpsj_fallback(), cfg);
-        serving.predict(&plan, &resources());
-        let snap = serving.metrics_snapshot();
-        assert_eq!(snap.gauges["serving.slo.hit_rate"], 0.0);
-        assert_eq!(snap.gauges["serving.slo.fallback_rate"], 1.0);
-        assert!(snap.gauges["serving.slo.burn.admission"] > 0.0);
-        assert_eq!(snap.gauges["serving.slo.burn.deadline"], 0.0);
-        assert_eq!(snap.counters["serving.fallback.admission"], 1);
-        assert_eq!(snap.hists["serving.predict_us"].all.count, 1);
-    });
 }
 
 #[test]

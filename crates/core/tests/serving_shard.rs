@@ -2,102 +2,29 @@
 //! guard rails, fair-share shedding, shutdown semantics, the assembled
 //! service under faults (pricing panic, full queues, shutdown in
 //! flight) with its accounting conservation law, and the bit-identity
-//! property — batched (coalesced) predictions, and predictions priced
-//! from a cached plan context, must equal the same requests served one
-//! at a time, exactly.
+//! property — predictions served under concurrency, in a caller's
+//! `predict_many`, or from a cached plan context must equal
+//! `CostModel::predict_seconds` on the same encoded plan, exactly.
 
-use encoding::word2vec::{train as w2v_train, W2vConfig};
-use encoding::{EncoderConfig, PlanEncoder};
-use raal::model::{CostModel, FrozenModel, ModelConfig};
+mod common;
+
+use common::{bundle_with_model_input, candidate_plans, engine, resources, some_plan, tiny_bundle};
+use raal::model::FrozenModel;
 use raal::persist::ModelBundle;
 use raal::serving::shard::{BatchQueue, ReplySlot, ShardConfig, ShardedServing};
 use raal::serving::{FallbackModel, FallbackReason, PredictionSource, ServingConfig, SloStats};
-use sparksim::catalog::Catalog;
-use sparksim::engine::Engine;
 use sparksim::plan::physical::PhysicalPlan;
 use sparksim::resource::{ClusterConfig, ResourceConfig};
-use sparksim::schema::{ColumnDef, TableSchema};
-use sparksim::storage::{Column, ColumnData, Table};
-use sparksim::types::DataType;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 use std::time::Duration;
-
-fn engine() -> Engine {
-    let mut catalog = Catalog::new();
-    catalog.register(Table::new(
-        TableSchema::new(
-            "t",
-            vec![
-                ColumnDef::new("id", DataType::Int, false),
-                ColumnDef::new("x", DataType::Int, false),
-            ],
-        ),
-        vec![
-            Column::non_null(ColumnData::Int((0..200).collect())),
-            Column::non_null(ColumnData::Int((0..200).map(|i| i % 10).collect())),
-        ],
-    ));
-    catalog.register(Table::new(
-        TableSchema::new(
-            "u",
-            vec![
-                ColumnDef::new("t_id", DataType::Int, false),
-                ColumnDef::new("y", DataType::Int, false),
-            ],
-        ),
-        vec![
-            Column::non_null(ColumnData::Int((0..400).map(|i| i % 200).collect())),
-            Column::non_null(ColumnData::Int((0..400).map(|i| i % 7).collect())),
-        ],
-    ));
-    Engine::new(catalog)
-}
-
-fn some_plan(engine: &Engine) -> PhysicalPlan {
-    engine
-        .plan_candidates("SELECT t.x, COUNT(*) FROM t GROUP BY t.x")
-        .unwrap()
-        .remove(0)
-}
-
-fn candidate_plans(engine: &Engine) -> Vec<PhysicalPlan> {
-    engine
-        .plan_candidates("SELECT t.x, COUNT(*) FROM t, u WHERE t.id = u.t_id GROUP BY t.x")
-        .unwrap()
-}
-
-fn resources() -> ResourceConfig {
-    ResourceConfig::default_for(&ClusterConfig::default())
-}
-
-fn tiny_bundle() -> ModelBundle {
-    bundle_with_model_input(0)
-}
 
 /// A bundle whose encoder emits node features one wider than the model
 /// was built for. `ModelBundle::new` skips the width check
-/// `ModelBundle::load` does, so the first priced batch panics in the
+/// `ModelBundle::load` does, so the first priced job panics in the
 /// LSTM kernel's input guard — a pricing fault with no injection seam.
 fn mismatched_bundle() -> ModelBundle {
     bundle_with_model_input(1)
-}
-
-/// The tiny untrained bundle, its model built for node features
-/// `narrower_by` narrower than the bundled encoder emits.
-fn bundle_with_model_input(narrower_by: usize) -> ModelBundle {
-    let corpus = vec![vec!["filescan".to_string(), "hashaggregate".to_string()]];
-    let encoder = PlanEncoder::new(
-        w2v_train(&corpus, &W2vConfig { dim: 4, epochs: 1, ..Default::default() }),
-        EncoderConfig { max_nodes: 32, structure: true },
-    );
-    let model = CostModel::new(ModelConfig {
-        hidden: 8,
-        latent_k: 4,
-        head_hidden: 8,
-        ..ModelConfig::raal(encoder.node_dim() - narrower_by)
-    });
-    ModelBundle::new(model, &encoder)
 }
 
 fn analytical() -> Arc<dyn FallbackModel + Send + Sync> {
@@ -163,7 +90,7 @@ fn healthy_service_answers_with_the_model() {
         service.shutdown();
     });
     assert!(lines.iter().any(|l| l.contains("serving.predict.model")));
-    assert!(lines.iter().any(|l| l.contains("serving.shard.batches")));
+    assert!(lines.iter().any(|l| l.contains("serving.shard.dispatch")));
     assert!(
         lines.iter().any(|l| l.contains("serving.tenant.predict.tenant_a")),
         "per-tenant counter missing (tenant id should be sanitized)"
@@ -278,29 +205,28 @@ fn predict_many_batches_with_per_plan_admission() {
     }
 }
 
-/// The coalescing property: predictions must be **bit-identical**
-/// whether a plan is priced alone, in a caller batch, or coalesced with
-/// other tenants' concurrent requests — cross-request batching may
-/// change throughput, never answers.
+/// The bit-identity property: a prediction must be **bit-identical**
+/// whether its plan is priced alone, in a caller's `predict_many`, or
+/// while other tenants' jobs wait in the same shard queue — concurrency
+/// may change throughput, never answers.
 #[test]
-fn coalesced_predictions_are_bit_identical_to_sequential() {
+fn concurrent_predictions_are_bit_identical_to_sequential() {
     let engine = engine();
     let mut plans = candidate_plans(&engine);
     plans.push(some_plan(&engine));
     let features = resources().feature_vector(&ClusterConfig::default());
 
     // Reference: every plan priced one at a time, straight through the
-    // frozen model.
+    // unfrozen model.
     let bundle = tiny_bundle();
     let encoder = bundle.encoder();
-    let frozen = FrozenModel::freeze(bundle.model);
     let expected: Vec<f64> = plans
         .iter()
-        .map(|p| frozen.predict_seconds(&encoder.encode(p), &features))
+        .map(|p| bundle.model.predict_seconds(&encoder.encode(p), &features))
         .collect();
 
-    // Concurrent clients hammer a small shard fleet so dispatch-time
-    // coalescing actually happens (one shard, many waiting clients).
+    // Concurrent clients hammer one shard, so jobs do queue up behind
+    // one another.
     let service = Arc::new(ShardedServing::new(tiny_bundle(), analytical(), generous(1)));
     let threads = 8;
     let rounds = 12;
@@ -321,7 +247,7 @@ fn coalesced_predictions_are_bit_identical_to_sequential() {
                         assert_eq!(
                             pred.seconds.to_bits(),
                             expected[i].to_bits(),
-                            "coalesced single predict diverged from sequential reference"
+                            "concurrent single predict diverged from sequential reference"
                         );
                     } else {
                         let refs: Vec<&PhysicalPlan> = plans.iter().collect();
@@ -332,7 +258,7 @@ fn coalesced_predictions_are_bit_identical_to_sequential() {
                             assert_eq!(
                                 pred.seconds.to_bits(),
                                 expected[k].to_bits(),
-                                "coalesced batch predict diverged from sequential reference"
+                                "concurrent predict_many diverged from sequential reference"
                             );
                         }
                     }
@@ -341,7 +267,7 @@ fn coalesced_predictions_are_bit_identical_to_sequential() {
         }
     });
     let stats = service.slo_stats();
-    assert_eq!(stats.hit_rate(), 1.0, "every coalesced predict should hit the model");
+    assert_eq!(stats.hit_rate(), 1.0, "every predict should hit the model");
 }
 
 /// One way to break the assembled service, and what its callers may
@@ -511,13 +437,48 @@ fn under_faults_every_call_is_answered_and_counted_once() {
     });
 }
 
+/// A pricing panic costs the shard, never an answer: the job that
+/// tripped it and the job queued behind it both come back `WorkerLost`
+/// with their analytical estimates, each counted once — whether the
+/// dispatcher takes both in one drain (pinned by `shard.rs`'s in-module
+/// test) or wakes once per job.
+#[test]
+fn a_pricing_panic_answers_the_job_behind_it_worker_lost_too() {
+    const ROUNDS: u64 = 16;
+    let engine = engine();
+    let plan = some_plan(&engine);
+    let res = resources();
+    telemetry::testing::capture(|| {
+        for _ in 0..ROUNDS {
+            let service = ShardedServing::new(mismatched_bundle(), analytical(), generous(1));
+            let start = Barrier::new(2);
+            std::thread::scope(|s| {
+                for tenant in ["lost-first", "lost-behind"] {
+                    let (service, start, plan, res) = (&service, &start, &plan, &res);
+                    s.spawn(move || {
+                        start.wait();
+                        let pred = service.predict(tenant, plan, res);
+                        assert_eq!(pred.source, WORKER_LOST);
+                        assert_eq!(pred.seconds, 1.0 + plan.len() as f64);
+                    });
+                }
+            });
+            let stats = service.slo_stats();
+            assert_eq!((stats.total, stats.count(FallbackReason::WorkerLost)), (2, 2));
+        }
+        // Only captures trip this counter, and captures are serialised.
+        let snap = telemetry::metrics_snapshot();
+        assert_eq!(snap.counters[FallbackReason::WorkerLost.counter()], 2 * ROUNDS);
+    });
+}
+
 /// The plan-context cache may change *where* a plan is priced — on the
 /// dispatcher from a fresh context, on the dispatcher from a cached
 /// one, or in place on the caller's thread — never *what* it is priced
 /// at: over a stream mixing a hot set under varying resources, plans
 /// never seen twice and `predict_many` calls that hit only in part,
 /// every answer is the model's and carries exactly the bits
-/// `FrozenModel::predict_packed` gives the freshly encoded plan. Every
+/// `CostModel::predict_seconds` gives the freshly encoded plan. Every
 /// admitted plan is one cache lookup, counted once.
 #[test]
 fn warm_plans_are_priced_from_cached_contexts_with_the_same_bits() {
@@ -543,10 +504,10 @@ fn warm_plans_are_priced_from_cached_contexts_with_the_same_bits() {
     };
     let bundle = tiny_bundle();
     let encoder = bundle.encoder();
-    let frozen = FrozenModel::freeze(bundle.model);
     let reference = |plan: &PhysicalPlan, res: &ResourceConfig| {
-        let features = res.feature_vector(&cluster);
-        frozen.predict_packed(&[(&encoder.encode(plan), features.as_slice())])[0]
+        bundle
+            .model
+            .predict_seconds(&encoder.encode(plan), &res.feature_vector(&cluster))
     };
 
     telemetry::testing::capture(|| {
@@ -577,7 +538,7 @@ fn warm_plans_are_priced_from_cached_contexts_with_the_same_bits() {
                             assert_eq!(
                                 pred.seconds.to_bits(),
                                 reference(plan, &res).to_bits(),
-                                "client {t} round {r}: served bits differ from predict_packed"
+                                "client {t} round {r}: served bits differ from predict_seconds"
                             );
                         }
                         sent.fetch_add(call.len() as u64, Ordering::Relaxed);
@@ -674,25 +635,6 @@ fn dropping_a_busy_service_joins_all_threads() {
         assert!(pred.seconds.is_finite());
     }
     drop(service);
-}
-
-#[test]
-fn slo_gauges_and_batch_histograms_reach_the_registry() {
-    let engine = engine();
-    let plan = some_plan(&engine);
-    telemetry::testing::capture(|| {
-        let service = ShardedServing::new(tiny_bundle(), analytical(), generous(1));
-        let refs = [&plan, &plan];
-        let preds = service.predict_many("gauges", &refs, &resources());
-        assert_eq!(preds.len(), 2);
-        service.shutdown();
-        let snap = service.metrics_snapshot();
-        assert_eq!(snap.gauges["serving.slo.hit_rate"], 1.0);
-        assert_eq!(snap.gauges["serving.slo.burn.tenant_quota"], 0.0);
-        assert!(snap.counters["serving.shard.batches"] >= 1);
-        assert!(snap.hists["serving.batch_size"].all.count >= 1);
-        assert_eq!(snap.counters["serving.tenant.predict.gauges"], 2);
-    });
 }
 
 /// Building blocks behave sanely outside the service too (the

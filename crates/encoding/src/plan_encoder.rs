@@ -170,12 +170,11 @@ impl PlanEncoder {
             return plan.validate();
         }
         let offset = self.w2v.dim() + onehot::DIM;
-        let rows: Vec<Vec<f32>> = plan
-            .node_features
-            .iter()
-            .map(|r| r[offset..offset + self.cfg.max_nodes].to_vec())
-            .collect();
-        analysis::dag::validate_signed_rows(&plan.children, &rows, self.cfg.max_nodes)
+        analysis::dag::validate_signed_rows(
+            &plan.children,
+            &plan.node_features,
+            offset..offset + self.cfg.max_nodes,
+        )
     }
 
     /// Encodes a full training sample.

@@ -108,7 +108,6 @@ pub const COUNTER_NAMES: &[&str] = &[
     "infer.predict.single",
     "infer.plan_context.build",
     "infer.predict.with_context",
-    "infer.predict.packed",
     "infer.quant.build",
     "infer.arena.alloc",
     "serving.predict",
@@ -119,7 +118,6 @@ pub const COUNTER_NAMES: &[&str] = &[
     "serving.fallback.busy",
     "serving.fallback.worker_lost",
     "serving.fallback.tenant_quota",
-    "serving.shard.batches",
     "serving.plan_cache.hit",
     "serving.plan_cache.miss",
     "serving.plan_cache.insert",
@@ -133,8 +131,7 @@ pub const COUNTER_NAMES: &[&str] = &[
 /// is the serving layer's end-to-end latency (deadline hit-rate's raw
 /// material); the windowed recent view of it is what an SLO dashboard
 /// scrapes.
-pub const HISTOGRAM_NAMES: &[&str] =
-    &["train.batch_ns", "infer.predict_ns", "serving.predict_us", "serving.batch_size"];
+pub const HISTOGRAM_NAMES: &[&str] = &["train.batch_ns", "infer.predict_ns", "serving.predict_us"];
 
 /// Registered gauge names (`telemetry::gauge`): last-write-wins live
 /// values. The `serving.slo.*` family is the serving layer's SLO

@@ -1,15 +1,13 @@
 //! Tier-1 smoke for the serving path: train → bundle → serve. The
 //! service must answer from the model with exactly the bits
-//! `FrozenModel::predict_packed` produces for the same encoded plans —
-//! which are the bits `CostModel::predict_seconds` of the source model
-//! produces one plan at a time — the single-caller `ServingModel` façade must agree with it, and a
-//! repeated plan (the plan-context cache's route) must not change a bit.
+//! `CostModel::predict_seconds` of the source model produces for the
+//! same encoded plans, the single-caller `ServingModel` façade must
+//! agree with it, and a repeated plan (the plan-context cache's route)
+//! must not change a bit.
 
 use raal::dataset::{collect, CollectionConfig};
 use raal::serving::{PredictionSource, ServingConfig, ServingModel};
-use raal::{
-    CostModel, FrozenModel, ModelBundle, ModelConfig, ShardConfig, ShardedServing, TrainConfig,
-};
+use raal::{CostModel, ModelBundle, ModelConfig, ShardConfig, ShardedServing, TrainConfig};
 use sparksim::plan::physical::PhysicalPlan;
 use sparksim::plan::planner::PlannerOptions;
 use sparksim::{ClusterConfig, Engine, ResourceConfig, SimulatorConfig};
@@ -68,26 +66,14 @@ fn served_predictions_are_the_frozen_models_bits() {
     assert!(plans.len() >= 2, "collection too small");
 
     // Reference: the same plans, encoded the same way, straight through
-    // the frozen model.
+    // the trained model, one at a time.
     let encoded: Vec<_> = plans.iter().map(|p| encoder.encode(p)).collect();
     let features = res.feature_vector(&cluster);
-    let items: Vec<_> = encoded.iter().map(|e| (e, features.as_slice())).collect();
-    let frozen = FrozenModel::freeze(model.clone());
-    let expected = frozen.predict_packed(&items);
+    let expected: Vec<f64> = encoded.iter().map(|e| model.predict_seconds(e, &features)).collect();
     // And the first plan under a second resource state, for the
     // repeat-plan case below.
     let scaled = ResourceConfig { executors: res.executors + 1, ..res.clone() };
-    let scaled_features = scaled.feature_vector(&cluster);
-    let expected_scaled = frozen.predict_packed(&[(&encoded[0], scaled_features.as_slice())])[0];
-    // One weight tier: freezing and packing change no bit of what the
-    // trained model itself predicts, so neither does serving.
-    for (e, want) in encoded.iter().zip(&expected) {
-        assert_eq!(model.predict_seconds(e, &features).to_bits(), want.to_bits());
-    }
-    assert_eq!(
-        model.predict_seconds(&encoded[0], &scaled_features).to_bits(),
-        expected_scaled.to_bits()
-    );
+    let expected_scaled = model.predict_seconds(&encoded[0], &scaled.feature_vector(&cluster));
 
     let serving = ServingConfig {
         deadline: Duration::from_secs(30),
@@ -121,7 +107,7 @@ fn served_predictions_are_the_frozen_models_bits() {
 
     // The same plan again, under resources the service has not seen:
     // from its third sighting on it is priced on this thread from the
-    // cached context, and must still be `predict_packed`'s bits.
+    // cached context, and must still be `predict_seconds`'s bits.
     for sighting in 2..=4 {
         let got = service.predict("smoke", plans[0], &scaled);
         assert_eq!(got.source, PredictionSource::Model, "sighting {sighting}");
