@@ -247,7 +247,7 @@ pub struct EntryPoint {
 /// dispatcher loop that prices everything else), the model fast paths
 /// (`CostModel` / `FrozenModel` context planning, per-plan prediction
 /// and `predict_with_context`, the head both serving routes end in),
-/// the `nn` inference kernel set, and the telemetry record calls those
+/// the plan encoder, the `nn` inference kernel set, and the telemetry record calls those
 /// paths are allowed to make.
 /// `CostModel::predict_batch` is deliberately absent: it spawns scoped
 /// threads per call, which is a throughput API, not the steady-state
@@ -320,6 +320,13 @@ pub const HOT_ENTRY_POINTS: &[EntryPoint] = &[
         krate: "core",
         self_ty: Some("CostModel"),
         name: "predict_packed",
+    },
+    // The encoder every uncached request runs: statement rendering,
+    // tokenizing, embedding lookup and the DAG self-check.
+    EntryPoint {
+        krate: "encoding",
+        self_ty: Some("PlanEncoder"),
+        name: "encode",
     },
     EntryPoint { krate: "nn", self_ty: None, name: "matmul_into" },
     EntryPoint { krate: "nn", self_ty: None, name: "matmul_q8_into" },

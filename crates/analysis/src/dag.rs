@@ -146,40 +146,59 @@ impl fmt::Display for DagError {
 
 impl std::error::Error for DagError {}
 
-/// Validates the child lists of a plan: in-range, strictly preceding,
-/// duplicate-free, single-parent, and a unique root that is the last
-/// node. `children[i]` lists the ids of node `i`'s inputs.
-pub fn validate_children(children: &[Vec<usize>]) -> Result<(), DagError> {
-    let n = children.len();
+/// Parent slot of a node nobody has claimed (yet): the root's, finally.
+const NO_PARENT: usize = usize::MAX;
+
+/// Plans up to this many nodes keep the parent map on the stack (the
+/// planner's largest plan has 34).
+const STACK_NODES: usize = 64;
+
+/// Runs `body` over an `n`-slot parent map filled with [`NO_PARENT`].
+fn with_parent_map<T>(n: usize, body: impl FnOnce(&mut [usize]) -> T) -> T {
+    let mut stack = [NO_PARENT; STACK_NODES];
+    match stack.get_mut(..n) {
+        Some(parent) => body(parent),
+        // HOT-ALLOC: plans over STACK_NODES nodes only.
+        None => body(&mut vec![NO_PARENT; n]),
+    }
+}
+
+/// [`validate_children`], recording each node's parent in `parent`
+/// (`n` slots of [`NO_PARENT`] on entry).
+fn check_children<'a>(
+    n: usize,
+    children: &impl Fn(usize) -> &'a [usize],
+    parent: &mut [usize],
+) -> Result<(), DagError> {
     if n == 0 {
         return Err(DagError::Empty);
     }
-    let mut parent: Vec<Option<usize>> = vec![None; n];
-    for (node, kids) in children.iter().enumerate() {
-        let mut seen: Vec<usize> = Vec::with_capacity(kids.len());
-        for &child in kids {
+    for node in 0..n {
+        for &child in children(node) {
             if child >= n {
                 return Err(DagError::ChildOutOfRange { node, child, len: n });
             }
             if child >= node {
                 return Err(DagError::NotTopological { node, child });
             }
-            if seen.contains(&child) {
-                return Err(DagError::DuplicateChild { node, child });
+            // PANIC-FREE: child < n was checked above and `parent` has
+            // n slots.
+            match std::mem::replace(&mut parent[child], node) {
+                NO_PARENT => {}
+                first if first == node => return Err(DagError::DuplicateChild { node, child }),
+                first => {
+                    return Err(DagError::MultipleParents { node: child, first, second: node })
+                }
             }
-            seen.push(child);
-            if let Some(first) = parent[child] {
-                return Err(DagError::MultipleParents { node: child, first, second: node });
-            }
-            parent[child] = Some(node);
         }
     }
-    let mut roots = (0..n).filter(|&i| parent[i].is_none());
-    // At least one parentless node always exists: edges only point
-    // backwards, so the last node can have no parent.
-    let root = roots
-        .next()
-        .expect("finite forward-edge-free DAG has a parentless node");
+    let mut roots = parent
+        .iter()
+        .enumerate()
+        .filter_map(|(i, &p)| (p == NO_PARENT).then_some(i));
+    // PANIC-FREE: edges only point backwards (checked above), so the
+    // last node is always parentless.
+    let root = roots.next().expect("the last node has no parent");
     if let Some(second) = roots.next() {
         return Err(DagError::MultipleRoots { first: root, second });
     }
@@ -189,64 +208,78 @@ pub fn validate_children(children: &[Vec<usize>]) -> Result<(), DagError> {
     Ok(())
 }
 
-/// Cross-checks signed adjacency rows against the child lists.
-///
-/// Columns `cols` of `rows[i]` are node `i`'s structure row — the rows
-/// are borrowed where they lie, inside the encoder's wider feature
-/// rows, not copied out. Only the columns a row actually has are
-/// inspected (the encoder truncates plans longer than its `max_nodes`
-/// to that window, so out-of-window relations legitimately vanish).
-/// The child lists must already satisfy [`validate_children`].
-pub fn validate_signed_rows<R: AsRef<[f32]>>(
-    children: &[Vec<usize>],
-    rows: &[R],
-    cols: std::ops::Range<usize>,
+/// Validates the child lists of an `n`-node plan: in-range, strictly
+/// preceding, duplicate-free, single-parent, and a unique root that is
+/// the last node. `children(i)` lists the ids of node `i`'s inputs.
+pub fn validate_children<'a>(
+    n: usize,
+    children: impl Fn(usize) -> &'a [usize],
 ) -> Result<(), DagError> {
-    validate_children(children)?;
-    let n = children.len();
-    assert_eq!(rows.len(), n, "one signed row per node");
-    let width = cols.len();
-    let signed = |node: usize| -> &[f32] {
-        let row = rows[node].as_ref();
-        row.get(cols.start..cols.end.min(row.len())).unwrap_or(&[])
-    };
+    with_parent_map(n, |parent| check_children(n, &children, parent))
+}
 
-    // Parent map (validated single-parent above).
-    let mut parent: Vec<Option<usize>> = vec![None; n];
-    for (node, kids) in children.iter().enumerate() {
-        for &c in kids {
-            parent[c] = Some(node);
+/// Validates the child lists ([`validate_children`]) and cross-checks
+/// the signed adjacency rows against them.
+///
+/// `signed(i)` is node `i`'s structure row, borrowed where it lies
+/// inside the encoder's feature buffer. Only the columns a row
+/// actually has are inspected (the encoder truncates plans longer than
+/// its `max_nodes` to that window, so out-of-window relations
+/// legitimately vanish). A row is first compared with what the child
+/// lists predict — `+1` at each child, `-1` at the parent, and exactly
+/// that many non-zero entries — and only a row that differs is walked
+/// entry by entry for the diagnosis.
+pub fn validate_signed_rows<'a, 'b>(
+    n: usize,
+    children: impl Fn(usize) -> &'a [usize],
+    signed: impl Fn(usize) -> &'b [f32],
+) -> Result<(), DagError> {
+    with_parent_map(n, |parent| {
+        check_children(n, &children, parent)?;
+        for (node, &up) in parent.iter().enumerate() {
+            let (row, kids) = (signed(node), children(node));
+            let expected = kids.iter().chain([&up]).filter(|&&col| col < row.len()).count();
+            let as_predicted = kids.iter().all(|&c| row.get(c).is_none_or(|&v| v == 1.0))
+                && row.get(up).is_none_or(|&v| v == -1.0)
+                && row.iter().filter(|&&v| v != 0.0).count() == expected;
+            if !as_predicted {
+                diagnose_row(node, row, kids, up)?;
+            }
+            // Every +1 child entry must be mirrored by the child's -1:
+            // checked from the parent's side so a zeroed child row is
+            // caught.
+            for &c in kids {
+                if signed(c).get(node).is_some_and(|&v| v != -1.0) {
+                    return Err(DagError::MissingParentEntry { child: c, parent: node });
+                }
+            }
         }
-    }
+        Ok(())
+    })
+}
 
-    for node in 0..n {
-        for (col, &v) in signed(node).iter().enumerate() {
-            let is_child = children[node].contains(&col);
-            let is_parent = parent[node] == Some(col);
-            if v == 1.0 {
-                if !is_child {
-                    return Err(DagError::OrphanChildEntry { node, col });
-                }
-            } else if v == -1.0 {
-                if !is_parent {
-                    // A -1 at a non-parent column means the rows and the
-                    // child lists disagree about who points at whom.
-                    return Err(DagError::OrphanChildEntry { node, col });
-                }
-            } else if v != 0.0 {
-                return Err(DagError::BadEntry { node, col, value: v });
-            } else if is_child {
-                // The child edge exists but the row says nothing: the +1
-                // entry was lost (within the visible window).
+/// Names the first entry of a signed row that contradicts the node's
+/// children `kids` and parent `up`. A parent entry that reads `0` is
+/// left to the mirrored check, which names both ends.
+fn diagnose_row(node: usize, row: &[f32], kids: &[usize], up: usize) -> Result<(), DagError> {
+    for (col, &v) in row.iter().enumerate() {
+        let is_child = kids.contains(&col);
+        if v == 1.0 {
+            if !is_child {
                 return Err(DagError::OrphanChildEntry { node, col });
             }
-        }
-        // Every +1 child entry must be mirrored by the child's -1: check
-        // from the child lists so a zeroed child row is caught.
-        for &c in &children[node] {
-            if node < width && signed(c).get(node).is_some_and(|&v| v != -1.0) {
-                return Err(DagError::MissingParentEntry { child: c, parent: node });
+        } else if v == -1.0 {
+            if col != up {
+                // A -1 at a non-parent column means the rows and the
+                // child lists disagree about who points at whom.
+                return Err(DagError::OrphanChildEntry { node, col });
             }
+        } else if v != 0.0 {
+            return Err(DagError::BadEntry { node, col, value: v });
+        } else if is_child {
+            // The child edge exists but the row says nothing: the +1
+            // entry was lost (within the visible window).
+            return Err(DagError::OrphanChildEntry { node, col });
         }
     }
     Ok(())
@@ -259,6 +292,14 @@ mod tests {
     /// scan -> filter -> agg chain plus a two-child join root.
     fn valid_children() -> Vec<Vec<usize>> {
         vec![vec![], vec![0], vec![], vec![1, 2]]
+    }
+
+    fn validate_children(children: &[Vec<usize>]) -> Result<(), DagError> {
+        super::validate_children(children.len(), |i| &children[i])
+    }
+
+    fn validate_signed_rows(children: &[Vec<usize>], rows: &[Vec<f32>]) -> Result<(), DagError> {
+        super::validate_signed_rows(children.len(), |i| &children[i], |i| &rows[i])
     }
 
     fn rows_for(children: &[Vec<usize>], width: usize) -> Vec<Vec<f32>> {
@@ -291,7 +332,7 @@ mod tests {
     fn valid_tree_passes() {
         validate_children(&valid_children()).unwrap();
         let rows = rows_for(&valid_children(), 8);
-        validate_signed_rows(&valid_children(), &rows, 0..8).unwrap();
+        validate_signed_rows(&valid_children(), &rows).unwrap();
     }
 
     #[test]
@@ -366,7 +407,7 @@ mod tests {
         let mut rows = rows_for(&children, 8);
         rows[0][2] = 1.0; // claims a child it does not have
         assert_eq!(
-            validate_signed_rows(&children, &rows, 0..8),
+            validate_signed_rows(&children, &rows),
             Err(DagError::OrphanChildEntry { node: 0, col: 2 })
         );
     }
@@ -377,7 +418,7 @@ mod tests {
         let mut rows = rows_for(&children, 8);
         rows[1][3] = 0.0; // child 1 forgets its parent 3
         assert_eq!(
-            validate_signed_rows(&children, &rows, 0..8),
+            validate_signed_rows(&children, &rows),
             Err(DagError::MissingParentEntry { child: 1, parent: 3 })
         );
     }
@@ -388,7 +429,7 @@ mod tests {
         let mut rows = rows_for(&children, 8);
         rows[3][0] = 0.5;
         assert_eq!(
-            validate_signed_rows(&children, &rows, 0..8),
+            validate_signed_rows(&children, &rows),
             Err(DagError::BadEntry { node: 3, col: 0, value: 0.5 })
         );
     }
@@ -398,7 +439,26 @@ mod tests {
         // Width-2 window: node 3's edges to 1 and 2 fall partly outside.
         let children = valid_children();
         let rows = rows_for(&children, 2);
-        validate_signed_rows(&children, &rows, 0..2).unwrap();
+        validate_signed_rows(&children, &rows).unwrap();
+    }
+
+    #[test]
+    fn plans_wider_than_the_stack_map_are_checked_alike() {
+        let mut children: Vec<Vec<usize>> = (0..3 * STACK_NODES)
+            .map(|i| if i == 0 { vec![] } else { vec![i - 1] })
+            .collect();
+        let mut rows = rows_for(&children, 8);
+        validate_signed_rows(&children, &rows).unwrap();
+        rows[5][2] = -1.0;
+        assert_eq!(
+            validate_signed_rows(&children, &rows),
+            Err(DagError::OrphanChildEntry { node: 5, col: 2 })
+        );
+        children[100] = vec![98];
+        assert_eq!(
+            validate_children(&children),
+            Err(DagError::MultipleParents { node: 98, first: 99, second: 100 })
+        );
     }
 
     #[test]

@@ -117,7 +117,7 @@ impl TlstmModel {
         let mut cs: Vec<Var> = Vec::with_capacity(n);
         for i in 0..n {
             // Child-sum recurrent state.
-            let (h_in, c_in) = match plan.children[i].as_slice() {
+            let (h_in, c_in) = match plan.children(i) {
                 [] => (zero, zero),
                 [one] => (hs[*one], cs[*one]),
                 kids => {
@@ -160,13 +160,7 @@ impl TlstmModel {
 }
 
 fn node_matrix(plan: &EncodedPlan) -> Tensor {
-    let n = plan.num_nodes();
-    let dim = plan.node_features[0].len();
-    let mut data = Vec::with_capacity(n * dim);
-    for row in &plan.node_features {
-        data.extend_from_slice(row);
-    }
-    Tensor::from_vec(n, dim, data)
+    Tensor::from_vec(plan.num_nodes(), plan.node_dim(), plan.node_features().to_vec())
 }
 
 /// Trains a TLSTM model with mini-batch Adam (the raal trainer's loop,
@@ -242,11 +236,11 @@ mod tests {
     use encoding::plan_encoder::Sample;
 
     fn toy_plan(v: f32) -> EncodedPlan {
-        EncodedPlan {
-            node_features: vec![vec![v; 10], vec![v * 0.5; 10], vec![v * 0.25; 10]],
-            children: vec![vec![], vec![], vec![0, 1]],
-            plan_stats: vec![v; PLAN_STAT_FEATURES],
-        }
+        EncodedPlan::from_rows(
+            &[vec![v; 10], vec![v * 0.5; 10], vec![v * 0.25; 10]],
+            &[vec![], vec![], vec![0, 1]],
+            [v; PLAN_STAT_FEATURES],
+        )
     }
 
     #[test]

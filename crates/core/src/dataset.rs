@@ -248,7 +248,7 @@ mod tests {
         for s in &samples {
             assert!(s.seconds > 0.0 && s.seconds.is_finite());
             assert_eq!(s.resources.len(), ResourceConfig::NUM_FEATURES);
-            assert!(!s.plan.node_features.is_empty());
+            assert!(s.plan.num_nodes() > 0);
         }
     }
 

@@ -465,7 +465,7 @@ impl CostModel {
             let mut reps = Vec::with_capacity(n);
             for i in 0..n {
                 let hi = g.slice_rows(h, i, 1);
-                let kids = &plan.children[i];
+                let kids = plan.children(i);
                 if kids.is_empty() {
                     reps.push(hi);
                     continue;
@@ -567,34 +567,27 @@ impl CostModel {
             let arena = &mut *cell.borrow_mut();
             let hidden = self.cfg.hidden;
 
-            // Pack node features row-major (the fast-path node_matrix).
-            // PANIC-FREE: n > 0 was asserted above, so row 0 exists.
-            let dim = plan.node_features[0].len();
-            let mut xs = arena.take(n * dim);
-            for (row, feat) in xs.chunks_mut(dim).zip(&plan.node_features) {
-                debug_assert_eq!(feat.len(), dim);
-                row.copy_from_slice(feat);
-            }
+            // The encoder's buffer is already the row-major node matrix.
+            let xs = plan.node_features();
 
             // Plan feature layer.
             let h = {
                 let _k = telemetry::kernel_span("infer.plan_layer");
                 match self.cfg.plan_layer {
                     PlanLayerKind::Lstm => match &self.lstm {
-                        Some(lstm) => lstm.infer_seq(&self.store, &xs, n, arena),
+                        Some(lstm) => lstm.infer_seq(&self.store, xs, n, arena),
                         // PANIC-FREE: the constructor builds the LSTM
                         // cell whenever the config selects Lstm.
                         None => panic!("lstm exists for Lstm kind"),
                     },
                     PlanLayerKind::Cnn => match &self.cnn {
-                        Some(cnn) => cnn.infer_seq(&self.store, &xs, n, arena),
+                        Some(cnn) => cnn.infer_seq(&self.store, xs, n, arena),
                         // PANIC-FREE: the constructor builds the Conv1d
                         // layer whenever the config selects Cnn.
                         None => panic!("cnn exists for Cnn kind"),
                     },
                 }
             };
-            arena.give(xs);
 
             // Node-aware attention and mean pooling. `p[j]` accumulates
             // `rep_i[j] / n` over nodes in order, matching the tape's
@@ -627,7 +620,7 @@ impl CostModel {
                     // PANIC-FREE: i < n; h has n * hidden elements and
                     // the encoder emits one children list per node.
                     let hi = &h[i * hidden..(i + 1) * hidden];
-                    let kids = &plan.children[i];
+                    let kids = plan.children(i);
                     if kids.is_empty() {
                         for (acc, &v) in p.iter_mut().zip(hi.iter()) {
                             *acc += v / n as f32;
@@ -926,14 +919,7 @@ pub fn thread_arena_stats() -> nn::ArenaStats {
 }
 
 fn node_matrix(plan: &EncodedPlan) -> Tensor {
-    let n = plan.num_nodes();
-    let dim = plan.node_features[0].len();
-    let mut data = Vec::with_capacity(n * dim);
-    for row in &plan.node_features {
-        debug_assert_eq!(row.len(), dim);
-        data.extend_from_slice(row);
-    }
-    Tensor::from_vec(n, dim, data)
+    Tensor::from_vec(plan.num_nodes(), plan.node_dim(), plan.node_features().to_vec())
 }
 
 #[cfg(test)]
@@ -941,7 +927,7 @@ mod tests {
     use super::*;
 
     fn toy_plan(n: usize, dim: usize) -> EncodedPlan {
-        let node_features = (0..n)
+        let node_features: Vec<Vec<f32>> = (0..n)
             .map(|i| (0..dim).map(|d| ((i * 7 + d) % 13) as f32 / 13.0).collect())
             .collect();
         // Chain, except the root is a join-like node with two children —
@@ -958,11 +944,7 @@ mod tests {
                 }
             })
             .collect();
-        EncodedPlan {
-            node_features,
-            children,
-            plan_stats: vec![0.1; PLAN_STAT_FEATURES],
-        }
+        EncodedPlan::from_rows(&node_features, &children, [0.1; PLAN_STAT_FEATURES])
     }
 
     fn resources() -> Vec<f32> {

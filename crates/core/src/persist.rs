@@ -114,11 +114,11 @@ mod tests {
             head_hidden: 8,
             ..ModelConfig::raal(encoder.node_dim())
         });
-        let plan = EncodedPlan {
-            node_features: vec![vec![0.25; encoder.node_dim()]; 3],
-            children: vec![vec![], vec![0], vec![1]],
-            plan_stats: vec![0.3; PLAN_STAT_FEATURES],
-        };
+        let plan = EncodedPlan::from_rows(
+            &vec![vec![0.25; encoder.node_dim()]; 3],
+            &[vec![], vec![0], vec![1]],
+            [0.3; PLAN_STAT_FEATURES],
+        );
         let res = vec![0.5f32; 7];
         let expected = model.predict_seconds(&plan, &res);
 
@@ -144,11 +144,11 @@ mod tests {
             head_hidden: 8,
             ..ModelConfig::raal(encoder.node_dim())
         });
-        let plan = EncodedPlan {
-            node_features: vec![vec![0.25; encoder.node_dim()]; 3],
-            children: vec![vec![], vec![0], vec![1]],
-            plan_stats: vec![0.3; PLAN_STAT_FEATURES],
-        };
+        let plan = EncodedPlan::from_rows(
+            &vec![vec![0.25; encoder.node_dim()]; 3],
+            &[vec![], vec![0], vec![1]],
+            [0.3; PLAN_STAT_FEATURES],
+        );
         let res = vec![0.5f32; 7];
         let expected = model.predict_seconds(&plan, &res);
 

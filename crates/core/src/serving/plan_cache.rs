@@ -238,11 +238,11 @@ mod tests {
 
     /// An exact-sized context (a clone, as the dispatcher retains it).
     fn tight_context(model: &CostModel) -> PlanContext {
-        let built = model.plan_context(&EncodedPlan {
-            node_features: vec![vec![0.5; 6]; 3],
-            children: vec![vec![], vec![0], vec![1]],
-            plan_stats: vec![0.1; PLAN_STAT_FEATURES],
-        });
+        let built = model.plan_context(&EncodedPlan::from_rows(
+            &vec![vec![0.5; 6]; 3],
+            &[vec![], vec![0], vec![1]],
+            [0.1; PLAN_STAT_FEATURES],
+        ));
         built.clone()
     }
 

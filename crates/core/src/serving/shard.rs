@@ -1162,11 +1162,11 @@ mod tests {
         for fallback in [1.0, 2.0] {
             // One feature wider than the model reads: the LSTM kernel's
             // input guard panics.
-            let plan = EncodedPlan {
-                node_features: vec![vec![0.0; NODE_DIM + 1]],
-                children: vec![vec![]],
-                plan_stats: vec![0.0; PLAN_STAT_FEATURES],
-            };
+            let plan = EncodedPlan::from_rows(
+                &[vec![0.0; NODE_DIM + 1]],
+                &[vec![]],
+                [0.0; PLAN_STAT_FEATURES],
+            );
             let reply = Arc::new(ReplySlot::new());
             let job = ShardJob {
                 plans: vec![JobPlan::Encoded { plan, admit: None }],

@@ -240,16 +240,16 @@ mod tests {
                 let v = (i % 17) as f32 / 17.0;
                 let r = (i % 5) as f32 / 5.0;
                 let node_features = vec![vec![v; dim]; 4];
-                let children = vec![vec![], vec![0], vec![1], vec![2]];
+                let children = [vec![], vec![0], vec![1], vec![2]];
                 let mut resources = vec![0.5f32; 7];
                 resources[2] = r;
                 let seconds = (20.0 * v as f64 + 30.0 * (1.0 - r as f64)) + 5.0;
                 Sample {
-                    plan: EncodedPlan {
-                        node_features,
-                        children,
-                        plan_stats: vec![v; PLAN_STAT_FEATURES],
-                    },
+                    plan: EncodedPlan::from_rows(
+                        &node_features,
+                        &children,
+                        [v; PLAN_STAT_FEATURES],
+                    ),
                     resources,
                     seconds,
                 }

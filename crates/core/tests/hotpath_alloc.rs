@@ -99,13 +99,12 @@ fn count_allocs<R>(f: impl FnOnce() -> R) -> (u64, R) {
 const DIM: usize = 10;
 
 fn toy_plan(n: usize) -> EncodedPlan {
-    EncodedPlan {
-        node_features: (0..n)
-            .map(|i| (0..DIM).map(|d| ((i * 5 + d) % 11) as f32 / 11.0).collect())
-            .collect(),
-        children: (0..n).map(|i| if i == 0 { vec![] } else { vec![i - 1] }).collect(),
-        plan_stats: vec![0.2; PLAN_STAT_FEATURES],
-    }
+    let rows: Vec<Vec<f32>> = (0..n)
+        .map(|i| (0..DIM).map(|d| ((i * 5 + d) % 11) as f32 / 11.0).collect())
+        .collect();
+    let children: Vec<Vec<usize>> =
+        (0..n).map(|i| if i == 0 { vec![] } else { vec![i - 1] }).collect();
+    EncodedPlan::from_rows(&rows, &children, [0.2; PLAN_STAT_FEATURES])
 }
 
 /// `SELECT COUNT(*) FROM t WHERE id < bound`: one plan shape, a
@@ -207,11 +206,11 @@ fn served_hit_allocates_at_most_once_per_predict() {
 /// repeats (a repeat would be cached and leave this route).
 #[test]
 fn queued_miss_allocations_per_predict_are_held() {
-    /// It read 136 at the parent commit, where the dispatcher also
-    /// built a batch-level item list and result vector per drain and
-    /// the encoder's self-check cloned every structure row. Nearly all
-    /// of what is left is the encoder (ROADMAP item 4d).
-    const PER_PREDICT: u64 = 129;
+    /// It read 129 while the encoder built a statement string, a
+    /// string per token and five vectors per node. It reads 8 now: the
+    /// encoder's three buffers and word scratch, the job's plan list,
+    /// fallback list and reply slot, and the outcome.
+    const PER_PREDICT: u64 = 16;
     const WARM: usize = 16;
     const CALLS: u64 = 64;
     let _serial = serial();

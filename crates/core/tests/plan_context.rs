@@ -8,13 +8,12 @@ use raal::{train, CostModel, ModelConfig, TrainConfig};
 const DIM: usize = 10;
 
 fn toy_plan(n: usize) -> EncodedPlan {
-    EncodedPlan {
-        node_features: (0..n)
-            .map(|i| (0..DIM).map(|d| ((i * 5 + d) % 11) as f32 / 11.0).collect())
-            .collect(),
-        children: (0..n).map(|i| if i == 0 { vec![] } else { vec![i - 1] }).collect(),
-        plan_stats: vec![0.2; PLAN_STAT_FEATURES],
-    }
+    let rows: Vec<Vec<f32>> = (0..n)
+        .map(|i| (0..DIM).map(|d| ((i * 5 + d) % 11) as f32 / 11.0).collect())
+        .collect();
+    let children: Vec<Vec<usize>> =
+        (0..n).map(|i| if i == 0 { vec![] } else { vec![i - 1] }).collect();
+    EncodedPlan::from_rows(&rows, &children, [0.2; PLAN_STAT_FEATURES])
 }
 
 fn resources() -> Vec<f32> {

@@ -8,7 +8,7 @@
 //!   share one weight copy;
 //! * a warmed prediction loop stops allocating inference scratch.
 
-use encoding::plan_encoder::{EncodedPlan, PLAN_STAT_FEATURES};
+use encoding::plan_encoder::EncodedPlan;
 use proptest::prelude::*;
 use raal::{CostModel, FrozenModel, ModelConfig};
 use rand::rngs::StdRng;
@@ -20,10 +20,10 @@ const NODE_DIM: usize = 10;
 /// with extra child edges thrown in, so node-aware attention sees both
 /// leaf nodes and multi-child joins.
 fn random_plan(rng: &mut StdRng, n: usize) -> EncodedPlan {
-    let node_features = (0..n)
+    let node_features: Vec<Vec<f32>> = (0..n)
         .map(|_| (0..NODE_DIM).map(|_| rng.gen_range(-1.0f32..1.0)).collect())
         .collect();
-    let children = (0..n)
+    let children: Vec<Vec<usize>> = (0..n)
         .map(|i| {
             if i == 0 {
                 return Vec::new();
@@ -37,11 +37,8 @@ fn random_plan(rng: &mut StdRng, n: usize) -> EncodedPlan {
             kids
         })
         .collect();
-    EncodedPlan {
-        node_features,
-        children,
-        plan_stats: (0..PLAN_STAT_FEATURES).map(|_| rng.gen_range(0.0f32..1.0)).collect(),
-    }
+    let plan_stats = std::array::from_fn(|_| rng.gen_range(0.0f32..1.0));
+    EncodedPlan::from_rows(&node_features, &children, plan_stats)
 }
 
 fn variant(idx: usize) -> ModelConfig {

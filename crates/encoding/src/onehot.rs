@@ -3,6 +3,8 @@
 //! structure) and as a cheap feature block that tells the model the exact
 //! operator type of each node.
 
+use sparksim::plan::physical::PhysicalOp;
+
 /// Operator vocabulary, Table II order extended with the remaining
 /// operators our planner emits.
 pub const OPERATORS: [&str; 12] = [
@@ -23,18 +25,23 @@ pub const OPERATORS: [&str; 12] = [
 /// Dimension of the one-hot operator block.
 pub const DIM: usize = OPERATORS.len();
 
-/// Index of an operator name, if known.
-pub fn operator_index(name: &str) -> Option<usize> {
-    OPERATORS.iter().position(|&op| op == name)
-}
-
-/// One-hot vector for an operator name (all-zero for unknown names).
-pub fn encode_operator(name: &str) -> Vec<f32> {
-    let mut v = vec![0.0; DIM];
-    if let Some(i) = operator_index(name) {
-        v[i] = 1.0;
+/// The one-hot slot of an operator: the position of its
+/// [`PhysicalOp::name`] in [`OPERATORS`], without comparing names.
+pub fn operator_slot(op: &PhysicalOp) -> usize {
+    match op {
+        PhysicalOp::FileScan { .. } => 0,
+        PhysicalOp::Project { .. } => 1,
+        PhysicalOp::Sort { .. } => 2,
+        PhysicalOp::SortMergeJoin { .. } => 3,
+        PhysicalOp::HashAggregate { .. } => 4,
+        PhysicalOp::ExchangeSingle => 5,
+        PhysicalOp::ExchangeHash { .. } => 6,
+        PhysicalOp::Filter { .. } => 7,
+        PhysicalOp::BroadcastHashJoin { .. } => 8,
+        PhysicalOp::ShuffledHashJoin { .. } => 9,
+        PhysicalOp::BroadcastExchange => 10,
+        PhysicalOp::Limit { .. } => 11,
     }
-    v
 }
 
 #[cfg(test)]
@@ -42,23 +49,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn every_operator_has_distinct_code() {
-        for (i, op) in OPERATORS.iter().enumerate() {
-            let v = encode_operator(op);
-            assert_eq!(v.iter().filter(|&&x| x == 1.0).count(), 1);
-            assert_eq!(v[i], 1.0);
-        }
-    }
-
-    #[test]
-    fn unknown_operator_is_zero() {
-        assert!(encode_operator("Mystery").iter().all(|&x| x == 0.0));
-    }
-
-    #[test]
     fn covers_all_planner_operators() {
-        // The names must match PhysicalOp::name() exactly.
-        use sparksim::plan::physical::{AggMode, PhysicalOp};
+        // Every slot is taken once, by the operator of that name.
+        use sparksim::plan::physical::AggMode;
         use sparksim::plan::spec::AggSpec;
         use sparksim::schema::ColumnRef;
         use sparksim::sql::ast::AggFunc;
@@ -90,8 +83,12 @@ mod tests {
             },
             PhysicalOp::Limit { n: 1 },
         ];
+        let mut taken = [false; DIM];
         for op in ops {
-            assert!(operator_index(op.name()).is_some(), "missing one-hot slot for {}", op.name());
+            let slot = operator_slot(&op);
+            assert_eq!(OPERATORS[slot], op.name());
+            assert!(!std::mem::replace(&mut taken[slot], true), "slot {slot} taken twice");
         }
+        assert_eq!(taken, [true; DIM]);
     }
 }

@@ -10,8 +10,7 @@
 use crate::expr::Expr;
 use crate::plan::spec::AggSpec;
 use crate::schema::ColumnRef;
-use crate::sql::ast::AggFunc;
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 use std::hash::{Hash, Hasher};
 
 /// Index of a node within a [`PhysicalPlan`].
@@ -241,66 +240,76 @@ impl PhysicalPlan {
 
     /// The Spark-`explain`-style execution statement of a node.
     pub fn statement(&self, id: NodeId) -> String {
-        let node = &self.nodes[id];
-        match &node.op {
+        let mut s = String::new();
+        // Writing into a `String` cannot fail.
+        let _ = self.write_statement(id, &mut s);
+        s
+    }
+
+    /// Writes the execution statement of a node into `w` — the one
+    /// renderer: [`Self::statement`] collects it into a `String`, the
+    /// plan encoder streams it through its tokenizer. It builds no
+    /// intermediate text, so it allocates only if `w` does.
+    pub fn write_statement(&self, id: NodeId, w: &mut impl fmt::Write) -> fmt::Result {
+        // PANIC-FREE: callers pass ids below `len()`, like `node()`.
+        match &self.nodes[id].op {
             PhysicalOp::FileScan { table, output, pushed_filter, .. } => {
-                let cols: Vec<String> = output.iter().map(|c| c.column.clone()).collect();
-                let mut s = format!("FileScan {table}[{}]", cols.join(","));
-                if let Some(f) = pushed_filter {
-                    let parts: Vec<String> =
-                        f.split_conjunction().iter().map(|p| p.to_string()).collect();
-                    let _ = write!(s, " PushedFilters: [{}]", parts.join(", "));
+                write!(w, "FileScan {table}[")?;
+                write_list(w, output, ",", |w, c| w.write_str(&c.column))?;
+                w.write_char(']')?;
+                if let Some(filter) = pushed_filter {
+                    w.write_str(" PushedFilters: [")?;
+                    write_conjuncts(w, filter, &mut true)?;
+                    w.write_char(']')?;
                 }
-                s
+                Ok(())
             }
-            PhysicalOp::Filter { predicate } => format!("Filter {predicate}"),
+            PhysicalOp::Filter { predicate } => write!(w, "Filter {predicate}"),
             PhysicalOp::Project { columns } => {
-                let cols: Vec<String> = columns.iter().map(ToString::to_string).collect();
-                format!("Project [{}]", cols.join(", "))
+                w.write_str("Project [")?;
+                write_list(w, columns, ", ", |w, c| write!(w, "{c}"))?;
+                w.write_char(']')
             }
             PhysicalOp::ExchangeHash { keys, partitions } => {
-                let cols: Vec<String> = keys.iter().map(ToString::to_string).collect();
-                format!("Exchange hashpartitioning({}, {partitions})", cols.join(", "))
+                w.write_str("Exchange hashpartitioning(")?;
+                write_list(w, keys, ", ", |w, c| write!(w, "{c}"))?;
+                write!(w, ", {partitions})")
             }
-            PhysicalOp::ExchangeSingle => "Exchange SinglePartition".to_string(),
+            PhysicalOp::ExchangeSingle => w.write_str("Exchange SinglePartition"),
             PhysicalOp::BroadcastExchange => {
-                "BroadcastExchange HashedRelationBroadcastMode".to_string()
+                w.write_str("BroadcastExchange HashedRelationBroadcastMode")
             }
             PhysicalOp::Sort { keys } => {
-                let cols: Vec<String> = keys
-                    .iter()
-                    .map(|(c, asc)| format!("{c} {}", if *asc { "ASC" } else { "DESC" }))
-                    .collect();
-                format!("Sort [{}]", cols.join(", "))
+                w.write_str("Sort [")?;
+                write_list(w, keys, ", ", |w, (c, asc)| {
+                    write!(w, "{c} {}", if *asc { "ASC" } else { "DESC" })
+                })?;
+                w.write_char(']')
             }
             PhysicalOp::SortMergeJoin { left_key, right_key } => {
-                format!("SortMergeJoin [{left_key}], [{right_key}], Inner")
+                write!(w, "SortMergeJoin [{left_key}], [{right_key}], Inner")
             }
             PhysicalOp::BroadcastHashJoin { probe_key, build_key } => {
-                format!("BroadcastHashJoin [{probe_key}], [{build_key}], Inner, BuildRight")
+                write!(w, "BroadcastHashJoin [{probe_key}], [{build_key}], Inner, BuildRight")
             }
             PhysicalOp::ShuffledHashJoin { left_key, right_key } => {
-                format!("ShuffledHashJoin [{left_key}], [{right_key}], Inner, BuildRight")
+                write!(w, "ShuffledHashJoin [{left_key}], [{right_key}], Inner, BuildRight")
             }
             PhysicalOp::HashAggregate { mode, group_by, aggs } => {
-                let keys: Vec<String> = group_by.iter().map(ToString::to_string).collect();
-                let fns: Vec<String> = aggs
-                    .iter()
-                    .map(|a| {
-                        let prefix = match mode {
-                            AggMode::Partial => "partial_",
-                            AggMode::Final => "",
-                        };
-                        match (&a.func, &a.arg) {
-                            (AggFunc::Count, None) => format!("{prefix}count(1)"),
-                            (f, Some(c)) => format!("{prefix}{f}({c})"),
-                            (f, None) => format!("{prefix}{f}(1)"),
-                        }
-                    })
-                    .collect();
-                format!("HashAggregate(keys=[{}], functions=[{}])", keys.join(", "), fns.join(", "))
+                w.write_str("HashAggregate(keys=[")?;
+                write_list(w, group_by, ", ", |w, c| write!(w, "{c}"))?;
+                w.write_str("], functions=[")?;
+                let prefix = match mode {
+                    AggMode::Partial => "partial_",
+                    AggMode::Final => "",
+                };
+                write_list(w, aggs, ", ", |w, a| match &a.arg {
+                    Some(c) => write!(w, "{prefix}{}({c})", a.func),
+                    None => write!(w, "{prefix}{}(1)", a.func),
+                })?;
+                w.write_str("])")
             }
-            PhysicalOp::Limit { n } => format!("CollectLimit {n}"),
+            PhysicalOp::Limit { n } => write!(w, "CollectLimit {n}"),
         }
     }
 
@@ -368,13 +377,46 @@ impl PhysicalPlan {
     }
 }
 
+/// Writes `items` through `item`, separated by `sep`.
+fn write_list<W: fmt::Write, T>(
+    w: &mut W,
+    items: &[T],
+    sep: &str,
+    mut item: impl FnMut(&mut W, &T) -> fmt::Result,
+) -> fmt::Result {
+    for (i, x) in items.iter().enumerate() {
+        if i > 0 {
+            w.write_str(sep)?;
+        }
+        item(w, x)?;
+    }
+    Ok(())
+}
+
+/// Writes the AND-ed factors of `expr`, comma-separated, in the order
+/// [`Expr::split_conjunction`] lists them; `first` is true until one
+/// has been written.
+fn write_conjuncts(w: &mut impl fmt::Write, expr: &Expr, first: &mut bool) -> fmt::Result {
+    if let Expr::And(a, b) = expr {
+        write_conjuncts(w, a, first)?;
+        return write_conjuncts(w, b, first);
+    }
+    if !std::mem::take(first) {
+        w.write_str(", ")?;
+    }
+    write!(w, "{expr}")
+}
+
 /// The hasher behind [`PhysicalPlan::structural_hash`]: one
 /// rotate-xor-multiply per 8-byte word (the FxHash step) and a final
 /// avalanche. A plan is a few hundred short writes — names, tags,
 /// counts — and std's SipHash spends twice as long on them (2.0 us vs
 /// 1.0 us per 18-node plan); nothing here needs its flood resistance,
-/// because a colliding fingerprint can only cost a cache miss.
-struct WordHasher(u64);
+/// because a colliding fingerprint can only cost a cache miss. Public
+/// for the plan encoder's vocabulary map, whose keys come from a
+/// checkpoint, never from a request.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct WordHasher(u64);
 
 impl WordHasher {
     fn word(&mut self, w: u64) {
@@ -420,6 +462,7 @@ impl Hasher for WordHasher {
 mod tests {
     use super::*;
     use crate::expr::CmpOp;
+    use crate::sql::ast::AggFunc;
     use crate::types::Value;
 
     fn two_node_plan() -> PhysicalPlan {
@@ -467,6 +510,110 @@ mod tests {
         let p = two_node_plan();
         assert_eq!(p.statement(0), "FileScan title[id] PushedFilters: [(t.id < 7)]");
         assert_eq!(p.statement(1), "HashAggregate(keys=[], functions=[partial_count(1)])");
+    }
+
+    /// One statement per operator, with the list separators, the
+    /// conjunct split and the aggregate forms — pinned as text, since
+    /// the word2vec vocabulary is trained on exactly these strings.
+    #[test]
+    fn every_operator_renders_its_statement() {
+        let col = |c: &str| ColumnRef::new("t", c);
+        let cmp = |c: &str, op, v| Expr::cmp(col(c), op, v);
+        let filter = Expr::And(
+            Box::new(Expr::And(
+                Box::new(cmp("id", CmpOp::Ge, Value::Int(3))),
+                Box::new(Expr::Or(
+                    Box::new(cmp("kind", CmpOp::Eq, Value::Str("tv".into()))),
+                    Box::new(Expr::IsNull(Box::new(Expr::Column(col("kind"))))),
+                )),
+            )),
+            Box::new(cmp("rating", CmpOp::Lt, Value::Float(8.25))),
+        );
+        let agg = |func, arg: Option<&str>| AggSpec { func, arg: arg.map(col) };
+        let ops = [
+            (
+                PhysicalOp::FileScan {
+                    binding: "t".into(),
+                    table: "title".into(),
+                    output: vec![col("id"), col("kind")],
+                    pushed_filter: Some(filter.clone()),
+                },
+                "FileScan title[id,kind] PushedFilters: [(t.id >= 3), \
+                 ((t.kind = 'tv') || isnull(t.kind)), (t.rating < 8.25)]",
+            ),
+            (
+                PhysicalOp::FileScan {
+                    binding: "t".into(),
+                    table: "title".into(),
+                    output: vec![],
+                    pushed_filter: None,
+                },
+                "FileScan title[]",
+            ),
+            (
+                PhysicalOp::Filter { predicate: filter },
+                "Filter (((t.id >= 3) && ((t.kind = 'tv') || isnull(t.kind))) && \
+                 (t.rating < 8.25))",
+            ),
+            (
+                PhysicalOp::Project { columns: vec![col("id"), col("kind")] },
+                "Project [t.id, t.kind]",
+            ),
+            (
+                PhysicalOp::ExchangeHash {
+                    keys: vec![col("id"), col("kind")],
+                    partitions: 200,
+                },
+                "Exchange hashpartitioning(t.id, t.kind, 200)",
+            ),
+            (PhysicalOp::ExchangeSingle, "Exchange SinglePartition"),
+            (PhysicalOp::BroadcastExchange, "BroadcastExchange HashedRelationBroadcastMode"),
+            (
+                PhysicalOp::Sort {
+                    keys: vec![(col("id"), true), (col("kind"), false)],
+                },
+                "Sort [t.id ASC, t.kind DESC]",
+            ),
+            (
+                PhysicalOp::SortMergeJoin { left_key: col("id"), right_key: col("kind") },
+                "SortMergeJoin [t.id], [t.kind], Inner",
+            ),
+            (
+                PhysicalOp::BroadcastHashJoin { probe_key: col("id"), build_key: col("kind") },
+                "BroadcastHashJoin [t.id], [t.kind], Inner, BuildRight",
+            ),
+            (
+                PhysicalOp::ShuffledHashJoin { left_key: col("id"), right_key: col("kind") },
+                "ShuffledHashJoin [t.id], [t.kind], Inner, BuildRight",
+            ),
+            (
+                PhysicalOp::HashAggregate {
+                    mode: AggMode::Partial,
+                    group_by: vec![col("kind"), col("id")],
+                    aggs: vec![
+                        agg(AggFunc::Count, None),
+                        agg(AggFunc::Count, Some("id")),
+                        agg(AggFunc::Sum, None),
+                    ],
+                },
+                "HashAggregate(keys=[t.kind, t.id], \
+                 functions=[partial_count(1), partial_count(t.id), partial_sum(1)])",
+            ),
+            (
+                PhysicalOp::HashAggregate {
+                    mode: AggMode::Final,
+                    group_by: vec![],
+                    aggs: vec![agg(AggFunc::Avg, Some("rating"))],
+                },
+                "HashAggregate(keys=[], functions=[avg(t.rating)])",
+            ),
+            (PhysicalOp::Limit { n: 10 }, "CollectLimit 10"),
+        ];
+        let mut p = PhysicalPlan::new();
+        for (id, (op, statement)) in ops.into_iter().enumerate() {
+            p.add(op, vec![], 1.0, 8.0);
+            assert_eq!(p.statement(id), statement);
+        }
     }
 
     #[test]

@@ -61,12 +61,19 @@ fn resources(executors: usize, cores: usize) -> ResourceConfig {
     }
 }
 
-/// Pulls the event-name sequence out of a captured JSONL log: the
-/// deterministic skeleton of a run (timestamps and durations are not).
+/// Pulls this thread's event-name sequence out of a captured JSONL
+/// log: the deterministic skeleton of a run (timestamps and durations
+/// are not). Other threads' lines are neighbouring tests emitting into
+/// the process-global sink while the capture holds it.
 fn event_names(lines: &[String]) -> Vec<String> {
+    let own = format!("\"tid\":{}", telemetry::testing::current_tid());
     lines
         .iter()
         .filter(|l| l.contains("\"type\":\"event\""))
+        .filter(|l| {
+            l.split_once(own.as_str())
+                .is_some_and(|(_, rest)| rest.starts_with([',', '}']))
+        })
         .filter_map(|l| {
             let start = l.find("\"name\":\"")? + "\"name\":\"".len();
             let end = l[start..].find('"')? + start;
@@ -168,6 +175,7 @@ fn same_seed_same_event_log() {
         };
         let first = event_names(&run());
         let second = event_names(&run());
+        assert!(!first.is_empty(), "fault_seed={fault_seed} logged no event");
         assert_eq!(first, second, "fault_seed={fault_seed}");
         // All emitted event names must be registered in the schema.
         for name in &first {

@@ -642,6 +642,13 @@ pub mod testing {
         }
     }
 
+    /// The `tid` every line this thread emits carries. The sink is
+    /// process-global, so a neighbouring test's lines land in an open
+    /// [`capture`] too; a test that compares logs keeps its own by this.
+    pub fn current_tid() -> u64 {
+        tid()
+    }
+
     /// Runs `f` with telemetry enabled into an in-memory sink and returns
     /// the emitted JSONL lines (including the shutdown summaries).
     pub fn capture<F: FnOnce()>(f: F) -> Vec<String> {

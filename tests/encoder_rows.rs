@@ -1,0 +1,99 @@
+//! The encoder's streaming pass against the row rebuilt the slow way —
+//! sentence strings, `embed_mean`, a one-hot found by name, the
+//! `structure_row` / `parents` vectors — over the planner's candidate
+//! plans for `workloads::querygen` queries. The rows are the model's
+//! input contract, so they must agree bit for bit, not approximately.
+
+use encoding::onehot::OPERATORS;
+use encoding::plan_encoder::{log_norm, plan_stats};
+use encoding::tokenizer::plan_sentences;
+use encoding::{EncoderConfig, PlanEncoder, W2vConfig, Word2Vec};
+use sparksim::plan::planner::PlannerOptions;
+use sparksim::{ClusterConfig, Engine, PhysicalPlan, SimulatorConfig};
+use workloads::imdb::{generate, ImdbConfig};
+use workloads::querygen::{generate_queries, QueryGenConfig};
+
+fn candidate_plans(seed: u64, queries: usize) -> Vec<PhysicalPlan> {
+    let data = generate(&ImdbConfig { title_rows: 200, seed });
+    let scale = data.simulated_scale();
+    let engine = Engine::with_options(
+        data.catalog,
+        PlannerOptions::scaled_to(scale),
+        ClusterConfig::default(),
+        SimulatorConfig { data_scale: scale, ..SimulatorConfig::default() },
+    );
+    let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(seed);
+    generate_queries(&data.graph, &QueryGenConfig::default(), queries, &mut rng)
+        .iter()
+        .flat_map(|sql| engine.plan_candidates(sql).unwrap_or_else(|e| panic!("{sql}: {e}")))
+        .collect()
+}
+
+/// One node's row, block by block, each from its own allocation.
+fn slow_row(
+    w2v: &Word2Vec,
+    cfg: &EncoderConfig,
+    plan: &PhysicalPlan,
+    sentences: &[Vec<String>],
+    id: usize,
+) -> Vec<f32> {
+    let node = plan.node(id);
+    let mut row = w2v.embed_mean(&sentences[id]);
+    row.extend(
+        OPERATORS
+            .iter()
+            .map(|&name| if name == node.op.name() { 1.0 } else { 0.0 }),
+    );
+    if cfg.structure {
+        let mut block = plan.structure_row(id, &plan.parents());
+        block.resize(cfg.max_nodes, 0.0);
+        row.extend(block);
+    }
+    row.push(log_norm(node.est_rows, 12.0));
+    row.push(log_norm(node.est_bytes, 15.0));
+    row
+}
+
+#[test]
+fn encoded_rows_are_bit_equal_to_the_slow_rebuild() {
+    let plans = candidate_plans(21, 130);
+    assert!(plans.len() >= 500, "only {} candidate plans", plans.len());
+    // Rare words are pruned, so the mean meets tokens it must skip
+    // without counting them.
+    let corpus: Vec<Vec<String>> = plans.iter().flat_map(plan_sentences).collect();
+    let w2v = encoding::train_word2vec(
+        &corpus,
+        &W2vConfig {
+            dim: 16,
+            epochs: 1,
+            min_count: 40,
+            ..Default::default()
+        },
+    );
+    let unknown = corpus.iter().flatten().filter(|t| w2v.vector(t).is_none()).count();
+    assert!(unknown > 100 && unknown < corpus.iter().map(Vec::len).sum::<usize>() / 2);
+    let longest = plans.iter().map(PhysicalPlan::len).max().unwrap();
+    for cfg in [
+        EncoderConfig::default(),
+        // A window the longer plans overflow, and no structure block.
+        EncoderConfig { max_nodes: longest / 2, structure: true },
+        EncoderConfig { max_nodes: 48, structure: false },
+    ] {
+        let encoder = PlanEncoder::new(w2v.clone(), cfg.clone());
+        for plan in &plans {
+            let encoded = encoder.encode(plan);
+            let sentences = plan_sentences(plan);
+            assert_eq!(encoded.num_nodes(), plan.len());
+            assert_eq!(encoded.plan_stats, plan_stats(plan));
+            for id in 0..plan.len() {
+                assert_eq!(encoded.children(id), plan.node(id).children);
+                let (fast, slow) = (encoded.row(id), slow_row(&w2v, &cfg, plan, &sentences, id));
+                assert!(
+                    fast.iter().map(|x| x.to_bits()).eq(slow.iter().map(|x| x.to_bits())),
+                    "node {id} of\n{}\nfast {fast:?}\nslow {slow:?}",
+                    plan.explain(),
+                );
+            }
+        }
+    }
+}

@@ -5,11 +5,11 @@ use encoding::plan_encoder::{EncodedPlan, PLAN_STAT_FEATURES};
 use raal::{CostModel, ModelConfig};
 
 fn toy_plan(dim: usize) -> EncodedPlan {
-    EncodedPlan {
-        node_features: vec![vec![0.2; dim], vec![0.4; dim], vec![0.1; dim]],
-        children: vec![vec![], vec![], vec![0, 1]],
-        plan_stats: vec![0.5; PLAN_STAT_FEATURES],
-    }
+    EncodedPlan::from_rows(
+        &[vec![0.2; dim], vec![0.4; dim], vec![0.1; dim]],
+        &[vec![], vec![], vec![0, 1]],
+        [0.5; PLAN_STAT_FEATURES],
+    )
 }
 
 #[test]

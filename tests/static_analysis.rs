@@ -111,12 +111,11 @@ fn checkpoint_with_mismatched_encoder_width_fails_to_load() {
 }
 
 fn plan_with_children(children: Vec<Vec<usize>>) -> EncodedPlan {
-    let n = children.len();
-    EncodedPlan {
-        node_features: vec![vec![0.1; 4]; n],
-        children,
-        plan_stats: vec![0.0; PLAN_STAT_FEATURES],
-    }
+    EncodedPlan::from_rows(
+        &vec![vec![0.1; 4]; children.len()],
+        &children,
+        [0.0; PLAN_STAT_FEATURES],
+    )
 }
 
 #[test]
