@@ -242,13 +242,12 @@ pub struct EntryPoint {
 /// the resolution rules — so the list is versioned with the analyzer.
 ///
 /// The set covers the three layers of the latency path: the serving
-/// service (`ShardedServing::predict*` — which price a fully cached
-/// call on the calling thread — its `ServingModel` façade and the
-/// dispatcher loop that prices everything else), the model fast paths
+/// service (`ShardedServing::predict*`, the whole request path on the
+/// calling thread, and its `ServingModel` façade), the model fast paths
 /// (`CostModel` / `FrozenModel` context planning, per-plan prediction
-/// and `predict_with_context`, the head both serving routes end in),
-/// the plan encoder, the `nn` inference kernel set, and the telemetry record calls those
-/// paths are allowed to make.
+/// and `predict_with_context`, the head every served plan ends in),
+/// the plan encoder, the `nn` inference kernel set, and the telemetry
+/// record calls those paths are allowed to make.
 /// `CostModel::predict_batch` is deliberately absent: it spawns scoped
 /// threads per call, which is a throughput API, not the steady-state
 /// latency path.
@@ -263,9 +262,6 @@ pub const HOT_ENTRY_POINTS: &[EntryPoint] = &[
         self_ty: Some("ServingModel"),
         name: "predict_many",
     },
-    // The service's client side and its per-shard dispatcher loop:
-    // both run per-request in steady state, so the whole
-    // queue/price/settle path is held to the same standard.
     EntryPoint {
         krate: "core",
         self_ty: Some("ShardedServing"),
@@ -275,11 +271,6 @@ pub const HOT_ENTRY_POINTS: &[EntryPoint] = &[
         krate: "core",
         self_ty: Some("ShardedServing"),
         name: "predict_many",
-    },
-    EntryPoint {
-        krate: "core",
-        self_ty: None,
-        name: "dispatch_loop",
     },
     EntryPoint {
         krate: "core",

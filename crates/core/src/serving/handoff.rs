@@ -17,9 +17,9 @@
 //! machine), because they are per-*request-stream* policy, not
 //! per-channel mechanics.
 //!
-//! **No serving path uses this component any more** — shard dispatchers
-//! price in place and the client's `ReplySlot` wait owns the deadline;
-//! it is kept only because the benchmark package's
+//! **No serving path uses this component any more** — the service
+//! prices on the caller's thread and has no thread of its own; it is
+//! kept only because the benchmark package's
 //! `raal.serving.handoff_roundtrip_us` layer metric constructs it, and
 //! it leaves with that metric in a later `benchmark` PR.
 //!

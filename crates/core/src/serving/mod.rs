@@ -4,14 +4,14 @@
 //! A trained [`CostModel`](crate::model::CostModel) is the *fast path*;
 //! production plan selection cannot afford to block on it forever or to
 //! crash when a checkpoint is corrupt. [`shard::ShardedServing`] is the
-//! service that wraps it — the whole request path, every guard rail and
-//! the one state machine live there, and each [`FallbackReason`] names
-//! one way a call ends up with the analytical answer instead.
+//! service that wraps it — the whole request path and every guard rail
+//! live there, run on the caller's thread, and each [`FallbackReason`]
+//! names one way a call ends up with the analytical answer instead.
 //!
 //! This module holds the vocabulary ([`ServingConfig`],
 //! [`FallbackReason`], [`SloStats`], [`ServingPrediction`]) and
-//! [`ServingModel`], a single-caller (`&mut self`) façade over a
-//! one-shard service.
+//! [`ServingModel`], a single-caller (`&mut self`) façade over the
+//! service.
 //!
 //! The fallback is any [`FallbackModel`] — in this workspace the GPSJ
 //! analytical baseline (`baselines::gpsj::GpsjModel`) implements it, and
@@ -80,8 +80,9 @@ where
 /// Serving-time guard-rail settings.
 #[derive(Debug, Clone)]
 pub struct ServingConfig {
-    /// Per-predict budget: how long the caller waits for the model's
-    /// answer before taking the fallback's instead.
+    /// Per-predict budget: a call that took this long or longer is
+    /// answered by the fallback instead of the model (judged after
+    /// pricing; a zero deadline is never met).
     pub deadline: Duration,
     /// Largest plan (in physical nodes) admitted to the deep model.
     pub max_plan_nodes: usize,
@@ -109,16 +110,19 @@ impl Default for ServingConfig {
 pub enum FallbackReason {
     /// The checkpoint failed to load or failed shape validation.
     Checkpoint,
-    /// The plan exceeded [`ServingConfig::max_plan_nodes`].
+    /// The plan exceeded [`ServingConfig::max_plan_nodes`], or is not
+    /// a single bottom-up tree the encoder accepts.
     Admission,
-    /// The model did not answer within [`ServingConfig::deadline`].
+    /// The call took [`ServingConfig::deadline`] or longer; its model
+    /// answers were computed and set aside.
     Deadline,
-    /// The shard's queue was full or closed (shut down).
+    /// The service was shut down.
     Busy,
-    /// Pricing panicked on the shard's dispatcher; that shard answers
-    /// analytically from then on.
+    /// Pricing panicked, on this call or an earlier one: the service
+    /// answers analytically from then on and does not touch the model
+    /// again.
     WorkerLost,
-    /// The tenant already had its fair share of requests in flight
+    /// The tenant already had its fair share of calls in flight
     /// ([`shard::ShardConfig::tenant_inflight`]).
     TenantQuota,
 }
@@ -255,27 +259,27 @@ pub struct ServingPrediction {
 const FACADE_TENANT: &str = "serving_model";
 
 /// The single-caller face of the serving service: a [`ShardedServing`]
-/// with one shard and one fixed tenant behind `&mut self` call shapes
-/// that take no tenant id. Everything it does — guard rails,
-/// accounting, telemetry — is the service's; see [`shard`] for the
-/// contract and the request path.
+/// with one fixed tenant behind `&mut self` call shapes that take no
+/// tenant id. Everything it does — guard rails, accounting, telemetry
+/// — is the service's; see [`shard`] for the contract and the request
+/// path.
 pub struct ServingModel {
     service: ShardedServing,
 }
 
 impl ServingModel {
-    fn one_shard(cfg: ServingConfig) -> ShardConfig {
-        ShardConfig { shards: 1, serving: cfg, ..ShardConfig::default() }
+    fn shard_config(cfg: ServingConfig) -> ShardConfig {
+        ShardConfig { serving: cfg, ..ShardConfig::default() }
     }
 
-    /// Serves a loaded bundle ([`ShardedServing::new`] with one shard).
+    /// Serves a loaded bundle ([`ShardedServing::new`]).
     pub fn new(
         bundle: ModelBundle,
         fallback: Box<dyn FallbackModel + Send + Sync>,
         cfg: ServingConfig,
     ) -> Self {
         Self {
-            service: ShardedServing::new(bundle, Arc::from(fallback), Self::one_shard(cfg)),
+            service: ShardedServing::new(bundle, Arc::from(fallback), Self::shard_config(cfg)),
         }
     }
 
@@ -289,7 +293,7 @@ impl ServingModel {
         cfg: ServingConfig,
     ) -> Self {
         let service =
-            ShardedServing::from_checkpoint(path, Arc::from(fallback), Self::one_shard(cfg));
+            ShardedServing::from_checkpoint(path, Arc::from(fallback), Self::shard_config(cfg));
         Self { service }
     }
 
@@ -301,7 +305,7 @@ impl ServingModel {
         reason: FallbackReason,
     ) -> Self {
         Self {
-            service: ShardedServing::degraded(Arc::from(fallback), Self::one_shard(cfg), reason),
+            service: ShardedServing::degraded(Arc::from(fallback), Self::shard_config(cfg), reason),
         }
     }
 
@@ -328,15 +332,14 @@ impl ServingModel {
         self.service.set_deadline(deadline);
     }
 
-    /// Scores a plan, never failing and never exceeding roughly one
-    /// deadline of latency ([`ShardedServing::predict`]).
+    /// Scores a plan, never failing ([`ShardedServing::predict`]).
     pub fn predict(&mut self, plan: &PhysicalPlan, res: &ResourceConfig) -> ServingPrediction {
         self.service.predict(FACADE_TENANT, plan, res)
     }
 
-    /// Scores K candidate plans under one resource configuration in a
-    /// single round trip, so candidate selection pays one deadline, not
-    /// K ([`ShardedServing::predict_many`]).
+    /// Scores K candidate plans under one resource configuration in
+    /// one call, judged against one deadline
+    /// ([`ShardedServing::predict_many`]).
     pub fn predict_many(
         &mut self,
         plans: &[&PhysicalPlan],

@@ -1,7 +1,7 @@
 //! The plan-context cache: a bounded map from a physical plan to the
 //! resource-independent half of its forward pass
-//! ([`PlanContext`]), shared by every client thread and dispatcher of
-//! one [`ShardedServing`](super::shard::ShardedServing).
+//! ([`PlanContext`]), shared by every client thread of one
+//! [`ShardedServing`](super::shard::ShardedServing).
 //!
 //! The key is the plan's 64-bit
 //! [`structural_hash`](PhysicalPlan::structural_hash), but a hash match
@@ -159,8 +159,8 @@ impl PlanCache {
 
     /// Makes `plan` resident with `context`, evicting unreferenced
     /// entries (oldest first) until the budget holds again. A plan that
-    /// is already resident — another dispatcher built it concurrently —
-    /// or that alone exceeds the budget is dropped instead.
+    /// is already resident — another caller built it concurrently — or
+    /// that alone exceeds the budget is dropped instead.
     pub(super) fn insert(&self, fingerprint: u64, plan: PhysicalPlan, context: PlanContext) {
         let bytes = CachedPlan::charge(&plan, &context);
         if bytes > self.budget_bytes {
@@ -212,7 +212,7 @@ impl PlanCache {
     }
 }
 
-#[cfg(all(test, not(raal_model_check)))]
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::model::{CostModel, ModelConfig};
@@ -236,7 +236,7 @@ mod tests {
         })
     }
 
-    /// An exact-sized context (a clone, as the dispatcher retains it).
+    /// An exact-sized context (a clone, as the service retains it).
     fn tight_context(model: &CostModel) -> PlanContext {
         let built = model.plan_context(&EncodedPlan::from_rows(
             &vec![vec![0.5; 6]; 3],
@@ -372,5 +372,85 @@ mod tests {
             }
         });
         assert_eq!(cache.resident(), (1, each));
+    }
+    /// Schedule exploration (`--cfg raal_model_check`, DESIGN.md §14) of
+    /// what client threads may do to one cache at once, now that every
+    /// one of them looks up, inserts and evicts.
+    #[cfg(raal_model_check)]
+    mod model_check {
+        use super::*;
+        use raal_sync::model::{explore, Config};
+        use raal_sync::thread;
+
+        /// Two callers sight one plan twice each the way the service
+        /// does — look up, insert on a repeated miss — while a third
+        /// inserts two more plans into a budget of two, evicting, and
+        /// this thread holds a hit taken before any of them ran. In
+        /// every schedule each lookup ends as one hit or one miss,
+        /// exactly one of them is the plan's first sighting, no plan is
+        /// resident twice, the budget holds, and the held context
+        /// prices as it did when it was inserted.
+        #[test]
+        fn racing_admission_and_eviction_under_a_held_hit() {
+            let model = model();
+            let context = tight_context(&model);
+            let each = entry_bytes(&model);
+            let res = [1.0f32, 1.0, 0.25, 0.5, 0.25, 0.9, 0.8];
+            let want = model.predict_with_context(&context, &res);
+            let cfg = Config {
+                max_preemptions: 2,
+                max_schedules: 200_000,
+                max_steps: 10_000,
+            };
+            explore("plan-cache-admit-evict-hold", cfg, move || {
+                let cache = Arc::new(PlanCache::new(2 * each));
+                cache.insert(1, plan(1), context.clone());
+                let Lookup::Hit(held) = cache.lookup(1, &plan(1)) else {
+                    panic!("resident")
+                };
+                let sighters: Vec<_> = (0..2)
+                    .map(|_| {
+                        let (cache, context) = (cache.clone(), context.clone());
+                        thread::spawn(move || {
+                            let (shared, mut hits, mut firsts, mut repeats) = (plan(2), 0, 0, 0);
+                            for _ in 0..2 {
+                                match cache.lookup(2, &shared) {
+                                    Lookup::Hit(_) => hits += 1,
+                                    Lookup::Miss { seen_before: false } => firsts += 1,
+                                    Lookup::Miss { seen_before: true } => {
+                                        repeats += 1;
+                                        cache.insert(2, shared.clone(), context.clone());
+                                    }
+                                }
+                            }
+                            [hits, firsts, repeats]
+                        })
+                    })
+                    .collect();
+                let evictor = {
+                    let (cache, context) = (cache.clone(), context.clone());
+                    thread::spawn(move || {
+                        cache.insert(3, plan(3), context.clone());
+                        cache.insert(4, plan(4), context);
+                    })
+                };
+                assert_eq!(model.predict_with_context(held.context(), &res), want);
+                let [hits, firsts, repeats] = sighters
+                    .into_iter()
+                    .map(|t| t.join().unwrap())
+                    .fold([0u32; 3], |sum, seen| std::array::from_fn(|i| sum[i] + seen[i]));
+                evictor.join().unwrap();
+                assert_eq!(hits + firsts + repeats, 4, "one hit or one miss per lookup");
+                assert_eq!(firsts, 1, "a plan is sighted for the first time once");
+                {
+                    let state = lock(&cache.state);
+                    assert!(state.by_fingerprint.values().all(|bucket| bucket.len() == 1));
+                    assert_eq!(state.by_fingerprint.len(), state.clock.len());
+                    assert_eq!(state.bytes, state.clock.len() * each);
+                    assert!(state.bytes <= 2 * each, "{} over budget", state.bytes);
+                }
+                assert_eq!(model.predict_with_context(held.context(), &res), want);
+            });
+        }
     }
 }

@@ -1,71 +1,66 @@
-//! The serving service: N frozen-model replicas behind striped request
-//! queues, with per-tenant fair-share admission and one thread per
-//! shard.
+//! The serving service: one frozen model that any number of client
+//! threads price with directly, behind per-tenant fair-share admission
+//! and a plan-context cache.
 //!
-//! A [`ShardedServing`] service owns [`ShardConfig::shards`] *shards*,
-//! each a [`BatchQueue`] plus one dispatcher thread holding a clone of
-//! one Arc-shared [`FrozenModel`] (a reference-count bump — all shards
-//! price with the same weights). Client threads call
-//! [`ShardedServing::predict`] concurrently through `&self`; each call
-//! is striped round-robin onto a shard queue, and the shard's
-//! dispatcher prices and settles the queued jobs one at a time, plan by
-//! plan, so no job's answer waits for a later job's arithmetic.
-//!
-//! Before it encodes anything, a client looks each admitted plan up in
-//! the service-wide plan-context cache (the `plan_cache` module; keyed
-//! by [`PhysicalPlan::structural_hash`], a hit confirmed by `==`). A
-//! plan that hits travels as its cached
-//! [`PlanContext`](crate::model::PlanContext) and skips the encoder and
-//! the plan layer; a call whose admitted plans **all** hit is not
-//! queued at all — the calling thread runs the head itself. The
-//! route is chosen from that observation alone; there is no setting
-//! for it. A plan is admitted to the cache on its second recent
-//! sighting, so a stream of distinct plans pays one hash per plan and
-//! retains nothing.
+//! [`ShardedServing::predict`] takes `&self` and is the whole request
+//! path, run on the calling thread: admission → tenant slot → per
+//! admitted plan: [`PhysicalPlan::structural_hash`] → lookup in the
+//! service-wide plan-context cache (the `plan_cache` module; a hit is
+//! confirmed by `==`) → a hit runs the head over the cached
+//! [`PlanContext`](crate::model::PlanContext); a miss encodes the plan,
+//! builds its context and runs the same head → the answers are counted.
+//! There is no queue, no service thread and no second route: the caller
+//! threads are the service's parallelism, and every one of them prices
+//! with the same Arc-shared [`FrozenModel`]. A plan is admitted to the
+//! cache on its second recent sighting, so a stream of distinct plans
+//! pays one hash per plan and retains nothing.
 //!
 //! Every guard rail answers from the analytical fallback and counts
-//! the trip: a corrupt checkpoint degrades the whole service
-//! (`serving.fallback.checkpoint`), oversized plans fall back at
-//! admission (`serving.fallback.admission`), a full or closed shard
-//! queue sheds (`serving.fallback.busy`), and a pricing panic is caught
-//! on the dispatcher, which settles that job and every later one on
-//! its shard analytically (`serving.fallback.worker_lost`). The
-//! **client owns the deadline**: its [`ReplySlot::wait_deadline`] is
-//! the only timeout in the path (`serving.fallback.deadline`); the
-//! dispatcher never times out. A call priced in place never waits, so
-//! there a deadline only matters when it is zero — which no answer
-//! meets, cached or not — and a pricing panic is caught on the calling
-//! thread and answered `worker_lost` without marking any shard.
-//! Tenancy adds two things:
+//! the trip:
 //!
-//! * **fair-share admission** — a tenant with
-//!   [`ShardConfig::tenant_inflight`] requests already in flight is
-//!   shed analytically (`serving.fallback.tenant_quota`), so one noisy
-//!   tenant cannot queue out the rest;
-//! * **per-tenant telemetry** — every call counts
-//!   `serving.tenant.predict.<tenant>`, every shed request counts
-//!   `serving.tenant.shed.<tenant>`.
+//! * a corrupt checkpoint degrades the whole service
+//!   (`serving.fallback.checkpoint`);
+//! * an oversized plan, or one the encoder rejects as malformed, falls
+//!   back alone (`serving.fallback.admission`);
+//! * **fair share** — a tenant with [`ShardConfig::tenant_inflight`]
+//!   calls already inside the service is shed before any lookup or
+//!   encoding (`serving.fallback.tenant_quota`); this and the caller
+//!   threads themselves are what bounds the work in flight;
+//! * **the deadline is judged once, after pricing**, from the two clock
+//!   readings that time the call: a call that took
+//!   [`ServingConfig::deadline`] or longer has its model answers
+//!   replaced by analytical ones (`serving.fallback.deadline`), so a
+//!   zero deadline is never met. A synchronous forward pass cannot be
+//!   interrupted; what bounds it is `max_plan_nodes` admission;
+//! * a panic while pricing is caught on the calling thread, answered
+//!   `serving.fallback.worker_lost`, and **sticky service-wide**: every
+//!   later call is answered the same way without touching the model;
+//! * after [`ShardedServing::shutdown`] every call sheds
+//!   `serving.fallback.busy`.
 //!
-//! The building blocks ([`BatchQueue`], [`ReplySlot`]) are public on
-//! purpose: they are built on [`raal_sync`] primitives, so the
-//! model-check suite (`crates/core/tests/model_check.rs`) explores the
-//! *real* queue and settle protocol — not a test double — across all bounded
-//! schedules, proving no request is lost, none is answered twice, and
-//! shutdown completes with requests still queued.
+//! Every call also counts `serving.tenant.predict.<tenant>`, every shed
+//! one `serving.tenant.shed.<tenant>`.
+//!
+//! **Pinned, unused by the service.** [`BatchQueue`] and [`ReplySlot`]
+//! (with the `wait` / `wait_timeout` helpers under them) were the hop
+//! between client and dispatcher threads until the service stopped
+//! having any; [`ShardConfig::shards`] counted those threads. The repo
+//! benchmark, which a library change may not edit, still times the
+//! first two and sets the third, so they stay — model-checked as before
+//! (`crates/core/tests/model_check.rs`) — until a `benchmark` PR lets
+//! go of them (ROADMAP item 4).
 
 #![deny(missing_docs)]
 
-use super::plan_cache::{CachedPlan, Lookup, PlanCache};
+use super::plan_cache::{Lookup, PlanCache};
 use super::{
     FallbackModel, FallbackReason, PredictionSource, ServingConfig, ServingPrediction, SloStats,
 };
 use crate::model::FrozenModel;
 use crate::persist::ModelBundle;
-use encoding::plan_encoder::EncodedPlan;
 use encoding::PlanEncoder;
-use raal_sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use raal_sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use raal_sync::sync::{Condvar, Mutex, MutexGuard};
-use raal_sync::thread;
 use sparksim::plan::physical::PhysicalPlan;
 use sparksim::resource::ResourceConfig;
 use std::collections::{HashMap, VecDeque};
@@ -110,21 +105,15 @@ fn wait_timeout<'a, T>(
     }
 }
 
-/// Sharded-service settings. The per-request guard rails (deadline,
-/// admission size, SLO target) live in the embedded [`ServingConfig`];
-/// the fields here shape the fleet around them.
+/// Service settings. The per-request guard rails (deadline, admission
+/// size, SLO target) live in the embedded [`ServingConfig`].
 #[derive(Debug, Clone)]
 pub struct ShardConfig {
-    /// Number of shards (a queue and one dispatcher thread each). Each
-    /// shard prices one job at a time, so this is the service's
-    /// inference parallelism. Clamped to at least 1.
+    /// Ignored: the service has no threads of its own to count (see
+    /// "Pinned" in the [module docs](self)).
     pub shards: usize,
-    /// Bound on queued requests per shard; a full queue sheds new
-    /// arrivals to the fallback (`serving.fallback.busy`) instead of
-    /// growing without limit.
-    pub queue_capacity: usize,
     /// Fair-share cap: the most calls one tenant may have inside the
-    /// service at once, across all shards, before new ones are shed
+    /// service at once before new ones are shed
     /// (`serving.fallback.tenant_quota`).
     pub tenant_inflight: u32,
     /// The per-request guard rails.
@@ -135,22 +124,21 @@ impl Default for ShardConfig {
     fn default() -> Self {
         Self {
             shards: 4,
-            queue_capacity: 1024,
             tenant_inflight: 64,
             serving: ServingConfig::default(),
         }
     }
 }
 
-/// A single-use completion cell: the serving client parks on it while
-/// the shard dispatcher works, and exactly one of them settles it.
+/// A single-use completion cell (pinned, see the [module docs](self)):
+/// a waiter parks on it while another thread works, and exactly one of
+/// them settles it.
 ///
-/// The three states make the settle race explicit: the dispatcher's
+/// The three states make the settle race explicit: the worker's
 /// [`complete`](Self::complete) moves `Waiting → Done` and returns
-/// `true`; a client whose [`wait_deadline`](Self::wait_deadline)
+/// `true`; a waiter whose [`wait_deadline`](Self::wait_deadline)
 /// expires moves `Waiting → Abandoned`, after which `complete` returns
-/// `false` — so both sides always agree on who owned the outcome, and
-/// the client returns (and counts) exactly one answer.
+/// `false` — so both sides always agree on who owned the outcome.
 pub struct ReplySlot<T> {
     state: Mutex<SlotState<T>>,
     cv: Condvar,
@@ -190,10 +178,9 @@ impl<T> ReplySlot<T> {
     /// expired and the slot is now `Abandoned`: a later `complete` will
     /// return `false` and the value will be dropped by the completer.
     ///
-    /// This is the only timeout on a serving call, so the bound is
-    /// absolute: the expiry is fixed once on entry, a wake without an
-    /// outcome waits only for what is left of it, and a zero deadline
-    /// never waits at all.
+    /// The bound is absolute: the expiry is fixed once on entry, a wake
+    /// without an outcome waits only for what is left of it, and a zero
+    /// deadline never waits at all.
     pub fn wait_deadline(&self, deadline: Duration) -> Option<T> {
         let budget_ns = u64::try_from(deadline.as_nanos()).unwrap_or(u64::MAX);
         let expires_ns = telemetry::clock_ns().saturating_add(budget_ns);
@@ -229,16 +216,14 @@ impl<T> Default for ReplySlot<T> {
     }
 }
 
-/// A bounded multi-producer queue drained in batches by one consumer —
-/// the mutex-striped buffer between serving clients and a shard's
-/// dispatcher.
+/// A bounded multi-producer queue drained in batches by one consumer
+/// (pinned, see the [module docs](self)).
 ///
-/// [`push`](Self::push) never blocks (a full or closed queue rejects
-/// the item back to the caller, which sheds it to the fallback);
-/// [`drain`](Self::drain) blocks until work or close. After
-/// [`close`](Self::close), pushes fail but drains keep returning the
-/// backlog until it is empty, which is how shutdown guarantees no
-/// queued request is lost.
+/// [`push`](Self::push) never blocks (a full or closed queue hands the
+/// item back to the caller); [`drain`](Self::drain) blocks until work
+/// or close. After [`close`](Self::close), pushes fail but drains keep
+/// returning the backlog until it is empty, so closing loses no queued
+/// item.
 pub struct BatchQueue<T> {
     state: Mutex<QueueState<T>>,
     cv: Condvar,
@@ -397,125 +382,13 @@ fn sanitize_tenant(tenant: &str) -> String {
     out
 }
 
-/// The answer a dispatcher settles a [`ReplySlot`] with: one source for
-/// the whole job, and one estimate per admitted plan.
-struct JobOutcome {
-    source: PredictionSource,
-    seconds: Vec<f64>,
-}
-
 /// Bytes of plan keys and contexts the plan-context cache may retain —
 /// about 4% of the benchmark's resident set, room for roughly six
 /// hundred plans of the size it serves.
 const PLAN_CACHE_BYTES: usize = 8 << 20;
 
-/// The resource feature vector a job is priced under.
+/// The resource feature vector a call is priced under.
 type ResourceFeatures = [f32; ResourceConfig::NUM_FEATURES];
-
-/// One admitted plan of a serving call, after the client's cache
-/// lookup.
-enum JobPlan {
-    /// Resident in the plan-context cache: nothing left to build.
-    Cached(Arc<CachedPlan>),
-    /// Not resident: encoded on the client, its context is built by
-    /// the dispatcher. `admit` is set on the plan's second recent
-    /// sighting and carries the cache key (fingerprint and an owned
-    /// copy of the plan); the dispatcher then keeps the context it
-    /// builds instead of recycling it.
-    Encoded {
-        plan: EncodedPlan,
-        admit: Option<(u64, PhysicalPlan)>,
-    },
-}
-
-/// One queued serving call: the admitted plans of a `predict_many`,
-/// looked up or encoded — and priced analytically — on the client
-/// thread (the fallback must be cheap and total, and pricing it eagerly
-/// means the dispatcher never needs the borrowed `PhysicalPlan`s). A
-/// call whose plans were all resident is never queued: its client
-/// prices it in place.
-struct ShardJob {
-    plans: Vec<JobPlan>,
-    resources: ResourceFeatures,
-    fallback: Vec<f64>,
-    reply: Arc<ReplySlot<JobOutcome>>,
-}
-
-/// Jobs a dispatcher takes from its queue per lock acquisition.
-const DRAIN: usize = 32;
-
-/// A shard dispatcher: takes what is queued, then prices
-/// ([`price_job`]) and settles one job at a time, so a job's answer
-/// never waits for the job behind it. It never times out — the waiting
-/// client owns the deadline, and a job whose client gave up simply
-/// fails to settle — and it counts nothing: the client counts the
-/// answer it returns.
-///
-/// A panic while pricing is caught here: that job is settled
-/// `WorkerLost` from its precomputed analytical estimates and the shard
-/// stays lost, so every later job on it — those already taken from the
-/// queue included — falls back the same way, the model untouched.
-///
-/// Exits when the queue is closed and fully drained.
-fn dispatch_loop(queue: Arc<BatchQueue<ShardJob>>, model: FrozenModel, cache: Arc<PlanCache>) {
-    // HOT-ALLOC: one scratch vector per dispatcher lifetime.
-    let mut taken: Vec<ShardJob> = Vec::with_capacity(DRAIN);
-    let mut lost = false;
-    while queue.drain(DRAIN, &mut taken) {
-        let _span = telemetry::span("serving.shard.dispatch");
-        for ShardJob { plans, resources, fallback, reply } in taken.drain(..) {
-            // PANIC-FREE: the one place a pricing panic is allowed to
-            // surface — it is contained to this job and turned into the
-            // sticky WorkerLost state, never unwound into a client.
-            let priced = if lost {
-                None
-            } else {
-                catch_unwind(AssertUnwindSafe(|| price_job(&model, &cache, plans, &resources))).ok()
-            };
-            lost = priced.is_none();
-            reply.complete(match priced {
-                Some(seconds) => JobOutcome { source: PredictionSource::Model, seconds },
-                None => JobOutcome {
-                    source: PredictionSource::Fallback(FallbackReason::WorkerLost),
-                    seconds: fallback,
-                },
-            });
-        }
-    }
-}
-
-/// Prices one job plan by plan: a cached plan through its resident
-/// context, an encoded one through a context built here — the same
-/// [`FrozenModel::predict_with_context`] call either way, and the one
-/// the in-place route makes. The context of a plan marked for admission
-/// is copied into the cache (exact-sized; before the job is settled, so
-/// its client's next call finds it); built contexts go back to the arena.
-fn price_job(
-    model: &FrozenModel,
-    cache: &PlanCache,
-    plans: Vec<JobPlan>,
-    resources: &ResourceFeatures,
-) -> Vec<f64> {
-    // HOT-ALLOC: the per-job response vector handed to the waiting
-    // client.
-    let mut seconds = Vec::with_capacity(plans.len());
-    for plan in plans {
-        seconds.push(match plan {
-            JobPlan::Cached(cached) => model.predict_with_context(cached.context(), resources),
-            JobPlan::Encoded { plan, admit } => {
-                let context = model.plan_context(&plan);
-                let priced = model.predict_with_context(&context, resources);
-                if let Some((fingerprint, key)) = admit {
-                    // HOT-ALLOC: once per admitted plan, not per request.
-                    cache.insert(fingerprint, key, context.clone());
-                }
-                model.recycle_context(context);
-                priced
-            }
-        });
-    }
-    seconds
-}
 
 /// Lifetime service-quality counters, shared by every client thread.
 struct ServiceStats {
@@ -567,9 +440,10 @@ impl ServiceStats {
     }
 }
 
-/// The sharded, multi-tenant serving service. See the
-/// [module docs](self) for the architecture and `docs/SERVING.md` for
-/// the operator's guide.
+/// The multi-tenant serving service (it has had no shards since it
+/// stopped having threads; the name is what the benchmark links). See
+/// the [module docs](self) for the request path and `docs/SERVING.md`
+/// for the operator's guide.
 ///
 /// Every method takes `&self`: the service is `Send + Sync` and meant
 /// to be shared across client threads (`Arc<ShardedServing>` or a
@@ -615,7 +489,6 @@ impl ServiceStats {
 /// let res = ResourceConfig::default_for(&ClusterConfig::default());
 ///
 /// let cfg = ShardConfig {
-///     shards: 2,
 ///     serving: ServingConfig { deadline: Duration::from_secs(10), ..Default::default() },
 ///     ..Default::default()
 /// };
@@ -631,30 +504,28 @@ impl ServiceStats {
 /// assert!(pred.seconds.is_finite());
 /// assert_eq!(service.slo_stats().total, 1);
 ///
-/// // Shutdown drains the queues, joins every dispatcher, and is
-/// // idempotent; later predicts shed to the fallback.
+/// // Shutdown is idempotent; later predicts shed to the fallback.
 /// service.shutdown();
 /// assert!(service.predict("tenant-a", &plan, &res).source != PredictionSource::Model);
 /// ```
 pub struct ShardedServing {
-    queues: Vec<Arc<BatchQueue<ShardJob>>>,
-    dispatchers: Mutex<Vec<thread::JoinHandle<()>>>,
-    encoder: Option<PlanEncoder>,
-    model: Option<FrozenModel>,
+    /// What a healthy service prices with, or why this one has no deep
+    /// model.
+    model: Result<(PlanEncoder, FrozenModel), FallbackReason>,
     fallback: Arc<dyn FallbackModel + Send + Sync>,
     cfg: ShardConfig,
     tenants: TenantTable,
-    next_shard: AtomicUsize,
-    degraded: Option<FallbackReason>,
     stats: ServiceStats,
-    cache: Arc<PlanCache>,
-    /// Set by [`Self::shutdown`]: from then on no call is priced in
-    /// place, so a shut-down service sheds cached plans like any other.
+    cache: PlanCache,
+    /// Set by [`Self::shutdown`]: from then on every call sheds `Busy`.
     closed: AtomicBool,
+    /// Set when pricing panicked: from then on every call sheds
+    /// `WorkerLost` and the model is not touched again.
+    lost: AtomicBool,
 }
 
-/// What a response slot holds until its route answers it. Every route
-/// writes every slot — oversized plans at admission, admitted plans in
+/// What a response slot holds until it is answered. Every slot is
+/// written — oversized plans at admission, admitted plans in
 /// [`ShardedServing::settle_admitted`] — so this value never reaches a
 /// caller.
 const UNANSWERED: ServingPrediction = ServingPrediction {
@@ -663,45 +534,19 @@ const UNANSWERED: ServingPrediction = ServingPrediction {
 };
 
 impl ShardedServing {
-    /// Serves a loaded bundle across [`ShardConfig::shards`] shards.
-    /// The model is frozen once ([`FrozenModel::freeze`]);
-    /// every shard's dispatcher holds a reference-counted clone of the
-    /// same weights. Spawns one thread per shard immediately.
+    /// Serves a loaded bundle. The model is frozen once
+    /// ([`FrozenModel::freeze`]) and every calling thread prices with
+    /// that one copy of the weights. Spawns nothing.
     pub fn new(
         bundle: ModelBundle,
         fallback: Arc<dyn FallbackModel + Send + Sync>,
         cfg: ShardConfig,
     ) -> Self {
         let encoder = bundle.encoder();
-        let frozen = FrozenModel::freeze(bundle.model);
-        let shards = cfg.shards.max(1);
-        let cache = Arc::new(PlanCache::new(PLAN_CACHE_BYTES));
-        let mut queues = Vec::with_capacity(shards);
-        let mut dispatchers = Vec::with_capacity(shards);
-        for _ in 0..shards {
-            let queue = Arc::new(BatchQueue::bounded(cfg.queue_capacity));
-            let (jobs, model, contexts) = (queue.clone(), frozen.clone(), cache.clone());
-            dispatchers.push(thread::spawn(move || dispatch_loop(jobs, model, contexts)));
-            queues.push(queue);
-        }
-        let tenants = TenantTable::new(cfg.tenant_inflight);
-        Self {
-            queues,
-            dispatchers: Mutex::new(dispatchers),
-            encoder: Some(encoder),
-            model: Some(frozen),
-            fallback,
-            cfg,
-            tenants,
-            next_shard: AtomicUsize::new(0),
-            degraded: None,
-            stats: ServiceStats::new(),
-            cache,
-            closed: AtomicBool::new(false),
-        }
+        Self::assemble(Ok((encoder, FrozenModel::freeze(bundle.model))), fallback, cfg)
     }
 
-    /// Loads a checkpoint and serves it sharded; a bundle that fails
+    /// Loads a checkpoint and serves it; a bundle that fails
     /// [`ModelBundle::load`] validation yields a permanently degraded
     /// service (every predict answered by the fallback) instead of an
     /// error or panic.
@@ -717,33 +562,35 @@ impl ShardedServing {
     }
 
     /// A service with no deep model at all — every predict is answered
-    /// by the fallback with the given sticky reason. No threads are
-    /// spawned.
+    /// by the fallback with the given sticky reason.
     pub fn degraded(
         fallback: Arc<dyn FallbackModel + Send + Sync>,
         cfg: ShardConfig,
         reason: FallbackReason,
     ) -> Self {
-        let tenants = TenantTable::new(cfg.tenant_inflight);
+        Self::assemble(Err(reason), fallback, cfg)
+    }
+
+    fn assemble(
+        model: Result<(PlanEncoder, FrozenModel), FallbackReason>,
+        fallback: Arc<dyn FallbackModel + Send + Sync>,
+        cfg: ShardConfig,
+    ) -> Self {
         Self {
-            queues: Vec::new(),
-            dispatchers: Mutex::new(Vec::new()),
-            encoder: None,
-            model: None,
+            model,
             fallback,
+            tenants: TenantTable::new(cfg.tenant_inflight),
             cfg,
-            tenants,
-            next_shard: AtomicUsize::new(0),
-            degraded: Some(reason),
             stats: ServiceStats::new(),
-            cache: Arc::new(PlanCache::new(PLAN_CACHE_BYTES)),
+            cache: PlanCache::new(PLAN_CACHE_BYTES),
             closed: AtomicBool::new(false),
+            lost: AtomicBool::new(false),
         }
     }
 
-    /// True when the deep model is out of the serving path for good.
+    /// True when the service was built without a deep model.
     pub fn is_degraded(&self) -> bool {
-        self.degraded.is_some()
+        self.model.is_err()
     }
 
     /// The active configuration.
@@ -752,25 +599,21 @@ impl ShardedServing {
     }
 
     /// Rewrites [`ServingConfig::deadline`], the budget every later
-    /// client-side wait reads (the [`ServingModel`](super::ServingModel)
+    /// call is judged against (the [`ServingModel`](super::ServingModel)
     /// façade's `set_deadline`).
     pub(super) fn set_deadline(&mut self, deadline: Duration) {
         self.cfg.serving.deadline = deadline;
     }
 
-    /// Number of live shards (0 for a degraded service).
-    pub fn shards(&self) -> usize {
-        self.queues.len()
-    }
-
     /// The frozen model handle, when the service is healthy.
     pub fn model(&self) -> Option<&FrozenModel> {
-        self.model.as_ref()
+        self.model.as_ref().ok().map(|(_, model)| model)
     }
 
-    /// Scores one plan for `tenant`: the deep model's answer if it
-    /// arrives within [`ServingConfig::deadline`], the analytical
-    /// fallback's otherwise — never a panic, never an unbounded wait.
+    /// Scores one plan for `tenant`, on the calling thread: the deep
+    /// model's answer if the call took less than
+    /// [`ServingConfig::deadline`], the analytical fallback's otherwise
+    /// — never a panic, never a wait.
     /// Increments `serving.predict` plus either `serving.predict.model`
     /// or the per-reason `serving.fallback.*` counter.
     ///
@@ -813,12 +656,9 @@ impl ShardedServing {
     }
 
     /// Scores K candidate plans for `tenant` under one resource
-    /// configuration. The admitted plans travel as one job, priced and
-    /// settled together by one shard's dispatcher — unless every one of
-    /// them is in the plan-context cache, in which case the calling
-    /// thread prices them itself. Oversized plans fall back
-    /// individually at admission; a shed, timed-out or failed job falls
-    /// back for every admitted plan.
+    /// configuration, one after the other on the calling thread.
+    /// Oversized and malformed plans fall back individually; a shed,
+    /// over-deadline or failed call falls back for every admitted plan.
     pub fn predict_many(
         &self,
         tenant: &str,
@@ -832,8 +672,8 @@ impl ShardedServing {
         out
     }
 
-    /// Answers `plans` into `out` (one slot per plan), timed and
-    /// counted.
+    /// Answers `plans` into `out` (one slot per plan), timed, judged
+    /// against the deadline and counted.
     fn serve(
         &self,
         tenant: &str,
@@ -844,15 +684,23 @@ impl ShardedServing {
         debug_assert_eq!(plans.len(), out.len());
         let t0 = telemetry::clock_us();
         self.answer(tenant, plans, res, out);
-        telemetry::observe("serving.predict_us", telemetry::clock_us().saturating_sub(t0));
+        let took_us = telemetry::clock_us().saturating_sub(t0);
+        telemetry::observe("serving.predict_us", took_us);
+        if Duration::from_micros(took_us) >= self.cfg.serving.deadline {
+            for (plan, slot) in plans.iter().zip(out.iter_mut()) {
+                if slot.source == PredictionSource::Model {
+                    *slot = self.fall_back(plan, res, FallbackReason::Deadline);
+                }
+            }
+        }
         self.stats.record(out);
-        if !out.is_empty() {
+        if telemetry::enabled() && !out.is_empty() {
             self.publish_slo();
         }
     }
 
     /// Lifetime serving-quality counters for this service, aggregated
-    /// across every shard and client thread.
+    /// across every client thread.
     pub fn slo_stats(&self) -> SloStats {
         // ORDERING: monotone statistics counters, read for reporting.
         SloStats {
@@ -872,10 +720,9 @@ impl ShardedServing {
         telemetry::metrics_snapshot()
     }
 
-    /// Drains and stops the service: closes every shard queue (later
-    /// pushes shed to the fallback), lets each dispatcher finish the
-    /// backlog, then joins the dispatcher threads. Idempotent; also run
-    /// by `Drop`.
+    /// Stops the service: every later call sheds to the fallback
+    /// (`Busy`); calls already inside finish as they would have. There
+    /// is nothing to drain or join. Idempotent.
     ///
     /// ```
     /// use raal::serving::shard::{ShardConfig, ShardedServing};
@@ -891,30 +738,6 @@ impl ShardedServing {
     /// ```
     pub fn shutdown(&self) {
         self.closed.store(true, Ordering::SeqCst);
-        for queue in &self.queues {
-            queue.close();
-        }
-        for handle in self.take_dispatchers() {
-            let _ = handle.join();
-        }
-    }
-
-    /// Takes the dispatcher handles exactly once (empty after the first
-    /// call), so concurrent shutdowns join disjoint sets.
-    fn take_dispatchers(&self) -> Vec<thread::JoinHandle<()>> {
-        std::mem::take(&mut *lock(&self.dispatchers))
-    }
-
-    /// Round-robin stripe cursor; only called on a healthy service,
-    /// where at least one queue exists.
-    fn pick_shard(&self) -> usize {
-        // ORDERING: the stripe cursor is load-balancing state only; no
-        // data is published through it.
-        let n = self.next_shard.fetch_add(1, Ordering::Relaxed);
-        // PANIC-FREE: queues is non-empty on every healthy-service
-        // path (ShardConfig::shards is clamped to >= 1), so the
-        // modulus is never zero.
-        n % self.queues.len()
     }
 
     /// Per-plan admission: oversized plans are answered analytically.
@@ -936,12 +759,15 @@ impl ShardedServing {
         }
         let entry = self.tenants.entry(tenant);
         telemetry::count(&entry.predict_counter, plans.len() as u64);
-        if let Some(reason) = self.degraded {
-            for (plan, slot) in plans.iter().zip(out.iter_mut()) {
-                *slot = self.fall_back(plan, res, reason);
+        let healthy = match &self.model {
+            Ok(healthy) => healthy,
+            Err(reason) => {
+                for (plan, slot) in plans.iter().zip(out.iter_mut()) {
+                    *slot = self.fall_back(plan, res, *reason);
+                }
+                return;
             }
-            return;
-        }
+        };
         let mut admitted = 0usize;
         for (plan, slot) in plans.iter().zip(out.iter_mut()) {
             if self.admits(plan) {
@@ -954,138 +780,90 @@ impl ShardedServing {
             return;
         }
         // Fair share: a tenant at its in-flight cap is shed before any
-        // lookup, encoding or queue work happens on its behalf. The
-        // slot is held for exactly the span of this call — given back
-        // here, on the client thread, whichever way the call was
-        // answered.
+        // lookup or encoding happens on its behalf. The slot is held
+        // for exactly the span of the pricing below, which contains its
+        // own panics, so it is given back whichever way the call ends.
         if !entry.try_acquire(self.tenants.limit) {
             telemetry::count(&entry.shed_counter, admitted as u64);
             return self.shed(plans, res, out, FallbackReason::TenantQuota);
         }
-        self.price_admitted(plans, res, out, admitted);
+        self.price_admitted(healthy, plans, res, out);
         entry.release();
     }
 
-    /// Looks every admitted plan up in the plan-context cache, encoding
-    /// the ones that miss. If all of them hit, prices them in place;
-    /// otherwise queues them on a shard as one job and waits out the
-    /// deadline for the dispatcher's answer.
+    /// Prices every admitted plan on this thread, through its cached
+    /// context or a fresh one. A panic on the way is contained here: it
+    /// answers the whole call `WorkerLost` and takes the model out of
+    /// service for good, so a fault is met once, not once per call.
     fn price_admitted(
         &self,
+        healthy: &(PlanEncoder, FrozenModel),
         plans: &[&PhysicalPlan],
         res: &ResourceConfig,
         out: &mut [ServingPrediction],
-        admitted: usize,
     ) {
-        let (Some(encoder), Some(model)) = (&self.encoder, &self.model) else {
-            return self.shed(plans, res, out, FallbackReason::WorkerLost);
-        };
-        let features = res.feature_array(&self.cfg.serving.cluster);
-        // HOT-ALLOC: the per-request job payload, one slot per admitted
-        // plan (owned by the shard until settle when the job is
-        // queued). A plan is cloned only on its second recent sighting,
-        // and encoding builds one owned EncodedPlan per missing plan.
-        let mut job_plans: Vec<JobPlan> = Vec::with_capacity(admitted);
-        let mut hits = 0usize;
-        for plan in plans.iter().filter(|p| self.admits(p)) {
-            let fingerprint = plan.structural_hash();
-            job_plans.push(match self.cache.lookup(fingerprint, plan) {
-                Lookup::Hit(cached) => {
-                    hits += 1;
-                    JobPlan::Cached(cached)
-                }
-                Lookup::Miss { seen_before } => JobPlan::Encoded {
-                    plan: encoder.encode(plan),
-                    // HOT-ALLOC: the cache key, cloned on a plan's
-                    // second recent sighting only — a stream of
-                    // distinct plans never pays for it.
-                    admit: seen_before.then(|| (fingerprint, (*plan).clone())),
-                },
-            });
-        }
-        if hits == admitted && !self.closed.load(Ordering::SeqCst) {
-            return self.price_in_place(model, &job_plans, &features, plans, res, out);
-        }
-        // The fallback is priced eagerly on the client thread: it must
-        // be cheap and total, and this keeps borrowed plans off the
-        // dispatcher entirely.
-        // HOT-ALLOC: per-request job payload (owned by the shard until
-        // settle).
-        let fallback_secs: Vec<f64> = plans
-            .iter()
-            .filter(|p| self.admits(p))
-            .map(|p| self.fallback.estimate_seconds(p, res))
-            .collect();
-        // HOT-ALLOC: one reply cell per request, shared with the shard.
-        let reply = Arc::new(ReplySlot::new());
-        // HOT-ALLOC: Arc::clone bumps a reference count; the job struct
-        // itself rides inline in the queue's VecDeque slot.
-        let job = ShardJob {
-            plans: job_plans,
-            resources: features,
-            fallback: fallback_secs,
-            reply: reply.clone(),
-        };
-        let shard = self.pick_shard();
-        // PANIC-FREE: pick_shard returns an index < queues.len().
-        // HOT-ALLOC: BatchQueue::push moves the job into a VecDeque
-        // slot; ring growth is amortized and capped by queue_capacity.
-        if self.queues[shard].push(job).is_err() {
-            // Full or closed queue: shed immediately.
+        if self.closed.load(Ordering::SeqCst) {
             return self.shed(plans, res, out, FallbackReason::Busy);
         }
-        match reply.wait_deadline(self.cfg.serving.deadline) {
-            Some(outcome) => {
-                let mut seconds = outcome.seconds.iter();
-                self.settle_admitted(plans, out, |plan| match seconds.next() {
-                    Some(&seconds) => ServingPrediction { seconds, source: outcome.source },
-                    // Defensive: a short outcome (never produced by a
-                    // correct dispatcher) answers analytically.
-                    None => self.fall_back(plan, res, FallbackReason::WorkerLost),
-                });
-            }
-            // The deadline passed and we abandoned the slot: the
-            // dispatcher's later complete() returns false and its
-            // outcome is dropped.
-            None => self.shed(plans, res, out, FallbackReason::Deadline),
+        if self.lost.load(Ordering::SeqCst) {
+            return self.shed(plans, res, out, FallbackReason::WorkerLost);
         }
-    }
-
-    /// The full-hit route: every admitted plan's context is in hand, so
-    /// the calling thread runs the head itself — no job, no reply slot,
-    /// no queue. The guard rails mean what they mean on the queue
-    /// route: a zero deadline is never met ([`ReplySlot::wait_deadline`]
-    /// "never waits at all"), and a panic while pricing is contained
-    /// and answered `WorkerLost`.
-    fn price_in_place(
-        &self,
-        model: &FrozenModel,
-        cached: &[JobPlan],
-        features: &ResourceFeatures,
-        plans: &[&PhysicalPlan],
-        res: &ResourceConfig,
-        out: &mut [ServingPrediction],
-    ) {
-        if self.cfg.serving.deadline.is_zero() {
-            return self.shed(plans, res, out, FallbackReason::Deadline);
-        }
-        // PANIC-FREE: a pricing panic is contained here, as the
-        // dispatcher contains its own, never unwound into the caller.
+        let (_, model) = healthy;
+        let features = res.feature_array(&self.cfg.serving.cluster);
+        // PANIC-FREE: the one place a pricing panic is allowed to
+        // surface — contained, never unwound into the caller.
         let priced = catch_unwind(AssertUnwindSafe(|| {
-            let mut cached = cached.iter();
-            self.settle_admitted(plans, out, |plan| match cached.next() {
-                Some(JobPlan::Cached(hit)) => ServingPrediction {
-                    seconds: model.predict_with_context(hit.context(), features),
-                    source: PredictionSource::Model,
-                },
-                // Defensive: this route is only taken when every
-                // admitted plan hit.
-                _ => self.fall_back(plan, res, FallbackReason::WorkerLost),
+            self.settle_admitted(plans, out, |plan| {
+                let fingerprint = plan.structural_hash();
+                match self.cache.lookup(fingerprint, plan) {
+                    Lookup::Hit(cached) => ServingPrediction {
+                        seconds: model.predict_with_context(cached.context(), &features),
+                        source: PredictionSource::Model,
+                    },
+                    Lookup::Miss { seen_before } => {
+                        self.price_miss(healthy, plan, res, &features, fingerprint, seen_before)
+                    }
+                }
             });
         }));
         if priced.is_err() {
+            self.lost.store(true, Ordering::SeqCst);
             self.shed(plans, res, out, FallbackReason::WorkerLost);
         }
+    }
+
+    /// Prices a plan the cache does not hold: encode, build the
+    /// context, run the head — the call a hit makes. On the plan's
+    /// second recent sighting (`seen_before`) the context is copied
+    /// into the cache, exact-sized, under a clone of the plan; built
+    /// contexts go back to the arena. A plan the encoder rejects as
+    /// malformed is answered analytically, like an oversized one.
+    ///
+    /// Kept out of line: inlined into the `catch_unwind` closure it
+    /// moved the hit path's code and cost `resweep_hot` 2% of its p50.
+    #[inline(never)]
+    fn price_miss(
+        &self,
+        (encoder, model): &(PlanEncoder, FrozenModel),
+        plan: &PhysicalPlan,
+        res: &ResourceConfig,
+        features: &ResourceFeatures,
+        fingerprint: u64,
+        seen_before: bool,
+    ) -> ServingPrediction {
+        let Ok(encoded) = encoder.try_encode(plan) else {
+            return self.fall_back(plan, res, FallbackReason::Admission);
+        };
+        let context = model.plan_context(&encoded);
+        let seconds = model.predict_with_context(&context, features);
+        if seen_before {
+            // HOT-ALLOC: the cache key and an exact-sized copy of the
+            // context, once per admitted plan — a stream of distinct
+            // plans never pays for either.
+            self.cache.insert(fingerprint, plan.clone(), context.clone());
+        }
+        model.recycle_context(context);
+        ServingPrediction { seconds, source: PredictionSource::Model }
     }
 
     /// Writes `answer(plan)` into the slot of every admitted plan, in
@@ -1137,57 +915,13 @@ impl ShardedServing {
     }
 }
 
-impl Drop for ShardedServing {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
-
 #[cfg(all(test, not(raal_model_check)))]
 mod tests {
     use super::*;
-    use crate::model::{CostModel, ModelConfig};
-    use encoding::plan_encoder::PLAN_STAT_FEATURES;
     use std::sync::atomic::{AtomicBool, Ordering};
 
-    /// When pricing panics, the jobs the dispatcher had already taken
-    /// from its queue are settled `WorkerLost` like the one that
-    /// tripped it — each from its own analytical estimates.
-    #[test]
-    fn a_pricing_panic_settles_the_jobs_already_taken() {
-        const NODE_DIM: usize = 6;
-        let model = FrozenModel::freeze(CostModel::new(ModelConfig::raal(NODE_DIM)));
-        let queue = Arc::new(BatchQueue::bounded(2));
-        let mut replies = Vec::new();
-        for fallback in [1.0, 2.0] {
-            // One feature wider than the model reads: the LSTM kernel's
-            // input guard panics.
-            let plan = EncodedPlan::from_rows(
-                &[vec![0.0; NODE_DIM + 1]],
-                &[vec![]],
-                [0.0; PLAN_STAT_FEATURES],
-            );
-            let reply = Arc::new(ReplySlot::new());
-            let job = ShardJob {
-                plans: vec![JobPlan::Encoded { plan, admit: None }],
-                resources: [0.5; ResourceConfig::NUM_FEATURES],
-                fallback: vec![fallback],
-                reply: reply.clone(),
-            };
-            assert!(queue.push(job).is_ok());
-            replies.push((reply, fallback));
-        }
-        queue.close();
-        dispatch_loop(queue, model, Arc::new(PlanCache::new(PLAN_CACHE_BYTES)));
-        for (reply, fallback) in replies {
-            let outcome = reply.wait_deadline(Duration::ZERO).expect("settled");
-            assert_eq!(outcome.source, PredictionSource::Fallback(FallbackReason::WorkerLost));
-            assert_eq!(outcome.seconds, [fallback]);
-        }
-    }
-
-    /// The client-side wait is the only bound on a serving call, so it
-    /// must hold against wakes that bring no outcome: a second thread
+    /// The wait's bound must hold against wakes that bring no outcome: a
+    /// second thread
     /// keeps notifying the slot's condvar without ever completing it,
     /// and the wait still gives up on time instead of re-arming its
     /// deadline on every wake.

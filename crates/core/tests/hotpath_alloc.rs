@@ -10,19 +10,12 @@
 //! allocates a waker — and a process-global counter would (flakily)
 //! pick that up. The test warms the thread-local inference arena, arms
 //! the counter, runs a batch of predictions, and asserts the count
-//! stayed at zero. A second test holds the served
-//! route for a cached plan to one allocation per call.
-//!
-//! The queued route of an uncached plan runs on two threads (caller
-//! and dispatcher), so a third test tallies it process-wide: every test
-//! here holds [`SERIAL`] so that tally sees no neighbour, and it reads
-//! allocations per call rounded down, which absorbs the harness
-//! thread's one-off waker.
+//! stayed at zero. Serving runs on the calling thread too, so two more
+//! tests hold a served call to the same standard: none for a cached
+//! plan, the encoder's own four for an uncached one.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard};
 
 mod common;
 
@@ -42,19 +35,7 @@ thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
 }
 
-/// The process-wide tally: every thread's allocations while `WATCH_ALL`.
-static WATCH_ALL: AtomicBool = AtomicBool::new(false);
-static ALL_ALLOCS: AtomicU64 = AtomicU64::new(0);
-static SERIAL: Mutex<()> = Mutex::new(());
-
-fn serial() -> MutexGuard<'static, ()> {
-    SERIAL.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
-}
-
 fn tally() {
-    if WATCH_ALL.load(Ordering::Relaxed) {
-        ALL_ALLOCS.fetch_add(1, Ordering::Relaxed);
-    }
     // try_with: TLS may be unavailable during thread teardown; those
     // allocations belong to the runtime, not the measured code.
     let _ = ARMED.try_with(|armed| {
@@ -116,14 +97,12 @@ fn count_below(engine: &Engine, bound: usize) -> sparksim::PhysicalPlan {
         .remove(0)
 }
 
-/// The tiny bundle behind one shard, with a deadline no call here
-/// comes near.
-fn one_shard_service() -> ShardedServing {
+/// The tiny bundle served with a deadline no call here comes near.
+fn tiny_service() -> ShardedServing {
     ShardedServing::new(
         common::tiny_bundle(),
         std::sync::Arc::new(|plan: &sparksim::PhysicalPlan, _: &ResourceConfig| plan.len() as f64),
         ShardConfig {
-            shards: 1,
             serving: ServingConfig {
                 deadline: std::time::Duration::from_secs(30),
                 ..Default::default()
@@ -135,7 +114,6 @@ fn one_shard_service() -> ShardedServing {
 
 #[test]
 fn steady_state_predict_is_allocation_free() {
-    let _serial = serial();
     let model = CostModel::new(ModelConfig {
         hidden: 8,
         latent_k: 4,
@@ -167,71 +145,60 @@ fn steady_state_predict_is_allocation_free() {
 
 /// The serving path for a plan whose context is cached: fingerprint,
 /// lookup, equality confirm and the head all run on the calling thread
-/// out of its arena, and the only heap allocation left per `predict`
-/// is the one-slot list of looked-up plans. (A miss encodes the plan,
-/// builds a job and a reply slot — a dozen allocations — so staying at
-/// one also shows these calls hit.)
+/// out of its arena, and nothing touches the heap. (A miss encodes the
+/// plan — four allocations — so zero also shows these calls hit.)
 #[test]
-fn served_hit_allocates_at_most_once_per_predict() {
-    let _serial = serial();
+fn served_hit_is_allocation_free() {
     let plan = count_below(&common::engine(), 40);
-    let service = one_shard_service();
+    let service = tiny_service();
     let cluster = ClusterConfig::default();
     let sweep: Vec<ResourceConfig> = (1..=4)
         .map(|executors| ResourceConfig { executors, ..ResourceConfig::default_for(&cluster) })
         .collect();
 
     // Warm-up: two sightings admit the plan, the rest warm this
-    // thread's arena on the in-place route.
+    // thread's arena.
     for res in sweep.iter().cycle().take(8) {
         assert_eq!(service.predict("warm", &plan, res).source, PredictionSource::Model);
     }
 
-    const CALLS: u64 = 64;
     let (allocs, all_model) = count_allocs(|| {
         sweep
             .iter()
             .cycle()
-            .take(CALLS as usize)
+            .take(64)
             .all(|res| service.predict("warm", &plan, res).source == PredictionSource::Model)
     });
     assert!(all_model);
-    assert!(allocs <= CALLS, "{allocs} allocations over {CALLS} served hits");
+    assert_eq!(allocs, 0, "{allocs} allocations over 64 served hits");
 }
 
-/// The queued route, for a plan the cache has never seen: the caller
-/// encodes it, queues one job and waits; the dispatcher builds its
-/// context out of its arena, prices it and settles the job. Counted on
-/// both threads, per `predict`, over same-shaped plans none of which
-/// repeats (a repeat would be cached and leave this route).
+/// A plan the cache has never seen: the caller encodes it, builds its
+/// context out of its arena and prices it. What is left on the heap is
+/// the encoder's — the `EncodedPlan`'s three buffers and the
+/// tokenizer's word scratch. (It read 129 before the encoder streamed,
+/// and 8 while a job, a reply slot and an outcome crossed a thread.)
+/// Counted over same-shaped plans none of which repeats: a repeat would
+/// be cached.
 #[test]
-fn queued_miss_allocations_per_predict_are_held() {
-    /// It read 129 while the encoder built a statement string, a
-    /// string per token and five vectors per node. It reads 8 now: the
-    /// encoder's three buffers and word scratch, the job's plan list,
-    /// fallback list and reply slot, and the outcome.
-    const PER_PREDICT: u64 = 16;
+fn served_miss_allocates_only_what_the_encoder_does() {
+    const PER_PREDICT: u64 = 4;
     const WARM: usize = 16;
     const CALLS: u64 = 64;
-    let _serial = serial();
     let engine = common::engine();
     // Three-digit bounds: every statement tokenizes to the same shape.
     let plans: Vec<_> = (100..100 + WARM + CALLS as usize)
         .map(|bound| count_below(&engine, bound))
         .collect();
-    let service = one_shard_service();
+    let service = tiny_service();
     let res = ResourceConfig::default_for(&ClusterConfig::default());
     let served_by_model =
         |plan| service.predict("miss", plan, &res).source == PredictionSource::Model;
 
-    // Warm-up: both threads' arenas, the queue's ring, the tenant entry.
+    // Warm-up: this thread's arena, the tenant entry.
     assert!(plans[..WARM].iter().all(served_by_model));
 
-    ALL_ALLOCS.store(0, Ordering::Relaxed);
-    WATCH_ALL.store(true, Ordering::SeqCst);
-    let all_model = plans[WARM..].iter().all(served_by_model);
-    WATCH_ALL.store(false, Ordering::SeqCst);
+    let (allocs, all_model) = count_allocs(|| plans[WARM..].iter().all(served_by_model));
     assert!(all_model);
-    let per_predict = ALL_ALLOCS.load(Ordering::Relaxed) / CALLS;
-    assert!(per_predict <= PER_PREDICT, "{per_predict} allocations per queued predict");
+    assert!(allocs <= PER_PREDICT * CALLS, "{allocs} allocations over {CALLS} served misses");
 }

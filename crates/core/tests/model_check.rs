@@ -1,11 +1,14 @@
-//! Model-check suite for the serving shard's queue/slot protocol and the
-//! (now unused by serving) worker handoff. Compiled only in the
-//! model-check configuration (`RUSTFLAGS="--cfg raal_model_check"`),
-//! where `raal_sync` swaps its std re-exports for schedule-explored
-//! twins: these tests run the *production* [`BatchQueue`], [`ReplySlot`]
-//! and [`Handoff`] code across every thread interleaving up to the
-//! preemption bound, with trivial work functions standing in for
-//! inference.
+//! Model-check suite for the queue/slot protocol and the worker handoff
+//! — primitives the serving service no longer uses (it prices on the
+//! caller's thread) but the benchmark package still links, so they stay
+//! checked until it lets go of them. Compiled only in the model-check
+//! configuration (`RUSTFLAGS="--cfg raal_model_check"`), where
+//! `raal_sync` swaps its std re-exports for schedule-explored twins:
+//! these tests run the *production* [`BatchQueue`], [`ReplySlot`] and
+//! [`Handoff`] code across every thread interleaving up to the
+//! preemption bound. What serving's client threads do share, the
+//! plan-context cache, is explored next to it in
+//! `src/serving/plan_cache.rs`.
 //!
 //! A plain `cargo test` compiles this file to nothing; CI runs it in the
 //! dedicated model-check job. See DESIGN.md §14 for how to write and

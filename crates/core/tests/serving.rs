@@ -130,27 +130,13 @@ fn drop_with_requests_in_flight_joins_the_worker() {
         ..ServingConfig::default()
     };
     let mut serving = ServingModel::new(tiny_bundle(), gpsj_fallback(), cfg);
-    // A zero-deadline predict never waits, so it usually abandons its
-    // request mid-inference — but a dispatcher that settled first wins
-    // (`ReplySlot::wait_deadline` takes an outcome that is already
-    // there), so a preempted client sees `Model`. Fire several so the
-    // worker is busy when the model is dropped.
+    // A zero deadline is never met.
     for _ in 0..3 {
         let pred = serving.predict(&plan, &resources());
-        assert!(pred.seconds.is_finite());
-        assert!(
-            matches!(
-                pred.source,
-                PredictionSource::Model | PredictionSource::Fallback(FallbackReason::Deadline)
-            ),
-            "{:?}",
-            pred.source
-        );
+        assert_eq!(pred.source, PredictionSource::Fallback(FallbackReason::Deadline));
+        assert_eq!(pred.seconds, 1.0 + plan.len() as f64);
     }
-    // Dropping must close the request channel and join the worker —
-    // completion of this test is the assertion (a lost-wakeup or
-    // missed close would hang here; the model-check suite proves the
-    // same property across all bounded interleavings).
+    // There is no worker left to join: dropping returns at once.
     drop(serving);
 }
 
@@ -164,8 +150,7 @@ fn shutdown_from_a_scoped_thread_with_predict_traffic() {
     };
     let mut serving = ServingModel::new(tiny_bundle(), gpsj_fallback(), cfg);
     // Hammer predicts from another thread (tight deadline: a mix of
-    // model answers and in-flight misses), then drop on this one while
-    // the worker may be mid-request.
+    // model answers and deadline misses), then drop on this one.
     std::thread::scope(|s| {
         s.spawn(|| {
             for _ in 0..20 {
@@ -185,7 +170,7 @@ fn dropping_a_degraded_model_is_trivially_clean() {
         ServingConfig::default(),
     );
     assert!(serving.is_degraded());
-    drop(serving); // no worker to join
+    drop(serving);
 }
 
 #[test]
@@ -236,23 +221,11 @@ fn zero_deadline_falls_back_then_recovers() {
 
     // A zero deadline cannot be met: the analytical answer comes back.
     let pred = serving.predict(&plan, &resources());
-    assert!(matches!(
-        pred.source,
-        PredictionSource::Fallback(FallbackReason::Deadline | FallbackReason::Busy)
-    ));
+    assert_eq!(pred.source, PredictionSource::Fallback(FallbackReason::Deadline));
     assert_eq!(pred.seconds, 1.0 + plan.len() as f64);
 
-    // Once the deadline is realistic again the worker drains the stale
-    // request and the deep model resumes answering.
+    // With a realistic deadline the very next call is the model's.
     serving.set_deadline(Duration::from_secs(10));
-    let mut recovered = false;
-    for _ in 0..50 {
-        if serving.predict(&plan, &resources()).source == PredictionSource::Model {
-            recovered = true;
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(10));
-    }
-    assert!(recovered, "serving never recovered after a deadline miss");
+    assert_eq!(serving.predict(&plan, &resources()).source, PredictionSource::Model);
     assert!(!serving.is_degraded());
 }

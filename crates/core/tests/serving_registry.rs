@@ -41,7 +41,6 @@ fn slo_gauges_and_served_counters_reach_the_registry() {
     let engine = engine();
     let plan = some_plan(&engine);
     let cfg = ShardConfig {
-        shards: 1,
         serving: ServingConfig {
             deadline: Duration::from_secs(10),
             ..Default::default()

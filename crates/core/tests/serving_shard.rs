@@ -1,8 +1,8 @@
-//! Integration tests for the sharded multi-tenant serving service:
-//! guard rails, fair-share shedding, shutdown semantics, the assembled
-//! service under faults (pricing panic, full queues, shutdown in
-//! flight) with its accounting conservation law, and the bit-identity
-//! property — predictions served under concurrency, in a caller's
+//! Integration tests for the multi-tenant serving service: guard
+//! rails, fair-share shedding, malformed plans, shutdown semantics, the
+//! assembled service under faults (pricing panic, shutdown in flight)
+//! with its accounting conservation law, and the bit-identity property
+//! — predictions served under concurrency, in a caller's
 //! `predict_many`, or from a cached plan context must equal
 //! `CostModel::predict_seconds` on the same encoded plan, exactly.
 
@@ -13,15 +13,15 @@ use raal::model::FrozenModel;
 use raal::persist::ModelBundle;
 use raal::serving::shard::{BatchQueue, ReplySlot, ShardConfig, ShardedServing};
 use raal::serving::{FallbackModel, FallbackReason, PredictionSource, ServingConfig, SloStats};
-use sparksim::plan::physical::PhysicalPlan;
+use sparksim::plan::physical::{PhysicalOp, PhysicalPlan};
 use sparksim::resource::{ClusterConfig, ResourceConfig};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Barrier};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// A bundle whose encoder emits node features one wider than the model
 /// was built for. `ModelBundle::new` skips the width check
-/// `ModelBundle::load` does, so the first priced job panics in the
+/// `ModelBundle::load` does, so the first priced plan panics in the
 /// LSTM kernel's input guard — a pricing fault with no injection seam.
 fn mismatched_bundle() -> ModelBundle {
     bundle_with_model_input(1)
@@ -31,9 +31,8 @@ fn analytical() -> Arc<dyn FallbackModel + Send + Sync> {
     Arc::new(|plan: &PhysicalPlan, _res: &ResourceConfig| 1.0 + plan.len() as f64)
 }
 
-fn generous(shards: usize) -> ShardConfig {
+fn generous() -> ShardConfig {
     ShardConfig {
-        shards,
         serving: ServingConfig {
             deadline: Duration::from_secs(10),
             ..Default::default()
@@ -59,7 +58,6 @@ fn corrupt_checkpoint_degrades_the_whole_service() {
     let plan = some_plan(&engine);
     let service = ShardedServing::from_checkpoint(&path, analytical(), ShardConfig::default());
     assert!(service.is_degraded());
-    assert_eq!(service.shards(), 0);
     let pred = service.predict("tenant-a", &plan, &resources());
     assert_eq!(pred.source, PredictionSource::Fallback(FallbackReason::Checkpoint));
     assert_eq!(pred.seconds, 1.0 + plan.len() as f64);
@@ -80,7 +78,7 @@ fn healthy_service_answers_with_the_model() {
         FrozenModel::freeze(bundle.model).predict_seconds(&encoder.encode(&plan), &features)
     };
     let lines = telemetry::testing::capture(|| {
-        let service = ShardedServing::new(tiny_bundle(), analytical(), generous(2));
+        let service = ShardedServing::new(tiny_bundle(), analytical(), generous());
         let pred = service.predict("tenant-a", &plan, &resources());
         assert_eq!(pred.source, PredictionSource::Model);
         assert_eq!(pred.seconds, expected);
@@ -90,7 +88,6 @@ fn healthy_service_answers_with_the_model() {
         service.shutdown();
     });
     assert!(lines.iter().any(|l| l.contains("serving.predict.model")));
-    assert!(lines.iter().any(|l| l.contains("serving.shard.dispatch")));
     assert!(
         lines.iter().any(|l| l.contains("serving.tenant.predict.tenant_a")),
         "per-tenant counter missing (tenant id should be sanitized)"
@@ -120,7 +117,7 @@ fn tenant_over_quota_is_shed_but_others_are_not() {
     let plan = some_plan(&engine);
     // A zero in-flight budget sheds every admitted request of the
     // noisy tenant deterministically, without any concurrency setup.
-    let cfg = ShardConfig { tenant_inflight: 0, ..generous(1) };
+    let cfg = ShardConfig { tenant_inflight: 0, ..generous() };
     let lines = telemetry::testing::capture(|| {
         let service = ShardedServing::new(tiny_bundle(), analytical(), cfg);
         let pred = service.predict("noisy", &plan, &resources());
@@ -139,16 +136,13 @@ fn quota_slots_are_released_after_each_predict() {
     let plan = some_plan(&engine);
     // Budget of one in flight: sequential predicts must all succeed,
     // because each release happens before the next acquire.
-    let cfg = ShardConfig { tenant_inflight: 1, ..generous(1) };
+    let cfg = ShardConfig { tenant_inflight: 1, ..generous() };
     let service = ShardedServing::new(tiny_bundle(), analytical(), cfg);
     for _ in 0..5 {
         let pred = service.predict("tenant-a", &plan, &resources());
         assert_eq!(pred.source, PredictionSource::Model);
     }
-    // Deadline-abandoned predicts must release their slot too. A zero
-    // deadline races the dispatcher: each predict either abandons
-    // (client releases) or still wins a model answer (dispatcher
-    // releases) — the slot must come back either way.
+    // Calls that miss their deadline must release their slot too.
     let cfg = ShardConfig {
         tenant_inflight: 1,
         serving: ServingConfig { deadline: Duration::ZERO, ..Default::default() },
@@ -157,24 +151,91 @@ fn quota_slots_are_released_after_each_predict() {
     let service = ShardedServing::new(tiny_bundle(), analytical(), cfg);
     for _ in 0..5 {
         let pred = service.predict("tenant-a", &plan, &resources());
-        assert!(pred.seconds.is_finite());
+        assert_eq!(pred.source, PredictionSource::Fallback(FallbackReason::Deadline));
     }
-    let stats = service.slo_stats();
-    assert_eq!(
-        stats.count(FallbackReason::TenantQuota),
-        0,
-        "abandoned predicts leaked their in-flight slots"
-    );
 }
 
+/// The deadline is judged after pricing: an answer that took longer
+/// than its budget is demoted to the analytical one, counted once.
 #[test]
-fn zero_capacity_queue_sheds_busy() {
+fn an_over_budget_answer_is_demoted_to_deadline() {
     let engine = engine();
     let plan = some_plan(&engine);
-    let cfg = ShardConfig { queue_capacity: 0, ..generous(1) };
+    let cfg = ShardConfig {
+        serving: ServingConfig {
+            deadline: Duration::from_nanos(1),
+            ..Default::default()
+        },
+        ..Default::default()
+    };
     let service = ShardedServing::new(tiny_bundle(), analytical(), cfg);
     let pred = service.predict("tenant-a", &plan, &resources());
-    assert_eq!(pred.source, PredictionSource::Fallback(FallbackReason::Busy));
+    assert_eq!(pred.source, PredictionSource::Fallback(FallbackReason::Deadline));
+    assert_eq!(pred.seconds, 1.0 + plan.len() as f64);
+    let stats = service.slo_stats();
+    assert_eq!((stats.total, stats.model), (1, 0));
+    assert_eq!(stats.count(FallbackReason::Deadline), 1);
+    assert_eq!(stats.total, stats.model + stats.by_reason.iter().sum::<u64>());
+}
+
+/// Plans `PhysicalPlan::add` lets a caller build that are not a single
+/// tree: none at all, two roots, a child listed twice, a child under
+/// two parents.
+fn malformed_plans() -> Vec<(&'static str, PhysicalPlan)> {
+    let leaf = |plan: &mut PhysicalPlan, n| plan.add(PhysicalOp::Limit { n }, vec![], 1.0, 8.0);
+    let mut forest = PhysicalPlan::new();
+    leaf(&mut forest, 1);
+    leaf(&mut forest, 2);
+    let mut duplicate = PhysicalPlan::new();
+    let child = leaf(&mut duplicate, 1);
+    duplicate.add(PhysicalOp::Limit { n: 2 }, vec![child, child], 1.0, 8.0);
+    let mut shared = PhysicalPlan::new();
+    let child = leaf(&mut shared, 1);
+    let parent = shared.add(PhysicalOp::Limit { n: 2 }, vec![child], 1.0, 8.0);
+    shared.add(PhysicalOp::Limit { n: 3 }, vec![child, parent], 1.0, 8.0);
+    vec![
+        ("empty", PhysicalPlan::new()),
+        ("forest", forest),
+        ("duplicate child", duplicate),
+        ("shared child", shared),
+    ]
+}
+
+/// A plan the encoder rejects is outside input, not a model fault: it
+/// is answered `Admission` by itself, its neighbours keep the model,
+/// the service stays healthy, and the tenant's slot comes back — with
+/// one in-flight slot, a leak would shed the very next call
+/// `TenantQuota`.
+#[test]
+fn a_malformed_plan_is_an_admission_fallback_not_a_fault() {
+    let engine = engine();
+    let good = some_plan(&engine);
+    let res = resources();
+    let admission = PredictionSource::Fallback(FallbackReason::Admission);
+    let cfg = ShardConfig { tenant_inflight: 1, ..generous() };
+    let service = ShardedServing::new(tiny_bundle(), analytical(), cfg);
+    let mut sent = 0;
+    for (name, bad) in &malformed_plans() {
+        for _ in 0..8 {
+            let alone = service.predict("tenant-a", bad, &res);
+            assert_eq!(alone.source, admission, "{name}");
+            assert_eq!(alone.seconds, 1.0 + bad.len() as f64, "{name}");
+        }
+        let preds = service.predict_many("tenant-a", &[&good, bad, &good], &res);
+        let sources: Vec<_> = preds.iter().map(|p| p.source).collect();
+        assert_eq!(
+            sources,
+            [PredictionSource::Model, admission, PredictionSource::Model],
+            "{name}"
+        );
+        assert_eq!(preds[1].seconds, 1.0 + bad.len() as f64, "{name}");
+        assert_eq!(service.predict("tenant-a", &good, &res).source, PredictionSource::Model);
+        sent += 8 + 3 + 1;
+    }
+    let stats = service.slo_stats();
+    assert_eq!(stats.total, sent);
+    assert_eq!(stats.count(FallbackReason::Admission), stats.total - stats.model);
+    assert_eq!(stats.total, stats.model + stats.by_reason.iter().sum::<u64>());
 }
 
 #[test]
@@ -207,8 +268,8 @@ fn predict_many_batches_with_per_plan_admission() {
 
 /// The bit-identity property: a prediction must be **bit-identical**
 /// whether its plan is priced alone, in a caller's `predict_many`, or
-/// while other tenants' jobs wait in the same shard queue — concurrency
-/// may change throughput, never answers.
+/// while other tenants' calls price beside it — concurrency may change
+/// throughput, never answers.
 #[test]
 fn concurrent_predictions_are_bit_identical_to_sequential() {
     let engine = engine();
@@ -225,9 +286,8 @@ fn concurrent_predictions_are_bit_identical_to_sequential() {
         .map(|p| bundle.model.predict_seconds(&encoder.encode(p), &features))
         .collect();
 
-    // Concurrent clients hammer one shard, so jobs do queue up behind
-    // one another.
-    let service = Arc::new(ShardedServing::new(tiny_bundle(), analytical(), generous(1)));
+    // More concurrent clients than cores.
+    let service = Arc::new(ShardedServing::new(tiny_bundle(), analytical(), generous()));
     let threads = 8;
     let rounds = 12;
     std::thread::scope(|s| {
@@ -275,7 +335,6 @@ fn concurrent_predictions_are_bit_identical_to_sequential() {
 struct Fault {
     name: &'static str,
     bundle: fn() -> ModelBundle,
-    queue_capacity: usize,
     shutdown_mid_flight: bool,
     /// Every source a call may report while the fault plays out.
     allowed: &'static [PredictionSource],
@@ -286,46 +345,31 @@ struct Fault {
 const WORKER_LOST: PredictionSource = PredictionSource::Fallback(FallbackReason::WorkerLost);
 const BUSY: PredictionSource = PredictionSource::Fallback(FallbackReason::Busy);
 
-const FAULTS: [Fault; 3] = [
+const FAULTS: [Fault; 2] = [
     Fault {
-        name: "pricing panics on the dispatcher",
+        name: "pricing panics",
         bundle: mismatched_bundle,
-        queue_capacity: 1024,
         shutdown_mid_flight: false,
         allowed: &[WORKER_LOST],
         afterwards: WORKER_LOST,
     },
     Fault {
-        name: "every shard queue is full",
-        bundle: tiny_bundle,
-        queue_capacity: 0,
-        shutdown_mid_flight: false,
-        allowed: &[BUSY],
-        afterwards: BUSY,
-    },
-    Fault {
         name: "shutdown with calls in flight",
         bundle: tiny_bundle,
-        queue_capacity: 1024,
         shutdown_mid_flight: true,
         allowed: &[PredictionSource::Model, BUSY],
         afterwards: BUSY,
     },
 ];
 
-/// Drives one fault with 4 single-tenant clients on 2 shards and
-/// checks, from the outside, that every call returns exactly one finite
-/// answer per plan from an allowed source — never `TenantQuota`: with
-/// one in-flight slot per tenant, a slot that did not come back would
-/// shed that tenant's very next call — that the service still answers
-/// promptly afterwards, and that dropping it joins. Returns its final
-/// [`SloStats`].
+/// Drives one fault with 4 single-tenant clients and checks, from the
+/// outside, that every call returns exactly one finite answer per plan
+/// from an allowed source — never `TenantQuota`: with one in-flight
+/// slot per tenant, a slot that did not come back would shed that
+/// tenant's very next call — and that the service still answers
+/// promptly afterwards. Returns its final [`SloStats`].
 fn drive_fault(fault: &Fault, plans: &[PhysicalPlan]) -> SloStats {
-    let cfg = ShardConfig {
-        tenant_inflight: 1,
-        queue_capacity: fault.queue_capacity,
-        ..generous(2)
-    };
+    let cfg = ShardConfig { tenant_inflight: 1, ..generous() };
     let service = ShardedServing::new((fault.bundle)(), analytical(), cfg);
     let sent = AtomicU64::new(0);
     let res = resources();
@@ -367,7 +411,6 @@ fn drive_fault(fault: &Fault, plans: &[PhysicalPlan]) -> SloStats {
     let stats = service.slo_stats();
     assert_eq!(stats.total, sent.load(Ordering::Relaxed) + 1, "{}", fault.name);
     assert_eq!(stats.total, stats.model + stats.by_reason.iter().sum::<u64>(), "{}", fault.name);
-    drop(service); // a dispatcher that cannot be joined hangs here
     stats
 }
 
@@ -437,45 +480,54 @@ fn under_faults_every_call_is_answered_and_counted_once() {
     });
 }
 
-/// A pricing panic costs the shard, never an answer: the job that
-/// tripped it and the job queued behind it both come back `WorkerLost`
-/// with their analytical estimates, each counted once — whether the
-/// dispatcher takes both in one drain (pinned by `shard.rs`'s in-module
-/// test) or wakes once per job.
+thread_local! {
+    static PANICS: std::cell::Cell<u32> = const { std::cell::Cell::new(0) };
+}
+
+/// Panics raised on the calling thread since the first call of this
+/// function in the process. The counting hook chains to the one it
+/// replaces, so a failing test still prints.
+fn panics_on_this_thread() -> u32 {
+    static HOOK: std::sync::Once = std::sync::Once::new();
+    HOOK.call_once(|| {
+        let previous = std::panic::take_hook();
+        std::panic::set_hook(Box::new(move |info| {
+            PANICS.with(|n| n.set(n.get() + 1));
+            previous(info);
+        }));
+    });
+    PANICS.with(|n| n.get())
+}
+
+/// A pricing panic costs the model, never an answer, and is met once:
+/// the call that tripped it comes back `WorkerLost` with its analytical
+/// estimate, and so does every later one — cached or not — without
+/// reaching the model again.
 #[test]
-fn a_pricing_panic_answers_the_job_behind_it_worker_lost_too() {
-    const ROUNDS: u64 = 16;
+fn a_pricing_panic_is_met_once_and_sticks() {
+    const CALLS: u64 = 8;
     let engine = engine();
     let plan = some_plan(&engine);
     let res = resources();
+    // In a capture because captures are serialised: the fault test
+    // asserts the exact worker-lost count of its own.
     telemetry::testing::capture(|| {
-        for _ in 0..ROUNDS {
-            let service = ShardedServing::new(mismatched_bundle(), analytical(), generous(1));
-            let start = Barrier::new(2);
-            std::thread::scope(|s| {
-                for tenant in ["lost-first", "lost-behind"] {
-                    let (service, start, plan, res) = (&service, &start, &plan, &res);
-                    s.spawn(move || {
-                        start.wait();
-                        let pred = service.predict(tenant, plan, res);
-                        assert_eq!(pred.source, WORKER_LOST);
-                        assert_eq!(pred.seconds, 1.0 + plan.len() as f64);
-                    });
-                }
-            });
-            let stats = service.slo_stats();
-            assert_eq!((stats.total, stats.count(FallbackReason::WorkerLost)), (2, 2));
+        let service = ShardedServing::new(mismatched_bundle(), analytical(), generous());
+        let before = panics_on_this_thread();
+        for _ in 0..CALLS {
+            let pred = service.predict("lost", &plan, &res);
+            assert_eq!(pred.source, WORKER_LOST);
+            assert_eq!(pred.seconds, 1.0 + plan.len() as f64);
         }
-        // Only captures trip this counter, and captures are serialised.
-        let snap = telemetry::metrics_snapshot();
-        assert_eq!(snap.counters[FallbackReason::WorkerLost.counter()], 2 * ROUNDS);
+        assert_eq!(panics_on_this_thread() - before, 1, "the model was reached again");
+        let stats = service.slo_stats();
+        assert_eq!((stats.total, stats.count(FallbackReason::WorkerLost)), (CALLS, CALLS));
     });
 }
 
-/// The plan-context cache may change *where* a plan is priced — on the
-/// dispatcher from a fresh context, on the dispatcher from a cached
-/// one, or in place on the caller's thread — never *what* it is priced
-/// at: over a stream mixing a hot set under varying resources, plans
+/// The plan-context cache may change *how* a plan is priced — from a
+/// fresh context or a cached one — never *what* it is priced at: over
+/// a stream mixing a hot set under varying resources, plans
 /// never seen twice and `predict_many` calls that hit only in part,
 /// every answer is the model's and carries exactly the bits
 /// `CostModel::predict_seconds` gives the freshly encoded plan. Every
@@ -511,7 +563,7 @@ fn warm_plans_are_priced_from_cached_contexts_with_the_same_bits() {
     };
 
     telemetry::testing::capture(|| {
-        let service = ShardedServing::new(tiny_bundle(), analytical(), generous(2));
+        let service = ShardedServing::new(tiny_bundle(), analytical(), generous());
         let sent = AtomicU64::new(0);
         std::thread::scope(|s| {
             for t in 0..CLIENTS {
@@ -591,7 +643,7 @@ fn warm_plans_are_priced_from_cached_contexts_with_the_same_bits() {
 fn shutdown_under_traffic_completes_and_sheds_later_predicts() {
     let engine = engine();
     let plan = some_plan(&engine);
-    let service = Arc::new(ShardedServing::new(tiny_bundle(), analytical(), generous(2)));
+    let service = Arc::new(ShardedServing::new(tiny_bundle(), analytical(), generous()));
     std::thread::scope(|s| {
         for t in 0..4 {
             let service = Arc::clone(&service);
@@ -609,7 +661,7 @@ fn shutdown_under_traffic_completes_and_sheds_later_predicts() {
         }
         service.shutdown();
     });
-    // After shutdown the queues are closed: predicts shed immediately.
+    // After shutdown predicts shed immediately.
     let pred = service.predict("late", &plan, &resources());
     assert_eq!(pred.source, PredictionSource::Fallback(FallbackReason::Busy));
     // Idempotent (and Drop will run it again).
@@ -621,25 +673,21 @@ fn dropping_a_busy_service_joins_all_threads() {
     let engine = engine();
     let plan = some_plan(&engine);
     let cfg = ShardConfig {
-        shards: 2,
         serving: ServingConfig { deadline: Duration::ZERO, ..Default::default() },
         ..Default::default()
     };
     let service = ShardedServing::new(tiny_bundle(), analytical(), cfg);
-    // Zero-deadline predicts usually abandon their jobs mid-flight
-    // (though a fast dispatcher may still win the race); drop must
-    // drain, close and join every dispatcher + worker regardless (a
-    // hang here is the failure).
+    // A zero deadline is never met; there is no thread left for drop
+    // to join, so it returns at once.
     for _ in 0..6 {
         let pred = service.predict("tenant-a", &plan, &resources());
-        assert!(pred.seconds.is_finite());
+        assert_eq!(pred.source, PredictionSource::Fallback(FallbackReason::Deadline));
     }
     drop(service);
 }
 
-/// Building blocks behave sanely outside the service too (the
-/// model-check suite explores their interleavings; this pins the
-/// single-threaded contract).
+/// The benchmark-pinned queue and slot keep their single-threaded
+/// contract (the model-check suite explores their interleavings).
 #[test]
 fn batch_queue_and_reply_slot_contracts() {
     let q: BatchQueue<u32> = BatchQueue::bounded(2);

@@ -172,10 +172,31 @@ impl PlanEncoder {
         &self.w2v
     }
 
+    /// [`Self::try_encode`] for plans this program built itself.
+    ///
+    /// # Panics
+    /// Panics if the plan is not a single bottom-up tree.
+    pub fn encode(&self, plan: &PhysicalPlan) -> EncodedPlan {
+        match self.try_encode(plan) {
+            Ok(encoded) => encoded,
+            // PANIC-FREE: deliberate guard — a malformed plan (or a bug
+            // in the structure-row emission) must fail loudly before it
+            // can reach the model and mispredict silently; the planner
+            // never emits one.
+            Err(e) => panic!("plan encoding produced an invalid DAG: {e}"),
+        }
+    }
+
     /// Encodes a physical plan: one pass over the nodes, each statement
     /// rendered straight into the tokenizer and each token's embedding
-    /// added, in token order, to the node's row where it lies.
-    pub fn encode(&self, plan: &PhysicalPlan) -> EncodedPlan {
+    /// added, in token order, to the node's row where it lies. A plan
+    /// that is empty or not a single tree — two roots, a child listed
+    /// twice or under two parents — is rejected by the static DAG check
+    /// ([`Self::validate`]) that closes the pass.
+    pub fn try_encode(&self, plan: &PhysicalPlan) -> Result<EncodedPlan, analysis::dag::DagError> {
+        if plan.is_empty() {
+            return Err(analysis::dag::DagError::Empty);
+        }
         let (n, dim) = (plan.len(), self.node_dim());
         let onehot_at = self.w2v.dim();
         let structure_at = onehot_at + onehot::DIM;
@@ -247,16 +268,8 @@ impl PlanEncoder {
             child_ids,
             plan_stats: plan_stats(plan),
         };
-        // Static DAG check: a malformed physical plan (or a bug in the
-        // structure-row emission above) is an internal invariant
-        // violation — fail loudly here, before the plan can reach the
-        // model and mispredict silently.
-        // PANIC-FREE: deliberate guard — it fires on a plan that is not
-        // a bottom-up tree, which the planner never emits.
-        if let Err(e) = self.validate(&encoded) {
-            panic!("plan encoding produced an invalid DAG: {e}");
-        }
-        encoded
+        self.validate(&encoded)?;
+        Ok(encoded)
     }
 
     /// Full static validation of an encoded plan: the child-list

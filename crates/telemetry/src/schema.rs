@@ -77,7 +77,6 @@ pub const SPAN_NAMES: &[&str] = &[
     "sparksim.observe",
     "sparksim.simulate",
     "serving.predict",
-    "serving.shard.dispatch",
     "workload.generate",
     "encode.word2vec",
     "baselines.train_tlstm",

@@ -85,11 +85,7 @@ fn served_predictions_are_the_frozen_models_bits() {
     let service = ShardedServing::new(
         ModelBundle::new(model.clone(), &encoder),
         Arc::new(fallback),
-        ShardConfig {
-            shards: 2,
-            serving: serving.clone(),
-            ..ShardConfig::default()
-        },
+        ShardConfig { serving: serving.clone(), ..ShardConfig::default() },
     );
     let served = service.predict_many("smoke", &plans, &res);
     let mut facade =
@@ -106,8 +102,8 @@ fn served_predictions_are_the_frozen_models_bits() {
     assert_eq!(service.slo_stats().model, plans.len() as u64);
 
     // The same plan again, under resources the service has not seen:
-    // from its third sighting on it is priced on this thread from the
-    // cached context, and must still be `predict_seconds`'s bits.
+    // from its third sighting on it is priced from the cached
+    // context, and must still be `predict_seconds`'s bits.
     for sighting in 2..=4 {
         let got = service.predict("smoke", plans[0], &scaled);
         assert_eq!(got.source, PredictionSource::Model, "sighting {sighting}");
