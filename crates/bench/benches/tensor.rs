@@ -34,6 +34,32 @@ fn bench_tensor_ops(c: &mut Criterion) {
             black_box(out[0])
         })
     });
+    // The plan layer's `m = n` products for a median 19-node plan: the
+    // hoisted input projection over rows shaped like the encoder's (32
+    // dense entries, a one-hot, two signed structure entries, 2 stats,
+    // else exact zeros) and one attention projection.
+    let mut xs = Tensor::zeros(19, 94);
+    for t in 0..19 {
+        for j in (0..32).chain(92..94) {
+            xs.set(t, j, rng.gen_range(-1.0f32..1.0));
+        }
+        for (j, v) in [(32 + t % 12, 1.0), (44 + (t + 1) % 19, -1.0), (44 + (t + 18) % 19, 1.0)] {
+            xs.set(t, j, v);
+        }
+    }
+    let (wx, hs19) = (filled(&mut rng, 94, 256), filled(&mut rng, 19, 64));
+    for (name, a, k, w, n) in [
+        ("matmul_into_19x94_94x256", &xs, 94, &wx, 256),
+        ("matmul_into_19x64_64x32", &hs19, 64, &wk, 32),
+    ] {
+        let mut out = vec![0.0f32; 19 * n];
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                infer::matmul_into(a.data(), 19, k, w.data(), n, &mut out);
+                black_box(out[0])
+            })
+        });
+    }
     group.finish();
 
     let mut group = c.benchmark_group("tensor_transpose");

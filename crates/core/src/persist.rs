@@ -50,6 +50,11 @@ impl ModelBundle {
     /// feature width is checked against the model's declared input — so a
     /// corrupted or tampered checkpoint fails here with a layer-level
     /// diagnostic (`InvalidData`), not as a kernel panic on first use.
+    /// So does one that carries a non-finite `f32`: JSON has no `inf`,
+    /// but `1e39` parses and overflows to it, and the model would then
+    /// price every plan at 0 s (NaN through the clamp) as a `Model`
+    /// answer. The inference kernels rely on finite weights too
+    /// (`nn::infer::matmul_into` skips products with exact zeros).
     pub fn load(path: &Path) -> std::io::Result<Self> {
         let json = std::fs::read_to_string(path)?;
         let mut bundle: ModelBundle = serde_json::from_str(&json).map_err(std::io::Error::other)?;
@@ -60,6 +65,12 @@ impl ModelBundle {
                 format!("checkpoint {} failed the shape check: {e}", path.display()),
             )
         })?;
+        if let Some(what) = bundle.first_non_finite() {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::InvalidData,
+                format!("checkpoint {}: {what} holds a non-finite value", path.display()),
+            ));
+        }
         let encoder_dim = bundle.encoder().node_dim();
         let model_dim = bundle.model.config().node_dim;
         if encoder_dim != model_dim {
@@ -73,6 +84,20 @@ impl ModelBundle {
             ));
         }
         Ok(bundle)
+    }
+
+    /// Names the first of the bundle's `f32` fields that is not finite:
+    /// a parameter tensor, the label statistics or the embedding table.
+    fn first_non_finite(&self) -> Option<String> {
+        let store = self.model.store();
+        if let Some(id) = store.ids().find(|&id| !store.value(id).all_finite()) {
+            return Some(format!("parameter tensor {}", store.name(id)));
+        }
+        let (mean, std) = self.model.label_stats();
+        if !(mean.is_finite() && std.is_finite()) {
+            return Some("label_mean / label_std".to_string());
+        }
+        (!self.word2vec.all_finite()).then(|| "the word2vec table".to_string())
     }
 
     /// Consumes the bundle into a serving-ready pair: the model frozen
@@ -105,15 +130,19 @@ mod tests {
         )
     }
 
-    #[test]
-    fn save_load_round_trip_preserves_predictions() {
-        let encoder = tiny_encoder();
-        let model = CostModel::new(ModelConfig {
+    fn tiny_model(encoder: &PlanEncoder) -> CostModel {
+        CostModel::new(ModelConfig {
             hidden: 8,
             latent_k: 4,
             head_hidden: 8,
             ..ModelConfig::raal(encoder.node_dim())
-        });
+        })
+    }
+
+    #[test]
+    fn save_load_round_trip_preserves_predictions() {
+        let encoder = tiny_encoder();
+        let model = tiny_model(&encoder);
         let plan = EncodedPlan::from_rows(
             &vec![vec![0.25; encoder.node_dim()]; 3],
             &[vec![], vec![0], vec![1]],
@@ -131,6 +160,44 @@ mod tests {
     }
 
     #[test]
+    fn non_finite_checkpoint_values_fail_to_load() {
+        // `1e39` is a finite f64 and `+inf` as f32, so it survives the
+        // parser; at the parent this bundle loaded and priced at 0 s.
+        let encoder = tiny_encoder();
+        let model = tiny_model(&encoder);
+        let dir = std::env::temp_dir().join("raal_persist_test");
+        let path = dir.join("non_finite.json");
+        ModelBundle::new(model, &encoder).save(&path).unwrap();
+        let json = std::fs::read_to_string(&path).unwrap();
+        for (after, number, named) in [
+            (
+                r#""name":"plan.lstm.wh","value":{"rows":8,"cols":32,"data":["#,
+                "1e39",
+                "plan.lstm.wh",
+            ),
+            (
+                r#""name":"attn.res.wk","value":{"rows":8,"cols":4,"data":["#,
+                "-1e39",
+                "attn.res.wk",
+            ),
+            (r#""label_std":"#, "1e999", "label_std"),
+            (r#""vectors":[["#, "1e39", "word2vec"),
+        ] {
+            let at = json.find(after).expect("anchor in the bundle JSON") + after.len();
+            let end = at + json[at..].find([',', ']', '}']).expect("the number ends");
+            std::fs::write(&path, format!("{}{number}{}", &json[..at], &json[end..])).unwrap();
+            let err = match ModelBundle::load(&path) {
+                Ok(_) => panic!("{number} after {after} must not load"),
+                Err(e) => e,
+            };
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+            let msg = err.to_string();
+            assert!(msg.contains("non-finite") && msg.contains(named), "{msg}");
+            assert!(ModelBundle::load_frozen(&path).is_err());
+        }
+    }
+
+    #[test]
     fn load_missing_file_is_io_error() {
         assert!(ModelBundle::load(Path::new("/nonexistent/raal.json")).is_err());
     }
@@ -138,12 +205,7 @@ mod tests {
     #[test]
     fn load_frozen_round_trips_predictions() {
         let encoder = tiny_encoder();
-        let model = CostModel::new(ModelConfig {
-            hidden: 8,
-            latent_k: 4,
-            head_hidden: 8,
-            ..ModelConfig::raal(encoder.node_dim())
-        });
+        let model = tiny_model(&encoder);
         let plan = EncodedPlan::from_rows(
             &vec![vec![0.25; encoder.node_dim()]; 3],
             &[vec![], vec![0], vec![1]],

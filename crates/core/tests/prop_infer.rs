@@ -20,8 +20,24 @@ const NODE_DIM: usize = 10;
 /// with extra child edges thrown in, so node-aware attention sees both
 /// leaf nodes and multi-child joins.
 fn random_plan(rng: &mut StdRng, n: usize) -> EncodedPlan {
+    random_plan_of(rng, n, NODE_DIM, 0.0)
+}
+
+/// [`random_plan`] at any feature width, a `zeros` share of the entries
+/// exactly zero (the plan encoder's rows are about 60% zeros).
+fn random_plan_of(rng: &mut StdRng, n: usize, node_dim: usize, zeros: f64) -> EncodedPlan {
     let node_features: Vec<Vec<f32>> = (0..n)
-        .map(|_| (0..NODE_DIM).map(|_| rng.gen_range(-1.0f32..1.0)).collect())
+        .map(|_| {
+            (0..node_dim)
+                .map(|_| {
+                    if zeros > 0.0 && rng.gen_bool(zeros) {
+                        0.0
+                    } else {
+                        rng.gen_range(-1.0f32..1.0)
+                    }
+                })
+                .collect()
+        })
         .collect();
     let children: Vec<Vec<usize>> = (0..n)
         .map(|i| {
@@ -48,9 +64,57 @@ fn variant(idx: usize) -> ModelConfig {
         2 => ModelConfig::raac(NODE_DIM),
         _ => ModelConfig::raal(NODE_DIM).without_resources(),
     };
-    // Small dims keep the tape pass cheap; the kernels are dimension
-    // generic, so agreement at 12/6/10 implies nothing special at 64/32.
+    // Small dims keep the tape pass cheap. The kernels pick their tiles
+    // from the shape, so the served widths have cases of their own below.
     ModelConfig { hidden: 12, latent_k: 6, head_hidden: 10, ..cfg }
+}
+
+/// The fast path, the cached-context path and a frozen handle against
+/// the tape, for one plan under one model.
+fn check_fast_path(
+    rng: &mut StdRng,
+    plan: &EncodedPlan,
+    cfg: ModelConfig,
+    what: &str,
+) -> Result<(), proptest::test_runner::TestCaseError> {
+    let resources: Vec<f32> = (0..cfg.resource_dim).map(|_| rng.gen_range(0.0f32..1.0)).collect();
+    let model = CostModel::new(cfg);
+
+    let fast = model.predict_seconds(plan, &resources);
+    let tape = model.predict_seconds_tape(plan, &resources);
+    let rel = (fast - tape).abs() / tape.abs().max(1e-6);
+    prop_assert!(rel <= 1e-5, "fast={fast} tape={tape} rel={rel} {what}");
+
+    // The cached-context path must agree with the one-shot fast path.
+    let ctx = model.plan_context(plan);
+    prop_assert_eq!(model.predict_with_context(&ctx, &resources), fast);
+
+    // Freezing moves the model, it does not change an answer — and a
+    // context built before the move is still current after it.
+    let frozen = FrozenModel::freeze(model);
+    prop_assert_eq!(frozen.predict_seconds(plan, &resources), fast);
+    prop_assert_eq!(frozen.predict_with_context(&ctx, &resources), fast);
+    frozen.recycle_context(ctx);
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 8, ..ProptestConfig::default() })]
+
+    /// The widths that are served — 94-wide encoder-like rows, hidden 64,
+    /// latent 32 — over the whole range of plan lengths, so the row-tiled
+    /// products and their zero-skip meet the tape too.
+    #[test]
+    fn fast_path_agrees_with_tape_at_served_widths(
+        n in 1usize..35,
+        seed in 0u64..1_000_000,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let plan = random_plan_of(&mut rng, n, 94, 0.6);
+        let cfg = ModelConfig { seed: seed ^ 0x5eed, ..ModelConfig::raal(94) };
+        prop_assert_eq!((cfg.hidden, cfg.latent_k), (64, 32));
+        check_fast_path(&mut rng, &plan, cfg, &format!("n={n} served widths"))?;
+    }
 }
 
 proptest! {
@@ -65,28 +129,7 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         let plan = random_plan(&mut rng, n);
         let cfg = ModelConfig { seed: seed ^ 0x5eed, ..variant(variant_idx) };
-        let resources: Vec<f32> =
-            (0..cfg.resource_dim).map(|_| rng.gen_range(0.0f32..1.0)).collect();
-        let model = CostModel::new(cfg);
-
-        let fast = model.predict_seconds(&plan, &resources);
-        let tape = model.predict_seconds_tape(&plan, &resources);
-        let rel = (fast - tape).abs() / tape.abs().max(1e-6);
-        prop_assert!(
-            rel <= 1e-5,
-            "fast={fast} tape={tape} rel={rel} n={n} variant={variant_idx}"
-        );
-
-        // The cached-context path must agree with the one-shot fast path.
-        let ctx = model.plan_context(&plan);
-        prop_assert_eq!(model.predict_with_context(&ctx, &resources), fast);
-
-        // Freezing moves the model, it does not change an answer — and a
-        // context built before the move is still current after it.
-        let frozen = FrozenModel::freeze(model);
-        prop_assert_eq!(frozen.predict_seconds(&plan, &resources), fast);
-        prop_assert_eq!(frozen.predict_with_context(&ctx, &resources), fast);
-        frozen.recycle_context(ctx);
+        check_fast_path(&mut rng, &plan, cfg, &format!("n={n} variant={variant_idx}"))?;
     }
 
     /// K-plan scoring, on one thread (`predict_packed`) or sharded

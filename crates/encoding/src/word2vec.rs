@@ -87,6 +87,12 @@ impl Word2Vec {
         out
     }
 
+    /// Whether every embedding entry is finite (a checkpoint's `1e39`
+    /// parses, and is `inf` as `f32`).
+    pub fn all_finite(&self) -> bool {
+        self.vectors.iter().flatten().all(|x| x.is_finite())
+    }
+
     /// Freezes the table for lookup on the serving path.
     pub fn freeze(&self) -> EmbeddingTable {
         let mut offsets = HashMap::with_capacity_and_hasher(self.vocab.len(), Default::default());

@@ -8,17 +8,31 @@
 //! anything, and use arithmetic the tape deliberately avoids so a single
 //! prediction runs several times faster than the reference forward pass:
 //!
-//! * [`matmul_into`] dispatches at runtime to a register-tiled AVX2+FMA
-//!   microkernel on x86-64 (scalar branch-free loops elsewhere);
+//! * [`matmul_into`] dispatches at runtime to register-tiled AVX2+FMA
+//!   microkernels on x86-64 (scalar branch-free loops elsewhere), the
+//!   tile chosen from the shape the call states. One row (`m = 1`: the
+//!   recurrent and head products) holds 64 output columns in eight YMM
+//!   accumulators. Two or more rows against a multiple of 16 columns
+//!   (the plan layer's `m = n` products, `k <= 128`) go four rows × 16
+//!   columns at a time — tails of three and two rows likewise, a last
+//!   single row as above — so a weight vector is loaded once per tile,
+//!   not per row; and a tile lists, once, the `k` at which any of its
+//!   rows is non-zero and runs its FMAs over that list only (the plan
+//!   encoder's rows are 61% exact zeros). Skipping `fma(±0, w, acc)`
+//!   changes no bit **provided `w` is finite**, which `ModelBundle::load`
+//!   enforces. Every other shape takes the per-row tiles;
 //! * the LSTM gate activations go through [`fast_exp`], a branch-free
-//!   Cephes-style polynomial `exp` whose element loops auto-vectorise.
+//!   Cephes-style polynomial `exp` whose element loops auto-vectorise —
+//!   its exponent is read from the bits of the rounded sum because the
+//!   float-to-int `as` cast saturates, and LLVM scalarises that.
 //!
 //! Per-element accumulation *order* still matches the corresponding
-//! graph ops, so the only divergence from the tape is FMA contraction
-//! and the polynomial `exp` (each ~1e-7 relative). End-to-end agreement
-//! within 1e-5 relative error is the property-tested contract
-//! (`crates/core/tests/prop_infer.rs`); the tape path remains the exact
-//! IEEE-ordered reference used by training.
+//! graph ops whichever tile runs, so a product returns the same bits
+//! however its rows are tiled, and the only divergence from the tape is
+//! FMA contraction and the polynomial `exp` (each ~1e-7 relative).
+//! End-to-end agreement within 1e-5 relative error is the
+//! property-tested contract (`crates/core/tests/prop_infer.rs`); the
+//! tape path remains the exact IEEE-ordered reference used by training.
 //!
 //! Scratch space comes from an [`InferArena`], a free-list of `Vec<f32>`
 //! buffers that callers `take` and `give` back; a steady-state prediction
@@ -125,7 +139,9 @@ impl InferArena {
 /// [`crate::tensor::Tensor::matmul`]; on CPUs with AVX2+FMA (detected at
 /// runtime) the products are contracted with fused multiply-adds, so the
 /// result can differ from the tape in the last bits (~1e-7 relative).
-/// `out` must have length `m * n`; it is overwritten.
+/// `out` must have length `m * n`; it is overwritten. `b` must be finite:
+/// the multi-row tiles skip products whose inputs are exact zeros (see
+/// the module docs).
 pub fn matmul_into(a: &[f32], m: usize, k: usize, b: &[f32], n: usize, out: &mut [f32]) {
     debug_assert_eq!(a.len(), m * k, "matmul_into lhs length");
     debug_assert_eq!(b.len(), k * n, "matmul_into rhs length");
@@ -216,10 +232,11 @@ pub fn sigmoid(x: f32) -> f32 {
 /// `exp(x) = 2^n * exp(f)` with `|f| <= ln(2)/2`, evaluate a degree-5
 /// minimax polynomial for `exp(f)`, and rebuild `2^n` with exponent bit
 /// arithmetic. Rounding to the nearest integer uses the `+1.5*2^23`
-/// trick instead of `round()` (a libm call below SSE4.1), so the whole
-/// function is straight-line float ops and element loops over it
-/// auto-vectorise. Relative error is ~2e-7; the input is clamped to
-/// ±87.34, so the result saturates instead of overflowing.
+/// trick instead of `round()` (a libm call below SSE4.1), and the
+/// integer itself is read off the rounded sum's bits, so the whole
+/// function is straight-line float and integer ops and element loops
+/// over it auto-vectorise. Relative error is ~2e-7; the input is clamped
+/// to ±87.34, so the result saturates instead of overflowing.
 #[inline(always)]
 #[allow(clippy::excessive_precision)] // Cephes constants kept verbatim
 pub fn fast_exp(x: f32) -> f32 {
@@ -230,7 +247,11 @@ pub fn fast_exp(x: f32) -> f32 {
     // 1.5 * 2^23: adding then subtracting rounds to the nearest integer.
     const RND: f32 = 12_582_912.0;
     let x = x.clamp(-87.336_54, 87.336_54);
-    let n = (x * LOG2E + RND) - RND;
+    // After the clamp `t` is in [2^23, 2^24), where one ulp is 1: its bits
+    // minus `RND`'s *are* the integer `n`. `n as i32` is a saturating
+    // cast, which LLVM scalarises inside the otherwise 8-wide loop.
+    let t = x * LOG2E + RND;
+    let n = t - RND;
     let f = (x - n * LN2_HI) - n * LN2_LO;
     let mut p = 1.987_569_15e-4_f32;
     p = p * f + 1.398_199_9e-3;
@@ -239,7 +260,7 @@ pub fn fast_exp(x: f32) -> f32 {
     p = p * f + 1.666_666_5e-1;
     p = p * f + 5.000_000_2e-1;
     let r = (p * f * f + f) + 1.0;
-    let scale = f32::from_bits(((n as i32 + 127) as u32) << 23);
+    let scale = f32::from_bits(t.to_bits().wrapping_sub(RND.to_bits()).wrapping_add(127) << 23);
     r * scale
 }
 
@@ -328,11 +349,12 @@ mod x86 {
         std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
     }
 
-    /// Register-tiled matmul microkernel: 64 output columns live in
-    /// eight YMM accumulators across the whole `k` loop, so the only
-    /// streaming traffic is the weight matrix itself. Per-element
-    /// accumulation order equals the scalar kernel's; only FMA
-    /// contraction differs.
+    /// Register-tiled matmul: per row, 64 output columns live in eight
+    /// YMM accumulators across the whole `k` loop, so the only streaming
+    /// traffic is the weight matrix itself; two or more rows against a
+    /// multiple of 16 columns share each weight load through
+    /// [`row_tile`]. Per-element accumulation order equals the scalar
+    /// kernel's; only FMA contraction differs.
     ///
     /// # Safety
     /// The CPU must support AVX2 and FMA (callers check
@@ -348,8 +370,26 @@ mod x86 {
         debug_assert_eq!(a.len(), m * k, "matmul_into lhs length");
         debug_assert_eq!(b.len(), k * n, "matmul_into rhs length");
         debug_assert_eq!(out.len(), m * n, "matmul_into out length");
+        // Rows go four (then three or two) at a time through `row_tile`
+        // when the shape allows; a last single row, and every row of any
+        // other shape, takes the per-row tiles below.
+        let mut i = 0;
+        while n.is_multiple_of(16) && k <= LIVE_MAX && m - i >= 2 {
+            let rows = (m - i).min(4);
+            // PANIC-FREE: i + rows <= m, so both ranges sit inside the
+            // a = m*k / out = m*n length contract re-asserted above.
+            let (a_tile, o_tile) = (&a[i * k..(i + rows) * k], &mut out[i * n..(i + rows) * n]);
+            // SAFETY: AVX2+FMA is this function's own precondition;
+            // `row_tile` checks every length it relies on itself.
+            match rows {
+                4 => row_tile::<4>(a_tile, k, b, n, o_tile),
+                3 => row_tile::<3>(a_tile, k, b, n, o_tile),
+                _ => row_tile::<2>(a_tile, k, b, n, o_tile),
+            }
+            i += rows;
+        }
         let bp = b.as_ptr();
-        for i in 0..m {
+        for i in i..m {
             // PANIC-FREE: i < m, so both row ranges sit inside the
             // documented a = m*k / out = m*n length contract re-asserted
             // above; a violated contract panics here instead of feeding
@@ -390,6 +430,62 @@ mod x86 {
                 }
                 *o.add(j) = acc;
                 j += 1;
+            }
+        }
+    }
+
+    /// Largest `k` [`row_tile`]'s stack list of live indices covers; a
+    /// longer product keeps the per-row tiles.
+    const LIVE_MAX: usize = 128;
+
+    /// `MR` rows of `a` against all of `b`, 16 output columns at a time
+    /// in `2 * MR` YMM accumulators. The `k` whose `MR` inputs are all
+    /// `== 0.0` are left off a list built once and walked by every
+    /// column tile: for a finite weight `fma(±0, w, acc) == acc`, so each
+    /// output element still sees the per-row kernel's FMAs over ascending
+    /// `k`, minus the ones that changed nothing.
+    ///
+    /// # Safety
+    /// The CPU must support AVX2 and FMA. The lengths the raw offsets
+    /// rely on — `k <= LIVE_MAX`, `a.len() == MR * k`, `b.len() == k * n`,
+    /// `out.len() == MR * n`, `n % 16 == 0` — are asserted, not assumed.
+    /// No alignment precondition.
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn row_tile<const MR: usize>(a: &[f32], k: usize, b: &[f32], n: usize, out: &mut [f32]) {
+        // PANIC-FREE: deliberate guard, never hit under `matmul_into`'s
+        // length contract: the dispatcher slices `a` and `out` to whole
+        // tiles and comes here only for `k <= LIVE_MAX`, `n % 16 == 0`.
+        assert!(k <= LIVE_MAX && a.len() == MR * k && b.len() == k * n && out.len() == MR * n);
+        assert!(n.is_multiple_of(16));
+        let (ap, bp, op) = (a.as_ptr(), b.as_ptr(), out.as_mut_ptr());
+        let mut live = [0usize; LIVE_MAX];
+        let mut len = 0;
+        for kk in 0..k {
+            // PANIC-FREE: len <= kk < k <= LIVE_MAX, and r * k + kk <
+            // MR * k == a.len(), both by the assert above.
+            live[len] = kk;
+            len += usize::from((0..MR).any(|r| a[r * k + kk] != 0.0));
+        }
+        for j in (0..n).step_by(16) {
+            let mut acc = [[_mm256_setzero_ps(); 2]; MR];
+            // PANIC-FREE: len <= k <= LIVE_MAX, the length of the list.
+            for &kk in &live[..len] {
+                // SAFETY: list entries are < k, columns j + 16 <= n and
+                // tile rows r < MR: the b loads end inside its k * n
+                // elements, the a reads inside MR * k.
+                let b0 = _mm256_loadu_ps(bp.add(kk * n + j));
+                let b1 = _mm256_loadu_ps(bp.add(kk * n + j + 8));
+                for (r, [lo, hi]) in acc.iter_mut().enumerate() {
+                    let av = _mm256_set1_ps(*ap.add(r * k + kk));
+                    *lo = _mm256_fmadd_ps(av, b0, *lo);
+                    *hi = _mm256_fmadd_ps(av, b1, *hi);
+                }
+            }
+            for (r, &[lo, hi]) in acc.iter().enumerate() {
+                // SAFETY: tile rows r < MR and columns j + 16 <= n, so
+                // both stores end inside out's MR * n elements.
+                _mm256_storeu_ps(op.add(r * n + j), lo);
+                _mm256_storeu_ps(op.add(r * n + j + 8), hi);
             }
         }
     }
@@ -468,6 +564,47 @@ mod tests {
     }
 
     #[test]
+    fn matmul_into_row_tiles_are_bit_equal_to_single_rows() {
+        // Every row-tile tail (m % 4), k past the live-index bound, every
+        // 16-column count that is served plus 139 (no tile path), over
+        // inputs from dense to all-zero with `-0.0` and whole zero
+        // columns among them: the tiles and their zero-skip must not
+        // change one bit of what `m` separate one-row products return.
+        let mut rng = StdRng::seed_from_u64(19);
+        let (ms, ks, ns): (&[usize], &[usize], &[usize]) = if cfg!(miri) {
+            (&[1, 2, 7, 9], &[7, 130], &[16, 48, 139])
+        } else {
+            (&[1, 2, 3, 4, 5, 6, 7, 8, 9], &[1, 7, 64, 94, 300], &[16, 32, 48, 64, 256, 139])
+        };
+        for &k in ks {
+            for &n in ns {
+                let b: Vec<f32> = (0..k * n).map(|_| rng.gen_range(-2.0f32..2.0)).collect();
+                for &m in ms {
+                    for zero_pct in [0.0, 0.3, 0.61, 0.9, 1.0] {
+                        let dead: Vec<bool> =
+                            (0..k).map(|_| rng.gen_bool(zero_pct / 2.0)).collect();
+                        let a: Vec<f32> = (0..m * k)
+                            .map(|at| match (dead[at % k] || rng.gen_bool(zero_pct), at % 3) {
+                                (true, 0) => -0.0,
+                                (true, _) => 0.0,
+                                (false, _) => rng.gen_range(-2.0f32..2.0),
+                            })
+                            .collect();
+                        let mut got = vec![f32::NAN; m * n];
+                        matmul_into(&a, m, k, &b, n, &mut got);
+                        let mut want = vec![f32::NAN; m * n];
+                        for (row, out) in a.chunks(k).zip(want.chunks_mut(n)) {
+                            matmul_into(row, 1, k, &b, n, out);
+                        }
+                        let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                        assert_eq!(bits(&got), bits(&want), "m {m} k {k} n {n} zeros {zero_pct}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
     fn softmax_inplace_matches_softmax_rows() {
         let t = Tensor::row(&[0.3, -1.7, 2.5, 0.0]);
         let want = t.softmax_rows();
@@ -495,6 +632,37 @@ mod tests {
         }
         assert_eq!(fast_exp(-1000.0), (-87.336_54f32).exp());
         assert!(fast_exp(1000.0).is_finite(), "saturates instead of inf");
+    }
+
+    #[test]
+    #[allow(clippy::excessive_precision)]
+    fn fast_exp_bit_exponent_is_bit_equal_to_the_cast() {
+        // `fast_exp` as it read while the exponent came from `n as i32`.
+        fn cast_exp(x: f32) -> f32 {
+            const RND: f32 = 12_582_912.0;
+            let x = x.clamp(-87.336_54, 87.336_54);
+            let n = (x * std::f32::consts::LOG2_E + RND) - RND;
+            let f = (x - n * 0.693_359_375) - n * -2.121_944_4e-4;
+            let mut p = 1.987_569_15e-4_f32;
+            p = p * f + 1.398_199_9e-3;
+            p = p * f + 8.333_452e-3;
+            p = p * f + 4.166_579_6e-2;
+            p = p * f + 1.666_666_5e-1;
+            p = p * f + 5.000_000_2e-1;
+            let r = (p * f * f + f) + 1.0;
+            r * f32::from_bits(((n as i32 + 127) as u32) << 23)
+        }
+        let step = if cfg!(miri) { 0.37 } else { 0.000_37 };
+        let mut x = -90.0f32;
+        while x <= 90.0 {
+            assert_eq!(fast_exp(x).to_bits(), cast_exp(x).to_bits(), "exp({x})");
+            x += step;
+        }
+        let ends = [-87.336_54f32, 87.336_54, -1000.0, 1000.0, f32::NEG_INFINITY, f32::INFINITY];
+        for x in [0.0, -0.0].into_iter().chain(ends) {
+            assert_eq!(fast_exp(x).to_bits(), cast_exp(x).to_bits(), "exp({x})");
+        }
+        assert!(fast_exp(f32::NAN).is_nan());
     }
 
     #[test]

@@ -101,10 +101,14 @@ impl LstmCell {
     /// Tape-free equivalent of [`LstmCell::forward_seq`]: runs the cell
     /// over `n` rows of `xs` (row-major, `n * in_dim` long) and returns
     /// the `n x hidden` hidden states as a flat buffer taken from
-    /// `arena`. All four gates are computed in block-wise sweeps per
-    /// step through the SIMD kernels in [`crate::infer`]; accumulation
-    /// order matches the graph ops, so the result tracks the tape path
-    /// to within the FMA / polynomial-`exp` drift (~1e-6 absolute).
+    /// `arena`. The input projection `xs @ Wx` is one product for the
+    /// whole sequence, ahead of the recurrence (it streams `Wx` once per
+    /// plan and skips the encoder's zero columns, see [`crate::infer`]);
+    /// a step then adds `h @ Wh` and the bias into its row and runs all
+    /// four gates in block-wise sweeps through the SIMD kernels.
+    /// Accumulation order matches the graph ops, so the result tracks
+    /// the tape path to within the FMA / polynomial-`exp` drift (~1e-6
+    /// absolute), and is bit-equal to projecting step by step.
     pub fn infer_seq(
         &self,
         store: &ParamStore,
@@ -125,19 +129,21 @@ impl LstmCell {
 
         let mut h = arena.take(hidden);
         let mut c = arena.take(hidden);
-        let mut xz = arena.take(gates);
+        let mut xz_all = arena.take(n * gates);
         let mut hz = arena.take(gates);
         let mut ct = arena.take(hidden);
         let mut out = arena.take(n * hidden);
+        // The input projection does not depend on the recurrence: one
+        // product for the whole plan streams `Wx` once, not once per node.
+        infer::matmul_into(xs, n, self.in_dim, wx, gates, &mut xz_all);
         for t in 0..n {
-            // PANIC-FREE: t < n and xs.len() == n * in_dim (asserted at
-            // entry), so the step slice is always in bounds.
-            let x_t = &xs[t * self.in_dim..(t + 1) * self.in_dim];
-            infer::matmul_into(x_t, 1, self.in_dim, wx, gates, &mut xz);
+            // PANIC-FREE: t < n and xz_all has length n * gates, so row t
+            // is always in bounds.
+            let xz = &mut xz_all[t * gates..(t + 1) * gates];
             infer::matmul_into(&h, 1, hidden, wh, gates, &mut hz);
             // z = (x@Wx + h@Wh) + b, associated exactly like the tape.
-            // PANIC-FREE: j < gates; xz/hz are arena buffers of length
-            // gates and b is the gate bias tensor of the same length.
+            // PANIC-FREE: j < gates; xz is a gates-long row, hz an arena
+            // buffer and b the gate bias tensor of the same length.
             for j in 0..gates {
                 xz[j] = (xz[j] + hz[j]) + b[j];
             }
@@ -165,7 +171,7 @@ impl LstmCell {
         }
         arena.give(h);
         arena.give(c);
-        arena.give(xz);
+        arena.give(xz_all);
         arena.give(hz);
         arena.give(ct);
         out
@@ -254,6 +260,80 @@ mod tests {
         let fast = cell.infer_seq(&store, xs.data(), 4, &mut arena);
         for (&got, &want) in fast.iter().zip(g.value(hs).data()) {
             assert!((got - want).abs() <= 1e-5, "fast {got} drifted from tape {want}");
+        }
+    }
+
+    /// `infer_seq` as it read while the input projection ran inside the
+    /// recurrence, one `m = 1` product per step.
+    fn step_loop(cell: &LstmCell, store: &ParamStore, xs: &[f32], n: usize) -> Vec<f32> {
+        let (hidden, gates) = (cell.hidden, 4 * cell.hidden);
+        let (wx, wh) = (store.value(cell.wx).data(), store.value(cell.wh).data());
+        let b = store.value(cell.b).data();
+        let (mut h, mut c) = (vec![0.0; hidden], vec![0.0; hidden]);
+        let (mut xz, mut hz) = (vec![0.0; gates], vec![0.0; gates]);
+        let mut out = Vec::with_capacity(n * hidden);
+        for x_t in xs.chunks(cell.in_dim) {
+            infer::matmul_into(x_t, 1, cell.in_dim, wx, gates, &mut xz);
+            infer::matmul_into(&h, 1, hidden, wh, gates, &mut hz);
+            for j in 0..gates {
+                xz[j] = (xz[j] + hz[j]) + b[j];
+            }
+            infer::sigmoid_slice(&mut xz[..2 * hidden]);
+            infer::tanh_slice(&mut xz[2 * hidden..3 * hidden]);
+            infer::sigmoid_slice(&mut xz[3 * hidden..]);
+            for j in 0..hidden {
+                c[j] = xz[hidden + j] * c[j] + xz[j] * xz[2 * hidden + j];
+            }
+            let mut ct = c.clone();
+            infer::tanh_slice(&mut ct);
+            for j in 0..hidden {
+                h[j] = xz[3 * hidden + j] * ct[j];
+            }
+            out.extend_from_slice(&h);
+        }
+        out
+    }
+
+    #[test]
+    fn infer_seq_hoisted_gemm_is_bit_equal_to_the_step_loop() {
+        // The served shape, on rows shaped like the plan encoder's: 32
+        // dense embedding entries, a 12-wide one-hot, 48 signed structure
+        // entries (a parent's +1, the children's -1, else zero), 2 stats.
+        let mut store = ParamStore::new();
+        let mut rng = StdRng::seed_from_u64(23);
+        let cell = LstmCell::new(&mut store, &mut rng, "lstm", 94, 64);
+        let mut arena = InferArena::new();
+        let lengths = if cfg!(miri) {
+            vec![1, 2, 7]
+        } else {
+            (1..=34).collect::<Vec<usize>>()
+        };
+        for n in lengths {
+            let mut xs = vec![0.0f32; n * 94];
+            for (t, row) in xs.chunks_mut(94).enumerate() {
+                row[..32].fill_with(|| rng.gen_range(-1.0f32..1.0));
+                row[32 + rng.gen_range(0..12usize)] = 1.0;
+                if t > 0 {
+                    row[44 + t - 1] = 1.0;
+                }
+                if t + 1 < n {
+                    row[44 + t + 1] = -1.0;
+                }
+                row[92..].fill_with(|| rng.gen_range(0.0f32..1.0));
+            }
+            let fast = cell.infer_seq(&store, &xs, n, &mut arena);
+            let want = step_loop(&cell, &store, &xs, n);
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&fast), bits(&want), "n = {n}");
+            if !cfg!(miri) {
+                let mut g = Graph::new();
+                let xv = g.input(Tensor::from_vec(n, 94, xs));
+                let hs = cell.forward_seq(&mut g, &store, xv);
+                for (&got, &tape) in fast.iter().zip(g.value(hs).data()) {
+                    assert!((got - tape).abs() <= 1e-5, "n = {n}: {got} drifted from {tape}");
+                }
+            }
+            arena.give(fast);
         }
     }
 
