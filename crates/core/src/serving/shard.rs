@@ -851,7 +851,11 @@ impl ShardedServing {
         fingerprint: u64,
         seen_before: bool,
     ) -> ServingPrediction {
-        let Ok(encoded) = encoder.try_encode(plan) else {
+        let encoded = {
+            let _encode_span = telemetry::kernel_span("serving.encode");
+            encoder.try_encode(plan)
+        };
+        let Ok(encoded) = encoded else {
             return self.fall_back(plan, res, FallbackReason::Admission);
         };
         let context = model.plan_context(&encoded);

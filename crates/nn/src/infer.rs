@@ -146,9 +146,6 @@ pub fn matmul_into(a: &[f32], m: usize, k: usize, b: &[f32], n: usize, out: &mut
     debug_assert_eq!(a.len(), m * k, "matmul_into lhs length");
     debug_assert_eq!(b.len(), k * n, "matmul_into rhs length");
     debug_assert_eq!(out.len(), m * n, "matmul_into out length");
-    // Aggregates into a histogram only; a single relaxed load when
-    // telemetry is off, so the hot path stays unperturbed.
-    let _k = telemetry::kernel_span("nn.matmul");
     #[cfg(target_arch = "x86_64")]
     if x86::avx2_fma_available() {
         // SAFETY: AVX2+FMA support was verified by the runtime probe on
@@ -282,7 +279,6 @@ pub fn fast_tanh(x: f32) -> f32 {
 /// In-place sigmoid over a slice using [`fast_sigmoid`], 8-wide under
 /// AVX2 where available.
 pub fn sigmoid_slice(xs: &mut [f32]) {
-    let _k = telemetry::kernel_span("nn.sigmoid");
     #[cfg(target_arch = "x86_64")]
     if x86::avx2_fma_available() {
         // SAFETY: AVX2+FMA support was verified by the runtime probe on
@@ -299,7 +295,6 @@ pub fn sigmoid_slice(xs: &mut [f32]) {
 /// In-place tanh over a slice using [`fast_tanh`], 8-wide under AVX2
 /// where available.
 pub fn tanh_slice(xs: &mut [f32]) {
-    let _k = telemetry::kernel_span("nn.tanh");
     #[cfg(target_arch = "x86_64")]
     if x86::avx2_fma_available() {
         // SAFETY: AVX2+FMA support was verified by the runtime probe on

@@ -6,11 +6,12 @@
 //! of signal about itself:
 //!
 //! * **spans** — a thread-local stack of RAII guards ([`span`]); closing
-//!   a span emits one JSONL line (name, thread, duration, nesting) and a
-//!   Chrome `trace_event` slice;
-//! * **kernel spans** — [`kernel_span`], the cheap variant for µs-scale
-//!   kernels: aggregates durations into a histogram instead of emitting
-//!   a line per call;
+//!   a span emits one JSONL line (name, thread, duration, nesting) and,
+//!   when a Chrome trace was asked for, a `trace_event` slice;
+//! * **kernel spans** — [`kernel_span`], the cheap variant for one
+//!   stage of a request: aggregates durations into a histogram instead
+//!   of emitting a line per call. A kernel span wraps work done once per
+//!   plan, never once per node;
 //! * **counters, gauges and histograms** — [`count`] / [`gauge`] /
 //!   [`observe`]. Every value lands in the live [`registry`], so
 //!   current rates and windowed p50/p95/p99 can be *read back* while
@@ -113,11 +114,12 @@ pub fn enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
 }
 
-/// Upper bound on buffered Chrome-trace slices; beyond it spans still
-/// log to JSONL but are dropped from the trace (counted in
-/// `telemetry.trace_dropped`).
+/// Upper bound on the Chrome-trace slices buffered while a trace was
+/// asked for; beyond it spans still log to JSONL but are dropped from
+/// the trace (counted in `telemetry.trace_dropped`).
 const TRACE_CAP: usize = 262_144;
 
+#[derive(Default)]
 struct State {
     sink: Option<Box<dyn Write + Send>>,
     trace: Vec<trace::TraceSlice>,
@@ -139,15 +141,9 @@ fn state() -> &'static Mutex<State> {
             .unwrap_or(0)
             .saturating_sub(clock_us() / 1000);
         Mutex::new(State {
-            sink: None,
-            trace: Vec::new(),
-            trace_path: None,
-            metrics_path: None,
-            stacks_path: None,
-            trace_dropped: 0,
-            manifest_emitted: false,
             run_id: format!("{unix_ms:x}-{:04x}", std::process::id() & 0xFFFF),
             clock_origin_unix_ms: unix_ms,
+            ..State::default()
         })
     })
 }
@@ -204,7 +200,15 @@ thread_local! {
     // ORDERING: Relaxed — a unique-id counter needs only atomicity of
     // the increment; no other memory is published via this operation.
     static TID: u64 = NEXT_TID.fetch_add(1, Ordering::Relaxed);
-    static SPAN_STACK: RefCell<Vec<&'static str>> = const { RefCell::new(Vec::new()) };
+    static SPAN_STACK: RefCell<SpanStack> =
+        const { RefCell::new(SpanStack { open: Vec::new(), key: String::new() }) };
+}
+
+/// This thread's open spans, outermost first, and the buffer a closing
+/// span joins them into (reused, so a close allocates no key).
+struct SpanStack {
+    open: Vec<&'static str>,
+    key: String,
 }
 
 fn tid() -> u64 {
@@ -305,9 +309,9 @@ pub fn span(name: &'static str) -> Span {
     let start_us = clock_us();
     let depth = if enabled() {
         SPAN_STACK.with(|s| {
-            let mut s = s.borrow_mut();
-            s.push(name);
-            s.len() - 1
+            let open = &mut s.borrow_mut().open;
+            open.push(name);
+            open.len() - 1
         })
     } else {
         usize::MAX
@@ -340,16 +344,23 @@ impl Drop for Span {
         // Truncating to the entry depth (rather than popping once) keeps
         // the stack consistent even if inner guards leaked or panicked.
         // The joined ancestor path doubles as the collapsed-stack key
-        // for flamegraph self-time attribution.
-        let (parent, stack, parent_stack) = SPAN_STACK.with(|s| {
-            let mut s = s.borrow_mut();
-            s.truncate(self.depth);
-            let parent_stack = (!s.is_empty()).then(|| s.join(";"));
-            let stack = match &parent_stack {
-                Some(p) => format!("{p};{}", self.name),
-                None => self.name.to_string(),
-            };
-            (s.last().copied(), stack, parent_stack)
+        // for flamegraph self-time attribution. Registry first, sink
+        // second — the two locks are never held together (lock-order
+        // discipline, see analysis::conc).
+        let parent = SPAN_STACK.with(|s| {
+            let SpanStack { open, key } = &mut *s.borrow_mut();
+            open.truncate(self.depth);
+            key.clear();
+            for ancestor in open.iter() {
+                key.push_str(ancestor);
+                key.push(';');
+            }
+            // The ancestors' own key is this one up to its last `;`.
+            let parent_len = key.len().saturating_sub(1);
+            key.push_str(self.name);
+            let parent_stack = (!open.is_empty()).then(|| &key[..parent_len]);
+            registry::global().span_close(self.name, key, parent_stack, end_us, dur_us);
+            open.last().copied()
         });
         let line = Line::new(end_us, "span")
             .str("name", self.name)
@@ -359,29 +370,30 @@ impl Drop for Span {
             .opt_str("parent", parent)
             .fields(&self.fields)
             .finish();
-        // Registry first, sink second — the two locks are never held
-        // together (lock-order discipline, see analysis::conc).
-        registry::observe_at(&format!("span.{}_us", self.name), end_us, dur_us);
-        registry::span_time(&stack, parent_stack.as_deref(), dur_us);
         let mut st = lock_state();
-        if st.trace.len() < TRACE_CAP {
-            let slice = trace::TraceSlice {
-                name: self.name,
-                ts_us: self.start_us,
-                dur_us,
-                tid: tid(),
-            };
-            st.trace.push(slice);
-        } else {
-            st.trace_dropped += 1;
+        // Slices are kept for the Chrome trace only, so only while one
+        // was asked for.
+        if st.trace_path.is_some() {
+            if st.trace.len() < TRACE_CAP {
+                let slice = trace::TraceSlice {
+                    name: self.name,
+                    ts_us: self.start_us,
+                    dur_us,
+                    tid: tid(),
+                };
+                st.trace.push(slice);
+            } else {
+                st.trace_dropped += 1;
+            }
         }
         emit_line(&mut st, line);
     }
 }
 
 /// A lightweight timing guard from [`kernel_span`]: aggregates into a
-/// `<name>_ns` histogram on drop, no per-call event line — cheap enough
-/// for µs-scale kernels (matmul, LSTM steps, attention).
+/// `<name>_ns` histogram on drop, no per-call event line and no
+/// allocation — cheap enough for every per-plan stage (the LSTM pass,
+/// attention, the head), not for a step repeated per node.
 pub struct KernelSpan {
     name: &'static str,
     start_ns: u64,
@@ -403,8 +415,8 @@ impl Drop for KernelSpan {
         if !self.active {
             return;
         }
-        let dur = clock_ns() - self.start_ns;
-        registry::observe(&format!("{}_ns", self.name), dur);
+        let end_ns = clock_ns();
+        registry::global().kernel_close(self.name, end_ns / 1000, end_ns - self.start_ns);
     }
 }
 

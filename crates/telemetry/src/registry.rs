@@ -333,6 +333,32 @@ struct Inner {
     /// parent's, so each key converges to self time. Transiently
     /// negative while children have closed but the parent has not.
     self_time_us: BTreeMap<String, i64>,
+    /// What the two span guards record, keyed by the guard's own
+    /// `&'static str`: a close finds its histogram without building a
+    /// name. `kernel_ns[n]` is exported as `<n>_ns` and `span_us[n]` as
+    /// `span.<n>_us`, named when a snapshot is taken (a histogram
+    /// observed under such a name directly is shadowed by the guard's).
+    kernel_ns: BTreeMap<&'static str, WindowedHistogram>,
+    span_us: BTreeMap<&'static str, WindowedHistogram>,
+}
+
+/// Applies `update` to `map[name]`, starting a name not seen before
+/// from `new()`: looked up before it is inserted, so only a name's
+/// first sighting allocates its key.
+fn upsert<V>(
+    map: &mut BTreeMap<String, V>,
+    name: &str,
+    new: impl FnOnce() -> V,
+    update: impl FnOnce(&mut V),
+) {
+    match map.get_mut(name) {
+        Some(v) => update(v),
+        None => {
+            let mut v = new();
+            update(&mut v);
+            map.insert(name.to_string(), v);
+        }
+    }
 }
 
 /// A live metrics store. The process-wide instance sits behind the
@@ -366,6 +392,8 @@ impl Registry {
                 gauges: BTreeMap::new(),
                 hists: BTreeMap::new(),
                 self_time_us: BTreeMap::new(),
+                kernel_ns: BTreeMap::new(),
+                span_us: BTreeMap::new(),
             }),
             slots,
             slot_us,
@@ -380,50 +408,60 @@ impl Registry {
 
     /// Adds `delta` to a counter, creating it at zero.
     pub fn counter_add(&self, name: &str, delta: u64) {
-        let mut g = self.lock();
-        match g.counters.get_mut(name) {
-            Some(v) => *v = v.saturating_add(delta),
-            None => {
-                g.counters.insert(name.to_string(), delta);
-            }
-        }
+        upsert(&mut self.lock().counters, name, || 0, |v| *v = v.saturating_add(delta));
     }
 
     /// Sets a gauge (last write wins).
     pub fn gauge_set(&self, name: &str, value: f64) {
-        let mut g = self.lock();
-        match g.gauges.get_mut(name) {
-            Some(v) => *v = value,
-            None => {
-                g.gauges.insert(name.to_string(), value);
-            }
-        }
+        upsert(&mut self.lock().gauges, name, || value, |v| *v = value);
     }
 
     /// Records a histogram observation made at clock time `now_us`.
     pub fn observe_at(&self, name: &str, now_us: u64, value: u64) {
-        let (slots, slot_us) = (self.slots, self.slot_us);
-        let mut g = self.lock();
-        match g.hists.get_mut(name) {
-            Some(h) => h.record_at(now_us, value),
-            None => {
-                let mut h = WindowedHistogram::new(slots, slot_us);
-                h.record_at(now_us, value);
-                g.hists.insert(name.to_string(), h);
-            }
-        }
+        upsert(&mut self.lock().hists, name, || self.new_hist(), |h| h.record_at(now_us, value));
+    }
+
+    fn new_hist(&self) -> WindowedHistogram {
+        WindowedHistogram::new(self.slots, self.slot_us)
     }
 
     /// Accumulates span self-time: `dur_us` is credited to `stack` and
     /// debited from `parent` (whose own close will credit it back as
     /// part of its full duration).
     pub fn span_time(&self, stack: &str, parent: Option<&str>, dur_us: u64) {
-        let mut g = self.lock();
+        Self::book_span_time(&mut self.lock(), stack, parent, dur_us);
+    }
+
+    fn book_span_time(g: &mut Inner, stack: &str, parent: Option<&str>, dur_us: u64) {
         let dur = dur_us.min(i64::MAX as u64) as i64;
-        *g.self_time_us.entry(stack.to_string()).or_insert(0) += dur;
+        upsert(&mut g.self_time_us, stack, || 0, |us| *us += dur);
         if let Some(p) = parent {
-            *g.self_time_us.entry(p.to_string()).or_insert(0) -= dur;
+            upsert(&mut g.self_time_us, p, || 0, |us| *us -= dur);
         }
+    }
+
+    /// A closing [`crate::KernelSpan`]: `dur_ns` into `<name>_ns`.
+    pub(crate) fn kernel_close(&self, name: &'static str, now_us: u64, dur_ns: u64) {
+        let mut g = self.lock();
+        let hist = g.kernel_ns.entry(name).or_insert_with(|| self.new_hist());
+        hist.record_at(now_us, dur_ns);
+    }
+
+    /// A closing [`crate::Span`], booked under one lock: `dur_us` into
+    /// `span.<name>_us` and into the self time of `stack` (see
+    /// [`Registry::span_time`]).
+    pub(crate) fn span_close(
+        &self,
+        name: &'static str,
+        stack: &str,
+        parent: Option<&str>,
+        now_us: u64,
+        dur_us: u64,
+    ) {
+        let mut g = self.lock();
+        let hist = g.span_us.entry(name).or_insert_with(|| self.new_hist());
+        hist.record_at(now_us, dur_us);
+        Self::book_span_time(&mut g, stack, parent, dur_us);
     }
 
     /// A consistent point-in-time snapshot, evaluated at `now_us` (which
@@ -434,17 +472,12 @@ impl Registry {
             at_us: now_us,
             counters: g.counters.clone(),
             gauges: g.gauges.clone(),
-            hists: g
-                .hists
-                .iter()
+            hists: (g.hists.iter().map(|(name, h)| (name.clone(), h)))
+                .chain(g.kernel_ns.iter().map(|(name, h)| (format!("{name}_ns"), h)))
+                .chain(g.span_us.iter().map(|(name, h)| (format!("span.{name}_us"), h)))
                 .map(|(name, h)| {
-                    (
-                        name.clone(),
-                        HistSnapshot {
-                            all: HistStats::of(h.all_time()),
-                            recent: HistStats::of(&h.recent_at(now_us)),
-                        },
-                    )
+                    let all = HistStats::of(h.all_time());
+                    (name, HistSnapshot { all, recent: HistStats::of(&h.recent_at(now_us)) })
                 })
                 .collect(),
             self_time_us: g
@@ -465,13 +498,17 @@ impl Registry {
         g.gauges.clear();
         g.hists.clear();
         g.self_time_us.clear();
+        g.kernel_ns.clear();
+        g.span_us.clear();
         snap
     }
 }
 
 // ------------------------------------------------------ global instance
 
-fn global() -> &'static Registry {
+/// The process-wide registry; the span guards' drops record into it
+/// directly.
+pub(crate) fn global() -> &'static Registry {
     static REGISTRY: std::sync::OnceLock<Registry> = std::sync::OnceLock::new();
     REGISTRY.get_or_init(Registry::new)
 }
@@ -498,21 +535,6 @@ pub fn gauge_set(name: &str, value: f64) {
 pub fn observe(name: &str, value: u64) {
     if crate::enabled() {
         global().observe_at(name, crate::clock_us(), value);
-    }
-}
-
-/// Like [`observe`] with an explicit clock reading (so span drops reuse
-/// the timestamp they already took).
-pub(crate) fn observe_at(name: &str, now_us: u64, value: u64) {
-    if crate::enabled() {
-        global().observe_at(name, now_us, value);
-    }
-}
-
-/// Span self-time accounting for the global registry (span drop path).
-pub(crate) fn span_time(stack: &str, parent: Option<&str>, dur_us: u64) {
-    if crate::enabled() {
-        global().span_time(stack, parent, dur_us);
     }
 }
 

@@ -68,8 +68,8 @@ pub const SPARK_EVENT_NAMES: &[&str] = &[
 /// span names without chasing ad-hoc strings through the codebase.
 ///
 /// Phase spans cover one logical stage of a run; kernel spans (the
-/// `nn.*` / `infer.*` names) wrap individual numeric kernels and are
-/// sampled rather than always recorded.
+/// `nn.*` / `infer.*` names and `serving.encode`) are one per plan
+/// stage, always recorded — never one per node or per step.
 pub const SPAN_NAMES: &[&str] = &[
     // Phase spans.
     "train.run",
@@ -80,13 +80,11 @@ pub const SPAN_NAMES: &[&str] = &[
     "workload.generate",
     "encode.word2vec",
     "baselines.train_tlstm",
-    // Kernel spans: nn primitives.
-    "nn.matmul",
-    "nn.sigmoid",
-    "nn.tanh",
+    // Kernel spans: the plan layer's sequence pass.
     "nn.lstm_seq",
     "nn.conv1d_seq",
-    // Kernel spans: inference-engine stages.
+    // Kernel spans: the stages of a served miss.
+    "serving.encode",
     "infer.plan_layer",
     "infer.node_attention",
     "infer.resource_keys",
@@ -102,7 +100,8 @@ pub const SPAN_NAMES: &[&str] = &[
 /// `serving.plan_cache.*` family meters the plan-context cache: every
 /// admitted plan is one `hit` or one `miss`
 /// (hit rate = `hit / (hit + miss)`), `insert` and `evict` count
-/// entries entering and leaving it.
+/// entries entering and leaving it. `telemetry.trace_dropped` counts
+/// spans a requested Chrome trace had no room for.
 pub const COUNTER_NAMES: &[&str] = &[
     "infer.predict.single",
     "infer.plan_context.build",
@@ -124,6 +123,7 @@ pub const COUNTER_NAMES: &[&str] = &[
     "sparksim.jobs.completed",
     "monitor.samples",
     "monitor.drift.alarms",
+    "telemetry.trace_dropped",
 ];
 
 /// Registered histogram names (`telemetry::observe`). `serving.predict_us`

@@ -229,11 +229,31 @@ fn chrome_trace_is_valid_json_with_complete_events() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Slices are buffered for the Chrome trace alone: a run that asked for
+/// none keeps none, however long it serves, and so has nothing to drop.
+#[test]
+fn no_trace_path_buffers_no_slices_and_drops_none() {
+    const TRACE_CAP: usize = 262_144; // `telemetry`'s private bound
+    let lines = capture(|| {
+        for _ in 0..TRACE_CAP + 6 {
+            let _s = telemetry::span("serving.predict");
+        }
+    });
+    assert!(
+        !lines.iter().any(|l| l.contains("telemetry.trace_dropped")),
+        "dropped slices from a trace nobody asked for"
+    );
+    let closed = r#""name":"span.serving.predict_us","count":262150"#;
+    assert!(lines.iter().any(|l| l.contains(closed)), "every span still counted");
+    // What a requested trace that does overflow reports is a registered name.
+    assert!(schema::counter_is_registered("telemetry.trace_dropped"));
+}
+
 #[test]
 fn kernel_spans_aggregate_without_per_call_events() {
     let lines = capture(|| {
         for _ in 0..50 {
-            let _k = telemetry::kernel_span("nn.matmul");
+            let _k = telemetry::kernel_span("nn.lstm_seq");
         }
     });
     let events = parse(&lines);
@@ -241,7 +261,7 @@ fn kernel_spans_aggregate_without_per_call_events() {
     let hists = events_of(&events, "histogram");
     let h = hists
         .iter()
-        .find(|h| get_str(h, "name") == "nn.matmul_ns")
+        .find(|h| get_str(h, "name") == "nn.lstm_seq_ns")
         .expect("kernel histogram");
     assert_eq!(get_u64(h, "count"), 50);
 }
