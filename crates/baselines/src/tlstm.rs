@@ -193,8 +193,6 @@ pub fn train_tlstm(
         for batch in order.chunks(cfg.batch_size) {
             let weight = 1.0 / batch.len() as f32;
             model.store_mut().zero_grads();
-            let mut grads_store = model.store().clone();
-            grads_store.zero_grads();
             let mut batch_loss = 0.0;
             for &i in batch {
                 let s = &samples[i];
@@ -202,12 +200,7 @@ pub fn train_tlstm(
                 let loss = model.loss(&mut g, &s.plan, s.seconds);
                 batch_loss += g.value(loss).item() as f64;
                 let grads = g.backward(loss);
-                g.accumulate_grads(&grads, &mut grads_store, weight);
-            }
-            let ids: Vec<_> = grads_store.ids().collect();
-            for id in ids {
-                let delta = grads_store.grad(id).clone();
-                model.store_mut().grad_mut(id).axpy(1.0, &delta);
+                g.accumulate_grads(&grads, model.store_mut(), weight);
             }
             model.store_mut().clip_grad_norm(cfg.clip_norm);
             adam.step(model.store_mut());
@@ -261,6 +254,35 @@ mod tests {
         for id in store.ids().collect::<Vec<_>>() {
             assert!(store.grad(id).norm() > 0.0, "dead param {}", store.name(id));
         }
+    }
+
+    #[test]
+    fn gradcheck_on_a_branching_tree() {
+        // Small widths keep the finite-difference sweep fast; node 2 sums
+        // the states of two children, node 4 those of a chain and a leaf.
+        let dim = 5;
+        let rows: Vec<Vec<f32>> = (0..5)
+            .map(|i| (0..dim).map(|j| ((3 * i + 2 * j) % 7) as f32 / 7.0 - 0.4).collect())
+            .collect();
+        let plan = EncodedPlan::from_rows(
+            &rows,
+            &[vec![], vec![], vec![0, 1], vec![], vec![2, 3]],
+            [0.2; PLAN_STAT_FEATURES],
+        );
+        let model =
+            TlstmModel::new(TlstmConfig { hidden: 4, head_hidden: 5, ..TlstmConfig::new(dim) });
+        let mut store = model.store().clone();
+        nn::gradcheck::assert_gradients_close(
+            &mut store,
+            move |g, s| {
+                // Rebind the model's forward against the perturbed store.
+                let mut m = model.clone();
+                *m.store_mut() = s.clone();
+                m.loss(g, &plan, 10.0)
+            },
+            5e-3,
+            3e-2,
+        );
     }
 
     #[test]

@@ -60,6 +60,23 @@ fn bench_tensor_ops(c: &mut Criterion) {
             })
         });
     }
+    // Backward of the LSTM step's two products, beside the
+    // transpose-then-`matmul` each replaces: `dh += g @ Wh^T`, and
+    // `dWx += x_t^T @ g` for one encoded node (row 0 of `xs`).
+    let (gz, x_t) = (filled(&mut rng, 1, 256), xs.slice_rows(0, 1));
+    let (mut dh, mut dwx) = (Tensor::zeros(1, 64), Tensor::zeros(94, 256));
+    group.bench_function("add_matmul_nt_1x256_64x256", |b| {
+        b.iter(|| gz.add_matmul_nt(&wh, black_box(&mut dh)))
+    });
+    group.bench_function("transpose_matmul_1x256_64x256", |b| {
+        b.iter(|| black_box(gz.matmul(&wh.transpose())))
+    });
+    group.bench_function("add_matmul_tn_1x94_1x256", |b| {
+        b.iter(|| x_t.add_matmul_tn(&gz, black_box(&mut dwx)))
+    });
+    group.bench_function("transpose_matmul_axpy_1x94_1x256", |b| {
+        b.iter(|| black_box(&mut dwx).axpy(1.0, &x_t.transpose().matmul(&gz)))
+    });
     group.finish();
 
     let mut group = c.benchmark_group("tensor_transpose");

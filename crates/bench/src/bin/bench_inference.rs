@@ -8,7 +8,8 @@
 //! latencies, which are recorded but not compared). The sweep's naive ÷
 //! cached ratio is recorded too, untracked: it *falls* when the uncached
 //! pass gets faster, and the cache's own gate is the repo benchmark's
-//! `resweep_hot`.
+//! `resweep_hot`. Training is priced on the same model: a tape forward,
+//! a backward, and a whole sample-step of `train` on one thread.
 //!
 //! Usage:
 //! `bench_inference [--out FILE] [--check FILE] [--full] [--seed N]`
@@ -129,7 +130,27 @@ fn main() {
     let hidden = model.config().hidden;
     let gates = std::cell::RefCell::new(vec![0.5f32; 5 * hidden]);
     const ACTIVATION_STEPS: usize = 4096;
-    let bodies: [&dyn Fn(); 7] = [
+    let one_thread = raal::TrainConfig { epochs: 1, threads: 1, ..tcfg.clone() };
+    // Forward and backward nanoseconds of the fastest whole pass over the
+    // subset: read off one pass, so their ratio is not two windows' noise.
+    let tape_split = std::cell::Cell::new((f64::INFINITY, 0.0));
+    let tape_pass = || {
+        let (mut forward, mut backward) = (0.0, 0.0);
+        for s in &train_subset {
+            let t0 = telemetry::clock_ns();
+            let mut g = nn::Graph::new();
+            let loss = model.loss(&mut g, &s.plan, &s.resources, s.seconds);
+            let t1 = telemetry::clock_ns();
+            let grads = g.backward(loss);
+            forward += (t1 - t0) as f64;
+            backward += (telemetry::clock_ns() - t1) as f64;
+            std::hint::black_box(grads);
+        }
+        if forward + backward < tape_split.get().0 + tape_split.get().1 {
+            tape_split.set((forward, backward));
+        }
+    };
+    let bodies: [&dyn Fn(); 9] = [
         &|| {
             for run in &runs {
                 std::hint::black_box(pipeline.encoder.encode(&run.plan));
@@ -175,13 +196,17 @@ fn main() {
                 std::hint::black_box(&mut *z);
             }
         },
+        &tape_pass,
+        &|| {
+            train(&mut model.clone(), &train_subset, &one_thread);
+        },
     ];
     // Best of ROUNDS samples per body, the bodies taking turns so that
     // a slow stretch of the machine falls on both sides of a ratio, and
     // each sample repeating its body until it has run MIN_SAMPLE_MS:
     // the cached sweep takes 1.3 ms, and a best-of-5 over windows that
     // short moved `sweep_cache_speedup` by 10% one run in six.
-    let mut best_ms = [f64::INFINITY; 7];
+    let mut best_ms = [f64::INFINITY; 9];
     for _ in 0..ROUNDS {
         for (body, best) in bodies.iter().zip(&mut best_ms) {
             let t0 = telemetry::clock_ns();
@@ -194,8 +219,10 @@ fn main() {
             *best = best.min(elapsed_ms / reps);
         }
     }
-    let [encode_ms, tape_ms, fast_ms, sweep_naive_ms, sweep_cached_ms, context_ms, gates_ms] =
+    let [encode_ms, tape_ms, fast_ms, sweep_naive_ms, sweep_cached_ms, context_ms, gates_ms, _, step_ms] =
         best_ms;
+    let (forward_ns, backward_ns) = tape_split.get();
+    let per_sample = 1.0 / train_subset.len() as f64;
     let nodes: usize = runs.iter().map(|run| run.plan.len()).sum();
 
     let metrics = vec![
@@ -211,6 +238,9 @@ fn main() {
             gates_ms / ACTIVATION_STEPS as f64 * 1e6,
             "ns",
         ),
+        Metric::info("tape_forward_us", forward_ns * 1e-3 * per_sample, "us"),
+        Metric::info("tape_backward_us", backward_ns * 1e-3 * per_sample, "us"),
+        Metric::info("train_us_per_sample_step", step_ms * 1e3 * per_sample, "us"),
         Metric::tracked("fast_vs_tape", tape_ms / fast_ms),
         Metric::info("sweep_cache_speedup", sweep_naive_ms / sweep_cached_ms, "ratio"),
     ];

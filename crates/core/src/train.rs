@@ -95,6 +95,10 @@ pub fn train(model: &mut CostModel, samples: &[Sample], cfg: &TrainConfig) -> Tr
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     let mut order: Vec<usize> = (0..samples.len()).collect();
     let mut epoch_losses = Vec::with_capacity(cfg.epochs);
+    // One gradient buffer per worker for the whole run; only the `grad`
+    // half of these copies is ever used.
+    let mut workers = vec![model.store().clone(); threads.max(1)];
+    let mut grad_norm = 0.0;
 
     for epoch in 0..cfg.epochs {
         let epoch_start_us = telemetry::clock_us();
@@ -108,12 +112,12 @@ pub fn train(model: &mut CostModel, samples: &[Sample], cfg: &TrainConfig) -> Tr
         for batch in order.chunks(cfg.batch_size) {
             let batch_start_ns = telemetry::clock_ns();
             let weight = 1.0 / batch.len() as f32;
-            let (batch_loss, grads) = batch_gradients(model, samples, batch, weight, threads);
+            let (batch_loss, used) = batch_gradients(model, samples, batch, weight, &mut workers);
             epoch_loss += batch_loss * batch.len() as f64;
-            workers_used += grads.len();
+            workers_used += used;
             batches += 1;
-            merge_grads(model.store_mut(), &grads);
-            model.store_mut().clip_grad_norm(cfg.clip_norm);
+            merge_grads(model.store_mut(), &workers[..used]);
+            grad_norm = model.store_mut().clip_grad_norm(cfg.clip_norm);
             adam.step(model.store_mut());
             telemetry::observe("train.batch_ns", telemetry::clock_ns() - batch_start_ns);
         }
@@ -131,7 +135,7 @@ pub fn train(model: &mut CostModel, samples: &[Sample], cfg: &TrainConfig) -> Tr
                     ("epoch", telemetry::Value::UInt(epoch as u64)),
                     ("loss", telemetry::Value::F64(epoch_loss / samples.len() as f64)),
                     ("lr", telemetry::Value::F64(adam.lr as f64)),
-                    ("grad_norm", telemetry::Value::F64(model.store().grad_norm() as f64)),
+                    ("grad_norm", telemetry::Value::F64(grad_norm as f64)),
                     ("worker_utilization", telemetry::Value::F64(util)),
                     ("epoch_us", telemetry::Value::UInt(telemetry::clock_us() - epoch_start_us)),
                 ],
@@ -142,24 +146,24 @@ pub fn train(model: &mut CostModel, samples: &[Sample], cfg: &TrainConfig) -> Tr
     TrainHistory { epoch_losses, train_seconds: run.elapsed_seconds() }
 }
 
-/// Computes accumulated gradients for a batch, parallelised over samples.
-/// Returns (mean loss, per-thread gradient stores).
+/// Computes a batch's gradients, parallelised over samples: static chunk
+/// `j` is summed into `workers[j]`'s zeroed gradient half, so the order
+/// of summation is not the scheduler's. Returns (mean loss, workers used).
 fn batch_gradients(
     model: &CostModel,
     samples: &[Sample],
     batch: &[usize],
     weight: f32,
-    threads: usize,
-) -> (f64, Vec<ParamStore>) {
-    let chunk = batch.len().div_ceil(threads.max(1));
-    let mut stores = Vec::new();
+    workers: &mut [ParamStore],
+) -> (f64, usize) {
+    let chunk = batch.len().div_ceil(workers.len());
     let mut total_loss = 0.0;
     std::thread::scope(|scope| {
         let handles: Vec<_> = batch
             .chunks(chunk)
-            .map(|ids| {
+            .zip(workers.iter_mut())
+            .map(|(ids, local)| {
                 scope.spawn(move || {
-                    let mut local = model.store().clone();
                     local.zero_grads();
                     let mut loss_sum = 0.0f64;
                     for &i in ids {
@@ -168,21 +172,19 @@ fn batch_gradients(
                         let loss = model.loss(&mut g, &s.plan, &s.resources, s.seconds);
                         loss_sum += g.value(loss).item() as f64;
                         let grads = g.backward(loss);
-                        g.accumulate_grads(&grads, &mut local, weight);
+                        g.accumulate_grads(&grads, local, weight);
                     }
-                    (loss_sum, local)
+                    loss_sum
                 })
             })
             .collect();
         for h in handles {
             // Re-raise a worker panic with its original payload instead
             // of a generic join failure.
-            let (loss_sum, local) = h.join().unwrap_or_else(|p| std::panic::resume_unwind(p));
-            total_loss += loss_sum;
-            stores.push(local);
+            total_loss += h.join().unwrap_or_else(|p| std::panic::resume_unwind(p));
         }
     });
-    (total_loss / batch.len() as f64, stores)
+    (total_loss / batch.len() as f64, batch.len().div_ceil(chunk))
 }
 
 /// Adds the gradients of worker stores into the model's store.
@@ -334,6 +336,41 @@ mod tests {
         let h1 = train(&mut m1, &samples, &cfg1);
         let h2 = train(&mut m2, &samples, &cfg2);
         assert!((h1.final_loss() - h2.final_loss()).abs() < 1e-4);
+        for id in m1.store().ids() {
+            let (w1, w2) = (m1.store().value(id).data(), m2.store().value(id).data());
+            let worst = w1.iter().zip(w2).map(|(a, b)| (a - b).abs()).fold(0.0, f32::max);
+            assert!(worst <= 1e-6, "{} differs by {worst}", m1.store().name(id));
+        }
+    }
+
+    #[test]
+    fn the_same_config_trains_the_same_bits() {
+        // The summation order is fixed by the static chunking, not by
+        // which worker finishes first: a served system "built from a
+        // fixed seed" is one system.
+        let samples = synthetic_samples(24);
+        let cfg = TrainConfig {
+            epochs: 2,
+            batch_size: 8,
+            threads: 2,
+            ..Default::default()
+        };
+        let weights = || {
+            let mut model = CostModel::new(ModelConfig {
+                hidden: 8,
+                latent_k: 4,
+                head_hidden: 8,
+                ..ModelConfig::raal(10)
+            });
+            let history = train(&mut model, &samples, &cfg);
+            let store = model.store();
+            let bits: Vec<u32> = store
+                .ids()
+                .flat_map(|id| store.value(id).data().iter().map(|w| w.to_bits()))
+                .collect();
+            (bits, history.final_loss().to_bits())
+        };
+        assert_eq!(weights(), weights());
     }
 
     #[test]

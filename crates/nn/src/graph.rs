@@ -3,8 +3,14 @@
 //! A [`Graph`] is a tape of operations built freshly for every training
 //! sample (plan sequences have variable length, so static graphs would not
 //! help). [`Graph::backward`] walks the tape in reverse and produces a
-//! gradient for every node; [`Graph::accumulate_grads`] then adds the
-//! gradients of parameter leaves into a [`ParamStore`].
+//! gradient for every node a parameter feeds; [`Graph::accumulate_grads`]
+//! then adds the gradients of parameter leaves into a [`ParamStore`].
+//!
+//! Two rules keep the backward pass at the price of the forward one:
+//! *a leaf that no parameter feeds gets no gradient* (nor does anything
+//! computed from such leaves alone: [`Gradients::get`] answers `None`),
+//! and *a backward rule adds into its target, it does not build and then
+//! add* (no transposed weight, outer product or zeroed carrier is built).
 //!
 //! Every operation's backward rule is validated against central finite
 //! differences in `gradcheck` tests, which is the property that makes the
@@ -24,9 +30,13 @@ impl Var {
     }
 }
 
+/// One recorded operation, operands as tape indices ([`Var::index`]).
+/// Public only so that a test can differentiate a tape by rules of its
+/// own ([`Graph::node`]).
+#[doc(hidden)]
 #[derive(Debug, Clone)]
-enum Op {
-    /// Constant leaf (inputs, targets); receives no gradient of interest.
+pub enum Op {
+    /// Constant leaf (inputs, targets); receives no gradient.
     Input,
     /// Trainable leaf; gradient flows into the parameter store.
     Param(ParamId),
@@ -59,6 +69,8 @@ enum Op {
 struct Node {
     value: Tensor,
     op: Op,
+    /// Whether any [`Op::Param`] feeds this node.
+    needs_grad: bool,
 }
 
 /// A tape of tensor operations supporting reverse-mode differentiation.
@@ -104,8 +116,30 @@ impl Graph {
 
     fn push(&mut self, value: Tensor, op: Op) -> Var {
         debug_assert!(value.all_finite(), "non-finite value produced by {op:?}");
-        self.nodes.push(Node { value, op });
+        let fed = |i: &usize| self.nodes[*i].needs_grad;
+        let needs_grad = match &op {
+            Op::Input => false,
+            Op::Param(_) => true,
+            Op::MatMul(a, b) | Op::Add(a, b) | Op::AddRow(a, b) | Op::Sub(a, b) | Op::Mul(a, b) => {
+                fed(a) || fed(b)
+            }
+            Op::ConcatRows(parts) | Op::ConcatCols(parts) => parts.iter().any(fed),
+            Op::Scale(a, _) | Op::SliceRows(a, ..) | Op::SliceCols(a, ..) | Op::MseLoss(a, _) => {
+                fed(a)
+            }
+            Op::Sigmoid(a) | Op::Tanh(a) | Op::Relu(a) | Op::SoftmaxRows(a) | Op::SoftmaxCol(a) => {
+                fed(a)
+            }
+            Op::Transpose(a) | Op::Sum(a) | Op::Mean(a) | Op::MeanRows(a) => fed(a),
+        };
+        self.nodes.push(Node { value, op, needs_grad });
         Var(self.nodes.len() - 1)
+    }
+
+    /// The operation recorded at tape index `idx`, and its value.
+    #[doc(hidden)]
+    pub fn node(&self, idx: usize) -> (&Op, &Tensor) {
+        (&self.nodes[idx].op, &self.nodes[idx].value)
     }
 
     /// Registers a constant leaf.
@@ -279,8 +313,11 @@ impl Graph {
     pub fn backward(&self, loss: Var) -> Gradients {
         assert_eq!(self.nodes[loss.0].value.shape(), (1, 1), "backward requires a scalar loss");
         let mut grads: Vec<Option<Tensor>> = vec![None; self.nodes.len()];
-        grads[loss.0] = Some(Tensor::scalar(1.0));
+        if self.nodes[loss.0].needs_grad {
+            grads[loss.0] = Some(Tensor::scalar(1.0));
+        }
 
+        // Only `add_to` fills a slot, so a constant node is skipped here.
         for idx in (0..=loss.0).rev() {
             let Some(g) = grads[idx].take() else { continue };
             self.backprop_node(idx, &g, &mut grads);
@@ -289,140 +326,115 @@ impl Graph {
         Gradients { grads }
     }
 
-    fn accum(&self, grads: &mut [Option<Tensor>], idx: usize, delta: Tensor) {
-        debug_assert_eq!(
-            self.nodes[idx].value.shape(),
-            delta.shape(),
-            "gradient shape mismatch at node {idx}"
-        );
-        match &mut grads[idx] {
-            Some(g) => g.axpy(1.0, &delta),
-            slot @ None => *slot = Some(delta),
+    /// Hands `add` the gradient slot of node `idx` — zeroed on first use —
+    /// to add a delta into, unless no parameter feeds the node.
+    fn add_to(&self, grads: &mut [Option<Tensor>], idx: usize, add: impl FnOnce(&mut Tensor)) {
+        let node = &self.nodes[idx];
+        if node.needs_grad {
+            let (r, c) = node.value.shape();
+            add(grads[idx].get_or_insert_with(|| Tensor::zeros(r, c)));
         }
     }
 
     fn backprop_node(&self, idx: usize, g: &Tensor, grads: &mut [Option<Tensor>]) {
+        debug_assert_eq!(
+            self.nodes[idx].value.shape(),
+            g.shape(),
+            "gradient shape mismatch at node {idx}"
+        );
+        let y = &self.nodes[idx].value;
+        let value = |i: &usize| &self.nodes[*i].value;
         match &self.nodes[idx].op {
             Op::Input | Op::Param(_) => {}
             Op::MatMul(a, b) => {
-                let av = &self.nodes[*a].value;
-                let bv = &self.nodes[*b].value;
-                self.accum(grads, *a, g.matmul(&bv.transpose()));
-                self.accum(grads, *b, av.transpose().matmul(g));
+                self.add_to(grads, *a, |d| g.add_matmul_nt(value(b), d));
+                self.add_to(grads, *b, |d| value(a).add_matmul_tn(g, d));
             }
             Op::Add(a, b) => {
-                self.accum(grads, *a, g.clone());
-                self.accum(grads, *b, g.clone());
+                self.add_to(grads, *a, |d| d.axpy(1.0, g));
+                self.add_to(grads, *b, |d| d.axpy(1.0, g));
             }
             Op::AddRow(m, row) => {
-                self.accum(grads, *m, g.clone());
-                let mut rg = Tensor::zeros(1, g.cols());
-                for r in 0..g.rows() {
-                    for c in 0..g.cols() {
-                        rg.set(0, c, rg.get(0, c) + g.get(r, c));
+                self.add_to(grads, *m, |d| d.axpy(1.0, g));
+                self.add_to(grads, *row, |d| {
+                    for r in 0..g.rows() {
+                        add_block(d, (0, 0), g, (r, 0), (1, g.cols()));
                     }
-                }
-                self.accum(grads, *row, rg);
+                });
             }
             Op::Sub(a, b) => {
-                self.accum(grads, *a, g.clone());
-                self.accum(grads, *b, g.scale(-1.0));
+                self.add_to(grads, *a, |d| d.axpy(1.0, g));
+                self.add_to(grads, *b, |d| d.axpy(-1.0, g));
             }
             Op::Mul(a, b) => {
-                let av = &self.nodes[*a].value;
-                let bv = &self.nodes[*b].value;
-                self.accum(grads, *a, g.hadamard(bv));
-                self.accum(grads, *b, g.hadamard(av));
+                self.add_to(grads, *a, |d| add_zip(d, g, value(b), |g, b| g * b));
+                self.add_to(grads, *b, |d| add_zip(d, g, value(a), |g, a| g * a));
             }
-            Op::Scale(a, alpha) => self.accum(grads, *a, g.scale(*alpha)),
+            Op::Scale(a, alpha) => self.add_to(grads, *a, |d| d.axpy(*alpha, g)),
             Op::Sigmoid(a) => {
-                let y = &self.nodes[idx].value;
-                let d = y.zip(g, |y, g| g * y * (1.0 - y));
-                self.accum(grads, *a, d);
+                self.add_to(grads, *a, |d| add_zip(d, y, g, |y, g| g * y * (1.0 - y)))
             }
-            Op::Tanh(a) => {
-                let y = &self.nodes[idx].value;
-                let d = y.zip(g, |y, g| g * (1.0 - y * y));
-                self.accum(grads, *a, d);
-            }
-            Op::Relu(a) => {
-                let x = &self.nodes[*a].value;
-                let d = x.zip(g, |x, g| if x > 0.0 { g } else { 0.0 });
-                self.accum(grads, *a, d);
-            }
+            Op::Tanh(a) => self.add_to(grads, *a, |d| add_zip(d, y, g, |y, g| g * (1.0 - y * y))),
+            Op::Relu(a) => self.add_to(grads, *a, |d| {
+                add_zip(d, value(a), g, |x, g| if x > 0.0 { g } else { 0.0 })
+            }),
             Op::SoftmaxRows(a) => {
-                let y = &self.nodes[idx].value;
-                self.accum(grads, *a, softmax_backward_rows(y, g));
+                self.add_to(grads, *a, |d| add_softmax_backward(d, y, g, y.cols()))
             }
-            Op::SoftmaxCol(a) => {
-                let y = self.nodes[idx].value.transpose();
-                let gt = g.transpose();
-                self.accum(grads, *a, softmax_backward_rows(&y, &gt).transpose());
-            }
-            Op::Transpose(a) => self.accum(grads, *a, g.transpose()),
+            // An `n x 1` column is laid out like the `1 x n` row.
+            Op::SoftmaxCol(a) => self.add_to(grads, *a, |d| add_softmax_backward(d, y, g, y.len())),
+            Op::Transpose(a) => self.add_to(grads, *a, |d| {
+                for r in 0..g.rows() {
+                    for c in 0..g.cols() {
+                        d.set(c, r, d.get(c, r) + g.get(r, c));
+                    }
+                }
+            }),
             Op::ConcatRows(parts) => {
                 let mut start = 0;
-                for &p in parts {
-                    let rows = self.nodes[p].value.rows();
-                    self.accum(grads, p, g.slice_rows(start, rows));
+                for p in parts {
+                    let rows = value(p).rows();
+                    self.add_to(grads, *p, |d| {
+                        add_block(d, (0, 0), g, (start, 0), (rows, g.cols()))
+                    });
                     start += rows;
                 }
             }
             Op::ConcatCols(parts) => {
                 let mut start = 0;
-                for &p in parts {
-                    let cols = self.nodes[p].value.cols();
-                    self.accum(grads, p, g.slice_cols(start, cols));
+                for p in parts {
+                    let cols = value(p).cols();
+                    self.add_to(grads, *p, |d| {
+                        add_block(d, (0, 0), g, (0, start), (g.rows(), cols))
+                    });
                     start += cols;
                 }
             }
-            Op::SliceRows(a, start, len) => {
-                let src = &self.nodes[*a].value;
-                let mut d = Tensor::zeros(src.rows(), src.cols());
-                for r in 0..*len {
-                    for c in 0..src.cols() {
-                        d.set(start + r, c, g.get(r, c));
-                    }
-                }
-                self.accum(grads, *a, d);
+            Op::SliceRows(a, start, _) => {
+                self.add_to(grads, *a, |d| add_block(d, (*start, 0), g, (0, 0), g.shape()))
             }
-            Op::SliceCols(a, start, len) => {
-                let src = &self.nodes[*a].value;
-                let mut d = Tensor::zeros(src.rows(), src.cols());
-                for r in 0..src.rows() {
-                    for c in 0..*len {
-                        d.set(r, start + c, g.get(r, c));
-                    }
-                }
-                self.accum(grads, *a, d);
+            Op::SliceCols(a, start, _) => {
+                self.add_to(grads, *a, |d| add_block(d, (0, *start), g, (0, 0), g.shape()))
             }
             Op::Sum(a) => {
-                let src = &self.nodes[*a].value;
-                self.accum(grads, *a, Tensor::full(src.rows(), src.cols(), g.item()));
+                self.add_to(grads, *a, |d| d.data_mut().iter_mut().for_each(|d| *d += g.item()))
             }
-            Op::Mean(a) => {
-                let src = &self.nodes[*a].value;
-                let d = g.item() / src.len() as f32;
-                self.accum(grads, *a, Tensor::full(src.rows(), src.cols(), d));
-            }
-            Op::MeanRows(a) => {
-                let src = &self.nodes[*a].value;
-                let (r, c) = src.shape();
-                let mut d = Tensor::zeros(r, c);
-                for i in 0..r {
-                    for j in 0..c {
-                        d.set(i, j, g.get(0, j) / r as f32);
+            Op::Mean(a) => self.add_to(grads, *a, |d| {
+                let each = g.item() / d.len() as f32;
+                d.data_mut().iter_mut().for_each(|d| *d += each);
+            }),
+            Op::MeanRows(a) => self.add_to(grads, *a, |d| {
+                let rows = d.rows() as f32;
+                for row in d.data_mut().chunks_mut(g.cols().max(1)) {
+                    for (d, &g) in row.iter_mut().zip(g.data()) {
+                        *d += g / rows;
                     }
                 }
-                self.accum(grads, *a, d);
-            }
-            Op::MseLoss(a, target) => {
-                let pred = &self.nodes[*a].value;
-                let n = pred.len() as f32;
-                let scale = 2.0 * g.item() / n;
-                let d = pred.zip(target, |p, t| scale * (p - t));
-                self.accum(grads, *a, d);
-            }
+            }),
+            Op::MseLoss(a, target) => self.add_to(grads, *a, |d| {
+                let scale = 2.0 * g.item() / d.len() as f32;
+                add_zip(d, value(a), target, |p, t| scale * (p - t))
+            }),
         }
     }
 
@@ -440,28 +452,54 @@ impl Graph {
     }
 }
 
-/// Row-wise softmax Jacobian-vector product: for each row,
-/// `dx = y ⊙ (dy − <dy, y>)`.
-fn softmax_backward_rows(y: &Tensor, g: &Tensor) -> Tensor {
-    let mut out = Tensor::zeros(y.rows(), y.cols());
-    for r in 0..y.rows() {
-        let dot: f32 = y
-            .row_slice(r)
-            .iter()
-            .zip(g.row_slice(r).iter())
-            .map(|(&a, &b)| a * b)
-            .sum();
-        for c in 0..y.cols() {
-            out.set(r, c, y.get(r, c) * (g.get(r, c) - dot));
+/// `into[i] += f(x[i], y[i])`.
+fn add_zip(into: &mut Tensor, x: &Tensor, y: &Tensor, f: impl Fn(f32, f32) -> f32) {
+    assert!(into.shape() == x.shape() && x.shape() == y.shape(), "add_zip shape mismatch");
+    for ((d, &x), &y) in into.data_mut().iter_mut().zip(x.data()).zip(y.data()) {
+        *d += f(x, y);
+    }
+}
+
+/// `dst[dr.., dc..] += src[sr.., sc..]` over a `rows x cols` block.
+fn add_block(
+    dst: &mut Tensor,
+    (dr, dc): (usize, usize),
+    src: &Tensor,
+    (sr, sc): (usize, usize),
+    (rows, cols): (usize, usize),
+) {
+    let (dw, sw) = (dst.cols(), src.cols());
+    for r in 0..rows {
+        let d = &mut dst.data_mut()[(dr + r) * dw + dc..][..cols];
+        for (d, &s) in d.iter_mut().zip(&src.data()[(sr + r) * sw + sc..][..cols]) {
+            *d += s;
         }
     }
-    out
+}
+
+/// Softmax Jacobian-vector product over each `width`-long run of `y`:
+/// `dx += y ⊙ (dy − <dy, y>)`.
+fn add_softmax_backward(into: &mut Tensor, y: &Tensor, g: &Tensor, width: usize) {
+    let runs = y.data().chunks(width.max(1)).zip(g.data().chunks(width.max(1)));
+    for (d, (y, g)) in into.data_mut().chunks_mut(width.max(1)).zip(runs) {
+        let dot: f32 = y.iter().zip(g).map(|(&a, &b)| a * b).sum();
+        for ((d, &y), &g) in d.iter_mut().zip(y).zip(g) {
+            *d += y * (g - dot);
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::params::ParamStore;
+
+    /// Registers `t` as a parameter and puts it on the tape: a leaf whose
+    /// gradient `backward` reports.
+    fn leaf(g: &mut Graph, store: &mut ParamStore, t: Tensor) -> Var {
+        let id = store.register(format!("p{}", store.len()), t);
+        g.param(store, id)
+    }
 
     #[test]
     fn forward_values_are_recorded() {
@@ -506,9 +544,60 @@ mod tests {
     }
 
     #[test]
+    fn a_constant_gets_no_gradient() {
+        // loss = sum((x @ w) ⊙ c): only `w` is trainable. The inputs, and
+        // what is computed from inputs alone, are skipped.
+        let mut g = Graph::new();
+        let mut store = ParamStore::new();
+        let x = g.input(Tensor::row(&[1.0, 2.0]));
+        let c = g.input(Tensor::row(&[3.0]));
+        let c2 = g.scale(c, 2.0);
+        let w = leaf(&mut g, &mut store, Tensor::col(&[0.5, -0.5]));
+        let xw = g.matmul(x, w);
+        let y = g.mul(xw, c2);
+        let loss = g.sum(y);
+        let grads = g.backward(loss);
+        assert!(grads.get(x).is_none() && grads.get(c).is_none() && grads.get(c2).is_none());
+        assert_eq!(grads.get(w).unwrap().data(), &[6.0, 12.0]);
+        // A loss no parameter feeds has nothing to differentiate.
+        let lone = g.sum(c2);
+        assert!(g.backward(lone).get(lone).is_none());
+    }
+
+    #[test]
+    fn two_slices_of_one_node_accumulate_in_place() {
+        // loss = sum(x[.., 0..2]) + 3 * sum(x[.., 1..3]) + sum(x[1..2, ..])
+        let mut g = Graph::new();
+        let mut store = ParamStore::new();
+        let x = leaf(&mut g, &mut store, Tensor::from_vec(2, 3, vec![1., 2., 3., 4., 5., 6.]));
+        let left = g.slice_cols(x, 0, 2);
+        let right = g.slice_cols(x, 1, 2);
+        let right3 = g.scale(right, 3.0);
+        let bottom = g.slice_rows(x, 1, 1);
+        let parts = [g.sum(left), g.sum(right3), g.sum(bottom)];
+        let all = g.concat_cols(&parts);
+        let loss = g.sum(all);
+        let grads = g.backward(loss);
+        assert_eq!(grads.get(x).unwrap().data(), &[1., 4., 3., 2., 5., 4.]);
+    }
+
+    #[test]
+    fn matmul_of_a_var_with_itself_accumulates_both_operands() {
+        // loss = sum(x @ x) => d/dx = 1·x^T + x^T·1 (row sums + column sums).
+        let mut g = Graph::new();
+        let mut store = ParamStore::new();
+        let x = leaf(&mut g, &mut store, Tensor::from_vec(2, 2, vec![1., 2., 3., 4.]));
+        let xx = g.matmul(x, x);
+        let loss = g.sum(xx);
+        let grads = g.backward(loss);
+        assert_eq!(grads.get(x).unwrap().data(), &[3. + 4., 7. + 4., 3. + 6., 7. + 6.]);
+    }
+
+    #[test]
     fn relu_gates_gradient() {
         let mut g = Graph::new();
-        let x = g.input(Tensor::row(&[-1.0, 2.0]));
+        let mut store = ParamStore::new();
+        let x = leaf(&mut g, &mut store, Tensor::row(&[-1.0, 2.0]));
         let y = g.relu(x);
         let loss = g.sum(y);
         let grads = g.backward(loss);
@@ -518,7 +607,8 @@ mod tests {
     #[test]
     fn mse_loss_value_and_gradient() {
         let mut g = Graph::new();
-        let x = g.input(Tensor::row(&[1.0, 3.0]));
+        let mut store = ParamStore::new();
+        let x = leaf(&mut g, &mut store, Tensor::row(&[1.0, 3.0]));
         let target = Tensor::row(&[0.0, 1.0]);
         let loss = g.mse_loss(x, &target);
         // ((1-0)^2 + (3-1)^2)/2 = 2.5
@@ -539,8 +629,9 @@ mod tests {
     #[test]
     fn concat_slice_round_trip_gradient() {
         let mut g = Graph::new();
-        let a = g.input(Tensor::row(&[1.0, 2.0]));
-        let b = g.input(Tensor::row(&[3.0, 4.0]));
+        let mut store = ParamStore::new();
+        let a = leaf(&mut g, &mut store, Tensor::row(&[1.0, 2.0]));
+        let b = leaf(&mut g, &mut store, Tensor::row(&[3.0, 4.0]));
         let cat = g.concat_rows(&[a, b]);
         let top = g.slice_rows(cat, 0, 1);
         let loss = g.sum(top);
@@ -555,8 +646,9 @@ mod tests {
     fn sub_and_scale_gradients() {
         // loss = sum(2*(a - b)) => da = 2, db = -2
         let mut g = Graph::new();
-        let a = g.input(Tensor::row(&[1.0, 2.0]));
-        let b = g.input(Tensor::row(&[3.0, 5.0]));
+        let mut store = ParamStore::new();
+        let a = leaf(&mut g, &mut store, Tensor::row(&[1.0, 2.0]));
+        let b = leaf(&mut g, &mut store, Tensor::row(&[3.0, 5.0]));
         let d = g.sub(a, b);
         let d2 = g.scale(d, 2.0);
         let loss = g.sum(d2);
@@ -569,7 +661,9 @@ mod tests {
     #[test]
     fn softmax_rows_gradient_sums_to_zero_per_row() {
         let mut g = Graph::new();
-        let x = g.input(Tensor::from_vec(2, 3, vec![0.1, 0.2, 0.3, 1.0, -1.0, 0.0]));
+        let mut store = ParamStore::new();
+        let x =
+            leaf(&mut g, &mut store, Tensor::from_vec(2, 3, vec![0.1, 0.2, 0.3, 1.0, -1.0, 0.0]));
         let s = g.softmax_rows(x);
         let first_col = g.slice_cols(s, 0, 1);
         let loss = g.sum(first_col);
@@ -584,7 +678,8 @@ mod tests {
     #[test]
     fn transpose_gradient_round_trips() {
         let mut g = Graph::new();
-        let x = g.input(Tensor::from_vec(2, 3, vec![1., 2., 3., 4., 5., 6.]));
+        let mut store = ParamStore::new();
+        let x = leaf(&mut g, &mut store, Tensor::from_vec(2, 3, vec![1., 2., 3., 4., 5., 6.]));
         let t = g.transpose(x);
         assert_eq!(g.value(t).shape(), (3, 2));
         let loss = g.sum(t);
@@ -595,7 +690,8 @@ mod tests {
     #[test]
     fn softmax_col_is_distribution_and_differentiable() {
         let mut g = Graph::new();
-        let x = g.input(Tensor::col(&[0.0, 1.0, 2.0]));
+        let mut store = ParamStore::new();
+        let x = leaf(&mut g, &mut store, Tensor::col(&[0.0, 1.0, 2.0]));
         let s = g.softmax_col(x);
         let sum: f32 = g.value(s).data().iter().sum();
         assert!((sum - 1.0).abs() < 1e-5);

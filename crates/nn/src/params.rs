@@ -141,8 +141,9 @@ impl ParamStore {
             .sqrt()
     }
 
-    /// Scales every gradient so the global norm is at most `max_norm`.
-    pub fn clip_grad_norm(&mut self, max_norm: f32) {
+    /// Scales every gradient so the global norm is at most `max_norm`;
+    /// returns the norm before clipping.
+    pub fn clip_grad_norm(&mut self, max_norm: f32) -> f32 {
         let norm = self.grad_norm();
         if norm > max_norm && norm > 0.0 {
             let s = max_norm / norm;
@@ -152,6 +153,7 @@ impl ParamStore {
                 }
             }
         }
+        norm
     }
 
     /// Re-initialises optimizer state after deserialisation (`grad`/`m`/`v`
