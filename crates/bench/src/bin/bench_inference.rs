@@ -9,7 +9,9 @@
 //! cached ratio is recorded too, untracked: it *falls* when the uncached
 //! pass gets faster, and the cache's own gate is the repo benchmark's
 //! `resweep_hot`. Training is priced on the same model: a tape forward,
-//! a backward, and a whole sample-step of `train` on one thread.
+//! a backward, and a whole sample-step of `train` on one thread. What
+//! runs before any model exists is priced too: `plan_candidates` per
+//! query, and the wall clock of this harness's own `collect` and word2vec.
 //!
 //! Usage:
 //! `bench_inference [--out FILE] [--check FILE] [--full] [--seed N]`
@@ -19,7 +21,7 @@
 //! there and no longer measured — the CI perf-ratchet job runs
 //! `--check BENCH_inference.json`.
 
-use bench::{build_model, run_pipeline, section, train_config, Metric, Workload};
+use bench::{build_model, section, train_config, Metric, Workload};
 use raal::{train, ModelConfig};
 
 /// Tracked-metric regression tolerance: fail `--check` when a ratio
@@ -84,20 +86,33 @@ fn main() {
     // (weights don't matter for latency, but training de-zeroes the
     // ReLU head) over the IMDB workload.
     let bench = bench::build_bench(Workload::Imdb, opts.full, opts.seed);
-    let pipeline = run_pipeline(&bench, opts.full, opts.seed, true);
+    // `bench::run_pipeline`, with a clock between its stages.
+    let collected = bench::collection_config(bench.workload, opts.full, opts.seed);
+    let t0 = telemetry::clock_ns();
+    let collection = raal::collect(&bench.engine, &bench.graph, &collected);
+    let t1 = telemetry::clock_ns();
+    let encoder = collection.build_encoder(&bench::w2v_config(opts.full), Default::default());
+    let t2 = telemetry::clock_ns();
+    let samples = collection.encode(&encoder, &bench.engine);
     let tcfg = {
         let mut t = train_config(false, opts.seed);
         t.epochs = 3;
         t
     };
-    let train_subset: Vec<_> = pipeline.samples.iter().take(200).cloned().collect();
-    let mut model = build_model(ModelConfig::raal(pipeline.encoder.node_dim()));
+    let train_subset: Vec<_> = samples.iter().take(200).cloned().collect();
+    let mut model = build_model(ModelConfig::raal(encoder.node_dim()));
     train(&mut model, &train_subset, &tcfg);
     let cluster = bench.engine.simulator().cluster();
+    // The queries `collect` ran: same generator, same seed.
+    let queries = workloads::querygen::generate_queries(
+        &bench.graph,
+        &collected.querygen,
+        collected.num_queries,
+        &mut <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(collected.seed),
+    );
 
     // Up to 100 distinct queries: one (encoded plan, resources) each.
-    let runs: Vec<_> = pipeline
-        .collection
+    let runs: Vec<_> = collection
         .plan_runs
         .iter()
         .filter(|run| run.plan_idx == 0)
@@ -107,7 +122,7 @@ fn main() {
         .iter()
         .map(|run| {
             let (res, _) = &run.observations[0];
-            (pipeline.encoder.encode(&run.plan), res.feature_vector(cluster))
+            (encoder.encode(&run.plan), res.feature_vector(cluster))
         })
         .collect();
     let n = singles.len();
@@ -150,10 +165,10 @@ fn main() {
             tape_split.set((forward, backward));
         }
     };
-    let bodies: [&dyn Fn(); 9] = [
+    let bodies: [&dyn Fn(); 10] = [
         &|| {
             for run in &runs {
-                std::hint::black_box(pipeline.encoder.encode(&run.plan));
+                std::hint::black_box(encoder.encode(&run.plan));
             }
         },
         &|| {
@@ -200,13 +215,18 @@ fn main() {
         &|| {
             train(&mut model.clone(), &train_subset, &one_thread);
         },
+        &|| {
+            for sql in &queries {
+                std::hint::black_box(bench.engine.plan_candidates(sql).ok());
+            }
+        },
     ];
     // Best of ROUNDS samples per body, the bodies taking turns so that
     // a slow stretch of the machine falls on both sides of a ratio, and
     // each sample repeating its body until it has run MIN_SAMPLE_MS:
     // the cached sweep takes 1.3 ms, and a best-of-5 over windows that
     // short moved `sweep_cache_speedup` by 10% one run in six.
-    let mut best_ms = [f64::INFINITY; 9];
+    let mut best_ms = [f64::INFINITY; 10];
     for _ in 0..ROUNDS {
         for (body, best) in bodies.iter().zip(&mut best_ms) {
             let t0 = telemetry::clock_ns();
@@ -219,7 +239,7 @@ fn main() {
             *best = best.min(elapsed_ms / reps);
         }
     }
-    let [encode_ms, tape_ms, fast_ms, sweep_naive_ms, sweep_cached_ms, context_ms, gates_ms, _, step_ms] =
+    let [encode_ms, tape_ms, fast_ms, sweep_naive_ms, sweep_cached_ms, context_ms, gates_ms, _, step_ms, plans_ms] =
         best_ms;
     let (forward_ns, backward_ns) = tape_split.get();
     let per_sample = 1.0 / train_subset.len() as f64;
@@ -241,6 +261,9 @@ fn main() {
         Metric::info("tape_forward_us", forward_ns * 1e-3 * per_sample, "us"),
         Metric::info("tape_backward_us", backward_ns * 1e-3 * per_sample, "us"),
         Metric::info("train_us_per_sample_step", step_ms * 1e3 * per_sample, "us"),
+        Metric::info("plan_candidates_us_per_query", plans_ms * 1e3 / queries.len() as f64, "us"),
+        Metric::info("collect_s", (t1 - t0) as f64 * 1e-9, "s"),
+        Metric::info("w2v_train_s", (t2 - t1) as f64 * 1e-9, "s"),
         Metric::tracked("fast_vs_tape", tape_ms / fast_ms),
         Metric::info("sweep_cache_speedup", sweep_naive_ms / sweep_cached_ms, "ratio"),
     ];

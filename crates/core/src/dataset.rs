@@ -14,6 +14,7 @@ use rand::SeedableRng;
 use sparksim::exec::NodeMetrics;
 use sparksim::resource::ResourceGrid;
 use sparksim::{Engine, PhysicalPlan, ResourceConfig};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use workloads::querygen::{generate_queries, QueryGenConfig};
 use workloads::FkGraph;
 
@@ -122,20 +123,26 @@ pub fn collect_queries(engine: &Engine, queries: &[String], cfg: &CollectionConf
     } else {
         cfg.threads
     };
-    let chunk = queries.len().div_ceil(threads.max(1)).max(1);
+    // Workers take the next unclaimed query, so one slow query occupies
+    // one worker, not a chunk; `collect_one` depends on the query's index
+    // alone, so who runs it changes nothing.
+    let next = AtomicUsize::new(0);
     let mut plan_runs = Vec::new();
     let mut skipped = 0usize;
 
     std::thread::scope(|scope| {
-        let handles: Vec<_> = queries
-            .chunks(chunk)
-            .enumerate()
-            .map(|(chunk_idx, qs)| {
-                scope.spawn(move || {
+        let handles: Vec<_> = (0..threads.clamp(1, queries.len().max(1)))
+            .map(|_| {
+                scope.spawn(|| {
                     let mut local_runs = Vec::new();
                     let mut local_skipped = 0usize;
-                    for (qi, sql) in qs.iter().enumerate() {
-                        let query_idx = chunk_idx * chunk + qi;
+                    loop {
+                        // ORDERING: Relaxed — the counter only hands out
+                        // distinct indices; the results travel through `join`.
+                        let query_idx = next.fetch_add(1, Ordering::Relaxed);
+                        let Some(sql) = queries.get(query_idx) else {
+                            break;
+                        };
                         match collect_one(engine, sql, query_idx, cfg) {
                             Some(runs) => local_runs.extend(runs),
                             None => local_skipped += 1,
@@ -252,24 +259,32 @@ mod tests {
         }
     }
 
+    /// Same collection twice, and whoever runs which query: the shared
+    /// query index hands queries out in a different order per schedule.
     #[test]
     fn collection_is_deterministic() {
         let (engine, graph, _) = tiny_engine();
-        let cfg = CollectionConfig {
-            num_queries: 4,
+        let cfg = |threads| CollectionConfig {
+            num_queries: 9,
             resource_states_per_plan: 2,
             runs_per_observation: 1,
-            threads: 2,
+            threads,
             ..Default::default()
         };
-        let a = collect(&engine, &graph, &cfg);
-        let b = collect(&engine, &graph, &cfg);
-        assert_eq!(a.num_records(), b.num_records());
-        for (ra, rb) in a.plan_runs.iter().zip(&b.plan_runs) {
-            assert_eq!(ra.query_idx, rb.query_idx);
-            for ((resa, ta), (resb, tb)) in ra.observations.iter().zip(&rb.observations) {
-                assert_eq!(resa, resb);
-                assert_eq!(ta, tb);
+        let a = collect(&engine, &graph, &cfg(2));
+        assert!(a.plan_runs.len() >= 9, "only {} plan runs", a.plan_runs.len());
+        for threads in [2, 1, 3, 7] {
+            let b = collect(&engine, &graph, &cfg(threads));
+            assert_eq!(a.skipped_queries, b.skipped_queries, "threads = {threads}");
+            assert_eq!(a.plan_runs.len(), b.plan_runs.len(), "threads = {threads}");
+            for (ra, rb) in a.plan_runs.iter().zip(&b.plan_runs) {
+                assert_eq!((ra.query_idx, ra.plan_idx), (rb.query_idx, rb.plan_idx));
+                assert!(ra.plan == rb.plan && ra.metrics == rb.metrics, "threads = {threads}");
+                assert_eq!(ra.observations.len(), rb.observations.len());
+                for ((resa, ta), (resb, tb)) in ra.observations.iter().zip(&rb.observations) {
+                    assert_eq!(resa, resb);
+                    assert_eq!(ta.to_bits(), tb.to_bits());
+                }
             }
         }
     }

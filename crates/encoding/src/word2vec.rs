@@ -187,12 +187,13 @@ pub fn train(corpus: &[Vec<String>], cfg: &W2vConfig) -> Word2Vec {
         neg_table.extend(std::iter::repeat_n(i, reps));
     }
 
-    // Input and output matrices.
-    let bound = 0.5 / cfg.dim as f32;
-    let mut w_in: Vec<Vec<f32>> = (0..v)
-        .map(|_| (0..cfg.dim).map(|_| rng.gen_range(-bound..bound)).collect())
-        .collect();
-    let mut w_out: Vec<Vec<f32>> = vec![vec![0.0; cfg.dim]; v];
+    // Input and output matrices, flat `v x dim`, and the one gradient
+    // buffer every pair reuses.
+    let dim = cfg.dim;
+    let bound = 0.5 / dim as f32;
+    let mut w_in: Vec<f32> = (0..v * dim).map(|_| rng.gen_range(-bound..bound)).collect();
+    let mut w_out = vec![0.0f32; v * dim];
+    let mut grad_center = vec![0.0f32; dim];
 
     // Pre-index the corpus.
     let indexed: Vec<Vec<usize>> = corpus
@@ -216,9 +217,9 @@ pub fn train(corpus: &[Vec<String>], cfg: &W2vConfig) -> Word2Vec {
                         continue;
                     }
                     train_pair(
-                        &mut w_in,
+                        &mut w_in[center * dim..][..dim],
                         &mut w_out,
-                        center,
+                        &mut grad_center,
                         context,
                         &neg_table,
                         cfg.negative,
@@ -230,22 +231,27 @@ pub fn train(corpus: &[Vec<String>], cfg: &W2vConfig) -> Word2Vec {
         }
     }
 
-    Word2Vec { vocab, vectors: w_in, dim: cfg.dim }
+    let vectors = (0..v).map(|i| w_in[i * dim..][..dim].to_vec()).collect();
+    Word2Vec { vocab, vectors, dim }
 }
 
+/// One (center, context) pair: `center` is the center word's row of the
+/// input matrix, `w_out` the whole flat output matrix, `grad_center` a
+/// `dim`-long scratch. The dot stays a sequential sum and the updates
+/// elementwise, so the layout changes no bit of any vector.
 #[allow(clippy::too_many_arguments)]
 fn train_pair(
-    w_in: &mut [Vec<f32>],
-    w_out: &mut [Vec<f32>],
-    center: usize,
+    center: &mut [f32],
+    w_out: &mut [f32],
+    grad_center: &mut [f32],
     context: usize,
     neg_table: &[usize],
     negatives: usize,
     lr: f32,
     rng: &mut StdRng,
 ) {
-    let dim = w_in[center].len();
-    let mut grad_center = vec![0.0f32; dim];
+    let dim = center.len();
+    grad_center.fill(0.0);
     // One positive + k negative updates.
     for k in 0..=negatives {
         let (target, label) = if k == 0 {
@@ -256,16 +262,17 @@ fn train_pair(
         if k > 0 && target == context {
             continue;
         }
-        let dot: f32 = w_in[center].iter().zip(&w_out[target]).map(|(a, b)| a * b).sum();
+        let out = &mut w_out[target * dim..][..dim];
+        let dot: f32 = center.iter().zip(&*out).map(|(a, b)| a * b).sum();
         let pred = 1.0 / (1.0 + (-dot).exp());
         let g = (pred - label) * lr;
-        for d in 0..dim {
-            grad_center[d] += g * w_out[target][d];
-            w_out[target][d] -= g * w_in[center][d];
+        for ((grad, o), c) in grad_center.iter_mut().zip(out).zip(&*center) {
+            *grad += g * *o;
+            *o -= g * c;
         }
     }
-    for d in 0..dim {
-        w_in[center][d] -= grad_center[d];
+    for (c, grad) in center.iter_mut().zip(&*grad_center) {
+        *c -= grad;
     }
 }
 
@@ -297,6 +304,119 @@ mod tests {
             );
         }
         c
+    }
+
+    /// `train` as it was before the matrices went flat: one `Vec` per
+    /// word, a `grad_center` allocated per pair, rows double-indexed.
+    fn train_reference(corpus: &[Vec<String>], cfg: &W2vConfig) -> Vec<(String, Vec<f32>)> {
+        let mut rng = StdRng::seed_from_u64(cfg.seed);
+        let mut counts: HashMap<&str, usize> = HashMap::new();
+        for w in corpus.iter().flatten() {
+            *counts.entry(w).or_insert(0) += 1;
+        }
+        let mut words: Vec<(&str, usize)> =
+            counts.into_iter().filter(|(_, c)| *c >= cfg.min_count).collect();
+        words.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(b.0)));
+        let vocab: HashMap<&str, usize> =
+            words.iter().enumerate().map(|(i, (w, _))| (*w, i)).collect();
+        let mut neg_table = Vec::new();
+        for (i, (_, c)) in words.iter().enumerate() {
+            let reps = ((*c as f64).powf(0.75).ceil() as usize).max(1);
+            neg_table.extend(std::iter::repeat_n(i, reps));
+        }
+        let bound = 0.5 / cfg.dim as f32;
+        let mut w_in: Vec<Vec<f32>> = (0..words.len())
+            .map(|_| (0..cfg.dim).map(|_| rng.gen_range(-bound..bound)).collect())
+            .collect();
+        let mut w_out: Vec<Vec<f32>> = vec![vec![0.0; cfg.dim]; words.len()];
+        let indexed: Vec<Vec<usize>> = corpus
+            .iter()
+            .map(|s| s.iter().filter_map(|w| vocab.get(w.as_str()).copied()).collect())
+            .collect();
+        let total_tokens: usize = indexed.iter().map(Vec::len).sum();
+        let total_steps = (total_tokens * cfg.epochs).max(1);
+        let mut step = 0usize;
+        for _epoch in 0..cfg.epochs {
+            for sentence in &indexed {
+                for (pos, &center) in sentence.iter().enumerate() {
+                    step += 1;
+                    let lr = cfg.lr * (1.0 - step as f32 / total_steps as f32).max(0.05);
+                    let win = rng.gen_range(1..=cfg.window);
+                    let lo = pos.saturating_sub(win);
+                    let hi = (pos + win).min(sentence.len() - 1);
+                    for (ctx_pos, &context) in sentence.iter().enumerate().take(hi + 1).skip(lo) {
+                        if ctx_pos == pos {
+                            continue;
+                        }
+                        let mut grad_center = vec![0.0f32; cfg.dim];
+                        for k in 0..=cfg.negative {
+                            let (target, label) = if k == 0 {
+                                (context, 1.0f32)
+                            } else {
+                                (neg_table[rng.gen_range(0..neg_table.len())], 0.0)
+                            };
+                            if k > 0 && target == context {
+                                continue;
+                            }
+                            let dot: f32 =
+                                w_in[center].iter().zip(&w_out[target]).map(|(a, b)| a * b).sum();
+                            let pred = 1.0 / (1.0 + (-dot).exp());
+                            let g = (pred - label) * lr;
+                            for d in 0..cfg.dim {
+                                grad_center[d] += g * w_out[target][d];
+                                w_out[target][d] -= g * w_in[center][d];
+                            }
+                        }
+                        for d in 0..cfg.dim {
+                            w_in[center][d] -= grad_center[d];
+                        }
+                    }
+                }
+            }
+        }
+        words.iter().map(|(w, _)| w.to_string()).zip(w_in).collect()
+    }
+
+    /// Candidate-plan statements of generated IMDB-like queries.
+    fn plan_corpus() -> Vec<Vec<String>> {
+        use sparksim::plan::planner::PlannerOptions;
+        use sparksim::{ClusterConfig, Engine, SimulatorConfig};
+        let data =
+            workloads::imdb::generate(&workloads::imdb::ImdbConfig { title_rows: 200, seed: 5 });
+        let scale = data.simulated_scale();
+        let engine = Engine::with_options(
+            data.catalog,
+            PlannerOptions::scaled_to(scale),
+            ClusterConfig::default(),
+            SimulatorConfig { data_scale: scale, ..SimulatorConfig::default() },
+        );
+        let mut rng = StdRng::seed_from_u64(5);
+        let cfg = workloads::querygen::QueryGenConfig::default();
+        workloads::querygen::generate_queries(&data.graph, &cfg, 24, &mut rng)
+            .iter()
+            .flat_map(|sql| engine.plan_candidates(sql).unwrap_or_else(|e| panic!("{sql}: {e}")))
+            .flat_map(|plan| crate::tokenizer::plan_sentences(&plan))
+            .collect()
+    }
+
+    #[test]
+    fn flat_training_is_bit_equal_to_the_nested_reference() {
+        for (name, corpus) in [("cat/dog", corpus()), ("plans", plan_corpus())] {
+            assert!(corpus.len() >= 500, "{name}: only {} sentences", corpus.len());
+            for (dim, negative) in [(8, 0), (8, 5), (32, 0), (32, 5)] {
+                let cfg = W2vConfig { dim, negative, epochs: 2, ..Default::default() };
+                let model = train(&corpus, &cfg);
+                let want = train_reference(&corpus, &cfg);
+                assert_eq!(model.vocab_size(), want.len(), "{name}");
+                for (word, vector) in &want {
+                    let got = model.vector(word).unwrap();
+                    assert!(
+                        got.iter().map(|x| x.to_bits()).eq(vector.iter().map(|x| x.to_bits())),
+                        "{name} dim {dim} negative {negative}: '{word}' differs"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -6,6 +6,7 @@
 use super::{exec_err, ExecError, KeyValue};
 use crate::batch::Batch;
 use crate::schema::ColumnRef;
+use crate::storage::Column;
 use std::collections::HashMap;
 
 /// Inner hash join: builds on `build` (right), probes with `probe` (left).
@@ -111,16 +112,13 @@ fn run_end(matches: impl Fn(usize) -> bool, start: usize, n: usize) -> usize {
 }
 
 fn stitch(left: &Batch, right: &Batch, left_idx: &[usize], right_idx: &[usize]) -> Batch {
-    let l = left.take(left_idx);
-    let r = right.take(right_idx);
-    let mut out = Batch::new();
-    for (re, col) in l.entries() {
-        out.push(re.clone(), col.clone());
-    }
-    for (re, col) in r.entries() {
-        out.push(re.clone(), col.clone());
-    }
-    out
+    // Each output column is materialised once, straight into the result.
+    let take = |side: &Batch, idx: &[usize]| -> Vec<(ColumnRef, Column)> {
+        side.entries().iter().map(|(r, c)| (r.clone(), c.take(idx))).collect()
+    };
+    let mut columns = take(left, left_idx);
+    columns.extend(take(right, right_idx));
+    Batch::from_columns(columns)
 }
 
 fn missing(key: &ColumnRef, side: &str) -> ExecError {
@@ -133,13 +131,77 @@ fn missing(key: &ColumnRef, side: &str) -> ExecError {
 mod tests {
     use super::*;
     use crate::exec::sort_batch;
-    use crate::storage::{Column, ColumnData};
+    use crate::storage::ColumnData;
 
     fn batch(table: &str, ids: Vec<i64>, payload: Vec<i64>) -> Batch {
         let mut b = Batch::new();
         b.push(ColumnRef::new(table, "id"), Column::non_null(ColumnData::Int(ids)));
         b.push(ColumnRef::new(table, "v"), Column::non_null(ColumnData::Int(payload)));
         b
+    }
+
+    /// `stitch` as it was when a join's rows were copied twice: every
+    /// column `take` produced, cloned into a batch grown by `push`.
+    fn stitch_by_cloning(l: &Batch, r: &Batch, l_idx: &[usize], r_idx: &[usize]) -> Batch {
+        let mut out = Batch::new();
+        for side in [l.take(l_idx), r.take(r_idx)] {
+            for (re, col) in side.entries() {
+                out.push(re.clone(), col.clone());
+            }
+        }
+        out
+    }
+
+    fn assert_same_columns(got: &Batch, want: &Batch) {
+        assert_eq!(got.refs().collect::<Vec<_>>(), want.refs().collect::<Vec<_>>());
+        for ((_, g), (_, w)) in got.entries().iter().zip(want.entries()) {
+            assert_eq!(g.len(), w.len());
+            for i in 0..w.len() {
+                assert_eq!((g.is_valid(i), g.value(i)), (w.is_valid(i), w.value(i)));
+            }
+        }
+    }
+
+    #[test]
+    fn stitch_equals_the_cloning_reference() {
+        let mut l = batch("l", vec![5, 1, 3, 3, 9], vec![0, 1, 2, 3, 4]);
+        l.push(
+            ColumnRef::new("l", "s"),
+            Column {
+                data: ColumnData::Float(vec![0.5, 1.5, 2.5, 3.5, 4.5]),
+                validity: Some(vec![true, false, true, true, false]),
+            },
+        );
+        let r = batch("r", vec![3, 3, 5, 7], vec![30, 31, 50, 70]);
+        let none = batch("r", vec![], vec![]);
+        let (lk, rk) = (ColumnRef::new("l", "id"), ColumnRef::new("r", "id"));
+        let (ls, rs) =
+            (sort_batch(&l, &[(lk.clone(), true)]), sort_batch(&r, &[(rk.clone(), true)]));
+
+        // Hash join: probe rows in order, matches in build order.
+        let (l_idx, r_idx) = ([0, 2, 2, 3, 3], [2, 0, 1, 0, 1]);
+        assert_same_columns(
+            &stitch(&l, &r, &l_idx, &r_idx),
+            &stitch_by_cloning(&l, &r, &l_idx, &r_idx),
+        );
+        assert_same_columns(
+            &hash_join(&l, &r, &lk, &rk, usize::MAX).unwrap(),
+            &stitch_by_cloning(&l, &r, &l_idx, &r_idx),
+        );
+        // Merge join over the sorted sides: ids [1, 3, 3, 5, 9] x [3, 3, 5, 7].
+        assert_same_columns(
+            &merge_join(&ls, &rs, &lk, &rk, usize::MAX).unwrap(),
+            &stitch_by_cloning(&ls, &rs, &[1, 1, 2, 2, 3], &[0, 1, 0, 1, 2]),
+        );
+        // An empty side keeps every column and no row.
+        let want = stitch_by_cloning(&l, &none, &[], &[]);
+        assert_eq!((want.num_columns(), want.num_rows()), (5, 0));
+        assert_same_columns(&hash_join(&l, &none, &lk, &rk, usize::MAX).unwrap(), &want);
+        assert_same_columns(&merge_join(&ls, &none, &lk, &rk, usize::MAX).unwrap(), &want);
+        assert_same_columns(
+            &hash_join(&none, &l, &rk, &lk, usize::MAX).unwrap(),
+            &stitch_by_cloning(&none, &l, &[], &[]),
+        );
     }
 
     #[test]

@@ -108,7 +108,9 @@ impl<'a> Executor<'a> {
                 PhysicalOp::FileScan { table, output, .. } => {
                     // A scan reads the projected columns of the whole table
                     // off storage, regardless of the pushed filter.
-                    let t = self.catalog.table(table).expect("validated in exec_node");
+                    let Some(t) = self.catalog.table(table) else {
+                        return exec_err(format!("unknown table '{table}'"));
+                    };
                     let rows = t.num_rows() as f64;
                     let width: usize = output
                         .iter()
@@ -136,10 +138,11 @@ impl<'a> Executor<'a> {
             }
             outputs[id] = Some(batch);
         }
-        let batch = outputs[plan.root()]
-            .take()
-            .expect("root executes last and is never dropped");
-        Ok(ExecResult { batch, metrics })
+        // The root executes last and is never dropped; an empty plan has none.
+        match outputs.pop().flatten() {
+            Some(batch) => Ok(ExecResult { batch, metrics }),
+            None => exec_err("plan has no root output"),
+        }
     }
 
     fn exec_node(
@@ -172,7 +175,12 @@ impl<'a> Executor<'a> {
                 // still needs row positions; carry the narrowest column.
                 if output.is_empty() {
                     if let Some(first) = t.schema.columns.first() {
-                        let col = t.column(&first.name).expect("schema column exists");
+                        let Some(col) = t.column(&first.name) else {
+                            return exec_err(format!(
+                                "table '{table}' has no column '{}'",
+                                first.name
+                            ));
+                        };
                         batch
                             .push(ColumnRef::new(binding.clone(), first.name.clone()), col.clone());
                     }
@@ -292,6 +300,26 @@ mod tests {
         let mut b = Batch::new();
         b.push(ColumnRef::new("t", "id"), Column::non_null(ColumnData::Int(vec![3, 1, 2])));
         b
+    }
+
+    #[test]
+    fn a_plan_the_catalog_cannot_run_is_an_error_not_a_panic() {
+        let catalog = Catalog::new();
+        let mut plan = PhysicalPlan::new();
+        assert!(Executor::new(&catalog).execute(&plan).is_err(), "an empty plan has no root");
+        plan.add(
+            PhysicalOp::FileScan {
+                binding: "g".into(),
+                table: "ghost".into(),
+                output: vec![],
+                pushed_filter: None,
+            },
+            vec![],
+            1.0,
+            8.0,
+        );
+        let err = Executor::new(&catalog).execute(&plan).unwrap_err();
+        assert!(err.message.contains("unknown table 'ghost'"), "{}", err.message);
     }
 
     #[test]

@@ -324,17 +324,23 @@ impl PhysicalPlan {
         for _ in 0..depth {
             out.push_str("  ");
         }
-        let _ = writeln!(out, "{}", self.statement(id));
+        let _ = self.write_statement(id, out);
+        out.push('\n');
         for &c in &self.nodes[id].children {
             self.explain_rec(c, depth + 1, out);
         }
     }
 
-    /// A canonical fingerprint for plan deduplication.
+    /// A canonical fingerprint for plan deduplication: every node's
+    /// statement and child list — not the estimates, and (a scan renders
+    /// its table) not the aliases. One `String` for the whole plan.
     pub fn fingerprint(&self) -> String {
-        let mut s = String::new();
+        let mut s = String::with_capacity(64 * self.nodes.len());
         for (i, n) in self.nodes.iter().enumerate() {
-            let _ = write!(s, "{i}:{}{:?};", self.statement(i), n.children);
+            // Writing into a `String` cannot fail.
+            let _ = write!(s, "{i}:");
+            let _ = self.write_statement(i, &mut s);
+            let _ = write!(s, "{:?};", n.children);
         }
         s
     }

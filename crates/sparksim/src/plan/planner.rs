@@ -6,12 +6,17 @@
 //! broadcast-hash vs. shuffled-hash) and filter placement — from which a
 //! cost model must pick one. `Planner::enumerate` returns the candidate
 //! set; the deep cost model ranks it.
+//!
+//! The rule that keeps enumeration at the price of what it returns:
+//! everything that depends only on (spec, binding) is derived once per
+//! `enumerate` (the `Scan` table); a candidate is built only if it can
+//! still be returned.
 
 use crate::catalog::Catalog;
 use crate::expr::{CmpOp, Expr};
 use crate::plan::cardinality::{estimate_join_rows, estimate_scan_rows, DEFAULT_SELECTIVITY};
 use crate::plan::physical::{AggMode, NodeId, PhysicalOp, PhysicalPlan};
-use crate::plan::spec::QuerySpec;
+use crate::plan::spec::{Binding, QuerySpec};
 use crate::schema::ColumnRef;
 use std::collections::HashSet;
 
@@ -74,24 +79,21 @@ impl<'a> Planner<'a> {
         Self { catalog, opts }
     }
 
-    /// Catalyst analogue: the single plan the rule-based default would pick
-    /// (first join order, threshold-driven strategies).
-    pub fn default_plan(&self, spec: &QuerySpec) -> PhysicalPlan {
-        // Single-table building is total, so a spec whose join graph
-        // turns out disconnected still gets a (degenerate) plan instead
-        // of panicking the serving path.
-        self.enumerate(spec)
-            .into_iter()
-            .next()
-            .unwrap_or_else(|| self.build_single_table(spec, true))
-    }
-
     /// Enumerates up to `max_plans` distinct physical plans, default first.
     pub fn enumerate(&self, spec: &QuerySpec) -> Vec<PhysicalPlan> {
+        let scans: Vec<Scan> = spec.bindings.iter().map(|b| self.scan(spec, b)).collect();
         let mut plans = Vec::new();
-        let mut seen = HashSet::new();
-        let mut push = |plan: PhysicalPlan, plans: &mut Vec<PhysicalPlan>| {
-            if plans.len() < self.opts.max_plans && seen.insert(plan.fingerprint()) {
+        let mut seen = Vec::new();
+        // A candidate is built only while one more can be returned, and kept
+        // unless an earlier one renders the same statements and child lists.
+        let mut offer = |plans: &mut Vec<_>, build: &dyn Fn() -> Option<PhysicalPlan>| {
+            if plans.len() >= self.opts.max_plans {
+                return;
+            }
+            let Some(plan) = build() else { return };
+            let print = plan.fingerprint();
+            if !seen.contains(&print) {
+                seen.push(print);
                 plans.push(plan);
             }
         };
@@ -100,8 +102,8 @@ impl<'a> Planner<'a> {
             // Single-table: the two Catalyst variants differ in where the
             // filter conditions sit (pushed into the scan vs. a separate
             // Filter), as observed in the paper's Sec. III.
-            push(self.build_single_table(spec, true), &mut plans);
-            push(self.build_single_table(spec, false), &mut plans);
+            offer(&mut plans, &|| Some(self.build_single_table(spec, &scans, true)));
+            offer(&mut plans, &|| Some(self.build_single_table(spec, &scans, false)));
             return plans;
         }
 
@@ -112,35 +114,54 @@ impl<'a> Planner<'a> {
         // "default cost model" runs and the learned model must beat.
         if let Some(syntactic) = self.syntactic_order(spec) {
             let strats = self.rule_based_strategies(spec, &syntactic);
-            if let Some(plan) = self.build_join_plan(spec, &syntactic, &strats) {
-                push(plan, &mut plans);
-            }
+            offer(&mut plans, &|| self.build_join_plan(spec, &scans, &syntactic, &strats));
         }
 
-        let orders = self.join_orders(spec);
         let num_joins = spec.num_joins();
-        for (oi, order) in orders.iter().enumerate() {
-            let default_strats = self.default_strategies(spec, order);
-            if let Some(plan) = self.build_join_plan(spec, order, &default_strats) {
-                push(plan, &mut plans);
-            }
+        for (oi, order) in self.join_orders(spec, &scans).iter().enumerate() {
+            let default_strats = self.default_strategies(&scans, order);
+            offer(&mut plans, &|| self.build_join_plan(spec, &scans, order, &default_strats));
             // Strategy variants: flip each join's strategy, first joins first;
             // for the primary order also try the all-flipped combination.
             for j in 0..num_joins {
                 let mut variant = default_strats.clone();
                 variant[j] = flip(variant[j]);
-                if let Some(plan) = self.build_join_plan(spec, order, &variant) {
-                    push(plan, &mut plans);
-                }
+                offer(&mut plans, &|| self.build_join_plan(spec, &scans, order, &variant));
             }
             if oi == 0 && num_joins >= 2 {
                 let flipped: Vec<_> = default_strats.iter().map(|&s| flip(s)).collect();
-                if let Some(plan) = self.build_join_plan(spec, order, &flipped) {
-                    push(plan, &mut plans);
-                }
+                offer(&mut plans, &|| self.build_join_plan(spec, &scans, order, &flipped));
             }
         }
         plans
+    }
+
+    /// Derives a binding's [`Scan`] — the only caller of
+    /// `required_columns`, `estimate_scan_rows` and `simplify`.
+    fn scan(&self, spec: &QuerySpec, b: &Binding) -> Scan {
+        #[cfg(test)]
+        tests::tally(0);
+        let stats = self.catalog.stats(&b.table);
+        let output = spec.required_columns(&b.name);
+        // A table without stats estimates at the 8-byte floor rather than
+        // panicking mid-planning.
+        let width = stats.map_or(8.0, |stats| {
+            output
+                .iter()
+                .filter_map(|c| stats.column(&c.column))
+                .map(|cs| cs.avg_width)
+                .sum::<f64>()
+                .max(8.0)
+        });
+        Scan {
+            width,
+            base_rows: stats.map_or(0.0, |s| s.row_count as f64),
+            est_rows: estimate_scan_rows(spec, b, self.catalog),
+            output,
+            // Catalyst's logical optimizer simplifies predicates before
+            // physical planning (constant folding, NOT pushing, ...).
+            filter: spec.table_filters.get(&b.name).map(crate::plan::simplify::simplify),
+        }
     }
 
     /// The syntactic (FROM-clause) join order, when each step connects to
@@ -184,13 +205,9 @@ impl<'a> Planner<'a> {
     /// Greedy join orders: start from the smallest (and second-smallest)
     /// filtered binding, then repeatedly attach the connected binding that
     /// minimises the estimated intermediate result.
-    fn join_orders(&self, spec: &QuerySpec) -> Vec<Vec<usize>> {
+    fn join_orders(&self, spec: &QuerySpec, scans: &[Scan]) -> Vec<Vec<usize>> {
         let n = spec.bindings.len();
-        let rows: Vec<f64> = spec
-            .bindings
-            .iter()
-            .map(|b| estimate_scan_rows(spec, b, self.catalog))
-            .collect();
+        let rows: Vec<f64> = scans.iter().map(|s| s.est_rows).collect();
         let mut starts: Vec<usize> = (0..n).collect();
         starts.sort_by(|&a, &b| rows[a].total_cmp(&rows[b]));
         starts.truncate(2);
@@ -235,58 +252,29 @@ impl<'a> Planner<'a> {
     }
 
     /// Threshold-driven default strategy per join in an order.
-    fn default_strategies(&self, spec: &QuerySpec, order: &[usize]) -> Vec<JoinStrategy> {
-        let mut strategies = Vec::with_capacity(order.len() - 1);
-        for &bi in &order[1..] {
-            let b = &spec.bindings[bi];
-            let rows = estimate_scan_rows(spec, b, self.catalog);
-            let bytes = rows * self.binding_row_width(spec, &b.name);
-            strategies.push(if bytes <= self.opts.broadcast_threshold_bytes {
-                JoinStrategy::BroadcastHash
-            } else {
-                JoinStrategy::SortMerge
-            });
-        }
-        strategies
-    }
-
-    fn binding_row_width(&self, spec: &QuerySpec, binding: &str) -> f64 {
-        // An unknown binding or a table without stats estimates at the
-        // 8-byte floor rather than panicking mid-planning.
-        let Some(b) = spec.binding(binding) else {
-            return 8.0;
-        };
-        let Some(stats) = self.catalog.stats(&b.table) else {
-            return 8.0;
-        };
-        spec.required_columns(binding)
+    fn default_strategies(&self, scans: &[Scan], order: &[usize]) -> Vec<JoinStrategy> {
+        order[1..]
             .iter()
-            .filter_map(|c| stats.column(&c.column))
-            .map(|cs| cs.avg_width)
-            .sum::<f64>()
-            .max(8.0)
+            .map(|&bi| {
+                let bytes = scans[bi].est_rows * scans[bi].width;
+                if bytes <= self.opts.broadcast_threshold_bytes {
+                    JoinStrategy::BroadcastHash
+                } else {
+                    JoinStrategy::SortMerge
+                }
+            })
+            .collect()
     }
 
     fn scan_node(
-        &self,
         plan: &mut PhysicalPlan,
-        spec: &QuerySpec,
-        binding_idx: usize,
+        b: &Binding,
+        scan: &Scan,
         push_filter: bool,
     ) -> (NodeId, f64) {
-        let b = &spec.bindings[binding_idx];
-        let width = self.binding_row_width(spec, &b.name);
-        let base_rows = self
-            .catalog
-            .stats(&b.table)
-            .map(|s| s.row_count as f64)
-            .unwrap_or(0.0);
-        let est_rows = estimate_scan_rows(spec, b, self.catalog);
-        let output = spec.required_columns(&b.name);
-        // Catalyst's logical optimizer simplifies predicates before
-        // physical planning (constant folding, NOT pushing, ...).
-        let filter = spec.table_filters.get(&b.name).map(crate::plan::simplify::simplify);
-        match filter {
+        let Scan { width, base_rows, est_rows, .. } = *scan;
+        let output = scan.output.clone();
+        match scan.filter.clone() {
             Some(predicate) if !push_filter => {
                 let scan = plan.add(
                     PhysicalOp::FileScan {
@@ -324,11 +312,15 @@ impl<'a> Planner<'a> {
         }
     }
 
-    fn build_single_table(&self, spec: &QuerySpec, push_filter: bool) -> PhysicalPlan {
+    fn build_single_table(
+        &self,
+        spec: &QuerySpec,
+        scans: &[Scan],
+        push_filter: bool,
+    ) -> PhysicalPlan {
         let mut plan = PhysicalPlan::new();
-        let (node, rows) = self.scan_node(&mut plan, spec, 0, push_filter);
-        let width = self.binding_row_width(spec, &spec.bindings[0].name);
-        self.finish_plan(&mut plan, spec, node, rows, width);
+        let (node, rows) = Self::scan_node(&mut plan, &spec.bindings[0], &scans[0], push_filter);
+        self.finish_plan(&mut plan, spec, node, rows, scans[0].width);
         plan
     }
 
@@ -337,31 +329,34 @@ impl<'a> Planner<'a> {
     fn build_join_plan(
         &self,
         spec: &QuerySpec,
+        scans: &[Scan],
         order: &[usize],
         strategies: &[JoinStrategy],
     ) -> Option<PhysicalPlan> {
         let mut plan = PhysicalPlan::new();
-        let (mut current, mut current_rows) = self.scan_node(&mut plan, spec, order[0], true);
-        let mut included: Vec<&str> = vec![&spec.bindings[order[0]].name];
-        let mut applied_edges: HashSet<usize> = HashSet::new();
-        let mut applied_residuals: HashSet<usize> = HashSet::new();
-        let mut width = self.binding_row_width(spec, &spec.bindings[order[0]].name);
+        let first = order[0];
+        let (mut current, mut current_rows) =
+            Self::scan_node(&mut plan, &spec.bindings[first], &scans[first], true);
+        let mut included: Vec<&str> = vec![&spec.bindings[first].name];
+        let mut applied_edges = vec![false; spec.join_edges.len()];
+        let mut applied_residuals = vec![false; spec.residual.len()];
+        let mut width = scans[first].width;
 
         for (step, &bi) in order[1..].iter().enumerate() {
             let b = &spec.bindings[bi];
             // Pick the connecting edge (first by spec order).
             let (edge_idx, edge) = spec.join_edges.iter().enumerate().find(|(i, e)| {
-                !applied_edges.contains(i) && included.iter().any(|inc| e.connects(inc, &b.name))
+                !applied_edges[*i] && included.iter().any(|inc| e.connects(inc, &b.name))
             })?;
-            applied_edges.insert(edge_idx);
+            applied_edges[edge_idx] = true;
             let (left_key, right_key) = if included.contains(&edge.left.table.as_str()) {
                 (edge.left.clone(), edge.right.clone())
             } else {
                 (edge.right.clone(), edge.left.clone())
             };
 
-            let (right, right_rows) = self.scan_node(&mut plan, spec, bi, true);
-            let right_width = self.binding_row_width(spec, &b.name);
+            let (right, right_rows) = Self::scan_node(&mut plan, b, &scans[bi], true);
+            let right_width = scans[bi].width;
             let out_rows = estimate_join_rows(current_rows, right_rows, edge, spec, self.catalog);
             width += right_width;
             let out_bytes = out_rows * width;
@@ -452,13 +447,13 @@ impl<'a> Planner<'a> {
             // Extra (cycle-closing) edges between already-included bindings
             // become filters.
             for (i, e) in spec.join_edges.iter().enumerate() {
-                if applied_edges.contains(&i) {
+                if applied_edges[i] {
                     continue;
                 }
                 if included.contains(&e.left.table.as_str())
                     && included.contains(&e.right.table.as_str())
                 {
-                    applied_edges.insert(i);
+                    applied_edges[i] = true;
                     current_rows *= DEFAULT_SELECTIVITY;
                     current = plan.add(
                         PhysicalOp::Filter {
@@ -476,7 +471,7 @@ impl<'a> Planner<'a> {
             }
             // Residuals whose bindings are all now included.
             for (i, r) in spec.residual.iter().enumerate() {
-                if applied_residuals.contains(&i) {
+                if applied_residuals[i] {
                     continue;
                 }
                 let ready = r
@@ -484,7 +479,7 @@ impl<'a> Planner<'a> {
                     .iter()
                     .all(|c| included.contains(&c.table.as_str()));
                 if ready {
-                    applied_residuals.insert(i);
+                    applied_residuals[i] = true;
                     current_rows *= DEFAULT_SELECTIVITY;
                     current = plan.add(
                         PhysicalOp::Filter { predicate: r.clone() },
@@ -508,6 +503,8 @@ impl<'a> Planner<'a> {
         rows: f64,
         width: f64,
     ) {
+        #[cfg(test)]
+        tests::tally(1);
         let mut current = node;
         let mut current_rows = rows;
         if spec.has_aggregates() || !spec.group_by.is_empty() {
@@ -612,6 +609,18 @@ impl<'a> Planner<'a> {
     }
 }
 
+/// What every candidate's scan of one binding shares — functions of
+/// (spec, binding) only: the row width of the required columns, the
+/// unfiltered and filtered row estimates, those columns, and the
+/// binding's filter, simplified.
+struct Scan {
+    width: f64,
+    base_rows: f64,
+    est_rows: f64,
+    output: Vec<ColumnRef>,
+    filter: Option<Expr>,
+}
+
 fn flip(s: JoinStrategy) -> JoinStrategy {
     match s {
         JoinStrategy::SortMerge => JoinStrategy::BroadcastHash,
@@ -674,6 +683,59 @@ mod tests {
         c
     }
 
+    thread_local! {
+        /// `[scans derived, plans built]` by this thread's planners.
+        static WORK: std::cell::Cell<[usize; 2]> = const { std::cell::Cell::new([0; 2]) };
+    }
+
+    pub(super) fn tally(what: usize) {
+        WORK.with(|w| {
+            let mut work = w.get();
+            work[what] += 1;
+            w.set(work);
+        });
+    }
+
+    /// Everything that depends only on (spec, binding) is derived once
+    /// per `enumerate`, and no plan is built that cannot be returned: a
+    /// budget of `k` builds `k` plans plus at most the duplicates the
+    /// unbounded enumeration discards.
+    #[test]
+    fn enumerate_builds_what_it_returns() {
+        let cat = catalog();
+        let mut exact = 0;
+        for sql in [
+            "SELECT COUNT(*) FROM title t WHERE t.kind_id < 3",
+            "SELECT COUNT(*) FROM title t, movie_companies mc \
+             WHERE t.id = mc.movie_id AND mc.company_id < 50",
+            "SELECT COUNT(*) FROM title t, movie_companies mc, movie_keyword mk \
+             WHERE t.id = mc.movie_id AND t.id = mk.movie_id AND mk.keyword_id < 20",
+            "SELECT t.kind_id, COUNT(*) FROM movie_keyword mk, title t, movie_companies mc \
+             WHERE t.id = mc.movie_id AND mk.movie_id = t.id AND NOT (t.kind_id >= 4) \
+             GROUP BY t.kind_id",
+        ] {
+            let spec = resolve(&parse(sql).unwrap(), &cat).unwrap();
+            let run = |max_plans| {
+                WORK.with(|w| w.set([0; 2]));
+                let opts = PlannerOptions { max_plans, ..PlannerOptions::default() };
+                let plans = Planner::new(&cat, opts).enumerate(&spec);
+                let [scans, built] = WORK.with(|w| w.get());
+                assert_eq!(scans, spec.bindings.len(), "{sql}: one scan per binding");
+                (plans.len(), built)
+            };
+            let (distinct, built_unbounded) = run(64);
+            let discarded = built_unbounded - distinct;
+            exact += usize::from(discarded == 0 && distinct > 2);
+            assert_eq!(run(0), (0, 0), "{sql}");
+            for k in 1..=distinct {
+                let (kept, built) = run(k);
+                assert_eq!(kept, k, "{sql}");
+                assert!((k..=k + discarded).contains(&built), "{sql}: {built} builds for {k}");
+            }
+        }
+        assert!(exact > 0, "no join query enumerates without duplicates");
+    }
+
     fn plans_for(sql: &str) -> Vec<PhysicalPlan> {
         let cat = catalog();
         let q = parse(sql).unwrap();
@@ -698,10 +760,9 @@ mod tests {
         );
         assert!(plans.len() >= 2, "got {}", plans.len());
         assert!(plans.len() <= PlannerOptions::default().max_plans);
-        let mut fps: Vec<String> = plans.iter().map(|p| p.fingerprint()).collect();
-        fps.sort();
-        fps.dedup();
-        assert_eq!(fps.len(), plans.len(), "plans must be distinct");
+        for (i, p) in plans.iter().enumerate() {
+            assert!(!plans[..i].contains(p), "plans must be distinct");
+        }
     }
 
     #[test]
