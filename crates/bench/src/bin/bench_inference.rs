@@ -80,7 +80,10 @@ fn parse_opts() -> Opts {
 
 fn main() {
     let opts = parse_opts();
-    section("bench_inference — inference engine");
+    section(&format!(
+        "bench_inference — inference engine, kernel tier {}",
+        nn::infer::kernel_tier()
+    ));
 
     // Same setup as the Table IX harness: a briefly-trained RAAL model
     // (weights don't matter for latency, but training de-zeroes the
@@ -278,6 +281,7 @@ fn main() {
         "raal.bench_inference/v1",
         &[
             ("bench_inference_plans", telemetry::Value::UInt(n as u64)),
+            ("kernel_tier", telemetry::Value::Str(nn::infer::kernel_tier().to_string())),
             (
                 "machine_cores",
                 telemetry::Value::UInt(

@@ -208,10 +208,10 @@ pub fn build_model(cfg: ModelConfig) -> CostModel {
 /// Writes a TSV file with a header row, creating the directory as needed.
 ///
 /// A `<name>.manifest.json` sidecar records the run identity (run id, git
-/// sha, config) next to each result file — a sidecar rather than a TSV
-/// column so downstream TSV consumers stay untouched. It is written even
-/// when telemetry is disabled: result provenance should not depend on
-/// tracing being on.
+/// sha, config, and the kernel tier latencies were taken on) next to
+/// each result file — a sidecar rather than a TSV column so downstream
+/// TSV consumers stay untouched. It is written even when telemetry is
+/// disabled: result provenance should not depend on tracing being on.
 pub fn write_tsv(dir: &Path, name: &str, header: &[&str], rows: &[Vec<String>]) -> PathBuf {
     std::fs::create_dir_all(dir).expect("create results dir");
     let path = dir.join(name);
@@ -223,6 +223,7 @@ pub fn write_tsv(dir: &Path, name: &str, header: &[&str], rows: &[Vec<String>]) 
     let manifest = telemetry::manifest_json(&[
         ("result_file", telemetry::Value::Str(name.to_string())),
         ("result_rows", telemetry::Value::UInt(rows.len() as u64)),
+        ("kernel_tier", telemetry::Value::Str(nn::infer::kernel_tier().to_string())),
     ]);
     std::fs::write(dir.join(format!("{name}.manifest.json")), manifest)
         .expect("write manifest sidecar");
@@ -403,7 +404,20 @@ pub fn check_against(baseline_path: &Path, metrics: &[Metric], tolerance: f64) {
         .unwrap_or_else(|e| panic!("cannot read baseline {}: {e}", baseline_path.display()));
     let baseline: serde::Value = serde_json::from_str(&text).expect("baseline parses as JSON");
     let rows = ratchet(&baseline, metrics, tolerance);
-    println!("\nperf ratchet vs {} (tolerance {tolerance}):", baseline_path.display());
+    // The fast path's tile depends on the CPU, the tape's does not: a
+    // ratio recorded on a narrower tier is a floor on a wider one.
+    let tier = baseline
+        .get("manifest")
+        .and_then(|m| m.get("fields")?.get("kernel_tier"));
+    let baseline_tier = match tier {
+        Some(serde::Value::Str(s)) => s.as_str(),
+        _ => "unrecorded",
+    };
+    println!(
+        "\nperf ratchet vs {} (tolerance {tolerance}; baseline kernel tier {baseline_tier}, running {}):",
+        baseline_path.display(),
+        nn::infer::kernel_tier()
+    );
     let show = |v: Option<f64>| v.map_or("-".to_string(), |v| format!("{v:.3}"));
     for r in &rows {
         println!(

@@ -8,31 +8,37 @@
 //! anything, and use arithmetic the tape deliberately avoids so a single
 //! prediction runs several times faster than the reference forward pass:
 //!
-//! * [`matmul_into`] dispatches at runtime to register-tiled AVX2+FMA
-//!   microkernels on x86-64 (scalar branch-free loops elsewhere), the
-//!   tile chosen from the shape the call states. One row (`m = 1`: the
-//!   recurrent and head products) holds 64 output columns in eight YMM
-//!   accumulators. Two or more rows against a multiple of 16 columns
-//!   (the plan layer's `m = n` products, `k <= 128`) go four rows × 16
-//!   columns at a time — tails of three and two rows likewise, a last
-//!   single row as above — so a weight vector is loaded once per tile,
-//!   not per row; and a tile lists, once, the `k` at which any of its
-//!   rows is non-zero and runs its FMAs over that list only (the plan
+//! * [`matmul_into`] dispatches at runtime to register-tiled FMA
+//!   microkernels on x86-64, one body per tile shape stamped out for two
+//!   tiers — AVX2 (YMM, 8 lanes) and AVX-512F (ZMM, 16 lanes) — with
+//!   scalar branch-free loops elsewhere ([`kernel_tier`] names the
+//!   widest in use); tier and tile are chosen from the shape the call
+//!   states. One row (`m = 1`: the recurrent and head products) holds 64
+//!   output columns in eight YMM accumulators — or, where `n` is whole
+//!   multiples of 256, all 256 in sixteen ZMM. Two or more rows against
+//!   whole pairs of vectors (the plan layer's `m = n` products,
+//!   `k <= 128`) go four rows × two vectors at a time, ZMM where `n`
+//!   allows — tails of three and two rows likewise, a last single row as
+//!   above — so a weight vector is loaded once per tile, not per row;
+//!   and a tile lists, once, the `k` at which any of its rows is
+//!   non-zero and runs its FMAs over that list only (the plan
 //!   encoder's rows are 61% exact zeros). Skipping `fma(±0, w, acc)`
 //!   changes no bit **provided `w` is finite**, which `ModelBundle::load`
 //!   enforces. Every other shape takes the per-row tiles;
 //! * the LSTM gate activations go through [`fast_exp`], a branch-free
-//!   Cephes-style polynomial `exp` whose element loops auto-vectorise —
+//!   Cephes-style polynomial `exp` whose element loops auto-vectorise
+//!   under either tier's target feature —
 //!   its exponent is read from the bits of the rounded sum because the
 //!   float-to-int `as` cast saturates, and LLVM scalarises that.
 //!
 //! Per-element accumulation *order* still matches the corresponding
 //! graph ops whichever tile runs, so a product returns the same bits
-//! however its rows are tiled, and the only divergence from the tape is
-//! FMA contraction and the polynomial `exp` (each ~1e-7 relative).
-//! End-to-end agreement within 1e-5 relative error is the
-//! property-tested contract (`crates/core/tests/prop_infer.rs`); the
-//! tape path remains the exact IEEE-ordered reference used by training.
+//! however its rows are tiled and at either width, and the only
+//! divergence from the tape is FMA contraction and the polynomial `exp`
+//! (each ~1e-7 relative). End-to-end agreement within 1e-5 relative
+//! error is the property-tested contract
+//! (`crates/core/tests/prop_infer.rs`); the tape path remains the exact
+//! IEEE-ordered reference used by training.
 //!
 //! Scratch space comes from an [`InferArena`], a free-list of `Vec<f32>`
 //! buffers that callers `take` and `give` back; a steady-state prediction
@@ -136,28 +142,53 @@ impl InferArena {
 /// `out = a @ b` for row-major `a` (`m x k`) and `b` (`k x n`).
 ///
 /// Each output element accumulates over `k` in the same order as
-/// [`crate::tensor::Tensor::matmul`]; on CPUs with AVX2+FMA (detected at
-/// runtime) the products are contracted with fused multiply-adds, so the
-/// result can differ from the tape in the last bits (~1e-7 relative).
-/// `out` must have length `m * n`; it is overwritten. `b` must be finite:
-/// the multi-row tiles skip products whose inputs are exact zeros (see
-/// the module docs).
+/// [`crate::tensor::Tensor::matmul`]; on CPUs with AVX2+FMA or AVX-512F
+/// (detected at runtime) the products are contracted with fused
+/// multiply-adds — the same ones at either width — so the result can
+/// differ from the tape in the last bits (~1e-7 relative). `out` is
+/// overwritten. `b` must be finite: the multi-row tiles skip products
+/// whose inputs are exact zeros (see the module docs).
+///
+/// # Panics
+/// If a slice's length is not the one its shape states.
 pub fn matmul_into(a: &[f32], m: usize, k: usize, b: &[f32], n: usize, out: &mut [f32]) {
-    debug_assert_eq!(a.len(), m * k, "matmul_into lhs length");
-    debug_assert_eq!(b.len(), k * n, "matmul_into rhs length");
-    debug_assert_eq!(out.len(), m * n, "matmul_into out length");
+    // PANIC-FREE: deliberate guards, once per call and ahead of any
+    // dispatch — the SIMD tiers index `b` through raw pointers, so this
+    // is the check their `# Safety` contracts rest on, in release builds
+    // too. Every caller sizes its operands from the same layer widths.
+    assert_eq!(a.len(), m * k, "matmul_into lhs length");
+    assert_eq!(b.len(), k * n, "matmul_into rhs length");
+    assert_eq!(out.len(), m * n, "matmul_into out length");
     #[cfg(target_arch = "x86_64")]
     if x86::avx2_fma_available() {
-        // SAFETY: AVX2+FMA support was verified by the runtime probe on
-        // the line above. The length preconditions (`a.len() == m*k`,
-        // `b.len() == k*n`, `out.len() == m*n`) are this function's own
-        // documented contract, debug-asserted at entry and re-asserted
-        // inside the kernel. No alignment precondition exists: the
-        // kernel uses unaligned loads/stores throughout.
-        unsafe { x86::matmul_into(a, m, k, b, n, out) };
+        // SAFETY: the runtime probes verified AVX2+FMA on the line
+        // above, and AVX-512F before `select_lanes` may answer 16; the
+        // three lengths were asserted at entry. No alignment
+        // precondition exists: the kernels use unaligned loads/stores
+        // throughout.
+        unsafe {
+            match x86::select_lanes(x86::avx512f_available(), m, k, n) {
+                16 => x86::zmm::matmul_into(a, m, k, b, n, out),
+                _ => x86::ymm::matmul_into(a, m, k, b, n, out),
+            }
+        }
         return;
     }
     matmul_into_scalar(a, m, k, b, n, out);
+}
+
+/// The widest kernel tier [`matmul_into`] may dispatch to on this CPU
+/// and build: `"avx512"`, `"avx2"` or `"scalar"` (always the last under
+/// Miri and the `force-scalar` feature). Benchmarks record it beside
+/// their numbers, which depend on it; results do not.
+pub fn kernel_tier() -> &'static str {
+    #[cfg(target_arch = "x86_64")]
+    match (x86::avx2_fma_available(), x86::avx512f_available()) {
+        (true, true) => return "avx512",
+        (true, false) => return "avx2",
+        (false, _) => {}
+    }
+    "scalar"
 }
 
 /// Portable branch-free i-k-j matmul, accumulating exactly like
@@ -166,9 +197,8 @@ fn matmul_into_scalar(a: &[f32], m: usize, k: usize, b: &[f32], n: usize, out: &
     out.fill(0.0);
     for i in 0..m {
         // PANIC-FREE: i < m and kk < k by loop bounds, so every range
-        // below is within the documented (debug-asserted) lengths
-        // a = m*k, b = k*n, out = m*n; violating that contract panics by
-        // design rather than reading out of bounds.
+        // below is within the lengths `matmul_into` asserted at entry
+        // (a = m*k, b = k*n, out = m*n).
         let a_row = &a[i * k..(i + 1) * k];
         let o_row = &mut out[i * n..(i + 1) * n];
         for (kk, &av) in a_row.iter().enumerate() {
@@ -276,15 +306,17 @@ pub fn fast_tanh(x: f32) -> f32 {
     (e - 1.0) / (e + 1.0)
 }
 
-/// In-place sigmoid over a slice using [`fast_sigmoid`], 8-wide under
-/// AVX2 where available.
+/// In-place sigmoid over a slice using [`fast_sigmoid`], 16-wide under
+/// AVX-512F, 8-wide under AVX2, where available: the same bits.
 pub fn sigmoid_slice(xs: &mut [f32]) {
     #[cfg(target_arch = "x86_64")]
     if x86::avx2_fma_available() {
-        // SAFETY: AVX2+FMA support was verified by the runtime probe on
-        // the line above — the only precondition; the body is safe slice
-        // iteration with no pointer arithmetic.
-        unsafe { x86::sigmoid_slice(xs) };
+        // SAFETY: the runtime probes verified the tier's target feature,
+        // the only precondition: the body is safe slice iteration.
+        match x86::avx512f_available() {
+            true => unsafe { x86::zmm::sigmoid_slice(xs) },
+            false => unsafe { x86::ymm::sigmoid_slice(xs) },
+        }
         return;
     }
     for x in xs.iter_mut() {
@@ -292,15 +324,17 @@ pub fn sigmoid_slice(xs: &mut [f32]) {
     }
 }
 
-/// In-place tanh over a slice using [`fast_tanh`], 8-wide under AVX2
-/// where available.
+/// In-place tanh over a slice using [`fast_tanh`], by tier like
+/// [`sigmoid_slice`].
 pub fn tanh_slice(xs: &mut [f32]) {
     #[cfg(target_arch = "x86_64")]
     if x86::avx2_fma_available() {
-        // SAFETY: AVX2+FMA support was verified by the runtime probe on
-        // the line above — the only precondition; the body is safe slice
-        // iteration with no pointer arithmetic.
-        unsafe { x86::tanh_slice(xs) };
+        // SAFETY: as in `sigmoid_slice` — the probed target feature is
+        // the only precondition.
+        match x86::avx512f_available() {
+            true => unsafe { x86::zmm::tanh_slice(xs) },
+            false => unsafe { x86::ymm::tanh_slice(xs) },
+        }
         return;
     }
     for x in xs.iter_mut() {
@@ -323,190 +357,266 @@ pub fn activate(xs: &mut [f32], act: Activation) {
     }
 }
 
-/// x86-64 AVX2+FMA variants of the hot kernels, dispatched at runtime.
+/// x86-64 SIMD variants of the hot kernels, dispatched at runtime: the
+/// matmul tiles are written once and stamped out for `__m256`
+/// (AVX2+FMA, `x86::ymm`) and `__m512` (AVX-512F, `x86::zmm`).
 #[cfg(target_arch = "x86_64")]
 mod x86 {
     use std::arch::x86_64::{
-        __m256, _mm256_fmadd_ps, _mm256_loadu_ps, _mm256_set1_ps, _mm256_setzero_ps,
-        _mm256_storeu_ps,
+        __m256, __m512, _mm256_fmadd_ps, _mm256_loadu_ps, _mm256_set1_ps, _mm256_setzero_ps,
+        _mm256_storeu_ps, _mm512_fmadd_ps, _mm512_loadu_ps, _mm512_set1_ps, _mm512_setzero_ps,
+        _mm512_storeu_ps,
     };
 
-    /// Whether this CPU has AVX2 and FMA (`std` caches the CPUID probe).
-    ///
-    /// Always `false` under Miri (the interpreter cannot execute vendor
-    /// intrinsics) and under the `force-scalar` feature, which pins the
+    /// The one gate every probe goes through: no vendor intrinsic under
+    /// Miri (which cannot execute them) or `force-scalar`, which pins the
     /// portable kernels for sanitizer and differential-testing runs.
     #[inline]
+    fn simd_allowed() -> bool {
+        !(cfg!(miri) || cfg!(feature = "force-scalar"))
+    }
+
+    /// Whether this CPU has AVX2 and FMA (`std` caches the CPUID probe).
+    #[inline]
     pub fn avx2_fma_available() -> bool {
-        if cfg!(miri) || cfg!(feature = "force-scalar") {
-            return false;
-        }
-        std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
+        simd_allowed()
+            && std::arch::is_x86_feature_detected!("avx2")
+            && std::arch::is_x86_feature_detected!("fma")
     }
 
-    /// Register-tiled matmul: per row, 64 output columns live in eight
-    /// YMM accumulators across the whole `k` loop, so the only streaming
-    /// traffic is the weight matrix itself; two or more rows against a
-    /// multiple of 16 columns share each weight load through
-    /// [`row_tile`]. Per-element accumulation order equals the scalar
-    /// kernel's; only FMA contraction differs.
-    ///
-    /// # Safety
-    /// The CPU must support AVX2 and FMA (callers check
-    /// [`avx2_fma_available`] first), and the lengths must satisfy
-    /// `a.len() == m*k`, `b.len() == k*n` and `out.len() == m*n` —
-    /// every raw offset below (`bp.add(kk*n + j)`, `o.add(j)`) stays in
-    /// bounds exactly when those hold, which this function re-asserts in
-    /// debug builds. There is **no alignment precondition**: all vector
-    /// memory traffic uses `_mm256_loadu_ps`/`_mm256_storeu_ps`, which
-    /// accept arbitrary addresses.
-    #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn matmul_into(a: &[f32], m: usize, k: usize, b: &[f32], n: usize, out: &mut [f32]) {
-        debug_assert_eq!(a.len(), m * k, "matmul_into lhs length");
-        debug_assert_eq!(b.len(), k * n, "matmul_into rhs length");
-        debug_assert_eq!(out.len(), m * n, "matmul_into out length");
-        // Rows go four (then three or two) at a time through `row_tile`
-        // when the shape allows; a last single row, and every row of any
-        // other shape, takes the per-row tiles below.
-        let mut i = 0;
-        while n.is_multiple_of(16) && k <= LIVE_MAX && m - i >= 2 {
-            let rows = (m - i).min(4);
-            // PANIC-FREE: i + rows <= m, so both ranges sit inside the
-            // a = m*k / out = m*n length contract re-asserted above.
-            let (a_tile, o_tile) = (&a[i * k..(i + rows) * k], &mut out[i * n..(i + rows) * n]);
-            // SAFETY: AVX2+FMA is this function's own precondition;
-            // `row_tile` checks every length it relies on itself.
-            match rows {
-                4 => row_tile::<4>(a_tile, k, b, n, o_tile),
-                3 => row_tile::<3>(a_tile, k, b, n, o_tile),
-                _ => row_tile::<2>(a_tile, k, b, n, o_tile),
-            }
-            i += rows;
-        }
-        let bp = b.as_ptr();
-        for i in i..m {
-            // PANIC-FREE: i < m, so both row ranges sit inside the
-            // documented a = m*k / out = m*n length contract re-asserted
-            // above; a violated contract panics here instead of feeding
-            // the raw-pointer loops below.
-            let a_row = &a[i * k..(i + 1) * k];
-            let o = out[i * n..(i + 1) * n].as_mut_ptr();
-            let mut j = 0;
-            while j + 64 <= n {
-                let mut acc: [__m256; 8] = [_mm256_setzero_ps(); 8];
-                for (kk, &av) in a_row.iter().enumerate() {
-                    let avv = _mm256_set1_ps(av);
-                    let brow = bp.add(kk * n + j);
-                    for (l, slot) in acc.iter_mut().enumerate() {
-                        *slot = _mm256_fmadd_ps(avv, _mm256_loadu_ps(brow.add(8 * l)), *slot);
-                    }
-                }
-                for (l, &slot) in acc.iter().enumerate() {
-                    _mm256_storeu_ps(o.add(j + 8 * l), slot);
-                }
-                j += 64;
-            }
-            while j + 8 <= n {
-                let mut acc = _mm256_setzero_ps();
-                for (kk, &av) in a_row.iter().enumerate() {
-                    acc = _mm256_fmadd_ps(
-                        _mm256_set1_ps(av),
-                        _mm256_loadu_ps(bp.add(kk * n + j)),
-                        acc,
-                    );
-                }
-                _mm256_storeu_ps(o.add(j), acc);
-                j += 8;
-            }
-            while j < n {
-                let mut acc = 0.0f32;
-                for (kk, &av) in a_row.iter().enumerate() {
-                    acc = av.mul_add(*bp.add(kk * n + j), acc);
-                }
-                *o.add(j) = acc;
-                j += 1;
-            }
-        }
+    /// Whether this CPU has AVX-512F (which implies AVX2 and FMA).
+    #[inline]
+    pub fn avx512f_available() -> bool {
+        simd_allowed() && std::arch::is_x86_feature_detected!("avx512f")
     }
 
-    /// Largest `k` [`row_tile`]'s stack list of live indices covers; a
+    /// Largest `k` a row tile's stack list of live indices covers; a
     /// longer product keeps the per-row tiles.
     const LIVE_MAX: usize = 128;
 
-    /// `MR` rows of `a` against all of `b`, 16 output columns at a time
-    /// in `2 * MR` YMM accumulators. The `k` whose `MR` inputs are all
-    /// `== 0.0` are left off a list built once and walked by every
-    /// column tile: for a finite weight `fma(±0, w, acc) == acc`, so each
-    /// output element still sees the per-row kernel's FMAs over ascending
-    /// `k`, minus the ones that changed nothing.
-    ///
-    /// # Safety
-    /// The CPU must support AVX2 and FMA. The lengths the raw offsets
-    /// rely on — `k <= LIVE_MAX`, `a.len() == MR * k`, `b.len() == k * n`,
-    /// `out.len() == MR * n`, `n % 16 == 0` — are asserted, not assumed.
-    /// No alignment precondition.
-    #[target_feature(enable = "avx2,fma")]
-    unsafe fn row_tile<const MR: usize>(a: &[f32], k: usize, b: &[f32], n: usize, out: &mut [f32]) {
-        // PANIC-FREE: deliberate guard, never hit under `matmul_into`'s
-        // length contract: the dispatcher slices `a` and `out` to whole
-        // tiles and comes here only for `k <= LIVE_MAX`, `n % 16 == 0`.
-        assert!(k <= LIVE_MAX && a.len() == MR * k && b.len() == k * n && out.len() == MR * n);
-        assert!(n.is_multiple_of(16));
-        let (ap, bp, op) = (a.as_ptr(), b.as_ptr(), out.as_mut_ptr());
-        let mut live = [0usize; LIVE_MAX];
-        let mut len = 0;
-        for kk in 0..k {
-            // PANIC-FREE: len <= kk < k <= LIVE_MAX, and r * k + kk <
-            // MR * k == a.len(), both by the assert above.
-            live[len] = kk;
-            len += usize::from((0..MR).any(|r| a[r * k + kk] != 0.0));
+    /// Whether a product's rows go through a tier's `row_tile` at
+    /// `lanes` lanes to a vector: two or more of them, `n` whole pairs of
+    /// vectors, and a live-`k` list that fits. Anything else goes a row
+    /// at a time.
+    fn row_tiled(lanes: usize, m: usize, k: usize, n: usize) -> bool {
+        m >= 2 && k <= LIVE_MAX && n.is_multiple_of(2 * lanes)
+    }
+
+    /// Lanes per vector for a product's shape — with [`row_tiled`], the
+    /// whole shape → tile choice. 512-bit only where a ZMM tile fills
+    /// evenly (a row tile, or the one-row tile's 256 columns), so the
+    /// head's narrow one-row products stay on YMM: a cache hit that
+    /// touched ZMM for 0.3 us ran 5% slower overall (DESIGN.md §19).
+    pub fn select_lanes(avx512: bool, m: usize, k: usize, n: usize) -> usize {
+        match avx512 && (row_tiled(16, m, k, n) || n.is_multiple_of(256)) {
+            true => 16,
+            false => 8,
         }
-        for j in (0..n).step_by(16) {
-            let mut acc = [[_mm256_setzero_ps(); 2]; MR];
-            // PANIC-FREE: len <= k <= LIVE_MAX, the length of the list.
-            for &kk in &live[..len] {
-                // SAFETY: list entries are < k, columns j + 16 <= n and
-                // tile rows r < MR: the b loads end inside its k * n
-                // elements, the a reads inside MR * k.
-                let b0 = _mm256_loadu_ps(bp.add(kk * n + j));
-                let b1 = _mm256_loadu_ps(bp.add(kk * n + j + 8));
-                for (r, [lo, hi]) in acc.iter_mut().enumerate() {
-                    let av = _mm256_set1_ps(*ap.add(r * k + kk));
-                    *lo = _mm256_fmadd_ps(av, b0, *lo);
-                    *hi = _mm256_fmadd_ps(av, b1, *hi);
+    }
+
+    /// One body per tile shape and per gate activation, stamped out once
+    /// per vector width: `$v` is the register type, `$lanes` its `f32`
+    /// lanes, and the last five names its zero / broadcast / unaligned-load
+    /// / fused-multiply-add / unaligned-store intrinsics. Per lane each is
+    /// the same IEEE operation at either width: the tiers agree bit for bit.
+    macro_rules! simd_tier {
+        ($tier:ident, $feature:literal, $v:ty, $lanes:literal,
+         $zero:ident, $splat:ident, $loadu:ident, $fma:ident, $storeu:ident) => {
+            pub mod $tier {
+                use super::*;
+
+                /// Vectors a one-row tile holds: half the register file,
+                /// which is the lane count at both widths (8 of 16 YMM,
+                /// 64 columns; 16 of 32 ZMM, 256: one pass over `Wh`).
+                const ROW_VECS: usize = $lanes;
+
+                /// Register-tiled matmul: per row, `ROW_VECS` vectors of
+                /// output columns live in accumulators across the whole
+                /// `k` loop, so the only streaming traffic is the weight
+                /// matrix itself; where [`row_tiled`], rows share each
+                /// weight load through [`row_tile`]. Per-element
+                /// accumulation order equals the scalar kernel's; only
+                /// FMA contraction differs.
+                ///
+                /// # Safety
+                /// The CPU must support this tier's target feature
+                /// (callers check the probe first), and the lengths must
+                /// satisfy `a.len() == m*k`, `b.len() == k*n` and
+                /// `out.len() == m*n` — every raw offset below
+                /// (`bp.add(kk*n + j)`, `o.add(j)`) stays in bounds
+                /// exactly when those hold, which the safe
+                /// [`crate::infer::matmul_into`], the only caller outside
+                /// tests, asserts. There is **no alignment
+                /// precondition**: all vector memory traffic is
+                /// unaligned loads and stores.
+                #[target_feature(enable = $feature)]
+                pub unsafe fn matmul_into(
+                    a: &[f32],
+                    m: usize,
+                    k: usize,
+                    b: &[f32],
+                    n: usize,
+                    out: &mut [f32],
+                ) {
+                    // Rows go four (then three or two) at a time through
+                    // `row_tile` when the shape allows; a last single
+                    // row, and every row of any other shape, takes the
+                    // per-row tiles below.
+                    let mut i = 0;
+                    while row_tiled($lanes, m, k, n) && m - i >= 2 {
+                        let rows = (m - i).min(4);
+                        // PANIC-FREE: i + rows <= m, so both ranges sit
+                        // inside the a = m*k / out = m*n length contract.
+                        let (a_tile, o_tile) =
+                            (&a[i * k..(i + rows) * k], &mut out[i * n..(i + rows) * n]);
+                        // SAFETY: the target feature is this function's
+                        // own precondition; `row_tile` checks every
+                        // length it relies on itself.
+                        match rows {
+                            4 => row_tile::<4>(a_tile, k, b, n, o_tile),
+                            3 => row_tile::<3>(a_tile, k, b, n, o_tile),
+                            _ => row_tile::<2>(a_tile, k, b, n, o_tile),
+                        }
+                        i += rows;
+                    }
+                    let bp = b.as_ptr();
+                    for i in i..m {
+                        // PANIC-FREE: i < m, so both row ranges sit
+                        // inside the documented a = m*k / out = m*n
+                        // length contract; a violated contract panics
+                        // here instead of feeding the raw-pointer loops
+                        // below.
+                        let a_row = &a[i * k..(i + 1) * k];
+                        let o = out[i * n..(i + 1) * n].as_mut_ptr();
+                        let mut j = 0;
+                        while j + ROW_VECS * $lanes <= n {
+                            let mut acc: [$v; ROW_VECS] = [$zero(); ROW_VECS];
+                            for (kk, &av) in a_row.iter().enumerate() {
+                                let avv = $splat(av);
+                                let brow = bp.add(kk * n + j);
+                                for (l, slot) in acc.iter_mut().enumerate() {
+                                    *slot = $fma(avv, $loadu(brow.add($lanes * l)), *slot);
+                                }
+                            }
+                            for (l, &slot) in acc.iter().enumerate() {
+                                $storeu(o.add(j + $lanes * l), slot);
+                            }
+                            j += ROW_VECS * $lanes;
+                        }
+                        while j + $lanes <= n {
+                            let mut acc = $zero();
+                            for (kk, &av) in a_row.iter().enumerate() {
+                                acc = $fma($splat(av), $loadu(bp.add(kk * n + j)), acc);
+                            }
+                            $storeu(o.add(j), acc);
+                            j += $lanes;
+                        }
+                        while j < n {
+                            let mut acc = 0.0f32;
+                            for (kk, &av) in a_row.iter().enumerate() {
+                                acc = av.mul_add(*bp.add(kk * n + j), acc);
+                            }
+                            *o.add(j) = acc;
+                            j += 1;
+                        }
+                    }
+                }
+
+                /// `MR` rows of `a` against all of `b`, two vectors of
+                /// output columns at a time in `2 * MR` accumulators. The
+                /// `k` whose `MR` inputs are all `== 0.0` are left off a
+                /// list built once and walked by every column tile: for a
+                /// finite weight `fma(±0, w, acc) == acc`, so each output
+                /// element still sees the per-row kernel's FMAs over
+                /// ascending `k`, minus the ones that changed nothing.
+                ///
+                /// # Safety
+                /// The CPU must support this tier's target feature. The
+                /// lengths the raw offsets rely on — `k <= LIVE_MAX`,
+                /// `a.len() == MR * k`, `b.len() == k * n`,
+                /// `out.len() == MR * n`, `n` whole pairs of vectors —
+                /// are asserted, not assumed. No alignment precondition.
+                #[target_feature(enable = $feature)]
+                unsafe fn row_tile<const MR: usize>(
+                    a: &[f32],
+                    k: usize,
+                    b: &[f32],
+                    n: usize,
+                    out: &mut [f32],
+                ) {
+                    // PANIC-FREE: deliberate guard, never hit under
+                    // `matmul_into`'s length contract: the dispatcher
+                    // slices `a` and `out` to whole tiles and comes here
+                    // only where `row_tiled`.
+                    assert!(k <= LIVE_MAX && a.len() == MR * k);
+                    assert!(
+                        b.len() == k * n && out.len() == MR * n && n.is_multiple_of(2 * $lanes)
+                    );
+                    let (ap, bp, op) = (a.as_ptr(), b.as_ptr(), out.as_mut_ptr());
+                    let mut live = [0usize; LIVE_MAX];
+                    let mut len = 0;
+                    for kk in 0..k {
+                        // PANIC-FREE: len <= kk < k <= LIVE_MAX, and
+                        // r * k + kk < MR * k == a.len(), both by the
+                        // assert above.
+                        live[len] = kk;
+                        len += usize::from((0..MR).any(|r| a[r * k + kk] != 0.0));
+                    }
+                    for j in (0..n).step_by(2 * $lanes) {
+                        let mut acc: [[$v; 2]; MR] = [[$zero(); 2]; MR];
+                        // PANIC-FREE: len <= k <= LIVE_MAX, the length of
+                        // the list.
+                        for &kk in &live[..len] {
+                            // SAFETY: list entries are < k, columns
+                            // j + 2 * lanes <= n and tile rows r < MR: the
+                            // b loads end inside its k * n elements, the a
+                            // reads inside MR * k.
+                            let b0 = $loadu(bp.add(kk * n + j));
+                            let b1 = $loadu(bp.add(kk * n + j + $lanes));
+                            for (r, [lo, hi]) in acc.iter_mut().enumerate() {
+                                let av = $splat(*ap.add(r * k + kk));
+                                *lo = $fma(av, b0, *lo);
+                                *hi = $fma(av, b1, *hi);
+                            }
+                        }
+                        for (r, &[lo, hi]) in acc.iter().enumerate() {
+                            // SAFETY: tile rows r < MR and columns
+                            // j + 2 * lanes <= n, so both stores end
+                            // inside out's MR * n elements.
+                            $storeu(op.add(r * n + j), lo);
+                            $storeu(op.add(r * n + j + $lanes), hi);
+                        }
+                    }
+                }
+
+                /// # Safety
+                /// The CPU must support this tier's target feature — the
+                /// only precondition. The body is the scalar loop over a
+                /// safe slice (no raw pointers, so no length or alignment
+                /// obligations); compiling it with the feature lets LLVM
+                /// vectorise `fast_sigmoid` `$lanes`-wide.
+                #[target_feature(enable = $feature)]
+                pub unsafe fn sigmoid_slice(xs: &mut [f32]) {
+                    for x in xs.iter_mut() {
+                        *x = crate::infer::fast_sigmoid(*x);
+                    }
+                }
+
+                /// # Safety
+                /// As [`sigmoid_slice`]: the target feature only.
+                #[target_feature(enable = $feature)]
+                pub unsafe fn tanh_slice(xs: &mut [f32]) {
+                    for x in xs.iter_mut() {
+                        *x = crate::infer::fast_tanh(*x);
+                    }
                 }
             }
-            for (r, &[lo, hi]) in acc.iter().enumerate() {
-                // SAFETY: tile rows r < MR and columns j + 16 <= n, so
-                // both stores end inside out's MR * n elements.
-                _mm256_storeu_ps(op.add(r * n + j), lo);
-                _mm256_storeu_ps(op.add(r * n + j + 8), hi);
-            }
-        }
+        };
     }
-
-    /// # Safety
-    /// The CPU must support AVX2+FMA (callers check
-    /// [`avx2_fma_available`] first) — the only precondition. The body
-    /// is the scalar loop over a safe slice (no raw pointers, so no
-    /// length or alignment obligations); compiling it with these
-    /// features lets LLVM vectorise `fast_sigmoid` 8-wide.
-    #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn sigmoid_slice(xs: &mut [f32]) {
-        for x in xs.iter_mut() {
-            *x = super::fast_sigmoid(*x);
-        }
-    }
-
-    /// # Safety
-    /// The CPU must support AVX2+FMA (see [`sigmoid_slice`]); no other
-    /// preconditions — safe slice iteration only.
-    #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn tanh_slice(xs: &mut [f32]) {
-        for x in xs.iter_mut() {
-            *x = super::fast_tanh(*x);
-        }
-    }
+    simd_tier! { ymm, "avx2,fma", __m256, 8,
+    _mm256_setzero_ps, _mm256_set1_ps, _mm256_loadu_ps, _mm256_fmadd_ps, _mm256_storeu_ps }
+    simd_tier! { zmm, "avx512f", __m512, 16,
+    _mm512_setzero_ps, _mm512_set1_ps, _mm512_loadu_ps, _mm512_fmadd_ps, _mm512_storeu_ps }
 }
 
 #[cfg(test)]
@@ -515,6 +625,10 @@ mod tests {
     use crate::tensor::Tensor;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+
+    fn bits(xs: &[f32]) -> Vec<u32> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
 
     #[test]
     fn arena_recycles_capacity() {
@@ -591,12 +705,130 @@ mod tests {
                         for (row, out) in a.chunks(k).zip(want.chunks_mut(n)) {
                             matmul_into(row, 1, k, &b, n, out);
                         }
-                        let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
                         assert_eq!(bits(&got), bits(&want), "m {m} k {k} n {n} zeros {zero_pct}");
                     }
                 }
             }
         }
+    }
+
+    /// One element missing from each operand in turn. A short `b` is the
+    /// case only the wrapper's own check catches: the SIMD tiers read it
+    /// through raw pointers (a release build of the parent returned
+    /// `out[0] = 1` for `1 x 64 . 64 x 64` against a 64-element `b`).
+    mod matmul_into_panics_on_a_short_operand {
+        use super::super::matmul_into;
+
+        #[test]
+        #[should_panic(expected = "matmul_into lhs length")]
+        fn lhs() {
+            matmul_into(&[1.0; 63], 1, 64, &[1.0; 64 * 64], 64, &mut [0.0; 64]);
+        }
+
+        #[test]
+        #[should_panic(expected = "matmul_into rhs length")]
+        fn rhs() {
+            matmul_into(&[1.0; 64], 1, 64, &[1.0; 64 * 64 - 1], 64, &mut [0.0; 64]);
+        }
+
+        #[test]
+        #[should_panic(expected = "matmul_into out length")]
+        fn out() {
+            matmul_into(&[1.0; 64], 1, 64, &[1.0; 64 * 64], 64, &mut [0.0; 63]);
+        }
+    }
+
+    #[test]
+    fn kernel_tier_names_what_the_probes_allow() {
+        let tier = kernel_tier();
+        println!("kernel_tier: {tier}");
+        if cfg!(miri) || cfg!(feature = "force-scalar") {
+            assert_eq!(tier, "scalar");
+        }
+        assert!(["avx512", "avx2", "scalar"].contains(&tier));
+    }
+
+    #[test]
+    #[cfg(target_arch = "x86_64")]
+    fn select_lanes_keeps_narrow_one_row_products_off_zmm() {
+        // What `predict_with_context` issues on a cache hit, and Conv1d's
+        // window product: never 512-bit, whatever the CPU has.
+        for (m, k, n) in [(1, 7, 32), (1, 143, 64), (1, 64, 32), (1, 32, 1), (1, 282, 64)] {
+            assert_eq!(x86::select_lanes(true, m, k, n), 8, "{m} x {k} . {k} x {n}");
+        }
+        // The plan layer's three products, and shapes no ZMM tile fills.
+        for (m, k, n, lanes) in [
+            (19, 94, 256, 16),
+            (1, 64, 256, 16),
+            (2, 64, 32, 16),
+            (34, 64, 32, 16),
+            (5, 300, 256, 16),
+            (5, 300, 32, 8),
+            (5, 64, 48, 8),
+            (1, 64, 128, 8),
+            (9, 64, 139, 8),
+        ] {
+            assert_eq!(x86::select_lanes(true, m, k, n), lanes, "{m} x {k} . {k} x {n}");
+            assert_eq!(x86::select_lanes(false, m, k, n), 8, "{m} x {k} . {k} x {n}, no avx512f");
+        }
+    }
+
+    #[test]
+    #[cfg(target_arch = "x86_64")]
+    fn zmm_kernels_are_bit_equal_to_ymm_kernels() {
+        // Both entry points called directly on every shape, so the ZMM
+        // kernel also crosses the ones `select_lanes` keeps on YMM.
+        if !x86::avx512f_available() {
+            println!("skipped: no avx512f");
+            return;
+        }
+        let mut rng = StdRng::seed_from_u64(23);
+        let mut check = |m: usize, k: usize, n: usize, zero_pct: f64| {
+            let b: Vec<f32> = (0..k * n).map(|_| rng.gen_range(-2.0f32..2.0)).collect();
+            let a: Vec<f32> = (0..m * k)
+                .map(|at| match (rng.gen_bool(zero_pct), at % 3) {
+                    (true, 0) => -0.0,
+                    (true, _) => 0.0,
+                    (false, _) => rng.gen_range(-2.0f32..2.0),
+                })
+                .collect();
+            let (mut ymm, mut zmm) = (vec![f32::NAN; m * n], vec![f32::NAN; m * n]);
+            // SAFETY: AVX-512F (hence AVX2 and FMA) was probed above, and
+            // the three operands are built to the lengths the shape states.
+            unsafe {
+                x86::ymm::matmul_into(&a, m, k, &b, n, &mut ymm);
+                x86::zmm::matmul_into(&a, m, k, &b, n, &mut zmm);
+            }
+            assert_eq!(bits(&ymm), bits(&zmm), "m {m} k {k} n {n} zeros {zero_pct}");
+        };
+        // The served shapes.
+        for zero_pct in [0.0, 0.61, 1.0] {
+            check(19, 94, 256, zero_pct);
+        }
+        check(1, 64, 256, 0.0);
+        for m in 1..=34 {
+            check(m, 64, 32, 0.0);
+        }
+        // Every row-tile tail, `k` past the live-index bound, column
+        // counts with one-vector and scalar tails at either width.
+        for m in 1..=9 {
+            for k in [1, 7, 64, 94, 300] {
+                for n in [16, 32, 48, 64, 96, 256, 139] {
+                    check(m, k, n, 0.5);
+                }
+            }
+        }
+        // The gate activations, vector tails and saturating inputs included.
+        let xs: Vec<f32> = (0..103).map(|_| rng.gen_range(-100.0f32..100.0)).collect();
+        let (mut ys, mut yt, mut zs, mut zt) = (xs.clone(), xs.clone(), xs.clone(), xs);
+        // SAFETY: AVX-512F (hence AVX2 and FMA) was probed above.
+        unsafe {
+            x86::ymm::sigmoid_slice(&mut ys);
+            x86::ymm::tanh_slice(&mut yt);
+            x86::zmm::sigmoid_slice(&mut zs);
+            x86::zmm::tanh_slice(&mut zt);
+        }
+        assert_eq!((bits(&ys), bits(&yt)), (bits(&zs), bits(&zt)));
     }
 
     #[test]
