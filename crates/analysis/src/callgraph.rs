@@ -248,9 +248,6 @@ pub struct EntryPoint {
 /// and `predict_with_context`, the head every served plan ends in),
 /// the plan encoder, the `nn` inference kernel set, and the telemetry
 /// record calls those paths are allowed to make.
-/// `CostModel::predict_batch` is deliberately absent: it spawns scoped
-/// threads per call, which is a throughput API, not the steady-state
-/// latency path.
 pub const HOT_ENTRY_POINTS: &[EntryPoint] = &[
     EntryPoint {
         krate: "core",
@@ -318,6 +315,13 @@ pub const HOT_ENTRY_POINTS: &[EntryPoint] = &[
         krate: "encoding",
         self_ty: Some("PlanEncoder"),
         name: "encode",
+    },
+    // The same pass as one of a call's several plans, through the
+    // call's operator memo.
+    EntryPoint {
+        krate: "encoding",
+        self_ty: Some("PlanEncoder"),
+        name: "try_encode_in",
     },
     EntryPoint { krate: "nn", self_ty: None, name: "matmul_into" },
     EntryPoint { krate: "nn", self_ty: None, name: "matmul_q8_into" },

@@ -128,6 +128,25 @@ fn main() {
             (encoder.encode(&run.plan), res.feature_vector(cluster))
         })
         .collect();
+    // The same queries' whole candidate sets, as plan selection meets
+    // them: one operator memo per query.
+    let candidate_sets: Vec<_> = queries
+        .iter()
+        .take(100)
+        .filter_map(|sql| bench.engine.plan_candidates(sql).ok())
+        .collect();
+    let encode_sets = || {
+        let (mut nodes, mut reused) = (0, 0);
+        for set in &candidate_sets {
+            let mut memo = encoding::OpMemo::default();
+            for plan in set {
+                std::hint::black_box(encoder.try_encode_in(plan, Some(&mut memo)).ok());
+            }
+            nodes += memo.nodes;
+            reused += memo.reused;
+        }
+        (nodes, reused)
+    };
     let n = singles.len();
     assert!(n >= 50, "need enough distinct queries, got {n}");
     println!("benchmarking over {n} plans (best of {ROUNDS} samples of >= {MIN_SAMPLE_MS} ms)\n");
@@ -168,11 +187,14 @@ fn main() {
             tape_split.set((forward, backward));
         }
     };
-    let bodies: [&dyn Fn(); 10] = [
+    let bodies: [&dyn Fn(); 11] = [
         &|| {
             for run in &runs {
                 std::hint::black_box(encoder.encode(&run.plan));
             }
+        },
+        &|| {
+            std::hint::black_box(encode_sets());
         },
         &|| {
             for (enc, feats) in &singles {
@@ -229,7 +251,7 @@ fn main() {
     // each sample repeating its body until it has run MIN_SAMPLE_MS:
     // the cached sweep takes 1.3 ms, and a best-of-5 over windows that
     // short moved `sweep_cache_speedup` by 10% one run in six.
-    let mut best_ms = [f64::INFINITY; 10];
+    let mut best_ms = [f64::INFINITY; 11];
     for _ in 0..ROUNDS {
         for (body, best) in bodies.iter().zip(&mut best_ms) {
             let t0 = telemetry::clock_ns();
@@ -242,15 +264,19 @@ fn main() {
             *best = best.min(elapsed_ms / reps);
         }
     }
-    let [encode_ms, tape_ms, fast_ms, sweep_naive_ms, sweep_cached_ms, context_ms, gates_ms, _, step_ms, plans_ms] =
+    let [encode_ms, select_encode_ms, tape_ms, fast_ms, sweep_naive_ms, sweep_cached_ms, context_ms, gates_ms, _, step_ms, plans_ms] =
         best_ms;
     let (forward_ns, backward_ns) = tape_split.get();
     let per_sample = 1.0 / train_subset.len() as f64;
     let nodes: usize = runs.iter().map(|run| run.plan.len()).sum();
+    let candidates: usize = candidate_sets.iter().map(Vec::len).sum();
+    let (set_nodes, set_reused) = encode_sets();
 
     let metrics = vec![
         Metric::info("encode_us_per_plan", encode_ms / n as f64 * 1e3, "us"),
         Metric::info("encode_ns_per_node", encode_ms / nodes as f64 * 1e6, "ns"),
+        Metric::info("select_encode_us_per_plan", select_encode_ms / candidates as f64 * 1e3, "us"),
+        Metric::info("select_encode_reuse_share", set_reused as f64 / set_nodes as f64, "ratio"),
         Metric::info("single_plan_p50_us_f32", fast_ms / n as f64 * 1e3, "us"),
         Metric::info("tape_total_ms", tape_ms, "ms"),
         Metric::info("sweep64_naive_ms", sweep_naive_ms, "ms"),

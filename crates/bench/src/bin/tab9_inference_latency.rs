@@ -10,7 +10,6 @@
 //! Also benchmarks the RAAL inference engine itself:
 //! * autograd-tape forward (`predict_seconds_tape`, the training path)
 //!   vs the tape-free fast path (`predict_seconds`);
-//! * `predict_batch` (threaded sharding of the fast path);
 //! * a 64-configuration resource sweep per plan, naive (full forward per
 //!   configuration) vs `PlanContext` reuse (`predict_with_context`).
 
@@ -113,16 +112,6 @@ fn main() {
         }
     });
     let fast_ms = raal_ms; // measured above via predict_seconds
-    let batch_items: Vec<(&encoding::EncodedPlan, Vec<f32>)> = plans
-        .iter()
-        .take(n)
-        .map(|(_, enc, res)| (enc, res.feature_vector(cluster)))
-        .collect();
-    let batch_refs: Vec<(&encoding::EncodedPlan, &[f32])> =
-        batch_items.iter().map(|(e, f)| (*e, f.as_slice())).collect();
-    let batch_ms = time_it(&|| {
-        std::hint::black_box(raal_model.predict_batch(&batch_refs));
-    });
 
     // 64-configuration resource sweep over the first plans: the naive
     // loop re-runs the whole forward pass per configuration, the cached
@@ -158,7 +147,6 @@ fn main() {
     println!("{:>24} {:>12} {:>12}", "path", "total(ms)", "speedup");
     println!("{:>24} {tape_ms:>12.3} {:>12}", "tape (reference)", "1.0x");
     println!("{:>24} {fast_ms:>12.3} {:>11.1}x", "fast path", single_speedup);
-    println!("{:>24} {batch_ms:>12.3} {:>11.1}x", "fast path (batched)", tape_ms / batch_ms);
     println!("\nresource sweep: {sweep_plans} plans x {} configurations", sweep_configs.len());
     println!("{:>24} {naive_sweep_ms:>12.3} {:>12}", "naive (full forward)", "1.0x");
     println!("{:>24} {cached_sweep_ms:>12.3} {:>11.1}x", "PlanContext cached", sweep_speedup);
@@ -169,11 +157,6 @@ fn main() {
         &[
             vec!["tape_100_plans".into(), format!("{tape_ms:.3}"), "1.00".into()],
             vec!["fast_100_plans".into(), format!("{fast_ms:.3}"), format!("{single_speedup:.2}")],
-            vec![
-                "batch_100_plans".into(),
-                format!("{batch_ms:.3}"),
-                format!("{:.2}", tape_ms / batch_ms),
-            ],
             vec!["sweep_naive_8x64".into(), format!("{naive_sweep_ms:.3}"), "1.00".into()],
             vec![
                 "sweep_cached_8x64".into(),

@@ -795,34 +795,6 @@ impl CostModel {
         })
     }
 
-    /// Predicts a batch of `(plan, resources)` pairs, sharding the work
-    /// across `std::thread::available_parallelism()` scoped threads (the
-    /// same pattern the trainer uses for batch gradients). Each thread
-    /// prices its shard plan by plan out of its own inference arena, so
-    /// large batches run allocation-free after warmup and every result
-    /// is [`CostModel::predict_seconds`]'s for that item.
-    pub fn predict_batch(&self, items: &[(&EncodedPlan, &[f32])]) -> Vec<f64> {
-        let threads = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            .min(items.len());
-        if threads <= 1 {
-            return self.predict_packed(items);
-        }
-        let chunk = items.len().div_ceil(threads);
-        let mut out = vec![0.0f64; items.len()];
-        std::thread::scope(|scope| {
-            for (slots, shard) in out.chunks_mut(chunk).zip(items.chunks(chunk)) {
-                scope.spawn(move || {
-                    for (slot, (plan, resources)) in slots.iter_mut().zip(shard) {
-                        *slot = self.predict_seconds(plan, resources);
-                    }
-                });
-            }
-        });
-        out
-    }
-
     /// Scores K candidate plans on the calling thread: a loop over
     /// [`CostModel::predict_seconds`], so each result is that call's by
     /// construction. Packing the K head inputs into one matmul per
@@ -902,11 +874,6 @@ impl FrozenModel {
     /// See [`CostModel::predict_packed`].
     pub fn predict_packed(&self, items: &[(&EncodedPlan, &[f32])]) -> Vec<f64> {
         self.0.predict_packed(items)
-    }
-
-    /// See [`CostModel::predict_batch`].
-    pub fn predict_batch(&self, items: &[(&EncodedPlan, &[f32])]) -> Vec<f64> {
-        self.0.predict_batch(items)
     }
 }
 
@@ -1075,21 +1042,6 @@ mod tests {
             let res: Vec<f32> = resources().iter().map(|r| r * scale).collect();
             assert_eq!(model.predict_with_context(&ctx, &res), model.predict_seconds(&plan, &res));
         }
-    }
-
-    #[test]
-    fn predict_batch_matches_per_item() {
-        let dim = 12;
-        let model = CostModel::new(ModelConfig::raal(dim));
-        let plans: Vec<EncodedPlan> = (1..14).map(|n| toy_plan(n, dim)).collect();
-        let res = resources();
-        let items: Vec<(&EncodedPlan, &[f32])> =
-            plans.iter().map(|p| (p, res.as_slice())).collect();
-        let batch = model.predict_batch(&items);
-        for (got, plan) in batch.iter().zip(&plans) {
-            assert_eq!(*got, model.predict_seconds(plan, &res));
-        }
-        assert!(model.predict_batch(&[]).is_empty());
     }
 
     #[test]

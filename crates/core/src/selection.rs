@@ -3,13 +3,13 @@
 //! predict each plan's time and run the cheapest.
 
 use crate::model::CostModel;
-use encoding::PlanEncoder;
+use encoding::{OpMemo, PlanEncoder};
 use sparksim::{Engine, EngineError, PhysicalPlan, ResourceConfig};
 
 /// Predicts every candidate's cost and returns the index of the cheapest.
 ///
 /// # Panics
-/// Panics when `plans` is empty.
+/// Panics when `plans` is empty or one of them is not a single tree.
 pub fn select_plan(
     model: &CostModel,
     encoder: &PlanEncoder,
@@ -19,13 +19,18 @@ pub fn select_plan(
 ) -> usize {
     assert!(!plans.is_empty(), "no candidate plans");
     let features = resources.feature_vector(engine.simulator().cluster());
-    let encoded: Vec<_> = plans.iter().map(|p| encoder.encode(p)).collect();
-    let items: Vec<_> = encoded.iter().map(|e| (e, features.as_slice())).collect();
-    let costs = model.predict_batch(&items);
+    // Candidates of one query share most operators; a lone plan none.
+    let mut memo = (plans.len() >= 2).then(OpMemo::default);
+    let costs = plans.iter().map(|plan| {
+        // As `PlanEncoder::encode`: a malformed candidate must not be priced.
+        let encoded = encoder
+            .try_encode_in(plan, memo.as_mut())
+            .unwrap_or_else(|e| panic!("plan encoding produced an invalid DAG: {e}"));
+        model.predict_seconds(&encoded, &features)
+    });
     costs
-        .iter()
         .enumerate()
-        .min_by(|a, b| a.1.total_cmp(b.1))
+        .min_by(|a, b| a.1.total_cmp(&b.1))
         .map_or(0, |(i, _)| i)
 }
 

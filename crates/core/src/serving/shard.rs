@@ -58,7 +58,7 @@ use super::{
 };
 use crate::model::FrozenModel;
 use crate::persist::ModelBundle;
-use encoding::PlanEncoder;
+use encoding::{OpMemo, PlanEncoder};
 use raal_sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use raal_sync::sync::{Condvar, Mutex, MutexGuard};
 use sparksim::plan::physical::PhysicalPlan;
@@ -787,7 +787,7 @@ impl ShardedServing {
             telemetry::count(&entry.shed_counter, admitted as u64);
             return self.shed(plans, res, out, FallbackReason::TenantQuota);
         }
-        self.price_admitted(healthy, plans, res, out);
+        self.price_admitted(healthy, plans, admitted, res, out);
         entry.release();
     }
 
@@ -795,10 +795,16 @@ impl ShardedServing {
     /// context or a fresh one. A panic on the way is contained here: it
     /// answers the whole call `WorkerLost` and takes the model out of
     /// service for good, so a fault is met once, not once per call.
+    ///
+    /// Two or more admitted plans are a query's candidates, which share
+    /// most of their operators: their misses encode through one
+    /// [`OpMemo`] that dies with the call. A lone plan repeats nothing
+    /// and hashing its nodes cost `probe_unique` 5%, so it gets none.
     fn price_admitted(
         &self,
         healthy: &(PlanEncoder, FrozenModel),
         plans: &[&PhysicalPlan],
+        admitted: usize,
         res: &ResourceConfig,
         out: &mut [ServingPrediction],
     ) {
@@ -810,6 +816,7 @@ impl ShardedServing {
         }
         let (_, model) = healthy;
         let features = res.feature_array(&self.cfg.serving.cluster);
+        let mut memo = (admitted >= 2).then(OpMemo::default);
         // PANIC-FREE: the one place a pricing panic is allowed to
         // surface — contained, never unwound into the caller.
         let priced = catch_unwind(AssertUnwindSafe(|| {
@@ -821,7 +828,8 @@ impl ShardedServing {
                         source: PredictionSource::Model,
                     },
                     Lookup::Miss { seen_before } => {
-                        self.price_miss(healthy, plan, res, &features, fingerprint, seen_before)
+                        let admit_as = seen_before.then_some(fingerprint);
+                        self.price_miss(healthy, plan, memo.as_mut(), res, &features, admit_as)
                     }
                 }
             });
@@ -830,37 +838,41 @@ impl ShardedServing {
             self.lost.store(true, Ordering::SeqCst);
             self.shed(plans, res, out, FallbackReason::WorkerLost);
         }
+        if let Some(memo) = memo.as_ref().filter(|memo| memo.nodes > 0) {
+            telemetry::count("serving.encode.nodes", memo.nodes);
+            telemetry::count("serving.encode.nodes_reused", memo.reused);
+        }
     }
 
     /// Prices a plan the cache does not hold: encode, build the
     /// context, run the head — the call a hit makes. On the plan's
-    /// second recent sighting (`seen_before`) the context is copied
-    /// into the cache, exact-sized, under a clone of the plan; built
-    /// contexts go back to the arena. A plan the encoder rejects as
-    /// malformed is answered analytically, like an oversized one.
+    /// second recent sighting (`admit_as`, its fingerprint) the context
+    /// is copied into the cache, exact-sized, under a clone of the plan;
+    /// built contexts go back to the arena. A plan the encoder rejects
+    /// as malformed is answered analytically, like an oversized one.
     ///
     /// Kept out of line: inlined into the `catch_unwind` closure it
     /// moved the hit path's code and cost `resweep_hot` 2% of its p50.
     #[inline(never)]
-    fn price_miss(
+    fn price_miss<'p>(
         &self,
         (encoder, model): &(PlanEncoder, FrozenModel),
-        plan: &PhysicalPlan,
+        plan: &'p PhysicalPlan,
+        memo: Option<&mut OpMemo<'p>>,
         res: &ResourceConfig,
         features: &ResourceFeatures,
-        fingerprint: u64,
-        seen_before: bool,
+        admit_as: Option<u64>,
     ) -> ServingPrediction {
         let encoded = {
             let _encode_span = telemetry::kernel_span("serving.encode");
-            encoder.try_encode(plan)
+            encoder.try_encode_in(plan, memo)
         };
         let Ok(encoded) = encoded else {
             return self.fall_back(plan, res, FallbackReason::Admission);
         };
         let context = model.plan_context(&encoded);
         let seconds = model.predict_with_context(&context, features);
-        if seen_before {
+        if let Some(fingerprint) = admit_as {
             // HOT-ALLOC: the cache key and an exact-sized copy of the
             // context, once per admitted plan — a stream of distinct
             // plans never pays for either.
@@ -872,11 +884,11 @@ impl ShardedServing {
 
     /// Writes `answer(plan)` into the slot of every admitted plan, in
     /// plan order.
-    fn settle_admitted(
+    fn settle_admitted<'p>(
         &self,
-        plans: &[&PhysicalPlan],
+        plans: &[&'p PhysicalPlan],
         out: &mut [ServingPrediction],
-        mut answer: impl FnMut(&PhysicalPlan) -> ServingPrediction,
+        mut answer: impl FnMut(&'p PhysicalPlan) -> ServingPrediction,
     ) {
         for (plan, slot) in plans.iter().zip(out.iter_mut()) {
             if self.admits(plan) {

@@ -6,9 +6,10 @@
 //! tallies the armed thread's allocations. The test warms the
 //! thread-local inference arena, arms the counter, runs a batch of
 //! predictions, and asserts the count stayed at zero. Serving runs on
-//! the calling thread too, so two more tests hold a served call to the
-//! same standard: none for a cached plan, the encoder's own four for an
-//! uncached one.
+//! the calling thread too, so three more tests hold a served call to
+//! the same standard: none for a cached plan, the encoder's own four for
+//! an uncached one, and for a query's K uncached candidates those four
+//! each plus the answer vector and the call's operator memo.
 
 mod common;
 #[path = "common/counting_alloc.rs"]
@@ -145,4 +146,43 @@ fn served_miss_allocates_only_what_the_encoder_does() {
     let (allocs, all_model) = count_allocs(|| plans[WARM..].iter().all(served_by_model));
     assert!(all_model);
     assert!(allocs <= PER_PREDICT * CALLS, "{allocs} allocations over {CALLS} served misses");
+}
+
+/// K candidates of one query, none seen before: what each plan's
+/// encoding allocates, the answer vector, and the block buffer of the
+/// call's operator memo — which must not grow as the call's operators
+/// accumulate. Every call asks about a different literal, so no plan
+/// repeats.
+#[test]
+fn served_candidate_set_allocates_per_plan_plus_the_calls_own() {
+    const WARM: usize = 8;
+    const CALLS: usize = 32;
+    let engine = common::engine();
+    let sets: Vec<Vec<sparksim::PhysicalPlan>> = (100..100 + WARM + CALLS)
+        .map(|bound| {
+            let sql = format!(
+                "SELECT t.x, COUNT(*) FROM t, u WHERE t.id = u.t_id AND u.y < {bound} GROUP BY t.x"
+            );
+            engine.plan_candidates(&sql).unwrap()
+        })
+        .collect();
+    let k = sets[0].len();
+    assert!(k >= 2 && sets.iter().all(|set| set.len() == k), "{k} candidates a query");
+    let service = tiny_service();
+    let res = ResourceConfig::default_for(&ClusterConfig::default());
+    let refs: Vec<Vec<&sparksim::PhysicalPlan>> =
+        sets.iter().map(|set| set.iter().collect()).collect();
+    let served_by_model = |set: &Vec<&sparksim::PhysicalPlan>| {
+        let answers = service.predict_many("select", set, &res);
+        answers.iter().all(|a| a.source == PredictionSource::Model)
+    };
+
+    assert!(refs[..WARM].iter().all(served_by_model));
+
+    let (allocs, all_model) = count_allocs(|| refs[WARM..].iter().all(served_by_model));
+    assert!(all_model);
+    assert!(
+        allocs <= ((4 * k + 3) * CALLS) as u64,
+        "{allocs} allocations over {CALLS} calls of {k} candidates"
+    );
 }

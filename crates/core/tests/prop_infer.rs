@@ -132,11 +132,10 @@ proptest! {
         check_fast_path(&mut rng, &plan, cfg, &format!("n={n} variant={variant_idx}"))?;
     }
 
-    /// K-plan scoring, on one thread (`predict_packed`) or sharded
-    /// across threads (`predict_batch`), is bit-identical to per-item
-    /// scoring on every variant: both are loops over the per-plan path.
+    /// K-plan scoring (`predict_packed`) is bit-identical to per-item
+    /// scoring on every variant: it is a loop over the per-plan path.
     #[test]
-    fn packed_batch_matches_per_item(
+    fn packed_matches_per_item(
         k in 1usize..6,
         seed in 0u64..1_000_000,
         variant_idx in 0usize..4,
@@ -152,11 +151,9 @@ proptest! {
             plans.iter().map(|p| (p, resources.as_slice())).collect();
 
         let packed = frozen.predict_packed(&items);
-        let batched = frozen.predict_batch(&items);
         for (i, plan) in plans.iter().enumerate() {
             let single = frozen.predict_seconds(plan, &resources);
             prop_assert_eq!(packed[i], single, "packed row {} diverged", i);
-            prop_assert_eq!(batched[i], single, "batch row {} diverged", i);
         }
     }
 }

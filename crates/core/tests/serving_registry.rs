@@ -8,7 +8,7 @@ mod common;
 #[path = "common/counting_alloc.rs"]
 mod counting_alloc;
 
-use common::{engine, resources, some_plan, tiny_bundle};
+use common::{candidate_plans, engine, resources, some_plan, tiny_bundle};
 use counting_alloc::count_allocs;
 use raal::serving::shard::{ShardConfig, ShardedServing};
 use raal::serving::{PredictionSource, ServingConfig, ServingModel};
@@ -53,17 +53,27 @@ fn slo_gauges_and_served_counters_reach_the_registry() {
     };
     telemetry::testing::capture(|| {
         let service = ShardedServing::new(tiny_bundle(), Arc::new(analytical), cfg);
+        // A lone plan is encoded without a memo and counts no nodes.
+        service.predict("lone", &candidate_plans(&engine)[0], &resources());
+        assert!(!service
+            .metrics_snapshot()
+            .counters
+            .contains_key("serving.encode.nodes"));
         let refs = [&plan, &plan];
         let preds = service.predict_many("gauges", &refs, &resources());
         assert_eq!(preds.len(), 2);
         service.shutdown();
         let snap = service.metrics_snapshot();
+        // Two misses through one memo: the second plan's operators are
+        // the first's.
+        assert_eq!(snap.counters["serving.encode.nodes"], 2 * plan.len() as u64);
+        assert_eq!(snap.counters["serving.encode.nodes_reused"], plan.len() as u64);
         assert_eq!(snap.gauges["serving.slo.hit_rate"], 1.0);
         assert_eq!(snap.gauges["serving.slo.burn.tenant_quota"], 0.0);
-        assert_eq!(snap.counters["serving.predict"], 2);
-        assert_eq!(snap.counters["serving.predict.model"], 2);
+        assert_eq!(snap.counters["serving.predict"], 3);
+        assert_eq!(snap.counters["serving.predict.model"], 3);
         assert_eq!(snap.counters["serving.tenant.predict.gauges"], 2);
-        assert_eq!(snap.hists["serving.predict_us"].all.count, 1);
+        assert_eq!(snap.hists["serving.predict_us"].all.count, 2);
     });
 }
 

@@ -272,9 +272,23 @@ fn predict_many_batches_with_per_plan_admission() {
 /// throughput, never answers.
 #[test]
 fn concurrent_predictions_are_bit_identical_to_sequential() {
+    // Three queries' candidate sets — each one `predict_many` call,
+    // whose misses encode through the call's operator memo — and a
+    // lone plan.
     let engine = engine();
-    let mut plans = candidate_plans(&engine);
-    plans.push(some_plan(&engine));
+    let mut sets = vec![candidate_plans(&engine), vec![some_plan(&engine)]];
+    for sql in [
+        "SELECT t.x, COUNT(*) FROM t, u WHERE t.id = u.t_id AND t.x < 5 GROUP BY t.x",
+        "SELECT u.y, COUNT(*) FROM t, u WHERE t.id = u.t_id AND u.y > 2 GROUP BY u.y",
+    ] {
+        sets.push(engine.plan_candidates(sql).unwrap());
+    }
+    assert!(sets.iter().filter(|set| set.len() >= 2).count() >= 3);
+    let starts: Vec<usize> = sets
+        .iter()
+        .scan(0, |next, set| Some(std::mem::replace(next, *next + set.len())))
+        .collect();
+    let plans = sets.concat();
     let features = resources().feature_vector(&ClusterConfig::default());
 
     // Reference: every plan priced one at a time, straight through the
@@ -293,8 +307,7 @@ fn concurrent_predictions_are_bit_identical_to_sequential() {
     std::thread::scope(|s| {
         for t in 0..threads {
             let service = Arc::clone(&service);
-            let plans = &plans;
-            let expected = &expected;
+            let (plans, sets, starts, expected) = (&plans, &sets, &starts, &expected);
             s.spawn(move || {
                 let res = resources();
                 let tenant = format!("tenant-{t}");
@@ -310,14 +323,15 @@ fn concurrent_predictions_are_bit_identical_to_sequential() {
                             "concurrent single predict diverged from sequential reference"
                         );
                     } else {
-                        let refs: Vec<&PhysicalPlan> = plans.iter().collect();
+                        let set = (t + r) / 2 % sets.len();
+                        let refs: Vec<&PhysicalPlan> = sets[set].iter().collect();
                         let preds = service.predict_many(&tenant, &refs, &res);
-                        assert_eq!(preds.len(), plans.len());
+                        assert_eq!(preds.len(), refs.len());
                         for (k, pred) in preds.iter().enumerate() {
                             assert_eq!(pred.source, PredictionSource::Model);
                             assert_eq!(
                                 pred.seconds.to_bits(),
-                                expected[k].to_bits(),
+                                expected[starts[set] + k].to_bits(),
                                 "concurrent predict_many diverged from sequential reference"
                             );
                         }

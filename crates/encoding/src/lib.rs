@@ -17,5 +17,5 @@ pub mod plan_encoder;
 pub mod tokenizer;
 pub mod word2vec;
 
-pub use plan_encoder::{EncodedPlan, EncoderConfig, PlanEncoder, Sample};
+pub use plan_encoder::{EncodedPlan, EncoderConfig, OpMemo, PlanEncoder, Sample};
 pub use word2vec::{train as train_word2vec, W2vConfig, Word2Vec};

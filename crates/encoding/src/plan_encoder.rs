@@ -16,9 +16,10 @@ use crate::onehot;
 use crate::tokenizer::Tokenizer;
 use crate::word2vec::{EmbeddingTable, Word2Vec};
 use serde::{Deserialize, Serialize};
-use sparksim::plan::physical::PhysicalOp;
+use sparksim::plan::physical::{PhysicalOp, WordHasher};
 use sparksim::resource::{ClusterConfig, ResourceConfig};
 use sparksim::PhysicalPlan;
+use std::hash::{Hash, Hasher};
 
 /// Encoder dimensions.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -135,6 +136,62 @@ pub struct Sample {
     pub seconds: f64,
 }
 
+/// Slots of an [`OpMemo`], and how many of them a lookup probes: its
+/// cost does not grow with the number of plans in the call.
+const MEMO_SLOTS: usize = 256;
+const MEMO_PROBES: usize = 8;
+
+/// One multi-plan call's operator memo: the semantic block of each
+/// distinct [`PhysicalOp`] encoded so far, so that a query's candidate
+/// plans render, tokenise and embed a scan or an exchange they share
+/// once ([`PlanEncoder::try_encode_in`]). Make one per call
+/// (`OpMemo::default()`) and drop it with the call: what it holds
+/// borrows the call's plans.
+pub struct OpMemo<'p> {
+    /// Open-addressed by the operator's hash: the hash, the operator
+    /// and where its block starts in `blocks`.
+    slots: [Option<(u64, &'p PhysicalOp, usize)>; MEMO_SLOTS],
+    blocks: Vec<f32>,
+    /// Nodes encoded through this memo.
+    pub nodes: u64,
+    /// Those of them whose block an earlier node had computed.
+    pub reused: u64,
+}
+
+impl Default for OpMemo<'_> {
+    fn default() -> Self {
+        Self {
+            slots: [None; MEMO_SLOTS],
+            blocks: Vec::new(),
+            nodes: 0,
+            reused: 0,
+        }
+    }
+}
+
+impl OpMemo<'_> {
+    /// Where `op`'s block starts, or — it is not held — its hash and the
+    /// free slot it may take (`None`: every probed slot is taken, and
+    /// `op` is encoded without being remembered). A hash match is a
+    /// hint; `==` decides, and it is finer than the rendered statement.
+    fn find(&self, op: &PhysicalOp) -> Result<usize, (u64, Option<usize>)> {
+        // The walk `PhysicalPlan::structural_hash` makes of one operator.
+        let mut hasher = WordHasher::default();
+        op.hash(&mut hasher);
+        let hash = hasher.finish();
+        for probe in 0..MEMO_PROBES {
+            let at = (hash as usize).wrapping_add(probe) % MEMO_SLOTS;
+            // PANIC-FREE: at < MEMO_SLOTS, the array's length.
+            match self.slots[at] {
+                None => return Err((hash, Some(at))),
+                Some((held, earlier, block)) if held == hash && earlier == op => return Ok(block),
+                Some(_) => {}
+            }
+        }
+        Err((hash, None))
+    }
+}
+
 /// Encodes plans into model inputs.
 #[derive(Debug, Clone)]
 pub struct PlanEncoder {
@@ -194,6 +251,18 @@ impl PlanEncoder {
     /// twice or under two parents — is rejected by the static DAG check
     /// ([`Self::validate`]) that closes the pass.
     pub fn try_encode(&self, plan: &PhysicalPlan) -> Result<EncodedPlan, analysis::dag::DagError> {
+        self.try_encode_in(plan, None)
+    }
+
+    /// [`Self::try_encode`] as one of a call's several plans: with a
+    /// memo, a node whose operator `==` one met earlier in the call
+    /// takes that node's semantic block — the same `f32`s — instead of
+    /// computing it again; everything else is written per node.
+    pub fn try_encode_in<'p>(
+        &self,
+        plan: &'p PhysicalPlan,
+        mut memo: Option<&mut OpMemo<'p>>,
+    ) -> Result<EncodedPlan, analysis::dag::DagError> {
         if plan.is_empty() {
             return Err(analysis::dag::DagError::Empty);
         }
@@ -234,21 +303,37 @@ impl PlanEncoder {
             // Semantic block: the mean embedding of the statement's
             // in-vocabulary tokens.
             let (semantic, rest) = row.split_at_mut(onehot_at);
-            let mut hits = 0usize;
-            let mut tokenizer = Tokenizer::new(word, |token: &str| {
-                if let Some(vector) = self.table.embedding(token) {
-                    for (acc, &x) in semantic.iter_mut().zip(vector) {
-                        *acc += x;
+            let seat = memo.as_deref().map_or(Err((0, None)), |m| m.find(&node.op));
+            if let (Ok(block), Some(m)) = (seat, memo.as_deref_mut()) {
+                // PANIC-FREE: blocks are appended whole, onehot_at wide.
+                semantic.copy_from_slice(&m.blocks[block..block + onehot_at]);
+                m.reused += 1;
+            } else {
+                let mut hits = 0usize;
+                let mut tokenizer = Tokenizer::new(word, |token: &str| {
+                    if let Some(vector) = self.table.embedding(token) {
+                        for (acc, &x) in semantic.iter_mut().zip(vector) {
+                            *acc += x;
+                        }
+                        hits += 1;
                     }
-                    hits += 1;
+                });
+                // The tokenizer never fails a write.
+                let _ = plan.write_statement(id, &mut tokenizer);
+                word = tokenizer.finish();
+                if hits > 0 {
+                    for acc in semantic.iter_mut() {
+                        *acc /= hits as f32;
+                    }
                 }
-            });
-            // The tokenizer never fails a write.
-            let _ = plan.write_statement(id, &mut tokenizer);
-            word = tokenizer.finish();
-            if hits > 0 {
-                for acc in semantic.iter_mut() {
-                    *acc /= hits as f32;
+                if let (Err((hash, Some(slot))), Some(m)) = (seat, memo.as_deref_mut()) {
+                    // HOT-ALLOC: room for every slot's block, once per
+                    // multi-plan call.
+                    m.blocks
+                        .reserve_exact((MEMO_SLOTS * onehot_at).saturating_sub(m.blocks.len()));
+                    // PANIC-FREE: `find` returned slot < MEMO_SLOTS.
+                    m.slots[slot] = Some((hash, &node.op, m.blocks.len()));
+                    m.blocks.extend_from_slice(semantic);
                 }
             }
             // Operator one-hot block and node statistics.
@@ -261,6 +346,9 @@ impl PlanEncoder {
         }
         // HOT-ALLOC: the last of the n + 1 reserved offsets.
         child_start.push(child_ids.len());
+        if let Some(m) = memo {
+            m.nodes += n as u64;
+        }
         let encoded = EncodedPlan {
             node_dim: dim,
             features,
@@ -441,6 +529,88 @@ mod tests {
         assert_eq!(e.children(0), [0usize; 0]);
         assert_eq!(e.children(1), [0]);
         assert_eq!(e.children(3), [2]);
+    }
+
+    /// Encodes `plans` through `memo`, each checked against its lone
+    /// encoding bit for bit.
+    fn encode_all<'p>(enc: &PlanEncoder, plans: &[&'p PhysicalPlan], memo: &mut OpMemo<'p>) {
+        for plan in plans {
+            let (shared, alone) = (enc.try_encode_in(plan, Some(memo)), enc.try_encode(plan));
+            assert_eq!(shared.is_ok(), alone.is_ok());
+            if let (Ok(shared), Ok(alone)) = (shared, alone) {
+                let bits =
+                    |e: &EncodedPlan| e.features.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&shared), bits(&alone));
+                assert_eq!(shared, alone);
+            }
+        }
+    }
+
+    fn chain(ops: impl IntoIterator<Item = PhysicalOp>) -> PhysicalPlan {
+        let mut p = PhysicalPlan::new();
+        for (i, op) in ops.into_iter().enumerate() {
+            p.add(op, if i == 0 { vec![] } else { vec![i - 1] }, 10.0, 80.0);
+        }
+        p
+    }
+
+    #[test]
+    fn candidates_share_blocks_and_a_malformed_plan_spoils_nothing() {
+        let (enc, good) = (encoder(), plan());
+        let mut two_roots = plan();
+        two_roots.add(PhysicalOp::ExchangeSingle, vec![], 1.0, 8.0);
+        let mut memo = OpMemo::default();
+        encode_all(&enc, &[&good, &two_roots, &good], &mut memo);
+        assert!(enc.try_encode_in(&two_roots, Some(&mut memo)).is_err());
+        // Only the first plan's four nodes were computed: the rejected
+        // plan (its fifth operator is its third again) found and left
+        // good blocks.
+        assert_eq!((memo.nodes, memo.reused), (4 + 5 + 4 + 5, 5 + 4 + 5));
+    }
+
+    #[test]
+    fn an_equal_hash_or_a_taken_slot_is_not_a_match() {
+        let (enc, good) = (encoder(), plan());
+        let squatter = PhysicalOp::Limit { n: 3 };
+        for same_hash in [true, false] {
+            let mut memo = OpMemo { blocks: vec![9.0; 8], ..Default::default() };
+            for node in good.nodes() {
+                let Err((hash, Some(home))) = OpMemo::default().find(&node.op) else {
+                    unreachable!("an empty memo holds nothing")
+                };
+                let forged = if same_hash { hash } else { hash ^ (1 << 40) };
+                memo.slots[home] = Some((forged, &squatter, 0));
+            }
+            encode_all(&enc, &[&good, &good], &mut memo);
+            assert_eq!((memo.nodes, memo.reused), (8, 4));
+        }
+    }
+
+    #[test]
+    fn operators_differing_in_a_literal_or_an_alias_do_not_share() {
+        let scan = |binding: &str, bound: i64| PhysicalOp::FileScan {
+            binding: binding.into(),
+            table: "title".into(),
+            output: vec![ColumnRef::new("t", "id")],
+            pushed_filter: Some(Expr::cmp(ColumnRef::new("t", "id"), CmpOp::Lt, Value::Int(bound))),
+        };
+        // One statement, three operators.
+        let plans = [chain([scan("t", 7)]), chain([scan("t", 8)]), chain([scan("t2", 7)])];
+        let words = crate::tokenizer::plan_sentences;
+        assert!(plans.iter().all(|p| words(p) == words(&plans[0])));
+        let mut memo = OpMemo::default();
+        encode_all(&encoder(), &plans.each_ref(), &mut memo);
+        assert_eq!((memo.nodes, memo.reused), (3, 0));
+    }
+
+    #[test]
+    fn more_operators_than_slots_still_encode_right() {
+        let long = chain((0..MEMO_SLOTS + 90).map(|n| PhysicalOp::Limit { n }));
+        let mut memo = OpMemo::default();
+        encode_all(&encoder(), &[&long, &long], &mut memo);
+        let held = memo.slots.iter().flatten().count() as u64;
+        assert!(held > 128 && held <= MEMO_SLOTS as u64, "{held} operators held");
+        assert_eq!((memo.nodes, memo.reused), (2 * long.len() as u64, held));
     }
 
     #[test]

@@ -100,7 +100,10 @@ pub const SPAN_NAMES: &[&str] = &[
 /// `serving.plan_cache.*` family meters the plan-context cache: every
 /// admitted plan is one `hit` or one `miss`
 /// (hit rate = `hit / (hit + miss)`), `insert` and `evict` count
-/// entries entering and leaving it. `telemetry.trace_dropped` counts
+/// entries entering and leaving it. `serving.encode.nodes` /
+/// `.nodes_reused` count, once per multi-plan call, the nodes its
+/// misses encoded and those whose semantic block an earlier node of the
+/// call supplied. `telemetry.trace_dropped` counts
 /// spans a requested Chrome trace had no room for.
 pub const COUNTER_NAMES: &[&str] = &[
     "infer.predict.single",
@@ -120,6 +123,8 @@ pub const COUNTER_NAMES: &[&str] = &[
     "serving.plan_cache.miss",
     "serving.plan_cache.insert",
     "serving.plan_cache.evict",
+    "serving.encode.nodes",
+    "serving.encode.nodes_reused",
     "sparksim.jobs.completed",
     "monitor.samples",
     "monitor.drift.alarms",
