@@ -92,9 +92,8 @@ fn main() {
         if !has(&events, "counter", "infer.") {
             fail("no inference evidence (infer.* counter)");
         }
-        // A healthy quickstart run must show the base job/stage/task
-        // stream; the fault/recovery events only appear in fault sweeps.
-        for spark in ["job_start", "stage_completed", "task_end", "job_end"] {
+        // A quickstart run must show the whole job/stage/task stream.
+        for &spark in schema::SPARK_EVENT_NAMES {
             if !has(&events, "event", spark) {
                 fail(&format!("no sparksim evidence ({spark} event)"));
             }

@@ -3,12 +3,11 @@
 
 use crate::catalog::Catalog;
 use crate::exec::{ExecResult, Executor};
-use crate::fault::{FaultError, FaultPlan};
 use crate::plan::physical::PhysicalPlan;
 use crate::plan::planner::{Planner, PlannerOptions};
 use crate::plan::spec::{resolve, QuerySpec};
 use crate::resource::{ClusterConfig, ResourceConfig};
-use crate::simulator::{CostSimulator, FaultReport, SimReport, SimulatorConfig};
+use crate::simulator::{CostSimulator, SimReport, SimulatorConfig};
 use crate::sql::parser::parse;
 use std::fmt;
 
@@ -21,8 +20,6 @@ pub enum EngineError {
     Resolve(String),
     /// Executor failure.
     Exec(String),
-    /// A fault-injected simulation exhausted its recovery budget.
-    Fault(FaultError),
 }
 
 impl fmt::Display for EngineError {
@@ -31,7 +28,6 @@ impl fmt::Display for EngineError {
             EngineError::Parse(m) => write!(f, "parse: {m}"),
             EngineError::Resolve(m) => write!(f, "resolve: {m}"),
             EngineError::Exec(m) => write!(f, "exec: {m}"),
-            EngineError::Fault(e) => write!(f, "fault: {e}"),
         }
     }
 }
@@ -52,24 +48,6 @@ impl ObservedRun {
     /// Simulated wall-clock seconds (the training label).
     pub fn seconds(&self) -> f64 {
         self.report.seconds
-    }
-}
-
-/// One observed run under fault injection: the real result/metrics plus
-/// the fault-adjusted simulated time and the fault breakdown.
-#[derive(Debug, Clone)]
-pub struct ObservedFaultRun {
-    /// Execution output and true per-node metrics (execution itself is
-    /// never faulted — faults only perturb the simulated timing).
-    pub result: ExecResult,
-    /// Simulated timing with recovery costs, plus the fault summary.
-    pub fault_report: FaultReport,
-}
-
-impl ObservedFaultRun {
-    /// Simulated wall-clock seconds including recovery costs.
-    pub fn seconds(&self) -> f64 {
-        self.fault_report.report.seconds
     }
 }
 
@@ -229,41 +207,6 @@ impl Engine {
         seed: u64,
     ) -> SimReport {
         self.simulator.simulate_report(plan, &result.metrics, resources, seed)
-    }
-
-    /// Executes a plan and simulates its wall time under `resources`
-    /// with deterministic fault injection — one *degraded-cluster*
-    /// training record. Fails with [`EngineError::Fault`] when the
-    /// injected faults exhaust the bounded recovery budget.
-    pub fn observe_with_faults(
-        &self,
-        plan: &PhysicalPlan,
-        resources: &ResourceConfig,
-        seed: u64,
-        faults: &FaultPlan,
-    ) -> Result<ObservedFaultRun, EngineError> {
-        let _span = telemetry::span("sparksim.observe");
-        let result = self.execute_plan(plan)?;
-        let fault_report = self
-            .simulator
-            .simulate_report_with_faults(plan, &result.metrics, resources, seed, faults)
-            .map_err(EngineError::Fault)?;
-        Ok(ObservedFaultRun { result, fault_report })
-    }
-
-    /// Re-simulates an already-executed plan under different resources
-    /// and a [`FaultPlan`] — the cheap way to sweep fault intensities
-    /// over one execution.
-    pub fn resimulate_with_faults(
-        &self,
-        plan: &PhysicalPlan,
-        result: &ExecResult,
-        resources: &ResourceConfig,
-        seed: u64,
-        faults: &FaultPlan,
-    ) -> Result<FaultReport, FaultError> {
-        self.simulator
-            .simulate_report_with_faults(plan, &result.metrics, resources, seed, faults)
     }
 }
 

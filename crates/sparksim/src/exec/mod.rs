@@ -103,7 +103,7 @@ impl<'a> Executor<'a> {
         let mut metrics = vec![NodeMetrics::default(); plan.len()];
         let mut outputs: Vec<Option<Batch>> = vec![None; plan.len()];
         for id in 0..plan.len() {
-            let batch = self.exec_node(plan, id, &outputs)?;
+            let batch = self.exec_node(plan, id, &mut outputs)?;
             let (rows_in, bytes_in) = match &plan.node(id).op {
                 PhysicalOp::FileScan { table, output, .. } => {
                     // A scan reads the projected columns of the whole table
@@ -149,14 +149,15 @@ impl<'a> Executor<'a> {
         &self,
         plan: &PhysicalPlan,
         id: NodeId,
-        outputs: &[Option<Batch>],
+        outputs: &mut [Option<Batch>],
     ) -> Result<Batch, ExecError> {
         let node = plan.node(id);
+        let missing = |i: usize| ExecError { message: format!("node {id} missing child {i}") };
         let child = |i: usize| -> Result<&Batch, ExecError> {
             node.children
                 .get(i)
                 .and_then(|&c| outputs[c].as_ref())
-                .ok_or_else(|| ExecError { message: format!("node {id} missing child {i}") })
+                .ok_or_else(|| missing(i))
         };
         match &node.op {
             PhysicalOp::FileScan { binding, table, output, pushed_filter } => {
@@ -192,9 +193,14 @@ impl<'a> Executor<'a> {
             }
             PhysicalOp::Filter { predicate } => Ok(apply_filter(child(0)?, predicate)),
             PhysicalOp::Project { columns } => Ok(child(0)?.project(columns)),
+            // An exchange's child has no other parent: hand its batch up.
             PhysicalOp::ExchangeHash { .. }
             | PhysicalOp::ExchangeSingle
-            | PhysicalOp::BroadcastExchange => Ok(child(0)?.clone()),
+            | PhysicalOp::BroadcastExchange => node
+                .children
+                .first()
+                .and_then(|&c| outputs[c].take())
+                .ok_or_else(|| missing(0)),
             PhysicalOp::Sort { keys } => Ok(sort_batch(child(0)?, keys)),
             PhysicalOp::SortMergeJoin { left_key, right_key } => {
                 merge_join(child(0)?, child(1)?, left_key, right_key, self.row_limit)

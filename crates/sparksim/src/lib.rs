@@ -17,10 +17,6 @@
 //!   stage/wave **execution-time simulator** with spill, GC, page-cache and
 //!   broadcast effects that reproduce the paper's non-monotonic
 //!   memory behaviour — [`resource`], [`simulator`];
-//! * deterministic **fault injection** (executor loss, stragglers, fetch
-//!   failures, spill pressure) with Spark-faithful recovery — retries
-//!   with capped backoff, speculative execution, stage re-attempts —
-//!   [`fault`];
 //! * an [`engine::Engine`] facade: SQL → candidate plans → observed runs
 //!   (the training records for the deep cost model).
 //!
@@ -48,7 +44,6 @@ pub mod catalog;
 pub mod engine;
 pub mod exec;
 pub mod expr;
-pub mod fault;
 pub mod plan;
 pub mod resource;
 pub mod schema;
@@ -59,8 +54,7 @@ pub mod storage;
 pub mod types;
 
 pub use catalog::Catalog;
-pub use engine::{Engine, EngineError, ObservedFaultRun, ObservedRun};
-pub use fault::{FaultError, FaultPlan, FaultSummary, RecoveryConfig};
+pub use engine::{Engine, EngineError, ObservedRun};
 pub use plan::physical::PhysicalPlan;
 pub use resource::{ClusterConfig, ResourceConfig, ResourceGrid};
-pub use simulator::{AllocationMode, CostSimulator, FaultReport, SimReport, SimulatorConfig};
+pub use simulator::{CostSimulator, SimReport, SimulatorConfig};

@@ -26,7 +26,6 @@
 //! noise.
 
 use crate::exec::NodeMetrics;
-use crate::fault::{retry_backoff_s, FaultError, FaultPlan, FaultRng, FaultSummary};
 use crate::plan::physical::{NodeId, PhysicalOp, PhysicalPlan};
 use crate::resource::{ClusterConfig, ResourceConfig};
 use serde::{Deserialize, Serialize};
@@ -140,27 +139,6 @@ pub struct SimReport {
     pub cache_hit: f64,
 }
 
-/// A fault-injected run: the timing report plus what the faults did.
-///
-/// Produced by [`CostSimulator::simulate_report_with_faults`]. The
-/// embedded [`SimReport`] already includes every second of recovery cost
-/// (retries, backoff, speculation, stage re-attempts); the
-/// [`FaultSummary`] breaks down where those seconds came from.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct FaultReport {
-    /// Timing breakdown with fault/recovery costs folded in.
-    pub report: SimReport,
-    /// Counts and added seconds per fault class.
-    pub faults: FaultSummary,
-}
-
-impl FaultReport {
-    /// Total wall-clock seconds (noise and recovery included).
-    pub fn seconds(&self) -> f64 {
-        self.report.seconds
-    }
-}
-
 /// One pipeline between exchange boundaries.
 #[derive(Debug, Default)]
 struct Stage {
@@ -171,24 +149,6 @@ struct Stage {
     /// Exchange this stage writes into (`None` for the result stage).
     sink: Option<NodeId>,
 }
-
-/// Spark's two resource-allocation mechanisms (paper Sec. II-A). Under
-/// static allocation the application holds its executors for its whole
-/// lifetime; under dynamic allocation idle executors are released between
-/// stages and re-acquired on demand, which adds a spin-up delay whenever a
-/// stage needs more executors than are currently warm.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum AllocationMode {
-    /// Executors are held for the application lifetime.
-    #[default]
-    Static,
-    /// Executors are released when idle and re-acquired per stage.
-    Dynamic,
-}
-
-/// Executor spin-up time under dynamic allocation, seconds (JVM start +
-/// registration).
-pub const EXECUTOR_SPINUP_S: f64 = 1.8;
 
 /// The resource-aware cost simulator.
 #[derive(Debug, Clone)]
@@ -224,44 +184,6 @@ impl CostSimulator {
         self.simulate_report(plan, metrics, res, seed).seconds
     }
 
-    /// Like [`CostSimulator::simulate_report`], but under a chosen
-    /// allocation mode. Dynamic allocation re-acquires executors per
-    /// stage: each stage whose task count exceeds one executor's slots
-    /// pays a spin-up delay for the extra executors (cold after the
-    /// previous stage released them).
-    pub fn simulate_report_with_mode(
-        &self,
-        plan: &PhysicalPlan,
-        metrics: &[NodeMetrics],
-        res: &ResourceConfig,
-        seed: u64,
-        mode: AllocationMode,
-    ) -> SimReport {
-        let mut report = self.simulate_report(plan, metrics, res, seed);
-        if mode == AllocationMode::Dynamic && report.effective_executors > 1 {
-            let stages = build_stages(plan);
-            let mut extra = 0.0;
-            for stage in stages.iter().rev() {
-                let partitions = self.stage_partitions(plan, stage, metrics, self.cfg.data_scale);
-                // Executors needed beyond the single warm one.
-                let needed = (partitions as f64 / res.cores_per_executor.max(1) as f64)
-                    .ceil()
-                    .min(report.effective_executors as f64);
-                if needed > 1.0 {
-                    // Acquisition overlaps across executors: pay one
-                    // spin-up per wave of acquisitions, damped.
-                    extra += EXECUTOR_SPINUP_S * (needed - 1.0).sqrt();
-                }
-            }
-            report.seconds += extra;
-            let n = report.stage_seconds.len().max(1) as f64;
-            for s in &mut report.stage_seconds {
-                *s += extra / n;
-            }
-        }
-        report
-    }
-
     /// Simulates one run with a full breakdown.
     pub fn simulate_report(
         &self,
@@ -270,48 +192,7 @@ impl CostSimulator {
         res: &ResourceConfig,
         seed: u64,
     ) -> SimReport {
-        match self.simulate_inner(plan, metrics, res, seed, None) {
-            Ok((report, _)) => report,
-            // No fault plan means no retry budget to exhaust.
-            Err(_) => unreachable!("fault-free simulation cannot fail"),
-        }
-    }
-
-    /// Simulates one run under a deterministic [`FaultPlan`].
-    ///
-    /// Injected executor losses, stragglers, fetch failures and spill
-    /// pressure are recovered Spark-style — per-task retry with capped
-    /// exponential backoff, speculative execution, stage re-attempt —
-    /// and the recovery cost lands in the returned report's seconds.
-    /// The run fails with a typed [`FaultError`] (never a hang, never a
-    /// panic) once the bounded retry budget is exhausted.
-    ///
-    /// Determinism: the same `(faults, seed)` pair reproduces the same
-    /// failures, the same recovery schedule and the same telemetry
-    /// event stream. A zero plan ([`FaultPlan::is_zero`]) produces
-    /// output bit-identical to [`CostSimulator::simulate_report`].
-    pub fn simulate_report_with_faults(
-        &self,
-        plan: &PhysicalPlan,
-        metrics: &[NodeMetrics],
-        res: &ResourceConfig,
-        seed: u64,
-        faults: &FaultPlan,
-    ) -> Result<FaultReport, FaultError> {
-        let (report, faults) = self.simulate_inner(plan, metrics, res, seed, Some(faults))?;
-        Ok(FaultReport { report, faults })
-    }
-
-    fn simulate_inner(
-        &self,
-        plan: &PhysicalPlan,
-        metrics: &[NodeMetrics],
-        res: &ResourceConfig,
-        seed: u64,
-        faults: Option<&FaultPlan>,
-    ) -> Result<(SimReport, FaultSummary), FaultError> {
         assert_eq!(plan.len(), metrics.len(), "metrics must align with plan nodes");
-        let mut summary = FaultSummary::zero();
         let mut sim_span = telemetry::span("sparksim.simulate");
         sim_span.record("plan_nodes", plan.len() as u64);
         let scale = self.cfg.data_scale;
@@ -322,18 +203,15 @@ impl CostSimulator {
         let max_per_node = (usable_node_gb / per_executor_gb).floor() as usize;
         if max_per_node == 0 {
             // Executors cannot start at all: model as a failed/blocked run.
-            return Ok((
-                SimReport {
-                    seconds: 3600.0,
-                    stage_seconds: vec![],
-                    spill_bytes: 0.0,
-                    gc_seconds: 0.0,
-                    effective_executors: 0,
-                    broadcast_overflow: false,
-                    cache_hit: 0.0,
-                },
-                summary,
-            ));
+            return SimReport {
+                seconds: 3600.0,
+                stage_seconds: vec![],
+                spill_bytes: 0.0,
+                gc_seconds: 0.0,
+                effective_executors: 0,
+                broadcast_overflow: false,
+                cache_hit: 0.0,
+            };
         }
         let effective_executors = res.executors.min(max_per_node * self.cluster.nodes);
         let nodes_used = effective_executors.min(self.cluster.nodes).max(1);
@@ -500,16 +378,6 @@ impl CostSimulator {
                 cpu_ns += m.rows_out * scale * CPU.exchange_write;
             }
 
-            // Fault injection: spill pressure inflates working sets (skewed
-            // partitions, memory-hungry co-tenants), forcing spill at memory
-            // sizes that would otherwise be safe. Strictly gated so the
-            // fault-free path stays bit-identical.
-            if let Some(f) = faults {
-                if f.spill_pressure > 1.0 {
-                    working_set *= f.spill_pressure;
-                }
-            }
-
             // Spill: working set beyond the task's memory share goes to disk
             // once per extra merge pass.
             let spill = (working_set - task_mem_bytes).max(0.0);
@@ -546,27 +414,10 @@ impl CostSimulator {
             let write_pt = disk_write / tasks as f64 / disk_bw;
             let net_pt = net_read / tasks as f64 / net_bw;
             let task_s = cpu_pt + read_pt + write_pt + net_pt;
-            let mut stage_s = waves * task_s
+            let stage_s = waves * task_s
                 + self.cfg.stage_overhead_s
                 + waves * self.cfg.wave_overhead_s
                 + fixed_s;
-
-            // Fault injection and Spark-style recovery: strictly additive,
-            // so the fault-free path above is untouched.
-            if let Some(f) = faults {
-                stage_s += self.inject_stage_faults(
-                    f,
-                    seed,
-                    stage_id,
-                    job_id.unwrap_or(0),
-                    stage,
-                    tasks,
-                    task_s,
-                    stage_s,
-                    effective_executors,
-                    &mut summary,
-                )?;
-            }
             stage_seconds.push(stage_s);
 
             if let Some(job_id) = job_id {
@@ -625,184 +476,15 @@ impl CostSimulator {
             telemetry::count("sparksim.jobs.completed", 1);
         }
         sim_span.record("stages", stage_seconds.len() as u64);
-        Ok((
-            SimReport {
-                seconds,
-                stage_seconds,
-                spill_bytes: spill_total,
-                gc_seconds: gc_total,
-                effective_executors,
-                broadcast_overflow,
-                cache_hit,
-            },
-            summary,
-        ))
-    }
-
-    /// Applies one stage's injected faults and their recovery, returning
-    /// the wall-clock seconds added to the stage.
-    ///
-    /// Every loop here is bounded by the recovery budget
-    /// ([`crate::fault::RecoveryConfig`]), so the call always terminates
-    /// — with the added cost, or with a typed [`FaultError`] once the
-    /// budget is exhausted. Each fault class draws from its own
-    /// [`FaultRng`] lane keyed by `(fault seed, run seed, stage, class)`,
-    /// so decisions are reproducible and independent across classes.
-    #[allow(clippy::too_many_arguments)]
-    fn inject_stage_faults(
-        &self,
-        f: &FaultPlan,
-        seed: u64,
-        stage_id: usize,
-        job_id: u64,
-        stage: &Stage,
-        tasks: usize,
-        task_s: f64,
-        base_stage_s: f64,
-        effective_executors: usize,
-        summary: &mut FaultSummary,
-    ) -> Result<f64, FaultError> {
-        /// Sampling bound for per-task straggler draws on huge stages.
-        const STRAGGLER_SAMPLE: usize = 16_384;
-        let rec = &f.recovery;
-        let mut extra = 0.0f64;
-        let lane = |class: u64| FaultRng::lane(f.seed, seed, ((stage_id as u64) << 3) | class);
-
-        // ---- Stragglers: slow tasks extend the stage's last wave; with
-        // speculation a backup copy races the straggler and the stage
-        // takes the earlier finisher.
-        if f.straggler_rate > 0.0 && f.straggler_multiplier > 1.0 && task_s > 0.0 {
-            let mut rng = lane(0);
-            let mut stragglers = 0u32;
-            for _ in 0..tasks.min(STRAGGLER_SAMPLE) {
-                if rng.chance(f.straggler_rate) {
-                    stragglers += 1;
-                }
-            }
-            if tasks > STRAGGLER_SAMPLE {
-                // Huge stages are sampled; scale the count back up.
-                stragglers =
-                    (f64::from(stragglers) * tasks as f64 / STRAGGLER_SAMPLE as f64).round() as u32;
-            }
-            if stragglers > 0 {
-                summary.stragglers += stragglers;
-                let slow_s = task_s * f.straggler_multiplier;
-                // The backup launches once the straggler exceeds the
-                // speculation threshold and then needs a fresh task time.
-                let backup_done_s = task_s * rec.speculation_multiplier + task_s;
-                let effective_s = if rec.speculation && backup_done_s < slow_s {
-                    summary.speculative_launches += stragglers;
-                    telemetry::event(
-                        "speculative_launch",
-                        &[
-                            ("job_id", telemetry::Value::UInt(job_id)),
-                            ("stage_id", telemetry::Value::UInt(stage_id as u64)),
-                            ("copies", telemetry::Value::UInt(u64::from(stragglers))),
-                            (
-                                "threshold_s",
-                                telemetry::Value::F64(task_s * rec.speculation_multiplier),
-                            ),
-                        ],
-                    );
-                    backup_done_s
-                } else {
-                    slow_s
-                };
-                extra += effective_s - task_s;
-            }
+        SimReport {
+            seconds,
+            stage_seconds,
+            spill_bytes: spill_total,
+            gc_seconds: gc_total,
+            effective_executors,
+            broadcast_overflow,
+            cache_hit,
         }
-
-        // ---- Executor loss: each lost executor's in-flight tasks fail
-        // and are re-launched after capped exponential backoff
-        // (`spark.task.maxFailures` semantics); the replacement executor
-        // pays its spin-up.
-        if f.executor_failure_rate > 0.0 && effective_executors > 0 && task_s > 0.0 {
-            let mut rng = lane(1);
-            for exec_id in 0..effective_executors {
-                if !rng.chance(f.executor_failure_rate) {
-                    continue;
-                }
-                summary.executor_failures += 1;
-                telemetry::event(
-                    "executor_failed",
-                    &[
-                        ("job_id", telemetry::Value::UInt(job_id)),
-                        ("stage_id", telemetry::Value::UInt(stage_id as u64)),
-                        ("executor", telemetry::Value::UInt(exec_id as u64)),
-                    ],
-                );
-                let mut attempt: u32 = 1;
-                loop {
-                    // The failed attempt's task_end, with failure reason —
-                    // the learnable signal a real event log would carry.
-                    telemetry::event(
-                        "task_end",
-                        &[
-                            ("job_id", telemetry::Value::UInt(job_id)),
-                            ("stage_id", telemetry::Value::UInt(stage_id as u64)),
-                            ("task_id", telemetry::Value::UInt(exec_id as u64)),
-                            ("attempt", telemetry::Value::UInt(u64::from(attempt))),
-                            ("failed", telemetry::Value::Bool(true)),
-                            ("reason", telemetry::Value::Str("executor_lost".into())),
-                        ],
-                    );
-                    if attempt >= rec.max_task_attempts {
-                        return Err(FaultError::TaskRetriesExhausted {
-                            stage: stage_id,
-                            attempts: attempt,
-                        });
-                    }
-                    let backoff_s = retry_backoff_s(rec, attempt);
-                    summary.task_retries += 1;
-                    telemetry::event(
-                        "task_retry",
-                        &[
-                            ("job_id", telemetry::Value::UInt(job_id)),
-                            ("stage_id", telemetry::Value::UInt(stage_id as u64)),
-                            ("attempt", telemetry::Value::UInt(u64::from(attempt + 1))),
-                            ("backoff_s", telemetry::Value::F64(backoff_s)),
-                        ],
-                    );
-                    extra += backoff_s + task_s;
-                    attempt += 1;
-                    // Does the re-launched attempt fail too?
-                    if !rng.chance(f.executor_failure_rate) {
-                        break;
-                    }
-                }
-                extra += EXECUTOR_SPINUP_S;
-            }
-        }
-
-        // ---- Fetch failure: a shuffle-fed stage whose fetch fails
-        // re-attempts wholesale, like Spark on FetchFailedException.
-        if f.fetch_failure_rate > 0.0 && !stage.sources.is_empty() {
-            let mut rng = lane(2);
-            let mut attempt: u32 = 1;
-            while rng.chance(f.fetch_failure_rate) {
-                if attempt >= rec.max_stage_attempts {
-                    return Err(FaultError::StageAttemptsExhausted {
-                        stage: stage_id,
-                        attempts: attempt,
-                    });
-                }
-                attempt += 1;
-                summary.stage_reattempts += 1;
-                telemetry::event(
-                    "stage_reattempt",
-                    &[
-                        ("job_id", telemetry::Value::UInt(job_id)),
-                        ("stage_id", telemetry::Value::UInt(stage_id as u64)),
-                        ("attempt", telemetry::Value::UInt(u64::from(attempt))),
-                        ("reason", telemetry::Value::Str("fetch_failed".into())),
-                    ],
-                );
-                extra += base_stage_s;
-            }
-        }
-
-        summary.extra_seconds += extra;
-        Ok(extra)
     }
 
     fn stage_partitions(
@@ -1098,32 +780,6 @@ mod tests {
         let small = sim.simulate_report(&p, &m, &res(2, 2, 1.0), 0);
         let large = sim.simulate_report(&p, &m, &res(2, 2, 8.0), 0);
         assert!(large.gc_seconds > small.gc_seconds);
-    }
-
-    #[test]
-    fn dynamic_allocation_adds_spinup_only_for_parallel_stages() {
-        let (p, mut m) = agg_plan();
-        m[0].bytes_in = 8.0 * GB;
-        m[0].rows_in = 1e8;
-        let cfg = SimulatorConfig { noise_sigma: 0.0, ..SimulatorConfig::default() };
-        let sim = CostSimulator::new(cluster(), cfg);
-        let r = res(4, 2, 4.0);
-        let stat = sim
-            .simulate_report_with_mode(&p, &m, &r, 0, AllocationMode::Static)
-            .seconds;
-        let dynamic = sim
-            .simulate_report_with_mode(&p, &m, &r, 0, AllocationMode::Dynamic)
-            .seconds;
-        assert!(dynamic > stat, "dynamic pays executor spin-up: {stat} vs {dynamic}");
-        // A single-executor app has nothing to re-acquire.
-        let r1 = res(1, 2, 4.0);
-        let stat1 = sim
-            .simulate_report_with_mode(&p, &m, &r1, 0, AllocationMode::Static)
-            .seconds;
-        let dyn1 = sim
-            .simulate_report_with_mode(&p, &m, &r1, 0, AllocationMode::Dynamic)
-            .seconds;
-        assert_eq!(stat1, dyn1);
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Property tests on individual sparksim components: histograms, LIKE
-//! matching, sorting, and simulator invariants.
+//! matching, sorting, simulator invariants and its event log.
 
 use proptest::prelude::*;
 use sparksim::batch::Batch;
@@ -236,6 +236,104 @@ mod simulator_props {
             let slow = sim().simulate(&p, &m, &mk(disk), 0);
             let fast = sim().simulate(&p, &m, &mk(disk * 2.0), 0);
             prop_assert!(fast <= slow + 1e-9);
+        }
+    }
+}
+
+mod event_log {
+    use sparksim::catalog::Catalog;
+    use sparksim::engine::Engine;
+    use sparksim::resource::{ClusterConfig, ResourceConfig};
+    use sparksim::schema::{ColumnDef, TableSchema};
+    use sparksim::storage::{Column, ColumnData, Table};
+    use sparksim::types::DataType;
+
+    /// Two joinable tables, big enough that every stage has nonzero work.
+    fn engine() -> Engine {
+        let n = 4_000i64;
+        let mut catalog = Catalog::new();
+        catalog.register(Table::new(
+            TableSchema::new(
+                "ta",
+                vec![
+                    ColumnDef::new("id", DataType::Int, false),
+                    ColumnDef::new("x", DataType::Int, false),
+                ],
+            ),
+            vec![
+                Column::non_null(ColumnData::Int((0..n).collect())),
+                Column::non_null(ColumnData::Int((0..n).map(|i| (i * 7) % 100).collect())),
+            ],
+        ));
+        catalog.register(Table::new(
+            TableSchema::new(
+                "tb",
+                vec![
+                    ColumnDef::new("a_id", DataType::Int, false),
+                    ColumnDef::new("y", DataType::Int, false),
+                ],
+            ),
+            vec![
+                Column::non_null(ColumnData::Int((0..n).map(|i| i % 500).collect())),
+                Column::non_null(ColumnData::Int((0..n).map(|i| (i * 3) % 40).collect())),
+            ],
+        ));
+        Engine::new(catalog)
+    }
+
+    /// Pulls this thread's event-name sequence out of a captured JSONL
+    /// log: the deterministic skeleton of a run (timestamps and durations
+    /// are not). Other threads' lines are neighbouring tests emitting into
+    /// the process-global sink while the capture holds it.
+    fn event_names(lines: &[String]) -> Vec<String> {
+        let own = format!("\"tid\":{}", telemetry::testing::current_tid());
+        lines
+            .iter()
+            .filter(|l| l.contains("\"type\":\"event\""))
+            .filter(|l| {
+                l.split_once(own.as_str())
+                    .is_some_and(|(_, rest)| rest.starts_with([',', '}']))
+            })
+            .filter_map(|l| {
+                let start = l.find("\"name\":\"")? + "\"name\":\"".len();
+                let end = l[start..].find('"')? + start;
+                Some(l[start..end].to_string())
+            })
+            .collect()
+    }
+
+    /// The same seed produces the same event-name sequence (minus
+    /// wall-clock fields), and every name is registered in the schema.
+    #[test]
+    fn same_seed_same_event_log() {
+        let engine = engine();
+        let sql = "SELECT ta.x, COUNT(*) FROM ta, tb WHERE ta.id = tb.a_id GROUP BY ta.x";
+        let plan = &engine.plan_candidates(sql).unwrap()[0];
+        let result = engine.execute_plan(plan).unwrap();
+        let res = ResourceConfig {
+            executors: 4,
+            cores_per_executor: 2,
+            ..ResourceConfig::default_for(&ClusterConfig::default())
+        };
+        for seed in [1u64, 99, 12345] {
+            let run = || {
+                telemetry::testing::capture(|| {
+                    engine.resimulate(plan, &result, &res, seed);
+                })
+            };
+            let first = event_names(&run());
+            let second = event_names(&run());
+            assert!(!first.is_empty(), "seed={seed} logged no event");
+            assert_eq!(first, second, "seed={seed}");
+            assert_eq!(first.first().map(String::as_str), Some("job_start"));
+            assert_eq!(first.last().map(String::as_str), Some("job_end"));
+            for name in &first {
+                assert!(
+                    telemetry::schema::SPARK_EVENT_NAMES.contains(&name.as_str())
+                        && telemetry::schema::EVENT_NAMES.contains(&name.as_str()),
+                    "unregistered event name {name:?}"
+                );
+            }
         }
     }
 }

@@ -45,22 +45,8 @@ pub const REQUIRED_BY_TYPE: &[(&str, &[&str])] = &[
 /// `job_start`/`job_end` ≈ `SparkListenerJobStart`/`JobEnd`,
 /// `stage_completed` ≈ `SparkListenerStageCompleted` (rows, spill and
 /// shuffle bytes live in its `fields`, like a stage's task-metrics
-/// rollup), `task_end` ≈ `SparkListenerTaskEnd`. Fault injection adds
-/// the recovery events: `executor_failed` ≈ `SparkListenerExecutorRemoved`,
-/// `task_retry` (a failed `task_end` followed by a re-queued attempt),
-/// `speculative_launch` ≈ the driver cloning a slow task under
-/// `spark.speculation`, and `stage_reattempt` ≈ a stage resubmission
-/// after a `FetchFailedException`.
-pub const SPARK_EVENT_NAMES: &[&str] = &[
-    "job_start",
-    "stage_completed",
-    "task_end",
-    "job_end",
-    "executor_failed",
-    "task_retry",
-    "speculative_launch",
-    "stage_reattempt",
-];
+/// rollup), `task_end` ≈ `SparkListenerTaskEnd`.
+pub const SPARK_EVENT_NAMES: &[&str] = &["job_start", "stage_completed", "task_end", "job_end"];
 
 /// The closed vocabulary of span names (both `telemetry::span` and
 /// `telemetry::kernel_span`). `raal-lint` rejects any span opened under
@@ -167,8 +153,7 @@ pub const GAUGE_PREFIXES: &[&str] = &["monitor.mae.", "monitor.qerror.", "monito
 
 /// Registered point-event names (`telemetry::event`): the trainer's
 /// per-epoch record, the drift monitor's alarm, plus the Spark-style
-/// listener events from [`SPARK_EVENT_NAMES`] (including the
-/// fault/recovery events).
+/// listener events from [`SPARK_EVENT_NAMES`].
 pub const EVENT_NAMES: &[&str] = &[
     "train.epoch",
     "drift.alarm",
@@ -176,10 +161,6 @@ pub const EVENT_NAMES: &[&str] = &[
     "stage_completed",
     "task_end",
     "job_end",
-    "executor_failed",
-    "task_retry",
-    "speculative_launch",
-    "stage_reattempt",
 ];
 
 /// Registered counter *families*: the sharded serving layer publishes

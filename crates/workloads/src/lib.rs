@@ -9,14 +9,11 @@
 //! * [`querygen`] — FK-graph random-walk query generation producing the
 //!   paper's two workload types (numeric predicates, string predicates)
 //!   with 0–5 joins;
-//! * [`job_templates`] — JOB-style named query families over the IMDB
-//!   schema (the paper's workload is the JOB extension);
 //! * [`util`] — Zipf sampling and helpers.
 
 #![warn(missing_docs)]
 
 pub mod imdb;
-pub mod job_templates;
 pub mod querygen;
 pub mod tpch;
 pub mod util;

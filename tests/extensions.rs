@@ -1,17 +1,21 @@
-//! Integration tests for the extension features: dynamic resource
-//! allocation, JOB template workloads and the micro-model baseline.
+//! Integration test for the micro-model baseline on the `querygen`
+//! workload every table and figure draws from.
 
 use baselines::micro::MicroModel;
 use raal::dataset::{collect_queries, CollectionConfig};
 use sparksim::plan::planner::PlannerOptions;
-use sparksim::{AllocationMode, ClusterConfig, Engine, ResourceConfig, SimulatorConfig};
+use sparksim::{ClusterConfig, Engine, SimulatorConfig};
 use workloads::imdb::{generate, ImdbConfig};
-use workloads::job_templates::{generate_job_workload, JobScales, TEMPLATES};
+use workloads::querygen::{generate_queries, QueryGenConfig};
 
-fn engine() -> (Engine, JobScales) {
+#[test]
+fn micro_model_beats_gpsj_but_not_by_structure() {
+    use baselines::gpsj::{GpsjModel, GpsjParams};
+    use raal::train::training_transform;
+    use raal::EvalSet;
+
     let data = generate(&ImdbConfig { title_rows: 400, seed: 61 });
     let scale = data.simulated_scale();
-    let scales = JobScales::from_dataset(&data);
     let engine = Engine::with_options(
         data.catalog,
         PlannerOptions::scaled_to(scale),
@@ -22,73 +26,8 @@ fn engine() -> (Engine, JobScales) {
             ..SimulatorConfig::default()
         },
     );
-    (engine, scales)
-}
-
-#[test]
-fn dynamic_allocation_costs_at_least_static() {
-    let (engine, scales) = engine();
-    let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(3);
-    let workload = generate_job_workload(&scales, 1, &mut rng);
-    let res = ResourceConfig {
-        executors: 4,
-        cores_per_executor: 2,
-        memory_per_executor_gb: 4.0,
-        network_throughput_mbps: 120.0,
-        disk_throughput_mbps: 200.0,
-    };
-    let mut strictly_greater = 0;
-    for (_, sql) in workload.iter().take(6) {
-        let plans = engine.plan_candidates(sql).unwrap();
-        let exec = engine.execute_plan(&plans[0]).unwrap();
-        let stat = engine
-            .simulator()
-            .simulate_report_with_mode(&plans[0], &exec.metrics, &res, 0, AllocationMode::Static)
-            .seconds;
-        let dynamic = engine
-            .simulator()
-            .simulate_report_with_mode(&plans[0], &exec.metrics, &res, 0, AllocationMode::Dynamic)
-            .seconds;
-        assert!(dynamic + 1e-9 >= stat, "{sql}: dynamic {dynamic} < static {stat}");
-        if dynamic > stat {
-            strictly_greater += 1;
-        }
-    }
-    assert!(strictly_greater > 0, "some queries must pay executor spin-up");
-}
-
-#[test]
-fn job_workload_feeds_the_collection_pipeline() {
-    let (engine, scales) = engine();
-    let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(5);
-    let queries: Vec<String> = generate_job_workload(&scales, 1, &mut rng)
-        .into_iter()
-        .map(|(_, q)| q)
-        .collect();
-    assert_eq!(queries.len(), TEMPLATES.len());
-    let graph_cfg = CollectionConfig {
-        resource_states_per_plan: 1,
-        runs_per_observation: 1,
-        threads: 1,
-        ..CollectionConfig::default()
-    };
-    let collection = collect_queries(&engine, &queries, &graph_cfg);
-    assert_eq!(collection.skipped_queries, 0, "JOB templates must all run");
-    assert!(collection.num_records() >= queries.len());
-}
-
-#[test]
-fn micro_model_beats_gpsj_but_not_by_structure() {
-    use baselines::gpsj::{GpsjModel, GpsjParams};
-    use raal::train::training_transform;
-    use raal::EvalSet;
-
-    let (engine, scales) = engine();
     let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(7);
-    let queries: Vec<String> = generate_job_workload(&scales, 3, &mut rng)
-        .into_iter()
-        .map(|(_, q)| q)
-        .collect();
+    let queries = generate_queries(&data.graph, &QueryGenConfig::default(), 36, &mut rng);
     let cfg = CollectionConfig {
         resource_states_per_plan: 2,
         runs_per_observation: 1,
@@ -97,7 +36,6 @@ fn micro_model_beats_gpsj_but_not_by_structure() {
     };
     let collection = collect_queries(&engine, &queries, &cfg);
     let cluster = engine.simulator().cluster();
-    let scale = engine.simulator().config().data_scale;
 
     // Fit micro on the first 2/3 of queries, evaluate both models on the rest.
     let cut = queries.len() * 2 / 3;
