@@ -6,7 +6,8 @@
 //!
 //! Runs two rule families, each with its own shrink-only allowlist:
 //!
-//! * the per-file / cross-file lint rules against `lint-allowlist.tsv`;
+//! * the per-file lint rules (see `analysis::lint`) against
+//!   `lint-allowlist.tsv`;
 //! * the hot-path reachability rules (`hot-panic` / `hot-alloc`,
 //!   see `analysis::panic`) against `hotpath-allowlist.tsv`.
 //!

@@ -1,16 +1,5 @@
 //! Static guarantees for the RAAL workspace.
 //!
-//! This crate holds the checks that run *before* any data touches the
-//! network or any query touches the simulator:
-//!
-//! * [`shape`] — symbolic shape inference over the cost-model
-//!   architecture. A [`shape::ModelShapeSpec`] describes every layer's
-//!   parameter tensors and the dataflow between them; [`shape::check`]
-//!   propagates a symbolic `[seq, dim]` activation through the spec and
-//!   rejects any dimension mismatch with an error naming the offending
-//!   layer. `core` builds the spec from the *actual* parameter store, so
-//!   tampered checkpoints and inconsistent configs are caught at
-//!   construction / load time.
 //! * [`dag`] — structural validation of encoded plan DAGs:
 //!   acyclicity (children strictly precede parents in the bottom-up
 //!   arena), single root, no shared children, and consistency of the
@@ -20,13 +9,9 @@
 //!   rules the compiler cannot: `// SAFETY:` comments on `unsafe`,
 //!   no `Instant::now` outside telemetry, no `unwrap()`/`expect()` in
 //!   serving-path library code, telemetry names drawn from the
-//!   [`telemetry::schema`] registry, lock-acquisition-order consistency
-//!   across the workspace, and `// ORDERING:` justifications on relaxed
-//!   atomics — with an allowlist ratchet for grandfathered sites.
-//! * [`conc`] — concurrency correctness: the [`conc::LockOrderGraph`]
-//!   behind the lock-order lint rule, plus a re-export of the
-//!   `raal_sync` deterministic schedule explorer ([`conc::check`] /
-//!   [`conc::explore`]) used by the workspace's model-check tests.
+//!   [`telemetry::schema`] registry, and `// ORDERING:` justifications
+//!   on relaxed atomics — with an allowlist ratchet for grandfathered
+//!   sites.
 //! * [`lex`] — the shared hand lexer: comment/string-blanked views of a
 //!   source file, function spans, test ranges, and comment-aware
 //!   justification windows. Feeds [`lint`], [`callgraph`] and
@@ -46,12 +31,9 @@
 #![deny(missing_docs)]
 
 pub mod callgraph;
-pub mod conc;
 pub mod dag;
 pub mod lex;
 pub mod lint;
 pub mod panic;
-pub mod shape;
 
 pub use dag::{validate_children, validate_signed_rows, DagError};
-pub use shape::{check, Dim, ModelShapeSpec, ShapeError, ShapeOp, ShapeReport, Stage, SymShape};

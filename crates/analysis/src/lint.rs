@@ -24,11 +24,6 @@
 //!   carries a `// ORDERING:` comment in the preceding lines justifying
 //!   why relaxed semantics are sound at that site. Stronger orderings
 //!   are self-documenting; `Relaxed` is where the bugs hide.
-//! * **`lock-order`** — a cross-file pass: every function's lexical
-//!   `.lock()` acquisition sequence feeds the workspace-wide
-//!   [`crate::conc::LockOrderGraph`]; any cycle (two functions taking
-//!   the same locks in opposite orders) is a potential deadlock and
-//!   fails the lint with the witness sites around the cycle.
 //!
 //! Grandfathered sites live in `lint-allowlist.tsv` at the repo root:
 //! one `rule<TAB>path<TAB>count` line per file. The linter fails when a
@@ -40,10 +35,9 @@
 //! literals with a small state machine rather than parsing Rust, which
 //! is robust across editions and keeps the binary dependency-free.
 
-use crate::conc::LockOrderGraph;
 use crate::lex::{
-    crate_of, find_word, fn_spans, in_ranges, is_ident_byte, is_test_path, justified_in_window,
-    lex_views, line_of, line_starts, test_ranges, use_ranges, Views,
+    crate_of, find_word, in_ranges, is_ident_byte, is_test_path, justified_in_window, lex_views,
+    line_of, line_starts, test_ranges, use_ranges, Views,
 };
 use std::collections::BTreeMap;
 use std::fmt;
@@ -64,8 +58,6 @@ pub const RULE_SPAN: &str = "span-names";
 pub const RULE_EPI8: &str = "i8-intrinsic-safety";
 /// Rule id: relaxed atomic without an `// ORDERING:` justification.
 pub const RULE_ORDERING: &str = "atomic-ordering";
-/// Rule id: lock-acquisition-order inversion across the workspace.
-pub const RULE_LOCK_ORDER: &str = "lock-order";
 
 /// Crates whose `src/` trees must not contain `.unwrap()` / `.expect(`.
 const UNWRAP_CRATES: &[&str] = &["sparksim", "nn", "core", "encoding"];
@@ -149,16 +141,14 @@ pub fn lint_root(root: &Path) -> io::Result<Vec<Violation>> {
     Ok(lint_sources(&collect_sources(root)?))
 }
 
-/// Lints a set of `(relative path, source)` pairs: per-file rules first,
-/// then the cross-file lock-order pass over the whole set. This is the
-/// in-memory core of [`lint_root`], exposed so tests can lint a
+/// Lints a set of `(relative path, source)` pairs file by file. This is
+/// the in-memory core of [`lint_root`], exposed so tests can lint a
 /// fabricated multi-file workspace.
 pub fn lint_sources(sources: &[(String, String)]) -> Vec<Violation> {
     let mut violations = Vec::new();
     for (rel, source) in sources {
         lint_file(rel, source, &mut violations);
     }
-    rule_lock_order(sources, &mut violations);
     violations.sort_by(|a, b| (&a.path, a.line).cmp(&(&b.path, b.line)));
     violations
 }
@@ -427,126 +417,6 @@ fn rule_atomic_ordering(
                 ),
             });
         }
-    }
-}
-
-/// The receiver expression of a `.lock()` call, walking backwards from
-/// the `.`: identifier segments, `.` / `::` separators, empty `()` call
-/// suffixes (so `state().lock()` keys as `state()`), and whitespace at a
-/// `.` chain boundary (so a multiline builder chain still resolves).
-/// Returns `None` for receivers this lexical scan cannot name (indexing,
-/// non-empty calls) — those sites are skipped, not flagged.
-fn lock_receiver(blanked: &str, dot: usize) -> Option<String> {
-    let bytes = blanked.as_bytes();
-    let mut i = dot;
-    let mut rev: Vec<u8> = Vec::new();
-    while i > 0 {
-        let b = bytes[i - 1];
-        if is_ident_byte(b) || b == b'.' || b == b':' {
-            rev.push(b);
-            i -= 1;
-        } else if b == b')' && i >= 2 && bytes[i - 2] == b'(' {
-            rev.push(b')');
-            rev.push(b'(');
-            i -= 2;
-        } else if b.is_ascii_whitespace() {
-            // Whitespace only continues the receiver at a chain
-            // boundary: nothing collected yet (`foo\n    .lock()`) or a
-            // leading `.` collected so far (`self\n    .st.lock()`).
-            if rev.last().is_some_and(|&c| c != b'.') {
-                break;
-            }
-            i -= 1;
-        } else {
-            break;
-        }
-    }
-    let recv: String = rev.iter().rev().map(|&b| b as char).collect();
-    let recv = recv.trim_matches(|c| c == '.' || c == ':');
-    if recv.is_empty() || !recv.bytes().any(is_ident_byte) {
-        None
-    } else {
-        Some(recv.to_string())
-    }
-}
-
-/// Cross-file lock-order pass: build the workspace acquisition-order
-/// graph from every non-test function's lexical `.lock()` sequence
-/// (keyed `crate::receiver`) and flag each cycle as a potential
-/// deadlock. Over-approximate by design — guard drops between
-/// acquisitions are not modelled; a justified false positive earns an
-/// allowlist entry, and the `raal_sync` model checker is the oracle for
-/// whether a flagged order really deadlocks.
-fn rule_lock_order(sources: &[(String, String)], out: &mut Vec<Violation>) {
-    let mut graph = LockOrderGraph::new();
-    for (rel, source) in sources {
-        if is_test_path(rel) {
-            continue;
-        }
-        let Some(krate) = crate_of(rel) else { continue };
-        let views = lex_views(source);
-        let starts = line_starts(source);
-        let tests = test_ranges(&views.blanked);
-        let spans = fn_spans(&views.blanked);
-        let mut per_fn: BTreeMap<usize, Vec<(String, usize)>> = BTreeMap::new();
-        let mut from = 0;
-        while let Some(pos) = views.blanked[from..].find(".lock()") {
-            let at = from + pos;
-            from = at + ".lock()".len();
-            if in_ranges(&tests, at) {
-                continue;
-            }
-            let Some(recv) = lock_receiver(&views.blanked, at) else {
-                continue;
-            };
-            // Innermost containing function wins (nested fns attribute
-            // to the nested item, not its parent).
-            let Some(fi) = spans
-                .iter()
-                .enumerate()
-                .filter(|(_, s)| s.range.contains(&at))
-                .min_by_key(|(_, s)| s.range.len())
-                .map(|(i, _)| i)
-            else {
-                continue;
-            };
-            per_fn
-                .entry(fi)
-                .or_default()
-                .push((format!("{krate}::{recv}"), line_of(&starts, at)));
-        }
-        for (fi, sites) in &per_fn {
-            graph.add_sequence(&spans[*fi].name, rel, sites);
-        }
-    }
-    for cycle in graph.cycles() {
-        let n = cycle.nodes.len();
-        let details: Vec<String> = cycle
-            .witnesses
-            .iter()
-            .enumerate()
-            .map(|(i, w)| {
-                format!(
-                    "`{}` acquires {} then {} ({}:{})",
-                    w.function,
-                    cycle.nodes[i],
-                    cycle.nodes[(i + 1) % n],
-                    w.path,
-                    w.line
-                )
-            })
-            .collect();
-        let w = &cycle.witnesses[0];
-        out.push(Violation {
-            rule: RULE_LOCK_ORDER,
-            path: w.path.clone(),
-            line: w.line,
-            message: format!(
-                "potential lock-order inversion {}: {}",
-                cycle.describe(),
-                details.join("; ")
-            ),
-        });
     }
 }
 
@@ -947,125 +817,6 @@ mod tests {
                    static F: AtomicBool = AtomicBool::new(false);\n\
                    pub fn set() { F.store(true, Ordering::Release); }\n";
         assert!(lint_str("crates/core/src/x.rs", src).is_empty());
-    }
-
-    #[test]
-    fn inverted_lock_order_across_files_is_flagged() {
-        let sources = vec![
-            (
-                "crates/core/src/a.rs".to_string(),
-                "pub fn forward() {\n    let _a = self.alpha.lock();\n    \
-                 let _b = self.beta.lock();\n}\n"
-                    .to_string(),
-            ),
-            (
-                "crates/core/src/b.rs".to_string(),
-                "pub fn backward() {\n    let _b = self.beta.lock();\n    \
-                 let _a = self.alpha.lock();\n}\n"
-                    .to_string(),
-            ),
-        ];
-        let v = lint_sources(&sources);
-        let cycles: Vec<_> = v.iter().filter(|v| v.rule == RULE_LOCK_ORDER).collect();
-        assert_eq!(cycles.len(), 1, "{v:?}");
-        assert!(cycles[0].message.contains("core::self.alpha"), "{}", cycles[0].message);
-        assert!(cycles[0].message.contains("`forward`"), "{}", cycles[0].message);
-        assert!(cycles[0].message.contains("`backward`"), "{}", cycles[0].message);
-    }
-
-    #[test]
-    fn consistent_lock_order_passes() {
-        let sources = vec![
-            (
-                "crates/core/src/a.rs".to_string(),
-                "pub fn f() {\n    let _a = self.alpha.lock();\n    \
-                 let _b = self.beta.lock();\n}\n"
-                    .to_string(),
-            ),
-            (
-                "crates/core/src/b.rs".to_string(),
-                "pub fn g() {\n    let _a = self.alpha.lock();\n    \
-                 let _b = self.beta.lock();\n}\n"
-                    .to_string(),
-            ),
-        ];
-        let v = lint_sources(&sources);
-        assert!(v.iter().all(|v| v.rule != RULE_LOCK_ORDER), "{v:?}");
-    }
-
-    #[test]
-    fn same_receiver_in_different_crates_does_not_collide() {
-        // `state.lock()` in two crates, opposite relative order with a
-        // second lock — but the keys are crate-qualified, so no cycle.
-        let sources = vec![
-            (
-                "crates/core/src/a.rs".to_string(),
-                "pub fn f() {\n    let _a = state.lock();\n    let _b = extra.lock();\n}\n"
-                    .to_string(),
-            ),
-            (
-                "crates/sparksim/src/b.rs".to_string(),
-                "pub fn g() {\n    let _b = extra.lock();\n    let _a = state.lock();\n}\n"
-                    .to_string(),
-            ),
-        ];
-        let v = lint_sources(&sources);
-        assert!(v.iter().all(|v| v.rule != RULE_LOCK_ORDER), "{v:?}");
-    }
-
-    #[test]
-    fn lock_order_ignores_tests_and_repeat_acquisitions() {
-        let sources = vec![
-            (
-                "crates/core/src/a.rs".to_string(),
-                // Same lock twice: no self-edge. Inverted pair inside a
-                // #[cfg(test)] module: exempt.
-                "pub fn f() {\n    let _a = m.lock();\n    let _b = m.lock();\n}\n\
-                 #[cfg(test)]\nmod tests {\n    fn t() {\n        let _b = beta.lock();\n        \
-                 let _a = alpha.lock();\n    }\n}\n"
-                    .to_string(),
-            ),
-            (
-                "crates/core/src/b.rs".to_string(),
-                "pub fn g() {\n    let _a = alpha.lock();\n    let _b = beta.lock();\n}\n"
-                    .to_string(),
-            ),
-        ];
-        let v = lint_sources(&sources);
-        assert!(v.iter().all(|v| v.rule != RULE_LOCK_ORDER), "{v:?}");
-    }
-
-    #[test]
-    fn multiline_chained_lock_receiver_resolves() {
-        // `.lock()` on its own line still keys by the receiver above it.
-        let sources = vec![(
-            "crates/core/src/a.rs".to_string(),
-            "pub fn f() {\n    self.alpha\n        .lock();\n    self.beta.lock();\n}\n\
-             pub fn g() {\n    self.beta.lock();\n    self.alpha.lock();\n}\n"
-                .to_string(),
-        )];
-        let v = lint_sources(&sources);
-        assert!(v.iter().any(|v| v.rule == RULE_LOCK_ORDER), "{v:?}");
-    }
-
-    #[test]
-    fn lock_receiver_extraction_cases() {
-        let cases: &[(&str, Option<&str>)] = &[
-            ("let g = state().lock();", Some("state()")),
-            ("let g = self.q.lock();", Some("self.q")),
-            ("let g = STATE.lock();", Some("STATE")),
-            ("let g = crate::st::STATE.lock();", Some("crate::st::STATE")),
-            ("self.0.lock();", Some("self.0")),
-            // Unresolvable receivers are skipped, not misattributed.
-            ("let g = chans[i].lock();", None),
-            ("let g = get(i).lock();", None),
-        ];
-        for (src, want) in cases {
-            let views = lex_views(src);
-            let at = views.blanked.find(".lock()").unwrap();
-            let got = lock_receiver(&views.blanked, at);
-            assert_eq!(got.as_deref(), *want, "src: {src}");
-        }
     }
 
     #[test]

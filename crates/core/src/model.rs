@@ -155,6 +155,36 @@ fn next_model_identity() -> u64 {
     MODEL_IDENTITY.fetch_add(1, Ordering::Relaxed)
 }
 
+/// Checks one attention layer's projections `{layer}.{suffix}`, each
+/// `rows x latent_k`, for [`CostModel::validate_shapes`]. The ids come
+/// from the checkpoint, so they are looked up fallibly.
+fn check_attention(
+    store: &ParamStore,
+    latent_k: usize,
+    layer: &str,
+    projections: [(Option<ParamId>, &str, usize); 2],
+) -> Result<(), String> {
+    for (id, suffix, rows) in projections {
+        let name = format!("{layer}.{suffix}");
+        if rows == 0 || latent_k == 0 {
+            return Err(format!("{name} is declared {rows}x{latent_k}: a zero width"));
+        }
+        let Some(id) = id else {
+            return Err(format!("{name} is enabled in the config but unregistered"));
+        };
+        let Some((found, t)) = store.get(id) else {
+            return Err(format!("{name} is {id:?}, past the store's {} parameters", store.len()));
+        };
+        if found != name || t.shape() != (rows, latent_k) {
+            let (r, c) = t.shape();
+            return Err(format!(
+                "{name} is `{found}` {r}x{c}, expected `{name}` {rows}x{latent_k}"
+            ));
+        }
+    }
+    Ok(())
+}
+
 thread_local! {
     /// Per-thread scratch pool for the tape-free inference path, so
     /// repeated predictions (selection loops, resource sweeps, batch
@@ -315,81 +345,64 @@ impl CostModel {
         model
     }
 
-    /// Runs the symbolic shape checker ([`analysis::shape`]) over this
-    /// model's architecture, using the *actual* parameter tensor shapes
-    /// from the store (not just the config), so inconsistent configs,
-    /// tampered checkpoints and out-of-band weight edits are all caught
-    /// before a forward pass. Returns the per-stage resolved shapes.
-    pub fn validate_shapes(
-        &self,
-    ) -> Result<analysis::shape::ShapeReport, analysis::shape::ShapeError> {
-        use analysis::shape::{ModelShapeSpec, ParamShape, ShapeOp, Stage};
-        let cfg = &self.cfg;
-        let mut stages = Vec::with_capacity(7);
-
-        match (cfg.plan_layer, &self.lstm, &self.cnn) {
-            (PlanLayerKind::Lstm, Some(lstm), _) => stages.push(lstm.shape_stage(&self.store)),
-            (PlanLayerKind::Cnn, _, Some(cnn)) => stages.push(cnn.shape_stage(&self.store)),
-            _ => {
-                return Err(analysis::shape::ShapeError {
-                    layer: "plan".into(),
-                    message: format!("plan layer {:?} has no registered network", cfg.plan_layer),
-                })
+    /// Checks every tensor the forward pass reads against the
+    /// architecture the config declares, by the *actual* parameter ids and
+    /// shapes: each layer's own (`check_params`), the two attention
+    /// projections, that the widths chain (plan layer `node_dim → hidden`,
+    /// both attentions read `hidden`, the head reads `hidden` + [`hidden` +
+    /// `resource_dim`] + stats and ends at 1) and that no width is zero.
+    /// The error names the offending tensor or layer.
+    pub fn validate_shapes(&self) -> Result<(), String> {
+        let (cfg, store) = (&self.cfg, &self.store);
+        let (plan, in_dim, out_dim) = match (cfg.plan_layer, &self.lstm, &self.cnn) {
+            (PlanLayerKind::Lstm, Some(lstm), _) => {
+                lstm.check_params(store, "plan.lstm")?;
+                ("plan.lstm", lstm.in_dim, lstm.hidden)
             }
-        }
-
-        let param = |id: Option<ParamId>,
-                     which: &str|
-         -> Result<ParamShape, analysis::shape::ShapeError> {
-            let id = id.ok_or_else(|| analysis::shape::ShapeError {
-                layer: which.rsplit_once('.').map_or(which, |(l, _)| l).to_string(),
-                message: format!("parameter '{which}' is enabled in the config but unregistered"),
-            })?;
-            let (rows, cols) = self.store.value(id).shape();
-            Ok(ParamShape::new(self.store.name(id), rows, cols))
+            (PlanLayerKind::Cnn, _, Some(cnn)) => {
+                cnn.check_params(store, "plan.cnn")?;
+                ("plan.cnn", cnn.in_dim, cnn.out_dim)
+            }
+            (kind, _, _) => return Err(format!("plan: {kind:?} layer has no registered network")),
         };
-
+        if (in_dim, out_dim) != (cfg.node_dim, cfg.hidden) {
+            return Err(format!(
+                "{plan} maps {in_dim} -> {out_dim}, but the config declares node_dim {} and \
+                 hidden {}",
+                cfg.node_dim, cfg.hidden
+            ));
+        }
+        let mut width = cfg.hidden + PLAN_STAT_FEATURES;
         if cfg.node_attention {
-            stages.push(Stage::new(
+            check_attention(
+                store,
+                cfg.latent_k,
                 "attn.node",
-                ShapeOp::NodeAttention { latent_k: cfg.latent_k },
-                vec![param(self.wq, "attn.node.wq")?, param(self.wk, "attn.node.wk")?],
-            ));
-        } else {
-            stages.push(Stage::new("pool.mean", ShapeOp::MeanPool, vec![]));
+                [(self.wq, "wq", cfg.hidden), (self.wk, "wk", cfg.hidden)],
+            )?;
         }
-
-        let mut parts = vec![("plan_pool".to_string(), cfg.hidden)];
         if cfg.resource_attention {
-            stages.push(Stage::new(
+            check_attention(
+                store,
+                cfg.latent_k,
                 "attn.res",
-                ShapeOp::ResourceAttention {
-                    resource_dim: cfg.resource_dim,
-                    latent_k: cfg.latent_k,
-                    hidden: cfg.hidden,
-                },
-                vec![param(self.wr, "attn.res.wr")?, param(self.wk_res, "attn.res.wk")?],
-            ));
-            parts.push(("resource_ctx".to_string(), cfg.hidden));
-            parts.push(("resources".to_string(), cfg.resource_dim));
+                [(self.wr, "wr", cfg.resource_dim), (self.wk_res, "wk", cfg.hidden)],
+            )?;
+            width += cfg.hidden + cfg.resource_dim;
         }
-        parts.push(("plan_stats".to_string(), PLAN_STAT_FEATURES));
-        stages.push(Stage::new("head.concat", ShapeOp::Concat { parts }, vec![]));
-        stages.push(self.head1.shape_stage(&self.store));
-        stages.push(self.head2.shape_stage(&self.store));
-        stages.push(self.out.shape_stage(&self.store));
-
-        let model = match (cfg.plan_layer, cfg.node_attention, cfg.resource_attention) {
-            (PlanLayerKind::Cnn, _, _) => "RAAC",
-            (PlanLayerKind::Lstm, false, _) => "NA-LSTM",
-            (PlanLayerKind::Lstm, true, false) => "RAAL (no resources)",
-            (PlanLayerKind::Lstm, true, true) => "RAAL",
-        };
-        analysis::shape::check(&ModelShapeSpec {
-            model: model.to_string(),
-            node_input: cfg.node_dim,
-            stages,
-        })
+        for (name, layer) in
+            [("head.1", &self.head1), ("head.2", &self.head2), ("head.out", &self.out)]
+        {
+            layer.check_params(store, name)?;
+            if layer.in_dim != width {
+                return Err(format!("{name} reads {} columns, but is fed {width}", layer.in_dim));
+            }
+            width = layer.out_dim;
+        }
+        if width != 1 {
+            return Err(format!("head.out emits {width} columns, not the one prediction"));
+        }
+        Ok(())
     }
 
     /// Sets the label standardisation constants (normalised-log space).

@@ -45,11 +45,12 @@ impl ModelBundle {
 
     /// Loads a bundle from JSON and restores optimizer buffers.
     ///
-    /// Before the model is handed out, the symbolic shape checker runs
-    /// over the deserialised parameter tensors and the bundled encoder's
-    /// feature width is checked against the model's declared input — so a
-    /// corrupted or tampered checkpoint fails here with a layer-level
-    /// diagnostic (`InvalidData`), not as a kernel panic on first use.
+    /// Before `restore` allocates optimizer buffers of each tensor's
+    /// shape, every parameter id and shape is checked
+    /// ([`CostModel::validate_shapes`]); then the bundled encoder's width
+    /// is checked against the model's input. So a corrupted or tampered
+    /// checkpoint fails here with a diagnostic naming the layer
+    /// (`InvalidData`), not as a panic in the loader or a kernel.
     /// So does one that carries a non-finite `f32`: JSON has no `inf`,
     /// but `1e39` parses and overflows to it, and the model would then
     /// price every plan at 0 s (NaN through the clamp) as a `Model`
@@ -57,14 +58,15 @@ impl ModelBundle {
     /// (`nn::infer::matmul_into` skips products with exact zeros).
     pub fn load(path: &Path) -> std::io::Result<Self> {
         let json = std::fs::read_to_string(path)?;
-        let mut bundle: ModelBundle = serde_json::from_str(&json).map_err(std::io::Error::other)?;
-        bundle.model.restore();
+        let mut bundle: ModelBundle = serde_json::from_str(&json)
+            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
         bundle.model.validate_shapes().map_err(|e| {
             std::io::Error::new(
                 std::io::ErrorKind::InvalidData,
                 format!("checkpoint {} failed the shape check: {e}", path.display()),
             )
         })?;
+        bundle.model.restore();
         if let Some(what) = bundle.first_non_finite() {
             return Err(std::io::Error::new(
                 std::io::ErrorKind::InvalidData,

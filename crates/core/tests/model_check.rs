@@ -248,8 +248,7 @@ fn racing_completers_produce_exactly_one_winner() {
 /// order MUST make the checker fail with a deadlock report, and the
 /// seed it prints MUST deterministically replay the same failure. If
 /// this test ever passes the inverted program, the model checker has
-/// lost its teeth — CI runs it to keep the gate honest (raal-lint's
-/// `lock-order` rule is the static half of the same regression).
+/// lost its teeth — CI runs it to keep the gate honest.
 #[test]
 fn injected_deadlock_fails_the_checker_and_replays_by_seed() {
     let run = || {

@@ -44,20 +44,21 @@ impl Conv1d {
         Self { w, b, in_dim, out_dim, width }
     }
 
-    /// Describes the convolution to the static shape checker: declared
-    /// dimensions plus the actual registered tensor shapes.
-    pub fn shape_stage(&self, store: &ParamStore) -> analysis::shape::Stage {
-        let w_name = store.name(self.w);
-        let layer = w_name.strip_suffix(".w").unwrap_or(w_name).to_string();
-        analysis::shape::Stage::new(
-            layer,
-            analysis::shape::ShapeOp::Conv1d {
-                in_dim: self.in_dim,
-                out_dim: self.out_dim,
-                width: self.width,
-            },
-            vec![super::param_shape(store, self.w), super::param_shape(store, self.b)],
-        )
+    /// Checks the convolution against its own declared dims, as
+    /// [`Conv1d::new`] registers it under `name`: `{name}.w` is
+    /// `width*in_dim x out_dim`, `{name}.b` is `1 x out_dim`, the window
+    /// is odd and no width is zero.
+    pub fn check_params(&self, store: &ParamStore, name: &str) -> Result<(), String> {
+        if self.in_dim == 0 || self.out_dim == 0 || self.width.is_multiple_of(2) {
+            return Err(format!(
+                "{name} maps {} -> {} through a {}-row window: a zero width or an even window",
+                self.in_dim, self.out_dim, self.width
+            ));
+        }
+        // Saturating: a width that overflows matches no tensor.
+        let rows = self.width.saturating_mul(self.in_dim);
+        super::check_param(store, self.w, &format!("{name}.w"), (rows, self.out_dim))?;
+        super::check_param(store, self.b, &format!("{name}.b"), (1, self.out_dim))
     }
 
     /// Applies the convolution with ReLU to an `n x in_dim` sequence.

@@ -1,6 +1,6 @@
 //! Fully connected layer.
 
-use super::param_shape;
+use super::check_param;
 use crate::graph::{Graph, Var};
 use crate::infer::{self, InferArena};
 use crate::init;
@@ -59,17 +59,15 @@ impl Dense {
         (self.w, self.b)
     }
 
-    /// Describes the layer to the static shape checker: declared
-    /// dimensions plus the *actual* registered tensor shapes, so a
-    /// tampered checkpoint cannot satisfy the check by construction.
-    pub fn shape_stage(&self, store: &ParamStore) -> analysis::shape::Stage {
-        let w_name = store.name(self.w);
-        let layer = w_name.strip_suffix(".w").unwrap_or(w_name).to_string();
-        analysis::shape::Stage::new(
-            layer,
-            analysis::shape::ShapeOp::Dense { in_dim: self.in_dim, out_dim: self.out_dim },
-            vec![param_shape(store, self.w), param_shape(store, self.b)],
-        )
+    /// Checks the layer against its own declared dims, as [`Dense::new`]
+    /// registers it under `name`: `{name}.w` is `in_dim x out_dim`,
+    /// `{name}.b` is `1 x out_dim`, and neither width is zero.
+    pub fn check_params(&self, store: &ParamStore, name: &str) -> Result<(), String> {
+        if self.in_dim == 0 || self.out_dim == 0 {
+            return Err(format!("{name} maps {} -> {}: a zero width", self.in_dim, self.out_dim));
+        }
+        check_param(store, self.w, &format!("{name}.w"), (self.in_dim, self.out_dim))?;
+        check_param(store, self.b, &format!("{name}.b"), (1, self.out_dim))
     }
 
     /// Applies the layer to a `batch x in_dim` variable, producing

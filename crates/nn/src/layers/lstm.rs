@@ -51,20 +51,20 @@ impl LstmCell {
         Self { wx, wh, b, in_dim, hidden }
     }
 
-    /// Describes the cell to the static shape checker: declared
-    /// dimensions plus the actual registered tensor shapes.
-    pub fn shape_stage(&self, store: &ParamStore) -> analysis::shape::Stage {
-        let wx_name = store.name(self.wx);
-        let layer = wx_name.strip_suffix(".wx").unwrap_or(wx_name).to_string();
-        analysis::shape::Stage::new(
-            layer,
-            analysis::shape::ShapeOp::Lstm { in_dim: self.in_dim, hidden: self.hidden },
-            vec![
-                super::param_shape(store, self.wx),
-                super::param_shape(store, self.wh),
-                super::param_shape(store, self.b),
-            ],
-        )
+    /// Checks the cell against its own declared dims, as [`LstmCell::new`]
+    /// registers it under `name`: `{name}.wx` is `in_dim x 4*hidden`,
+    /// `{name}.wh` is `hidden x 4*hidden`, `{name}.b` is `1 x 4*hidden`,
+    /// and neither width is zero. A deserialised cell's ids and dims come
+    /// from the checkpoint, so it is checked before it runs.
+    pub fn check_params(&self, store: &ParamStore, name: &str) -> Result<(), String> {
+        if self.in_dim == 0 || self.hidden == 0 {
+            return Err(format!("{name} maps {} -> {}: a zero width", self.in_dim, self.hidden));
+        }
+        // Saturating: a width that overflows matches no tensor.
+        let gates = self.hidden.saturating_mul(4);
+        super::check_param(store, self.wx, &format!("{name}.wx"), (self.in_dim, gates))?;
+        super::check_param(store, self.wh, &format!("{name}.wh"), (self.hidden, gates))?;
+        super::check_param(store, self.b, &format!("{name}.b"), (1, gates))
     }
 
     /// Copies the cell's parameters onto `g`'s tape for use in a sequence.

@@ -12,9 +12,21 @@ pub use lstm::{BoundLstm, LstmCell};
 
 use crate::params::{ParamId, ParamStore};
 
-/// The actual registered shape of one parameter, as the static shape
-/// checker wants it (name + rows + cols).
-pub(crate) fn param_shape(store: &ParamStore, id: ParamId) -> analysis::shape::ParamShape {
-    let (rows, cols) = store.value(id).shape();
-    analysis::shape::ParamShape::new(store.name(id), rows, cols)
+/// Checks that `id` is the parameter registered as `name` with shape
+/// `rows x cols`: what each layer's `check_params` asks of its tensors.
+pub(crate) fn check_param(
+    store: &ParamStore,
+    id: ParamId,
+    name: &str,
+    (rows, cols): (usize, usize),
+) -> Result<(), String> {
+    match store.get(id) {
+        Some((found, t)) if found == name && t.shape() == (rows, cols) => Ok(()),
+        Some((found, t)) => Err(format!(
+            "{name} is `{found}` {}x{}, expected `{name}` {rows}x{cols}",
+            t.rows(),
+            t.cols()
+        )),
+        None => Err(format!("{name} is {id:?}, past the store's {} parameters", store.len())),
+    }
 }

@@ -94,15 +94,25 @@ impl ParamStore {
 
     /// Name given at registration.
     pub fn name(&self, id: ParamId) -> &str {
-        // PANIC-FREE: ParamId values are only minted by register() on
-        // this store, so id.0 < params.len() for any id a caller holds.
+        // PANIC-FREE: a ParamId is minted by register() on this store or,
+        // read from a checkpoint, checked by ModelBundle::load (through
+        // get()), so id.0 < params.len() for any id a caller holds.
         &self.params[id.0].name
     }
 
     /// Current value.
     pub fn value(&self, id: ParamId) -> &Tensor {
-        // PANIC-FREE: same ParamId minting argument as name().
+        // PANIC-FREE: minted by register() or checked by
+        // ModelBundle::load, as for name().
         &self.params[id.0].value
+    }
+
+    /// Name and value of `id`, or `None` if this store holds no such
+    /// parameter: the lookup for ids that come from a checkpoint rather
+    /// than from [`ParamStore::register`], before anything indexes with
+    /// them.
+    pub fn get(&self, id: ParamId) -> Option<(&str, &Tensor)> {
+        self.params.get(id.0).map(|p| (p.name.as_str(), &p.value))
     }
 
     /// Mutable value (used by optimizers and tests).
@@ -189,6 +199,8 @@ mod tests {
         let id = s.register("w", Tensor::row(&[1.0, 2.0]));
         assert_eq!(s.name(id), "w");
         assert_eq!(s.value(id).data(), &[1.0, 2.0]);
+        assert_eq!(s.get(id), Some(("w", s.value(id))));
+        assert_eq!(s.get(ParamId(1)), None);
         assert_eq!(s.grad(id).data(), &[0.0, 0.0]);
         assert_eq!(s.num_weights(), 2);
     }

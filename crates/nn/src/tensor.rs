@@ -52,12 +52,15 @@ impl Deserialize for Tensor {
                 .ok_or_else(|| DeError::new(format!("missing field `{name}` in Tensor"))),
             other => Err(DeError::new(format!("expected object for Tensor, found {other:?}"))),
         };
-        Ok(Tensor {
-            rows: usize::from_value(field("rows")?)?,
-            cols: usize::from_value(field("cols")?)?,
-            buf: Vec::from_value(field("data")?)?,
-            lead: 0,
-        })
+        let rows = usize::from_value(field("rows")?)?;
+        let cols = usize::from_value(field("cols")?)?;
+        let buf: Vec<f32> = Vec::from_value(field("data")?)?;
+        // A shape the data does not fill would let a kernel read past it,
+        // or make whoever trusts the shape allocate what it claims.
+        if rows.checked_mul(cols) != Some(buf.len()) {
+            return Err(DeError::new(format!("Tensor {rows}x{cols} holds {} elements", buf.len())));
+        }
+        Ok(Tensor { rows, cols, buf, lead: 0 })
     }
 }
 
@@ -479,6 +482,19 @@ mod tests {
     #[should_panic(expected = "does not match data length")]
     fn from_vec_rejects_bad_shape() {
         let _ = Tensor::from_vec(2, 2, vec![1.0; 3]);
+    }
+
+    #[test]
+    fn decoding_rejects_data_that_does_not_fill_the_shape() {
+        let good: Tensor = serde_json::from_str(r#"{"rows":1,"cols":2,"data":[1,2]}"#).unwrap();
+        assert_eq!(good, Tensor::row(&[1.0, 2.0]));
+        for json in [
+            r#"{"rows":1,"cols":1,"data":[]}"#,
+            r#"{"rows":1000000000,"cols":32,"data":[1]}"#,
+            r#"{"rows":4294967296,"cols":4294967296,"data":[]}"#,
+        ] {
+            assert!(serde_json::from_str::<Tensor>(json).is_err(), "{json}");
+        }
     }
 
     #[test]

@@ -345,8 +345,7 @@ impl Drop for Span {
         // the stack consistent even if inner guards leaked or panicked.
         // The joined ancestor path doubles as the collapsed-stack key
         // for flamegraph self-time attribution. Registry first, sink
-        // second — the two locks are never held together (lock-order
-        // discipline, see analysis::conc).
+        // second — the two locks are never held together.
         let parent = SPAN_STACK.with(|s| {
             let SpanStack { open, key } = &mut *s.borrow_mut();
             open.truncate(self.depth);
@@ -563,7 +562,7 @@ pub fn shutdown() {
         return;
     }
     // Drain the registry before taking the state lock — the two locks
-    // are never held together (lock-order discipline).
+    // are never held together.
     let snap = registry::drain();
     finalize(&mut lock_state(), snap);
 }
