@@ -56,8 +56,9 @@ impl CachedPlan {
 
     /// What an entry is charged against the budget: the context's
     /// buffers, exactly, and the plan key at two node sizes per node
-    /// (the arena slot plus about as much again in names, column lists
-    /// and predicate trees — 315 B per node over 6463 generated plans).
+    /// (272 B: the arena slot plus its column lists and predicate trees;
+    /// the names are the catalog's and the query's, shared — a cloned
+    /// plan owns 245 B per node over the benchmark's 12 940 pool plans).
     fn charge(plan: &PhysicalPlan, context: &PlanContext) -> usize {
         size_of::<CachedPlan>() + 2 * plan.len() * size_of::<PhysicalNode>() + context.heap_bytes()
     }

@@ -1,16 +1,19 @@
 //! The catalog: registered tables plus their statistics.
 
+use crate::schema::Name;
 use crate::stats::{compute_table_stats, TableStats};
 use crate::storage::Table;
 use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Registry of tables available to the engine. Statistics are computed at
-/// registration time (the equivalent of `ANALYZE TABLE`).
+/// registration time (the equivalent of `ANALYZE TABLE`). Its tables'
+/// schemas own the [`Name`] of every table and column, which the binder
+/// hands out to every plan that names them.
 #[derive(Debug, Clone, Default)]
 pub struct Catalog {
-    tables: HashMap<String, Arc<Table>>,
-    stats: HashMap<String, TableStats>,
+    tables: HashMap<Name, Arc<Table>>,
+    stats: HashMap<Name, TableStats>,
 }
 
 impl Catalog {
@@ -40,7 +43,7 @@ impl Catalog {
 
     /// Names of all registered tables (unordered).
     pub fn table_names(&self) -> impl Iterator<Item = &str> {
-        self.tables.keys().map(String::as_str)
+        self.tables.keys().map(Name::as_str)
     }
 
     /// Number of registered tables.

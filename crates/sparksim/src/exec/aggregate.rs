@@ -51,52 +51,95 @@ impl Acc {
         }
     }
 
-    fn update(&mut self, value: Option<&Value>) {
+    /// Folds one input row: `arg` is the argument column and the row,
+    /// `None` for `COUNT(*)`.
+    fn update(&mut self, arg: Option<(&Column, usize)>) {
         match self {
-            Acc::Count(c) => {
-                // COUNT(*) (value = None) counts rows; COUNT(col) counts
-                // non-NULL values.
-                match value {
-                    None => *c += 1,
-                    Some(v) if !v.is_null() => *c += 1,
-                    _ => {}
-                }
-            }
+            // COUNT(*) counts rows; COUNT(col) counts non-NULL values.
+            Acc::Count(c) => *c += i64::from(arg.is_none_or(|(col, row)| col.is_valid(row))),
             Acc::Sum { sum, any } => {
-                if let Some(x) = value.and_then(|v| v.as_f64()) {
+                if let Some(x) = arg.and_then(|(col, row)| number_at(col, row)) {
                     *sum += x;
                     *any = true;
                 }
             }
             Acc::MinMax { best, is_min } => {
-                let Some(v) = value else { return };
-                if v.is_null() {
-                    return;
-                }
-                let better = match best {
-                    None => true,
-                    Some(b) => match v.sql_cmp(b) {
-                        Some(ord) => {
-                            if *is_min {
-                                ord == std::cmp::Ordering::Less
-                            } else {
-                                ord == std::cmp::Ordering::Greater
-                            }
-                        }
-                        None => false,
-                    },
-                };
-                if better {
-                    *best = Some(v.clone());
+                if let Some((col, row)) = arg {
+                    fold_best(best, *is_min, col.value(row));
                 }
             }
             Acc::Avg { sum, count } => {
-                if let Some(x) = value.and_then(|v| v.as_f64()) {
+                if let Some(x) = arg.and_then(|(col, row)| number_at(col, row)) {
                     *sum += x;
                     *count += 1;
                 }
             }
         }
+    }
+
+    /// Folds row `row` of the accumulator columns `partial` emitted for
+    /// this aggregate, in `partial_tags` order.
+    fn merge(&mut self, partial: &[&Column], row: usize) {
+        match (self, partial) {
+            (Acc::Count(c), [count]) => *c += int_at(count, row).unwrap_or(0),
+            (Acc::Sum { sum, any }, [partial_sum]) => {
+                if let Some(x) = number_at(partial_sum, row) {
+                    *sum += x;
+                    *any = true;
+                }
+            }
+            (Acc::MinMax { best, is_min }, [partial_best]) => {
+                fold_best(best, *is_min, partial_best.value(row))
+            }
+            (Acc::Avg { sum, count }, [partial_sum, partial_count]) => {
+                *sum += number_at(partial_sum, row).unwrap_or(0.0);
+                *count += int_at(partial_count, row).unwrap_or(0);
+            }
+            _ => unreachable!("accumulator/partial column mismatch"),
+        }
+    }
+}
+
+/// Keeps the smaller (`is_min`) or larger of `best` and a non-NULL `v`.
+fn fold_best(best: &mut Option<Value>, is_min: bool, v: Value) {
+    if v.is_null() {
+        return;
+    }
+    let better = match best {
+        None => true,
+        Some(b) => match v.sql_cmp(b) {
+            Some(ord) => {
+                if is_min {
+                    ord == std::cmp::Ordering::Less
+                } else {
+                    ord == std::cmp::Ordering::Greater
+                }
+            }
+            None => false,
+        },
+    };
+    if better {
+        *best = Some(v);
+    }
+}
+
+/// `col.value(row).as_f64()` without building the `Value`.
+fn number_at(col: &Column, row: usize) -> Option<f64> {
+    if !col.is_valid(row) {
+        return None;
+    }
+    match &col.data {
+        ColumnData::Int(v) => Some(v[row] as f64),
+        ColumnData::Float(v) => Some(v[row]),
+        ColumnData::Str { .. } => None,
+    }
+}
+
+/// `col.value(row).as_i64()` without building the `Value`.
+fn int_at(col: &Column, row: usize) -> Option<i64> {
+    match &col.data {
+        ColumnData::Int(v) if col.is_valid(row) => Some(v[row]),
+        _ => None,
     }
 }
 
@@ -104,17 +147,35 @@ impl Acc {
 struct Groups {
     keys: Vec<Vec<KeyValue>>,
     index: HashMap<Vec<KeyValue>, usize>,
+    /// The key being looked up, reused from row to row.
+    scratch: Vec<KeyValue>,
 }
 
 impl Groups {
     fn new() -> Self {
-        Self { keys: Vec::new(), index: HashMap::new() }
+        Self {
+            keys: Vec::new(),
+            index: HashMap::new(),
+            scratch: Vec::new(),
+        }
     }
 
-    fn get_or_insert(&mut self, key: Vec<KeyValue>) -> usize {
-        if let Some(&i) = self.index.get(&key) {
+    /// The group of `row` under the group columns `by`, added if new. A
+    /// row of a known group allocates nothing (a string key aside).
+    fn of_row(&mut self, by: &[&Column], row: usize) -> usize {
+        // Without group columns every row is in the one group.
+        if by.is_empty() && !self.keys.is_empty() {
+            return 0;
+        }
+        self.scratch.clear();
+        self.scratch.extend(by.iter().map(|c| KeyValue::at(c, row)));
+        if let Some(&i) = self.index.get(self.scratch.as_slice()) {
             return i;
         }
+        self.insert(self.scratch.clone())
+    }
+
+    fn insert(&mut self, key: Vec<KeyValue>) -> usize {
         let i = self.keys.len();
         self.index.insert(key.clone(), i);
         self.keys.push(key);
@@ -122,20 +183,17 @@ impl Groups {
     }
 }
 
-fn group_key(
-    batch: &Batch,
+/// The group columns of `batch`, looked up once.
+fn group_columns<'a>(
+    batch: &'a Batch,
     group_by: &[ColumnRef],
-    row: usize,
-) -> Result<Vec<KeyValue>, ExecError> {
+) -> Result<Vec<&'a Column>, ExecError> {
     group_by
         .iter()
         .map(|re| {
-            batch
-                .column(re)
-                .map(|c| KeyValue::from_value(&c.value(row)))
-                .ok_or_else(|| ExecError {
-                    message: format!("aggregate input is missing group column {re}"),
-                })
+            batch.column(re).ok_or_else(|| ExecError {
+                message: format!("aggregate input is missing group column {re}"),
+            })
         })
         .collect()
 }
@@ -143,6 +201,7 @@ fn group_key(
 fn partial(input: &Batch, group_by: &[ColumnRef], aggs: &[AggSpec]) -> Result<Batch, ExecError> {
     let mut groups = Groups::new();
     let mut accs: Vec<Vec<Acc>> = Vec::new();
+    let by = group_columns(input, group_by)?;
     let arg_cols: Vec<Option<&Column>> = aggs
         .iter()
         .map(|a| a.arg.as_ref().and_then(|c| input.column(c)))
@@ -154,19 +213,17 @@ fn partial(input: &Batch, group_by: &[ColumnRef], aggs: &[AggSpec]) -> Result<Ba
     }
 
     for row in 0..input.num_rows() {
-        let key = group_key(input, group_by, row)?;
-        let g = groups.get_or_insert(key);
+        let g = groups.of_row(&by, row);
         if g == accs.len() {
             accs.push(aggs.iter().map(Acc::new).collect());
         }
-        for (ai, acc) in accs[g].iter_mut().enumerate() {
-            let value = arg_cols[ai].map(|c| c.value(row));
-            acc.update(value.as_ref());
+        for (acc, col) in accs[g].iter_mut().zip(&arg_cols) {
+            acc.update(col.map(|c| (c, row)));
         }
     }
     // A global aggregate over empty input still yields one (empty) group.
     if group_by.is_empty() && groups.keys.is_empty() {
-        groups.get_or_insert(vec![]);
+        groups.insert(vec![]);
         accs.push(aggs.iter().map(Acc::new).collect());
     }
 
@@ -238,63 +295,53 @@ fn partial(input: &Batch, group_by: &[ColumnRef], aggs: &[AggSpec]) -> Result<Ba
     Ok(out)
 }
 
+/// The accumulator columns `partial` emits for one aggregate, by tag.
+fn partial_tags(func: AggFunc) -> &'static [&'static str] {
+    match func {
+        AggFunc::Count => &["count"],
+        AggFunc::Sum => &["sum"],
+        AggFunc::Min => &["min"],
+        AggFunc::Max => &["max"],
+        AggFunc::Avg => &["avg_sum", "avg_count"],
+    }
+}
+
 fn final_merge(
     input: &Batch,
     group_by: &[ColumnRef],
     aggs: &[AggSpec],
 ) -> Result<Batch, ExecError> {
     let mut groups = Groups::new();
-    // Per group, per agg: merged state as (f64 sum, i64 count, Option<Value> best, bool any).
     let mut merged: Vec<Vec<Acc>> = Vec::new();
+    let by = group_columns(input, group_by)?;
+    // Per aggregate, its accumulator columns, looked up once.
+    let partials = aggs
+        .iter()
+        .enumerate()
+        .map(|(ai, spec)| {
+            partial_tags(spec.func)
+                .iter()
+                .map(|tag| {
+                    let re = acc_ref(ai, tag);
+                    input.column(&re).ok_or_else(|| ExecError {
+                        message: format!("final aggregate expects partial column {re}"),
+                    })
+                })
+                .collect::<Result<Vec<&Column>, ExecError>>()
+        })
+        .collect::<Result<Vec<_>, ExecError>>()?;
 
     for row in 0..input.num_rows() {
-        let key = group_key(input, group_by, row)?;
-        let g = groups.get_or_insert(key);
+        let g = groups.of_row(&by, row);
         if g == merged.len() {
             merged.push(aggs.iter().map(Acc::new).collect());
         }
-        for (ai, spec) in aggs.iter().enumerate() {
-            match spec.func {
-                AggFunc::Count => {
-                    let v = fetch(input, ai, "count", row)?;
-                    let Acc::Count(c) = &mut merged[g][ai] else {
-                        unreachable!("accumulator/function mismatch")
-                    };
-                    *c += v.as_i64().unwrap_or(0);
-                }
-                AggFunc::Sum => {
-                    let v = fetch(input, ai, "sum", row)?;
-                    let Acc::Sum { sum, any } = &mut merged[g][ai] else {
-                        unreachable!("accumulator/function mismatch")
-                    };
-                    if let Some(x) = v.as_f64() {
-                        *sum += x;
-                        *any = true;
-                    }
-                }
-                AggFunc::Min | AggFunc::Max => {
-                    let tag = if spec.func == AggFunc::Min {
-                        "min"
-                    } else {
-                        "max"
-                    };
-                    let v = fetch(input, ai, tag, row)?;
-                    merged[g][ai].update(Some(&v));
-                }
-                AggFunc::Avg => {
-                    let s = fetch(input, ai, "avg_sum", row)?;
-                    let c = fetch(input, ai, "avg_count", row)?;
-                    let Acc::Avg { sum, count } = &mut merged[g][ai] else {
-                        unreachable!("accumulator/function mismatch")
-                    };
-                    *sum += s.as_f64().unwrap_or(0.0);
-                    *count += c.as_i64().unwrap_or(0);
-                }
-            }
+        for (acc, partial) in merged[g].iter_mut().zip(&partials) {
+            acc.merge(partial, row);
         }
     }
     if group_by.is_empty() && groups.keys.is_empty() {
-        groups.get_or_insert(vec![]);
+        groups.insert(vec![]);
         merged.push(aggs.iter().map(Acc::new).collect());
     }
 
@@ -325,13 +372,6 @@ fn final_merge(
         out.push(ColumnRef::new(AGG_TABLE, format!("a{ai}")), column_from_values(&vals));
     }
     Ok(out)
-}
-
-fn fetch(input: &Batch, ai: usize, tag: &str, row: usize) -> Result<Value, ExecError> {
-    let re = acc_ref(ai, tag);
-    input.column(&re).map(|c| c.value(row)).ok_or_else(|| ExecError {
-        message: format!("final aggregate expects partial column {re}"),
-    })
 }
 
 fn acc_ref(ai: usize, tag: &str) -> ColumnRef {

@@ -28,10 +28,7 @@ pub fn hash_join(
         if !build_col.is_valid(i) {
             continue;
         }
-        table
-            .entry(KeyValue::from_value(&build_col.value(i)))
-            .or_default()
-            .push(i);
+        table.entry(KeyValue::at(build_col, i)).or_default().push(i);
     }
 
     let mut probe_idx = Vec::new();
@@ -40,7 +37,7 @@ pub fn hash_join(
         if !probe_col.is_valid(i) {
             continue;
         }
-        if let Some(matches) = table.get(&KeyValue::from_value(&probe_col.value(i))) {
+        if let Some(matches) = table.get(&KeyValue::at(probe_col, i)) {
             if probe_idx.len() + matches.len() > max_rows {
                 return exec_err(format!("join output exceeds the {max_rows}-row limit"));
             }

@@ -15,7 +15,9 @@ use crate::batch::Batch;
 use crate::catalog::Catalog;
 use crate::plan::physical::{NodeId, PhysicalOp, PhysicalPlan};
 use crate::schema::ColumnRef;
+use crate::storage::{Column, ColumnData};
 use crate::types::Value;
+use std::cmp::Ordering;
 use std::fmt;
 
 pub use aggregate::execute_aggregate;
@@ -234,29 +236,43 @@ pub fn apply_filter(batch: &Batch, predicate: &crate::expr::Expr) -> Batch {
     batch.take(&keep)
 }
 
-/// Sorts a batch by keys (ascending flags per key; NULLs sort last).
+/// Sorts a batch by keys (ascending flags per key; NULLs sort last). The
+/// sort is stable; a key the batch lacks orders nothing.
 pub fn sort_batch(batch: &Batch, keys: &[(ColumnRef, bool)]) -> Batch {
+    let keys: Vec<(&Column, bool)> = keys
+        .iter()
+        .filter_map(|(re, asc)| batch.column(re).map(|col| (col, *asc)))
+        .collect();
     let mut indices: Vec<usize> = (0..batch.num_rows()).collect();
     indices.sort_by(|&a, &b| {
-        for (re, asc) in keys {
-            let Some(col) = batch.column(re) else {
-                continue;
-            };
-            let (va, vb) = (col.value(a), col.value(b));
-            let ord = match (va.is_null(), vb.is_null()) {
-                (true, true) => std::cmp::Ordering::Equal,
-                (true, false) => std::cmp::Ordering::Greater,
-                (false, true) => std::cmp::Ordering::Less,
-                (false, false) => va.sql_cmp(&vb).unwrap_or(std::cmp::Ordering::Equal),
-            };
-            let ord = if *asc { ord } else { ord.reverse() };
-            if ord != std::cmp::Ordering::Equal {
+        for &(col, asc) in &keys {
+            let ord = cmp_rows(col, a, b);
+            let ord = if asc { ord } else { ord.reverse() };
+            if ord != Ordering::Equal {
                 return ord;
             }
         }
-        std::cmp::Ordering::Equal
+        Ordering::Equal
     });
     batch.take(&indices)
+}
+
+/// Orders rows `a` and `b` of `col` as [`Value::sql_cmp`] orders their
+/// values — NaN ties — with NULLs last and tied, reading the typed data
+/// in place rather than building a `Value` per comparison.
+fn cmp_rows(col: &Column, a: usize, b: usize) -> Ordering {
+    match (col.is_valid(a), col.is_valid(b)) {
+        (false, false) => Ordering::Equal,
+        (false, true) => Ordering::Greater,
+        (true, false) => Ordering::Less,
+        (true, true) => match &col.data {
+            ColumnData::Int(v) => v[a].cmp(&v[b]),
+            ColumnData::Float(v) => v[a].partial_cmp(&v[b]).unwrap_or(Ordering::Equal),
+            ColumnData::Str { codes, dict } => {
+                dict[codes[a] as usize].cmp(&dict[codes[b] as usize])
+            }
+        },
+    }
 }
 
 /// A hashable, comparable wrapper over [`Value`] for grouping and hash
@@ -285,6 +301,19 @@ impl KeyValue {
         }
     }
 
+    /// The key of row `row` of `col`: `from_value(&col.value(row))`
+    /// without building the `Value`.
+    pub(crate) fn at(col: &Column, row: usize) -> KeyValue {
+        if !col.is_valid(row) {
+            return KeyValue::Null;
+        }
+        match &col.data {
+            ColumnData::Int(v) => KeyValue::Int(v[row]),
+            ColumnData::Float(v) => KeyValue::Float(v[row].to_bits()),
+            ColumnData::Str { codes, dict } => KeyValue::Str(dict[codes[row] as usize].clone()),
+        }
+    }
+
     /// Back to a scalar.
     pub fn to_value(&self) -> Value {
         match self {
@@ -300,7 +329,6 @@ impl KeyValue {
 mod tests {
     use super::*;
     use crate::expr::{CmpOp, Expr};
-    use crate::storage::{Column, ColumnData};
 
     fn batch() -> Batch {
         let mut b = Batch::new();
@@ -365,10 +393,109 @@ mod tests {
         assert!(col.value(2).is_null());
     }
 
+    /// `sort_batch` as it was: every comparison looks its keys up by name
+    /// and compares the rows' `Value`s through `sql_cmp`.
+    fn sort_by_values(batch: &Batch, keys: &[(ColumnRef, bool)]) -> Batch {
+        let mut indices: Vec<usize> = (0..batch.num_rows()).collect();
+        indices.sort_by(|&a, &b| {
+            for (re, asc) in keys {
+                let Some(col) = batch.column(re) else {
+                    continue;
+                };
+                let (va, vb) = (col.value(a), col.value(b));
+                let ord = match (va.is_null(), vb.is_null()) {
+                    (true, true) => Ordering::Equal,
+                    (true, false) => Ordering::Greater,
+                    (false, true) => Ordering::Less,
+                    (false, false) => va.sql_cmp(&vb).unwrap_or(Ordering::Equal),
+                };
+                let ord = if *asc { ord } else { ord.reverse() };
+                if ord != Ordering::Equal {
+                    return ord;
+                }
+            }
+            Ordering::Equal
+        });
+        batch.take(&indices)
+    }
+
+    /// Ties, NULLs, NaN, ±0, integers past 2^53, strings and a missing
+    /// key, one and two keys each way: the same stable permutation.
+    #[test]
+    fn sort_equals_the_value_comparing_reference() {
+        let n = 300;
+        let mut state = 7u64;
+        let mut next = move |m: u64| {
+            state = state.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+            (state >> 33) % m
+        };
+        let edge = 1i64 << 53;
+        let (mut ints, mut floats, mut valid) = (Vec::new(), Vec::new(), Vec::new());
+        let mut names = crate::storage::StrColumnBuilder::new();
+        for _ in 0..n {
+            ints.push([3, -1, edge, edge + 1, 0][next(5) as usize]);
+            floats.push([0.5, -0.0, 0.0, f64::NAN, 2.0, 1e300][next(6) as usize]);
+            valid.push(next(7) != 0);
+            match next(5) {
+                0 => names.push_null(),
+                k => names.push(["b", "a", "ab", "B"][k as usize - 1]),
+            }
+        }
+        let mut b = Batch::new();
+        let (i, f, s) =
+            (ColumnRef::new("t", "i"), ColumnRef::new("t", "f"), ColumnRef::new("t", "s"));
+        b.push(
+            i.clone(),
+            Column {
+                data: ColumnData::Int(ints),
+                validity: Some(valid.clone()),
+            },
+        );
+        b.push(
+            f.clone(),
+            Column {
+                data: ColumnData::Float(floats),
+                validity: Some(valid),
+            },
+        );
+        b.push(s.clone(), names.finish());
+        b.push(ColumnRef::new("t", "row"), Column::non_null(ColumnData::Int((0..n).collect())));
+        let missing = ColumnRef::new("t", "missing");
+        for keys in [
+            vec![(i.clone(), true)],
+            vec![(i.clone(), false)],
+            vec![(f.clone(), true)],
+            vec![(s.clone(), false)],
+            vec![(f.clone(), false), (i.clone(), true)],
+            vec![(s.clone(), true), (f.clone(), true)],
+            vec![(missing, true), (s, true), (i, false)],
+        ] {
+            let (got, want) = (sort_batch(&b, &keys), sort_by_values(&b, &keys));
+            for (g, w) in got.entries().iter().zip(want.entries()) {
+                let rows = |c: &Column| -> Vec<String> {
+                    (0..n as usize).map(|r| format!("{:?}", c.value(r))).collect()
+                };
+                assert_eq!(rows(&g.1), rows(&w.1), "{keys:?}: column {}", g.0);
+            }
+        }
+    }
+
     #[test]
     fn key_value_round_trip() {
         for v in [Value::Null, Value::Int(-7), Value::Float(2.5), Value::Str("abc".into())] {
             assert_eq!(KeyValue::from_value(&v).to_value(), v);
+        }
+        let mut names = crate::storage::StrColumnBuilder::new();
+        names.push("abc");
+        names.push_null();
+        let floats = Column {
+            data: ColumnData::Float(vec![2.5, -0.0]),
+            validity: Some(vec![false, true]),
+        };
+        for col in [names.finish(), floats, batch().entries()[0].1.clone()] {
+            for row in 0..col.len() {
+                assert_eq!(KeyValue::at(&col, row), KeyValue::from_value(&col.value(row)));
+            }
         }
     }
 }

@@ -335,6 +335,10 @@ fn cmp_column_literal(col: &Column, op: CmpOp, lit: &Value) -> Vec<Option<bool>>
     // below need no per-arm re-extraction (and no unwrap).
     let num = lit.as_f64();
     match (&col.data, lit, num) {
+        // Integers against an integer compare exactly, as `sql_cmp` does.
+        (ColumnData::Int(v), Value::Int(x), _) => (0..n)
+            .map(|i| col.is_valid(i).then(|| op.test(v[i].cmp(x))))
+            .collect(),
         (ColumnData::Int(v), _, Some(x)) => (0..n)
             .map(|i| {
                 if col.is_valid(i) {
@@ -446,6 +450,17 @@ mod tests {
     fn numeric_comparison_mask() {
         let e = Expr::cmp(col("id"), CmpOp::Lt, Value::Int(3));
         assert_eq!(e.eval_mask(&batch()), vec![Some(true), Some(true), Some(false), Some(false)]);
+    }
+
+    /// The column-vs-literal fast path agrees with `sql_cmp`, which
+    /// tells 2^53 from 2^53 + 1.
+    #[test]
+    fn integer_literal_compares_exactly_past_two_to_the_53() {
+        let mut b = Batch::new();
+        b.push(col("id"), Column::non_null(ColumnData::Int(vec![1 << 53, (1 << 53) + 1])));
+        let e = Expr::cmp(col("id"), CmpOp::Eq, Value::Int((1 << 53) + 1));
+        assert_eq!(e.eval_mask(&b), vec![Some(false), Some(true)]);
+        assert_eq!(e.eval_row(&b, 0), Value::Int(0));
     }
 
     #[test]

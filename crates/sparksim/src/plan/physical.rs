@@ -9,7 +9,7 @@
 
 use crate::expr::Expr;
 use crate::plan::spec::AggSpec;
-use crate::schema::ColumnRef;
+use crate::schema::{ColumnRef, Name};
 use std::fmt::{self, Write as _};
 use std::hash::{Hash, Hasher};
 
@@ -31,9 +31,9 @@ pub enum PhysicalOp {
     /// Columnar scan of a base table with optional pushed-down filter.
     FileScan {
         /// Query binding (alias) this scan feeds.
-        binding: String,
+        binding: Name,
         /// Base table name in the catalog.
-        table: String,
+        table: Name,
         /// Output columns (binding-qualified).
         output: Vec<ColumnRef>,
         /// Filter pushed into the scan, if any.

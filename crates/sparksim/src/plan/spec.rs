@@ -5,7 +5,7 @@
 
 use crate::catalog::Catalog;
 use crate::expr::{CmpOp, Expr};
-use crate::schema::ColumnRef;
+use crate::schema::{ColumnRef, Name};
 use crate::sql::ast::{AggFunc, AstColumn, AstExpr, Query, SelectItem};
 use crate::types::DataType;
 use std::collections::HashMap;
@@ -16,9 +16,9 @@ use std::fmt;
 pub struct Binding {
     /// The name used to reference this table in the query (alias or table
     /// name) — also the qualifier used in resolved [`ColumnRef`]s.
-    pub name: String,
+    pub name: Name,
     /// The base table in the catalog.
-    pub table: String,
+    pub table: Name,
 }
 
 /// An equi-join edge between two bindings.
@@ -64,7 +64,7 @@ pub struct QuerySpec {
     /// `FROM` bindings, in query order.
     pub bindings: Vec<Binding>,
     /// Conjunctive single-table filters, keyed by binding name.
-    pub table_filters: HashMap<String, Expr>,
+    pub table_filters: HashMap<Name, Expr>,
     /// Equi-join edges.
     pub join_edges: Vec<JoinEdge>,
     /// Predicates that are neither single-table nor equi-join (applied
@@ -178,14 +178,20 @@ pub fn resolve(query: &Query, catalog: &Catalog) -> Result<QuerySpec, ResolveErr
     // 1. Bindings.
     let mut bindings = Vec::with_capacity(query.tables.len());
     for t in &query.tables {
-        if catalog.table(&t.name).is_none() {
+        let Some(table) = catalog.table(&t.name) else {
             return err_at(t.position, format!("unknown table '{}'", t.name));
-        }
-        let name = t.binding().to_string();
+        };
+        // The catalog's name for the table; an alias is allocated here,
+        // once per query.
+        let table = table.schema.name.clone();
+        let name = match &t.alias {
+            Some(alias) => Name::from(alias.as_str()),
+            None => table.clone(),
+        };
         if bindings.iter().any(|b: &Binding| b.name == name) {
             return err_at(t.position, format!("duplicate binding '{name}'"));
         }
-        bindings.push(Binding { name, table: t.name.clone() });
+        bindings.push(Binding { name, table });
     }
 
     let resolver = ColumnResolver { bindings: &bindings, catalog };
@@ -223,7 +229,7 @@ pub fn resolve(query: &Query, catalog: &Catalog) -> Result<QuerySpec, ResolveErr
     }
 
     // 3. Predicate classification.
-    let mut table_filter_lists: HashMap<String, Vec<Expr>> = HashMap::new();
+    let mut table_filter_lists: HashMap<Name, Vec<Expr>> = HashMap::new();
     let mut join_edges = Vec::new();
     let mut residual = Vec::new();
     if let Some(pred) = &query.predicate {
@@ -304,7 +310,7 @@ pub fn resolve(query: &Query, catalog: &Catalog) -> Result<QuerySpec, ResolveErr
 
 enum Class {
     Join(JoinEdge),
-    SingleTable(String),
+    SingleTable(Name),
     Residual,
 }
 
@@ -318,11 +324,11 @@ fn classify(factor: &Expr) -> Class {
         }
     }
     let cols = factor.referenced_columns();
-    let mut tables: Vec<&str> = cols.iter().map(|c| c.table.as_str()).collect();
+    let mut tables: Vec<&Name> = cols.iter().map(|c| &c.table).collect();
     tables.sort_unstable();
     tables.dedup();
     match tables.as_slice() {
-        [single] => Class::SingleTable((*single).to_string()),
+        [single] => Class::SingleTable((*single).clone()),
         _ => Class::Residual,
     }
 }
@@ -358,24 +364,24 @@ impl ColumnResolver<'_> {
                             position: Some(c.position),
                         })?;
                 let table = self.bound_table(b)?;
-                if table.schema.column_index(&c.name).is_none() {
+                let Some(def) = table.schema.column(&c.name) else {
                     return err_at(
                         c.position,
                         format!("table '{}' has no column '{}'", b.table, c.name),
                     );
-                }
-                Ok(ColumnRef::new(b.name.clone(), c.name.clone()))
+                };
+                Ok(ColumnRef::new(b.name.clone(), def.name.clone()))
             }
             None => {
                 let mut matches = Vec::new();
                 for b in self.bindings {
                     let table = self.bound_table(b)?;
-                    if table.schema.column_index(&c.name).is_some() {
-                        matches.push(b);
+                    if let Some(def) = table.schema.column(&c.name) {
+                        matches.push(ColumnRef::new(b.name.clone(), def.name.clone()));
                     }
                 }
                 match matches.as_slice() {
-                    [one] => Ok(ColumnRef::new(one.name.clone(), c.name.clone())),
+                    [one] => Ok(one.clone()),
                     [] => err_at(c.position, format!("unknown column '{}'", c.name)),
                     _ => err_at(c.position, format!("ambiguous column '{}'", c.name)),
                 }

@@ -126,7 +126,7 @@ pub const DEFAULT_HISTOGRAM_BUCKETS: usize = 64;
 pub fn compute_table_stats(table: &Table) -> TableStats {
     let mut columns = HashMap::with_capacity(table.schema.width());
     for (def, col) in table.schema.columns.iter().zip(&table.columns) {
-        columns.insert(def.name.clone(), compute_column_stats(col));
+        columns.insert(def.name.to_string(), compute_column_stats(col));
     }
     TableStats {
         row_count: table.num_rows() as u64,

@@ -80,11 +80,14 @@ impl Value {
         }
     }
 
-    /// SQL comparison semantics: NULL compares as `None` (unknown);
-    /// numeric types compare cross-type; strings compare lexicographically.
+    /// SQL comparison semantics: NULL compares as `None` (unknown); two
+    /// integers compare exactly, as the hash join's keys do; an integer
+    /// and a float compare through `f64`; strings compare
+    /// lexicographically.
     pub fn sql_cmp(&self, other: &Value) -> Option<Ordering> {
         match (self, other) {
             (Value::Null, _) | (_, Value::Null) => None,
+            (Value::Int(a), Value::Int(b)) => Some(a.cmp(b)),
             (Value::Str(a), Value::Str(b)) => Some(a.cmp(b)),
             (a, b) => {
                 let (x, y) = (a.as_f64()?, b.as_f64()?);
@@ -134,6 +137,15 @@ mod tests {
     fn cross_numeric_comparison() {
         assert_eq!(Value::Int(2).sql_cmp(&Value::Float(2.5)), Some(Ordering::Less));
         assert_eq!(Value::Float(3.0).sql_cmp(&Value::Int(3)), Some(Ordering::Equal));
+    }
+
+    /// 2^53 and 2^53 + 1 are one `f64`, but two integers.
+    #[test]
+    fn integers_compare_exactly_past_two_to_the_53() {
+        let (a, b) = (Value::Int(1 << 53), Value::Int((1 << 53) + 1));
+        assert_eq!(a.sql_cmp(&b), Some(Ordering::Less));
+        assert_eq!(b.sql_cmp(&a), Some(Ordering::Greater));
+        assert_eq!(a.sql_cmp(&Value::Float((1u64 << 53) as f64)), Some(Ordering::Equal));
     }
 
     #[test]

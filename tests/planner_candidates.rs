@@ -1,11 +1,13 @@
-//! The planner's candidate lists and the simulator's reports, pinned
-//! without a golden file: the early exit at `max_plans` returns exactly
-//! the prefix a far larger budget returns, every list is pairwise
-//! distinct under the rendered fingerprint, and two folds — one over
-//! every candidate's text and estimates, one over every field of its
-//! simulated reports — equal the constants recorded before refactors.
+//! The planner's candidate lists, the executor's output and the
+//! simulator's reports, pinned without a golden file: the early exit at
+//! `max_plans` returns exactly the prefix a far larger budget returns,
+//! every list is pairwise distinct under the rendered fingerprint, and
+//! three folds — over every candidate's text and estimates, over its
+//! executed batch and metrics, and over every field of its simulated
+//! reports — equal the constants recorded before refactors.
 
 use sparksim::plan::planner::{Planner, PlannerOptions};
+use sparksim::types::Value;
 use sparksim::{ClusterConfig, Engine, ResourceGrid, SimulatorConfig};
 use workloads::imdb::{generate, ImdbConfig};
 use workloads::querygen::{generate_queries, QueryGenConfig};
@@ -20,6 +22,12 @@ const CANDIDATE_FOLD: u64 = 0xe8f6_26b3_b2d9_73cb;
 /// two seeds — recorded at commit `1241ccd`, before the fault layer and
 /// dynamic allocation were deleted.
 const SIM_FOLD: u64 = 0x93a4_37d5_189f_62e4;
+/// FNV-1a fold of every candidate's executed root batch (column names,
+/// then each row's values by bits, in row order) and of every
+/// `NodeMetrics` field, over the same queries — recorded at commit
+/// `84492ce`, before plan names became shared and the executor's
+/// per-row loops stopped looking columns up by name.
+const EXEC_FOLD: u64 = 0xb7e0_2394_6863_c979;
 const QUERIES: usize = 640;
 
 fn fnv(hash: &mut u64, bytes: &[u8]) {
@@ -115,5 +123,54 @@ fn simulated_reports_are_the_same_bits_as_before() {
     assert_eq!(
         fold, SIM_FOLD,
         "{reports} reports fold to {fold:#018x}: the simulator's output changed"
+    );
+}
+
+#[test]
+fn executed_batches_and_metrics_are_the_same_bits_as_before() {
+    let (engine, queries) = engine_and_queries();
+    let mut fold = 0xcbf2_9ce4_8422_2325u64;
+    let (mut plans, mut rows) = (0usize, 0usize);
+    for sql in &queries {
+        for plan in &engine.plan_candidates(sql).unwrap_or_else(|e| panic!("{sql}: {e}")) {
+            let result = engine.execute_plan(plan).unwrap_or_else(|e| panic!("{sql}: {e}"));
+            let batch = &result.batch;
+            fnv(&mut fold, &(batch.num_columns() as u64).to_le_bytes());
+            for re in batch.refs() {
+                fnv(&mut fold, re.to_string().as_bytes());
+            }
+            fnv(&mut fold, &(batch.num_rows() as u64).to_le_bytes());
+            for row in 0..batch.num_rows() {
+                for (_, col) in batch.entries() {
+                    match col.value(row) {
+                        Value::Null => fnv(&mut fold, &[0]),
+                        Value::Int(i) => {
+                            fnv(&mut fold, &[1]);
+                            fnv(&mut fold, &i.to_le_bytes());
+                        }
+                        Value::Float(f) => {
+                            fnv(&mut fold, &[2]);
+                            fnv(&mut fold, &f.to_bits().to_le_bytes());
+                        }
+                        Value::Str(s) => {
+                            fnv(&mut fold, &[3]);
+                            fnv(&mut fold, &(s.len() as u64).to_le_bytes());
+                            fnv(&mut fold, s.as_bytes());
+                        }
+                    }
+                }
+            }
+            for m in &result.metrics {
+                for x in [m.rows_out, m.bytes_out, m.rows_in, m.bytes_in] {
+                    fnv(&mut fold, &x.to_bits().to_le_bytes());
+                }
+            }
+            plans += 1;
+            rows += batch.num_rows();
+        }
+    }
+    assert_eq!(
+        fold, EXEC_FOLD,
+        "{plans} plans ({rows} root rows) fold to {fold:#018x}: the executor's output changed"
     );
 }
