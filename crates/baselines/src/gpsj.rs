@@ -79,7 +79,7 @@ impl GpsjModel {
         for node in plan.nodes() {
             let rows = node.est_rows * p.data_scale;
             let bytes = node.est_bytes * p.data_scale;
-            match &node.op {
+            match &*node.op {
                 PhysicalOp::FileScan { .. } => {
                     cpu_rows += rows;
                     scan_bytes += bytes;

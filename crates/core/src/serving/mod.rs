@@ -49,6 +49,8 @@ pub mod handoff;
 mod plan_cache;
 pub mod shard;
 
+pub use plan_cache::plan_key_charge;
+
 use crate::model::FrozenModel;
 use crate::persist::ModelBundle;
 use shard::{ShardConfig, ShardedServing};

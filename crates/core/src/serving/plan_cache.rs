@@ -25,7 +25,7 @@ use super::shard::lock;
 use crate::model::PlanContext;
 use raal_sync::atomic::{AtomicBool, Ordering};
 use raal_sync::sync::Mutex;
-use sparksim::plan::physical::{PhysicalNode, PhysicalPlan};
+use sparksim::plan::physical::PhysicalPlan;
 use std::collections::{HashMap, VecDeque};
 use std::mem::size_of;
 use std::sync::Arc;
@@ -55,13 +55,24 @@ impl CachedPlan {
     }
 
     /// What an entry is charged against the budget: the context's
-    /// buffers, exactly, and the plan key at two node sizes per node
-    /// (272 B: the arena slot plus its column lists and predicate trees;
-    /// the names are the catalog's and the query's, shared — a cloned
-    /// plan owns 245 B per node over the benchmark's 12 940 pool plans).
+    /// buffers, exactly, and [`plan_key_charge`] for the plan key.
     fn charge(plan: &PhysicalPlan, context: &PlanContext) -> usize {
-        size_of::<CachedPlan>() + 2 * plan.len() * size_of::<PhysicalNode>() + context.heap_bytes()
+        size_of::<CachedPlan>() + plan_key_charge(plan.len()) + context.heap_bytes()
     }
+}
+
+/// What the plan-context cache charges a resident plan of `nodes` nodes
+/// against its budget, beside its context. The key is a clone: its node
+/// arena and child lists are its own, its operators are shared with the
+/// plan it was cloned from — and once that plan is dropped the entry
+/// holds the last reference and keeps them alive too. So the charge
+/// bounds that case: over the candidates of 640 generated queries a clone
+/// holding its operators alone retains 254 B a node on average and at
+/// most 454 (a 4-node count over a scan with a seven-conjunct filter);
+/// 288 B a node and 1 KiB a plan leave every one of them at least 325 B
+/// under (heap bytes requested; `tests/plan_names.rs` pins it).
+pub fn plan_key_charge(nodes: usize) -> usize {
+    1024 + 288 * nodes
 }
 
 /// What [`PlanCache::lookup`] found.

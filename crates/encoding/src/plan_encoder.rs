@@ -174,6 +174,8 @@ impl OpMemo<'_> {
     /// free slot it may take (`None`: every probed slot is taken, and
     /// `op` is encoded without being remembered). A hash match is a
     /// hint; `==` decides, and it is finer than the rendered statement.
+    /// One allocation is one operator (a query's candidates share theirs,
+    /// `Planner::enumerate`), so the same address decides first.
     fn find(&self, op: &PhysicalOp) -> Result<usize, (u64, Option<usize>)> {
         // The walk `PhysicalPlan::structural_hash` makes of one operator.
         let mut hasher = WordHasher::default();
@@ -184,7 +186,11 @@ impl OpMemo<'_> {
             // PANIC-FREE: at < MEMO_SLOTS, the array's length.
             match self.slots[at] {
                 None => return Err((hash, Some(at))),
-                Some((held, earlier, block)) if held == hash && earlier == op => return Ok(block),
+                Some((held, earlier, block))
+                    if held == hash && (std::ptr::eq(earlier, op) || earlier == op) =>
+                {
+                    return Ok(block)
+                }
                 Some(_) => {}
             }
         }
@@ -412,7 +418,7 @@ pub fn plan_stats(plan: &PhysicalPlan) -> [f32; PLAN_STAT_FEATURES] {
     let mut n_exchange = 0usize;
     let mut n_sort = 0usize;
     for node in plan.nodes() {
-        match &node.op {
+        match &*node.op {
             PhysicalOp::SortMergeJoin { .. } => n_join_smj += 1,
             PhysicalOp::BroadcastHashJoin { .. } | PhysicalOp::ShuffledHashJoin { .. } => {
                 n_join_bhj += 1
@@ -570,7 +576,9 @@ mod tests {
 
     #[test]
     fn an_equal_hash_or_a_taken_slot_is_not_a_match() {
-        let (enc, good) = (encoder(), plan());
+        // `twin` is `good` built again: its operators are `==` to good's
+        // but other allocations, so only `==` can find them.
+        let (enc, good, twin) = (encoder(), plan(), plan());
         let squatter = PhysicalOp::Limit { n: 3 };
         for same_hash in [true, false] {
             let mut memo = OpMemo { blocks: vec![9.0; 8], ..Default::default() };
@@ -581,7 +589,7 @@ mod tests {
                 let forged = if same_hash { hash } else { hash ^ (1 << 40) };
                 memo.slots[home] = Some((forged, &squatter, 0));
             }
-            encode_all(&enc, &[&good, &good], &mut memo);
+            encode_all(&enc, &[&good, &twin], &mut memo);
             assert_eq!((memo.nodes, memo.reused), (8, 4));
         }
     }

@@ -194,6 +194,8 @@ pub fn train(corpus: &[Vec<String>], cfg: &W2vConfig) -> Word2Vec {
     let mut w_in: Vec<f32> = (0..v * dim).map(|_| rng.gen_range(-bound..bound)).collect();
     let mut w_out = vec![0.0f32; v * dim];
     let mut grad_center = vec![0.0f32; dim];
+    let mut targets = Vec::with_capacity(cfg.negative + 1);
+    let mut dots = Vec::with_capacity(cfg.negative + 1);
 
     // Pre-index the corpus.
     let indexed: Vec<Vec<usize>> = corpus
@@ -216,15 +218,24 @@ pub fn train(corpus: &[Vec<String>], cfg: &W2vConfig) -> Word2Vec {
                     if ctx_pos == pos {
                         continue;
                     }
+                    // The pair's targets, drawn in the order the updates
+                    // consume them: the context, then each negative that
+                    // is not the context.
+                    targets.clear();
+                    targets.push(context);
+                    for _ in 0..cfg.negative {
+                        let target = neg_table[rng.gen_range(0..neg_table.len())];
+                        if target != context {
+                            targets.push(target);
+                        }
+                    }
                     train_pair(
                         &mut w_in[center * dim..][..dim],
                         &mut w_out,
                         &mut grad_center,
-                        context,
-                        &neg_table,
-                        cfg.negative,
+                        &targets,
+                        &mut dots,
                         lr,
-                        &mut rng,
                     );
                 }
             }
@@ -237,33 +248,52 @@ pub fn train(corpus: &[Vec<String>], cfg: &W2vConfig) -> Word2Vec {
 
 /// One (center, context) pair: `center` is the center word's row of the
 /// input matrix, `w_out` the whole flat output matrix, `grad_center` a
-/// `dim`-long scratch. The dot stays a sequential sum and the updates
-/// elementwise, so the layout changes no bit of any vector.
-#[allow(clippy::too_many_arguments)]
+/// `dim`-long scratch, `targets` the context (label 1) and then the
+/// negatives (label 0), `dots` a scratch. The center row changes only
+/// after the last update, so the targets are dotted up front, four (then
+/// two) a pass with one accumulator each, every sum still sequential;
+/// the rest, and a target repeated within the pair (its row has since
+/// moved), are dotted at their update. No bit of any vector changes.
 fn train_pair(
     center: &mut [f32],
     w_out: &mut [f32],
     grad_center: &mut [f32],
-    context: usize,
-    neg_table: &[usize],
-    negatives: usize,
+    targets: &[usize],
+    dots: &mut Vec<f32>,
     lr: f32,
-    rng: &mut StdRng,
 ) {
     let dim = center.len();
-    grad_center.fill(0.0);
-    // One positive + k negative updates.
-    for k in 0..=negatives {
-        let (target, label) = if k == 0 {
-            (context, 1.0f32)
-        } else {
-            (neg_table[rng.gen_range(0..neg_table.len())], 0.0)
-        };
-        if k > 0 && target == context {
-            continue;
+    let row = |t: usize| &w_out[t * dim..][..dim];
+    dots.clear();
+    let mut groups = targets.chunks_exact(4);
+    for group in &mut groups {
+        let (r0, r1, r2, r3) = (row(group[0]), row(group[1]), row(group[2]), row(group[3]));
+        let (mut s0, mut s1, mut s2, mut s3) = (0.0f32, 0.0f32, 0.0f32, 0.0f32);
+        for ((((&c, &x0), &x1), &x2), &x3) in center.iter().zip(r0).zip(r1).zip(r2).zip(r3) {
+            s0 += c * x0;
+            s1 += c * x1;
+            s2 += c * x2;
+            s3 += c * x3;
         }
+        dots.extend_from_slice(&[s0, s1, s2, s3]);
+    }
+    if let [t0, t1, ..] = *groups.remainder() {
+        let (r0, r1) = (row(t0), row(t1));
+        let (mut s0, mut s1) = (0.0f32, 0.0f32);
+        for ((&c, &x0), &x1) in center.iter().zip(r0).zip(r1) {
+            s0 += c * x0;
+            s1 += c * x1;
+        }
+        dots.extend_from_slice(&[s0, s1]);
+    }
+    grad_center.fill(0.0);
+    for (k, &target) in targets.iter().enumerate() {
+        let label = if k == 0 { 1.0f32 } else { 0.0 };
         let out = &mut w_out[target * dim..][..dim];
-        let dot: f32 = center.iter().zip(&*out).map(|(a, b)| a * b).sum();
+        let dot = match dots.get(k) {
+            Some(&dot) if !targets[..k].contains(&target) => dot,
+            _ => center.iter().zip(&*out).map(|(a, b)| a * b).sum(),
+        };
         let pred = 1.0 / (1.0 + (-dot).exp());
         let g = (pred - label) * lr;
         for ((grad, o), c) in grad_center.iter_mut().zip(out).zip(&*center) {

@@ -106,7 +106,7 @@ impl<'a> Executor<'a> {
         let mut outputs: Vec<Option<Batch>> = vec![None; plan.len()];
         for id in 0..plan.len() {
             let batch = self.exec_node(plan, id, &mut outputs)?;
-            let (rows_in, bytes_in) = match &plan.node(id).op {
+            let (rows_in, bytes_in) = match &*plan.node(id).op {
                 PhysicalOp::FileScan { table, output, .. } => {
                     // A scan reads the projected columns of the whole table
                     // off storage, regardless of the pushed filter.
@@ -161,7 +161,7 @@ impl<'a> Executor<'a> {
                 .and_then(|&c| outputs[c].as_ref())
                 .ok_or_else(|| missing(i))
         };
-        match &node.op {
+        match &*node.op {
             PhysicalOp::FileScan { binding, table, output, pushed_filter } => {
                 let t = self
                     .catalog

@@ -12,6 +12,7 @@ use crate::plan::spec::AggSpec;
 use crate::schema::{ColumnRef, Name};
 use std::fmt::{self, Write as _};
 use std::hash::{Hash, Hasher};
+use std::sync::Arc;
 
 /// Index of a node within a [`PhysicalPlan`].
 pub type NodeId = usize;
@@ -146,8 +147,11 @@ impl PhysicalOp {
 /// One node of a physical plan.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PhysicalNode {
-    /// Operator.
-    pub op: PhysicalOp,
+    /// Operator, shared: the candidates of one `Planner::enumerate`
+    /// call hold one allocation per distinct operator, and a cloned plan
+    /// bumps counts. `Hash`, `Debug` and `==` are the operator's own
+    /// (`PhysicalOp` is not `Eq`, so no pointer shortcut).
+    pub op: Arc<PhysicalOp>,
     /// Child node ids (all smaller than this node's id).
     pub children: Vec<NodeId>,
     /// Optimizer-estimated output rows.
@@ -174,14 +178,15 @@ impl PhysicalPlan {
     /// Panics if any child id is out of range.
     pub fn add(
         &mut self,
-        op: PhysicalOp,
+        op: impl Into<Arc<PhysicalOp>>,
         children: Vec<NodeId>,
         est_rows: f64,
         est_bytes: f64,
     ) -> NodeId {
         let id = self.nodes.len();
         assert!(children.iter().all(|&c| c < id), "plan must be built bottom-up");
-        self.nodes.push(PhysicalNode { op, children, est_rows, est_bytes });
+        self.nodes
+            .push(PhysicalNode { op: op.into(), children, est_rows, est_bytes });
         id
     }
 
@@ -252,7 +257,7 @@ impl PhysicalPlan {
     /// intermediate text, so it allocates only if `w` does.
     pub fn write_statement(&self, id: NodeId, w: &mut impl fmt::Write) -> fmt::Result {
         // PANIC-FREE: callers pass ids below `len()`, like `node()`.
-        match &self.nodes[id].op {
+        match &*self.nodes[id].op {
             PhysicalOp::FileScan { table, output, pushed_filter, .. } => {
                 write!(w, "FileScan {table}[")?;
                 write_list(w, output, ",", |w, c| w.write_str(&c.column))?;
@@ -377,7 +382,7 @@ impl PhysicalPlan {
     pub fn scan_bytes(&self) -> f64 {
         self.nodes
             .iter()
-            .filter(|n| matches!(n.op, PhysicalOp::FileScan { .. }))
+            .filter(|n| matches!(*n.op, PhysicalOp::FileScan { .. }))
             .map(|n| n.est_bytes)
             .sum()
     }

@@ -10,15 +10,20 @@
 //! The rule that keeps enumeration at the price of what it returns:
 //! everything that depends only on (spec, binding) is derived once per
 //! `enumerate` (the `Scan` table); a candidate is built only if it can
-//! still be returned.
+//! still be returned. Its candidates share their operators: each call
+//! interns every operator it adds (the `Ops` table), so a scan or an
+//! exchange that several candidates contain is one allocation.
 
 use crate::catalog::Catalog;
 use crate::expr::{CmpOp, Expr};
 use crate::plan::cardinality::{estimate_join_rows, estimate_scan_rows, DEFAULT_SELECTIVITY};
-use crate::plan::physical::{AggMode, NodeId, PhysicalOp, PhysicalPlan};
+use crate::plan::physical::{AggMode, NodeId, PhysicalOp, PhysicalPlan, WordHasher};
 use crate::plan::spec::{Binding, QuerySpec};
 use crate::schema::ColumnRef;
-use std::collections::HashSet;
+use std::collections::hash_map::Entry;
+use std::collections::{HashMap, HashSet};
+use std::hash::{BuildHasherDefault, Hash, Hasher};
+use std::sync::Arc;
 
 /// Join strategy choice for one join.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -84,13 +89,18 @@ impl<'a> Planner<'a> {
         let scans: Vec<Scan> = spec.bindings.iter().map(|b| self.scan(spec, b)).collect();
         let mut plans = Vec::new();
         let mut seen = Vec::new();
+        let mut ops = Ops::default();
         // A candidate is built only while one more can be returned, and kept
         // unless an earlier one renders the same statements and child lists.
-        let mut offer = |plans: &mut Vec<_>, build: &dyn Fn() -> Option<PhysicalPlan>| {
+        let mut offer = |plans: &mut Vec<_>, build: &dyn Fn(&mut Build<'_>) -> Option<()>| {
             if plans.len() >= self.opts.max_plans {
                 return;
             }
-            let Some(plan) = build() else { return };
+            let mut draft = Build { ops: &mut ops, plan: PhysicalPlan::new() };
+            if build(&mut draft).is_none() {
+                return;
+            }
+            let plan = draft.plan;
             let print = plan.fingerprint();
             if !seen.contains(&print) {
                 seen.push(print);
@@ -102,8 +112,14 @@ impl<'a> Planner<'a> {
             // Single-table: the two Catalyst variants differ in where the
             // filter conditions sit (pushed into the scan vs. a separate
             // Filter), as observed in the paper's Sec. III.
-            offer(&mut plans, &|| Some(self.build_single_table(spec, &scans, true)));
-            offer(&mut plans, &|| Some(self.build_single_table(spec, &scans, false)));
+            offer(&mut plans, &|plan| {
+                self.build_single_table(plan, spec, &scans, true);
+                Some(())
+            });
+            offer(&mut plans, &|plan| {
+                self.build_single_table(plan, spec, &scans, false);
+                Some(())
+            });
             return plans;
         }
 
@@ -114,23 +130,31 @@ impl<'a> Planner<'a> {
         // "default cost model" runs and the learned model must beat.
         if let Some(syntactic) = self.syntactic_order(spec) {
             let strats = self.rule_based_strategies(spec, &syntactic);
-            offer(&mut plans, &|| self.build_join_plan(spec, &scans, &syntactic, &strats));
+            offer(&mut plans, &|plan| {
+                self.build_join_plan(plan, spec, &scans, &syntactic, &strats)
+            });
         }
 
         let num_joins = spec.num_joins();
         for (oi, order) in self.join_orders(spec, &scans).iter().enumerate() {
             let default_strats = self.default_strategies(&scans, order);
-            offer(&mut plans, &|| self.build_join_plan(spec, &scans, order, &default_strats));
+            offer(&mut plans, &|plan| {
+                self.build_join_plan(plan, spec, &scans, order, &default_strats)
+            });
             // Strategy variants: flip each join's strategy, first joins first;
             // for the primary order also try the all-flipped combination.
             for j in 0..num_joins {
                 let mut variant = default_strats.clone();
                 variant[j] = flip(variant[j]);
-                offer(&mut plans, &|| self.build_join_plan(spec, &scans, order, &variant));
+                offer(&mut plans, &|plan| {
+                    self.build_join_plan(plan, spec, &scans, order, &variant)
+                });
             }
             if oi == 0 && num_joins >= 2 {
                 let flipped: Vec<_> = default_strats.iter().map(|&s| flip(s)).collect();
-                offer(&mut plans, &|| self.build_join_plan(spec, &scans, order, &flipped));
+                offer(&mut plans, &|plan| {
+                    self.build_join_plan(plan, spec, &scans, order, &flipped)
+                });
             }
         }
         plans
@@ -267,7 +291,7 @@ impl<'a> Planner<'a> {
     }
 
     fn scan_node(
-        plan: &mut PhysicalPlan,
+        plan: &mut Build<'_>,
         b: &Binding,
         scan: &Scan,
         push_filter: bool,
@@ -314,29 +338,28 @@ impl<'a> Planner<'a> {
 
     fn build_single_table(
         &self,
+        plan: &mut Build<'_>,
         spec: &QuerySpec,
         scans: &[Scan],
         push_filter: bool,
-    ) -> PhysicalPlan {
-        let mut plan = PhysicalPlan::new();
-        let (node, rows) = Self::scan_node(&mut plan, &spec.bindings[0], &scans[0], push_filter);
-        self.finish_plan(&mut plan, spec, node, rows, scans[0].width);
-        plan
+    ) {
+        let (node, rows) = Self::scan_node(plan, &spec.bindings[0], &scans[0], push_filter);
+        self.finish_plan(plan, spec, node, rows, scans[0].width);
     }
 
     /// `None` when `order` skips a join edge the spec never provided —
     /// i.e. the join graph is disconnected under this order.
     fn build_join_plan(
         &self,
+        plan: &mut Build<'_>,
         spec: &QuerySpec,
         scans: &[Scan],
         order: &[usize],
         strategies: &[JoinStrategy],
-    ) -> Option<PhysicalPlan> {
-        let mut plan = PhysicalPlan::new();
+    ) -> Option<()> {
         let first = order[0];
         let (mut current, mut current_rows) =
-            Self::scan_node(&mut plan, &spec.bindings[first], &scans[first], true);
+            Self::scan_node(plan, &spec.bindings[first], &scans[first], true);
         let mut included: Vec<&str> = vec![&spec.bindings[first].name];
         let mut applied_edges = vec![false; spec.join_edges.len()];
         let mut applied_residuals = vec![false; spec.residual.len()];
@@ -355,7 +378,7 @@ impl<'a> Planner<'a> {
                 (edge.right.clone(), edge.left.clone())
             };
 
-            let (right, right_rows) = Self::scan_node(&mut plan, b, &scans[bi], true);
+            let (right, right_rows) = Self::scan_node(plan, b, &scans[bi], true);
             let right_width = scans[bi].width;
             let out_rows = estimate_join_rows(current_rows, right_rows, edge, spec, self.catalog);
             width += right_width;
@@ -490,14 +513,14 @@ impl<'a> Planner<'a> {
                 }
             }
         }
-        self.finish_plan(&mut plan, spec, current, current_rows, width);
-        Some(plan)
+        self.finish_plan(plan, spec, current, current_rows, width);
+        Some(())
     }
 
     /// Adds aggregation / projection / ordering / limit above `node`.
     fn finish_plan(
         &self,
-        plan: &mut PhysicalPlan,
+        plan: &mut Build<'_>,
         spec: &QuerySpec,
         node: NodeId,
         rows: f64,
@@ -606,6 +629,43 @@ impl<'a> Planner<'a> {
             let out = current_rows.min(n as f64);
             plan.add(PhysicalOp::Limit { n }, vec![current], out, out * width);
         }
+    }
+}
+
+/// One `enumerate` call's operator table: every distinct operator its
+/// candidates hold, keyed by the `WordHasher` walk `structural_hash`
+/// makes of it. A hash hit is confirmed by `==`; an operator whose hash
+/// another holds is simply not shared. It holds at most the call's own
+/// nodes, so keys a query could make collide slow that call only, and
+/// the map needs no flood-resistant hasher.
+#[derive(Default)]
+struct Ops(HashMap<u64, Arc<PhysicalOp>, BuildHasherDefault<WordHasher>>);
+
+impl Ops {
+    /// The call's allocation of `op`: the one an earlier `==` operator
+    /// got (`op` is dropped), or a new one.
+    fn intern(&mut self, op: PhysicalOp) -> Arc<PhysicalOp> {
+        let mut hasher = WordHasher::default();
+        op.hash(&mut hasher);
+        match self.0.entry(hasher.finish()) {
+            Entry::Occupied(held) if **held.get() == op => held.get().clone(),
+            Entry::Occupied(_) => Arc::new(op),
+            Entry::Vacant(slot) => slot.insert(Arc::new(op)).clone(),
+        }
+    }
+}
+
+/// A candidate under construction: its plan, and the call's operator
+/// table every node it adds is interned through.
+struct Build<'a> {
+    ops: &'a mut Ops,
+    plan: PhysicalPlan,
+}
+
+impl Build<'_> {
+    fn add(&mut self, op: PhysicalOp, children: Vec<NodeId>, rows: f64, bytes: f64) -> NodeId {
+        let op = self.ops.intern(op);
+        self.plan.add(op, children, rows, bytes)
     }
 }
 
@@ -809,7 +869,7 @@ mod tests {
     fn order_and_limit_appear_at_top() {
         let plans = plans_for("SELECT t.id FROM title t WHERE t.kind_id < 3 ORDER BY t.id LIMIT 5");
         let p = &plans[0];
-        assert!(matches!(p.node(p.root()).op, PhysicalOp::Limit { n: 5 }));
+        assert!(matches!(*p.node(p.root()).op, PhysicalOp::Limit { n: 5 }));
     }
 
     #[test]

@@ -227,7 +227,7 @@ impl CostSimulator {
             .nodes()
             .iter()
             .enumerate()
-            .filter(|(_, n)| matches!(n.op, PhysicalOp::FileScan { .. }))
+            .filter(|(_, n)| matches!(*n.op, PhysicalOp::FileScan { .. }))
             .map(|(i, _)| metrics[i].bytes_in * scale)
             .sum();
         let cache_gb_total =
@@ -281,7 +281,7 @@ impl CostSimulator {
                 let rows_in = m.rows_in * scale;
                 let rows_out = m.rows_out * scale;
                 let bytes_in = m.bytes_in * scale;
-                match &plan.node(id).op {
+                match &*plan.node(id).op {
                     PhysicalOp::FileScan { pushed_filter, .. } => {
                         cpu_ns += rows_in * CPU.scan;
                         if pushed_filter.is_some() {
@@ -342,7 +342,7 @@ impl CostSimulator {
                 let m = &metrics[src];
                 let bytes = m.bytes_out * scale;
                 let rows = m.rows_out * scale;
-                match &plan.node(src).op {
+                match &*plan.node(src).op {
                     PhysicalOp::ExchangeHash { .. } | PhysicalOp::ExchangeSingle => {
                         net_read += bytes;
                         cpu_ns += rows * CPU.exchange_read;
@@ -497,7 +497,7 @@ impl CostSimulator {
         // Shuffle-fed stages inherit the exchange's partitioning.
         let mut from_exchange: Option<usize> = None;
         for &src in &stage.sources {
-            match &plan.node(src).op {
+            match &*plan.node(src).op {
                 PhysicalOp::ExchangeHash { partitions, .. } => {
                     from_exchange =
                         Some(from_exchange.map_or(*partitions, |p: usize| p.max(*partitions)));
@@ -516,7 +516,7 @@ impl CostSimulator {
         let scan_bytes: f64 = stage
             .nodes
             .iter()
-            .filter(|&&id| matches!(plan.node(id).op, PhysicalOp::FileScan { .. }))
+            .filter(|&&id| matches!(*plan.node(id).op, PhysicalOp::FileScan { .. }))
             .map(|&id| metrics[id].bytes_in * scale)
             .sum();
         ((scan_bytes / self.cfg.bytes_per_partition).ceil() as usize).max(1)

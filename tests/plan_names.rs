@@ -1,27 +1,34 @@
-//! A plan's names are shared, not copied: every table and column name a
-//! candidate plan holds is the catalog's allocation and every alias the
-//! binder's one allocation for the query, and a planned node's heap
-//! footprint is pinned.
+//! A plan's names and operators are shared, not copied: every table and
+//! column name a candidate plan holds is the catalog's allocation, every
+//! alias the binder's one allocation for the query, and every operator
+//! one allocation per distinct operator of the query's candidates; a
+//! planned node's size, its heap footprint and what a cloned plan
+//! retains are pinned.
 //!
 //! This binary installs a `#[global_allocator]` that keeps the live heap
 //! bytes of the armed thread (what it allocated minus what it freed), so
 //! no other test binary pays for it.
 
+use raal::serving::plan_key_charge;
 use sparksim::expr::Expr;
-use sparksim::plan::physical::PhysicalOp;
+use sparksim::plan::physical::{PhysicalNode, PhysicalOp};
 use sparksim::plan::planner::{Planner, PlannerOptions};
 use sparksim::schema::{ColumnRef, Name};
 use sparksim::{ClusterConfig, Engine, PhysicalPlan, SimulatorConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::mem::size_of;
+use std::sync::Arc;
 use workloads::imdb::{generate, ImdbConfig};
 use workloads::querygen::{generate_queries, QueryGenConfig};
 
 /// Live heap bytes a planned node may hold, averaged over every
-/// candidate of [`QUERIES`] generated queries: the node's arena slot plus
-/// its child list, column lists, predicate trees and literals. It reads
-/// 297 B with shared names, and read 375 B with a `String` per name.
-const HEAP_BYTES_PER_NODE: f64 = 310.0;
+/// candidate of [`QUERIES`] generated queries: the node's arena slot and
+/// child list, and its share of the query's operators with their column
+/// lists, predicate trees and literals. It reads 128 B with operators
+/// shared across a query's candidates, and read 297 B with an operator
+/// per node (375 B with a `String` per name as well).
+const HEAP_BYTES_PER_NODE: f64 = 150.0;
 const QUERIES: usize = 640;
 
 struct LiveBytes;
@@ -136,7 +143,7 @@ fn every_name_in_a_candidate_is_the_catalogs_or_the_querys_one_allocation() {
         };
         for plan in Planner::new(catalog, engine.planner_options().clone()).enumerate(&spec) {
             for node in plan.nodes() {
-                if let PhysicalOp::FileScan { binding, table, .. } = &node.op {
+                if let PhysicalOp::FileScan { binding, table, .. } = &*node.op {
                     let b = bound(binding);
                     assert!(Name::ptr_eq(binding, &b.name), "{sql}: scan of {binding}");
                     assert!(Name::ptr_eq(table, &b.table), "{sql}: scan of {table}");
@@ -178,4 +185,59 @@ fn a_planned_node_holds_a_bounded_heap_footprint() {
         per_node <= HEAP_BYTES_PER_NODE,
         "{per_node:.1} heap bytes a node over {nodes} nodes (bound {HEAP_BYTES_PER_NODE})"
     );
+}
+
+/// Any two `==` operators among one query's candidates are one
+/// allocation: `Planner::enumerate` interns what it adds.
+#[test]
+fn a_querys_candidates_share_every_equal_operator() {
+    let (engine, queries) = engine_and_queries();
+    let (mut nodes, mut shared) = (0usize, 0usize);
+    for sql in &queries[..200] {
+        let spec = engine.spec(sql).unwrap_or_else(|e| panic!("{sql}: {e}"));
+        let plans =
+            Planner::new(engine.catalog(), engine.planner_options().clone()).enumerate(&spec);
+        let ops: Vec<&Arc<PhysicalOp>> =
+            plans.iter().flat_map(|p| p.nodes()).map(|n| &n.op).collect();
+        for (i, &a) in ops.iter().enumerate() {
+            // `Arc`'s `==` is the operator's: no pointer shortcut.
+            if let Some(&b) = ops[..i].iter().find(|&&b| b == a) {
+                assert!(Arc::ptr_eq(a, b), "{sql}: {} is held twice", a.name());
+                shared += 1;
+            }
+            nodes += 1;
+        }
+    }
+    println!("{shared} of {nodes} nodes hold an operator an earlier node holds");
+    assert!(shared * 2 > nodes, "only {shared} of {nodes} nodes share an operator");
+}
+
+/// [`plan_key_charge`] bounds what a resident plan key retains when it
+/// holds the last reference to its operators: each candidate cloned, and
+/// every plan it shared them with dropped.
+#[test]
+fn a_cloned_plan_holding_its_operators_alone_retains_at_most_its_charge() {
+    let (engine, queries) = engine_and_queries();
+    let opts = engine.planner_options().clone();
+    let (mut retained, mut nodes) = (0i64, 0usize);
+    for sql in &queries {
+        let spec = engine.spec(sql).unwrap_or_else(|e| panic!("{sql}: {e}"));
+        let enumerate = || Planner::new(engine.catalog(), opts.clone()).enumerate(&spec);
+        for i in 0..enumerate().len() {
+            let (live, key) = live_bytes(|| enumerate()[i].clone());
+            let charge = plan_key_charge(key.len());
+            assert!(
+                live <= charge as i64,
+                "{sql}: {live} B retained, {charge} charged\n{}",
+                key.explain()
+            );
+            (retained, nodes) = (retained + live, nodes + key.len());
+        }
+    }
+    println!("{nodes} nodes retain {:.1} B a node alone", retained as f64 / nodes as f64);
+}
+
+#[test]
+fn a_node_is_an_operator_pointer_a_child_list_and_two_estimates() {
+    assert!(size_of::<PhysicalNode>() <= 48, "{} B", size_of::<PhysicalNode>());
 }
