@@ -291,7 +291,7 @@ mod tests {
             .map(|i| {
                 let v = (i % 12) as f32 / 12.0;
                 Sample {
-                    plan: toy_plan(v),
+                    plan: toy_plan(v).into(),
                     resources: vec![0.5; 7],
                     seconds: 10.0 + 60.0 * v as f64,
                 }

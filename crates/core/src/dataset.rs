@@ -5,6 +5,7 @@
 //! corpus → encode labelled samples.
 
 use crate::model::MAX_SECONDS;
+use crate::train::worker_threads;
 use encoding::plan_encoder::{PlanEncoder, Sample};
 use encoding::tokenizer::plan_sentences;
 use encoding::word2vec::{train as train_w2v, W2vConfig};
@@ -15,6 +16,7 @@ use sparksim::exec::NodeMetrics;
 use sparksim::resource::ResourceGrid;
 use sparksim::{Engine, PhysicalPlan, ResourceConfig};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 use workloads::querygen::{generate_queries, QueryGenConfig};
 use workloads::FkGraph;
 
@@ -91,15 +93,16 @@ impl Collection {
         PlanEncoder::new(train_w2v(&corpus, w2v_cfg), enc_cfg)
     }
 
-    /// Encodes every observation into a training sample.
+    /// Encodes every observation into a training sample. A plan run is
+    /// encoded once; its observations' samples share that encoding.
     pub fn encode(&self, encoder: &PlanEncoder, engine: &Engine) -> Vec<Sample> {
         let cluster = engine.simulator().cluster();
         let mut out = Vec::with_capacity(self.num_records());
         for run in &self.plan_runs {
-            let encoded = encoder.encode(&run.plan);
+            let encoded = Arc::new(encoder.encode(&run.plan));
             for (res, seconds) in &run.observations {
                 out.push(Sample {
-                    plan: encoded.clone(),
+                    plan: Arc::clone(&encoded),
                     resources: res.feature_vector(cluster),
                     seconds: *seconds,
                 });
@@ -118,11 +121,7 @@ pub fn collect(engine: &Engine, graph: &FkGraph, cfg: &CollectionConfig) -> Coll
 
 /// Runs collection over an explicit query list.
 pub fn collect_queries(engine: &Engine, queries: &[String], cfg: &CollectionConfig) -> Collection {
-    let threads = if cfg.threads == 0 {
-        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4)
-    } else {
-        cfg.threads
-    };
+    let threads = worker_threads(cfg.threads);
     // Workers take the next unclaimed query, so one slow query occupies
     // one worker, not a chunk; `collect_one` depends on the query's index
     // alone, so who runs it changes nothing.
@@ -256,6 +255,46 @@ mod tests {
             assert!(s.seconds > 0.0 && s.seconds.is_finite());
             assert_eq!(s.resources.len(), ResourceConfig::NUM_FEATURES);
             assert!(s.plan.num_nodes() > 0);
+        }
+    }
+
+    /// A plan run is encoded once: its observations' samples hold one
+    /// encoding, and no two runs share one.
+    #[test]
+    fn a_plan_runs_samples_share_one_encoding() {
+        let (engine, graph, _) = tiny_engine();
+        let cfg = CollectionConfig {
+            num_queries: 6,
+            resource_states_per_plan: 3,
+            runs_per_observation: 1,
+            threads: 1,
+            ..Default::default()
+        };
+        let coll = collect(&engine, &graph, &cfg);
+        let encoder = coll.build_encoder(
+            &W2vConfig { dim: 8, epochs: 1, ..Default::default() },
+            EncoderConfig::default(),
+        );
+        let samples = coll.encode(&encoder, &engine);
+        let mut at = 0;
+        for run in &coll.plan_runs {
+            let observed = &samples[at..at + run.observations.len()];
+            assert_eq!(*observed[0].plan, encoder.encode(&run.plan));
+            assert!(observed.iter().all(|s| Arc::ptr_eq(&s.plan, &observed[0].plan)));
+            assert!(at == 0 || !Arc::ptr_eq(&samples[at - 1].plan, &observed[0].plan));
+            at += run.observations.len();
+        }
+        assert_eq!(at, samples.len());
+        assert!(coll.plan_runs.len() >= 6, "only {} plan runs", coll.plan_runs.len());
+    }
+
+    /// Collection resolves its worker count by training's rule.
+    #[test]
+    fn threads_resolve_as_training_does() {
+        for threads in [0, 1, 3] {
+            let collection = CollectionConfig { threads, ..Default::default() };
+            let training = crate::TrainConfig { threads, ..Default::default() };
+            assert_eq!(worker_threads(collection.threads), training.resolved_threads());
         }
     }
 

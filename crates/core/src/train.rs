@@ -43,15 +43,22 @@ impl Default for TrainConfig {
 
 impl TrainConfig {
     /// Worker-thread count after resolving `threads == 0` ("all cores")
-    /// against the machine. Falls back to 1 when core discovery fails —
-    /// a degraded-but-correct single-worker run beats guessing a count
-    /// the container may not have.
+    /// against the machine, or 1 when core discovery fails — the rule
+    /// collection follows too.
     pub fn resolved_threads(&self) -> usize {
-        if self.threads == 0 {
-            std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-        } else {
-            self.threads
-        }
+        worker_threads(self.threads)
+    }
+}
+
+/// A configured worker count, with 0 meaning all cores — training's and
+/// collection's one rule. Falls back to 1 when core discovery fails: a
+/// degraded-but-correct single-worker run beats guessing a count the
+/// container may not have.
+pub(crate) fn worker_threads(threads: usize) -> usize {
+    if threads == 0 {
+        std::thread::available_parallelism().map_or(1, |n| n.get())
+    } else {
+        threads
     }
 }
 
@@ -233,6 +240,7 @@ mod tests {
     use super::*;
     use crate::model::ModelConfig;
     use encoding::plan_encoder::{EncodedPlan, PLAN_STAT_FEATURES};
+    use std::sync::Arc;
 
     /// A synthetic task: cost = f(mean of node features, resource[2]).
     fn synthetic_samples(n: usize) -> Vec<Sample> {
@@ -251,7 +259,8 @@ mod tests {
                         &node_features,
                         &children,
                         [v; PLAN_STAT_FEATURES],
-                    ),
+                    )
+                    .into(),
                     resources,
                     seconds,
                 }
@@ -347,22 +356,34 @@ mod tests {
     fn the_same_config_trains_the_same_bits() {
         // The summation order is fixed by the static chunking, not by
         // which worker finishes first: a served system "built from a
-        // fixed seed" is one system.
-        let samples = synthetic_samples(24);
-        let cfg = TrainConfig {
-            epochs: 2,
-            batch_size: 8,
-            threads: 2,
-            ..Default::default()
-        };
-        let weights = || {
+        // fixed seed" is one system. Samples sharing one encoding, three
+        // observations a plan as `Collection::encode` makes them, train
+        // as the same samples each holding a copy.
+        let mut shared = synthetic_samples(24);
+        for group in shared.chunks_mut(3) {
+            let plan = Arc::clone(&group[0].plan);
+            for s in group {
+                s.plan = Arc::clone(&plan);
+            }
+        }
+        let copied: Vec<Sample> = shared
+            .iter()
+            .map(|s| Sample { plan: Arc::new((*s.plan).clone()), ..s.clone() })
+            .collect();
+        let weights = |samples: &[Sample], threads| {
             let mut model = CostModel::new(ModelConfig {
                 hidden: 8,
                 latent_k: 4,
                 head_hidden: 8,
                 ..ModelConfig::raal(10)
             });
-            let history = train(&mut model, &samples, &cfg);
+            let cfg = TrainConfig {
+                epochs: 2,
+                batch_size: 8,
+                threads,
+                ..Default::default()
+            };
+            let history = train(&mut model, samples, &cfg);
             let store = model.store();
             let bits: Vec<u32> = store
                 .ids()
@@ -370,7 +391,11 @@ mod tests {
                 .collect();
             (bits, history.final_loss().to_bits())
         };
-        assert_eq!(weights(), weights());
+        for threads in [1, 2] {
+            let once = weights(&shared, threads);
+            assert_eq!(once, weights(&shared, threads), "{threads} threads");
+            assert_eq!(once, weights(&copied, threads), "{threads} threads, copied plans");
+        }
     }
 
     #[test]

@@ -68,7 +68,7 @@ fn stale_after_retraining() {
     let before = model.predict_with_context(&ctx, &resources());
     let samples: Vec<Sample> = (1..9)
         .map(|i| Sample {
-            plan: toy_plan(1 + i % 4),
+            plan: toy_plan(1 + i % 4).into(),
             resources: resources(),
             seconds: 3.0 * i as f64,
         })

@@ -17,7 +17,8 @@ fn every_epoch_event_carries_a_positive_grad_norm() {
                     &[vec![v; 6], vec![1.0 - v; 6], vec![0.5; 6]],
                     &[vec![], vec![0], vec![1]],
                     [v; PLAN_STAT_FEATURES],
-                ),
+                )
+                .into(),
                 resources: vec![0.5; 7],
                 seconds: 5.0 + 40.0 * v as f64,
             }

@@ -20,6 +20,7 @@ use sparksim::plan::physical::{PhysicalOp, WordHasher};
 use sparksim::resource::{ClusterConfig, ResourceConfig};
 use sparksim::PhysicalPlan;
 use std::hash::{Hash, Hasher};
+use std::sync::Arc;
 
 /// Encoder dimensions.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -128,8 +129,9 @@ impl EncodedPlan {
 /// One training record for the deep cost models.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Sample {
-    /// Encoded plan.
-    pub plan: EncodedPlan,
+    /// Encoded plan, shared: a plan observed under several resource
+    /// states is encoded once, and its samples hold that one encoding.
+    pub plan: Arc<EncodedPlan>,
     /// Normalised resource features (Eq. 1, Table I order).
     pub resources: Vec<f32>,
     /// Observed execution seconds (the label).
@@ -397,7 +399,7 @@ impl PlanEncoder {
         seconds: f64,
     ) -> Sample {
         Sample {
-            plan: self.encode(plan),
+            plan: Arc::new(self.encode(plan)),
             resources: resources.feature_vector(cluster),
             seconds,
         }

@@ -144,6 +144,88 @@ impl PhysicalOp {
     }
 }
 
+/// A node's child ids, inline: no operator has more than two children
+/// (a join's), so the list is two slots, [`NodeId::MAX`] marking an
+/// empty one, and owns no heap. It derefs to `&[NodeId]` and prints,
+/// hashes and compares as the `Vec<NodeId>` it replaced, so
+/// [`PhysicalPlan::fingerprint`] and [`PhysicalPlan::structural_hash`]
+/// read as before.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub struct Children([NodeId; 2]);
+
+impl Children {
+    const EMPTY: NodeId = NodeId::MAX;
+}
+
+impl From<&[NodeId]> for Children {
+    /// # Panics
+    /// Panics on more than two ids, or on [`NodeId::MAX`] (the empty
+    /// slot's mark, and out of range in any plan).
+    fn from(ids: &[NodeId]) -> Self {
+        assert!(ids.len() <= 2, "a node has at most two children, not {}", ids.len());
+        assert!(!ids.contains(&Self::EMPTY), "child id {} is out of range", Self::EMPTY);
+        let mut slots = [Self::EMPTY; 2];
+        slots[..ids.len()].copy_from_slice(ids);
+        Self(slots)
+    }
+}
+
+impl From<Vec<NodeId>> for Children {
+    fn from(ids: Vec<NodeId>) -> Self {
+        Self::from(&ids[..])
+    }
+}
+
+impl<const N: usize> From<[NodeId; N]> for Children {
+    fn from(ids: [NodeId; N]) -> Self {
+        Self::from(&ids[..])
+    }
+}
+
+impl std::ops::Deref for Children {
+    type Target = [NodeId];
+
+    fn deref(&self) -> &[NodeId] {
+        // Slots fill in order, so the filled ones are a prefix.
+        let len = usize::from(self.0[0] != Self::EMPTY) + usize::from(self.0[1] != Self::EMPTY);
+        // PANIC-FREE: len <= 2, the array's length.
+        &self.0[..len]
+    }
+}
+
+impl<'a> IntoIterator for &'a Children {
+    type Item = &'a NodeId;
+    type IntoIter = std::slice::Iter<'a, NodeId>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
+impl fmt::Debug for Children {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&**self, f)
+    }
+}
+
+impl Hash for Children {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        (**self).hash(state)
+    }
+}
+
+impl PartialEq<Vec<NodeId>> for Children {
+    fn eq(&self, other: &Vec<NodeId>) -> bool {
+        **self == **other
+    }
+}
+
+impl PartialEq<Children> for &[NodeId] {
+    fn eq(&self, other: &Children) -> bool {
+        **self == **other
+    }
+}
+
 /// One node of a physical plan.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PhysicalNode {
@@ -153,7 +235,7 @@ pub struct PhysicalNode {
     /// (`PhysicalOp` is not `Eq`, so no pointer shortcut).
     pub op: Arc<PhysicalOp>,
     /// Child node ids (all smaller than this node's id).
-    pub children: Vec<NodeId>,
+    pub children: Children,
     /// Optimizer-estimated output rows.
     pub est_rows: f64,
     /// Optimizer-estimated output bytes.
@@ -175,19 +257,27 @@ impl PhysicalPlan {
     /// Appends a node; children must already exist (bottom-up build).
     ///
     /// # Panics
-    /// Panics if any child id is out of range.
+    /// Panics if any child id is out of range, or on more than two
+    /// children.
     pub fn add(
         &mut self,
         op: impl Into<Arc<PhysicalOp>>,
-        children: Vec<NodeId>,
+        children: impl Into<Children>,
         est_rows: f64,
         est_bytes: f64,
     ) -> NodeId {
         let id = self.nodes.len();
+        let children = children.into();
         assert!(children.iter().all(|&c| c < id), "plan must be built bottom-up");
         self.nodes
             .push(PhysicalNode { op: op.into(), children, est_rows, est_bytes });
         id
+    }
+
+    /// Drops the node array's spare capacity, so the plan holds exactly
+    /// its nodes (`Planner::enumerate` returns its candidates so).
+    pub fn shrink_to_fit(&mut self) {
+        self.nodes.shrink_to_fit();
     }
 
     /// Number of nodes.
@@ -524,6 +614,49 @@ mod tests {
         p.add(PhysicalOp::ExchangeSingle, vec![3], 0.0, 0.0);
     }
 
+    /// `Children` prints, hashes and compares as the `Vec` it replaced,
+    /// whichever way it was built.
+    #[test]
+    fn children_behave_as_their_vec() {
+        let hash = |x: &dyn Fn(&mut WordHasher)| {
+            let mut h = WordHasher::default();
+            x(&mut h);
+            h.finish()
+        };
+        for ids in [vec![], vec![4], vec![2, 7]] {
+            for children in [Children::from(ids.clone()), Children::from(&ids[..])] {
+                assert_eq!(format!("{children:?}"), format!("{ids:?}"));
+                assert_eq!(format!("{children:#?}"), format!("{ids:#?}"));
+                assert_eq!(hash(&|h| children.hash(h)), hash(&|h| ids.hash(h)), "{ids:?}");
+                assert_eq!(children, ids);
+                assert_eq!(*children, ids[..]);
+                assert_eq!(children.iter().copied().collect::<Vec<_>>(), ids);
+            }
+        }
+        assert_eq!(Children::from([]), Children::from(vec![]));
+        assert_eq!(Children::from([3, 5]), Children::from(vec![3, 5]));
+        assert_ne!(Children::from([3]), vec![3, 5]);
+        assert_ne!(Children::from([3, 5]), vec![5, 3]);
+    }
+
+    #[test]
+    #[should_panic(expected = "at most two children")]
+    fn a_third_child_is_rejected() {
+        let mut p = PhysicalPlan::new();
+        for _ in 0..3 {
+            p.add(PhysicalOp::ExchangeSingle, vec![], 0.0, 0.0);
+        }
+        p.add(PhysicalOp::ExchangeSingle, vec![0, 1, 2], 0.0, 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn the_empty_slots_mark_is_not_a_child() {
+        let mut p = PhysicalPlan::new();
+        p.add(PhysicalOp::ExchangeSingle, vec![], 0.0, 0.0);
+        p.add(PhysicalOp::ExchangeSingle, vec![NodeId::MAX, 0], 0.0, 0.0);
+    }
+
     #[test]
     fn statements_render_spark_style() {
         let p = two_node_plan();
@@ -758,6 +891,17 @@ mod tests {
             assert_ne!(*variant, base, "{what}: the variant should differ");
             assert_ne!(variant.structural_hash(), base.structural_hash(), "{what} not hashed");
         }
+    }
+
+    /// `shrink_to_fit` leaves exactly the nodes, unchanged.
+    #[test]
+    fn a_shrunk_plan_is_the_same_plan() {
+        let mut p = two_node_plan();
+        p.add(PhysicalOp::ExchangeSingle, [1], 1.0, 8.0);
+        let before = p.clone();
+        p.shrink_to_fit();
+        assert_eq!(p, before);
+        assert_eq!(p.nodes.capacity(), p.len());
     }
 
     #[test]

@@ -12,7 +12,8 @@
 //! `enumerate` (the `Scan` table); a candidate is built only if it can
 //! still be returned. Its candidates share their operators: each call
 //! interns every operator it adds (the `Ops` table), so a scan or an
-//! exchange that several candidates contain is one allocation.
+//! exchange that several candidates contain is one allocation, and a
+//! returned candidate's node array holds no spare capacity.
 
 use crate::catalog::Catalog;
 use crate::expr::{CmpOp, Expr};
@@ -100,10 +101,11 @@ impl<'a> Planner<'a> {
             if build(&mut draft).is_none() {
                 return;
             }
-            let plan = draft.plan;
+            let mut plan = draft.plan;
             let print = plan.fingerprint();
             if !seen.contains(&print) {
                 seen.push(print);
+                plan.shrink_to_fit();
                 plans.push(plan);
             }
         };
@@ -307,16 +309,12 @@ impl<'a> Planner<'a> {
                         output,
                         pushed_filter: None,
                     },
-                    vec![],
+                    [],
                     base_rows,
                     base_rows * width,
                 );
-                let id = plan.add(
-                    PhysicalOp::Filter { predicate },
-                    vec![scan],
-                    est_rows,
-                    est_rows * width,
-                );
+                let id =
+                    plan.add(PhysicalOp::Filter { predicate }, [scan], est_rows, est_rows * width);
                 (id, est_rows)
             }
             filter => {
@@ -327,7 +325,7 @@ impl<'a> Planner<'a> {
                         output,
                         pushed_filter: filter,
                     },
-                    vec![],
+                    [],
                     est_rows,
                     est_rows * width,
                 );
@@ -391,13 +389,13 @@ impl<'a> Planner<'a> {
                             keys: vec![left_key.clone()],
                             partitions: self.opts.shuffle_partitions,
                         },
-                        vec![current],
+                        [current],
                         current_rows,
                         current_rows * (width - right_width),
                     );
                     let lsort = plan.add(
                         PhysicalOp::Sort { keys: vec![(left_key.clone(), true)] },
-                        vec![lex],
+                        [lex],
                         current_rows,
                         current_rows * (width - right_width),
                     );
@@ -406,19 +404,19 @@ impl<'a> Planner<'a> {
                             keys: vec![right_key.clone()],
                             partitions: self.opts.shuffle_partitions,
                         },
-                        vec![right],
+                        [right],
                         right_rows,
                         right_rows * right_width,
                     );
                     let rsort = plan.add(
                         PhysicalOp::Sort { keys: vec![(right_key.clone(), true)] },
-                        vec![rex],
+                        [rex],
                         right_rows,
                         right_rows * right_width,
                     );
                     plan.add(
                         PhysicalOp::SortMergeJoin { left_key, right_key },
-                        vec![lsort, rsort],
+                        [lsort, rsort],
                         out_rows,
                         out_bytes,
                     )
@@ -426,13 +424,13 @@ impl<'a> Planner<'a> {
                 JoinStrategy::BroadcastHash => {
                     let bex = plan.add(
                         PhysicalOp::BroadcastExchange,
-                        vec![right],
+                        [right],
                         right_rows,
                         right_rows * right_width,
                     );
                     plan.add(
                         PhysicalOp::BroadcastHashJoin { probe_key: left_key, build_key: right_key },
-                        vec![current, bex],
+                        [current, bex],
                         out_rows,
                         out_bytes,
                     )
@@ -443,7 +441,7 @@ impl<'a> Planner<'a> {
                             keys: vec![left_key.clone()],
                             partitions: self.opts.shuffle_partitions,
                         },
-                        vec![current],
+                        [current],
                         current_rows,
                         current_rows * (width - right_width),
                     );
@@ -452,13 +450,13 @@ impl<'a> Planner<'a> {
                             keys: vec![right_key.clone()],
                             partitions: self.opts.shuffle_partitions,
                         },
-                        vec![right],
+                        [right],
                         right_rows,
                         right_rows * right_width,
                     );
                     plan.add(
                         PhysicalOp::ShuffledHashJoin { left_key, right_key },
-                        vec![lex, rex],
+                        [lex, rex],
                         out_rows,
                         out_bytes,
                     )
@@ -486,7 +484,7 @@ impl<'a> Planner<'a> {
                                 right: Box::new(Expr::Column(e.right.clone())),
                             },
                         },
-                        vec![current],
+                        [current],
                         current_rows,
                         current_rows * width,
                     );
@@ -506,7 +504,7 @@ impl<'a> Planner<'a> {
                     current_rows *= DEFAULT_SELECTIVITY;
                     current = plan.add(
                         PhysicalOp::Filter { predicate: r.clone() },
-                        vec![current],
+                        [current],
                         current_rows,
                         current_rows * width,
                     );
@@ -551,24 +549,19 @@ impl<'a> Planner<'a> {
                     group_by: spec.group_by.clone(),
                     aggs: spec.aggregates.clone(),
                 },
-                vec![current],
+                [current],
                 groups_est * (self.opts.shuffle_partitions as f64).sqrt(),
                 groups_est * out_width,
             );
             let exchange = if spec.group_by.is_empty() {
-                plan.add(
-                    PhysicalOp::ExchangeSingle,
-                    vec![partial],
-                    groups_est,
-                    groups_est * out_width,
-                )
+                plan.add(PhysicalOp::ExchangeSingle, [partial], groups_est, groups_est * out_width)
             } else {
                 plan.add(
                     PhysicalOp::ExchangeHash {
                         keys: spec.group_by.clone(),
                         partitions: self.opts.shuffle_partitions,
                     },
-                    vec![partial],
+                    [partial],
                     groups_est,
                     groups_est * out_width,
                 )
@@ -579,7 +572,7 @@ impl<'a> Planner<'a> {
                     group_by: spec.group_by.clone(),
                     aggs: spec.aggregates.clone(),
                 },
-                vec![exchange],
+                [exchange],
                 groups_est,
                 groups_est * out_width,
             );
@@ -605,29 +598,25 @@ impl<'a> Planner<'a> {
             if !columns.is_empty() {
                 current = plan.add(
                     PhysicalOp::Project { columns },
-                    vec![current],
+                    [current],
                     current_rows,
                     current_rows * width,
                 );
             }
         }
         if !spec.order_by.is_empty() {
-            let single = plan.add(
-                PhysicalOp::ExchangeSingle,
-                vec![current],
-                current_rows,
-                current_rows * width,
-            );
+            let single =
+                plan.add(PhysicalOp::ExchangeSingle, [current], current_rows, current_rows * width);
             current = plan.add(
                 PhysicalOp::Sort { keys: spec.order_by.clone() },
-                vec![single],
+                [single],
                 current_rows,
                 current_rows * width,
             );
         }
         if let Some(n) = spec.limit {
             let out = current_rows.min(n as f64);
-            plan.add(PhysicalOp::Limit { n }, vec![current], out, out * width);
+            plan.add(PhysicalOp::Limit { n }, [current], out, out * width);
         }
     }
 }
@@ -663,7 +652,13 @@ struct Build<'a> {
 }
 
 impl Build<'_> {
-    fn add(&mut self, op: PhysicalOp, children: Vec<NodeId>, rows: f64, bytes: f64) -> NodeId {
+    fn add<const N: usize>(
+        &mut self,
+        op: PhysicalOp,
+        children: [NodeId; N],
+        rows: f64,
+        bytes: f64,
+    ) -> NodeId {
         let op = self.ops.intern(op);
         self.plan.add(op, children, rows, bytes)
     }

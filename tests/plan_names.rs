@@ -2,33 +2,35 @@
 //! column name a candidate plan holds is the catalog's allocation, every
 //! alias the binder's one allocation for the query, and every operator
 //! one allocation per distinct operator of the query's candidates; a
-//! planned node's size, its heap footprint and what a cloned plan
-//! retains are pinned.
+//! planned node's size, its heap footprint, its node array and what a
+//! cloned plan allocates and retains are pinned.
 //!
 //! This binary installs a `#[global_allocator]` that keeps the live heap
-//! bytes of the armed thread (what it allocated minus what it freed), so
-//! no other test binary pays for it.
+//! bytes of the armed thread (what it allocated minus what it freed) and
+//! its allocation count, so no other test binary pays for it.
 
 use raal::serving::plan_key_charge;
 use sparksim::expr::Expr;
-use sparksim::plan::physical::{PhysicalNode, PhysicalOp};
+use sparksim::plan::physical::{NodeId, PhysicalNode, PhysicalOp, WordHasher};
 use sparksim::plan::planner::{Planner, PlannerOptions};
 use sparksim::schema::{ColumnRef, Name};
 use sparksim::{ClusterConfig, Engine, PhysicalPlan, SimulatorConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::hash::{Hash, Hasher};
 use std::mem::size_of;
 use std::sync::Arc;
 use workloads::imdb::{generate, ImdbConfig};
 use workloads::querygen::{generate_queries, QueryGenConfig};
 
 /// Live heap bytes a planned node may hold, averaged over every
-/// candidate of [`QUERIES`] generated queries: the node's arena slot and
-/// child list, and its share of the query's operators with their column
-/// lists, predicate trees and literals. It reads 128 B with operators
-/// shared across a query's candidates, and read 297 B with an operator
-/// per node (375 B with a `String` per name as well).
-const HEAP_BYTES_PER_NODE: f64 = 150.0;
+/// candidate of [`QUERIES`] generated queries: the node's arena slot
+/// (its child list is inline) and its share of the query's operators
+/// with their column lists, predicate trees and literals. It reads 95 B
+/// with inline child lists and exact-size node arrays, and read 128 B
+/// with a `Vec` per child list, 297 B with an operator per node as well
+/// (375 B with a `String` per name on top).
+const HEAP_BYTES_PER_NODE: f64 = 110.0;
 const QUERIES: usize = 640;
 
 struct LiveBytes;
@@ -37,14 +39,18 @@ thread_local! {
     // const-initialized so the TLS access itself never allocates.
     static ARMED: Cell<bool> = const { Cell::new(false) };
     static LIVE: Cell<i64> = const { Cell::new(0) };
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
 }
 
-fn tally(delta: i64) {
+/// Adds `delta` bytes and `allocs` allocations (a `realloc` counts) to
+/// the armed thread's tally.
+fn tally(delta: i64, allocs: u64) {
     // try_with: TLS may be gone during thread teardown; those
     // allocations belong to the runtime, not the measured code.
     let _ = ARMED.try_with(|armed| {
         if armed.get() {
             let _ = LIVE.try_with(|n| n.set(n.get() + delta));
+            let _ = ALLOCS.try_with(|n| n.set(n.get() + allocs));
         }
     });
 }
@@ -53,18 +59,18 @@ fn tally(delta: i64) {
 // `GlobalAlloc` contract; the tally is a side effect only.
 unsafe impl GlobalAlloc for LiveBytes {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        tally(layout.size() as i64);
+        tally(layout.size() as i64, 1);
         System.alloc(layout)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        tally(-(layout.size() as i64));
+        tally(-(layout.size() as i64), 0);
         System.dealloc(ptr, layout)
     }
 
     // SAFETY: same deferral to `System` as `alloc` above.
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        tally(new_size as i64 - layout.size() as i64);
+        tally(new_size as i64 - layout.size() as i64, 1);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -72,14 +78,28 @@ unsafe impl GlobalAlloc for LiveBytes {
 #[global_allocator]
 static ALLOCATOR: LiveBytes = LiveBytes;
 
-/// Runs `f` on this thread with the tally armed; returns the heap bytes
-/// it left live.
-fn live_bytes<R>(f: impl FnOnce() -> R) -> (i64, R) {
+/// What an armed closure did to this thread's heap.
+struct Heap {
+    /// Bytes it left live (negative: it freed more than it allocated).
+    live: i64,
+    /// Allocations and reallocations it made.
+    allocs: u64,
+}
+
+/// Runs `f` on this thread with the tally armed.
+fn measure<R>(f: impl FnOnce() -> R) -> (Heap, R) {
     LIVE.with(|n| n.set(0));
+    ALLOCS.with(|n| n.set(0));
     ARMED.with(|a| a.set(true));
     let r = f();
     ARMED.with(|a| a.set(false));
-    (LIVE.with(|n| n.get()), r)
+    (
+        Heap {
+            live: LIVE.with(|n| n.get()),
+            allocs: ALLOCS.with(|n| n.get()),
+        },
+        r,
+    )
 }
 
 fn engine_and_queries() -> (Engine, Vec<String>) {
@@ -169,7 +189,7 @@ fn every_name_in_a_candidate_is_the_catalogs_or_the_querys_one_allocation() {
 fn a_planned_node_holds_a_bounded_heap_footprint() {
     let (engine, queries) = engine_and_queries();
     let opts = engine.planner_options().clone();
-    let (live, plans) = live_bytes(|| {
+    let (Heap { live, .. }, plans) = measure(|| {
         queries
             .iter()
             .map(|sql| {
@@ -224,7 +244,7 @@ fn a_cloned_plan_holding_its_operators_alone_retains_at_most_its_charge() {
         let spec = engine.spec(sql).unwrap_or_else(|e| panic!("{sql}: {e}"));
         let enumerate = || Planner::new(engine.catalog(), opts.clone()).enumerate(&spec);
         for i in 0..enumerate().len() {
-            let (live, key) = live_bytes(|| enumerate()[i].clone());
+            let (Heap { live, .. }, key) = measure(|| enumerate()[i].clone());
             let charge = plan_key_charge(key.len());
             assert!(
                 live <= charge as i64,
@@ -237,7 +257,70 @@ fn a_cloned_plan_holding_its_operators_alone_retains_at_most_its_charge() {
     println!("{nodes} nodes retain {:.1} B a node alone", retained as f64 / nodes as f64);
 }
 
+/// `Planner::enumerate` returns each candidate with no spare node
+/// capacity, and a clone of one is one allocation: its node array (the
+/// operators are shared, the child lists inline).
+#[test]
+fn a_candidate_holds_exactly_its_nodes_and_clones_in_one_allocation() {
+    let (engine, queries) = engine_and_queries();
+    let node = size_of::<PhysicalNode>() as i64;
+    let mut nodes = 0usize;
+    for sql in &queries {
+        let spec = engine.spec(sql).unwrap_or_else(|e| panic!("{sql}: {e}"));
+        let plans =
+            Planner::new(engine.catalog(), engine.planner_options().clone()).enumerate(&spec);
+        // Held here, so dropping a plan frees its node array alone.
+        let _ops: Vec<Arc<PhysicalOp>> =
+            plans.iter().flat_map(|p| p.nodes()).map(|n| n.op.clone()).collect();
+        for plan in plans {
+            let bytes = plan.len() as i64 * node;
+            let (cloned, copy) = measure(|| plan.clone());
+            assert_eq!(
+                (cloned.allocs, cloned.live),
+                (1, bytes),
+                "{sql}: cloning\n{}",
+                copy.explain()
+            );
+            let (dropped, ()) = measure(|| drop(plan));
+            assert_eq!(dropped.live, -bytes, "{sql}: spare capacity\n{}", copy.explain());
+            nodes += copy.len();
+        }
+    }
+    assert!(nodes >= 40_000, "only {nodes} nodes checked");
+}
+
+/// A candidate's `fingerprint` (the planner's de-duplication key) and
+/// `structural_hash` (the plan-context cache's) read as they did when
+/// child lists were `Vec<NodeId>`.
+#[test]
+fn fingerprints_and_hashes_read_as_with_vec_child_lists() {
+    let (engine, queries) = engine_and_queries();
+    let mut plans = 0usize;
+    for sql in &queries[..200] {
+        let spec = engine.spec(sql).unwrap_or_else(|e| panic!("{sql}: {e}"));
+        for plan in
+            Planner::new(engine.catalog(), engine.planner_options().clone()).enumerate(&spec)
+        {
+            let mut print = String::new();
+            let mut hash = WordHasher::default();
+            hash.write_usize(plan.len());
+            for (i, node) in plan.nodes().iter().enumerate() {
+                let children: Vec<NodeId> = node.children.to_vec();
+                print += &format!("{i}:{}{children:?};", plan.statement(i));
+                node.op.hash(&mut hash);
+                children.hash(&mut hash);
+                hash.write_u64(node.est_rows.to_bits());
+                hash.write_u64(node.est_bytes.to_bits());
+            }
+            assert_eq!(plan.fingerprint(), print, "{sql}");
+            assert_eq!(plan.structural_hash(), hash.finish(), "{sql}\n{}", plan.explain());
+            plans += 1;
+        }
+    }
+    assert!(plans >= 600, "only {plans} candidates checked");
+}
+
 #[test]
 fn a_node_is_an_operator_pointer_a_child_list_and_two_estimates() {
-    assert!(size_of::<PhysicalNode>() <= 48, "{} B", size_of::<PhysicalNode>());
+    assert!(size_of::<PhysicalNode>() <= 40, "{} B", size_of::<PhysicalNode>());
 }
