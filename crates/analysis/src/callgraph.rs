@@ -310,7 +310,7 @@ pub const HOT_ENTRY_POINTS: &[EntryPoint] = &[
         name: "predict_packed",
     },
     // The encoder every uncached request runs: statement rendering,
-    // tokenizing, embedding lookup and the DAG self-check.
+    // tokenizing, embedding lookup and the plan's tree check.
     EntryPoint {
         krate: "encoding",
         self_ty: Some("PlanEncoder"),

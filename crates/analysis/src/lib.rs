@@ -1,10 +1,7 @@
-//! Static guarantees for the RAAL workspace.
+//! Static guarantees for the RAAL workspace's source, behind the
+//! `raal-lint` tool. No library crate links this one: the plan's tree
+//! invariant is `sparksim`'s `PhysicalPlan::check_tree`.
 //!
-//! * [`dag`] — structural validation of encoded plan DAGs:
-//!   acyclicity (children strictly precede parents in the bottom-up
-//!   arena), single root, no shared children, and consistency of the
-//!   signed adjacency rows (+1 child entries matched by a −1 parent
-//!   entry) used by `encoding::plan_encoder`.
 //! * [`lint`] — the `raal-lint` source scanner enforcing repo-wide
 //!   rules the compiler cannot: `// SAFETY:` comments on `unsafe`,
 //!   no `Instant::now` outside telemetry, no `unwrap()`/`expect()` in
@@ -31,9 +28,6 @@
 #![deny(missing_docs)]
 
 pub mod callgraph;
-pub mod dag;
 pub mod lex;
 pub mod lint;
 pub mod panic;
-
-pub use dag::{validate_children, validate_signed_rows, DagError};

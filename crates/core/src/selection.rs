@@ -25,7 +25,7 @@ pub fn select_plan(
         // As `PlanEncoder::encode`: a malformed candidate must not be priced.
         let encoded = encoder
             .try_encode_in(plan, memo.as_mut())
-            .unwrap_or_else(|e| panic!("plan encoding produced an invalid DAG: {e}"));
+            .unwrap_or_else(|e| panic!("plan is not a single tree: {e}"));
         model.predict_seconds(&encoded, &features)
     });
     costs

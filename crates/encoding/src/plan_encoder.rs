@@ -16,7 +16,7 @@ use crate::onehot;
 use crate::tokenizer::Tokenizer;
 use crate::word2vec::{EmbeddingTable, Word2Vec};
 use serde::{Deserialize, Serialize};
-use sparksim::plan::physical::{PhysicalOp, WordHasher};
+use sparksim::plan::physical::{NotATree, PhysicalOp, WordHasher};
 use sparksim::resource::{ClusterConfig, ResourceConfig};
 use sparksim::PhysicalPlan;
 use std::hash::{Hash, Hasher};
@@ -113,16 +113,6 @@ impl EncodedPlan {
         // PANIC-FREE: callers pass i < num_nodes; `child_start` holds
         // num_nodes + 1 ascending offsets into `child_ids`.
         &self.child_ids[self.child_start[i]..self.child_start[i + 1]]
-    }
-
-    /// Structural validation of the child lists ([`analysis::dag`]):
-    /// in-range, topologically ordered (children strictly precede
-    /// parents, ruling out cycles), duplicate-free, single-parent, and a
-    /// unique root that is the last node. Use
-    /// [`PlanEncoder::validate`] to additionally cross-check the signed
-    /// structure rows.
-    pub fn validate(&self) -> Result<(), analysis::dag::DagError> {
-        analysis::dag::validate_children(self.num_nodes(), |i| self.children(i))
     }
 }
 
@@ -244,11 +234,10 @@ impl PlanEncoder {
     pub fn encode(&self, plan: &PhysicalPlan) -> EncodedPlan {
         match self.try_encode(plan) {
             Ok(encoded) => encoded,
-            // PANIC-FREE: deliberate guard — a malformed plan (or a bug
-            // in the structure-row emission) must fail loudly before it
-            // can reach the model and mispredict silently; the planner
-            // never emits one.
-            Err(e) => panic!("plan encoding produced an invalid DAG: {e}"),
+            // PANIC-FREE: deliberate guard — a malformed plan must fail
+            // loudly before it can reach the model and mispredict
+            // silently; the planner never emits one.
+            Err(e) => panic!("plan is not a single tree: {e}"),
         }
     }
 
@@ -256,9 +245,9 @@ impl PlanEncoder {
     /// rendered straight into the tokenizer and each token's embedding
     /// added, in token order, to the node's row where it lies. A plan
     /// that is empty or not a single tree — two roots, a child listed
-    /// twice or under two parents — is rejected by the static DAG check
-    /// ([`Self::validate`]) that closes the pass.
-    pub fn try_encode(&self, plan: &PhysicalPlan) -> Result<EncodedPlan, analysis::dag::DagError> {
+    /// twice or under two parents — is rejected before anything is
+    /// encoded ([`PhysicalPlan::check_tree`]).
+    pub fn try_encode(&self, plan: &PhysicalPlan) -> Result<EncodedPlan, NotATree> {
         self.try_encode_in(plan, None)
     }
 
@@ -270,10 +259,8 @@ impl PlanEncoder {
         &self,
         plan: &'p PhysicalPlan,
         mut memo: Option<&mut OpMemo<'p>>,
-    ) -> Result<EncodedPlan, analysis::dag::DagError> {
-        if plan.is_empty() {
-            return Err(analysis::dag::DagError::Empty);
-        }
+    ) -> Result<EncodedPlan, NotATree> {
+        plan.check_tree()?;
         let (n, dim) = (plan.len(), self.node_dim());
         let onehot_at = self.w2v.dim();
         let structure_at = onehot_at + onehot::DIM;
@@ -357,37 +344,13 @@ impl PlanEncoder {
         if let Some(m) = memo {
             m.nodes += n as u64;
         }
-        let encoded = EncodedPlan {
+        Ok(EncodedPlan {
             node_dim: dim,
             features,
             child_start,
             child_ids,
             plan_stats: plan_stats(plan),
-        };
-        self.validate(&encoded)?;
-        Ok(encoded)
-    }
-
-    /// Full static validation of an encoded plan: the child-list
-    /// invariants of [`EncodedPlan::validate`] plus a cross-check that
-    /// every `+1` child entry in the signed structure rows is mirrored
-    /// by the child's `−1` parent entry (entries beyond the `max_nodes`
-    /// truncation window are exempt, matching how they are emitted).
-    pub fn validate(&self, plan: &EncodedPlan) -> Result<(), analysis::dag::DagError> {
-        if !self.cfg.structure {
-            return plan.validate();
-        }
-        let at = self.w2v.dim() + onehot::DIM;
-        analysis::dag::validate_signed_rows(
-            plan.num_nodes(),
-            |i| plan.children(i),
-            |i| {
-                // Type-qualified so raal-lint's call graph does not
-                // take it for `Tensor::row`.
-                let row = EncodedPlan::row(plan, i);
-                row.get(at..(at + self.cfg.max_nodes).min(row.len())).unwrap_or(&[])
-            },
-        )
+        })
     }
 
     /// Encodes a full training sample.
@@ -569,11 +532,11 @@ mod tests {
         two_roots.add(PhysicalOp::ExchangeSingle, vec![], 1.0, 8.0);
         let mut memo = OpMemo::default();
         encode_all(&enc, &[&good, &two_roots, &good], &mut memo);
-        assert!(enc.try_encode_in(&two_roots, Some(&mut memo)).is_err());
-        // Only the first plan's four nodes were computed: the rejected
-        // plan (its fifth operator is its third again) found and left
-        // good blocks.
-        assert_eq!((memo.nodes, memo.reused), (4 + 5 + 4 + 5, 5 + 4 + 5));
+        let orphan = Err(NotATree::Orphan { node: 3 });
+        assert_eq!(enc.try_encode_in(&two_roots, Some(&mut memo)), orphan);
+        // Only the first plan's four nodes were computed, and the
+        // rejected plan encoded none of its own.
+        assert_eq!((memo.nodes, memo.reused), (4 + 4, 4));
     }
 
     #[test]

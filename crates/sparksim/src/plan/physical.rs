@@ -248,6 +248,37 @@ pub struct PhysicalPlan {
     nodes: Vec<PhysicalNode>,
 }
 
+/// Why a plan is not one tree rooted at its last node ([`PhysicalPlan::check_tree`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum NotATree {
+    /// The plan has no nodes.
+    Empty,
+    /// `parent` lists `child` a second time: under a second parent, or twice.
+    SharedChild {
+        /// The node listed a second time.
+        child: NodeId,
+        /// The node listing it the second time.
+        parent: NodeId,
+    },
+    /// `node` is nobody's child and not the last node: a second root.
+    Orphan {
+        /// The first such node.
+        node: NodeId,
+    },
+}
+
+impl fmt::Display for NotATree {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Self::Empty => write!(f, "plan has no nodes"),
+            Self::SharedChild { child, parent } => write!(f, "node {parent} re-lists node {child}"),
+            Self::Orphan { node } => write!(f, "node {node} has no parent but is not the last"),
+        }
+    }
+}
+
+impl std::error::Error for NotATree {}
+
 impl PhysicalPlan {
     /// Creates an empty plan.
     pub fn new() -> Self {
@@ -307,6 +338,38 @@ impl PhysicalPlan {
     /// All nodes in topological (execution) order.
     pub fn nodes(&self) -> &[PhysicalNode] {
         &self.nodes
+    }
+
+    /// Checks that the plan is one tree rooted at its last node, as the
+    /// encoder and the models read it: `add` keeps children before
+    /// parents, so it is enough that every node but the last has exactly
+    /// one parent. Names the first node listed twice, in parent order,
+    /// else the first orphan.
+    pub fn check_tree(&self) -> Result<(), NotATree> {
+        let last = self.nodes.len().checked_sub(1).ok_or(NotATree::Empty)?;
+        // One claimed bit per node, on the stack up to 64 nodes (the
+        // planner's largest plan has 34).
+        let mut small = [0u64];
+        // HOT-ALLOC: plans over 64 nodes only (an empty `Vec` allocates
+        // nothing).
+        let mut large = vec![0u64; if last < 64 { 0 } else { last / 64 + 1 }];
+        let claimed: &mut [u64] = if last < 64 { &mut small } else { &mut large };
+        for (parent, node) in self.nodes.iter().enumerate() {
+            for &child in &node.children {
+                let (word, mask) = (child / 64, 1u64 << (child % 64));
+                // PANIC-FREE: child < parent <= last (`add`), and
+                // `claimed` holds a bit for each node.
+                if claimed[word] & mask != 0 {
+                    return Err(NotATree::SharedChild { child, parent });
+                }
+                claimed[word] |= mask;
+            }
+        }
+        // PANIC-FREE: node < last, and `claimed` holds a bit for each node.
+        match (0..last).find(|&node| claimed[node / 64] >> (node % 64) & 1 == 0) {
+            Some(node) => Err(NotATree::Orphan { node }),
+            None => Ok(()),
+        }
     }
 
     /// Parent of each node (`None` for the root).
@@ -612,6 +675,82 @@ mod tests {
     fn forward_reference_rejected() {
         let mut p = PhysicalPlan::new();
         p.add(PhysicalOp::ExchangeSingle, vec![3], 0.0, 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "bottom-up")]
+    fn self_loop_rejected() {
+        PhysicalPlan::new().add(PhysicalOp::ExchangeSingle, [0], 0.0, 0.0);
+    }
+
+    /// A plan of `ExchangeSingle`s with the given child lists.
+    fn shaped(children: &[Vec<NodeId>]) -> PhysicalPlan {
+        let mut p = PhysicalPlan::new();
+        for kids in children {
+            p.add(PhysicalOp::ExchangeSingle, &kids[..], 1.0, 8.0);
+        }
+        p
+    }
+
+    /// The 130-node chain takes the heap map (past 64 nodes), which
+    /// reads as the stack word does.
+    #[test]
+    fn trees_pass_and_the_first_violation_is_named() {
+        assert_eq!(PhysicalPlan::new().check_tree(), Err(NotATree::Empty));
+        let twice = Err(NotATree::SharedChild { child: 0, parent: 1 });
+        assert_eq!(shaped(&[vec![], vec![0, 0]]).check_tree(), twice);
+        let mut chain: Vec<_> = (0..130)
+            .map(|i: NodeId| i.checked_sub(1).into_iter().collect())
+            .collect();
+        assert_eq!(shaped(&chain).check_tree(), Ok(()));
+        chain[100] = vec![98];
+        let e = shaped(&chain).check_tree().unwrap_err();
+        assert_eq!(e, NotATree::SharedChild { child: 98, parent: 100 });
+        assert!(e.to_string().contains("node 100") && e.to_string().contains("node 98"), "{e}");
+    }
+
+    /// `check_tree` restated: count each node's parents, and name the
+    /// first violation in node order.
+    fn reference(children: &[Vec<NodeId>]) -> Result<(), NotATree> {
+        let mut parents = vec![0usize; children.len()];
+        for (parent, kids) in children.iter().enumerate() {
+            for &child in kids {
+                parents[child] += 1;
+                if parents[child] == 2 {
+                    return Err(NotATree::SharedChild { child, parent });
+                }
+            }
+        }
+        let last = children.len().checked_sub(1).ok_or(NotATree::Empty)?;
+        let orphan = (0..last).find(|&node| parents[node] == 0);
+        orphan.map_or(Ok(()), |node| Err(NotATree::Orphan { node }))
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig { cases: 512, ..Default::default() })]
+
+        /// Random bottom-up plans of 0-130 nodes, each node taking 0-2
+        /// earlier children: one node in 128 any (repeats allowed), the
+        /// rest ones not taken yet, so many plans are trees, wide too.
+        #[test]
+        fn check_tree_agrees_with_the_reference(
+            nodes in proptest::prop::collection::vec((0usize..3, 0usize..1 << 20, 0u8..128), 0..131)
+        ) {
+            let (mut children, mut free) = (Vec::new(), Vec::new());
+            for (id, &(k, draw, pick)) in nodes.iter().enumerate() {
+                let mut kids = Vec::new();
+                for draw in [draw, draw >> 10].into_iter().take(if id == 0 { 0 } else { k }) {
+                    if pick == 0 {
+                        kids.push(draw % id);
+                    } else if !free.is_empty() {
+                        kids.push(free.swap_remove(draw % free.len()));
+                    }
+                }
+                children.push(kids);
+                free.push(id);
+            }
+            proptest::prop_assert_eq!(shaped(&children).check_tree(), reference(&children));
+        }
     }
 
     /// `Children` prints, hashes and compares as the `Vec` it replaced,

@@ -1,17 +1,17 @@
 //! Static-analysis guarantees end to end: the model's shape check
 //! rejects mis-shaped models and tampered checkpoints with layer-level
 //! diagnostics, no edit to a checkpoint's integers can panic the loader
-//! or load a model that prices to a non-finite number, the plan-DAG
-//! validator rejects corrupted plan graphs, and — the property under
-//! test — every plan the real planner emits over randomly generated
-//! workloads passes the DAG validator.
+//! or load a model that prices to a non-finite number, the encoder
+//! rejects a plan that is not one tree with the plan's own verdict, and
+//! — the property under test — every plan the real planner emits over
+//! randomly generated workloads is one tree.
 
-use analysis::dag::DagError;
 use encoding::plan_encoder::{EncodedPlan, PLAN_STAT_FEATURES};
 use encoding::{EncoderConfig, PlanEncoder, W2vConfig};
 use proptest::prelude::*;
 use raal::persist::ModelBundle;
 use raal::{CostModel, FallbackModel, ModelConfig, ShardConfig, ShardedServing};
+use sparksim::plan::physical::{NotATree, PhysicalOp};
 use sparksim::plan::planner::PlannerOptions;
 use sparksim::{ClusterConfig, Engine, PhysicalPlan, ResourceConfig, SimulatorConfig};
 use std::io::ErrorKind;
@@ -246,49 +246,34 @@ fn checkpoint_with_mismatched_encoder_width_fails_to_load() {
     assert!(err.to_string().contains("node features"), "{err}");
 }
 
-fn plan_with_children(children: Vec<Vec<usize>>) -> EncodedPlan {
-    EncodedPlan::from_rows(
-        &vec![vec![0.1; 4]; children.len()],
-        &children,
-        [0.0; PLAN_STAT_FEATURES],
-    )
-}
-
+/// Each plan that is not one tree is refused by `try_encode` with the
+/// plan's own verdict, and never panics it.
 #[test]
 fn corrupted_plan_dags_are_rejected() {
-    // Forward reference (child does not precede its parent).
-    let err = plan_with_children(vec![vec![1], vec![]]).validate().unwrap_err();
-    assert!(matches!(err, DagError::NotTopological { node: 0, child: 1 }), "{err}");
-
-    // Child index out of range.
-    let err = plan_with_children(vec![vec![], vec![7]]).validate().unwrap_err();
-    assert!(matches!(err, DagError::ChildOutOfRange { node: 1, child: 7, .. }), "{err}");
-
-    // Two nodes claiming the same child.
-    let err = plan_with_children(vec![vec![], vec![0], vec![0]])
-        .validate()
-        .unwrap_err();
-    assert!(matches!(err, DagError::MultipleParents { node: 0, .. }), "{err}");
-
-    // Two parentless roots.
-    let err = plan_with_children(vec![vec![], vec![], vec![0, 1], vec![]])
-        .validate()
-        .unwrap_err();
-    assert!(matches!(err, DagError::MultipleRoots { .. }), "{err}");
-
-    // Root not in final execution position.
-    let err = plan_with_children(vec![vec![], vec![], vec![1], vec![0, 2]]).validate();
-    assert!(err.is_ok(), "binary join tree is valid");
-    let err = plan_with_children(vec![vec![], vec![0]]).validate();
-    assert!(err.is_ok(), "linear chain is valid");
+    use NotATree::{Empty, Orphan, SharedChild};
+    let rows: [(&[&[usize]], _); 5] = [
+        (&[], Err(Empty)),
+        (&[&[], &[0], &[]], Err(Orphan { node: 1 })),
+        (&[&[], &[0], &[0]], Err(SharedChild { child: 0, parent: 2 })),
+        (&[&[], &[0, 0]], Err(SharedChild { child: 0, parent: 1 })),
+        (&[&[], &[], &[1], &[0, 2]], Ok(())),
+    ];
+    let encoder = tiny_encoder();
+    for (children, verdict) in rows {
+        let mut plan = PhysicalPlan::new();
+        for &kids in children {
+            plan.add(PhysicalOp::ExchangeSingle, kids, 1.0, 8.0);
+        }
+        let encoded = std::panic::catch_unwind(|| encoder.try_encode(&plan).map(drop));
+        assert_eq!(encoded.ok(), Some(verdict), "{children:?}");
+    }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 6, ..ProptestConfig::default() })]
 
     /// Every physical plan the planner produces for a randomly generated
-    /// workload encodes to a graph that satisfies all DAG invariants,
-    /// including the signed-adjacency cross-check on the structure rows.
+    /// workload is one tree rooted at its last node.
     #[test]
     fn planner_output_always_passes_the_dag_validator(seed in 0u64..1000, max_joins in 1usize..4) {
         let data = generate(&ImdbConfig { title_rows: 200, seed });
@@ -307,20 +292,14 @@ proptest! {
             &mut rng,
         );
         prop_assert!(!queries.is_empty(), "query generator produced nothing");
-        let encoder = tiny_encoder();
         let mut plans_checked = 0usize;
         for sql in &queries {
             let plans = engine.plan_candidates(sql).unwrap_or_else(|e| panic!("{sql}: {e}"));
             plans_checked += plans.len();
             for plan in &plans {
-                // encode() already panics on an invalid DAG; validate both
-                // layers explicitly so a future regression fails here with
-                // the DagError rather than a panic message.
-                let encoded = encoder.encode(plan);
-                prop_assert!(encoded.validate().is_ok(), "{sql}: {:?}", encoded.validate());
-                prop_assert!(encoder.validate(&encoded).is_ok(), "{sql}: {:?}", encoder.validate(&encoded));
+                prop_assert_eq!(plan.check_tree(), Ok(()), "{sql}");
             }
         }
-        prop_assert!(plans_checked > 0, "no candidate plans were validated");
+        prop_assert!(plans_checked > 0, "no candidate plans were checked");
     }
 }
