@@ -7,11 +7,9 @@
 //! note the difference). Expected shape: learned-model inference is
 //! negligible and RAAL ≈ TLSTM.
 //!
-//! Also benchmarks the RAAL inference engine itself:
-//! * autograd-tape forward (`predict_seconds_tape`, the training path)
-//!   vs the tape-free fast path (`predict_seconds`);
-//! * a 64-configuration resource sweep per plan, naive (full forward per
-//!   configuration) vs `PlanContext` reuse (`predict_with_context`).
+//! The inference engine's own ratios (tape vs fast path, `PlanContext`
+//! reuse over a resource sweep) are `bench_inference`'s, tracked in
+//! `BENCH_inference.json`.
 
 use baselines::gpsj::{GpsjModel, GpsjParams};
 use baselines::tlstm::{train_tlstm, TlstmConfig, TlstmModel};
@@ -100,70 +98,6 @@ fn main() {
         "tab9_inference_latency.tsv",
         &["model", "total_ms_100_queries", "per_plan_ms"],
         &rows,
-    );
-
-    // ---- RAAL inference-engine breakdown: tape vs fast vs cached sweep.
-    section("RAAL inference engine — tape vs fast path vs PlanContext");
-    let tape_ms = time_it(&|| {
-        for (_, enc, res) in plans.iter().take(n) {
-            std::hint::black_box(
-                raal_model.predict_seconds_tape(enc, &res.feature_vector(cluster)),
-            );
-        }
-    });
-    let fast_ms = raal_ms; // measured above via predict_seconds
-
-    // 64-configuration resource sweep over the first plans: the naive
-    // loop re-runs the whole forward pass per configuration, the cached
-    // loop reuses each plan's resource-independent PlanContext.
-    let sweep_plans = 8.min(n);
-    let sweep_configs: Vec<Vec<f32>> = (0..64)
-        .map(|i| {
-            let (_, _, base) = &plans[i % sweep_plans];
-            let mut f = base.feature_vector(cluster);
-            let s = 0.25 + 0.75 * (i as f32 / 63.0);
-            f.iter_mut().for_each(|x| *x *= s);
-            f
-        })
-        .collect();
-    let naive_sweep_ms = time_it(&|| {
-        for (_, enc, _) in plans.iter().take(sweep_plans) {
-            for cfg in &sweep_configs {
-                std::hint::black_box(raal_model.predict_seconds(enc, cfg));
-            }
-        }
-    });
-    let cached_sweep_ms = time_it(&|| {
-        for (_, enc, _) in plans.iter().take(sweep_plans) {
-            let ctx = raal_model.plan_context(enc);
-            for cfg in &sweep_configs {
-                std::hint::black_box(raal_model.predict_with_context(&ctx, cfg));
-            }
-        }
-    });
-
-    let single_speedup = tape_ms / fast_ms;
-    let sweep_speedup = naive_sweep_ms / cached_sweep_ms;
-    println!("{:>24} {:>12} {:>12}", "path", "total(ms)", "speedup");
-    println!("{:>24} {tape_ms:>12.3} {:>12}", "tape (reference)", "1.0x");
-    println!("{:>24} {fast_ms:>12.3} {:>11.1}x", "fast path", single_speedup);
-    println!("\nresource sweep: {sweep_plans} plans x {} configurations", sweep_configs.len());
-    println!("{:>24} {naive_sweep_ms:>12.3} {:>12}", "naive (full forward)", "1.0x");
-    println!("{:>24} {cached_sweep_ms:>12.3} {:>11.1}x", "PlanContext cached", sweep_speedup);
-    write_tsv(
-        &opts.out_dir,
-        "tab9_engine_breakdown.tsv",
-        &["path", "total_ms", "speedup_vs_reference"],
-        &[
-            vec!["tape_100_plans".into(), format!("{tape_ms:.3}"), "1.00".into()],
-            vec!["fast_100_plans".into(), format!("{fast_ms:.3}"), format!("{single_speedup:.2}")],
-            vec!["sweep_naive_8x64".into(), format!("{naive_sweep_ms:.3}"), "1.00".into()],
-            vec![
-                "sweep_cached_8x64".into(),
-                format!("{cached_sweep_ms:.3}"),
-                format!("{sweep_speedup:.2}"),
-            ],
-        ],
     );
 
     // Flush counter/histogram summaries so a telemetry-enabled run

@@ -5,7 +5,7 @@
 //! optimizer and no clever operators. It exists purely as an oracle: every
 //! candidate physical plan the planner enumerates must produce exactly the
 //! rows this evaluator produces (see the property tests and
-//! `tests/plan_equivalence.rs`).
+//! `tests/prop_equivalence.rs`).
 
 use crate::batch::Batch;
 use crate::catalog::Catalog;
@@ -68,7 +68,6 @@ pub fn execute_reference(catalog: &Catalog, spec: &QuerySpec) -> Result<Vec<RefR
         tuples = next;
     }
 
-    // Residual predicates over the joined tuples.
     let value_of = |tuple: &[usize], re: &ColumnRef| -> Value {
         let bi = spec
             .bindings
@@ -80,13 +79,6 @@ pub fn execute_reference(catalog: &Catalog, spec: &QuerySpec) -> Result<Vec<RefR
             .map(|c| c.value(tuple[bi]))
             .unwrap_or(Value::Null)
     };
-    if !spec.residual.is_empty() {
-        tuples.retain(|tuple| {
-            spec.residual
-                .iter()
-                .all(|pred| eval_pred_on_tuple(pred, spec, &batches, tuple) == Some(true))
-        });
-    }
 
     // Aggregation or projection.
     let mut rows: Vec<RefRow> = if spec.has_aggregates() || !spec.group_by.is_empty() {
@@ -199,25 +191,6 @@ fn join_edges_hold(spec: &QuerySpec, batches: &[Batch], tuple: &[usize]) -> bool
         }
     }
     true
-}
-
-fn eval_pred_on_tuple(
-    pred: &crate::expr::Expr,
-    spec: &QuerySpec,
-    batches: &[Batch],
-    tuple: &[usize],
-) -> Option<bool> {
-    // Build a one-row batch containing every referenced column.
-    let mut row_batch = Batch::new();
-    for re in pred.referenced_columns() {
-        let bi = spec.bindings.iter().position(|b| b.name == re.table)?;
-        let col = batches[bi].column(re)?;
-        row_batch.push(re.clone(), col.take(&[tuple[bi]]));
-    }
-    match pred.eval_row(&row_batch, 0) {
-        Value::Null => None,
-        v => Some(v.as_i64() == Some(1)),
-    }
 }
 
 #[derive(Debug, Clone)]

@@ -84,12 +84,6 @@ pub enum Expr {
     },
     /// Logical conjunction.
     And(Box<Expr>, Box<Expr>),
-    /// Logical disjunction.
-    Or(Box<Expr>, Box<Expr>),
-    /// Logical negation.
-    Not(Box<Expr>),
-    /// `expr IS NULL`.
-    IsNull(Box<Expr>),
     /// `expr IS NOT NULL`.
     IsNotNull(Box<Expr>),
     /// `expr LIKE 'pattern'` with `%` wildcards.
@@ -152,11 +146,11 @@ impl Expr {
                 left.collect_columns(out);
                 right.collect_columns(out);
             }
-            Expr::And(a, b) | Expr::Or(a, b) => {
+            Expr::And(a, b) => {
                 a.collect_columns(out);
                 b.collect_columns(out);
             }
-            Expr::Not(e) | Expr::IsNull(e) | Expr::IsNotNull(e) => e.collect_columns(out),
+            Expr::IsNotNull(e) => e.collect_columns(out),
             Expr::Like { expr, .. } => expr.collect_columns(out),
         }
     }
@@ -180,12 +174,6 @@ impl Expr {
                 }
             }
             Expr::And(a, b) => tri_and(a.eval_row(batch, row), b.eval_row(batch, row)),
-            Expr::Or(a, b) => tri_or(a.eval_row(batch, row), b.eval_row(batch, row)),
-            Expr::Not(e) => match e.eval_row(batch, row) {
-                Value::Null => Value::Null,
-                v => Value::Int((v.as_i64() == Some(0)) as i64),
-            },
-            Expr::IsNull(e) => Value::Int(e.eval_row(batch, row).is_null() as i64),
             Expr::IsNotNull(e) => Value::Int(!e.eval_row(batch, row).is_null() as i64),
             Expr::Like { expr, pattern } => match expr.eval_row(batch, row) {
                 Value::Null => Value::Null,
@@ -206,12 +194,6 @@ impl Expr {
                 let mb = b.eval_mask(batch);
                 ma.into_iter().zip(mb).map(|(x, y)| tri_and_b(x, y)).collect()
             }
-            Expr::Or(a, b) => {
-                let ma = a.eval_mask(batch);
-                let mb = b.eval_mask(batch);
-                ma.into_iter().zip(mb).map(|(x, y)| tri_or_b(x, y)).collect()
-            }
-            Expr::Not(e) => e.eval_mask(batch).into_iter().map(|x| x.map(|b| !b)).collect(),
             Expr::IsNotNull(e) => match e.as_ref() {
                 Expr::Column(c) => {
                     let col = match batch.column(c) {
@@ -221,16 +203,6 @@ impl Expr {
                     (0..n).map(|i| Some(col.is_valid(i))).collect()
                 }
                 _ => (0..n).map(|i| Some(!e.eval_row(batch, i).is_null())).collect(),
-            },
-            Expr::IsNull(e) => match e.as_ref() {
-                Expr::Column(c) => {
-                    let col = match batch.column(c) {
-                        Some(col) => col,
-                        None => return vec![Some(true); n],
-                    };
-                    (0..n).map(|i| Some(!col.is_valid(i))).collect()
-                }
-                _ => (0..n).map(|i| Some(e.eval_row(batch, i).is_null())).collect(),
             },
             Expr::Cmp { op, left, right } => {
                 // Fast path: column vs literal.
@@ -295,14 +267,6 @@ fn tri_and(a: Value, b: Value) -> Value {
     }
 }
 
-fn tri_or(a: Value, b: Value) -> Value {
-    match (to_tri(&a), to_tri(&b)) {
-        (Some(true), _) | (_, Some(true)) => Value::Int(1),
-        (Some(false), Some(false)) => Value::Int(0),
-        _ => Value::Null,
-    }
-}
-
 fn to_tri(v: &Value) -> Option<bool> {
     match v {
         Value::Null => None,
@@ -314,14 +278,6 @@ fn tri_and_b(a: Option<bool>, b: Option<bool>) -> Option<bool> {
     match (a, b) {
         (Some(false), _) | (_, Some(false)) => Some(false),
         (Some(true), Some(true)) => Some(true),
-        _ => None,
-    }
-}
-
-fn tri_or_b(a: Option<bool>, b: Option<bool>) -> Option<bool> {
-    match (a, b) {
-        (Some(true), _) | (_, Some(true)) => Some(true),
-        (Some(false), Some(false)) => Some(false),
         _ => None,
     }
 }
@@ -416,9 +372,6 @@ impl fmt::Display for Expr {
             Expr::Literal(v) => write!(f, "{v}"),
             Expr::Cmp { op, left, right } => write!(f, "({left} {op} {right})"),
             Expr::And(a, b) => write!(f, "({a} && {b})"),
-            Expr::Or(a, b) => write!(f, "({a} || {b})"),
-            Expr::Not(e) => write!(f, "NOT {e}"),
-            Expr::IsNull(e) => write!(f, "isnull({e})"),
             Expr::IsNotNull(e) => write!(f, "isnotnull({e})"),
             Expr::Like { expr, pattern } => write!(f, "{expr} LIKE '{pattern}'"),
         }
@@ -483,16 +436,6 @@ mod tests {
             Box::new(Expr::cmp(col("id"), CmpOp::Lt, Value::Int(5))),
         );
         assert_eq!(e.eval_mask(&batch()), vec![Some(false), Some(true), None, Some(false)]);
-    }
-
-    #[test]
-    fn three_valued_or_short_circuits_null() {
-        // NULL OR TRUE = TRUE
-        let e = Expr::Or(
-            Box::new(Expr::cmp(col("name"), CmpOp::Eq, Value::Str("beta".into()))),
-            Box::new(Expr::cmp(col("id"), CmpOp::Eq, Value::Int(3))),
-        );
-        assert_eq!(e.eval_mask(&batch())[2], Some(true));
     }
 
     #[test]

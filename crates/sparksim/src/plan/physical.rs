@@ -813,10 +813,10 @@ mod tests {
         let filter = Expr::And(
             Box::new(Expr::And(
                 Box::new(cmp("id", CmpOp::Ge, Value::Int(3))),
-                Box::new(Expr::Or(
-                    Box::new(cmp("kind", CmpOp::Eq, Value::Str("tv".into()))),
-                    Box::new(Expr::IsNull(Box::new(Expr::Column(col("kind"))))),
-                )),
+                Box::new(Expr::Like {
+                    expr: Box::new(Expr::Column(col("kind"))),
+                    pattern: "tv%".into(),
+                }),
             )),
             Box::new(cmp("rating", CmpOp::Lt, Value::Float(8.25))),
         );
@@ -830,7 +830,7 @@ mod tests {
                     pushed_filter: Some(filter.clone()),
                 },
                 "FileScan title[id,kind] PushedFilters: [(t.id >= 3), \
-                 ((t.kind = 'tv') || isnull(t.kind)), (t.rating < 8.25)]",
+                 t.kind LIKE 'tv%', (t.rating < 8.25)]",
             ),
             (
                 PhysicalOp::FileScan {
@@ -843,8 +843,7 @@ mod tests {
             ),
             (
                 PhysicalOp::Filter { predicate: filter },
-                "Filter (((t.id >= 3) && ((t.kind = 'tv') || isnull(t.kind))) && \
-                 (t.rating < 8.25))",
+                "Filter (((t.id >= 3) && t.kind LIKE 'tv%') && (t.rating < 8.25))",
             ),
             (
                 PhysicalOp::Project { columns: vec![col("id"), col("kind")] },

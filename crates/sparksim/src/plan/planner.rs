@@ -163,7 +163,7 @@ impl<'a> Planner<'a> {
     }
 
     /// Derives a binding's [`Scan`] — the only caller of
-    /// `required_columns`, `estimate_scan_rows` and `simplify`.
+    /// `required_columns` and `estimate_scan_rows`.
     fn scan(&self, spec: &QuerySpec, b: &Binding) -> Scan {
         #[cfg(test)]
         tests::tally(0);
@@ -184,9 +184,7 @@ impl<'a> Planner<'a> {
             base_rows: stats.map_or(0.0, |s| s.row_count as f64),
             est_rows: estimate_scan_rows(spec, b, self.catalog),
             output,
-            // Catalyst's logical optimizer simplifies predicates before
-            // physical planning (constant folding, NOT pushing, ...).
-            filter: spec.table_filters.get(&b.name).map(crate::plan::simplify::simplify),
+            filter: spec.table_filters.get(&b.name).cloned(),
         }
     }
 
@@ -360,7 +358,6 @@ impl<'a> Planner<'a> {
             Self::scan_node(plan, &spec.bindings[first], &scans[first], true);
         let mut included: Vec<&str> = vec![&spec.bindings[first].name];
         let mut applied_edges = vec![false; spec.join_edges.len()];
-        let mut applied_residuals = vec![false; spec.residual.len()];
         let mut width = scans[first].width;
 
         for (step, &bi) in order[1..].iter().enumerate() {
@@ -484,26 +481,6 @@ impl<'a> Planner<'a> {
                                 right: Box::new(Expr::Column(e.right.clone())),
                             },
                         },
-                        [current],
-                        current_rows,
-                        current_rows * width,
-                    );
-                }
-            }
-            // Residuals whose bindings are all now included.
-            for (i, r) in spec.residual.iter().enumerate() {
-                if applied_residuals[i] {
-                    continue;
-                }
-                let ready = r
-                    .referenced_columns()
-                    .iter()
-                    .all(|c| included.contains(&c.table.as_str()));
-                if ready {
-                    applied_residuals[i] = true;
-                    current_rows *= DEFAULT_SELECTIVITY;
-                    current = plan.add(
-                        PhysicalOp::Filter { predicate: r.clone() },
                         [current],
                         current_rows,
                         current_rows * width,
@@ -667,7 +644,7 @@ impl Build<'_> {
 /// What every candidate's scan of one binding shares — functions of
 /// (spec, binding) only: the row width of the required columns, the
 /// unfiltered and filtered row estimates, those columns, and the
-/// binding's filter, simplified.
+/// binding's filter.
 struct Scan {
     width: f64,
     base_rows: f64,
@@ -766,7 +743,7 @@ mod tests {
             "SELECT COUNT(*) FROM title t, movie_companies mc, movie_keyword mk \
              WHERE t.id = mc.movie_id AND t.id = mk.movie_id AND mk.keyword_id < 20",
             "SELECT t.kind_id, COUNT(*) FROM movie_keyword mk, title t, movie_companies mc \
-             WHERE t.id = mc.movie_id AND mk.movie_id = t.id AND NOT (t.kind_id >= 4) \
+             WHERE t.id = mc.movie_id AND mk.movie_id = t.id AND t.kind_id < 4 \
              GROUP BY t.kind_id",
         ] {
             let spec = resolve(&parse(sql).unwrap(), &cat).unwrap();

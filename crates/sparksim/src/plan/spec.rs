@@ -1,7 +1,9 @@
 //! Binder: resolves a parsed [`Query`] against the catalog into a
 //! normalised [`QuerySpec`] — per-table conjunctive filters, equi-join
-//! edges, residual predicates and the aggregate list. This is the form the
-//! join-order optimizer and physical planner work from.
+//! edges and the aggregate list. This is the form the join-order optimizer
+//! and physical planner work from. Every `WHERE` factor is an equi-join
+//! between two bindings or a filter on exactly one; any other factor
+//! (`1 = 0`, `a.x < b.y`) is a [`ResolveError`].
 
 use crate::catalog::Catalog;
 use crate::expr::{CmpOp, Expr};
@@ -67,9 +69,6 @@ pub struct QuerySpec {
     pub table_filters: HashMap<Name, Expr>,
     /// Equi-join edges.
     pub join_edges: Vec<JoinEdge>,
-    /// Predicates that are neither single-table nor equi-join (applied
-    /// after all joins).
-    pub residual: Vec<Expr>,
     /// Aggregates in the select list.
     pub aggregates: Vec<AggSpec>,
     /// Plain select-list columns.
@@ -101,8 +100,8 @@ impl QuerySpec {
     }
 
     /// All columns a binding must produce: filters are applied at the scan,
-    /// so this covers join keys, residuals, aggregates, group/order and the
-    /// select list.
+    /// so this covers join keys, aggregates, group/order and the select
+    /// list.
     pub fn required_columns(&self, binding: &str) -> Vec<ColumnRef> {
         let mut cols: Vec<ColumnRef> = Vec::new();
         let mut push = |c: &ColumnRef| {
@@ -113,11 +112,6 @@ impl QuerySpec {
         for e in &self.join_edges {
             push(&e.left);
             push(&e.right);
-        }
-        for r in &self.residual {
-            for c in r.referenced_columns() {
-                push(c);
-            }
         }
         for a in &self.aggregates {
             if let Some(c) = &a.arg {
@@ -231,16 +225,14 @@ pub fn resolve(query: &Query, catalog: &Catalog) -> Result<QuerySpec, ResolveErr
     // 3. Predicate classification.
     let mut table_filter_lists: HashMap<Name, Vec<Expr>> = HashMap::new();
     let mut join_edges = Vec::new();
-    let mut residual = Vec::new();
     if let Some(pred) = &query.predicate {
         let resolved = resolver.resolve_expr(pred)?;
         for factor in resolved.split_conjunction() {
-            match classify(factor) {
+            match classify(factor)? {
                 Class::Join(edge) => join_edges.push(edge),
                 Class::SingleTable(binding) => {
                     table_filter_lists.entry(binding).or_default().push(factor.clone())
                 }
-                Class::Residual => residual.push(factor.clone()),
             }
         }
     }
@@ -267,7 +259,6 @@ pub fn resolve(query: &Query, catalog: &Catalog) -> Result<QuerySpec, ResolveErr
         bindings,
         table_filters,
         join_edges,
-        residual,
         aggregates,
         select_columns,
         wildcard,
@@ -311,15 +302,14 @@ pub fn resolve(query: &Query, catalog: &Catalog) -> Result<QuerySpec, ResolveErr
 enum Class {
     Join(JoinEdge),
     SingleTable(Name),
-    Residual,
 }
 
-fn classify(factor: &Expr) -> Class {
+fn classify(factor: &Expr) -> Result<Class, ResolveError> {
     // Equi-join: column = column across different bindings.
     if let Expr::Cmp { op: CmpOp::Eq, left, right } = factor {
         if let (Expr::Column(l), Expr::Column(r)) = (left.as_ref(), right.as_ref()) {
             if l.table != r.table {
-                return Class::Join(JoinEdge { left: l.clone(), right: r.clone() });
+                return Ok(Class::Join(JoinEdge { left: l.clone(), right: r.clone() }));
             }
         }
     }
@@ -328,8 +318,8 @@ fn classify(factor: &Expr) -> Class {
     tables.sort_unstable();
     tables.dedup();
     match tables.as_slice() {
-        [single] => Class::SingleTable((*single).clone()),
-        _ => Class::Residual,
+        [single] => Ok(Class::SingleTable((*single).clone())),
+        _ => err(format!("predicate {factor} is neither an equi-join nor a filter on one table")),
     }
 }
 
@@ -420,11 +410,6 @@ impl ColumnResolver<'_> {
             AstExpr::And(a, b) => {
                 Expr::And(Box::new(self.resolve_expr(a)?), Box::new(self.resolve_expr(b)?))
             }
-            AstExpr::Or(a, b) => {
-                Expr::Or(Box::new(self.resolve_expr(a)?), Box::new(self.resolve_expr(b)?))
-            }
-            AstExpr::Not(inner) => Expr::Not(Box::new(self.resolve_expr(inner)?)),
-            AstExpr::IsNull(inner) => Expr::IsNull(Box::new(self.resolve_expr(inner)?)),
             AstExpr::IsNotNull(inner) => Expr::IsNotNull(Box::new(self.resolve_expr(inner)?)),
             AstExpr::Like { expr, pattern } => Expr::Like {
                 expr: Box::new(self.resolve_expr(expr)?),
@@ -444,23 +429,6 @@ impl ColumnResolver<'_> {
                         right: Box::new(Expr::Literal(hi.clone())),
                     }),
                 )
-            }
-            AstExpr::InList { expr, list } => {
-                if list.is_empty() {
-                    return err("IN () with an empty list");
-                }
-                let inner = self.resolve_expr(expr)?;
-                let mut alts: Vec<Expr> = list
-                    .iter()
-                    .map(|v| Expr::Cmp {
-                        op: CmpOp::Eq,
-                        left: Box::new(inner.clone()),
-                        right: Box::new(Expr::Literal(v.clone())),
-                    })
-                    .collect();
-                let first = alts.remove(0);
-                alts.into_iter()
-                    .fold(first, |acc, p| Expr::Or(Box::new(acc), Box::new(p)))
             }
         })
     }
@@ -515,7 +483,6 @@ mod tests {
         assert_eq!(spec.bindings.len(), 2);
         assert_eq!(spec.join_edges.len(), 1);
         assert_eq!(spec.table_filters.len(), 2);
-        assert!(spec.residual.is_empty());
         assert!(spec.has_aggregates());
         assert_eq!(spec.num_joins(), 1);
     }
@@ -561,12 +528,20 @@ mod tests {
         assert_eq!(parts.len(), 2);
     }
 
+    /// A factor on no binding, or a non-equi factor across two, names
+    /// itself in the error instead of becoming a second code path.
     #[test]
-    fn in_list_desugars_to_or_chain() {
-        let q = parse("SELECT COUNT(*) FROM title WHERE kind_id IN (1, 2, 3)").unwrap();
-        let spec = resolve(&q, &catalog()).unwrap();
-        let f = &spec.table_filters["title"];
-        assert!(matches!(f, Expr::Or(_, _)));
+    fn factors_outside_the_conjunctive_language_are_rejected() {
+        for (sql, factor) in [
+            ("SELECT COUNT(*) FROM title WHERE 1 = 0", "(1 = 0)"),
+            (
+                "SELECT COUNT(*) FROM title a, title b WHERE a.id = b.id AND a.id < b.kind_id",
+                "(a.id < b.kind_id)",
+            ),
+        ] {
+            let e = resolve(&parse(sql).unwrap(), &catalog()).unwrap_err();
+            assert!(e.message.contains(factor), "{sql}: {e}");
+        }
     }
 
     #[test]

@@ -149,12 +149,6 @@ pub enum AstExpr {
     },
     /// Conjunction.
     And(Box<AstExpr>, Box<AstExpr>),
-    /// Disjunction.
-    Or(Box<AstExpr>, Box<AstExpr>),
-    /// Negation.
-    Not(Box<AstExpr>),
-    /// `IS NULL`.
-    IsNull(Box<AstExpr>),
     /// `IS NOT NULL`.
     IsNotNull(Box<AstExpr>),
     /// `LIKE` with `%` wildcards.
@@ -172,12 +166,5 @@ pub enum AstExpr {
         lo: Value,
         /// Upper bound.
         hi: Value,
-    },
-    /// `IN (v1, v2, ...)`; desugared to an OR chain during resolution.
-    InList {
-        /// Operand.
-        expr: Box<AstExpr>,
-        /// Candidate values.
-        list: Vec<Value>,
     },
 }

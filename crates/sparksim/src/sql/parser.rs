@@ -1,7 +1,8 @@
 //! Recursive-descent parser for the SQL subset used by the paper's
-//! workloads: `SELECT` with aggregates, comma joins, conjunctive/disjunctive
-//! predicates, `BETWEEN`, `IN`, `LIKE`, `IS [NOT] NULL`, `GROUP BY`,
-//! `ORDER BY` and `LIMIT`.
+//! workloads: `SELECT` with aggregates, comma joins, a `WHERE` clause that
+//! is a conjunction of atoms (`col op col`, `col op literal`, `BETWEEN`,
+//! `LIKE`, `IS NOT NULL`), `GROUP BY`, `ORDER BY` and `LIMIT`. `OR`, `NOT`,
+//! parentheses, `IN` and `IS NULL` are parse errors: no workload emits them.
 
 use super::ast::*;
 use super::token::{tokenize, Token};
@@ -124,7 +125,7 @@ impl Parser {
         self.expect_kw("FROM")?;
         let tables = self.table_list()?;
         let predicate = if self.eat_kw("WHERE") {
-            Some(self.or_expr()?)
+            Some(self.conjunction()?)
         } else {
             None
         };
@@ -254,46 +255,22 @@ impl Parser {
         }
     }
 
-    fn or_expr(&mut self) -> Result<AstExpr, ParseError> {
-        let mut left = self.and_expr()?;
-        while self.eat_kw("OR") {
-            let right = self.and_expr()?;
-            left = AstExpr::Or(Box::new(left), Box::new(right));
-        }
-        Ok(left)
-    }
-
-    fn and_expr(&mut self) -> Result<AstExpr, ParseError> {
-        let mut left = self.unary_expr()?;
+    /// `atom (AND atom)*`.
+    fn conjunction(&mut self) -> Result<AstExpr, ParseError> {
+        let mut left = self.predicate_atom()?;
         while self.eat_kw("AND") {
-            let right = self.unary_expr()?;
+            let right = self.predicate_atom()?;
             left = AstExpr::And(Box::new(left), Box::new(right));
         }
         Ok(left)
     }
 
-    fn unary_expr(&mut self) -> Result<AstExpr, ParseError> {
-        if self.eat_kw("NOT") {
-            return Ok(AstExpr::Not(Box::new(self.unary_expr()?)));
-        }
-        if self.eat_symbol("(") {
-            let inner = self.or_expr()?;
-            self.expect_symbol(")")?;
-            return Ok(inner);
-        }
-        self.predicate_atom()
-    }
-
     fn predicate_atom(&mut self) -> Result<AstExpr, ParseError> {
         let left = self.operand()?;
         if self.eat_kw("IS") {
-            let negated = self.eat_kw("NOT");
+            self.expect_kw("NOT")?;
             self.expect_kw("NULL")?;
-            return Ok(if negated {
-                AstExpr::IsNotNull(Box::new(left))
-            } else {
-                AstExpr::IsNull(Box::new(left))
-            });
+            return Ok(AstExpr::IsNotNull(Box::new(left)));
         }
         if self.eat_kw("LIKE") {
             match self.next() {
@@ -308,18 +285,6 @@ impl Parser {
             self.expect_kw("AND")?;
             let hi = self.literal()?;
             return Ok(AstExpr::Between { expr: Box::new(left), lo, hi });
-        }
-        if self.eat_kw("IN") {
-            self.expect_symbol("(")?;
-            let mut list = Vec::new();
-            loop {
-                list.push(self.literal()?);
-                if !self.eat_symbol(",") {
-                    break;
-                }
-            }
-            self.expect_symbol(")")?;
-            return Ok(AstExpr::InList { expr: Box::new(left), list });
         }
         let op = self.cmp_op()?;
         let right = self.operand()?;
@@ -423,19 +388,18 @@ mod tests {
     }
 
     #[test]
-    fn parses_between_in_like_null() {
+    fn parses_between_like_not_null() {
         let q = parse(
-            "SELECT * FROM t WHERE t.a BETWEEN 1 AND 5 AND t.b IN (1, 2, 3) \
-             AND t.name LIKE 'abc%' AND t.c IS NOT NULL AND t.d IS NULL",
+            "SELECT * FROM t WHERE t.a BETWEEN 1 AND 5 AND t.name LIKE 'abc%' \
+             AND t.c IS NOT NULL AND t.d <> t.e",
         )
         .unwrap();
         let atoms = flatten_and(q.predicate.as_ref().unwrap());
-        assert_eq!(atoms.len(), 5);
+        assert_eq!(atoms.len(), 4);
         assert!(matches!(atoms[0], AstExpr::Between { .. }));
-        assert!(matches!(atoms[1], AstExpr::InList { .. }));
-        assert!(matches!(atoms[2], AstExpr::Like { .. }));
-        assert!(matches!(atoms[3], AstExpr::IsNotNull(_)));
-        assert!(matches!(atoms[4], AstExpr::IsNull(_)));
+        assert!(matches!(atoms[1], AstExpr::Like { .. }));
+        assert!(matches!(atoms[2], AstExpr::IsNotNull(_)));
+        assert!(matches!(atoms[3], AstExpr::Cmp { op: CmpOp::Ne, .. }));
     }
 
     fn flatten_and(e: &AstExpr) -> Vec<&AstExpr> {
@@ -449,16 +413,14 @@ mod tests {
         }
     }
 
+    /// The WHERE clause is a conjunction of atoms; nothing else parses.
     #[test]
-    fn or_binds_weaker_than_and() {
-        let q = parse("SELECT * FROM t WHERE t.a = 1 AND t.b = 2 OR t.c = 3").unwrap();
-        assert!(matches!(q.predicate.unwrap(), AstExpr::Or(_, _)));
-    }
-
-    #[test]
-    fn parentheses_override_precedence() {
-        let q = parse("SELECT * FROM t WHERE t.a = 1 AND (t.b = 2 OR t.c = 3)").unwrap();
-        assert!(matches!(q.predicate.unwrap(), AstExpr::And(_, _)));
+    fn rejects_or_not_parentheses_in_and_is_null() {
+        for pred in
+            ["t.a = 1 OR t.b = 2", "NOT t.a = 1", "(t.a = 1)", "t.a IN (1, 2)", "t.a IS NULL"]
+        {
+            assert!(parse(&format!("SELECT * FROM t WHERE {pred}")).is_err(), "{pred}");
+        }
     }
 
     #[test]

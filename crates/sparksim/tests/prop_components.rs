@@ -337,77 +337,3 @@ mod event_log {
         }
     }
 }
-
-mod simplify_props {
-    use super::*;
-    use sparksim::expr::{CmpOp, Expr};
-    use sparksim::plan::simplify::simplify;
-    use sparksim::types::Value;
-
-    /// Random expression trees over one int column and boolean/int literals.
-    fn arb_expr() -> impl Strategy<Value = Expr> {
-        let col = ColumnRef::new("t", "v");
-        let leaf = prop_oneof![
-            (-20i64..20).prop_map({
-                let col = col.clone();
-                move |v| Expr::cmp(col.clone(), CmpOp::Lt, Value::Int(v))
-            }),
-            (-20i64..20).prop_map({
-                let col = col.clone();
-                move |v| Expr::cmp(col.clone(), CmpOp::Eq, Value::Int(v))
-            }),
-            Just(Expr::IsNotNull(Box::new(Expr::Column(col.clone())))),
-            Just(Expr::IsNull(Box::new(Expr::Column(col.clone())))),
-            (-5i64..5, -5i64..5).prop_map(|(a, b)| Expr::Cmp {
-                op: CmpOp::Le,
-                left: Box::new(Expr::Literal(Value::Int(a))),
-                right: Box::new(Expr::Literal(Value::Int(b))),
-            }),
-            Just(Expr::Literal(Value::Null)),
-        ];
-        leaf.prop_recursive(3, 24, 2, |inner| {
-            prop_oneof![
-                (inner.clone(), inner.clone())
-                    .prop_map(|(a, b)| Expr::And(Box::new(a), Box::new(b))),
-                (inner.clone(), inner.clone())
-                    .prop_map(|(a, b)| Expr::Or(Box::new(a), Box::new(b))),
-                inner.prop_map(|a| Expr::Not(Box::new(a))),
-            ]
-        })
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig { cases: 128, ..ProptestConfig::default() })]
-
-        /// Simplification preserves three-valued semantics row by row.
-        #[test]
-        fn simplify_preserves_semantics(
-            e in arb_expr(),
-            values in prop::collection::vec((-25i64..25, prop::bool::ANY), 1..30),
-        ) {
-            let re = ColumnRef::new("t", "v");
-            let mut b = Batch::new();
-            b.push(
-                re,
-                Column {
-                    data: ColumnData::Int(values.iter().map(|v| v.0).collect()),
-                    validity: Some(values.iter().map(|v| v.1).collect()),
-                },
-            );
-            let simplified = simplify(&e);
-            prop_assert_eq!(
-                e.eval_mask(&b),
-                simplified.eval_mask(&b),
-                "expr {} != simplified {}", e, simplified
-            );
-        }
-
-        /// Simplification is idempotent.
-        #[test]
-        fn simplify_is_idempotent(e in arb_expr()) {
-            let once = simplify(&e);
-            let twice = simplify(&once);
-            prop_assert_eq!(once, twice);
-        }
-    }
-}

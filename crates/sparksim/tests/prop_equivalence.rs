@@ -160,7 +160,8 @@ proptest! {
         check_query(
             &catalog,
             &format!(
-                "SELECT COUNT(*) FROM ta WHERE ta.x BETWEEN {lo} AND {} OR ta.id IN (1, 3, 5)",
+                "SELECT COUNT(*) FROM ta WHERE ta.x BETWEEN {lo} AND {} AND ta.id <> 3 \
+                 AND ta.id IS NOT NULL",
                 lo + width
             ),
         );

@@ -20,11 +20,6 @@ TABLES = [
     ("Fig. 8 — adaptability by memory", "fig8_adaptability.tsv", 10),
     ("Table VIII — training size", "tab8_training_size.tsv", 7),
     ("Table IX — inference latency", "tab9_inference_latency.tsv", 5),
-    (
-        "Table IX addendum — inference engine (tape vs fast path vs PlanContext)",
-        "tab9_engine_breakdown.tsv",
-        8,
-    ),
     ("Extension — cold start", "ext_coldstart.tsv", 5),
     ("Extension — simulator ablation", "ext_sim_ablation.tsv", 7),
 ]

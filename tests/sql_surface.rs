@@ -1,9 +1,12 @@
 //! SQL surface tests through the full engine: every construct the
 //! workload generators emit, checked for exact results on a hand-built
-//! dataset.
+//! dataset by every candidate plan and by the reference evaluator; and
+//! everything outside that language, checked to be a typed error.
 
+use proptest::prelude::*;
 use sparksim::catalog::Catalog;
-use sparksim::engine::Engine;
+use sparksim::engine::{Engine, EngineError};
+use sparksim::exec::reference::execute_reference;
 use sparksim::schema::{ColumnDef, TableSchema};
 use sparksim::storage::{Column, ColumnData, StrColumnBuilder, Table};
 use sparksim::types::{DataType, Value};
@@ -49,12 +52,30 @@ fn engine() -> Engine {
     Engine::new(c)
 }
 
+/// The query's scalar result, which every candidate plan and the
+/// reference evaluator must agree on.
 fn count(engine: &Engine, sql: &str) -> i64 {
-    engine
-        .run_sql(sql)
-        .unwrap_or_else(|e| panic!("{sql}: {e}"))
-        .scalar_i64()
-        .unwrap_or_else(|| panic!("{sql}: expected scalar"))
+    let spec = engine.spec(sql).unwrap_or_else(|e| panic!("{sql}: {e}"));
+    let rows = execute_reference(engine.catalog(), &spec).unwrap_or_else(|e| panic!("{sql}: {e}"));
+    let expected = match rows.as_slice() {
+        [row] if row.len() == 1 => row[0].as_i64(),
+        _ => None,
+    }
+    .unwrap_or_else(|| panic!("{sql}: expected scalar, reference gave {rows:?}"));
+    let plans = engine.plan_candidates(sql).unwrap_or_else(|e| panic!("{sql}: {e}"));
+    assert!(!plans.is_empty(), "{sql}: no candidate plan");
+    for (i, plan) in plans.iter().enumerate() {
+        let got = engine
+            .execute_plan(plan)
+            .unwrap_or_else(|e| panic!("{sql} plan {i}: {e}"));
+        assert_eq!(
+            got.scalar_i64(),
+            Some(expected),
+            "{sql}\nplan {i} disagrees with the reference:\n{}",
+            plan.explain()
+        );
+    }
+    expected
 }
 
 #[test]
@@ -70,33 +91,25 @@ fn comparison_operators() {
 #[test]
 fn null_semantics() {
     let e = engine();
-    assert_eq!(count(&e, "SELECT COUNT(*) FROM people WHERE people.city IS NULL"), 1);
     assert_eq!(count(&e, "SELECT COUNT(*) FROM people WHERE people.city IS NOT NULL"), 7);
-    // NULL city row must not pass an equality predicate...
+    // The NULL city row passes neither an equality predicate nor its
+    // complement (three-valued logic): 3 + 4 of 8 rows.
     assert_eq!(count(&e, "SELECT COUNT(*) FROM people WHERE people.city = 'oslo'"), 3);
-    // ...nor its negation (three-valued logic).
-    assert_eq!(count(&e, "SELECT COUNT(*) FROM people WHERE NOT people.city = 'oslo'"), 4);
+    assert_eq!(count(&e, "SELECT COUNT(*) FROM people WHERE people.city <> 'oslo'"), 4);
 }
 
+/// `BETWEEN` and `LIKE` are in the language; `IN` and `OR` are not.
 #[test]
 fn between_in_like_or() {
     let e = engine();
     assert_eq!(count(&e, "SELECT COUNT(*) FROM people WHERE people.age BETWEEN 29 AND 41"), 4);
-    assert_eq!(count(&e, "SELECT COUNT(*) FROM people WHERE people.age IN (18, 55, 99)"), 2);
     assert_eq!(count(&e, "SELECT COUNT(*) FROM people WHERE people.city LIKE 'o%'"), 3);
-    assert_eq!(
-        count(&e, "SELECT COUNT(*) FROM people WHERE people.age < 20 OR people.city = 'kyiv'"),
-        2
-    );
-    // AND binds tighter than OR.
-    assert_eq!(
-        count(
-            &e,
-            "SELECT COUNT(*) FROM people \
-             WHERE people.age > 100 AND people.city = 'lima' OR people.age = 18"
-        ),
-        1
-    );
+    for sql in [
+        "SELECT COUNT(*) FROM people WHERE people.age IN (18, 55, 99)",
+        "SELECT COUNT(*) FROM people WHERE people.age < 20 OR people.city = 'kyiv'",
+    ] {
+        assert!(matches!(e.plan_candidates(sql), Err(EngineError::Parse(_))), "{sql}");
+    }
 }
 
 #[test]
@@ -161,16 +174,9 @@ fn order_by_and_limit() {
 #[test]
 fn self_join_with_aliases() {
     let e = engine();
-    // Pairs of distinct people with the same age (32 appears twice -> 2
-    // ordered pairs, minus self pairs via id <> id).
-    assert_eq!(
-        count(
-            &e,
-            "SELECT COUNT(*) FROM people a, people b \
-             WHERE a.age = b.age AND a.id <> b.id"
-        ),
-        2
-    );
+    // Ordered pairs of people with the same age: 8 self pairs, and 32
+    // appears twice -> 2 more.
+    assert_eq!(count(&e, "SELECT COUNT(*) FROM people a, people b WHERE a.age = b.age"), 10);
 }
 
 #[test]
@@ -194,4 +200,94 @@ fn error_paths_are_reported_not_panics() {
             .is_err(),
         "cross products are rejected"
     );
+}
+
+/// A factor that is neither an equi-join nor a filter on one binding is a
+/// resolve error, never silently dropped from a plan; `OR`, `NOT`, `IN`,
+/// `IS NULL` and parentheses are parse errors.
+#[test]
+fn predicates_outside_the_conjunction_are_typed_errors() {
+    let e = engine();
+    for sql in [
+        "SELECT COUNT(*) FROM people WHERE 1 = 0",
+        "SELECT COUNT(*) FROM people WHERE people.age < 30 AND 1 = 0",
+        "SELECT COUNT(*) FROM people p, visits v WHERE p.id = v.person_id AND p.age < v.score",
+    ] {
+        assert!(matches!(e.plan_candidates(sql), Err(EngineError::Resolve(_))), "{sql}");
+    }
+    for pred in [
+        "people.age < 20 OR people.age > 50",
+        "NOT people.age < 20",
+        "people.age IN (18, 55)",
+        "people.city IS NULL",
+        "(people.age < 20)",
+    ] {
+        let sql = format!("SELECT COUNT(*) FROM people WHERE {pred}");
+        assert!(matches!(e.plan_candidates(&sql), Err(EngineError::Parse(_))), "{sql}");
+    }
+}
+
+/// WHERE-clause atoms in and out of the language.
+const ATOMS: &[&str] = &[
+    "people.age < 30",
+    "people.city = 'oslo'",
+    "people.city LIKE 'o%'",
+    "people.age <> 32",
+    "people.age BETWEEN 20 AND 40",
+    "people.city IS NOT NULL",
+    "people.id = people.age",
+    "p.id = v.person_id",
+    "v.score >= 2.5",
+    "p.age < v.score",
+    "1 = 0",
+    "NOT people.age < 30",
+    "(people.age < 30)",
+    "people.age IN (18, 55)",
+    "people.city IS NULL",
+    "people.ghost = 1",
+];
+/// The parser's keywords and symbols, one token each.
+const TOKENS: &[&str] = &[
+    "SELECT", "FROM", "WHERE", "AND", "GROUP", "BY", "ORDER", "LIMIT", "AS", "COUNT", "BETWEEN",
+    "LIKE", "IS", "NOT", "NULL", "OR", "IN", "(", ")", ",", ".", "*", "=", "<>", "<", ">=", "-1",
+];
+const JOINERS: &[&str] = &["AND", "AND", "AND", "OR", "AND NOT"];
+const PREFIXES: &[&str] = &[
+    "SELECT COUNT(*) FROM people WHERE",
+    "SELECT COUNT(*) FROM people p, visits v WHERE p.id = v.person_id AND",
+    "SELECT people.city, COUNT(*) FROM people WHERE",
+];
+const TAILS: &[&str] = &["", "", "GROUP BY people.city", "ORDER BY people.city LIMIT 3"];
+
+fn pick(words: &'static [&'static str]) -> BoxedStrategy<&'static str> {
+    (0..words.len()).prop_map(move |i| words[i]).boxed()
+}
+
+/// `prefix atom (joiner atom)* tail`, where one word in four is a bare
+/// token instead of an atom or a joiner.
+fn token_sql() -> impl Strategy<Value = String> {
+    let atom = || prop_oneof![pick(ATOMS), pick(ATOMS), pick(ATOMS), pick(TOKENS)];
+    let joiner = prop_oneof![pick(JOINERS), pick(JOINERS), pick(JOINERS), pick(TOKENS)];
+    let rest = prop::collection::vec((joiner, atom()), 0..4);
+    (pick(PREFIXES), atom(), rest, pick(TAILS)).prop_map(|(prefix, first, rest, tail)| {
+        let mut sql = format!("{prefix} {first}");
+        for (joiner, atom) in rest {
+            sql.push_str(&format!(" {joiner} {atom}"));
+        }
+        format!("{sql} {tail}")
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
+    /// Any token sequence plans or fails with a typed error; none panics.
+    #[test]
+    fn token_sequences_plan_or_fail_typed(sql in token_sql()) {
+        let e = engine();
+        let planned = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            e.plan_candidates(&sql).map(|plans| plans.len())
+        }));
+        prop_assert!(planned.is_ok(), "panicked on {sql:?}");
+    }
 }
