@@ -129,7 +129,7 @@ fn main() {
         })
         .collect();
     // The same queries' whole candidate sets, as plan selection meets
-    // them: one operator memo per query.
+    // them: one operator-row cache per query.
     let candidate_sets: Vec<_> = queries
         .iter()
         .take(100)
@@ -138,15 +138,34 @@ fn main() {
     let encode_sets = || {
         let (mut nodes, mut reused) = (0, 0);
         for set in &candidate_sets {
-            let mut memo = encoding::OpMemo::default();
+            let cache = encoder.op_cache();
             for plan in set {
-                std::hint::black_box(encoder.try_encode_in(plan, Some(&mut memo)).ok());
+                if let Ok((encoded, supplied)) = encoder.try_encode_in(plan, Some(&cache)) {
+                    nodes += plan.len();
+                    reused += std::hint::black_box((encoded, supplied)).1;
+                }
             }
-            nodes += memo.nodes;
-            reused += memo.reused;
         }
         (nodes, reused)
     };
+    // A service's cache once it has met every operator of `runs`, and
+    // those plans built again operator by operator: a service meets
+    // equal operators in other allocations, so every row is a hit that
+    // `==` confirms.
+    let warm = encoder.op_cache();
+    for run in &runs {
+        let _ = encoder.try_encode_in(&run.plan, Some(&warm));
+    }
+    let rebuilt: Vec<sparksim::PhysicalPlan> = runs
+        .iter()
+        .map(|run| {
+            let mut copy = sparksim::PhysicalPlan::new();
+            for node in run.plan.nodes() {
+                copy.add((*node.op).clone(), node.children, node.est_rows, node.est_bytes);
+            }
+            copy
+        })
+        .collect();
     let n = singles.len();
     assert!(n >= 50, "need enough distinct queries, got {n}");
     println!("benchmarking over {n} plans (best of {ROUNDS} samples of >= {MIN_SAMPLE_MS} ms)\n");
@@ -187,10 +206,15 @@ fn main() {
             tape_split.set((forward, backward));
         }
     };
-    let bodies: [&dyn Fn(); 11] = [
+    let bodies: [&dyn Fn(); 12] = [
         &|| {
             for run in &runs {
                 std::hint::black_box(encoder.encode(&run.plan));
+            }
+        },
+        &|| {
+            for plan in &rebuilt {
+                std::hint::black_box(encoder.try_encode_in(plan, Some(&warm)).ok());
             }
         },
         &|| {
@@ -251,7 +275,7 @@ fn main() {
     // each sample repeating its body until it has run MIN_SAMPLE_MS:
     // the cached sweep takes 1.3 ms, and a best-of-5 over windows that
     // short moved `sweep_cache_speedup` by 10% one run in six.
-    let mut best_ms = [f64::INFINITY; 11];
+    let mut best_ms = [f64::INFINITY; 12];
     for _ in 0..ROUNDS {
         for (body, best) in bodies.iter().zip(&mut best_ms) {
             let t0 = telemetry::clock_ns();
@@ -264,7 +288,7 @@ fn main() {
             *best = best.min(elapsed_ms / reps);
         }
     }
-    let [encode_ms, select_encode_ms, tape_ms, fast_ms, sweep_naive_ms, sweep_cached_ms, context_ms, gates_ms, _, step_ms, plans_ms] =
+    let [encode_ms, cached_encode_ms, select_encode_ms, tape_ms, fast_ms, sweep_naive_ms, sweep_cached_ms, context_ms, gates_ms, _, step_ms, plans_ms] =
         best_ms;
     let (forward_ns, backward_ns) = tape_split.get();
     let per_sample = 1.0 / train_subset.len() as f64;
@@ -275,6 +299,7 @@ fn main() {
     let metrics = vec![
         Metric::info("encode_us_per_plan", encode_ms / n as f64 * 1e3, "us"),
         Metric::info("encode_ns_per_node", encode_ms / nodes as f64 * 1e6, "ns"),
+        Metric::info("encode_us_per_plan_cached", cached_encode_ms / n as f64 * 1e3, "us"),
         Metric::info("select_encode_us_per_plan", select_encode_ms / candidates as f64 * 1e3, "us"),
         Metric::info("select_encode_reuse_share", set_reused as f64 / set_nodes as f64, "ratio"),
         Metric::info("single_plan_p50_us_f32", fast_ms / n as f64 * 1e3, "us"),

@@ -3,7 +3,7 @@
 //! predict each plan's time and run the cheapest.
 
 use crate::model::CostModel;
-use encoding::{OpMemo, PlanEncoder};
+use encoding::PlanEncoder;
 use sparksim::{Engine, EngineError, PhysicalPlan, ResourceConfig};
 
 /// Predicts every candidate's cost and returns the index of the cheapest.
@@ -19,12 +19,12 @@ pub fn select_plan(
 ) -> usize {
     assert!(!plans.is_empty(), "no candidate plans");
     let features = resources.feature_vector(engine.simulator().cluster());
-    // Candidates of one query share most operators; a lone plan none.
-    let mut memo = (plans.len() >= 2).then(OpMemo::default);
+    // Candidates of one query share most operators: each is encoded once.
+    let cache = encoder.op_cache();
     let costs = plans.iter().map(|plan| {
         // As `PlanEncoder::encode`: a malformed candidate must not be priced.
-        let encoded = encoder
-            .try_encode_in(plan, memo.as_mut())
+        let (encoded, _) = encoder
+            .try_encode_in(plan, Some(&cache))
             .unwrap_or_else(|e| panic!("plan is not a single tree: {e}"));
         model.predict_seconds(&encoded, &features)
     });

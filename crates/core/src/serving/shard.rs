@@ -7,8 +7,10 @@
 //! admitted plan: [`PhysicalPlan::structural_hash`] → lookup in the
 //! service-wide plan-context cache (the `plan_cache` module; a hit is
 //! confirmed by `==`) → a hit runs the head over the cached
-//! [`PlanContext`](crate::model::PlanContext); a miss encodes the plan,
-//! builds its context and runs the same head → the answers are counted.
+//! [`PlanContext`](crate::model::PlanContext); a miss encodes the plan
+//! through the service's operator-row [`OpCache`] (the rows of the
+//! operators it has met are copied, not recomputed), builds its context
+//! and runs the same head → the answers are counted.
 //! There is no queue, no service thread and no second route: the caller
 //! threads are the service's parallelism, and every one of them prices
 //! with the same Arc-shared [`FrozenModel`]. A plan is admitted to the
@@ -58,7 +60,7 @@ use super::{
 };
 use crate::model::FrozenModel;
 use crate::persist::ModelBundle;
-use encoding::{OpMemo, PlanEncoder};
+use encoding::{OpCache, PlanEncoder};
 use raal_sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use raal_sync::sync::{Condvar, Mutex, MutexGuard};
 use sparksim::plan::physical::PhysicalPlan;
@@ -511,7 +513,7 @@ impl ServiceStats {
 pub struct ShardedServing {
     /// What a healthy service prices with, or why this one has no deep
     /// model.
-    model: Result<(PlanEncoder, FrozenModel), FallbackReason>,
+    model: Result<Healthy, FallbackReason>,
     fallback: Arc<dyn FallbackModel + Send + Sync>,
     cfg: ShardConfig,
     tenants: TenantTable,
@@ -522,6 +524,14 @@ pub struct ShardedServing {
     /// Set when pricing panicked: from then on every call sheds
     /// `WorkerLost` and the model is not touched again.
     lost: AtomicBool,
+}
+
+/// What a healthy service prices with: the encoder, the operator-row
+/// cache every miss encodes through, and the frozen model.
+struct Healthy {
+    encoder: PlanEncoder,
+    ops: OpCache,
+    model: FrozenModel,
 }
 
 /// What a response slot holds until it is answered. Every slot is
@@ -543,7 +553,12 @@ impl ShardedServing {
         cfg: ShardConfig,
     ) -> Self {
         let encoder = bundle.encoder();
-        Self::assemble(Ok((encoder, FrozenModel::freeze(bundle.model))), fallback, cfg)
+        let healthy = Healthy {
+            ops: encoder.op_cache(),
+            encoder,
+            model: FrozenModel::freeze(bundle.model),
+        };
+        Self::assemble(Ok(healthy), fallback, cfg)
     }
 
     /// Loads a checkpoint and serves it; a bundle that fails
@@ -572,7 +587,7 @@ impl ShardedServing {
     }
 
     fn assemble(
-        model: Result<(PlanEncoder, FrozenModel), FallbackReason>,
+        model: Result<Healthy, FallbackReason>,
         fallback: Arc<dyn FallbackModel + Send + Sync>,
         cfg: ShardConfig,
     ) -> Self {
@@ -607,7 +622,7 @@ impl ShardedServing {
 
     /// The frozen model handle, when the service is healthy.
     pub fn model(&self) -> Option<&FrozenModel> {
-        self.model.as_ref().ok().map(|(_, model)| model)
+        self.model.as_ref().ok().map(|healthy| &healthy.model)
     }
 
     /// Scores one plan for `tenant`, on the calling thread: the deep
@@ -787,7 +802,7 @@ impl ShardedServing {
             telemetry::count(&entry.shed_counter, admitted as u64);
             return self.shed(plans, res, out, FallbackReason::TenantQuota);
         }
-        self.price_admitted(healthy, plans, admitted, res, out);
+        self.price_admitted(healthy, plans, res, out);
         entry.release();
     }
 
@@ -796,15 +811,14 @@ impl ShardedServing {
     /// answers the whole call `WorkerLost` and takes the model out of
     /// service for good, so a fault is met once, not once per call.
     ///
-    /// Two or more admitted plans are a query's candidates, which share
-    /// most of their operators: their misses encode through one
-    /// [`OpMemo`] that dies with the call. A lone plan repeats nothing
-    /// and hashing its nodes cost `probe_unique` 5%, so it gets none.
+    /// Every miss encodes through the service's [`OpCache`], which
+    /// supplies the rows of the operators it has met; the call counts
+    /// the nodes its misses encoded and those the cache supplied
+    /// (`serving.encode.nodes` / `.nodes_reused`).
     fn price_admitted(
         &self,
-        healthy: &(PlanEncoder, FrozenModel),
+        healthy: &Healthy,
         plans: &[&PhysicalPlan],
-        admitted: usize,
         res: &ResourceConfig,
         out: &mut [ServingPrediction],
     ) {
@@ -814,9 +828,10 @@ impl ShardedServing {
         if self.lost.load(Ordering::SeqCst) {
             return self.shed(plans, res, out, FallbackReason::WorkerLost);
         }
-        let (_, model) = healthy;
+        let model = &healthy.model;
         let features = res.feature_array(&self.cfg.serving.cluster);
-        let mut memo = (admitted >= 2).then(OpMemo::default);
+        // Nodes the call's misses encoded, and those the cache supplied.
+        let mut encoded = [0u64; 2];
         // PANIC-FREE: the one place a pricing panic is allowed to
         // surface — contained, never unwound into the caller.
         let priced = catch_unwind(AssertUnwindSafe(|| {
@@ -829,7 +844,7 @@ impl ShardedServing {
                     },
                     Lookup::Miss { seen_before } => {
                         let admit_as = seen_before.then_some(fingerprint);
-                        self.price_miss(healthy, plan, memo.as_mut(), res, &features, admit_as)
+                        self.price_miss(healthy, plan, &mut encoded, res, &features, admit_as)
                     }
                 }
             });
@@ -838,9 +853,10 @@ impl ShardedServing {
             self.lost.store(true, Ordering::SeqCst);
             self.shed(plans, res, out, FallbackReason::WorkerLost);
         }
-        if let Some(memo) = memo.as_ref().filter(|memo| memo.nodes > 0) {
-            telemetry::count("serving.encode.nodes", memo.nodes);
-            telemetry::count("serving.encode.nodes_reused", memo.reused);
+        let [nodes, reused] = encoded;
+        if nodes > 0 {
+            telemetry::count("serving.encode.nodes", nodes);
+            telemetry::count("serving.encode.nodes_reused", reused);
         }
     }
 
@@ -854,22 +870,24 @@ impl ShardedServing {
     /// Kept out of line: inlined into the `catch_unwind` closure it
     /// moved the hit path's code and cost `resweep_hot` 2% of its p50.
     #[inline(never)]
-    fn price_miss<'p>(
+    fn price_miss(
         &self,
-        (encoder, model): &(PlanEncoder, FrozenModel),
-        plan: &'p PhysicalPlan,
-        memo: Option<&mut OpMemo<'p>>,
+        Healthy { encoder, ops, model }: &Healthy,
+        plan: &PhysicalPlan,
+        [nodes, reused]: &mut [u64; 2],
         res: &ResourceConfig,
         features: &ResourceFeatures,
         admit_as: Option<u64>,
     ) -> ServingPrediction {
         let encoded = {
             let _encode_span = telemetry::kernel_span("serving.encode");
-            encoder.try_encode_in(plan, memo)
+            encoder.try_encode_in(plan, Some(ops))
         };
-        let Ok(encoded) = encoded else {
+        let Ok((encoded, supplied)) = encoded else {
             return self.fall_back(plan, res, FallbackReason::Admission);
         };
+        *nodes += plan.len() as u64;
+        *reused += supplied as u64;
         let context = model.plan_context(&encoded);
         let seconds = model.predict_with_context(&context, features);
         if let Some(fingerprint) = admit_as {

@@ -8,7 +8,7 @@ mod common;
 #[path = "common/counting_alloc.rs"]
 mod counting_alloc;
 
-use common::{candidate_plans, engine, resources, some_plan, tiny_bundle};
+use common::{engine, resources, some_plan, tiny_bundle};
 use counting_alloc::count_allocs;
 use raal::serving::shard::{ShardConfig, ShardedServing};
 use raal::serving::{PredictionSource, ServingConfig, ServingModel};
@@ -53,19 +53,19 @@ fn slo_gauges_and_served_counters_reach_the_registry() {
     };
     telemetry::testing::capture(|| {
         let service = ShardedServing::new(tiny_bundle(), Arc::new(analytical), cfg);
-        // A lone plan is encoded without a memo and counts no nodes.
-        service.predict("lone", &candidate_plans(&engine)[0], &resources());
-        assert!(!service
-            .metrics_snapshot()
-            .counters
-            .contains_key("serving.encode.nodes"));
+        // A lone miss counts its nodes, none of them supplied by the
+        // service's fresh operator-row cache.
+        service.predict("lone", &plan, &resources());
+        let snap = service.metrics_snapshot();
+        assert_eq!(snap.counters["serving.encode.nodes"], plan.len() as u64);
+        assert_eq!(snap.counters["serving.encode.nodes_reused"], 0);
         let refs = [&plan, &plan];
         let preds = service.predict_many("gauges", &refs, &resources());
         assert_eq!(preds.len(), 2);
         service.shutdown();
         let snap = service.metrics_snapshot();
-        // Two misses through one memo: the second plan's operators are
-        // the first's.
+        // Seen before, the first is a miss whose rows the cache holds
+        // and is admitted; the second is a hit.
         assert_eq!(snap.counters["serving.encode.nodes"], 2 * plan.len() as u64);
         assert_eq!(snap.counters["serving.encode.nodes_reused"], plan.len() as u64);
         assert_eq!(snap.gauges["serving.slo.hit_rate"], 1.0);

@@ -13,13 +13,14 @@
 //! plan-level statistics, and the observed execution time.
 
 use crate::onehot;
+use crate::op_cache::{OpCache, OP_CACHE_ENTRIES};
 use crate::tokenizer::Tokenizer;
 use crate::word2vec::{EmbeddingTable, Word2Vec};
+use raal_sync::atomic::{AtomicU64, Ordering};
 use serde::{Deserialize, Serialize};
-use sparksim::plan::physical::{NotATree, PhysicalOp, WordHasher};
+use sparksim::plan::physical::{NotATree, PhysicalOp};
 use sparksim::resource::{ClusterConfig, ResourceConfig};
 use sparksim::PhysicalPlan;
-use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 /// Encoder dimensions.
@@ -128,68 +129,6 @@ pub struct Sample {
     pub seconds: f64,
 }
 
-/// Slots of an [`OpMemo`], and how many of them a lookup probes: its
-/// cost does not grow with the number of plans in the call.
-const MEMO_SLOTS: usize = 256;
-const MEMO_PROBES: usize = 8;
-
-/// One multi-plan call's operator memo: the semantic block of each
-/// distinct [`PhysicalOp`] encoded so far, so that a query's candidate
-/// plans render, tokenise and embed a scan or an exchange they share
-/// once ([`PlanEncoder::try_encode_in`]). Make one per call
-/// (`OpMemo::default()`) and drop it with the call: what it holds
-/// borrows the call's plans.
-pub struct OpMemo<'p> {
-    /// Open-addressed by the operator's hash: the hash, the operator
-    /// and where its block starts in `blocks`.
-    slots: [Option<(u64, &'p PhysicalOp, usize)>; MEMO_SLOTS],
-    blocks: Vec<f32>,
-    /// Nodes encoded through this memo.
-    pub nodes: u64,
-    /// Those of them whose block an earlier node had computed.
-    pub reused: u64,
-}
-
-impl Default for OpMemo<'_> {
-    fn default() -> Self {
-        Self {
-            slots: [None; MEMO_SLOTS],
-            blocks: Vec::new(),
-            nodes: 0,
-            reused: 0,
-        }
-    }
-}
-
-impl OpMemo<'_> {
-    /// Where `op`'s block starts, or — it is not held — its hash and the
-    /// free slot it may take (`None`: every probed slot is taken, and
-    /// `op` is encoded without being remembered). A hash match is a
-    /// hint; `==` decides, and it is finer than the rendered statement.
-    /// One allocation is one operator (a query's candidates share theirs,
-    /// `Planner::enumerate`), so the same address decides first.
-    fn find(&self, op: &PhysicalOp) -> Result<usize, (u64, Option<usize>)> {
-        // The walk `PhysicalPlan::structural_hash` makes of one operator.
-        let mut hasher = WordHasher::default();
-        op.hash(&mut hasher);
-        let hash = hasher.finish();
-        for probe in 0..MEMO_PROBES {
-            let at = (hash as usize).wrapping_add(probe) % MEMO_SLOTS;
-            // PANIC-FREE: at < MEMO_SLOTS, the array's length.
-            match self.slots[at] {
-                None => return Err((hash, Some(at))),
-                Some((held, earlier, block))
-                    if held == hash && (std::ptr::eq(earlier, op) || earlier == op) =>
-                {
-                    return Ok(block)
-                }
-                Some(_) => {}
-            }
-        }
-        Err((hash, None))
-    }
-}
-
 /// Encodes plans into model inputs.
 #[derive(Debug, Clone)]
 pub struct PlanEncoder {
@@ -197,12 +136,34 @@ pub struct PlanEncoder {
     /// `w2v`, frozen for lookup by [`Self::encode`].
     table: EmbeddingTable,
     cfg: EncoderConfig,
+    /// Process-unique id binding [`OpCache`]s to the encoder that built
+    /// them; a clone encodes the same rows and keeps it.
+    identity: u64,
 }
+
+static ENCODER_IDENTITY: AtomicU64 = AtomicU64::new(1);
 
 impl PlanEncoder {
     /// Creates an encoder from a trained word2vec model.
     pub fn new(w2v: Word2Vec, cfg: EncoderConfig) -> Self {
-        Self { table: w2v.freeze(), w2v, cfg }
+        // ORDERING: Relaxed — a unique-id counter needs only atomicity
+        // of the increment; nothing is published through it.
+        let identity = ENCODER_IDENTITY.fetch_add(1, Ordering::Relaxed);
+        Self { table: w2v.freeze(), w2v, cfg, identity }
+    }
+
+    /// An empty [`OpCache`] of [`OP_CACHE_ENTRIES`] rows for this
+    /// encoder (and its clones) to encode through.
+    pub fn op_cache(&self) -> OpCache {
+        self.op_cache_with_entries(OP_CACHE_ENTRIES)
+    }
+
+    /// [`Self::op_cache`] with room for `entries` rows, a power-of-two
+    /// multiple of [`op_cache::WAYS`](crate::op_cache::WAYS): tests make
+    /// small caches whose sets evict.
+    #[doc(hidden)]
+    pub fn op_cache_with_entries(&self, entries: usize) -> OpCache {
+        OpCache::new(self.identity, self.w2v.dim(), entries)
     }
 
     /// The per-node feature width this encoder produces.
@@ -248,19 +209,31 @@ impl PlanEncoder {
     /// twice or under two parents — is rejected before anything is
     /// encoded ([`PhysicalPlan::check_tree`]).
     pub fn try_encode(&self, plan: &PhysicalPlan) -> Result<EncodedPlan, NotATree> {
-        self.try_encode_in(plan, None)
+        self.try_encode_in(plan, None).map(|(encoded, _)| encoded)
     }
 
-    /// [`Self::try_encode`] as one of a call's several plans: with a
-    /// memo, a node whose operator `==` one met earlier in the call
-    /// takes that node's semantic block — the same `f32`s — instead of
-    /// computing it again; everything else is written per node.
-    pub fn try_encode_in<'p>(
+    /// [`Self::try_encode`] through an operator-row cache, and how many
+    /// of the plan's semantic blocks the cache supplied. Under one lock
+    /// every node whose operator the cache holds takes its row — the
+    /// same `f32`s a fresh encode computes; only the other nodes are
+    /// rendered, tokenised and embedded, outside the lock, and their
+    /// rows are stored under a second one. Everything else is written
+    /// per node.
+    ///
+    /// # Panics
+    /// Panics if `cache` was built by another encoder (one that is not
+    /// this one or a clone of it): its rows are another vocabulary's.
+    pub fn try_encode_in(
         &self,
-        plan: &'p PhysicalPlan,
-        mut memo: Option<&mut OpMemo<'p>>,
-    ) -> Result<EncodedPlan, NotATree> {
+        plan: &PhysicalPlan,
+        cache: Option<&OpCache>,
+    ) -> Result<(EncodedPlan, usize), NotATree> {
         plan.check_tree()?;
+        if let Some(cache) = cache {
+            // PANIC-FREE: deliberate guard — another encoder's rows
+            // would price the plan with the wrong embeddings, silently.
+            assert!(cache.built_by() == self.identity, "another encoder's OpCache");
+        }
         let (n, dim) = (plan.len(), self.node_dim());
         let onehot_at = self.w2v.dim();
         let structure_at = onehot_at + onehot::DIM;
@@ -269,12 +242,32 @@ impl PlanEncoder {
         } else {
             0
         };
-        // HOT-ALLOC: the three buffers of the returned EncodedPlan, and
-        // the tokenizer's word scratch — once per plan, not per node.
+        // One-hot slot of node `id`'s operator, in `features`.
+        let onehot = |id: usize, op: &PhysicalOp| id * dim + onehot_at + onehot::operator_slot(op);
+        // HOT-ALLOC: the three buffers of the returned EncodedPlan — once
+        // per plan, not per node.
         let mut features = vec![0.0f32; n * dim];
         let mut child_start = Vec::with_capacity(n + 1);
         let mut child_ids = Vec::with_capacity(n);
-        let mut word = String::with_capacity(64);
+        // Rows the cache holds. A node's one-hot is set once its semantic
+        // block is written, so until the rows computed below are stored
+        // an unset one-hot marks a node the cache did not supply.
+        let mut reused = 0;
+        if let Some(cache) = cache {
+            let mut held = cache.lock();
+            for (id, node) in plan.nodes().iter().enumerate() {
+                if let Some(row) = held.find(&node.op) {
+                    // PANIC-FREE: id < n, and `features` holds n rows of
+                    // dim > onehot_at; cached rows are onehot_at wide.
+                    features[id * dim..id * dim + onehot_at].copy_from_slice(row);
+                    features[onehot(id, &node.op)] = 1.0;
+                    reused += 1;
+                }
+            }
+        }
+        // HOT-ALLOC: none — the tokenizer's word scratch, empty until a
+        // node needs it.
+        let mut word = String::new();
         for (id, node) in plan.nodes().iter().enumerate() {
             // HOT-ALLOC: within the capacities reserved above (a tree
             // of n nodes has n - 1 edges).
@@ -293,64 +286,69 @@ impl PlanEncoder {
                     features[c * dim + structure_at + id] = -1.0;
                 }
             }
+            let slot = onehot(id, &node.op);
             // PANIC-FREE: id < n, and `features` holds n rows of dim.
             let row = &mut features[id * dim..(id + 1) * dim];
+            // Node statistics.
+            let stats = dim - NODE_STAT_FEATURES;
+            row[stats] = log_norm(node.est_rows, 12.0);
+            row[stats + 1] = log_norm(node.est_bytes, 15.0);
+            // PANIC-FREE: slot lies in this row's one-hot block.
+            if features[slot] != 0.0 {
+                continue;
+            }
             // Semantic block: the mean embedding of the statement's
             // in-vocabulary tokens.
-            let (semantic, rest) = row.split_at_mut(onehot_at);
-            let seat = memo.as_deref().map_or(Err((0, None)), |m| m.find(&node.op));
-            if let (Ok(block), Some(m)) = (seat, memo.as_deref_mut()) {
-                // PANIC-FREE: blocks are appended whole, onehot_at wide.
-                semantic.copy_from_slice(&m.blocks[block..block + onehot_at]);
-                m.reused += 1;
-            } else {
-                let mut hits = 0usize;
-                let mut tokenizer = Tokenizer::new(word, |token: &str| {
-                    if let Some(vector) = self.table.embedding(token) {
-                        for (acc, &x) in semantic.iter_mut().zip(vector) {
-                            *acc += x;
-                        }
-                        hits += 1;
+            if word.capacity() == 0 {
+                // HOT-ALLOC: the tokenizer's scratch, once per plan with
+                // a node to render.
+                word.reserve(64);
+            }
+            // PANIC-FREE: as `row` above.
+            let semantic = &mut features[id * dim..id * dim + onehot_at];
+            let mut hits = 0usize;
+            let mut tokenizer = Tokenizer::new(word, |token: &str| {
+                if let Some(vector) = self.table.embedding(token) {
+                    for (acc, &x) in semantic.iter_mut().zip(vector) {
+                        *acc += x;
                     }
-                });
-                // The tokenizer never fails a write.
-                let _ = plan.write_statement(id, &mut tokenizer);
-                word = tokenizer.finish();
-                if hits > 0 {
-                    for acc in semantic.iter_mut() {
-                        *acc /= hits as f32;
-                    }
+                    hits += 1;
                 }
-                if let (Err((hash, Some(slot))), Some(m)) = (seat, memo.as_deref_mut()) {
-                    // HOT-ALLOC: room for every slot's block, once per
-                    // multi-plan call.
-                    m.blocks
-                        .reserve_exact((MEMO_SLOTS * onehot_at).saturating_sub(m.blocks.len()));
-                    // PANIC-FREE: `find` returned slot < MEMO_SLOTS.
-                    m.slots[slot] = Some((hash, &node.op, m.blocks.len()));
-                    m.blocks.extend_from_slice(semantic);
+            });
+            // The tokenizer never fails a write.
+            let _ = plan.write_statement(id, &mut tokenizer);
+            word = tokenizer.finish();
+            if hits > 0 {
+                for acc in semantic.iter_mut() {
+                    *acc /= hits as f32;
                 }
             }
-            // Operator one-hot block and node statistics.
-            // PANIC-FREE: `rest` is the dim - onehot_at ≥ onehot::DIM +
-            // NODE_STAT_FEATURES tail of the row.
-            rest[onehot::operator_slot(&node.op)] = 1.0;
-            let stats = rest.len() - NODE_STAT_FEATURES;
-            rest[stats] = log_norm(node.est_rows, 12.0);
-            rest[stats + 1] = log_norm(node.est_bytes, 15.0);
+            if cache.is_none() {
+                // PANIC-FREE: as above.
+                features[slot] = 1.0;
+            }
         }
         // HOT-ALLOC: the last of the n + 1 reserved offsets.
         child_start.push(child_ids.len());
-        if let Some(m) = memo {
-            m.nodes += n as u64;
+        if let Some(cache) = cache.filter(|_| reused < n) {
+            let mut held = cache.lock();
+            for (id, node) in plan.nodes().iter().enumerate() {
+                let slot = onehot(id, &node.op);
+                // PANIC-FREE: as above.
+                if features[slot] == 0.0 {
+                    held.store(&node.op, &features[id * dim..id * dim + onehot_at]);
+                    features[slot] = 1.0;
+                }
+            }
         }
-        Ok(EncodedPlan {
+        let encoded = EncodedPlan {
             node_dim: dim,
             features,
             child_start,
             child_ids,
             plan_stats: plan_stats(plan),
-        })
+        };
+        Ok((encoded, reused))
     }
 
     /// Encodes a full training sample.
@@ -502,19 +500,22 @@ mod tests {
         assert_eq!(e.children(3), [2]);
     }
 
-    /// Encodes `plans` through `memo`, each checked against its lone
-    /// encoding bit for bit.
-    fn encode_all<'p>(enc: &PlanEncoder, plans: &[&'p PhysicalPlan], memo: &mut OpMemo<'p>) {
+    /// Encodes `plans` through `cache`, each checked against its lone
+    /// encoding bit for bit; the nodes the cache supplied.
+    fn encode_all(enc: &PlanEncoder, plans: &[&PhysicalPlan], cache: &OpCache) -> usize {
+        let mut reused = 0;
         for plan in plans {
-            let (shared, alone) = (enc.try_encode_in(plan, Some(memo)), enc.try_encode(plan));
+            let (shared, alone) = (enc.try_encode_in(plan, Some(cache)), enc.try_encode(plan));
             assert_eq!(shared.is_ok(), alone.is_ok());
-            if let (Ok(shared), Ok(alone)) = (shared, alone) {
+            if let (Ok((shared, supplied)), Ok(alone)) = (shared, alone) {
                 let bits =
                     |e: &EncodedPlan| e.features.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
                 assert_eq!(bits(&shared), bits(&alone));
                 assert_eq!(shared, alone);
+                reused += supplied;
             }
         }
+        reused
     }
 
     fn chain(ops: impl IntoIterator<Item = PhysicalOp>) -> PhysicalPlan {
@@ -526,37 +527,17 @@ mod tests {
     }
 
     #[test]
-    fn candidates_share_blocks_and_a_malformed_plan_spoils_nothing() {
+    fn plans_share_rows_and_a_malformed_plan_spoils_nothing() {
         let (enc, good) = (encoder(), plan());
         let mut two_roots = plan();
         two_roots.add(PhysicalOp::ExchangeSingle, vec![], 1.0, 8.0);
-        let mut memo = OpMemo::default();
-        encode_all(&enc, &[&good, &two_roots, &good], &mut memo);
-        let orphan = Err(NotATree::Orphan { node: 3 });
-        assert_eq!(enc.try_encode_in(&two_roots, Some(&mut memo)), orphan);
-        // Only the first plan's four nodes were computed, and the
-        // rejected plan encoded none of its own.
-        assert_eq!((memo.nodes, memo.reused), (4 + 4, 4));
-    }
-
-    #[test]
-    fn an_equal_hash_or_a_taken_slot_is_not_a_match() {
-        // `twin` is `good` built again: its operators are `==` to good's
-        // but other allocations, so only `==` can find them.
-        let (enc, good, twin) = (encoder(), plan(), plan());
-        let squatter = PhysicalOp::Limit { n: 3 };
-        for same_hash in [true, false] {
-            let mut memo = OpMemo { blocks: vec![9.0; 8], ..Default::default() };
-            for node in good.nodes() {
-                let Err((hash, Some(home))) = OpMemo::default().find(&node.op) else {
-                    unreachable!("an empty memo holds nothing")
-                };
-                let forged = if same_hash { hash } else { hash ^ (1 << 40) };
-                memo.slots[home] = Some((forged, &squatter, 0));
-            }
-            encode_all(&enc, &[&good, &twin], &mut memo);
-            assert_eq!((memo.nodes, memo.reused), (8, 4));
-        }
+        let cache = enc.op_cache();
+        // The two aggregates differ in mode: four distinct operators.
+        assert_eq!(encode_all(&enc, &[&good, &two_roots, &good], &cache), 4);
+        assert_eq!(enc.try_encode_in(&two_roots, Some(&cache)), Err(NotATree::Orphan { node: 3 }));
+        // Only the first plan's rows were stored; the rejected plan
+        // encoded none of its own.
+        assert_eq!(cache.len(), 4);
     }
 
     #[test]
@@ -571,19 +552,21 @@ mod tests {
         let plans = [chain([scan("t", 7)]), chain([scan("t", 8)]), chain([scan("t2", 7)])];
         let words = crate::tokenizer::plan_sentences;
         assert!(plans.iter().all(|p| words(p) == words(&plans[0])));
-        let mut memo = OpMemo::default();
-        encode_all(&encoder(), &plans.each_ref(), &mut memo);
-        assert_eq!((memo.nodes, memo.reused), (3, 0));
+        let enc = encoder();
+        let cache = enc.op_cache();
+        assert_eq!(encode_all(&enc, &plans.each_ref(), &cache), 0);
+        assert_eq!(cache.len(), 3);
     }
 
     #[test]
-    fn more_operators_than_slots_still_encode_right() {
-        let long = chain((0..MEMO_SLOTS + 90).map(|n| PhysicalOp::Limit { n }));
-        let mut memo = OpMemo::default();
-        encode_all(&encoder(), &[&long, &long], &mut memo);
-        let held = memo.slots.iter().flatten().count() as u64;
-        assert!(held > 128 && held <= MEMO_SLOTS as u64, "{held} operators held");
-        assert_eq!((memo.nodes, memo.reused), (2 * long.len() as u64, held));
+    fn more_operators_than_rows_still_encode_right() {
+        let enc = encoder();
+        let cache = enc.op_cache_with_entries(64);
+        let long = chain((0..cache.capacity() + 90).map(|n| PhysicalOp::Limit { n }));
+        let reused = encode_all(&enc, &[&long, &long], &cache);
+        assert_eq!(cache.len(), cache.capacity());
+        // What the first pass left in the cache, the second found.
+        assert!(reused > 0 && reused <= cache.capacity(), "{reused} rows reused");
     }
 
     #[test]

@@ -226,14 +226,83 @@ impl PartialEq<Children> for &[NodeId] {
     }
 }
 
+/// A shared operator that carries its key: the [`WordHasher`] walk of
+/// the operator ([`OpRef::key_of`]), made once when the operator is
+/// built, so that whoever looks an operator up — the plan encoder's
+/// operator-row cache — reads the key instead of walking the operator
+/// again. One pointer wide. It derefs to the operator, and `Hash`,
+/// `Debug` and `==` are the operator's own: `Hash` still walks it, so
+/// [`PhysicalPlan::structural_hash`] reads as it did when the field was
+/// an `Arc<PhysicalOp>` (and `PhysicalOp` is not `Eq`, so `==` takes no
+/// pointer shortcut; [`OpRef::ptr_eq`] is that shortcut, by name).
+#[derive(Clone)]
+pub struct OpRef(Arc<(u64, PhysicalOp)>);
+
+impl OpRef {
+    /// The [`WordHasher`] walk of one operator: what `structural_hash`
+    /// folds per node, and the key an [`OpRef`] carries.
+    pub fn key_of(op: &PhysicalOp) -> u64 {
+        let mut hasher = WordHasher::default();
+        op.hash(&mut hasher);
+        hasher.finish()
+    }
+
+    /// `op` under the key the caller already computed: it must be
+    /// [`Self::key_of`]`(&op)`.
+    pub(crate) fn with_key(key: u64, op: PhysicalOp) -> Self {
+        Self(Arc::new((key, op)))
+    }
+
+    /// The operator's key, [`Self::key_of`] it — read, not recomputed.
+    pub fn key(&self) -> u64 {
+        self.0 .0
+    }
+
+    /// Whether `a` and `b` are one allocation (and so one operator).
+    pub fn ptr_eq(a: &Self, b: &Self) -> bool {
+        Arc::ptr_eq(&a.0, &b.0)
+    }
+}
+
+impl From<PhysicalOp> for OpRef {
+    fn from(op: PhysicalOp) -> Self {
+        Self::with_key(Self::key_of(&op), op)
+    }
+}
+
+impl std::ops::Deref for OpRef {
+    type Target = PhysicalOp;
+
+    fn deref(&self) -> &PhysicalOp {
+        &self.0 .1
+    }
+}
+
+impl fmt::Debug for OpRef {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&**self, f)
+    }
+}
+
+impl PartialEq for OpRef {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl Hash for OpRef {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        (**self).hash(state)
+    }
+}
+
 /// One node of a physical plan.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PhysicalNode {
     /// Operator, shared: the candidates of one `Planner::enumerate`
     /// call hold one allocation per distinct operator, and a cloned plan
-    /// bumps counts. `Hash`, `Debug` and `==` are the operator's own
-    /// (`PhysicalOp` is not `Eq`, so no pointer shortcut).
-    pub op: Arc<PhysicalOp>,
+    /// bumps counts. `Hash`, `Debug` and `==` are the operator's own.
+    pub op: OpRef,
     /// Child node ids (all smaller than this node's id).
     pub children: Children,
     /// Optimizer-estimated output rows.
@@ -292,7 +361,7 @@ impl PhysicalPlan {
     /// children.
     pub fn add(
         &mut self,
-        op: impl Into<Arc<PhysicalOp>>,
+        op: impl Into<OpRef>,
         children: impl Into<Children>,
         est_rows: f64,
         est_bytes: f64,

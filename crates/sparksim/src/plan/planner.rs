@@ -18,13 +18,12 @@
 use crate::catalog::Catalog;
 use crate::expr::{CmpOp, Expr};
 use crate::plan::cardinality::{estimate_join_rows, estimate_scan_rows, DEFAULT_SELECTIVITY};
-use crate::plan::physical::{AggMode, NodeId, PhysicalOp, PhysicalPlan, WordHasher};
+use crate::plan::physical::{AggMode, NodeId, OpRef, PhysicalOp, PhysicalPlan, WordHasher};
 use crate::plan::spec::{Binding, QuerySpec};
 use crate::schema::ColumnRef;
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
-use std::hash::{BuildHasherDefault, Hash, Hasher};
-use std::sync::Arc;
+use std::hash::BuildHasherDefault;
 
 /// Join strategy choice for one join.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -600,23 +599,24 @@ impl<'a> Planner<'a> {
 
 /// One `enumerate` call's operator table: every distinct operator its
 /// candidates hold, keyed by the `WordHasher` walk `structural_hash`
-/// makes of it. A hash hit is confirmed by `==`; an operator whose hash
-/// another holds is simply not shared. It holds at most the call's own
-/// nodes, so keys a query could make collide slow that call only, and
-/// the map needs no flood-resistant hasher.
+/// makes of it — the key each [`OpRef`] then carries. A hash hit is
+/// confirmed by `==`; an operator whose hash another holds is simply
+/// not shared. It holds at most the call's own nodes, so keys a query
+/// could make collide slow that call only, and the map needs no
+/// flood-resistant hasher.
 #[derive(Default)]
-struct Ops(HashMap<u64, Arc<PhysicalOp>, BuildHasherDefault<WordHasher>>);
+struct Ops(HashMap<u64, OpRef, BuildHasherDefault<WordHasher>>);
 
 impl Ops {
     /// The call's allocation of `op`: the one an earlier `==` operator
-    /// got (`op` is dropped), or a new one.
-    fn intern(&mut self, op: PhysicalOp) -> Arc<PhysicalOp> {
-        let mut hasher = WordHasher::default();
-        op.hash(&mut hasher);
-        match self.0.entry(hasher.finish()) {
+    /// got (`op` is dropped), or a new one. The operator is walked once,
+    /// before anything is allocated.
+    fn intern(&mut self, op: PhysicalOp) -> OpRef {
+        let key = OpRef::key_of(&op);
+        match self.0.entry(key) {
             Entry::Occupied(held) if **held.get() == op => held.get().clone(),
-            Entry::Occupied(_) => Arc::new(op),
-            Entry::Vacant(slot) => slot.insert(Arc::new(op)).clone(),
+            Entry::Occupied(_) => OpRef::with_key(key, op),
+            Entry::Vacant(slot) => slot.insert(OpRef::with_key(key, op)).clone(),
         }
     }
 }

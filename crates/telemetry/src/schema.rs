@@ -87,9 +87,9 @@ pub const SPAN_NAMES: &[&str] = &[
 /// admitted plan is one `hit` or one `miss`
 /// (hit rate = `hit / (hit + miss)`), `insert` and `evict` count
 /// entries entering and leaving it. `serving.encode.nodes` /
-/// `.nodes_reused` count, once per multi-plan call, the nodes its
-/// misses encoded and those whose semantic block an earlier node of the
-/// call supplied. `telemetry.trace_dropped` counts
+/// `.nodes_reused` count, once per call that encoded, the nodes its
+/// misses encoded and those whose semantic block the service's
+/// operator-row cache supplied. `telemetry.trace_dropped` counts
 /// spans a requested Chrome trace had no room for.
 pub const COUNTER_NAMES: &[&str] = &[
     "infer.predict.single",

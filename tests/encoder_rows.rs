@@ -3,15 +3,18 @@
 //! `structure_row` / `parents` vectors — over the planner's candidate
 //! plans for `workloads::querygen` queries. The rows are the model's
 //! input contract, so they must agree bit for bit, not approximately —
-//! and they must be the same rows whichever way they were encoded: a
-//! query's candidates through one per-call memo, or each plan alone.
+//! and they must be the same rows whichever way they were encoded:
+//! through an operator-row cache (one per query's candidates, or one
+//! small enough to evict over a whole shuffled stream), or each plan
+//! alone.
 
 use encoding::onehot::OPERATORS;
 use encoding::plan_encoder::{log_norm, plan_stats};
 use encoding::tokenizer::plan_sentences;
-use encoding::{EncoderConfig, OpMemo, PlanEncoder, W2vConfig, Word2Vec};
+use encoding::{EncoderConfig, PlanEncoder, W2vConfig, Word2Vec};
 use sparksim::plan::planner::PlannerOptions;
 use sparksim::{ClusterConfig, Engine, PhysicalPlan, SimulatorConfig};
+use std::collections::HashSet;
 use workloads::imdb::{generate, ImdbConfig};
 use workloads::querygen::{generate_queries, QueryGenConfig};
 
@@ -111,34 +114,60 @@ fn encoded_rows_are_bit_equal_to_the_slow_rebuild() {
     }
 }
 
-/// A memo that changed a bit fails the equalities; one that silently
+fn bits(e: &encoding::EncodedPlan) -> Vec<u32> {
+    e.node_features().iter().map(|x| x.to_bits()).collect()
+}
+
+/// A cache that changed a bit fails the equalities; one that silently
 /// never hit fails the share.
 #[test]
-fn candidates_through_one_memo_are_bit_equal_to_each_plan_alone() {
+fn candidates_through_one_cache_are_bit_equal_to_each_plan_alone() {
     let sets = candidate_sets(21, 130);
     let plans = sets.concat();
     let w2v = pruned_word2vec(&plans);
-    let (mut nodes, mut reused) = (0u64, 0u64);
-    let bits = |e: &encoding::EncodedPlan| {
-        e.node_features().iter().map(|x| x.to_bits()).collect::<Vec<_>>()
-    };
+    let (mut nodes, mut reused) = (0usize, 0usize);
     for cfg in encoder_configs(&plans) {
         let encoder = PlanEncoder::new(w2v.clone(), cfg);
         for set in &sets {
-            let mut memo = OpMemo::default();
+            let cache = encoder.op_cache();
             for plan in set {
-                let shared = encoder.try_encode_in(plan, Some(&mut memo)).unwrap();
+                let (shared, supplied) = encoder.try_encode_in(plan, Some(&cache)).unwrap();
                 let alone = encoder.try_encode(plan).unwrap();
                 assert_eq!(bits(&shared), bits(&alone), "rows of\n{}", plan.explain());
                 assert!((0..plan.len()).all(|id| shared.children(id) == alone.children(id)));
                 assert_eq!(shared.plan_stats, alone.plan_stats);
+                (nodes, reused) = (nodes + plan.len(), reused + supplied);
             }
-            nodes += memo.nodes;
-            reused += memo.reused;
         }
     }
-    assert_eq!(nodes, 3 * plans.iter().map(|p| p.len() as u64).sum::<u64>());
     let share = reused as f64 / nodes as f64;
     println!("reused share {share:.3}: {reused} of {nodes} nodes over {} queries", sets.len());
-    assert!(share >= 0.5, "the memo reused {share:.3} of the nodes");
+    assert!(share >= 0.5, "the cache supplied {share:.3} of the rows");
+}
+
+/// Every query's candidates, shuffled, through one cache of 64 rows —
+/// far fewer than the stream's distinct operators, so its sets evict
+/// all along: the rows are still the ones each plan encodes to alone.
+#[test]
+fn a_shuffled_stream_through_a_small_cache_gives_the_rows_alone_gives() {
+    let mut plans = candidate_sets(22, 130).concat();
+    let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(22);
+    rand::seq::SliceRandom::shuffle(&mut plans[..], &mut rng);
+    let encoder = PlanEncoder::new(pruned_word2vec(&plans), EncoderConfig::default());
+    let cache = encoder.op_cache_with_entries(64);
+    let (mut nodes, mut reused) = (0usize, 0usize);
+    for plan in &plans {
+        let (shared, supplied) = encoder.try_encode_in(plan, Some(&cache)).unwrap();
+        assert_eq!(bits(&shared), bits(&encoder.encode(plan)), "rows of\n{}", plan.explain());
+        (nodes, reused) = (nodes + plan.len(), reused + supplied);
+    }
+    let distinct: HashSet<u64> = plans.iter().flat_map(|p| p.nodes()).map(|n| n.op.key()).collect();
+    println!(
+        "a 64-row cache supplied {reused} of {nodes} rows ({} operators)",
+        distinct.len()
+    );
+    assert_eq!(cache.len(), cache.capacity());
+    // More rows computed than there are operators: evicted ones came back.
+    assert!(distinct.len() >= 4 * cache.capacity() && nodes - reused > distinct.len());
+    assert!(reused > 0);
 }

@@ -1,17 +1,19 @@
 //! A plan's names and operators are shared, not copied: every table and
 //! column name a candidate plan holds is the catalog's allocation, every
 //! alias the binder's one allocation for the query, and every operator
-//! one allocation per distinct operator of the query's candidates; a
-//! planned node's size, its heap footprint, its node array and what a
-//! cloned plan allocates and retains are pinned.
+//! one allocation per distinct operator of the query's candidates, which
+//! carries the key its walk gives; a planned node's size, its heap
+//! footprint, its node array and what a cloned plan or a full
+//! operator-row cache allocates and retains are pinned.
 //!
 //! This binary installs a `#[global_allocator]` that keeps the live heap
 //! bytes of the armed thread (what it allocated minus what it freed) and
 //! its allocation count, so no other test binary pays for it.
 
+use encoding::{EncoderConfig, PlanEncoder, W2vConfig};
 use raal::serving::plan_key_charge;
 use sparksim::expr::Expr;
-use sparksim::plan::physical::{NodeId, PhysicalNode, PhysicalOp, WordHasher};
+use sparksim::plan::physical::{NodeId, OpRef, PhysicalNode, PhysicalOp, WordHasher};
 use sparksim::plan::planner::{Planner, PlannerOptions};
 use sparksim::schema::{ColumnRef, Name};
 use sparksim::{ClusterConfig, Engine, PhysicalPlan, SimulatorConfig};
@@ -19,14 +21,14 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::hash::{Hash, Hasher};
 use std::mem::size_of;
-use std::sync::Arc;
 use workloads::imdb::{generate, ImdbConfig};
 use workloads::querygen::{generate_queries, QueryGenConfig};
 
 /// Live heap bytes a planned node may hold, averaged over every
 /// candidate of [`QUERIES`] generated queries: the node's arena slot
 /// (its child list is inline) and its share of the query's operators
-/// with their column lists, predicate trees and literals. It reads 95 B
+/// with their column lists, predicate trees and literals and the key each
+/// carries. It reads 97.5 B (95 B before operators carried their key)
 /// with inline child lists and exact-size node arrays, and read 128 B
 /// with a `Vec` per child list, 297 B with an operator per node as well
 /// (375 B with a `String` per name on top).
@@ -217,12 +219,11 @@ fn a_querys_candidates_share_every_equal_operator() {
         let spec = engine.spec(sql).unwrap_or_else(|e| panic!("{sql}: {e}"));
         let plans =
             Planner::new(engine.catalog(), engine.planner_options().clone()).enumerate(&spec);
-        let ops: Vec<&Arc<PhysicalOp>> =
-            plans.iter().flat_map(|p| p.nodes()).map(|n| &n.op).collect();
+        let ops: Vec<&OpRef> = plans.iter().flat_map(|p| p.nodes()).map(|n| &n.op).collect();
         for (i, &a) in ops.iter().enumerate() {
-            // `Arc`'s `==` is the operator's: no pointer shortcut.
+            // `OpRef`'s `==` is the operator's: no pointer shortcut.
             if let Some(&b) = ops[..i].iter().find(|&&b| b == a) {
-                assert!(Arc::ptr_eq(a, b), "{sql}: {} is held twice", a.name());
+                assert!(OpRef::ptr_eq(a, b), "{sql}: {} is held twice", a.name());
                 shared += 1;
             }
             nodes += 1;
@@ -270,8 +271,7 @@ fn a_candidate_holds_exactly_its_nodes_and_clones_in_one_allocation() {
         let plans =
             Planner::new(engine.catalog(), engine.planner_options().clone()).enumerate(&spec);
         // Held here, so dropping a plan frees its node array alone.
-        let _ops: Vec<Arc<PhysicalOp>> =
-            plans.iter().flat_map(|p| p.nodes()).map(|n| n.op.clone()).collect();
+        let _ops: Vec<OpRef> = plans.iter().flat_map(|p| p.nodes()).map(|n| n.op.clone()).collect();
         for plan in plans {
             let bytes = plan.len() as i64 * node;
             let (cloned, copy) = measure(|| plan.clone());
@@ -323,4 +323,73 @@ fn fingerprints_and_hashes_read_as_with_vec_child_lists() {
 #[test]
 fn a_node_is_an_operator_pointer_a_child_list_and_two_estimates() {
     assert!(size_of::<PhysicalNode>() <= 40, "{} B", size_of::<PhysicalNode>());
+}
+
+/// Every operator carries the key a fresh walk of it gives, and a cloned
+/// plan's operators carry the same keys.
+#[test]
+fn every_operator_carries_the_key_its_walk_gives() {
+    let (engine, queries) = engine_and_queries();
+    let (mut plans, mut nodes) = (0usize, 0usize);
+    for sql in &queries[..200] {
+        let spec = engine.spec(sql).unwrap_or_else(|e| panic!("{sql}: {e}"));
+        for plan in
+            Planner::new(engine.catalog(), engine.planner_options().clone()).enumerate(&spec)
+        {
+            let copy = plan.clone();
+            for (node, cloned) in plan.nodes().iter().zip(copy.nodes()) {
+                let walk = OpRef::key_of(&node.op);
+                assert_eq!((node.op.key(), cloned.op.key()), (walk, walk), "{sql}: {:?}", node.op);
+                nodes += 1;
+            }
+            plans += 1;
+        }
+    }
+    assert!(
+        plans >= 500 && nodes >= 10_000,
+        "only {plans} candidates, {nodes} nodes checked"
+    );
+}
+
+/// [`OpCache::retained_bytes_bound`] bounds what a full operator-row
+/// cache retains: its set table, its rows, and the operators it holds
+/// the last reference to — every plan it encoded dropped.
+///
+/// [`OpCache::retained_bytes_bound`]: encoding::OpCache::retained_bytes_bound
+#[test]
+fn a_full_operator_row_cache_retains_at_most_its_bound() {
+    let (engine, queries) = engine_and_queries();
+    let opts = engine.planner_options().clone();
+    let plan_all = || {
+        queries
+            .iter()
+            .flat_map(|sql| {
+                let spec = engine.spec(sql).unwrap_or_else(|e| panic!("{sql}: {e}"));
+                Planner::new(engine.catalog(), opts.clone()).enumerate(&spec)
+            })
+            .collect::<Vec<_>>()
+    };
+    let corpus: Vec<Vec<String>> = plan_all()
+        .iter()
+        .flat_map(encoding::tokenizer::plan_sentences)
+        .collect();
+    let w2v =
+        encoding::train_word2vec(&corpus, &W2vConfig { dim: 32, epochs: 1, ..Default::default() });
+    let encoder = PlanEncoder::new(w2v, EncoderConfig::default());
+    // The queries' candidates hold about two thousand distinct operators:
+    // an eighth-size cache fills every set, and evicts.
+    let (Heap { live, .. }, cache) = measure(|| {
+        let cache = encoder.op_cache_with_entries(512);
+        for plan in plan_all() {
+            encoder.try_encode_in(&plan, Some(&cache)).expect("a planned tree");
+        }
+        cache
+    });
+    let (held, bound) = (cache.len(), cache.retained_bytes_bound());
+    println!(
+        "{held} rows retain {live} B ({:.0} B a row), bound {bound}",
+        live as f64 / held as f64
+    );
+    assert_eq!(held, cache.capacity(), "the cache did not fill");
+    assert!(live <= bound as i64, "{live} B retained, {bound} bound");
 }
