@@ -1,12 +1,10 @@
-//! The shared hand lexer behind `raal-lint` and the call-graph passes.
+//! The hand lexer behind `raal-lint`.
 //!
 //! Everything here is deliberately *lexical*: a small state machine
 //! strips comments and string literals without parsing Rust, which
-//! keeps the analysis dependency-free and robust across editions. The
-//! same [`Views`] triple feeds the per-file lint rules
-//! ([`crate::lint`]), the whole-workspace call-graph extractor
-//! ([`crate::callgraph`]) and the hot-path panic/alloc catalogs
-//! ([`crate::panic`]), so offsets and line numbers agree everywhere.
+//! keeps the linter dependency-free and robust across editions. Every
+//! per-file rule ([`crate::lint`]) reads the same [`Views`] triple, so
+//! offsets and line numbers agree everywhere.
 //!
 //! Two hardening details matter for rule windows:
 //!
@@ -15,7 +13,7 @@
 //!   blanked view never fires on text inside either.
 //! * Justification-comment checks ([`justified_in_window`]) compare the
 //!   raw text against the comment-blanked view line by line, so a
-//!   marker like `SAFETY:` or `PANIC-FREE:` only counts when it sits
+//!   marker like `SAFETY:` or `ORDERING:` only counts when it sits
 //!   inside an actual comment — the same token smuggled into a string
 //!   or raw string literal does not satisfy a rule.
 
@@ -291,7 +289,7 @@ pub fn crate_of(rel: &str) -> Option<&str> {
 
 /// Offset one past the `}` matching the `{` at `open` (or `len` when
 /// the file ends unbalanced).
-pub fn match_brace(bytes: &[u8], open: usize) -> usize {
+fn match_brace(bytes: &[u8], open: usize) -> usize {
     let mut depth = 0usize;
     for (j, &b) in bytes.iter().enumerate().skip(open) {
         if b == b'{' {
@@ -304,53 +302,6 @@ pub fn match_brace(bytes: &[u8], open: usize) -> usize {
         }
     }
     bytes.len()
-}
-
-/// A named function: `at` is the offset of the `fn` keyword and `range`
-/// spans its body braces, both in the blanked view.
-pub struct FnSpan {
-    /// The function's name.
-    pub name: String,
-    /// Offset of the `fn` keyword.
-    pub at: usize,
-    /// Byte range of the body (`{` through `}` inclusive).
-    pub range: Range<usize>,
-}
-
-/// Lexically located function bodies. `fn` pointer types (`fn(..)`) and
-/// bodyless trait-method declarations are skipped; closures attribute
-/// to their enclosing named function.
-pub fn fn_spans(blanked: &str) -> Vec<FnSpan> {
-    let bytes = blanked.as_bytes();
-    let mut out = Vec::new();
-    for at in find_word(blanked, "fn") {
-        let mut i = at + 2;
-        while i < bytes.len() && bytes[i].is_ascii_whitespace() {
-            i += 1;
-        }
-        let name_start = i;
-        while i < bytes.len() && is_ident_byte(bytes[i]) {
-            i += 1;
-        }
-        if i == name_start {
-            continue; // `fn(..)` pointer type, not an item
-        }
-        let name = blanked[name_start..i].to_string();
-        let mut open = None;
-        while i < bytes.len() {
-            match bytes[i] {
-                b'{' => {
-                    open = Some(i);
-                    break;
-                }
-                b';' => break, // bodyless declaration
-                _ => i += 1,
-            }
-        }
-        let Some(open) = open else { continue };
-        out.push(FnSpan { name, at, range: open..match_brace(bytes, open) });
-    }
-    out
 }
 
 /// Count of (possibly overlapping-free) occurrences of `pat` in `text`.
@@ -459,22 +410,11 @@ mod tests {
 
     #[test]
     fn justified_window_sees_trailing_same_line_comment() {
-        let src = "fn f(xs: &[f32]) -> f32 {\n    xs[0] // PANIC-FREE: len checked above\n}\n";
+        let src = "fn f() -> u64 {\n    N.load(Relaxed) // ORDERING: a statistic\n}\n";
         let v = lex_views(src);
         let raw: Vec<&str> = v.raw.lines().collect();
         let code: Vec<&str> = v.code.lines().collect();
-        assert!(justified_in_window(&raw, &code, 2, 4, &["PANIC-FREE:"]));
-        assert!(!justified_in_window(&raw, &code, 1, 4, &["PANIC-FREE:"]));
-    }
-
-    #[test]
-    fn fn_spans_carry_name_offsets() {
-        let src = "fn a() { b(); }\npub fn b() {}\n";
-        let spans = fn_spans(&lex_views(src).blanked);
-        assert_eq!(spans.len(), 2);
-        assert_eq!(spans[0].name, "a");
-        assert_eq!(spans[1].name, "b");
-        assert!(spans[0].at < spans[1].at);
-        assert!(spans[0].range.contains(&src.find("b();").unwrap()));
+        assert!(justified_in_window(&raw, &code, 2, 4, &["ORDERING:"]));
+        assert!(!justified_in_window(&raw, &code, 1, 4, &["ORDERING:"]));
     }
 }

@@ -1,33 +1,22 @@
-//! Static guarantees for the RAAL workspace's source, behind the
-//! `raal-lint` tool. No library crate links this one: the plan's tree
-//! invariant is `sparksim`'s `PhysicalPlan::check_tree`.
+//! The `raal-lint` source linter for the RAAL workspace. No library
+//! crate links this one: the plan's tree invariant is `sparksim`'s
+//! `PhysicalPlan::check_tree`, and "a served call neither panics nor
+//! allocates" is stated by `raal`'s `hotpath_alloc` and `hotpath_panic`
+//! tests.
 //!
-//! * [`lint`] — the `raal-lint` source scanner enforcing repo-wide
-//!   rules the compiler cannot: `// SAFETY:` comments on `unsafe`,
-//!   no `Instant::now` outside telemetry, no `unwrap()`/`expect()` in
-//!   serving-path library code, telemetry names drawn from the
-//!   [`telemetry::schema`] registry, and `// ORDERING:` justifications
-//!   on relaxed atomics — with an allowlist ratchet for grandfathered
-//!   sites.
-//! * [`lex`] — the shared hand lexer: comment/string-blanked views of a
-//!   source file, function spans, test ranges, and comment-aware
-//!   justification windows. Feeds [`lint`], [`callgraph`] and
-//!   [`mod@panic`].
-//! * [`callgraph`] — a whole-workspace lexical call-graph extractor:
-//!   function definitions keyed by enclosing `impl` type, call-site
-//!   resolution by receiver type where inferable, and conservative
-//!   fan-out edges for unknown callees. Powers hot-path reachability.
-//! * [`mod@panic`] — panic-source and allocation-source catalogs plus the
-//!   `hot-panic` / `hot-alloc` rules: every panic or heap-allocation
-//!   site reachable from a declared serving entry point must carry a
-//!   `// PANIC-FREE:` / `// HOT-ALLOC:` justification or an entry in
-//!   the shrink-only `hotpath-allowlist.tsv` ratchet.
+//! * [`lint`] — the per-file rules the compiler cannot enforce:
+//!   `// SAFETY:` comments on `unsafe`, no `Instant::now` outside
+//!   telemetry, no `unwrap()`/`expect()` in serving-path library code,
+//!   telemetry names drawn from the [`telemetry::schema`] registry,
+//!   `SAFETY` over int8 intrinsics, and `// ORDERING:` justifications on
+//!   relaxed atomics. Every finding fails the linter.
+//! * [`lex`] — the hand lexer behind them: comment/string-blanked views
+//!   of a source file, test ranges, and comment-aware justification
+//!   windows.
 //!
 //! Run the linter with `cargo run -p analysis --bin raal-lint`.
 
 #![deny(missing_docs)]
 
-pub mod callgraph;
 pub mod lex;
 pub mod lint;
-pub mod panic;

@@ -1,35 +1,38 @@
 //! `raal-lint`: source-level enforcement of repo invariants.
 //!
 //! A zero-external-dependency linter that scans the workspace's Rust
-//! sources and enforces rules the compiler cannot:
+//! sources and enforces rules the compiler cannot. Each rule names the
+//! unit test below that is its negative control — a fabricated source
+//! the rule must flag:
 //!
 //! * **`unsafe-safety`** — every `unsafe` keyword (block, fn, impl) is
 //!   preceded by a `// SAFETY:` comment or a `# Safety` doc section
 //!   within the preceding lines, so each unsafe site documents the
-//!   preconditions it relies on.
+//!   preconditions it relies on. Control:
+//!   `undocumented_unsafe_is_flagged`.
 //! * **`instant-now`** — no `Instant::now` outside `crates/telemetry`;
 //!   all timing goes through the telemetry clock so event logs share one
-//!   origin.
+//!   origin. Control: `instant_now_flagged_outside_telemetry`.
 //! * **`unwrap-in-lib`** — no `.unwrap()` / `.expect(` in non-test
 //!   library code of `sparksim`, `nn`, `core` and `encoding`; serving
-//!   paths return typed errors instead of panicking.
+//!   paths return typed errors instead of panicking. Control:
+//!   `expect_outside_test_module_is_flagged`.
 //! * **`span-names`** — telemetry span/counter/histogram/event names in
 //!   non-test code are drawn from the [`telemetry::schema`] registry, so
-//!   downstream log consumers can rely on a closed vocabulary.
+//!   downstream log consumers can rely on a closed vocabulary. Control:
+//!   `unregistered_span_name_is_flagged`.
 //! * **`i8-intrinsic-safety`** — every `_mm*epi8*` intrinsic call site
 //!   (the int8 kernel's widening loads and conversions) sits
 //!   inside a block documented by a `SAFETY` comment within the
-//!   preceding lines; `use` declarations are exempt.
+//!   preceding lines; `use` declarations are exempt. Control:
+//!   `undocumented_epi8_intrinsic_is_flagged`.
 //! * **`atomic-ordering`** — every `Ordering::Relaxed` in non-test code
 //!   carries a `// ORDERING:` comment in the preceding lines justifying
 //!   why relaxed semantics are sound at that site. Stronger orderings
-//!   are self-documenting; `Relaxed` is where the bugs hide.
+//!   are self-documenting; `Relaxed` is where the bugs hide. Control:
+//!   `relaxed_without_justification_is_flagged`.
 //!
-//! Grandfathered sites live in `lint-allowlist.tsv` at the repo root:
-//! one `rule<TAB>path<TAB>count` line per file. The linter fails when a
-//! file *exceeds* its allowance (the list never grows) and, in
-//! `--strict` mode, when an allowance is stale (the count can only
-//! ratchet down).
+//! Every finding fails `raal-lint`; there is no allowlist.
 //!
 //! The scanner is deliberately lexical: it strips comments and string
 //! literals with a small state machine rather than parsing Rust, which
@@ -39,7 +42,6 @@ use crate::lex::{
     crate_of, find_word, in_ranges, is_ident_byte, is_test_path, justified_in_window, lex_views,
     line_of, line_starts, test_ranges, use_ranges, Views,
 };
-use std::collections::BTreeMap;
 use std::fmt;
 use std::fs;
 use std::io;
@@ -115,65 +117,82 @@ fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
     Ok(())
 }
 
-/// Reads every Rust source under `root` as `(relative path, text)`
-/// pairs, sorted by path — the common input of [`lint_sources`] and
-/// [`crate::panic::check_sources`]. Exposed so tests can load the real
-/// workspace, mutate a file in memory, and re-run an analysis.
-pub fn collect_sources(root: &Path) -> io::Result<Vec<(String, String)>> {
+/// Lints every Rust source under `root`, returning findings sorted by
+/// path and line.
+pub fn lint_root(root: &Path) -> io::Result<Vec<Violation>> {
     let mut files = Vec::new();
     collect_rs(root, &mut files)?;
     files.sort();
-    let mut sources = Vec::with_capacity(files.len());
+    let mut violations = Vec::new();
     for path in &files {
         let rel = path
             .strip_prefix(root)
             .unwrap_or(path)
             .to_string_lossy()
             .replace('\\', "/");
-        sources.push((rel, fs::read_to_string(path)?));
-    }
-    Ok(sources)
-}
-
-/// Lints every Rust source under `root`, returning findings sorted by
-/// path and line.
-pub fn lint_root(root: &Path) -> io::Result<Vec<Violation>> {
-    Ok(lint_sources(&collect_sources(root)?))
-}
-
-/// Lints a set of `(relative path, source)` pairs file by file. This is
-/// the in-memory core of [`lint_root`], exposed so tests can lint a
-/// fabricated multi-file workspace.
-pub fn lint_sources(sources: &[(String, String)]) -> Vec<Violation> {
-    let mut violations = Vec::new();
-    for (rel, source) in sources {
-        lint_file(rel, source, &mut violations);
+        lint_file(&rel, &fs::read_to_string(path)?, &mut violations);
     }
     violations.sort_by(|a, b| (&a.path, a.line).cmp(&(&b.path, b.line)));
-    violations
+    Ok(violations)
+}
+
+/// One file under lint: its lexed views and the tables every rule reads.
+struct File<'a> {
+    rel: &'a str,
+    views: &'a Views,
+    starts: Vec<usize>,
+    tests: Vec<Range<usize>>,
+    raw_lines: Vec<&'a str>,
+    code_lines: Vec<&'a str>,
+}
+
+impl File<'_> {
+    /// Whether any of `pats` sits in a comment within `window` lines
+    /// above (or on) the 1-based `line` ([`justified_in_window`]).
+    fn justified(&self, line: usize, window: usize, pats: &[&str]) -> bool {
+        justified_in_window(&self.raw_lines, &self.code_lines, line, window, pats)
+    }
+
+    fn in_test(&self, at: usize) -> bool {
+        in_ranges(&self.tests, at)
+    }
+
+    fn line(&self, at: usize) -> usize {
+        line_of(&self.starts, at)
+    }
+
+    fn flag(&self, out: &mut Vec<Violation>, rule: &'static str, line: usize, message: String) {
+        out.push(Violation { rule, path: self.rel.to_string(), line, message });
+    }
 }
 
 /// Lints one file's source text (exposed for tests).
 pub fn lint_file(rel: &str, source: &str, out: &mut Vec<Violation>) {
     let views = lex_views(source);
-    let starts = line_starts(source);
-    let tests = test_ranges(&views.blanked);
-    let raw_lines: Vec<&str> = views.raw.lines().collect();
-    let code_lines: Vec<&str> = views.code.lines().collect();
+    let f = File {
+        rel,
+        views: &views,
+        starts: line_starts(source),
+        tests: test_ranges(&views.blanked),
+        raw_lines: views.raw.lines().collect(),
+        code_lines: views.code.lines().collect(),
+    };
     let test_file = is_test_path(rel);
     let krate = crate_of(rel);
 
-    rule_unsafe(rel, &views, &starts, &raw_lines, &code_lines, out);
-    rule_instant(rel, &views, &starts, krate, out);
+    rule_unsafe(&f, out);
+    if krate != Some("telemetry") {
+        rule_instant(&f, out);
+    }
     if !test_file {
-        rule_epi8(rel, &views, &starts, &raw_lines, &code_lines, &tests, out);
-        rule_atomic_ordering(rel, &views, &starts, &raw_lines, &code_lines, &tests, out);
+        rule_epi8(&f, out);
+        rule_atomic_ordering(&f, out);
     }
     if !test_file && krate.is_some_and(|c| UNWRAP_CRATES.contains(&c)) && rel.contains("/src/") {
-        rule_unwrap(rel, &views, &starts, &tests, out);
+        rule_unwrap(&f, out);
     }
     if !test_file && krate != Some("telemetry") {
-        rule_span_names(rel, &views, &starts, &tests, out);
+        rule_span_names(&f, out);
     }
 }
 
@@ -181,32 +200,13 @@ pub fn lint_file(rel: &str, source: &str, out: &mut Vec<Violation>) {
 /// doc section for `unsafe fn` contracts). The justification must be a
 /// real comment — the marker inside a string literal does not count
 /// ([`crate::lex::comment_contains`]).
-fn rule_unsafe(
-    rel: &str,
-    views: &Views,
-    starts: &[usize],
-    raw_lines: &[&str],
-    code_lines: &[&str],
-    out: &mut Vec<Violation>,
-) {
-    for at in find_word(&views.blanked, "unsafe") {
-        let line = line_of(starts, at); // 1-based
-        let documented = justified_in_window(
-            raw_lines,
-            code_lines,
-            line,
-            SAFETY_WINDOW,
-            &["SAFETY:", "# Safety"],
-        );
-        if !documented {
-            out.push(Violation {
-                rule: RULE_UNSAFE,
-                path: rel.to_string(),
-                line,
-                message: "`unsafe` without a `// SAFETY:` comment (or `# Safety` doc) \
-                          in the preceding lines"
-                    .to_string(),
-            });
+fn rule_unsafe(f: &File, out: &mut Vec<Violation>) {
+    for at in find_word(&f.views.blanked, "unsafe") {
+        let line = f.line(at);
+        if !f.justified(line, SAFETY_WINDOW, &["SAFETY:", "# Safety"]) {
+            let message = "`unsafe` without a `// SAFETY:` comment (or `# Safety` doc) in the \
+                           preceding lines";
+            f.flag(out, RULE_UNSAFE, line, message.to_string());
         }
     }
 }
@@ -215,19 +215,12 @@ fn rule_unsafe(
 /// justification: the widening i8 loads in the quantized kernels read
 /// eight bytes through raw pointers, so each call site inherits pointer
 /// validity preconditions the comment must state.
-fn rule_epi8(
-    rel: &str,
-    views: &Views,
-    starts: &[usize],
-    raw_lines: &[&str],
-    code_lines: &[&str],
-    tests: &[Range<usize>],
-    out: &mut Vec<Violation>,
-) {
-    let bytes = views.blanked.as_bytes();
-    let uses = use_ranges(&views.blanked);
+fn rule_epi8(f: &File, out: &mut Vec<Violation>) {
+    let blanked = &f.views.blanked;
+    let bytes = blanked.as_bytes();
+    let uses = use_ranges(blanked);
     let mut from = 0;
-    while let Some(pos) = views.blanked[from..].find("_mm") {
+    while let Some(pos) = blanked[from..].find("_mm") {
         let at = from + pos;
         // Expand to the full identifier and move the cursor past it.
         let mut end = at;
@@ -238,8 +231,8 @@ fn rule_epi8(
         if at > 0 && is_ident_byte(bytes[at - 1]) {
             continue;
         }
-        let ident = &views.blanked[at..end];
-        if !ident.contains("epi8") || in_ranges(tests, at) {
+        let ident = &blanked[at..end];
+        if !ident.contains("epi8") || f.in_test(at) {
             continue;
         }
         // `use core::arch::x86_64::{..., _mm256_cvtepi8_epi32, ...};` is
@@ -247,86 +240,50 @@ fn rule_epi8(
         if in_ranges(&uses, at) {
             continue;
         }
-        let line = line_of(starts, at); // 1-based
-        let documented =
-            justified_in_window(raw_lines, code_lines, line, EPI8_WINDOW, &["SAFETY", "# Safety"]);
-        if !documented {
-            out.push(Violation {
-                rule: RULE_EPI8,
-                path: rel.to_string(),
-                line,
-                message: format!(
-                    "`{ident}` without a `SAFETY` comment in the preceding {EPI8_WINDOW} lines — \
-                     document the pointer preconditions of the int8 kernel"
-                ),
-            });
+        let line = f.line(at);
+        if !f.justified(line, EPI8_WINDOW, &["SAFETY", "# Safety"]) {
+            let message = format!(
+                "`{ident}` without a `SAFETY` comment in the preceding {EPI8_WINDOW} lines — \
+                 document the pointer preconditions of the int8 kernel"
+            );
+            f.flag(out, RULE_EPI8, line, message);
         }
     }
 }
 
 /// Timing outside the telemetry crate goes through `telemetry::clock_ns`.
-fn rule_instant(
-    rel: &str,
-    views: &Views,
-    starts: &[usize],
-    krate: Option<&str>,
-    out: &mut Vec<Violation>,
-) {
-    if krate == Some("telemetry") {
-        return;
-    }
+fn rule_instant(f: &File, out: &mut Vec<Violation>) {
     let mut from = 0;
-    while let Some(pos) = views.blanked[from..].find("Instant::now") {
+    while let Some(pos) = f.views.blanked[from..].find("Instant::now") {
         let at = from + pos;
         from = at + "Instant::now".len();
-        out.push(Violation {
-            rule: RULE_INSTANT,
-            path: rel.to_string(),
-            line: line_of(starts, at),
-            message: "Instant::now outside crates/telemetry — use telemetry::clock_ns() \
-                      so all timings share one origin"
-                .to_string(),
-        });
+        let message = "Instant::now outside crates/telemetry — use telemetry::clock_ns() so all \
+                       timings share one origin";
+        f.flag(out, RULE_INSTANT, f.line(at), message.to_string());
     }
 }
 
 /// Library code in the serving path returns typed errors, not panics.
-fn rule_unwrap(
-    rel: &str,
-    views: &Views,
-    starts: &[usize],
-    tests: &[Range<usize>],
-    out: &mut Vec<Violation>,
-) {
+fn rule_unwrap(f: &File, out: &mut Vec<Violation>) {
     for pat in [".unwrap()", ".expect("] {
         let mut from = 0;
-        while let Some(pos) = views.blanked[from..].find(pat) {
+        while let Some(pos) = f.views.blanked[from..].find(pat) {
             let at = from + pos;
             from = at + pat.len();
-            if in_ranges(tests, at) {
+            if f.in_test(at) {
                 continue;
             }
-            out.push(Violation {
-                rule: RULE_UNWRAP,
-                path: rel.to_string(),
-                line: line_of(starts, at),
-                message: format!(
-                    "`{}` in non-test library code — convert to a typed Result error",
-                    pat.trim_end_matches('(')
-                ),
-            });
+            let message = format!(
+                "`{}` in non-test library code — convert to a typed Result error",
+                pat.trim_end_matches('(')
+            );
+            f.flag(out, RULE_UNWRAP, f.line(at), message);
         }
     }
 }
 
 /// Telemetry names come from the `telemetry::schema` registry.
-fn rule_span_names(
-    rel: &str,
-    views: &Views,
-    starts: &[usize],
-    tests: &[Range<usize>],
-    out: &mut Vec<Violation>,
-) {
+fn rule_span_names(f: &File, out: &mut Vec<Violation>) {
     use telemetry::schema;
     // (call pattern, membership test, registry name for the message).
     // Gauges are the one prefix-based vocabulary (per-class monitor
@@ -353,14 +310,14 @@ fn rule_span_names(
         // Locate call sites in the blanked view (so the pattern inside a
         // string or comment never matches), then read the argument from
         // the string-preserving view.
-        while let Some(pos) = views.blanked[from..].find(pat) {
+        while let Some(pos) = f.views.blanked[from..].find(pat) {
             let at = from + pos;
             from = at + pat.len();
-            if in_ranges(tests, at) {
+            if f.in_test(at) {
                 continue;
             }
             // First argument must be a string literal to be checkable.
-            let rest = &views.code[at + pat.len()..];
+            let rest = &f.views.code[at + pat.len()..];
             let trimmed = rest.trim_start();
             if !trimmed.starts_with('"') {
                 continue;
@@ -370,15 +327,11 @@ fn rule_span_names(
             };
             let name = &trimmed[1..1 + end];
             if !registered(name) {
-                out.push(Violation {
-                    rule: RULE_SPAN,
-                    path: rel.to_string(),
-                    line: line_of(starts, at),
-                    message: format!(
-                        "telemetry name \"{name}\" is not in telemetry::schema::{registry_name} — \
-                         register it so log consumers see a closed vocabulary"
-                    ),
-                });
+                let message = format!(
+                    "telemetry name \"{name}\" is not in telemetry::schema::{registry_name} — \
+                     register it so log consumers see a closed vocabulary"
+                );
+                f.flag(out, RULE_SPAN, f.line(at), message);
             }
         }
     }
@@ -389,147 +342,21 @@ fn rule_span_names(
 /// preceding lines explaining why no synchronisation is needed at that
 /// site. (Doc comments and strings are invisible here — the word is
 /// matched in the blanked view.)
-fn rule_atomic_ordering(
-    rel: &str,
-    views: &Views,
-    starts: &[usize],
-    raw_lines: &[&str],
-    code_lines: &[&str],
-    tests: &[Range<usize>],
-    out: &mut Vec<Violation>,
-) {
-    for at in find_word(&views.blanked, "Relaxed") {
-        if in_ranges(tests, at) {
+fn rule_atomic_ordering(f: &File, out: &mut Vec<Violation>) {
+    for at in find_word(&f.views.blanked, "Relaxed") {
+        if f.in_test(at) {
             continue;
         }
-        let line = line_of(starts, at); // 1-based
-        let justified =
-            justified_in_window(raw_lines, code_lines, line, ORDERING_WINDOW, &["ORDERING:"]);
-        if !justified {
-            out.push(Violation {
-                rule: RULE_ORDERING,
-                path: rel.to_string(),
-                line,
-                message: format!(
-                    "`Ordering::Relaxed` without an `// ORDERING:` justification in the \
-                     preceding {ORDERING_WINDOW} lines — state why relaxed semantics are \
-                     sound here or use a stronger ordering"
-                ),
-            });
+        let line = f.line(at);
+        if !f.justified(line, ORDERING_WINDOW, &["ORDERING:"]) {
+            let message = format!(
+                "`Ordering::Relaxed` without an `// ORDERING:` justification in the preceding \
+                 {ORDERING_WINDOW} lines — state why relaxed semantics are sound here or use a \
+                 stronger ordering"
+            );
+            f.flag(out, RULE_ORDERING, line, message);
         }
     }
-}
-
-/// The grandfathered-site allowlist: `(rule, path) -> allowed count`.
-#[derive(Debug, Default, Clone, PartialEq, Eq)]
-pub struct Allowlist {
-    entries: BTreeMap<(String, String), usize>,
-}
-
-impl Allowlist {
-    /// Parses the TSV format (`rule<TAB>path<TAB>count`, `#` comments).
-    pub fn parse(text: &str) -> Result<Self, String> {
-        let mut entries = BTreeMap::new();
-        for (i, line) in text.lines().enumerate() {
-            let line = line.trim();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            let mut parts = line.split('\t');
-            let (Some(rule), Some(path), Some(count)) = (parts.next(), parts.next(), parts.next())
-            else {
-                return Err(format!("allowlist line {}: expected rule<TAB>path<TAB>count", i + 1));
-            };
-            let count: usize = count
-                .trim()
-                .parse()
-                .map_err(|_| format!("allowlist line {}: bad count '{count}'", i + 1))?;
-            entries.insert((rule.to_string(), path.to_string()), count);
-        }
-        Ok(Self { entries })
-    }
-
-    /// Loads from a file; a missing file is an empty allowlist.
-    pub fn load(path: &Path) -> Result<Self, String> {
-        match fs::read_to_string(path) {
-            Ok(text) => Self::parse(&text),
-            Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(Self::default()),
-            Err(e) => Err(format!("reading {}: {e}", path.display())),
-        }
-    }
-
-    /// Renders the TSV format, sorted, with a header comment.
-    pub fn render(&self) -> String {
-        let mut out = String::from(
-            "# raal-lint allowlist: grandfathered violations, one `rule<TAB>path<TAB>count`\n\
-             # per line. The build fails if a file exceeds its allowance; counts may only\n\
-             # ratchet down (regenerate with `cargo run -p analysis --bin raal-lint -- --update`).\n",
-        );
-        for ((rule, path), count) in &self.entries {
-            out.push_str(&format!("{rule}\t{path}\t{count}\n"));
-        }
-        out
-    }
-
-    /// Builds an allowlist that exactly covers `violations`.
-    pub fn covering(violations: &[Violation]) -> Self {
-        let mut entries: BTreeMap<(String, String), usize> = BTreeMap::new();
-        for v in violations {
-            *entries.entry((v.rule.to_string(), v.path.clone())).or_default() += 1;
-        }
-        Self { entries }
-    }
-
-    /// Total allowed count across all entries.
-    pub fn total(&self) -> usize {
-        self.entries.values().sum()
-    }
-}
-
-/// Result of comparing actual findings against the allowlist.
-#[derive(Debug, Default)]
-pub struct Outcome {
-    /// Findings in files over (or absent from) their allowance. Fails
-    /// the lint.
-    pub over: Vec<Violation>,
-    /// `(rule, path, allowed, actual)` where the allowance exceeds
-    /// reality — the ratchet must be tightened.
-    pub stale: Vec<(String, String, usize, usize)>,
-    /// Findings covered by an exact allowance (grandfathered).
-    pub grandfathered: usize,
-}
-
-/// Applies the ratchet: per `(rule, path)`, actual count must not exceed
-/// the allowance; allowances above the actual count are reported stale.
-pub fn apply_allowlist(violations: &[Violation], allow: &Allowlist) -> Outcome {
-    let mut actual: BTreeMap<(String, String), Vec<&Violation>> = BTreeMap::new();
-    for v in violations {
-        actual
-            .entry((v.rule.to_string(), v.path.clone()))
-            .or_default()
-            .push(v);
-    }
-    let mut outcome = Outcome::default();
-    for (key, found) in &actual {
-        let allowed = allow.entries.get(key).copied().unwrap_or(0);
-        if found.len() > allowed {
-            outcome.over.extend(found.iter().map(|v| (*v).clone()));
-        } else {
-            outcome.grandfathered += found.len();
-            if found.len() < allowed {
-                outcome
-                    .stale
-                    .push((key.0.clone(), key.1.clone(), allowed, found.len()));
-            }
-        }
-    }
-    for (key, &allowed) in &allow.entries {
-        if !actual.contains_key(key) && allowed > 0 {
-            outcome.stale.push((key.0.clone(), key.1.clone(), allowed, 0));
-        }
-    }
-    outcome.stale.sort();
-    outcome
 }
 
 #[cfg(test)]
@@ -817,50 +644,6 @@ mod tests {
                    static F: AtomicBool = AtomicBool::new(false);\n\
                    pub fn set() { F.store(true, Ordering::Release); }\n";
         assert!(lint_str("crates/core/src/x.rs", src).is_empty());
-    }
-
-    #[test]
-    fn allowlist_ratchet_math() {
-        let vs = vec![
-            Violation {
-                rule: RULE_UNWRAP,
-                path: "crates/nn/src/a.rs".into(),
-                line: 1,
-                message: String::new(),
-            },
-            Violation {
-                rule: RULE_UNWRAP,
-                path: "crates/nn/src/a.rs".into(),
-                line: 2,
-                message: String::new(),
-            },
-        ];
-        // Exact allowance: grandfathered.
-        let allow = Allowlist::parse("unwrap-in-lib\tcrates/nn/src/a.rs\t2\n").unwrap();
-        let o = apply_allowlist(&vs, &allow);
-        assert!(o.over.is_empty());
-        assert_eq!(o.grandfathered, 2);
-        assert!(o.stale.is_empty());
-        // Over allowance: fails.
-        let allow = Allowlist::parse("unwrap-in-lib\tcrates/nn/src/a.rs\t1\n").unwrap();
-        assert_eq!(apply_allowlist(&vs, &allow).over.len(), 2);
-        // Stale allowance: ratchet must tighten.
-        let allow = Allowlist::parse("unwrap-in-lib\tcrates/nn/src/a.rs\t5\n").unwrap();
-        let o = apply_allowlist(&vs, &allow);
-        assert!(o.over.is_empty());
-        assert_eq!(o.stale, vec![("unwrap-in-lib".into(), "crates/nn/src/a.rs".into(), 5, 2)]);
-        // Entry for a clean file: stale.
-        let o = apply_allowlist(&[], &allow);
-        assert_eq!(o.stale.len(), 1);
-    }
-
-    #[test]
-    fn allowlist_round_trips() {
-        let a =
-            Allowlist::parse("unwrap-in-lib\tx.rs\t3\n# comment\nspan-names\ty.rs\t1\n").unwrap();
-        let b = Allowlist::parse(&a.render()).unwrap();
-        assert_eq!(a, b);
-        assert_eq!(a.total(), 4);
     }
 
     #[test]

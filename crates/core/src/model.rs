@@ -557,9 +557,9 @@ impl CostModel {
     fn proj(&self, id: Option<ParamId>, which: &str) -> &[f32] {
         match id {
             Some(id) => self.store.value(id).data(),
-            // PANIC-FREE: construction registers a projection for every
-            // feature the config enables (shape::check validates the
-            // store), so this arm is unreachable for a built model.
+            // Construction registers a projection for every feature the
+            // config enables (shape::check validates the store), so this
+            // arm is unreachable for a built model.
             None => panic!("{which} enabled in the config but unregistered"),
         }
     }
@@ -569,8 +569,7 @@ impl CostModel {
     /// the projected resource-attention keys. See [`PlanContext`].
     pub fn plan_context(&self, plan: &EncodedPlan) -> PlanContext {
         let n = plan.num_nodes();
-        // PANIC-FREE: deliberate guard — an empty plan is a caller bug;
-        // the encoder never produces one.
+        // An empty plan is a caller bug; the encoder never produces one.
         assert!(n > 0, "cannot cost an empty plan");
         // Counts builds only. Contexts reused by a caller's own sweep
         // show up in `infer.predict.with_context`; the serving cache
@@ -589,14 +588,10 @@ impl CostModel {
                 match self.cfg.plan_layer {
                     PlanLayerKind::Lstm => match &self.lstm {
                         Some(lstm) => lstm.infer_seq(&self.store, xs, n, arena),
-                        // PANIC-FREE: the constructor builds the LSTM
-                        // cell whenever the config selects Lstm.
                         None => panic!("lstm exists for Lstm kind"),
                     },
                     PlanLayerKind::Cnn => match &self.cnn {
                         Some(cnn) => cnn.infer_seq(&self.store, xs, n, arena),
-                        // PANIC-FREE: the constructor builds the Conv1d
-                        // layer whenever the config selects Cnn.
                         None => panic!("cnn exists for Cnn kind"),
                     },
                 }
@@ -630,8 +625,6 @@ impl CostModel {
                 let mut scores = arena.take(0);
                 let mut ctx = arena.take(hidden);
                 for i in 0..n {
-                    // PANIC-FREE: i < n; h has n * hidden elements and
-                    // the encoder emits one children list per node.
                     let hi = &h[i * hidden..(i + 1) * hidden];
                     let kids = plan.children(i);
                     if kids.is_empty() {
@@ -641,7 +634,6 @@ impl CostModel {
                         continue;
                     }
                     dot_attention_into(
-                        // PANIC-FREE: i < n and q_all has n * k elements.
                         &q_all[i * k..(i + 1) * k],
                         &k_all,
                         &h,
@@ -662,7 +654,6 @@ impl CostModel {
                 arena.give(ctx);
             } else {
                 for i in 0..n {
-                    // PANIC-FREE: i < n and h has n * hidden elements.
                     let hi = &h[i * hidden..(i + 1) * hidden];
                     for (acc, &v) in p.iter_mut().zip(hi.iter()) {
                         *acc += v / n as f32;
@@ -687,7 +678,6 @@ impl CostModel {
                 );
                 keys
             } else {
-                // HOT-ALLOC: Vec::new is capacity 0 — no heap allocation.
                 Vec::new()
             };
 
@@ -741,9 +731,8 @@ impl CostModel {
     /// round trip.
     pub fn predict_with_context(&self, ctx: &PlanContext, resources: &[f32]) -> f64 {
         telemetry::count("infer.predict.with_context", 1);
-        // PANIC-FREE: deliberate staleness guard — pricing a context
-        // from another model state would silently return garbage, so
-        // this fails loudly instead.
+        // Pricing a context from another model state would silently
+        // return garbage, so this fails loudly instead.
         assert!(
             self.context_is_current(ctx),
             "stale PlanContext: the model was mutated, retrained or deserialised after \
@@ -760,7 +749,6 @@ impl CostModel {
             if self.cfg.resource_attention {
                 let k = self.cfg.latent_k;
                 let rdim = self.cfg.resource_dim;
-                // PANIC-FREE: deliberate width guard.
                 assert_eq!(resources.len(), rdim, "resource vector width mismatch");
                 let mut q = arena.take(k);
                 infer::matmul_into(
@@ -797,8 +785,8 @@ impl CostModel {
             let z1 = self.head1.infer(&self.store, &features, 1, arena);
             let z2 = self.head2.infer(&self.store, &z1, 1, arena);
             let ys = self.out.infer(&self.store, &z2, 1, arena);
-            // PANIC-FREE: `out` is a `head_hidden/2 x 1` layer run over
-            // one row, so `ys` holds exactly one element.
+            // `out` is a `head_hidden/2 x 1` layer run over one row, so
+            // `ys` holds exactly one element.
             let seconds = denormalize_seconds(ys[0] * self.label_std + self.label_mean);
             arena.give(features);
             arena.give(z1);
@@ -814,7 +802,6 @@ impl CostModel {
     /// layer measured 0.96x of this loop (DESIGN.md §17); the name
     /// stays because the benchmark package links it.
     pub fn predict_packed(&self, items: &[(&EncodedPlan, &[f32])]) -> Vec<f64> {
-        // HOT-ALLOC: the K-element result vector handed to the caller.
         items
             .iter()
             .map(|(plan, resources)| self.predict_seconds(plan, resources))
@@ -857,9 +844,6 @@ impl FrozenModel {
 
     /// See [`CostModel::predict_seconds`].
     pub fn predict_seconds(&self, plan: &EncodedPlan, resources: &[f32]) -> f64 {
-        // Type-qualified so `raal-lint`'s call graph resolves the edge to
-        // `CostModel` alone; a dotted call on `self.0` would fan out to
-        // every `predict_seconds` in the workspace (the baselines' too).
         CostModel::predict_seconds(&self.0, plan, resources)
     }
 

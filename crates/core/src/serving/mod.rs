@@ -212,8 +212,8 @@ impl SloStats {
 
     /// Fallbacks attributed to `reason`.
     pub fn count(&self, reason: FallbackReason) -> u64 {
-        // PANIC-FREE: idx() enumerates the FallbackReason variants and
-        // by_reason is sized to that variant count.
+        // idx() enumerates the FallbackReason variants and by_reason is
+        // sized to that variant count.
         self.by_reason[reason.idx()]
     }
 

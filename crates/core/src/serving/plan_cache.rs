@@ -104,13 +104,11 @@ struct CacheState {
 impl CacheState {
     /// Records a missed fingerprint; true when it was already there.
     fn note_miss(&mut self, fingerprint: u64) -> bool {
-        // PANIC-FREE: the index is a remainder by the array's length.
         let set = &mut self.recent[(fingerprint % RECENT_SETS as u64) as usize];
         if set.contains(&fingerprint) {
             return true;
         }
         set.rotate_right(1);
-        // PANIC-FREE: RECENT_WAYS > 0.
         set[0] = fingerprint;
         false
     }
@@ -146,7 +144,6 @@ impl PlanCache {
                 let mut state = lock(&self.state);
                 let resident = state.by_fingerprint.get(&fingerprint).and_then(|b| b.get(nth));
                 match resident {
-                    // HOT-ALLOC: Arc::clone is a reference-count bump.
                     Some(entry) => entry.clone(),
                     None => {
                         let seen_before = state.note_miss(fingerprint);
@@ -178,8 +175,8 @@ impl PlanCache {
         if bytes > self.budget_bytes {
             return;
         }
-        // HOT-ALLOC: insertion happens once per admitted plan, not per
-        // request: the entry, its bucket and ring slots.
+        // Insertion happens once per admitted plan, not per request: the
+        // entry, its bucket and ring slots.
         let entry = Arc::new(CachedPlan {
             fingerprint,
             plan,

@@ -344,21 +344,17 @@ impl TenantTable {
     fn entry(&self, tenant: &str) -> Arc<TenantEntry> {
         let mut map = lock(&self.map);
         if let Some(entry) = map.get(tenant) {
-            // HOT-ALLOC: Arc::clone is a reference-count bump, not a
-            // heap allocation.
             return entry.clone();
         }
         // First sighting of this tenant: one-time registration cost
         // (sanitized name strings, map entry); every later predict
         // takes the borrow-only path above.
         let sanitized = sanitize_tenant(tenant);
-        // HOT-ALLOC: once per tenant lifetime, not per predict.
         let entry = Arc::new(TenantEntry {
             inflight: AtomicU32::new(0),
             predict_counter: format!("serving.tenant.predict.{sanitized}"),
             shed_counter: format!("serving.tenant.shed.{sanitized}"),
         });
-        // HOT-ALLOC: once per tenant lifetime (see above).
         map.insert(tenant.to_string(), entry.clone());
         entry
     }
@@ -418,8 +414,6 @@ impl ServiceStats {
         for p in out {
             match p.source {
                 PredictionSource::Model => model += 1,
-                // PANIC-FREE: idx() enumerates the FallbackReason
-                // variants and by_reason is sized to that count.
                 PredictionSource::Fallback(reason) => by_reason[reason.idx()] += 1,
             }
         }
@@ -433,7 +427,6 @@ impl ServiceStats {
         }
         for (reason, n) in FallbackReason::ALL.into_iter().zip(by_reason) {
             if n > 0 {
-                // PANIC-FREE: idx() is below the array's length, as above.
                 // ORDERING: same monotone statistics counters.
                 self.by_reason[reason.idx()].fetch_add(n, Ordering::Relaxed);
                 telemetry::count(reason.counter(), n);
@@ -680,8 +673,6 @@ impl ShardedServing {
         plans: &[&PhysicalPlan],
         res: &ResourceConfig,
     ) -> Vec<ServingPrediction> {
-        // HOT-ALLOC: one response vector per request — the serving API
-        // hands owned predictions back to the caller.
         let mut out = vec![UNANSWERED; plans.len()];
         self.serve(tenant, plans, res, &mut out);
         out
@@ -721,7 +712,6 @@ impl ShardedServing {
         SloStats {
             total: self.stats.total.load(Ordering::Relaxed),
             model: self.stats.model.load(Ordering::Relaxed),
-            // PANIC-FREE: from_fn indexes 0..6 into the length-6 array.
             // ORDERING: same monotone statistics counters.
             by_reason: std::array::from_fn(|i| self.stats.by_reason[i].load(Ordering::Relaxed)),
             slo_target: self.cfg.serving.slo_target,
@@ -832,8 +822,8 @@ impl ShardedServing {
         let features = res.feature_array(&self.cfg.serving.cluster);
         // Nodes the call's misses encoded, and those the cache supplied.
         let mut encoded = [0u64; 2];
-        // PANIC-FREE: the one place a pricing panic is allowed to
-        // surface — contained, never unwound into the caller.
+        // The one place a pricing panic is allowed to surface —
+        // contained, never unwound into the caller.
         let priced = catch_unwind(AssertUnwindSafe(|| {
             self.settle_admitted(plans, out, |plan| {
                 let fingerprint = plan.structural_hash();
@@ -891,9 +881,9 @@ impl ShardedServing {
         let context = model.plan_context(&encoded);
         let seconds = model.predict_with_context(&context, features);
         if let Some(fingerprint) = admit_as {
-            // HOT-ALLOC: the cache key and an exact-sized copy of the
-            // context, once per admitted plan — a stream of distinct
-            // plans never pays for either.
+            // The cache key and an exact-sized copy of the context, once
+            // per admitted plan — a stream of distinct plans never pays
+            // for either.
             self.cache.insert(fingerprint, plan.clone(), context.clone());
         }
         model.recycle_context(context);

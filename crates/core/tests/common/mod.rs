@@ -6,6 +6,8 @@ use encoding::word2vec::{train as w2v_train, W2vConfig};
 use encoding::{EncoderConfig, PlanEncoder};
 use raal::model::{CostModel, ModelConfig};
 use raal::persist::ModelBundle;
+use raal::serving::ServingConfig;
+use raal::{ShardConfig, ShardedServing};
 use sparksim::catalog::Catalog;
 use sparksim::engine::Engine;
 use sparksim::plan::physical::PhysicalPlan;
@@ -81,4 +83,25 @@ pub fn bundle_with_model_input(narrower_by: usize) -> ModelBundle {
         ..ModelConfig::raal(encoder.node_dim() - narrower_by)
     });
     ModelBundle::new(model, &encoder)
+}
+
+/// Serving settings with a deadline no call in these tests comes near.
+pub fn slack_serving_config() -> ServingConfig {
+    ServingConfig {
+        deadline: std::time::Duration::from_secs(30),
+        ..Default::default()
+    }
+}
+
+/// The tiny bundle served under [`slack_serving_config`], its fallback
+/// pricing a plan at its node count.
+pub fn tiny_service() -> ShardedServing {
+    ShardedServing::new(
+        tiny_bundle(),
+        std::sync::Arc::new(|plan: &PhysicalPlan, _: &ResourceConfig| plan.len() as f64),
+        ShardConfig {
+            serving: slack_serving_config(),
+            ..Default::default()
+        },
+    )
 }

@@ -1,16 +1,19 @@
-//! Dynamic witness for the static hot-path guarantee checked by
-//! `analysis::panic` (`raal-lint --strict`): after warmup, a
-//! steady-state prediction performs **zero heap allocations**.
+//! The hot-path guarantee, allocation half: after warmup, every
+//! declared entry point prices a plan without touching the heap beyond
+//! what this file bounds. (`hotpath_panic.rs` is the other half.)
 //!
 //! A counting `#[global_allocator]` (`common/counting_alloc.rs`)
-//! tallies the armed thread's allocations. The test warms the
+//! tallies the armed thread's allocations. Each test warms the
 //! thread-local inference arena, arms the counter, runs a batch of
-//! predictions, and asserts the count stayed at zero. Serving runs on
-//! the calling thread too, so three more tests hold a served call to
-//! the same standard: none for a cached plan, the encoder's own four for
-//! an uncached one, and for a query's K uncached candidates those four
-//! each plus the answer vector (the operator-row cache the encoder
-//! reads and fills is the service's, its rows reserved when it is built).
+//! calls, and asserts the count. A warm `predict_seconds` and a
+//! `plan_context` → `predict_with_context` → `recycle_context` sweep
+//! allocate nothing. Serving runs on the calling thread too, so the
+//! served calls are held to the same standard: none for a cached plan,
+//! the encoder's own four for an uncached one (through `ShardedServing`
+//! or its `ServingModel` façade), and for a query's K uncached
+//! candidates those four each plus the answer vector (the operator-row
+//! cache the encoder reads and fills is the service's, its rows reserved
+//! when it is built).
 
 mod common;
 #[path = "common/counting_alloc.rs"]
@@ -18,8 +21,8 @@ mod counting_alloc;
 
 use counting_alloc::count_allocs;
 use encoding::plan_encoder::{EncodedPlan, PLAN_STAT_FEATURES};
-use raal::serving::{PredictionSource, ServingConfig};
-use raal::{CostModel, FrozenModel, ModelConfig, ShardConfig, ShardedServing};
+use raal::serving::PredictionSource;
+use raal::{CostModel, FrozenModel, ModelConfig, ServingModel};
 use sparksim::engine::Engine;
 use sparksim::resource::{ClusterConfig, ResourceConfig};
 
@@ -43,38 +46,27 @@ fn count_below(engine: &Engine, bound: usize) -> sparksim::PhysicalPlan {
         .remove(0)
 }
 
-/// The tiny bundle served with a deadline no call here comes near.
-fn tiny_service() -> ShardedServing {
-    ShardedServing::new(
-        common::tiny_bundle(),
-        std::sync::Arc::new(|plan: &sparksim::PhysicalPlan, _: &ResourceConfig| plan.len() as f64),
-        ShardConfig {
-            serving: ServingConfig {
-                deadline: std::time::Duration::from_secs(30),
-                ..Default::default()
-            },
-            ..Default::default()
-        },
-    )
-}
-
-#[test]
-fn steady_state_predict_is_allocation_free() {
-    let model = CostModel::new(ModelConfig {
+fn toy_model() -> FrozenModel {
+    FrozenModel::freeze(CostModel::new(ModelConfig {
         hidden: 8,
         latent_k: 4,
         head_hidden: 8,
         ..ModelConfig::raal(DIM)
-    });
-    let frozen = FrozenModel::freeze(model);
+    }))
+}
+
+const RESOURCES: [f32; 7] = [1.0, 1.0, 0.25, 0.5, 0.25, 0.9, 0.8];
+
+#[test]
+fn steady_state_predict_is_allocation_free() {
+    let frozen = toy_model();
     let plan = toy_plan(6);
-    let resources = vec![1.0f32, 1.0, 0.25, 0.5, 0.25, 0.9, 0.8];
 
     // Warmup: populate the thread-local arena pools (and any lazy
     // telemetry state).
     let mut warm = 0.0;
     for _ in 0..32 {
-        warm += frozen.predict_seconds(&plan, &resources);
+        warm += frozen.predict_seconds(&plan, &RESOURCES);
     }
     assert!(warm.is_finite());
 
@@ -82,11 +74,35 @@ fn steady_state_predict_is_allocation_free() {
     // allocator must not be touched at all.
     let (allocs, y) = count_allocs(|| {
         (0..64)
-            .map(|_| frozen.predict_seconds(&plan, &resources))
+            .map(|_| frozen.predict_seconds(&plan, &RESOURCES))
             .sum::<f64>()
     });
     assert!(y.is_finite());
     assert_eq!(allocs, 0, "steady-state predict_seconds touched the heap {allocs} time(s)");
+}
+
+/// A what-if sweep's route: build the plan's context, price it, give it
+/// back. Once the arena holds a context's buffers, a round takes them
+/// from there and returns them, so nothing touches the heap.
+#[test]
+fn context_sweep_is_allocation_free() {
+    let frozen = toy_model();
+    let plan = toy_plan(6);
+    let sweep = |rounds: usize| {
+        (0..rounds)
+            .map(|_| {
+                let ctx = frozen.plan_context(&plan);
+                let y = frozen.predict_with_context(&ctx, &RESOURCES);
+                frozen.recycle_context(ctx);
+                y
+            })
+            .sum::<f64>()
+    };
+    assert!(sweep(32).is_finite());
+
+    let (allocs, y) = count_allocs(|| sweep(64));
+    assert!(y.is_finite());
+    assert_eq!(allocs, 0, "{allocs} allocations over 64 context rounds");
 }
 
 /// The serving path for a plan whose context is cached: fingerprint,
@@ -96,7 +112,7 @@ fn steady_state_predict_is_allocation_free() {
 #[test]
 fn served_hit_is_allocation_free() {
     let plan = count_below(&common::engine(), 40);
-    let service = tiny_service();
+    let service = common::tiny_service();
     let cluster = ClusterConfig::default();
     let sweep: Vec<ResourceConfig> = (1..=4)
         .map(|executors| ResourceConfig { executors, ..ResourceConfig::default_for(&cluster) })
@@ -124,10 +140,28 @@ fn served_hit_is_allocation_free() {
 /// the encoder's — the `EncodedPlan`'s three buffers and the
 /// tokenizer's word scratch. (It read 129 before the encoder streamed,
 /// and 8 while a job, a reply slot and an outcome crossed a thread.)
-/// Counted over same-shaped plans none of which repeats: a repeat would
-/// be cached.
+/// The `ServingModel` façade forwards to one `ShardedServing`, so it adds
+/// nothing. Counted over same-shaped plans none of which repeats: a
+/// repeat would be cached.
 #[test]
 fn served_miss_allocates_only_what_the_encoder_does() {
+    let res = ResourceConfig::default_for(&ClusterConfig::default());
+    let service = common::tiny_service();
+    misses_allocate_only_what_the_encoder_does("served", |plan| {
+        service.predict("miss", plan, &res).source
+    });
+    let mut facade = ServingModel::new(
+        common::tiny_bundle(),
+        Box::new(|plan: &sparksim::PhysicalPlan, _: &ResourceConfig| plan.len() as f64),
+        common::slack_serving_config(),
+    );
+    misses_allocate_only_what_the_encoder_does("façade", |plan| facade.predict(plan, &res).source);
+}
+
+fn misses_allocate_only_what_the_encoder_does(
+    route: &str,
+    mut serve: impl FnMut(&sparksim::PhysicalPlan) -> PredictionSource,
+) {
     const PER_PREDICT: u64 = 4;
     const WARM: usize = 16;
     const CALLS: u64 = 64;
@@ -136,17 +170,17 @@ fn served_miss_allocates_only_what_the_encoder_does() {
     let plans: Vec<_> = (100..100 + WARM + CALLS as usize)
         .map(|bound| count_below(&engine, bound))
         .collect();
-    let service = tiny_service();
-    let res = ResourceConfig::default_for(&ClusterConfig::default());
-    let served_by_model =
-        |plan| service.predict("miss", plan, &res).source == PredictionSource::Model;
+    let mut served_by_model = |plan| serve(plan) == PredictionSource::Model;
 
     // Warm-up: this thread's arena, the tenant entry.
-    assert!(plans[..WARM].iter().all(served_by_model));
+    assert!(plans[..WARM].iter().all(&mut served_by_model));
 
-    let (allocs, all_model) = count_allocs(|| plans[WARM..].iter().all(served_by_model));
+    let (allocs, all_model) = count_allocs(|| plans[WARM..].iter().all(&mut served_by_model));
     assert!(all_model);
-    assert!(allocs <= PER_PREDICT * CALLS, "{allocs} allocations over {CALLS} served misses");
+    assert!(
+        allocs <= PER_PREDICT * CALLS,
+        "{allocs} allocations over {CALLS} {route} misses"
+    );
 }
 
 /// K candidates of one query, none seen before: what each plan's
@@ -169,7 +203,7 @@ fn served_candidate_set_allocates_per_plan_plus_the_calls_own() {
         .collect();
     let k = sets[0].len();
     assert!(k >= 2 && sets.iter().all(|set| set.len() == k), "{k} candidates a query");
-    let service = tiny_service();
+    let service = common::tiny_service();
     let res = ResourceConfig::default_for(&ClusterConfig::default());
     let refs: Vec<Vec<&sparksim::PhysicalPlan>> =
         sets.iter().map(|set| set.iter().collect()).collect();

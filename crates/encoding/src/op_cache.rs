@@ -55,7 +55,7 @@ struct Set {
 impl Set {
     /// Moves way `way` to the front, the ways before it back by one.
     fn promote(&mut self, way: usize) {
-        // PANIC-FREE: callers pass way < WAYS, the arrays' length.
+        // Callers pass way < WAYS, the arrays' length.
         self.keys[..=way].rotate_right(1);
         self.ops[..=way].rotate_right(1);
         self.rows[..=way].rotate_right(1);
@@ -78,10 +78,9 @@ impl Table {
     pub(crate) fn find(&mut self, op: &OpRef) -> Option<&[f32]> {
         let key = op.key();
         let sets = self.sets.len();
-        // PANIC-FREE: `sets` is a power of two, so the mask is below it.
+        // `sets` is a power of two, so the mask is below it.
         let set = &mut self.sets[key as usize & (sets - 1)];
         let way = (0..WAYS).find(|&way| {
-            // PANIC-FREE: way < WAYS, the arrays' length.
             set.keys[way] == key
                 && set.ops[way]
                     .as_ref()
@@ -89,7 +88,7 @@ impl Table {
         })?;
         set.promote(way);
         let at = set.rows[0] as usize * self.width;
-        // PANIC-FREE: a filled way's row was appended whole.
+        // A filled way's row was appended whole.
         Some(&self.rows[at..at + self.width])
     }
 
@@ -101,7 +100,6 @@ impl Table {
             return;
         }
         let sets = self.sets.len();
-        // PANIC-FREE: as in `find`.
         let set = &mut self.sets[op.key() as usize & (sets - 1)];
         set.promote(WAYS - 1);
         set.keys[0] = op.key();
@@ -110,11 +108,10 @@ impl Table {
             // fills once, so the reserved rows suffice.
             set.rows[0] = self.filled as u32;
             self.filled += 1;
-            // HOT-ALLOC: within the capacity reserved for every way.
+            // Within the capacity reserved for every way.
             self.rows.extend_from_slice(row);
         } else {
             let at = set.rows[0] as usize * self.width;
-            // PANIC-FREE: an evicted way's row was appended whole.
             self.rows[at..at + self.width].copy_from_slice(row);
         }
     }

@@ -104,15 +104,13 @@ impl EncodedPlan {
 
     /// The feature row of node `i`.
     pub fn row(&self, i: usize) -> &[f32] {
-        // PANIC-FREE: callers pass i < num_nodes, and `features` holds
-        // num_nodes rows of node_dim.
         &self.features[i * self.node_dim..(i + 1) * self.node_dim]
     }
 
     /// Child ids of node `i` (indices of other rows).
     pub fn children(&self, i: usize) -> &[usize] {
-        // PANIC-FREE: callers pass i < num_nodes; `child_start` holds
-        // num_nodes + 1 ascending offsets into `child_ids`.
+        // `child_start` holds num_nodes + 1 ascending offsets into
+        // `child_ids`.
         &self.child_ids[self.child_start[i]..self.child_start[i + 1]]
     }
 }
@@ -195,9 +193,8 @@ impl PlanEncoder {
     pub fn encode(&self, plan: &PhysicalPlan) -> EncodedPlan {
         match self.try_encode(plan) {
             Ok(encoded) => encoded,
-            // PANIC-FREE: deliberate guard — a malformed plan must fail
-            // loudly before it can reach the model and mispredict
-            // silently; the planner never emits one.
+            // A malformed plan must fail loudly before it can reach the
+            // model and mispredict silently; the planner never emits one.
             Err(e) => panic!("plan is not a single tree: {e}"),
         }
     }
@@ -230,8 +227,8 @@ impl PlanEncoder {
     ) -> Result<(EncodedPlan, usize), NotATree> {
         plan.check_tree()?;
         if let Some(cache) = cache {
-            // PANIC-FREE: deliberate guard — another encoder's rows
-            // would price the plan with the wrong embeddings, silently.
+            // Another encoder's rows would price the plan with the wrong
+            // embeddings, silently.
             assert!(cache.built_by() == self.identity, "another encoder's OpCache");
         }
         let (n, dim) = (plan.len(), self.node_dim());
@@ -244,8 +241,8 @@ impl PlanEncoder {
         };
         // One-hot slot of node `id`'s operator, in `features`.
         let onehot = |id: usize, op: &PhysicalOp| id * dim + onehot_at + onehot::operator_slot(op);
-        // HOT-ALLOC: the three buffers of the returned EncodedPlan — once
-        // per plan, not per node.
+        // The three buffers of the returned EncodedPlan — once per plan,
+        // not per node.
         let mut features = vec![0.0f32; n * dim];
         let mut child_start = Vec::with_capacity(n + 1);
         let mut child_ids = Vec::with_capacity(n);
@@ -257,28 +254,24 @@ impl PlanEncoder {
             let mut held = cache.lock();
             for (id, node) in plan.nodes().iter().enumerate() {
                 if let Some(row) = held.find(&node.op) {
-                    // PANIC-FREE: id < n, and `features` holds n rows of
-                    // dim > onehot_at; cached rows are onehot_at wide.
+                    // Cached rows are onehot_at wide.
                     features[id * dim..id * dim + onehot_at].copy_from_slice(row);
                     features[onehot(id, &node.op)] = 1.0;
                     reused += 1;
                 }
             }
         }
-        // HOT-ALLOC: none — the tokenizer's word scratch, empty until a
-        // node needs it.
+        // The tokenizer's word scratch, empty until a node needs it.
         let mut word = String::new();
         for (id, node) in plan.nodes().iter().enumerate() {
-            // HOT-ALLOC: within the capacities reserved above (a tree
-            // of n nodes has n - 1 edges).
+            // Within the capacities reserved above (a tree of n nodes has
+            // n - 1 edges).
             child_start.push(child_ids.len());
             child_ids.extend_from_slice(&node.children);
             // Structure block (signed degrees, truncated to the
             // window): +1 in this row per child, −1 in the child's row.
             for &c in &node.children {
-                // PANIC-FREE: c < id < n (`PhysicalPlan::add` builds
-                // bottom-up), both columns are inside the window, and
-                // `features` holds n rows of dim > structure_at + window.
+                // c < id (`PhysicalPlan::add` builds bottom-up).
                 if c < window {
                     features[id * dim + structure_at + c] = 1.0;
                 }
@@ -287,24 +280,21 @@ impl PlanEncoder {
                 }
             }
             let slot = onehot(id, &node.op);
-            // PANIC-FREE: id < n, and `features` holds n rows of dim.
             let row = &mut features[id * dim..(id + 1) * dim];
             // Node statistics.
             let stats = dim - NODE_STAT_FEATURES;
             row[stats] = log_norm(node.est_rows, 12.0);
             row[stats + 1] = log_norm(node.est_bytes, 15.0);
-            // PANIC-FREE: slot lies in this row's one-hot block.
             if features[slot] != 0.0 {
                 continue;
             }
             // Semantic block: the mean embedding of the statement's
             // in-vocabulary tokens.
             if word.capacity() == 0 {
-                // HOT-ALLOC: the tokenizer's scratch, once per plan with
-                // a node to render.
+                // The tokenizer's scratch, once per plan with a node to
+                // render.
                 word.reserve(64);
             }
-            // PANIC-FREE: as `row` above.
             let semantic = &mut features[id * dim..id * dim + onehot_at];
             let mut hits = 0usize;
             let mut tokenizer = Tokenizer::new(word, |token: &str| {
@@ -324,17 +314,14 @@ impl PlanEncoder {
                 }
             }
             if cache.is_none() {
-                // PANIC-FREE: as above.
                 features[slot] = 1.0;
             }
         }
-        // HOT-ALLOC: the last of the n + 1 reserved offsets.
         child_start.push(child_ids.len());
         if let Some(cache) = cache.filter(|_| reused < n) {
             let mut held = cache.lock();
             for (id, node) in plan.nodes().iter().enumerate() {
                 let slot = onehot(id, &node.op);
-                // PANIC-FREE: as above.
                 if features[slot] == 0.0 {
                     held.store(&node.op, &features[id * dim..id * dim + onehot_at]);
                     features[slot] = 1.0;
@@ -370,7 +357,6 @@ impl PlanEncoder {
 /// `log10(1 + x) / denom`, clamped to [0, 1] — the normalisation used for
 /// cardinality-like features.
 pub fn log_norm(x: f64, denom: f64) -> f32 {
-    // PANIC-FREE: float division.
     (((1.0 + x.max(0.0)).log10()) / denom).clamp(0.0, 1.0) as f32
 }
 

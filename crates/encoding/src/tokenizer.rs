@@ -97,7 +97,6 @@ impl<F: FnMut(&str)> Tokenizer<F> {
             State::Op(a) => (self.sink)(operator(a, None)),
             // An unterminated literal is closed where the statement ends.
             State::Quote => {
-                // HOT-ALLOC: the caller's reused buffer.
                 self.word.push('\'');
                 self.emit_literal();
             }
@@ -116,7 +115,6 @@ impl<F: FnMut(&str)> Tokenizer<F> {
             && digits.bytes().any(|b| b.is_ascii_digit())
         {
             let magnitude = digits.bytes().position(|b| b == b'.').unwrap_or(digits.len());
-            // PANIC-FREE: the index is capped at the table's last slot.
             (self.sink)(NUM_TOKENS[magnitude.min(NUM_TOKENS.len() - 1)]);
         } else if self.word.is_ascii() {
             if self.word.bytes().any(|b| b.is_ascii_uppercase()) {
@@ -124,9 +122,9 @@ impl<F: FnMut(&str)> Tokenizer<F> {
             }
             (self.sink)(&self.word);
         } else {
-            // HOT-ALLOC: non-ASCII words only (planner statements are
-            // ASCII) — Unicode lower-casing can change a word's length
-            // and depends on context (final sigma), so it is left to
+            // Non-ASCII words only (planner statements are ASCII) —
+            // Unicode lower-casing can change a word's length and depends
+            // on context (final sigma), so it is left to
             // `str::to_lowercase`.
             (self.sink)(&self.word.to_lowercase());
         }
@@ -148,8 +146,8 @@ impl<F: FnMut(&str)> fmt::Write for Tokenizer<F> {
             let mut taken = 1;
             match std::mem::replace(&mut self.state, State::Plain) {
                 State::Plain => {}
-                // HOT-ALLOC: `word` is the caller's reused buffer; it
-                // grows to the longest token once.
+                // `word` is the caller's reused buffer; it grows to the
+                // longest token once.
                 State::Dot if b.is_ascii_digit() => self.word.push('.'),
                 State::Dot => {
                     self.flush();
@@ -159,7 +157,6 @@ impl<F: FnMut(&str)> fmt::Write for Tokenizer<F> {
                     let op = operator(a, Some(b));
                     (self.sink)(op);
                     if op.len() == 2 {
-                        // PANIC-FREE: `b` is an ASCII byte of `rest`.
                         rest = &rest[1..];
                         continue;
                     }
@@ -167,8 +164,8 @@ impl<F: FnMut(&str)> fmt::Write for Tokenizer<F> {
                 State::Quote => {
                     let close = rest.bytes().position(|b| b == b'\'');
                     taken = close.map_or(rest.len(), |at| at + 1);
-                    // PANIC-FREE: `taken` is the length, or just past
-                    // an ASCII quote inside `rest`.
+                    // `taken` is the length, or just past an ASCII quote
+                    // inside `rest`.
                     self.word.push_str(&rest[..taken]);
                     match close {
                         Some(_) => self.emit_literal(),
@@ -179,7 +176,6 @@ impl<F: FnMut(&str)> fmt::Write for Tokenizer<F> {
                 }
             }
             match b {
-                // PANIC-FREE: WORD_BYTE has an entry for every `u8`;
                 // `taken` is the length, or the position of a byte that
                 // follows an ASCII byte.
                 _ if WORD_BYTE[b as usize] => {
@@ -201,12 +197,10 @@ impl<F: FnMut(&str)> fmt::Write for Tokenizer<F> {
                 }
                 b'.' | b'(' | b')' | b'[' | b']' | b',' | b':' | b'%' => {
                     self.flush();
-                    // PANIC-FREE: `b` is ASCII, so one byte is one char.
                     (self.sink)(&rest[..1]);
                 }
                 b'\'' => {
                     self.flush();
-                    // HOT-ALLOC: the reused buffer, as above.
                     self.word.push('\'');
                     self.state = State::Quote;
                 }
@@ -216,15 +210,14 @@ impl<F: FnMut(&str)> fmt::Write for Tokenizer<F> {
                     let Some(c) = rest.chars().next() else { break };
                     taken = c.len_utf8();
                     if c.is_alphanumeric() {
-                        // HOT-ALLOC: the reused buffer, as above.
                         self.word.push(c);
                     } else {
                         self.flush();
                     }
                 }
             }
-            // PANIC-FREE: `taken` bytes, whole chars, were just read off
-            // the front of `rest`.
+            // `taken` bytes, whole chars, were just read off the front of
+            // `rest`.
             rest = &rest[taken..];
         }
         Ok(())

@@ -109,8 +109,8 @@ impl Graph {
 
     /// Current value of a variable.
     pub fn value(&self, v: Var) -> &Tensor {
-        // PANIC-FREE: Var indices are only minted by push() on this
-        // tape, so v.0 < nodes.len() for any Var the caller can hold.
+        // Var indices are only minted by push() on this tape, so
+        // v.0 < nodes.len() for any Var the caller can hold.
         &self.nodes[v.0].value
     }
 

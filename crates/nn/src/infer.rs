@@ -116,9 +116,9 @@ impl InferArena {
     /// Returns a buffer to the pool for reuse.
     pub fn give(&mut self, buf: Vec<f32>) {
         if self.free.len() < MAX_POOLED {
-            // HOT-ALLOC: the free-list grows to at most MAX_POOLED slots
-            // during warmup and then reuses them; steady state reclaims
-            // buffers without touching the allocator.
+            // The free-list grows to at most MAX_POOLED slots during
+            // warmup and then reuses them; steady state reclaims buffers
+            // without touching the allocator.
             self.free.push(buf);
         }
     }
@@ -152,10 +152,10 @@ impl InferArena {
 /// # Panics
 /// If a slice's length is not the one its shape states.
 pub fn matmul_into(a: &[f32], m: usize, k: usize, b: &[f32], n: usize, out: &mut [f32]) {
-    // PANIC-FREE: deliberate guards, once per call and ahead of any
-    // dispatch — the SIMD tiers index `b` through raw pointers, so this
-    // is the check their `# Safety` contracts rest on, in release builds
-    // too. Every caller sizes its operands from the same layer widths.
+    // Once per call and ahead of any dispatch — the SIMD tiers index `b`
+    // through raw pointers, so this is the check their `# Safety`
+    // contracts rest on, in release builds too. Every caller sizes its
+    // operands from the same layer widths.
     assert_eq!(a.len(), m * k, "matmul_into lhs length");
     assert_eq!(b.len(), k * n, "matmul_into rhs length");
     assert_eq!(out.len(), m * n, "matmul_into out length");
@@ -196,9 +196,6 @@ pub fn kernel_tier() -> &'static str {
 fn matmul_into_scalar(a: &[f32], m: usize, k: usize, b: &[f32], n: usize, out: &mut [f32]) {
     out.fill(0.0);
     for i in 0..m {
-        // PANIC-FREE: i < m and kk < k by loop bounds, so every range
-        // below is within the lengths `matmul_into` asserted at entry
-        // (a = m*k, b = k*n, out = m*n).
         let a_row = &a[i * k..(i + 1) * k];
         let o_row = &mut out[i * n..(i + 1) * n];
         for (kk, &av) in a_row.iter().enumerate() {
@@ -242,9 +239,8 @@ pub fn softmax_inplace(xs: &mut [f32]) {
         sum += *x;
     }
     for x in xs.iter_mut() {
-        // PANIC-FREE: f32 division cannot panic (0/0 yields NaN, not a
-        // trap); sum >= 1 whenever xs is non-empty since exp(0) = 1 for
-        // the max element.
+        // sum >= 1 whenever xs is non-empty since exp(0) = 1 for the max
+        // element.
         *x /= sum;
     }
 }
@@ -301,8 +297,7 @@ pub fn fast_sigmoid(x: f32) -> f32 {
 #[inline(always)]
 pub fn fast_tanh(x: f32) -> f32 {
     let e = fast_exp(2.0 * x);
-    // PANIC-FREE: f32 division cannot panic; e >= 0, so the denominator
-    // is at least 1.
+    // e >= 0, so the denominator is at least 1.
     (e - 1.0) / (e + 1.0)
 }
 
@@ -465,8 +460,6 @@ mod x86 {
                     let mut i = 0;
                     while row_tiled($lanes, m, k, n) && m - i >= 2 {
                         let rows = (m - i).min(4);
-                        // PANIC-FREE: i + rows <= m, so both ranges sit
-                        // inside the a = m*k / out = m*n length contract.
                         let (a_tile, o_tile) =
                             (&a[i * k..(i + rows) * k], &mut out[i * n..(i + rows) * n]);
                         // SAFETY: the target feature is this function's
@@ -481,11 +474,9 @@ mod x86 {
                     }
                     let bp = b.as_ptr();
                     for i in i..m {
-                        // PANIC-FREE: i < m, so both row ranges sit
-                        // inside the documented a = m*k / out = m*n
-                        // length contract; a violated contract panics
-                        // here instead of feeding the raw-pointer loops
-                        // below.
+                        // A violated a = m*k / out = m*n length contract
+                        // panics here instead of feeding the raw-pointer
+                        // loops below.
                         let a_row = &a[i * k..(i + 1) * k];
                         let o = out[i * n..(i + 1) * n].as_mut_ptr();
                         let mut j = 0;
@@ -544,10 +535,9 @@ mod x86 {
                     n: usize,
                     out: &mut [f32],
                 ) {
-                    // PANIC-FREE: deliberate guard, never hit under
-                    // `matmul_into`'s length contract: the dispatcher
-                    // slices `a` and `out` to whole tiles and comes here
-                    // only where `row_tiled`.
+                    // Never hit under `matmul_into`'s length contract:
+                    // the dispatcher slices `a` and `out` to whole tiles
+                    // and comes here only where `row_tiled`.
                     assert!(k <= LIVE_MAX && a.len() == MR * k);
                     assert!(
                         b.len() == k * n && out.len() == MR * n && n.is_multiple_of(2 * $lanes)
@@ -556,16 +546,11 @@ mod x86 {
                     let mut live = [0usize; LIVE_MAX];
                     let mut len = 0;
                     for kk in 0..k {
-                        // PANIC-FREE: len <= kk < k <= LIVE_MAX, and
-                        // r * k + kk < MR * k == a.len(), both by the
-                        // assert above.
                         live[len] = kk;
                         len += usize::from((0..MR).any(|r| a[r * k + kk] != 0.0));
                     }
                     for j in (0..n).step_by(2 * $lanes) {
                         let mut acc: [[$v; 2]; MR] = [[$zero(); 2]; MR];
-                        // PANIC-FREE: len <= k <= LIVE_MAX, the length of
-                        // the list.
                         for &kk in &live[..len] {
                             // SAFETY: list entries are < k, columns
                             // j + 2 * lanes <= n and tile rows r < MR: the

@@ -110,9 +110,9 @@ impl QuantizedMatrix {
 /// # Panics
 /// Panics if `b.rows() != k` or `out.len() != m * b.cols()`.
 pub fn matmul_q8_into(a: &[f32], m: usize, k: usize, b: &QuantizedMatrix, out: &mut [f32]) {
-    // PANIC-FREE: deliberate shape guards, documented under # Panics;
-    // every caller passes arena buffers sized from the same
-    // QuantizedMatrix, so they cannot fire on the serving path.
+    // Documented under # Panics; every caller passes arena buffers sized
+    // from the same QuantizedMatrix, so they cannot fire on the serving
+    // path.
     assert_eq!(b.rows(), k, "matmul_q8_into contraction mismatch");
     assert_eq!(a.len(), m * k, "matmul_q8_into lhs length");
     assert_eq!(out.len(), m * b.cols(), "matmul_q8_into out length");
@@ -144,9 +144,6 @@ fn matmul_q8_scalar(
 ) {
     out.fill(0.0);
     for i in 0..m {
-        // PANIC-FREE: i < m and kk < k by loop bounds; the public entry
-        // asserted a = m*k, bq = k*n, scales = k, out = m*n, so every
-        // range and scales[kk] below is in bounds.
         let a_row = &a[i * k..(i + 1) * k];
         let o_row = &mut out[i * n..(i + 1) * n];
         for (kk, &av) in a_row.iter().enumerate() {
@@ -211,10 +208,8 @@ mod x86 {
         debug_assert_eq!(out.len(), m * n, "matmul_q8_into out length");
         let bp = bq.as_ptr();
         for i in 0..m {
-            // PANIC-FREE: i < m and kk < k by loop bounds, within the
-            // length contract re-asserted above (a = m*k, out = m*n,
-            // scales = k); a violated contract panics here instead of
-            // feeding the raw-pointer loops below.
+            // A violated length contract panics here instead of feeding
+            // the raw-pointer loops below.
             let a_row = &a[i * k..(i + 1) * k];
             let o = out[i * n..(i + 1) * n].as_mut_ptr();
             let mut j = 0;
@@ -235,7 +230,6 @@ mod x86 {
             while j + 8 <= n {
                 let mut acc = _mm256_setzero_ps();
                 for (kk, &av) in a_row.iter().enumerate() {
-                    // PANIC-FREE: kk < k = scales.len(), asserted above.
                     let avv = _mm256_set1_ps(av * scales[kk]);
                     acc = _mm256_fmadd_ps(avv, load8_i8_as_f32(bp.add(kk * n + j)), acc);
                 }
@@ -245,7 +239,6 @@ mod x86 {
             while j < n {
                 let mut acc = 0.0f32;
                 for (kk, &av) in a_row.iter().enumerate() {
-                    // PANIC-FREE: kk < k = scales.len(), asserted above.
                     acc = (av * scales[kk]).mul_add(*bp.add(kk * n + j) as f32, acc);
                 }
                 *o.add(j) = acc;

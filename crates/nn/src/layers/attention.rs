@@ -59,19 +59,16 @@ pub fn dot_attention_into(
     let scale = 1.0 / (k_dim as f32).sqrt();
     scores.clear();
     for i in 0..m {
-        // PANIC-FREE: i < m = sel.len() when a selection is given, and
-        // callers pass row indices drawn from the keys/values matrices,
-        // so both the s[i] lookup and the row slices stay in bounds.
-        // HOT-ALLOC: scores is a caller-owned scratch vector that
-        // reaches its high-water capacity during warmup; clear() keeps
-        // the allocation, so steady-state pushes never reallocate.
+        // Callers pass row indices drawn from the keys/values matrices.
+        // `scores` is a caller-owned scratch vector that reaches its
+        // high-water capacity during warmup; clear() keeps the
+        // allocation, so steady-state pushes never reallocate.
         let r = sel.map_or(i, |s| s[i]);
         scores.push(infer::dot(&keys[r * k_dim..(r + 1) * k_dim], query) * scale);
     }
     infer::softmax_inplace(scores);
     out.fill(0.0);
     for (i, &w) in scores.iter().enumerate() {
-        // PANIC-FREE: same bounds as the score loop above.
         let r = sel.map_or(i, |s| s[i]);
         infer::axpy(out, w, &values[r * v_dim..(r + 1) * v_dim]);
     }

@@ -103,8 +103,8 @@ impl Conv1d {
         n: usize,
         arena: &mut InferArena,
     ) -> Vec<f32> {
-        // PANIC-FREE: deliberate input guards; the model constructor
-        // fixes in_dim and every serving caller encodes to that width.
+        // The model constructor fixes in_dim and every serving caller
+        // encodes to that width.
         assert!(n > 0, "Conv1d sequence must be non-empty");
         assert_eq!(xs.len(), n * self.in_dim, "Conv1d input length mismatch");
         let _k = telemetry::kernel_span("nn.conv1d_seq");
@@ -116,9 +116,6 @@ impl Conv1d {
         for t in 0..n {
             for offset in 0..self.width {
                 let pos = t as isize + offset as isize - half as isize;
-                // PANIC-FREE: offset < width bounds the flat window
-                // slice, and pos is range-checked against [0, n) before
-                // the xs slice (whose length is asserted at entry).
                 let dst = &mut flat[offset * self.in_dim..(offset + 1) * self.in_dim];
                 if pos < 0 || pos >= n as isize {
                     dst.fill(0.0);
@@ -127,7 +124,6 @@ impl Conv1d {
                     dst.copy_from_slice(&xs[pos * self.in_dim..(pos + 1) * self.in_dim]);
                 }
             }
-            // PANIC-FREE: t < n and out has length n * out_dim.
             let row = &mut out[t * self.out_dim..(t + 1) * self.out_dim];
             infer::matmul_into(&flat, 1, self.width * self.in_dim, w, self.out_dim, row);
             for (o, &bias) in row.iter_mut().zip(b.iter()) {

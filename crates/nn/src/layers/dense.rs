@@ -99,15 +99,14 @@ impl Dense {
         rows: usize,
         arena: &mut InferArena,
     ) -> Vec<f32> {
-        // PANIC-FREE: deliberate input guard; the model constructor
-        // fixes in_dim and every serving caller encodes to that width.
+        // The model constructor fixes in_dim and every serving caller
+        // encodes to that width.
         assert_eq!(x.len(), rows * self.in_dim, "dense layer input width mismatch");
         let b = store.value(self.b).data();
         let mut out = arena.take(rows * self.out_dim);
         let w = store.value(self.w).data();
         infer::matmul_into(x, rows, self.in_dim, w, self.out_dim, &mut out);
         for r in 0..rows {
-            // PANIC-FREE: r < rows and out has length rows * out_dim.
             let row = &mut out[r * self.out_dim..(r + 1) * self.out_dim];
             for (o, &bias) in row.iter_mut().zip(b.iter()) {
                 *o += bias;

@@ -116,8 +116,8 @@ impl LstmCell {
         n: usize,
         arena: &mut InferArena,
     ) -> Vec<f32> {
-        // PANIC-FREE: deliberate input guards; the model constructor
-        // fixes in_dim and every serving caller encodes to that width.
+        // The model constructor fixes in_dim and every serving caller
+        // encodes to that width.
         assert!(n > 0, "LSTM sequence must be non-empty");
         assert_eq!(xs.len(), n * self.in_dim, "LSTM input length mismatch");
         let _k = telemetry::kernel_span("nn.lstm_seq");
@@ -137,36 +137,26 @@ impl LstmCell {
         // product for the whole plan streams `Wx` once, not once per node.
         infer::matmul_into(xs, n, self.in_dim, wx, gates, &mut xz_all);
         for t in 0..n {
-            // PANIC-FREE: t < n and xz_all has length n * gates, so row t
-            // is always in bounds.
             let xz = &mut xz_all[t * gates..(t + 1) * gates];
             infer::matmul_into(&h, 1, hidden, wh, gates, &mut hz);
             // z = (x@Wx + h@Wh) + b, associated exactly like the tape.
-            // PANIC-FREE: j < gates; xz is a gates-long row, hz an arena
-            // buffer and b the gate bias tensor of the same length.
             for j in 0..gates {
                 xz[j] = (xz[j] + hz[j]) + b[j];
             }
             // Gate layout [i, f, g, o]: sigmoid the contiguous [i, f]
             // block, tanh the candidate, sigmoid the output gate — three
             // vectorised sweeps instead of four scalar calls per lane.
-            // PANIC-FREE: every gate range ends at or before
-            // xz.len() == gates == 4 * hidden.
             infer::sigmoid_slice(&mut xz[..2 * hidden]);
             infer::tanh_slice(&mut xz[2 * hidden..3 * hidden]);
             infer::sigmoid_slice(&mut xz[3 * hidden..]);
-            // PANIC-FREE: j < hidden indexes the hidden-sized arena
-            // buffers c/h/ct, and every xz offset is below 4 * hidden.
             for j in 0..hidden {
                 c[j] = xz[hidden + j] * c[j] + xz[j] * xz[2 * hidden + j];
             }
             ct.copy_from_slice(&c);
             infer::tanh_slice(&mut ct);
-            // PANIC-FREE: same bounds as the cell-state sweep above.
             for j in 0..hidden {
                 h[j] = xz[3 * hidden + j] * ct[j];
             }
-            // PANIC-FREE: t < n and out has length n * hidden.
             out[t * hidden..(t + 1) * hidden].copy_from_slice(&h);
         }
         arena.give(h);

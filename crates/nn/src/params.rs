@@ -94,16 +94,14 @@ impl ParamStore {
 
     /// Name given at registration.
     pub fn name(&self, id: ParamId) -> &str {
-        // PANIC-FREE: a ParamId is minted by register() on this store or,
-        // read from a checkpoint, checked by ModelBundle::load (through
-        // get()), so id.0 < params.len() for any id a caller holds.
+        // A ParamId is minted by register() on this store or, read from a
+        // checkpoint, checked by ModelBundle::load (through get()), so
+        // id.0 < params.len() for any id a caller holds.
         &self.params[id.0].name
     }
 
     /// Current value.
     pub fn value(&self, id: ParamId) -> &Tensor {
-        // PANIC-FREE: minted by register() or checked by
-        // ModelBundle::load, as for name().
         &self.params[id.0].value
     }
 

@@ -149,8 +149,8 @@ impl Tensor {
     /// Immutable view of the underlying row-major data.
     #[inline]
     pub fn data(&self) -> &[f32] {
-        // PANIC-FREE: `lead` is 0 or the padding `align` itself put in
-        // front of the elements, so it never exceeds `buf.len()`.
+        // `lead` is 0 or the padding `align` itself put in front of the
+        // elements, so it never exceeds `buf.len()`.
         &self.buf[self.lead..]
     }
 

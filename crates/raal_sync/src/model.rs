@@ -305,11 +305,6 @@ impl Sched {
         if options == 1 {
             return 0;
         }
-        // PANIC-FREE: cursor < prefix.len() is checked on the line
-        // above; this is explorer bookkeeping that only exists under
-        // --cfg raal_model_check, never in a production serving build.
-        // HOT-ALLOC: ditto — the replay-divergence messages and the
-        // decision trace are model-check-only diagnostics.
         let chosen = if st.cursor < st.prefix.len() {
             let c = st.prefix[st.cursor];
             if c >= options {
@@ -318,14 +313,12 @@ impl Sched {
             }
             c
         } else if st.strict_replay {
-            // HOT-ALLOC: model-check-only diagnostic (see above).
             let why = format!("execution needed a decision past the seed's {} entries", st.cursor);
             self.fail(st, FailureKind::ReplayDiverged(why));
         } else {
             0
         };
         st.cursor += 1;
-        // HOT-ALLOC: model-check-only decision trace (see above).
         st.trace.push((chosen, options));
         chosen
     }
@@ -337,9 +330,6 @@ impl Sched {
     }
 
     fn runnable(st: &St) -> Vec<usize> {
-        // PANIC-FREE: t ranges over 0..threads.len(). HOT-ALLOC: the
-        // explorer's runnable set — model-check-only code, never in a
-        // production serving build.
         (0..st.threads.len())
             .filter(|&t| st.threads[t] == TState::Runnable)
             .collect()
@@ -352,8 +342,6 @@ impl Sched {
             if st.aborting {
                 self.abort_unwind(st);
             }
-            // PANIC-FREE: me is a registered thread index; explorer
-            // bookkeeping only compiled under --cfg raal_model_check.
             if st.current == me && st.threads[me] == TState::Runnable {
                 return st;
             }
@@ -369,8 +357,6 @@ impl Sched {
             self.abort_unwind(st);
         }
         debug_assert_eq!(st.current, me, "switch point from a descheduled thread");
-        // HOT-ALLOC: the explorer's preemption-candidate set —
-        // model-check-only code, never in a production serving build.
         let others: Vec<usize> = Self::runnable(&st).into_iter().filter(|&t| t != me).collect();
         let options = if st.preemptions_left == 0 || others.is_empty() {
             1 // continue running `me`
@@ -380,8 +366,8 @@ impl Sched {
         let chosen = self.decide(&mut st, options);
         if chosen > 0 {
             st.preemptions_left -= 1;
-            // PANIC-FREE: decide() returns < 1 + others.len(), so
-            // chosen - 1 indexes others in bounds.
+            // decide() returns < 1 + others.len(), so chosen - 1
+            // indexes others in bounds.
             st.current = others[chosen - 1];
             self.cv.notify_all();
             let st = self.park_until_scheduled(st, me);
@@ -480,8 +466,6 @@ impl Sched {
     }
 
     fn wake_where(st: &mut St, pred: impl Fn(Reason) -> bool) {
-        // PANIC-FREE: t ranges over 0..threads.len(); explorer
-        // bookkeeping only compiled under --cfg raal_model_check.
         for t in 0..st.threads.len() {
             if let TState::Blocked { reason, .. } = st.threads[t] {
                 if pred(reason) {
@@ -637,8 +621,6 @@ pub fn active() -> bool {
 }
 
 pub(crate) fn ctx() -> Option<Ctx> {
-    // HOT-ALLOC: Arc refcount bump of the model-run context —
-    // model-check-only code, never in a production serving build.
     CTX.with(|c| c.borrow().clone())
 }
 

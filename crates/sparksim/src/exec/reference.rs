@@ -52,6 +52,31 @@ pub fn execute_reference(catalog: &Catalog, spec: &QuerySpec) -> Result<Vec<RefR
         candidates.push(rows);
     }
 
+    // Every column the output reads, with its binding's index.
+    let aggregated = spec.has_aggregates() || !spec.group_by.is_empty();
+    let group_by: Vec<_> = spec
+        .group_by
+        .iter()
+        .map(|c| bound(spec, c))
+        .collect::<Result<_, _>>()?;
+    let agg_args: Vec<_> = spec
+        .aggregates
+        .iter()
+        .map(|agg| agg.arg.as_ref().map(|c| bound(spec, c)).transpose())
+        .collect::<Result<_, _>>()?;
+    let columns: Vec<_> = if aggregated {
+        Vec::new()
+    } else if spec.wildcard {
+        let refs = batches.iter().enumerate();
+        refs.flat_map(|(bi, batch)| batch.refs().map(move |c| (bi, c)))
+            .collect()
+    } else {
+        spec.select_columns
+            .iter()
+            .map(|c| bound(spec, c))
+            .collect::<Result<_, _>>()?
+    };
+
     // Nested-loop join: tuples of row indices, one per binding.
     let mut tuples: Vec<Vec<usize>> = candidates[0].iter().map(|&r| vec![r]).collect();
     for cand in candidates.iter().skip(1) {
@@ -68,12 +93,7 @@ pub fn execute_reference(catalog: &Catalog, spec: &QuerySpec) -> Result<Vec<RefR
         tuples = next;
     }
 
-    let value_of = |tuple: &[usize], re: &ColumnRef| -> Value {
-        let bi = spec
-            .bindings
-            .iter()
-            .position(|b| b.name == re.table)
-            .expect("resolved column");
+    let value_of = |tuple: &[usize], &(bi, re): &(usize, &ColumnRef)| -> Value {
         batches[bi]
             .column(re)
             .map(|c| c.value(tuple[bi]))
@@ -81,13 +101,12 @@ pub fn execute_reference(catalog: &Catalog, spec: &QuerySpec) -> Result<Vec<RefR
     };
 
     // Aggregation or projection.
-    let mut rows: Vec<RefRow> = if spec.has_aggregates() || !spec.group_by.is_empty() {
+    let mut rows: Vec<RefRow> = if aggregated {
         let mut groups: Vec<Vec<KeyValue>> = Vec::new();
         let mut index: HashMap<Vec<KeyValue>, usize> = HashMap::new();
         let mut accs: Vec<Vec<RefAgg>> = Vec::new();
         for tuple in &tuples {
-            let key: Vec<KeyValue> = spec
-                .group_by
+            let key: Vec<KeyValue> = group_by
                 .iter()
                 .map(|c| KeyValue::from_value(&value_of(tuple, c)))
                 .collect();
@@ -96,9 +115,8 @@ pub fn execute_reference(catalog: &Catalog, spec: &QuerySpec) -> Result<Vec<RefR
                 accs.push(spec.aggregates.iter().map(RefAgg::new).collect());
                 groups.len() - 1
             });
-            for (ai, agg) in spec.aggregates.iter().enumerate() {
-                let v = agg.arg.as_ref().map(|c| value_of(tuple, c));
-                accs[gi][ai].update(v);
+            for (ai, arg) in agg_args.iter().enumerate() {
+                accs[gi][ai].update(arg.as_ref().map(|c| value_of(tuple, c)));
             }
         }
         if spec.group_by.is_empty() && groups.is_empty() {
@@ -115,15 +133,6 @@ pub fn execute_reference(catalog: &Catalog, spec: &QuerySpec) -> Result<Vec<RefR
             })
             .collect()
     } else {
-        let columns: Vec<ColumnRef> = if spec.wildcard {
-            spec.bindings
-                .iter()
-                .enumerate()
-                .flat_map(|(bi, _)| batches[bi].refs().cloned().collect::<Vec<_>>())
-                .collect()
-        } else {
-            spec.select_columns.clone()
-        };
         tuples
             .iter()
             .map(|tuple| columns.iter().map(|c| value_of(tuple, c)).collect())
@@ -166,6 +175,16 @@ pub fn execute_reference(catalog: &Catalog, spec: &QuerySpec) -> Result<Vec<RefR
         rows.truncate(n);
     }
     Ok(rows)
+}
+
+/// `re` with the index of the binding it names. `QuerySpec`'s fields are
+/// public, so a column naming no binding is the caller's error, like an
+/// unknown table.
+fn bound<'c>(spec: &QuerySpec, re: &'c ColumnRef) -> Result<(usize, &'c ColumnRef), ExecError> {
+    match spec.bindings.iter().position(|b| b.name == re.table) {
+        Some(bi) => Ok((bi, re)),
+        None => exec_err(format!("column '{re}' names no table of the query")),
+    }
 }
 
 fn join_edges_hold(spec: &QuerySpec, batches: &[Batch], tuple: &[usize]) -> bool {
@@ -350,6 +369,16 @@ mod tests {
     fn select_with_order_and_limit() {
         let rows = run("SELECT a.id FROM a WHERE a.x > 10 ORDER BY a.id DESC LIMIT 2");
         assert_eq!(rows, vec![vec![Value::Int(4)], vec![Value::Int(3)]]);
+    }
+
+    #[test]
+    fn a_column_naming_no_binding_is_an_error() {
+        let c = catalog();
+        let mut spec =
+            resolve(&parse("SELECT a.x, COUNT(*) FROM a GROUP BY a.x").unwrap(), &c).unwrap();
+        spec.group_by.push(ColumnRef::new("nope", "x"));
+        let err = execute_reference(&c, &spec).unwrap_err();
+        assert!(err.message.contains("nope.x"), "{}", err.message);
     }
 
     #[test]

@@ -188,7 +188,6 @@ impl std::ops::Deref for Children {
     fn deref(&self) -> &[NodeId] {
         // Slots fill in order, so the filled ones are a prefix.
         let len = usize::from(self.0[0] != Self::EMPTY) + usize::from(self.0[1] != Self::EMPTY);
-        // PANIC-FREE: len <= 2, the array's length.
         &self.0[..len]
     }
 }
@@ -419,22 +418,19 @@ impl PhysicalPlan {
         // One claimed bit per node, on the stack up to 64 nodes (the
         // planner's largest plan has 34).
         let mut small = [0u64];
-        // HOT-ALLOC: plans over 64 nodes only (an empty `Vec` allocates
-        // nothing).
+        // Plans over 64 nodes only (an empty `Vec` allocates nothing).
         let mut large = vec![0u64; if last < 64 { 0 } else { last / 64 + 1 }];
         let claimed: &mut [u64] = if last < 64 { &mut small } else { &mut large };
         for (parent, node) in self.nodes.iter().enumerate() {
             for &child in &node.children {
                 let (word, mask) = (child / 64, 1u64 << (child % 64));
-                // PANIC-FREE: child < parent <= last (`add`), and
-                // `claimed` holds a bit for each node.
+                // child < parent <= last (`add`).
                 if claimed[word] & mask != 0 {
                     return Err(NotATree::SharedChild { child, parent });
                 }
                 claimed[word] |= mask;
             }
         }
-        // PANIC-FREE: node < last, and `claimed` holds a bit for each node.
         match (0..last).find(|&node| claimed[node / 64] >> (node % 64) & 1 == 0) {
             Some(node) => Err(NotATree::Orphan { node }),
             None => Ok(()),
@@ -478,7 +474,6 @@ impl PhysicalPlan {
     /// plan encoder streams it through its tokenizer. It builds no
     /// intermediate text, so it allocates only if `w` does.
     pub fn write_statement(&self, id: NodeId, w: &mut impl fmt::Write) -> fmt::Result {
-        // PANIC-FREE: callers pass ids below `len()`, like `node()`.
         match &*self.nodes[id].op {
             PhysicalOp::FileScan { table, output, pushed_filter, .. } => {
                 write!(w, "FileScan {table}[")?;
@@ -665,7 +660,6 @@ impl Hasher for WordHasher {
         let mut words = bytes.chunks_exact(8);
         for chunk in &mut words {
             let mut word = [0u8; 8];
-            // PANIC-FREE: `chunks_exact(8)` yields exactly 8 bytes.
             word.copy_from_slice(chunk);
             self.word(u64::from_le_bytes(word));
         }

@@ -98,7 +98,6 @@ impl ResourceConfig {
     pub fn feature_array(&self, cluster: &ClusterConfig) -> [f32; Self::NUM_FEATURES] {
         // 1 core per executor minimum
         let max_executors = cluster.total_cores() as f64;
-        // PANIC-FREE: every division below is f64 by f64.
         [
             // The full set of nodes (and their cores) hosts every
             // application, so the first two Table I features saturate.
