@@ -35,7 +35,7 @@ pub struct HarnessOpts {
 impl HarnessOpts {
     /// Parses `--full`, `--out <dir>` and `--seed <n>` from `std::env`.
     ///
-    /// Also activates telemetry from `RAAL_TELEMETRY`/`RAAL_TRACE_OUT`
+    /// Also activates telemetry from `RAAL_TELEMETRY`/`RAAL_METRICS_OUT`
     /// and stamps the run manifest, so every harness is observable
     /// without per-binary wiring.
     pub fn from_env() -> Self {

@@ -121,7 +121,6 @@ fn a_served_miss_costs_telemetry_the_same_whatever_the_plan_length() {
         "span.serving.predict_us",
         "serving.encode_ns",
         "infer.plan_layer_ns",
-        "nn.lstm_seq_ns",
         "infer.node_attention_ns",
         "infer.resource_keys_ns",
         "infer.head_ns",

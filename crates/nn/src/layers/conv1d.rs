@@ -107,7 +107,6 @@ impl Conv1d {
         // encodes to that width.
         assert!(n > 0, "Conv1d sequence must be non-empty");
         assert_eq!(xs.len(), n * self.in_dim, "Conv1d input length mismatch");
-        let _k = telemetry::kernel_span("nn.conv1d_seq");
         let half = self.width / 2;
         let w = store.value(self.w).data();
         let b = store.value(self.b).data();

@@ -120,7 +120,6 @@ impl LstmCell {
         // encodes to that width.
         assert!(n > 0, "LSTM sequence must be non-empty");
         assert_eq!(xs.len(), n * self.in_dim, "LSTM input length mismatch");
-        let _k = telemetry::kernel_span("nn.lstm_seq");
         let hidden = self.hidden;
         let gates = 4 * hidden;
         let wx = store.value(self.wx).data();

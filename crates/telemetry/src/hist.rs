@@ -76,6 +76,21 @@ impl Histogram {
         self.max = self.max.max(v);
     }
 
+    /// Empties the histogram in place, keeping its bucket allocation.
+    pub(crate) fn clear(&mut self) {
+        self.counts.fill(0);
+        self.count = 0;
+        self.sum = 0;
+        self.min = u64::MAX;
+        self.max = 0;
+    }
+
+    /// Where the bucket counters live, to tell a reset from a realloc.
+    #[cfg(test)]
+    pub(crate) fn buckets_ptr(&self) -> *const u64 {
+        self.counts.as_ptr()
+    }
+
     /// Number of observations.
     pub fn count(&self) -> u64 {
         self.count

@@ -6,8 +6,8 @@
 //! of signal about itself:
 //!
 //! * **spans** — a thread-local stack of RAII guards ([`span`]); closing
-//!   a span emits one JSONL line (name, thread, duration, nesting) and,
-//!   when a Chrome trace was asked for, a `trace_event` slice;
+//!   a span emits one JSONL line (name, thread, duration, nesting) and
+//!   records its duration into the `span.<name>_us` histogram;
 //! * **kernel spans** — [`kernel_span`], the cheap variant for one
 //!   stage of a request: aggregates durations into a histogram instead
 //!   of emitting a line per call. A kernel span wraps work done once per
@@ -15,7 +15,7 @@
 //! * **counters, gauges and histograms** — [`count`] / [`gauge`] /
 //!   [`observe`]. Every value lands in the live [`registry`], so
 //!   current rates and windowed p50/p95/p99 can be *read back* while
-//!   the process runs ([`metrics_snapshot`], Prometheus/JSON export);
+//!   the process runs ([`metrics_snapshot`], Prometheus export);
 //!   [`shutdown`] additionally summarises them as
 //!   `counter`/`gauge`/`histogram` JSONL events;
 //! * **prediction-quality monitoring** — [`monitor::QualityMonitor`]
@@ -38,18 +38,12 @@
 //!
 //! * `RAAL_TELEMETRY=1` — enable, JSONL events to `raal-events.jsonl`;
 //!   any other non-`0` value is used as the output path instead;
-//! * `RAAL_TRACE_OUT=trace.json` — additionally export a Chrome trace
-//!   (open in `chrome://tracing` or <https://ui.perfetto.dev>) on
-//!   [`shutdown`];
 //! * `RAAL_METRICS_OUT=metrics.prom` — write the final metrics
-//!   snapshot in the Prometheus text exposition format on [`shutdown`]
-//!   (a `.json` extension selects the JSON snapshot instead);
-//! * `RAAL_STACKS_OUT=stacks.folded` — write span self-time as
-//!   inferno-compatible collapsed stacks on [`shutdown`].
+//!   snapshot in the Prometheus text exposition format on [`shutdown`].
 //!
 //! The sink is buffered: call [`flush`] at checkpoints and [`shutdown`]
 //! before exit (it also emits the counter/histogram summaries and writes
-//! the Chrome trace). All timestamps come from one process-wide
+//! the Prometheus snapshot). All timestamps come from one process-wide
 //! monotonic clock ([`clock_us`]/[`clock_ns`]); code that reports
 //! wall-clock durations should read the same clock so every number in a
 //! run is comparable.
@@ -60,7 +54,6 @@ pub mod hist;
 pub mod monitor;
 pub mod registry;
 pub mod schema;
-mod trace;
 mod value;
 
 pub use hist::Histogram;
@@ -114,19 +107,10 @@ pub fn enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
 }
 
-/// Upper bound on the Chrome-trace slices buffered while a trace was
-/// asked for; beyond it spans still log to JSONL but are dropped from
-/// the trace (counted in `telemetry.trace_dropped`).
-const TRACE_CAP: usize = 262_144;
-
 #[derive(Default)]
 struct State {
     sink: Option<Box<dyn Write + Send>>,
-    trace: Vec<trace::TraceSlice>,
-    trace_path: Option<PathBuf>,
     metrics_path: Option<PathBuf>,
-    stacks_path: Option<PathBuf>,
-    trace_dropped: u64,
     manifest_emitted: bool,
     run_id: String,
     clock_origin_unix_ms: u64,
@@ -154,7 +138,7 @@ fn lock_state() -> raal_sync::sync::MutexGuard<'static, State> {
     state().lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// Initialises telemetry from `RAAL_TELEMETRY` / `RAAL_TRACE_OUT`.
+/// Initialises telemetry from `RAAL_TELEMETRY` / `RAAL_METRICS_OUT`.
 /// Idempotent and cheap after the first call; binaries and examples call
 /// it at startup.
 pub fn init_from_env() {
@@ -177,16 +161,10 @@ pub fn init_from_env() {
                 return;
             }
         };
-        let out_path =
-            |var: &str| std::env::var(var).ok().filter(|s| !s.is_empty()).map(PathBuf::from);
-        let trace_path = out_path("RAAL_TRACE_OUT");
-        let metrics_path = out_path("RAAL_METRICS_OUT");
-        let stacks_path = out_path("RAAL_STACKS_OUT");
+        let metrics_path = std::env::var("RAAL_METRICS_OUT").ok().filter(|s| !s.is_empty());
         let mut st = lock_state();
         st.sink = Some(Box::new(std::io::BufWriter::new(file)));
-        st.trace_path = trace_path;
-        st.metrics_path = metrics_path;
-        st.stacks_path = stacks_path;
+        st.metrics_path = metrics_path.map(PathBuf::from);
         drop(st);
         ENABLED.store(true, Ordering::Release);
     });
@@ -200,15 +178,8 @@ thread_local! {
     // ORDERING: Relaxed — a unique-id counter needs only atomicity of
     // the increment; no other memory is published via this operation.
     static TID: u64 = NEXT_TID.fetch_add(1, Ordering::Relaxed);
-    static SPAN_STACK: RefCell<SpanStack> =
-        const { RefCell::new(SpanStack { open: Vec::new(), key: String::new() }) };
-}
-
-/// This thread's open spans, outermost first, and the buffer a closing
-/// span joins them into (reused, so a close allocates no key).
-struct SpanStack {
-    open: Vec<&'static str>,
-    key: String,
+    /// This thread's open spans, outermost first.
+    static SPAN_STACK: RefCell<Vec<&'static str>> = const { RefCell::new(Vec::new()) };
 }
 
 fn tid() -> u64 {
@@ -292,7 +263,7 @@ fn emit_line(st: &mut State, line: String) {
 // ----------------------------------------------------------------- spans
 
 /// An RAII span guard from [`span`]. Closing (dropping) it emits a
-/// `span` event and a Chrome-trace slice; [`Span::elapsed_seconds`]
+/// `span` event and records `span.<name>_us`; [`Span::elapsed_seconds`]
 /// works whether or not telemetry is enabled, so callers can use one
 /// clock for both reporting and logging.
 pub struct Span {
@@ -309,7 +280,7 @@ pub fn span(name: &'static str) -> Span {
     let start_us = clock_us();
     let depth = if enabled() {
         SPAN_STACK.with(|s| {
-            let open = &mut s.borrow_mut().open;
+            let mut open = s.borrow_mut();
             open.push(name);
             open.len() - 1
         })
@@ -343,24 +314,14 @@ impl Drop for Span {
         let dur_us = end_us - self.start_us;
         // Truncating to the entry depth (rather than popping once) keeps
         // the stack consistent even if inner guards leaked or panicked.
-        // The joined ancestor path doubles as the collapsed-stack key
-        // for flamegraph self-time attribution. Registry first, sink
-        // second — the two locks are never held together.
         let parent = SPAN_STACK.with(|s| {
-            let SpanStack { open, key } = &mut *s.borrow_mut();
+            let mut open = s.borrow_mut();
             open.truncate(self.depth);
-            key.clear();
-            for ancestor in open.iter() {
-                key.push_str(ancestor);
-                key.push(';');
-            }
-            // The ancestors' own key is this one up to its last `;`.
-            let parent_len = key.len().saturating_sub(1);
-            key.push_str(self.name);
-            let parent_stack = (!open.is_empty()).then(|| &key[..parent_len]);
-            registry::global().span_close(self.name, key, parent_stack, end_us, dur_us);
             open.last().copied()
         });
+        // Registry first, sink second — the two locks are never held
+        // together.
+        registry::global().span_close(self.name, end_us, dur_us);
         let line = Line::new(end_us, "span")
             .str("name", self.name)
             .uint("tid", tid())
@@ -369,23 +330,7 @@ impl Drop for Span {
             .opt_str("parent", parent)
             .fields(&self.fields)
             .finish();
-        let mut st = lock_state();
-        // Slices are kept for the Chrome trace only, so only while one
-        // was asked for.
-        if st.trace_path.is_some() {
-            if st.trace.len() < TRACE_CAP {
-                let slice = trace::TraceSlice {
-                    name: self.name,
-                    ts_us: self.start_us,
-                    dur_us,
-                    tid: tid(),
-                };
-                st.trace.push(slice);
-            } else {
-                st.trace_dropped += 1;
-            }
-        }
-        emit_line(&mut st, line);
+        emit_line(&mut lock_state(), line);
     }
 }
 
@@ -454,8 +399,8 @@ pub fn observe(name: &str, value: u64) {
 }
 
 /// A consistent point-in-time snapshot of every live metric: counters,
-/// gauges, histogram percentiles (all-time and recent window) and span
-/// self-time. Empty when telemetry is disabled.
+/// gauges and histogram percentiles (all-time and recent window). Empty
+/// when telemetry is disabled.
 pub fn metrics_snapshot() -> MetricsSnapshot {
     registry::snapshot()
 }
@@ -553,10 +498,10 @@ pub fn flush() {
     }
 }
 
-/// Emits counter/gauge/histogram summary events, writes the Chrome
-/// trace / Prometheus snapshot / collapsed stacks (if their `RAAL_*_OUT`
-/// variables were set) and flushes. Call before process exit; calling
-/// again later summarises whatever accumulated since.
+/// Emits counter/gauge/histogram summary events, writes the Prometheus
+/// snapshot (if `RAAL_METRICS_OUT` was set) and flushes. Call before
+/// process exit; calling again later summarises whatever accumulated
+/// since.
 pub fn shutdown() {
     if !enabled() {
         return;
@@ -567,15 +512,7 @@ pub fn shutdown() {
     finalize(&mut lock_state(), snap);
 }
 
-fn finalize(st: &mut State, mut snap: registry::MetricsSnapshot) {
-    if st.trace_dropped > 0 {
-        let dropped = std::mem::take(&mut st.trace_dropped);
-        let slot = snap
-            .counters
-            .entry("telemetry.trace_dropped".to_string())
-            .or_insert(0);
-        *slot = slot.saturating_add(dropped);
-    }
+fn finalize(st: &mut State, snap: registry::MetricsSnapshot) {
     let ts = clock_us();
     for (name, v) in &snap.counters {
         let line = Line::new(ts, "counter").str("name", name).uint("value", *v).finish();
@@ -601,27 +538,11 @@ fn finalize(st: &mut State, mut snap: registry::MetricsSnapshot) {
             .finish();
         emit_line(st, line);
     }
-    if let Some(path) = st.trace_path.clone() {
-        if let Err(e) = trace::write_chrome_trace(&path, &st.trace, &st.run_id) {
-            eprintln!("telemetry: cannot write trace {}: {e}", path.display());
-        }
-    }
-    if let Some(path) = st.metrics_path.clone() {
-        let text = if path.extension().is_some_and(|e| e == "json") {
-            snap.to_json()
-        } else {
-            snap.to_prometheus()
-        };
-        if let Err(e) = std::fs::write(&path, text) {
+    if let Some(path) = &st.metrics_path {
+        if let Err(e) = std::fs::write(path, snap.to_prometheus()) {
             eprintln!("telemetry: cannot write metrics {}: {e}", path.display());
         }
     }
-    if let Some(path) = st.stacks_path.clone() {
-        if let Err(e) = std::fs::write(&path, snap.collapsed_stacks()) {
-            eprintln!("telemetry: cannot write stacks {}: {e}", path.display());
-        }
-    }
-    st.trace.clear();
     if let Some(sink) = st.sink.as_mut() {
         let _ = sink.flush();
     }
@@ -663,33 +584,23 @@ pub mod testing {
     /// Runs `f` with telemetry enabled into an in-memory sink and returns
     /// the emitted JSONL lines (including the shutdown summaries).
     pub fn capture<F: FnOnce()>(f: F) -> Vec<String> {
-        capture_inner(f, true, None)
+        capture_inner(f, true)
     }
 
     /// Runs `f` with a sink installed but telemetry **disabled**: any
     /// line in the returned vec is a bug in the disabled fast path.
     pub fn capture_disabled<F: FnOnce()>(f: F) -> Vec<String> {
-        capture_inner(f, false, None)
+        capture_inner(f, false)
     }
 
-    /// Like [`capture`], but also writes a Chrome trace to `trace_path`
-    /// at shutdown.
-    pub fn capture_with_trace<F: FnOnce()>(trace_path: impl Into<PathBuf>, f: F) -> Vec<String> {
-        capture_inner(f, true, Some(trace_path.into()))
-    }
-
-    fn capture_inner<F: FnOnce()>(f: F, enable: bool, trace_path: Option<PathBuf>) -> Vec<String> {
+    fn capture_inner<F: FnOnce()>(f: F, enable: bool) -> Vec<String> {
         let _guard = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let buf = Arc::new(Mutex::new(Vec::new()));
         {
             let mut st = lock_state();
             st.sink = Some(Box::new(VecSink(buf.clone())));
-            st.trace.clear();
-            st.trace_dropped = 0;
             st.manifest_emitted = false;
-            st.trace_path = trace_path;
             st.metrics_path = None;
-            st.stacks_path = None;
         }
         registry::reset();
         ENABLED.store(enable, Ordering::Release);
@@ -698,11 +609,7 @@ pub mod testing {
             shutdown();
         }
         ENABLED.store(false, Ordering::Release);
-        {
-            let mut st = lock_state();
-            st.sink = None;
-            st.trace_path = None;
-        }
+        lock_state().sink = None;
         if let Err(p) = result {
             std::panic::resume_unwind(p);
         }

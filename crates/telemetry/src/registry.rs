@@ -21,14 +21,10 @@
 //!   time-sliced buckets whose merge answers "what did the last ~N
 //!   seconds look like" — so a latency regression is visible while the
 //!   all-time percentiles still remember the good hours.
-//! * **flamegraphs** — span close paths accumulate *self time* per call
-//!   stack; [`MetricsSnapshot::collapsed_stacks`] renders them in the
-//!   inferno/`flamegraph.pl` collapsed format.
 //! * **export** — [`MetricsSnapshot::to_prometheus`] writes the
 //!   Prometheus text exposition format (counters, gauges, summaries
-//!   with `quantile` labels); [`MetricsSnapshot::to_json`] a JSON
-//!   object; both are what the `raal-metrics` bin and the
-//!   `RAAL_METRICS_OUT` shutdown hook serve.
+//!   with `quantile` labels), which is what the `RAAL_METRICS_OUT`
+//!   shutdown hook writes.
 //!
 //! The global entry points ([`counter_add`], [`gauge_set`], [`observe`])
 //! honour the crate's disabled fast path: one relaxed
@@ -36,7 +32,6 @@
 //! and the model checker instantiate their own.
 
 use crate::hist::Histogram;
-use crate::value::escape_json_into;
 use raal_sync::sync::Mutex;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -85,7 +80,9 @@ impl WindowedHistogram {
         let epoch = now_us / self.slot_us;
         let idx = (epoch % self.ring.len() as u64) as usize;
         if self.epochs[idx] != epoch {
-            self.ring[idx] = Histogram::new();
+            // Cleared in place: a rotation inside a served call must not
+            // allocate a fresh bucket array.
+            self.ring[idx].clear();
             self.epochs[idx] = epoch;
         }
         self.ring[idx].record(v);
@@ -174,10 +171,6 @@ pub struct MetricsSnapshot {
     pub gauges: BTreeMap<String, f64>,
     /// Histogram summaries (all-time + recent window) by name.
     pub hists: BTreeMap<String, HistSnapshot>,
-    /// Span self-time in microseconds, keyed by `;`-joined call stack
-    /// (inferno collapsed-stack keys). Self time = span duration minus
-    /// time spent in instrumented child spans, clamped at zero.
-    pub self_time_us: BTreeMap<String, u64>,
 }
 
 /// Maps a metric name to the Prometheus name charset
@@ -249,77 +242,6 @@ impl MetricsSnapshot {
         }
         out
     }
-
-    /// Renders the snapshot as one JSON object (hand-written, like the
-    /// JSONL sink, so the crate stays dependency-free).
-    pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(256);
-        let _ = write!(out, "{{\"at_us\":{},\"counters\":{{", self.at_us);
-        for (i, (name, v)) in self.counters.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            escape_json_into(name, &mut out);
-            let _ = write!(out, ":{v}");
-        }
-        out.push_str("},\"gauges\":{");
-        for (i, (name, v)) in self.gauges.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            escape_json_into(name, &mut out);
-            out.push(':');
-            crate::Value::F64(*v).write_json(&mut out);
-        }
-        out.push_str("},\"histograms\":{");
-        for (i, (name, h)) in self.hists.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            escape_json_into(name, &mut out);
-            out.push(':');
-            let window = |out: &mut String, label: &str, s: &HistStats| {
-                escape_json_into(label, out);
-                let _ = write!(out, ":{{\"count\":{},\"min\":{},\"max\":{}", s.count, s.min, s.max);
-                out.push_str(",\"mean\":");
-                crate::Value::F64(s.mean).write_json(out);
-                for (k, q) in [("p50", s.p50), ("p95", s.p95), ("p99", s.p99)] {
-                    let _ = match q {
-                        Some(v) => write!(out, ",\"{k}\":{v}"),
-                        None => write!(out, ",\"{k}\":null"),
-                    };
-                }
-                out.push('}');
-            };
-            out.push('{');
-            window(&mut out, "all", &h.all);
-            out.push(',');
-            window(&mut out, "recent", &h.recent);
-            out.push('}');
-        }
-        out.push_str("},\"self_time_us\":{");
-        for (i, (stack, us)) in self.self_time_us.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            escape_json_into(stack, &mut out);
-            let _ = write!(out, ":{us}");
-        }
-        out.push_str("}}");
-        out
-    }
-
-    /// Renders span self-time as inferno-compatible collapsed stacks:
-    /// one `stack;frames count` line per call stack, counts in
-    /// microseconds. Pipe into `inferno-flamegraph` (or
-    /// `flamegraph.pl`) for an SVG.
-    pub fn collapsed_stacks(&self) -> String {
-        let mut out = String::new();
-        for (stack, us) in &self.self_time_us {
-            let _ = writeln!(out, "{stack} {us}");
-        }
-        out
-    }
 }
 
 // -------------------------------------------------------------- registry
@@ -328,11 +250,6 @@ struct Inner {
     counters: BTreeMap<String, u64>,
     gauges: BTreeMap<String, f64>,
     hists: BTreeMap<String, WindowedHistogram>,
-    /// Signed self-time accumulator per collapsed stack: a closing span
-    /// adds its duration to its own stack and subtracts it from its
-    /// parent's, so each key converges to self time. Transiently
-    /// negative while children have closed but the parent has not.
-    self_time_us: BTreeMap<String, i64>,
     /// What the two span guards record, keyed by the guard's own
     /// `&'static str`: a close finds its histogram without building a
     /// name. `kernel_ns[n]` is exported as `<n>_ns` and `span_us[n]` as
@@ -391,7 +308,6 @@ impl Registry {
                 counters: BTreeMap::new(),
                 gauges: BTreeMap::new(),
                 hists: BTreeMap::new(),
-                self_time_us: BTreeMap::new(),
                 kernel_ns: BTreeMap::new(),
                 span_us: BTreeMap::new(),
             }),
@@ -425,21 +341,6 @@ impl Registry {
         WindowedHistogram::new(self.slots, self.slot_us)
     }
 
-    /// Accumulates span self-time: `dur_us` is credited to `stack` and
-    /// debited from `parent` (whose own close will credit it back as
-    /// part of its full duration).
-    pub fn span_time(&self, stack: &str, parent: Option<&str>, dur_us: u64) {
-        Self::book_span_time(&mut self.lock(), stack, parent, dur_us);
-    }
-
-    fn book_span_time(g: &mut Inner, stack: &str, parent: Option<&str>, dur_us: u64) {
-        let dur = dur_us.min(i64::MAX as u64) as i64;
-        upsert(&mut g.self_time_us, stack, || 0, |us| *us += dur);
-        if let Some(p) = parent {
-            upsert(&mut g.self_time_us, p, || 0, |us| *us -= dur);
-        }
-    }
-
     /// A closing [`crate::KernelSpan`]: `dur_ns` into `<name>_ns`.
     pub(crate) fn kernel_close(&self, name: &'static str, now_us: u64, dur_ns: u64) {
         let mut g = self.lock();
@@ -447,21 +348,11 @@ impl Registry {
         hist.record_at(now_us, dur_ns);
     }
 
-    /// A closing [`crate::Span`], booked under one lock: `dur_us` into
-    /// `span.<name>_us` and into the self time of `stack` (see
-    /// [`Registry::span_time`]).
-    pub(crate) fn span_close(
-        &self,
-        name: &'static str,
-        stack: &str,
-        parent: Option<&str>,
-        now_us: u64,
-        dur_us: u64,
-    ) {
+    /// A closing [`crate::Span`]: `dur_us` into `span.<name>_us`.
+    pub(crate) fn span_close(&self, name: &'static str, now_us: u64, dur_us: u64) {
         let mut g = self.lock();
         let hist = g.span_us.entry(name).or_insert_with(|| self.new_hist());
         hist.record_at(now_us, dur_us);
-        Self::book_span_time(&mut g, stack, parent, dur_us);
     }
 
     /// A consistent point-in-time snapshot, evaluated at `now_us` (which
@@ -480,12 +371,6 @@ impl Registry {
                     (name, HistSnapshot { all, recent: HistStats::of(&h.recent_at(now_us)) })
                 })
                 .collect(),
-            self_time_us: g
-                .self_time_us
-                .iter()
-                .filter(|(_, &us)| us > 0)
-                .map(|(stack, &us)| (stack.clone(), us as u64))
-                .collect(),
         }
     }
 
@@ -497,7 +382,6 @@ impl Registry {
         g.counters.clear();
         g.gauges.clear();
         g.hists.clear();
-        g.self_time_us.clear();
         g.kernel_ns.clear();
         g.span_us.clear();
         snap
@@ -583,6 +467,18 @@ mod tests {
     }
 
     #[test]
+    fn rotation_clears_the_slot_without_reallocating() {
+        let mut w = WindowedHistogram::new(4, 10);
+        w.record_at(5, 100); // epoch 0 -> slot 0
+        let buckets = w.ring[0].buckets_ptr();
+        w.record_at(45, 7); // epoch 4 -> slot 0 again, a new epoch
+        assert_eq!(w.ring[0].buckets_ptr(), buckets, "the slot kept its bucket allocation");
+        assert_eq!(w.ring[0].count(), 1, "epoch 0's observation is gone");
+        assert_eq!((w.ring[0].min(), w.ring[0].max()), (7, 7));
+        assert_eq!(w.all_time().count(), 2);
+    }
+
+    #[test]
     fn snapshot_is_consistent_copy() {
         let r = Registry::with_window(4, 10);
         r.counter_add("c", 2);
@@ -599,20 +495,6 @@ mod tests {
         // The snapshot is a copy: later writes don't retro-mutate it.
         r.counter_add("c", 1);
         assert_eq!(snap.counters["c"], 5);
-    }
-
-    #[test]
-    fn self_time_attribution() {
-        let r = Registry::new();
-        // outer(10us total) contains inner(4us): self times 6 and 4.
-        r.span_time("outer;inner", Some("outer"), 4);
-        r.span_time("outer", None, 10);
-        let snap = r.snapshot_at(0);
-        assert_eq!(snap.self_time_us["outer"], 6);
-        assert_eq!(snap.self_time_us["outer;inner"], 4);
-        let folded = snap.collapsed_stacks();
-        assert!(folded.contains("outer 6\n"));
-        assert!(folded.contains("outer;inner 4\n"));
     }
 
     #[test]

@@ -54,8 +54,8 @@ pub const SPARK_EVENT_NAMES: &[&str] = &["job_start", "stage_completed", "task_e
 /// span names without chasing ad-hoc strings through the codebase.
 ///
 /// Phase spans cover one logical stage of a run; kernel spans (the
-/// `nn.*` / `infer.*` names and `serving.encode`) are one per plan
-/// stage, always recorded — never one per node or per step.
+/// `infer.*` names and `serving.encode`) are one per plan stage, always
+/// recorded — never one per node or per step.
 pub const SPAN_NAMES: &[&str] = &[
     // Phase spans.
     "train.run",
@@ -66,9 +66,6 @@ pub const SPAN_NAMES: &[&str] = &[
     "workload.generate",
     "encode.word2vec",
     "baselines.train_tlstm",
-    // Kernel spans: the plan layer's sequence pass.
-    "nn.lstm_seq",
-    "nn.conv1d_seq",
     // Kernel spans: the stages of a served miss.
     "serving.encode",
     "infer.plan_layer",
@@ -89,8 +86,7 @@ pub const SPAN_NAMES: &[&str] = &[
 /// entries entering and leaving it. `serving.encode.nodes` /
 /// `.nodes_reused` count, once per call that encoded, the nodes its
 /// misses encoded and those whose semantic block the service's
-/// operator-row cache supplied. `telemetry.trace_dropped` counts
-/// spans a requested Chrome trace had no room for.
+/// operator-row cache supplied.
 pub const COUNTER_NAMES: &[&str] = &[
     "infer.predict.single",
     "infer.plan_context.build",
@@ -114,7 +110,6 @@ pub const COUNTER_NAMES: &[&str] = &[
     "sparksim.jobs.completed",
     "monitor.samples",
     "monitor.drift.alarms",
-    "telemetry.trace_dropped",
 ];
 
 /// Registered histogram names (`telemetry::observe`). `serving.predict_us`

@@ -9,8 +9,8 @@
 //! Run with: `cargo run --release --example quickstart`
 //!
 //! Set `RAAL_TELEMETRY=1` (or `=path.jsonl`) to stream a structured
-//! event log of the whole pipeline, and `RAAL_TRACE_OUT=trace.json` for
-//! a Chrome `about://tracing` flamegraph — see README "Telemetry".
+//! event log of the whole pipeline, and `RAAL_METRICS_OUT=metrics.prom`
+//! for a Prometheus snapshot at exit — see README "Observability".
 
 use raal::dataset::{collect, CollectionConfig};
 use raal::{CostModel, ModelConfig, TrainConfig};
@@ -90,6 +90,6 @@ fn main() {
         println!("  plan {i}: predicted {pred:.2}s");
     }
 
-    // Flush counters/histograms and the Chrome trace, if enabled.
+    // Flush counters/histograms and the Prometheus snapshot, if enabled.
     telemetry::shutdown();
 }

@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """Validates a Prometheus text-exposition snapshot (format 0.0.4), as
-written by `RAAL_METRICS_OUT` or the `raal-metrics` bin.
+written at shutdown by a run with `RAAL_METRICS_OUT` set.
 
 Usage: check_prometheus.py <metrics.prom> [--require NAME ...]
 
