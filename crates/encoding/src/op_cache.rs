@@ -8,7 +8,10 @@
 //! its way to the front, a store evicts the last). The set is chosen
 //! by the key every [`OpRef`] carries from the planner, so a lookup
 //! never walks an operator to find it; a key match is confirmed by the
-//! same allocation or, failing that, by `==`. The rows are one
+//! same allocation or, failing that, by `==`. One engine's plans hold
+//! one allocation per distinct scan-free operator (`sparksim`'s
+//! `OpTable`), so the pointer settles most hits; a scan, a filter or a
+//! limit is one allocation per query and meets `==`. The rows are one
 //! `Vec<f32>` reserved whole when the cache is built and filled in
 //! order, so a cache that met few operators has touched few pages.
 //!
@@ -80,6 +83,8 @@ impl Table {
         let sets = self.sets.len();
         // `sets` is a power of two, so the mask is below it.
         let set = &mut self.sets[key as usize & (sets - 1)];
+        // Same allocation first: plans from one engine share every
+        // scan-free operator, and a query's candidates all of theirs.
         let way = (0..WAYS).find(|&way| {
             set.keys[way] == key
                 && set.ops[way]

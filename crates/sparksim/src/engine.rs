@@ -4,7 +4,7 @@
 use crate::catalog::Catalog;
 use crate::exec::{ExecResult, Executor};
 use crate::plan::physical::PhysicalPlan;
-use crate::plan::planner::{Planner, PlannerOptions};
+use crate::plan::planner::{OpTable, Planner, PlannerOptions};
 use crate::plan::spec::{resolve, QuerySpec};
 use crate::resource::{ClusterConfig, ResourceConfig};
 use crate::simulator::{CostSimulator, SimReport, SimulatorConfig};
@@ -57,6 +57,9 @@ pub struct Engine {
     catalog: Catalog,
     planner_opts: PlannerOptions,
     simulator: CostSimulator,
+    /// The scan-free operators of every plan it builds, one allocation
+    /// each (the [planner](crate::plan::planner)'s module docs).
+    ops: OpTable,
 }
 
 impl Engine {
@@ -82,6 +85,7 @@ impl Engine {
             catalog,
             planner_opts,
             simulator: CostSimulator::new(cluster, sim_cfg),
+            ops: OpTable::default(),
         }
     }
 
@@ -100,6 +104,11 @@ impl Engine {
         &self.planner_opts
     }
 
+    /// The operator table its plans share.
+    pub fn op_table(&self) -> &OpTable {
+        &self.ops
+    }
+
     /// Parses and binds a query.
     pub fn spec(&self, sql: &str) -> Result<QuerySpec, EngineError> {
         let q = parse(sql).map_err(|e| EngineError::Parse(e.to_string()))?;
@@ -107,9 +116,12 @@ impl Engine {
     }
 
     /// Candidate physical plans for a query, Catalyst default first.
+    /// Their scan-free operators are the ones every earlier call's plans
+    /// hold, where `==`.
     pub fn plan_candidates(&self, sql: &str) -> Result<Vec<PhysicalPlan>, EngineError> {
         let spec = self.spec(sql)?;
-        Ok(Planner::new(&self.catalog, self.planner_opts.clone()).enumerate(&spec))
+        let planner = Planner::with_table(&self.catalog, self.planner_opts.clone(), &self.ops);
+        Ok(planner.enumerate(&spec))
     }
 
     /// Executes a physical plan and collects true metrics.
@@ -213,6 +225,8 @@ impl Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan::physical::{OpRef, PhysicalOp};
+    use crate::plan::planner::OP_TABLE_ENTRIES;
     use crate::schema::{ColumnDef, TableSchema};
     use crate::storage::{Column, ColumnData, Table};
     use crate::types::DataType;
@@ -298,6 +312,126 @@ mod tests {
         assert!(text.contains("actual_rows"));
         assert!(text.contains("simulated:"));
         assert!(text.contains("FileScan"));
+    }
+
+    /// Queries over `t` and `u` that vary in literals, shape and, from
+    /// `aliases` on, in their aliases (one fresh pair per query).
+    fn queries(n: usize, aliases: usize) -> Vec<String> {
+        (0..n)
+            .map(|i| {
+                let (a, b) = if i < aliases {
+                    ("t".into(), "u".into())
+                } else {
+                    (format!("a{i}"), format!("b{i}"))
+                };
+                let from =
+                    format!("FROM t {a}, u {b} WHERE {a}.id = {b}.t_id AND {a}.x < {}", i % 10);
+                match i % 4 {
+                    0 => format!("SELECT COUNT(*) {from}"),
+                    1 => format!("SELECT {a}.x, COUNT(*) {from} GROUP BY {a}.x"),
+                    2 => format!("SELECT {a}.id, {b}.y {from} ORDER BY {b}.y LIMIT {}", i % 7 + 1),
+                    _ => format!("SELECT COUNT(*) FROM t {a} WHERE {a}.x < {}", i % 10),
+                }
+            })
+            .collect()
+    }
+
+    /// Whether an operator is interned per call, not by the engine.
+    fn per_query(op: &PhysicalOp) -> bool {
+        matches!(
+            op,
+            PhysicalOp::FileScan { .. } | PhysicalOp::Filter { .. } | PhysicalOp::Limit { .. }
+        )
+    }
+
+    /// Two calls through one engine share every `==` scan-free operator
+    /// by allocation, and no scan, filter or limit, however equal.
+    #[test]
+    fn calls_share_every_scan_free_operator_and_no_scan() {
+        let e = engine();
+        let q = queries(8, 8);
+        for (i, j) in [(0, 0), (1, 5), (2, 2), (2, 6), (3, 3), (3, 7)] {
+            let (first, second) = (&q[i], &q[j]);
+            let a = e.plan_candidates(first).unwrap();
+            let b = e.plan_candidates(second).unwrap();
+            let held: Vec<&OpRef> = a.iter().flat_map(|p| p.nodes()).map(|n| &n.op).collect();
+            let (mut shared, mut apart) = (0, 0);
+            for node in b.iter().flat_map(|p| p.nodes()) {
+                for &op in held.iter().filter(|&&op| *op == node.op) {
+                    let same = OpRef::ptr_eq(op, &node.op);
+                    assert_eq!(same, !per_query(op), "{second}: {:?} after {first}", node.op);
+                    (shared, apart) = (shared + usize::from(same), apart + usize::from(!same));
+                }
+            }
+            assert!(
+                shared > 0 && apart > 0,
+                "{second} after {first}: {shared} shared, {apart} not"
+            );
+        }
+    }
+
+    /// Queries with far more distinct aliases than the table holds fill
+    /// it to the cap and no further, and plan as a fresh engine does.
+    #[test]
+    fn fresh_aliases_fill_the_table_to_its_cap() {
+        let e = engine();
+        let q = queries(900, 0);
+        for sql in &q {
+            e.plan_candidates(sql).unwrap();
+        }
+        assert_eq!(e.op_table().len(), OP_TABLE_ENTRIES);
+        for sql in &q[880..] {
+            let fresh = Engine::new(e.catalog().clone());
+            assert_eq!(
+                e.plan_candidates(sql).unwrap(),
+                fresh.plan_candidates(sql).unwrap(),
+                "{sql}"
+            );
+        }
+        assert_eq!(e.op_table().len(), OP_TABLE_ENTRIES);
+    }
+
+    #[test]
+    fn an_engine_is_shared_across_threads() {
+        fn send_sync<T: Send + Sync>() {}
+        send_sync::<Engine>();
+    }
+
+    /// Each candidate's text and estimates, by bits.
+    fn rendered(plans: &[PhysicalPlan]) -> Vec<(String, Vec<u64>)> {
+        plans
+            .iter()
+            .map(|p| (p.explain(), p.nodes().iter().map(|n| n.est_rows.to_bits()).collect()))
+            .collect()
+    }
+
+    /// Two threads planning through one engine, in opposite orders,
+    /// return the lists one thread returns alone.
+    #[test]
+    fn two_threads_plan_as_one_thread_does() {
+        let q = queries(120, 60);
+        let alone = engine();
+        let expected: Vec<_> = q
+            .iter()
+            .map(|sql| rendered(&alone.plan_candidates(sql).unwrap()))
+            .collect();
+        let e = engine();
+        std::thread::scope(|s| {
+            let forward = s.spawn(|| {
+                q.iter()
+                    .map(|sql| rendered(&e.plan_candidates(sql).unwrap()))
+                    .collect::<Vec<_>>()
+            });
+            let mut backward: Vec<_> = q
+                .iter()
+                .rev()
+                .map(|sql| rendered(&e.plan_candidates(sql).unwrap()))
+                .collect();
+            backward.reverse();
+            assert_eq!(forward.join().unwrap(), expected);
+            assert_eq!(backward, expected);
+        });
+        assert_eq!(e.op_table().len(), alone.op_table().len());
     }
 
     #[test]

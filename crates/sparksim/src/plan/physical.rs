@@ -10,7 +10,7 @@
 use crate::expr::Expr;
 use crate::plan::spec::AggSpec;
 use crate::schema::{ColumnRef, Name};
-use std::fmt::{self, Write as _};
+use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
@@ -148,8 +148,7 @@ impl PhysicalOp {
 /// (a join's), so the list is two slots, [`NodeId::MAX`] marking an
 /// empty one, and owns no heap. It derefs to `&[NodeId]` and prints,
 /// hashes and compares as the `Vec<NodeId>` it replaced, so
-/// [`PhysicalPlan::fingerprint`] and [`PhysicalPlan::structural_hash`]
-/// read as before.
+/// [`PhysicalPlan::structural_hash`] reads as before.
 #[derive(Clone, Copy, PartialEq, Eq)]
 pub struct Children([NodeId; 2]);
 
@@ -299,8 +298,10 @@ impl Hash for OpRef {
 #[derive(Debug, Clone, PartialEq)]
 pub struct PhysicalNode {
     /// Operator, shared: the candidates of one `Planner::enumerate`
-    /// call hold one allocation per distinct operator, and a cloned plan
-    /// bumps counts. `Hash`, `Debug` and `==` are the operator's own.
+    /// call hold one allocation per distinct operator, and every plan
+    /// one engine builds one per distinct scan-free operator (up to the
+    /// planner's `OP_TABLE_ENTRIES`); a cloned plan bumps counts.
+    /// `Hash`, `Debug` and `==` are the operator's own.
     pub op: OpRef,
     /// Child node ids (all smaller than this node's id).
     pub children: Children,
@@ -553,29 +554,13 @@ impl PhysicalPlan {
         }
     }
 
-    /// A canonical fingerprint for plan deduplication: every node's
-    /// statement and child list — not the estimates, and (a scan renders
-    /// its table) not the aliases. One `String` for the whole plan.
-    pub fn fingerprint(&self) -> String {
-        let mut s = String::with_capacity(64 * self.nodes.len());
-        for (i, n) in self.nodes.iter().enumerate() {
-            // Writing into a `String` cannot fail.
-            let _ = write!(s, "{i}:");
-            let _ = self.write_statement(i, &mut s);
-            let _ = write!(s, "{:?};", n.children);
-        }
-        s
-    }
-
     /// A 64-bit hash of everything `==` compares: every node's
     /// operator with its columns, predicate trees and literals, its
     /// child edges and its `est_rows` / `est_bytes` (floats by bit
     /// pattern). Equal plans hash equal, a zero's sign aside; the walk
     /// allocates nothing and renders no text, so it is cheap enough to
-    /// key a per-request cache — unlike [`Self::fingerprint`], which
-    /// builds every statement string and ignores the estimates. Stable
-    /// within a process only. A hash match is a hint, not a proof:
-    /// confirm with `==`.
+    /// key a per-request cache. Stable within a process only. A hash
+    /// match is a hint, not a proof: confirm with `==`.
     pub fn structural_hash(&self) -> u64 {
         let mut h = WordHasher(0);
         h.write_usize(self.nodes.len());
@@ -1103,13 +1088,5 @@ mod tests {
         p.shrink_to_fit();
         assert_eq!(p, before);
         assert_eq!(p.nodes.capacity(), p.len());
-    }
-
-    #[test]
-    fn fingerprints_distinguish_plans() {
-        let a = two_node_plan();
-        let mut b = two_node_plan();
-        b.add(PhysicalOp::ExchangeSingle, vec![1], 1.0, 8.0);
-        assert_ne!(a.fingerprint(), b.fingerprint());
     }
 }

@@ -10,9 +10,14 @@
 //! The rule that keeps enumeration at the price of what it returns:
 //! everything that depends only on (spec, binding) is derived once per
 //! `enumerate` (the `Scan` table); a candidate is built only if it can
-//! still be returned. Its candidates share their operators: each call
-//! interns every operator it adds (the `Ops` table), so a scan or an
-//! exchange that several candidates contain is one allocation, and a
+//! still be returned, and kept only if no earlier one has the same
+//! operators under the same child lists. Candidates share their
+//! operators: each call interns every operator it adds (the `Ops`
+//! table), and every *scan-free* operator — all but a `FileScan`,
+//! `Filter` or `Limit`, the only ones that carry a literal or a query's
+//! own column set — once more through the [`OpTable`] the planner
+//! borrows from its engine, so every plan one engine builds holds one
+//! allocation per distinct exchange, sort, join and aggregate. A
 //! returned candidate's node array holds no spare capacity.
 
 use crate::catalog::Catalog;
@@ -23,7 +28,9 @@ use crate::plan::spec::{Binding, QuerySpec};
 use crate::schema::ColumnRef;
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
+use std::fmt;
 use std::hash::BuildHasherDefault;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Join strategy choice for one join.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -76,34 +83,52 @@ impl PlannerOptions {
 pub struct Planner<'a> {
     catalog: &'a Catalog,
     opts: PlannerOptions,
+    /// The engine's operator table ([`Self::with_table`]); `None` for a
+    /// planner built alone, which interns through `own` instead.
+    engine_ops: Option<&'a OpTable>,
+    own: OpTable,
 }
 
 impl<'a> Planner<'a> {
-    /// Creates a planner over a catalog.
+    /// Creates a planner over a catalog, with an operator table of its
+    /// own.
     pub fn new(catalog: &'a Catalog, opts: PlannerOptions) -> Self {
-        Self { catalog, opts }
+        Self {
+            catalog,
+            opts,
+            engine_ops: None,
+            own: OpTable::default(),
+        }
+    }
+
+    /// Creates a planner over a catalog that interns its scan-free
+    /// operators through `table` (an [`Engine`](crate::Engine)'s).
+    pub fn with_table(catalog: &'a Catalog, opts: PlannerOptions, table: &'a OpTable) -> Self {
+        Self {
+            engine_ops: Some(table),
+            ..Self::new(catalog, opts)
+        }
     }
 
     /// Enumerates up to `max_plans` distinct physical plans, default first.
     pub fn enumerate(&self, spec: &QuerySpec) -> Vec<PhysicalPlan> {
         let scans: Vec<Scan> = spec.bindings.iter().map(|b| self.scan(spec, b)).collect();
         let mut plans = Vec::new();
-        let mut seen = Vec::new();
         let mut ops = Ops::default();
+        let table = self.engine_ops.unwrap_or(&self.own);
         // A candidate is built only while one more can be returned, and kept
-        // unless an earlier one renders the same statements and child lists.
-        let mut offer = |plans: &mut Vec<_>, build: &dyn Fn(&mut Build<'_>) -> Option<()>| {
+        // unless an earlier one has the same operators and child lists.
+        let mut offer = |plans: &mut Vec<PhysicalPlan>,
+                         build: &dyn Fn(&mut Build<'_>) -> Option<()>| {
             if plans.len() >= self.opts.max_plans {
                 return;
             }
-            let mut draft = Build { ops: &mut ops, plan: PhysicalPlan::new() };
+            let mut draft = Build { ops: &mut ops, table, plan: PhysicalPlan::new() };
             if build(&mut draft).is_none() {
                 return;
             }
             let mut plan = draft.plan;
-            let print = plan.fingerprint();
-            if !seen.contains(&print) {
-                seen.push(print);
+            if !plans.iter().any(|kept| same_structure(kept, &plan)) {
                 plan.shrink_to_fit();
                 plans.push(plan);
             }
@@ -597,34 +622,131 @@ impl<'a> Planner<'a> {
     }
 }
 
+/// Whether two candidates are one plan to the cost model: node by node
+/// the same operator (most are one allocation, so the pointer test
+/// settles them) under the same child list, the estimates aside.
+fn same_structure(a: &PhysicalPlan, b: &PhysicalPlan) -> bool {
+    a.len() == b.len()
+        && a.nodes()
+            .iter()
+            .zip(b.nodes())
+            .all(|(x, y)| (OpRef::ptr_eq(&x.op, &y.op) || x.op == y.op) && x.children == y.children)
+}
+
+/// Whether `op` is interned per call only: a scan, a filter and a limit
+/// carry a literal or a query's own column set, so they seldom recur
+/// across queries. Every other kind goes to the engine's [`OpTable`].
+fn per_query(op: &PhysicalOp) -> bool {
+    match op {
+        PhysicalOp::FileScan { .. } | PhysicalOp::Filter { .. } | PhysicalOp::Limit { .. } => true,
+        PhysicalOp::Project { .. }
+        | PhysicalOp::ExchangeHash { .. }
+        | PhysicalOp::ExchangeSingle
+        | PhysicalOp::BroadcastExchange
+        | PhysicalOp::Sort { .. }
+        | PhysicalOp::SortMergeJoin { .. }
+        | PhysicalOp::BroadcastHashJoin { .. }
+        | PhysicalOp::ShuffledHashJoin { .. }
+        | PhysicalOp::HashAggregate { .. } => false,
+    }
+}
+
+/// Operators an [`OpTable`] holds at most (the operator-row cache's
+/// size). A column's qualifier is the query's alias, so a stream of
+/// fresh aliases makes fresh operators; past the cap they are interned
+/// per call only. The benchmark's 3 000-query pool needs about 200.
+pub const OP_TABLE_ENTRIES: usize = 4096;
+
+type OpMap = HashMap<u64, OpRef, BuildHasherDefault<WordHasher>>;
+
+/// One engine's scan-free operators, shared by every plan it builds:
+/// one allocation per distinct operator, keyed by the [`OpRef::key`] it
+/// carries. A key hit is confirmed by `==`; an operator whose key
+/// another holds, or that finds the table full, is simply not shared.
+/// The map outlives the call, so the query stream chooses its keys, but
+/// the cap bounds it: colliding keys can slow a lookup to a scan of
+/// [`OP_TABLE_ENTRIES`] words, and a flood of fresh operators can only
+/// fill the table, after which planning interns per call as a planner
+/// built alone does — so the map needs no flood-resistant hasher. Every
+/// `enumerate` looks in its own call's table first, so it takes the
+/// lock at most once per distinct operator.
+#[derive(Default)]
+pub struct OpTable(Mutex<OpMap>);
+
+impl OpTable {
+    /// The map, locked. Nothing panics under the lock between two
+    /// consistent states, so a poisoned lock is taken over.
+    fn lock(&self) -> MutexGuard<'_, OpMap> {
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Operators held.
+    pub fn len(&self) -> usize {
+        self.lock().len()
+    }
+
+    /// True until an operator is held.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The table's allocation of `op`, whose key is `key`: the one an
+    /// earlier `==` operator got, a new one it keeps while below the cap,
+    /// or a new one it does not keep.
+    fn intern(&self, key: u64, op: PhysicalOp) -> OpRef {
+        let mut held = self.lock();
+        let room = held.len() < OP_TABLE_ENTRIES;
+        match held.entry(key) {
+            Entry::Occupied(shared) if **shared.get() == op => shared.get().clone(),
+            Entry::Vacant(slot) if room => slot.insert(OpRef::with_key(key, op)).clone(),
+            _ => OpRef::with_key(key, op),
+        }
+    }
+}
+
+impl fmt::Debug for OpTable {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("OpTable").field("len", &self.len()).finish()
+    }
+}
+
 /// One `enumerate` call's operator table: every distinct operator its
 /// candidates hold, keyed by the `WordHasher` walk `structural_hash`
 /// makes of it — the key each [`OpRef`] then carries. A hash hit is
 /// confirmed by `==`; an operator whose hash another holds is simply
 /// not shared. It holds at most the call's own nodes, so keys a query
-/// could make collide slow that call only, and the map needs no
-/// flood-resistant hasher.
+/// could make collide slow that call only. A scan-free operator it
+/// meets first is looked up in the engine's [`OpTable`].
 #[derive(Default)]
-struct Ops(HashMap<u64, OpRef, BuildHasherDefault<WordHasher>>);
+struct Ops(OpMap);
 
 impl Ops {
     /// The call's allocation of `op`: the one an earlier `==` operator
-    /// got (`op` is dropped), or a new one. The operator is walked once,
-    /// before anything is allocated.
-    fn intern(&mut self, op: PhysicalOp) -> OpRef {
+    /// got (`op` is dropped), or — met first — `table`'s, or a new one
+    /// for an operator [`per_query`]. The operator is walked once, before
+    /// anything is allocated.
+    fn intern(&mut self, op: PhysicalOp, table: &OpTable) -> OpRef {
         let key = OpRef::key_of(&op);
         match self.0.entry(key) {
             Entry::Occupied(held) if **held.get() == op => held.get().clone(),
             Entry::Occupied(_) => OpRef::with_key(key, op),
-            Entry::Vacant(slot) => slot.insert(OpRef::with_key(key, op)).clone(),
+            Entry::Vacant(slot) => slot
+                .insert(if per_query(&op) {
+                    OpRef::with_key(key, op)
+                } else {
+                    table.intern(key, op)
+                })
+                .clone(),
         }
     }
 }
 
 /// A candidate under construction: its plan, and the call's operator
-/// table every node it adds is interned through.
+/// table every node it adds is interned through (and the engine's,
+/// behind it).
 struct Build<'a> {
     ops: &'a mut Ops,
+    table: &'a OpTable,
     plan: PhysicalPlan,
 }
 
@@ -636,7 +758,7 @@ impl Build<'_> {
         rows: f64,
         bytes: f64,
     ) -> NodeId {
-        let op = self.ops.intern(op);
+        let op = self.ops.intern(op, self.table);
         self.plan.add(op, children, rows, bytes)
     }
 }
@@ -773,6 +895,36 @@ mod tests {
         let q = parse(sql).unwrap();
         let spec = resolve(&q, &cat).unwrap();
         Planner::new(&cat, PlannerOptions::default()).enumerate(&spec)
+    }
+
+    /// A panic while the table's lock is held poisons it; planning
+    /// through the table takes the lock over and interns as before.
+    #[test]
+    fn a_poisoned_table_still_interns() {
+        let cat = catalog();
+        let spec =
+            resolve(&parse("SELECT COUNT(*) FROM title t GROUP BY t.kind_id").unwrap(), &cat)
+                .unwrap();
+        let table = OpTable::default();
+        let planner = Planner::with_table(&cat, PlannerOptions::default(), &table);
+        let before = planner.enumerate(&spec);
+        let held = table.len();
+        let poison = std::panic::catch_unwind(|| {
+            let _guard = table.0.lock();
+            panic!("poisons the lock");
+        });
+        assert!(poison.is_err() && table.0.is_poisoned());
+        let after = planner.enumerate(&spec);
+        assert_eq!(after, before);
+        assert_eq!(table.len(), held);
+        let shared = |p: &PhysicalPlan, q: &PhysicalPlan| {
+            p.nodes()
+                .iter()
+                .zip(q.nodes())
+                .filter(|(a, b)| OpRef::ptr_eq(&a.op, &b.op))
+                .count()
+        };
+        assert!(shared(&before[0], &after[0]) >= 3, "the table's operators were not reused");
     }
 
     #[test]

@@ -1,14 +1,17 @@
 //! The planner's candidate lists, the executor's output and the
 //! simulator's reports, pinned without a golden file: the early exit at
 //! `max_plans` returns exactly the prefix a far larger budget returns,
-//! every list is pairwise distinct under the rendered fingerprint, and
-//! three folds — over every candidate's text and estimates, over its
-//! executed batch and metrics, and over every field of its simulated
-//! reports — equal the constants recorded before refactors.
+//! de-duplicating by structure returns the lists de-duplicating by
+//! rendered text returned, an engine's shared operator table changes no
+//! candidate, and three folds — over every candidate's text and
+//! estimates, over its executed batch and metrics, and over every field
+//! of its simulated reports — equal the constants recorded before
+//! refactors.
 
 use sparksim::plan::planner::{Planner, PlannerOptions};
 use sparksim::types::Value;
-use sparksim::{ClusterConfig, Engine, ResourceGrid, SimulatorConfig};
+use sparksim::{ClusterConfig, Engine, PhysicalPlan, ResourceGrid, SimulatorConfig};
+use std::fmt::Write as _;
 use workloads::imdb::{generate, ImdbConfig};
 use workloads::querygen::{generate_queries, QueryGenConfig};
 
@@ -29,6 +32,11 @@ const SIM_FOLD: u64 = 0x93a4_37d5_189f_62e4;
 /// per-row loops stopped looking columns up by name.
 const EXEC_FOLD: u64 = 0xb7e0_2394_6863_c979;
 const QUERIES: usize = 640;
+/// FNV-1a fold of every candidate's `explain()` text and estimate bits
+/// under a budget of 64, over [`QUERIES`] generated queries and three
+/// self-joins — recorded at commit `a27fd59`, while the planner still
+/// de-duplicated candidates by rendered text.
+const ALL_FOLD: u64 = 0x23b1_dec1_5a54_5ac1;
 
 fn fnv(hash: &mut u64, bytes: &[u8]) {
     for &b in bytes {
@@ -66,11 +74,6 @@ fn early_exit_returns_the_prefix_and_the_same_plans_as_before() {
         assert_eq!(plans.len(), all.len().min(5), "{sql}");
         assert!(plans[..] == all[..plans.len()], "{sql}: not the prefix of the larger budget");
         truncated += usize::from(all.len() > 5);
-
-        let prints: Vec<String> = all.iter().map(|p| p.fingerprint()).collect();
-        for (i, a) in prints.iter().enumerate() {
-            assert!(!prints[..i].contains(a), "{sql}: candidate {i} repeats an earlier one");
-        }
         for plan in &plans {
             fnv(&mut fold, plan.explain().as_bytes());
             for node in plan.nodes() {
@@ -85,6 +88,102 @@ fn early_exit_returns_the_prefix_and_the_same_plans_as_before() {
         fold, CANDIDATE_FOLD,
         "{candidates} candidates fold to {fold:#018x}: the planner's output changed"
     );
+}
+
+/// The planner's de-duplication key before it compared structure: every
+/// node's statement and child list, not the estimates, and (a scan
+/// renders its table) not the aliases.
+fn text_fingerprint(plan: &PhysicalPlan) -> String {
+    let mut s = String::new();
+    for (i, n) in plan.nodes().iter().enumerate() {
+        write!(s, "{i}:{}{:?};", plan.statement(i), n.children).unwrap();
+    }
+    s
+}
+
+/// The candidates an enumeration that kept a candidate unless an earlier
+/// one had its [`text_fingerprint`] returned under `budget`, given every
+/// structurally distinct candidate in offer order (`all`). Equal
+/// structure renders equal text, so de-duplicating `all` by text is
+/// de-duplicating the offered candidates by text.
+fn by_text(all: &[PhysicalPlan], budget: usize) -> Vec<PhysicalPlan> {
+    let mut seen = Vec::new();
+    let mut kept = Vec::new();
+    for plan in all {
+        let print = text_fingerprint(plan);
+        if kept.len() < budget && !seen.contains(&print) {
+            seen.push(print);
+            kept.push(plan.clone());
+        }
+    }
+    kept
+}
+
+/// De-duplicating candidates by operators and child lists returns the
+/// lists de-duplicating them by rendered text did, over the pinned
+/// queries and self-joins (one table under two aliases, which a scan's
+/// text does not tell apart): under a budget of 64 the lists fold to the
+/// constant text de-duplication gave, so no two offered candidates of
+/// different text were merged, and no two kept ones render alike.
+#[test]
+fn structural_dedup_returns_the_lists_text_dedup_returned() {
+    let (engine, mut queries) = engine_and_queries();
+    queries.extend([
+        "SELECT COUNT(*) FROM title t1, title t2 WHERE t1.id = t2.id".to_string(),
+        "SELECT COUNT(*) FROM title t1, title t2, movie_companies mc \
+         WHERE t1.id = mc.movie_id AND t2.id = mc.movie_id AND t1.kind_id < 3"
+            .to_string(),
+        "SELECT COUNT(*) FROM movie_companies a, movie_companies b \
+         WHERE a.movie_id = b.movie_id AND b.company_id < 20"
+            .to_string(),
+    ]);
+    let opts = |max_plans| PlannerOptions { max_plans, ..engine.planner_options().clone() };
+    let mut candidates = 0usize;
+    let mut fold = 0xcbf2_9ce4_8422_2325u64;
+    for sql in &queries {
+        let spec = engine.spec(sql).unwrap_or_else(|e| panic!("{sql}: {e}"));
+        // Far more than any query offers: every distinct candidate.
+        let all = Planner::new(engine.catalog(), opts(64)).enumerate(&spec);
+        for plan in &all {
+            fnv(&mut fold, plan.explain().as_bytes());
+            for node in plan.nodes() {
+                fnv(&mut fold, &node.est_rows.to_bits().to_le_bytes());
+                fnv(&mut fold, &node.est_bytes.to_bits().to_le_bytes());
+            }
+        }
+        for budget in [5, 64] {
+            let plans = Planner::new(engine.catalog(), opts(budget)).enumerate(&spec);
+            assert!(plans == by_text(&all, budget), "{sql}: budget {budget}");
+            candidates += plans.len();
+        }
+    }
+    assert!(candidates >= 5000, "only {candidates} candidates compared");
+    assert_eq!(fold, ALL_FOLD, "the budget-64 lists fold to {fold:#018x}");
+}
+
+/// An engine's planned candidates are the ones a planner built alone
+/// returns; planning the same queries again adds nothing to the
+/// engine's operator table, which holds far fewer operators than the
+/// candidates have nodes.
+#[test]
+fn an_engines_operator_table_changes_no_candidate_and_stops_growing() {
+    let (engine, queries) = engine_and_queries();
+    let opts = engine.planner_options().clone();
+    let mut nodes = 0usize;
+    for sql in &queries {
+        let spec = engine.spec(sql).unwrap_or_else(|e| panic!("{sql}: {e}"));
+        let alone = Planner::new(engine.catalog(), opts.clone()).enumerate(&spec);
+        let planned = engine.plan_candidates(sql).unwrap_or_else(|e| panic!("{sql}: {e}"));
+        assert!(planned == alone, "{sql}");
+        nodes += planned.iter().map(PhysicalPlan::len).sum::<usize>();
+    }
+    let held = engine.op_table().len();
+    println!("{nodes} nodes, {held} shared operators");
+    assert!(held > 0 && held * 20 < nodes, "{held} shared operators for {nodes} nodes");
+    for sql in &queries {
+        engine.plan_candidates(sql).unwrap_or_else(|e| panic!("{sql}: {e}"));
+    }
+    assert_eq!(engine.op_table().len(), held, "a second pass grew the table");
 }
 
 #[test]
