@@ -16,38 +16,34 @@ use sparksim::resource::ResourceConfig;
 
 const MB: f64 = 1024.0 * 1024.0;
 
-/// Calibration constants of the analytical model (the "significant
-/// person-hours of engineering" the paper mentions — these are the knobs a
-/// human would tune per cluster).
+/// The analytical model's one per-deployment setting.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct GpsjParams {
     /// Multiplier applied to estimated bytes/rows to reach the deployed
     /// data scale (same role as the simulator's `data_scale`).
     pub data_scale: f64,
-    /// Assumed per-row CPU cost, ns.
-    pub cpu_ns_per_row: f64,
-    /// Assumed sort constant, ns per row·log2(rows).
-    pub sort_ns_per_row: f64,
-    /// Fraction of scan bytes served from OS caches (fixed guess).
-    pub cache_factor: f64,
-    /// Fixed per-stage overhead, seconds.
-    pub stage_overhead_s: f64,
-    /// Fixed per-query overhead, seconds.
-    pub query_overhead_s: f64,
 }
 
 impl Default for GpsjParams {
     fn default() -> Self {
-        Self {
-            data_scale: 1.0,
-            cpu_ns_per_row: 120.0,
-            sort_ns_per_row: 14.0,
-            cache_factor: 0.3,
-            stage_overhead_s: 0.2,
-            query_overhead_s: 0.5,
-        }
+        Self { data_scale: 1.0 }
     }
 }
+
+// Calibration constants of the analytical model (the "significant
+// person-hours of engineering" the paper mentions — the knobs a human
+// would tune per cluster).
+
+/// Assumed per-row CPU cost, ns.
+const CPU_NS_PER_ROW: f64 = 120.0;
+/// Assumed sort constant, ns per row·log2(rows).
+const SORT_NS_PER_ROW: f64 = 14.0;
+/// Fraction of scan bytes served from OS caches (fixed guess).
+const CACHE_FACTOR: f64 = 0.3;
+/// Fixed per-stage overhead, seconds.
+const STAGE_OVERHEAD_S: f64 = 0.2;
+/// Fixed per-query overhead, seconds.
+const QUERY_OVERHEAD_S: f64 = 0.5;
 
 /// The GPSJ analytical cost model.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -64,7 +60,6 @@ impl GpsjModel {
     /// Estimates a plan's execution time in seconds from optimizer
     /// estimates and the resource configuration.
     pub fn estimate_seconds(&self, plan: &PhysicalPlan, res: &ResourceConfig) -> f64 {
-        let p = &self.params;
         let slots = res.total_slots().max(1) as f64;
         let disk = res.disk_throughput_mbps * MB;
         let net = res.network_throughput_mbps * MB;
@@ -77,8 +72,8 @@ impl GpsjModel {
         let mut stages = 1usize;
 
         for node in plan.nodes() {
-            let rows = node.est_rows * p.data_scale;
-            let bytes = node.est_bytes * p.data_scale;
+            let rows = node.est_rows * self.params.data_scale;
+            let bytes = node.est_bytes * self.params.data_scale;
             match &*node.op {
                 PhysicalOp::FileScan { .. } => {
                     cpu_rows += rows;
@@ -94,7 +89,7 @@ impl GpsjModel {
                     stages += 1;
                 }
                 PhysicalOp::Sort { .. } => {
-                    sort_cost_ns += rows * (rows.max(2.0)).log2() * p.sort_ns_per_row;
+                    sort_cost_ns += rows * (rows.max(2.0)).log2() * SORT_NS_PER_ROW;
                 }
                 PhysicalOp::SortMergeJoin { .. }
                 | PhysicalOp::BroadcastHashJoin { .. }
@@ -106,13 +101,13 @@ impl GpsjModel {
             }
         }
 
-        let cpu_s = (cpu_rows * p.cpu_ns_per_row + sort_cost_ns) * 1e-9 / slots;
-        let read_s = scan_bytes * (1.0 - p.cache_factor) / (disk * slots.min(8.0));
+        let cpu_s = (cpu_rows * CPU_NS_PER_ROW + sort_cost_ns) * 1e-9 / slots;
+        let read_s = scan_bytes * (1.0 - CACHE_FACTOR) / (disk * slots.min(8.0));
         // Shuffle data crosses the wire twice (write + read).
         let shuffle_s = 2.0 * shuffle_bytes / (net * slots.min(8.0));
         let broadcast_s = broadcast_bytes * res.executors.max(1) as f64 / net;
-        p.query_overhead_s
-            + stages as f64 * p.stage_overhead_s
+        QUERY_OVERHEAD_S
+            + stages as f64 * STAGE_OVERHEAD_S
             + cpu_s
             + read_s
             + shuffle_s
@@ -220,7 +215,7 @@ mod tests {
 
     #[test]
     fn data_scale_scales_cost() {
-        let params = GpsjParams { data_scale: 10.0, ..GpsjParams::default() };
+        let params = GpsjParams { data_scale: 10.0 };
         let scaled = GpsjModel::new(params).estimate_seconds(&scan_agg_plan(1e7), &res(2, 2));
         let base =
             GpsjModel::new(GpsjParams::default()).estimate_seconds(&scan_agg_plan(1e7), &res(2, 2));

@@ -28,7 +28,7 @@ fn bench_encoding(c: &mut Criterion) {
     let statement = plan.statement(0);
     let corpus = plan_sentences(&plan);
     let encoder = PlanEncoder::new(
-        train_word2vec(&corpus, &W2vConfig { dim: 32, epochs: 1, ..Default::default() }),
+        train_word2vec(&corpus, &W2vConfig { dim: 32, epochs: 1 }),
         EncoderConfig::default(),
     );
 
@@ -39,11 +39,7 @@ fn bench_encoding(c: &mut Criterion) {
     group.bench_function("word2vec_train_small", |b| {
         b.iter(|| {
             black_box(
-                train_word2vec(
-                    black_box(&corpus),
-                    &W2vConfig { dim: 16, epochs: 1, ..Default::default() },
-                )
-                .vocab_size(),
+                train_word2vec(black_box(&corpus), &W2vConfig { dim: 16, epochs: 1 }).vocab_size(),
             )
         })
     });

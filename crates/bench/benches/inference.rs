@@ -38,10 +38,7 @@ fn setup() -> Setup {
     let plan = plans[0].clone();
     let corpus = encoding::tokenizer::plan_sentences(&plan);
     let encoder = encoding::PlanEncoder::new(
-        encoding::train_word2vec(
-            &corpus,
-            &encoding::W2vConfig { dim: 32, epochs: 1, ..Default::default() },
-        ),
+        encoding::train_word2vec(&corpus, &encoding::W2vConfig { dim: 32, epochs: 1 }),
         encoding::EncoderConfig::default(),
     );
     let encoded = encoder.encode(&plan);
@@ -50,7 +47,7 @@ fn setup() -> Setup {
     Setup {
         raal: CostModel::new(ModelConfig::raal(encoder.node_dim())),
         tlstm: TlstmModel::new(TlstmConfig::new(encoder.node_dim())),
-        gpsj: GpsjModel::new(GpsjParams { data_scale: scale, ..GpsjParams::default() }),
+        gpsj: GpsjModel::new(GpsjParams { data_scale: scale }),
         plan,
         encoded,
         features,

@@ -109,7 +109,7 @@ fn main() {
     // The queries `collect` ran: same generator, same seed.
     let queries = workloads::querygen::generate_queries(
         &bench.graph,
-        &collected.querygen,
+        &workloads::querygen::QueryGenConfig::default(),
         collected.num_queries,
         &mut <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(collected.seed),
     );

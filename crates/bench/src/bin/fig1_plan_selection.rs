@@ -42,12 +42,7 @@ fn main() {
 
     // 20 fresh queries (different seed stream than training).
     let mut rng = StdRng::seed_from_u64(opts.seed ^ 0xF161);
-    let queries = generate_queries(
-        &bench.graph,
-        &QueryGenConfig { max_joins: 3, ..QueryGenConfig::default() },
-        20,
-        &mut rng,
-    );
+    let queries = generate_queries(&bench.graph, &QueryGenConfig { max_joins: 3 }, 20, &mut rng);
     let res = ResourceConfig::default_for(bench.engine.simulator().cluster());
 
     println!(

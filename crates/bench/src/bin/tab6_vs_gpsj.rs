@@ -35,7 +35,6 @@ fn main() {
     // GPSJ: analytical, evaluated on every observation.
     let gpsj = GpsjModel::new(GpsjParams {
         data_scale: bench.engine.simulator().config().data_scale,
-        ..GpsjParams::default()
     });
     let mut gpsj_set = EvalSet::new();
     for run in &pipeline.collection.plan_runs {

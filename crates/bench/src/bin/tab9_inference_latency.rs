@@ -34,7 +34,6 @@ fn main() {
     train_tlstm(&mut tlstm, &train_subset, &tcfg);
     let gpsj = GpsjModel::new(GpsjParams {
         data_scale: bench.engine.simulator().config().data_scale,
-        ..GpsjParams::default()
     });
 
     // 100 query plans with their resources.

@@ -18,7 +18,6 @@ use sparksim::plan::planner::PlannerOptions;
 use sparksim::{ClusterConfig, Engine, SimulatorConfig};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
-use workloads::querygen::QueryGenConfig;
 use workloads::FkGraph;
 
 /// Command-line options shared by every harness.
@@ -152,7 +151,6 @@ pub fn collection_config(workload: Workload, full: bool, seed: u64) -> Collectio
         num_queries,
         resource_states_per_plan: 3,
         runs_per_observation: 3,
-        querygen: QueryGenConfig::default(),
         grid: sparksim::ResourceGrid::default(),
         seed,
         threads: 0,
@@ -173,11 +171,7 @@ pub fn train_config(full: bool, seed: u64) -> TrainConfig {
 
 /// Standard word2vec configuration.
 pub fn w2v_config(full: bool) -> W2vConfig {
-    W2vConfig {
-        dim: 32,
-        epochs: if full { 4 } else { 2 },
-        ..W2vConfig::default()
-    }
+    W2vConfig { dim: 32, epochs: if full { 4 } else { 2 } }
 }
 
 /// The standard pipeline: collect → word2vec → encode.

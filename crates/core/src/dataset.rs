@@ -29,8 +29,6 @@ pub struct CollectionConfig {
     pub resource_states_per_plan: usize,
     /// Simulated runs averaged per observation (the paper uses 3).
     pub runs_per_observation: usize,
-    /// Query-generation knobs.
-    pub querygen: QueryGenConfig,
     /// Resource grid to sample from.
     pub grid: ResourceGrid,
     /// Master seed.
@@ -45,7 +43,6 @@ impl Default for CollectionConfig {
             num_queries: 200,
             resource_states_per_plan: 3,
             runs_per_observation: 3,
-            querygen: QueryGenConfig::default(),
             grid: ResourceGrid::default(),
             seed: 0xC0DE,
             threads: 0,
@@ -115,7 +112,7 @@ impl Collection {
 /// Runs the full collection pipeline over a workload.
 pub fn collect(engine: &Engine, graph: &FkGraph, cfg: &CollectionConfig) -> Collection {
     let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let queries = generate_queries(graph, &cfg.querygen, cfg.num_queries, &mut rng);
+    let queries = generate_queries(graph, &QueryGenConfig::default(), cfg.num_queries, &mut rng);
     collect_queries(engine, &queries, cfg)
 }
 
@@ -245,10 +242,8 @@ mod tests {
         };
         let coll = collect(&engine, &graph, &cfg);
         assert!(coll.num_records() > 0);
-        let encoder = coll.build_encoder(
-            &W2vConfig { dim: 8, epochs: 1, ..Default::default() },
-            EncoderConfig::default(),
-        );
+        let encoder =
+            coll.build_encoder(&W2vConfig { dim: 8, epochs: 1 }, EncoderConfig::default());
         let samples = coll.encode(&encoder, &engine);
         assert_eq!(samples.len(), coll.num_records());
         for s in &samples {
@@ -271,10 +266,8 @@ mod tests {
             ..Default::default()
         };
         let coll = collect(&engine, &graph, &cfg);
-        let encoder = coll.build_encoder(
-            &W2vConfig { dim: 8, epochs: 1, ..Default::default() },
-            EncoderConfig::default(),
-        );
+        let encoder =
+            coll.build_encoder(&W2vConfig { dim: 8, epochs: 1 }, EncoderConfig::default());
         let samples = coll.encode(&encoder, &engine);
         let mut at = 0;
         for run in &coll.plan_runs {

@@ -127,7 +127,7 @@ mod tests {
     fn tiny_encoder() -> PlanEncoder {
         let corpus = vec![vec!["filescan".to_string(), "title".to_string()]];
         PlanEncoder::new(
-            train(&corpus, &W2vConfig { dim: 4, epochs: 1, ..Default::default() }),
+            train(&corpus, &W2vConfig { dim: 4, epochs: 1 }),
             EncoderConfig { max_nodes: 8, structure: true },
         )
     }

@@ -137,10 +137,8 @@ mod tests {
             ..Default::default()
         };
         let coll = collect(&engine, &graph, &cfg);
-        let encoder = coll.build_encoder(
-            &W2vConfig { dim: 8, epochs: 1, ..Default::default() },
-            EncoderConfig::default(),
-        );
+        let encoder =
+            coll.build_encoder(&W2vConfig { dim: 8, epochs: 1 }, EncoderConfig::default());
         let samples = coll.encode(&encoder, &engine);
         let mut model = CostModel::new(ModelConfig {
             hidden: 16,

@@ -463,7 +463,7 @@ impl ServiceStats {
 /// // loads a trained checkpoint with `ShardedServing::from_checkpoint`.
 /// let corpus = vec![vec!["filescan".to_string(), "hashaggregate".to_string()]];
 /// let encoder = PlanEncoder::new(
-///     w2v_train(&corpus, &W2vConfig { dim: 4, epochs: 1, ..Default::default() }),
+///     w2v_train(&corpus, &W2vConfig { dim: 4, epochs: 1 }),
 ///     EncoderConfig { max_nodes: 32, structure: true },
 /// );
 /// let model = CostModel::new(ModelConfig {

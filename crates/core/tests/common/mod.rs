@@ -73,7 +73,7 @@ pub fn tiny_bundle() -> ModelBundle {
 pub fn bundle_with_model_input(narrower_by: usize) -> ModelBundle {
     let corpus = vec![vec!["filescan".to_string(), "hashaggregate".to_string()]];
     let encoder = PlanEncoder::new(
-        w2v_train(&corpus, &W2vConfig { dim: 4, epochs: 1, ..Default::default() }),
+        w2v_train(&corpus, &W2vConfig { dim: 4, epochs: 1 }),
         EncoderConfig { max_nodes: 32, structure: true },
     );
     let model = CostModel::new(ModelConfig {

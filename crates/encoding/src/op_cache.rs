@@ -198,7 +198,7 @@ mod tests {
 
     fn encoder() -> PlanEncoder {
         let corpus = crate::tokenizer::plan_sentences(&limits(0..40));
-        let w2v = train(&corpus, &W2vConfig { dim: 8, epochs: 2, ..Default::default() });
+        let w2v = train(&corpus, &W2vConfig { dim: 8, epochs: 2 });
         PlanEncoder::new(w2v, EncoderConfig { max_nodes: 16, structure: true })
     }
 

@@ -440,7 +440,7 @@ mod tests {
 
     fn encoder() -> PlanEncoder {
         let corpus = crate::tokenizer::plan_sentences(&plan());
-        let w2v = train(&corpus, &W2vConfig { dim: 8, epochs: 2, ..Default::default() });
+        let w2v = train(&corpus, &W2vConfig { dim: 8, epochs: 2 });
         PlanEncoder::new(w2v, EncoderConfig { max_nodes: 16, structure: true })
     }
 
@@ -470,7 +470,7 @@ mod tests {
     #[test]
     fn structure_can_be_disabled() {
         let corpus = crate::tokenizer::plan_sentences(&plan());
-        let w2v = train(&corpus, &W2vConfig { dim: 8, epochs: 2, ..Default::default() });
+        let w2v = train(&corpus, &W2vConfig { dim: 8, epochs: 2 });
         let enc = PlanEncoder::new(w2v, EncoderConfig { max_nodes: 16, structure: false });
         assert_eq!(enc.node_dim(), 8 + onehot::DIM + NODE_STAT_FEATURES);
         let e = enc.encode(&plan());

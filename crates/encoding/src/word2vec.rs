@@ -14,33 +14,24 @@ use std::hash::BuildHasherDefault;
 pub struct W2vConfig {
     /// Embedding dimension.
     pub dim: usize,
-    /// Context window radius.
-    pub window: usize,
-    /// Negative samples per positive pair.
-    pub negative: usize,
     /// Training epochs over the corpus.
     pub epochs: usize,
-    /// Initial learning rate (linearly decayed).
-    pub lr: f32,
-    /// Words rarer than this are dropped from the vocabulary.
-    pub min_count: usize,
-    /// RNG seed.
-    pub seed: u64,
 }
 
 impl Default for W2vConfig {
     fn default() -> Self {
-        Self {
-            dim: 32,
-            window: 4,
-            negative: 5,
-            epochs: 4,
-            lr: 0.025,
-            min_count: 1,
-            seed: 42,
-        }
+        Self { dim: 32, epochs: 4 }
     }
 }
+
+/// Context window radius.
+const WINDOW: usize = 4;
+/// Negative samples per positive pair.
+const NEGATIVE: usize = 5;
+/// Initial learning rate (linearly decayed).
+const LR: f32 = 0.025;
+/// RNG seed.
+const SEED: u64 = 42;
 
 /// A trained word-embedding table.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -158,17 +149,16 @@ impl EmbeddingTable {
 pub fn train(corpus: &[Vec<String>], cfg: &W2vConfig) -> Word2Vec {
     let mut span = telemetry::span("encode.word2vec");
     span.record("sentences", corpus.len() as u64);
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
+    let mut rng = StdRng::seed_from_u64(SEED);
 
-    // Vocabulary.
+    // Vocabulary: every word of the corpus.
     let mut counts: HashMap<&str, usize> = HashMap::new();
     for sentence in corpus {
         for w in sentence {
             *counts.entry(w).or_insert(0) += 1;
         }
     }
-    let mut words: Vec<(&str, usize)> =
-        counts.into_iter().filter(|(_, c)| *c >= cfg.min_count).collect();
+    let mut words: Vec<(&str, usize)> = counts.into_iter().collect();
     words.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(b.0)));
     let vocab: HashMap<String, usize> = words
         .iter()
@@ -194,8 +184,8 @@ pub fn train(corpus: &[Vec<String>], cfg: &W2vConfig) -> Word2Vec {
     let mut w_in: Vec<f32> = (0..v * dim).map(|_| rng.gen_range(-bound..bound)).collect();
     let mut w_out = vec![0.0f32; v * dim];
     let mut grad_center = vec![0.0f32; dim];
-    let mut targets = Vec::with_capacity(cfg.negative + 1);
-    let mut dots = Vec::with_capacity(cfg.negative + 1);
+    let mut targets = Vec::with_capacity(NEGATIVE + 1);
+    let mut dots = Vec::with_capacity(NEGATIVE + 1);
 
     // Pre-index the corpus.
     let indexed: Vec<Vec<usize>> = corpus
@@ -210,8 +200,8 @@ pub fn train(corpus: &[Vec<String>], cfg: &W2vConfig) -> Word2Vec {
         for sentence in &indexed {
             for (pos, &center) in sentence.iter().enumerate() {
                 step += 1;
-                let lr = cfg.lr * (1.0 - step as f32 / total_steps as f32).max(0.05);
-                let win = rng.gen_range(1..=cfg.window);
+                let lr = LR * (1.0 - step as f32 / total_steps as f32).max(0.05);
+                let win = rng.gen_range(1..=WINDOW);
                 let lo = pos.saturating_sub(win);
                 let hi = (pos + win).min(sentence.len() - 1);
                 for (ctx_pos, &context) in sentence.iter().enumerate().take(hi + 1).skip(lo) {
@@ -223,7 +213,7 @@ pub fn train(corpus: &[Vec<String>], cfg: &W2vConfig) -> Word2Vec {
                     // is not the context.
                     targets.clear();
                     targets.push(context);
-                    for _ in 0..cfg.negative {
+                    for _ in 0..NEGATIVE {
                         let target = neg_table[rng.gen_range(0..neg_table.len())];
                         if target != context {
                             targets.push(target);
@@ -339,13 +329,12 @@ mod tests {
     /// `train` as it was before the matrices went flat: one `Vec` per
     /// word, a `grad_center` allocated per pair, rows double-indexed.
     fn train_reference(corpus: &[Vec<String>], cfg: &W2vConfig) -> Vec<(String, Vec<f32>)> {
-        let mut rng = StdRng::seed_from_u64(cfg.seed);
+        let mut rng = StdRng::seed_from_u64(SEED);
         let mut counts: HashMap<&str, usize> = HashMap::new();
         for w in corpus.iter().flatten() {
             *counts.entry(w).or_insert(0) += 1;
         }
-        let mut words: Vec<(&str, usize)> =
-            counts.into_iter().filter(|(_, c)| *c >= cfg.min_count).collect();
+        let mut words: Vec<(&str, usize)> = counts.into_iter().collect();
         words.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(b.0)));
         let vocab: HashMap<&str, usize> =
             words.iter().enumerate().map(|(i, (w, _))| (*w, i)).collect();
@@ -370,8 +359,8 @@ mod tests {
             for sentence in &indexed {
                 for (pos, &center) in sentence.iter().enumerate() {
                     step += 1;
-                    let lr = cfg.lr * (1.0 - step as f32 / total_steps as f32).max(0.05);
-                    let win = rng.gen_range(1..=cfg.window);
+                    let lr = LR * (1.0 - step as f32 / total_steps as f32).max(0.05);
+                    let win = rng.gen_range(1..=WINDOW);
                     let lo = pos.saturating_sub(win);
                     let hi = (pos + win).min(sentence.len() - 1);
                     for (ctx_pos, &context) in sentence.iter().enumerate().take(hi + 1).skip(lo) {
@@ -379,7 +368,7 @@ mod tests {
                             continue;
                         }
                         let mut grad_center = vec![0.0f32; cfg.dim];
-                        for k in 0..=cfg.negative {
+                        for k in 0..=NEGATIVE {
                             let (target, label) = if k == 0 {
                                 (context, 1.0f32)
                             } else {
@@ -433,8 +422,8 @@ mod tests {
     fn flat_training_is_bit_equal_to_the_nested_reference() {
         for (name, corpus) in [("cat/dog", corpus()), ("plans", plan_corpus())] {
             assert!(corpus.len() >= 500, "{name}: only {} sentences", corpus.len());
-            for (dim, negative) in [(8, 0), (8, 5), (32, 0), (32, 5)] {
-                let cfg = W2vConfig { dim, negative, epochs: 2, ..Default::default() };
+            for dim in [8, 32] {
+                let cfg = W2vConfig { dim, epochs: 2 };
                 let model = train(&corpus, &cfg);
                 let want = train_reference(&corpus, &cfg);
                 assert_eq!(model.vocab_size(), want.len(), "{name}");
@@ -442,16 +431,42 @@ mod tests {
                     let got = model.vector(word).unwrap();
                     assert!(
                         got.iter().map(|x| x.to_bits()).eq(vector.iter().map(|x| x.to_bits())),
-                        "{name} dim {dim} negative {negative}: '{word}' differs"
+                        "{name} dim {dim}: '{word}' differs"
                     );
                 }
             }
         }
     }
 
+    /// FNV-1a fold of every word and its vector's bits, in word order,
+    /// of the default-configured table trained on [`plan_corpus`] —
+    /// recorded at commit `e9c810f`, while the window, negatives,
+    /// learning rate, count floor and seed were still `W2vConfig` fields.
+    const PLAN_TABLE_FOLD: u64 = 0x4b84_d9cd_d82a_c297;
+
+    #[test]
+    fn plan_table_is_the_same_bits_as_before() {
+        let model = train(&plan_corpus(), &W2vConfig::default());
+        let mut words: Vec<&String> = model.vocab.keys().collect();
+        words.sort();
+        let mut fold = 0xcbf2_9ce4_8422_2325u64;
+        let mut eat = |bytes: &[u8]| {
+            for &b in bytes {
+                fold = (fold ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        };
+        for word in &words {
+            eat(word.as_bytes());
+            for x in model.vector(word).unwrap() {
+                eat(&x.to_bits().to_le_bytes());
+            }
+        }
+        assert_eq!(fold, PLAN_TABLE_FOLD, "{} words fold to {fold:#018x}", words.len());
+    }
+
     #[test]
     fn similar_contexts_give_similar_vectors() {
-        let model = train(&corpus(), &W2vConfig { dim: 16, epochs: 6, ..Default::default() });
+        let model = train(&corpus(), &W2vConfig { dim: 16, epochs: 6 });
         let cat_dog = model.similarity("cat", "dog").unwrap();
         let cat_stone = model.similarity("cat", "stone").unwrap();
         assert!(cat_dog > cat_stone, "cat~dog ({cat_dog}) must beat cat~stone ({cat_stone})");
@@ -487,17 +502,6 @@ mod tests {
         let model = train(&[], &W2vConfig::default());
         assert_eq!(model.vocab_size(), 0);
         assert!(model.embed_mean(&["x".to_string()]).iter().all(|&v| v == 0.0));
-    }
-
-    #[test]
-    fn min_count_prunes_rare_words() {
-        let corpus = vec![
-            vec!["common".to_string(), "common".to_string(), "rare".to_string()],
-            vec!["common".to_string()],
-        ];
-        let model = train(&corpus, &W2vConfig { min_count: 2, ..Default::default() });
-        assert!(model.vector("common").is_some());
-        assert!(model.vector("rare").is_none());
     }
 
     #[test]

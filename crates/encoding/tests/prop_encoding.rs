@@ -221,9 +221,7 @@ proptest! {
     ) {
         let model = train(&sentences, &W2vConfig {
             dim,
-            epochs: 1,
-            ..W2vConfig::default()
-        });
+            epochs: 1 });
         for sentence in &sentences {
             for word in sentence {
                 let v = model.vector(word).expect("trained word in vocab");
@@ -244,7 +242,7 @@ proptest! {
             2..8,
         ),
     ) {
-        let model = train(&sentences, &W2vConfig { dim: 8, epochs: 1, ..Default::default() });
+        let model = train(&sentences, &W2vConfig { dim: 8, epochs: 1 });
         let words: Vec<&String> = sentences.iter().flatten().collect();
         let (a, b) = (words[0], words[words.len() - 1]);
         let ab = model.similarity(a, b).unwrap();

@@ -41,11 +41,6 @@ impl Catalog {
         self.stats.get(name)
     }
 
-    /// Names of all registered tables (unordered).
-    pub fn table_names(&self) -> impl Iterator<Item = &str> {
-        self.tables.keys().map(Name::as_str)
-    }
-
     /// Number of registered tables.
     pub fn len(&self) -> usize {
         self.tables.len()

@@ -139,56 +139,6 @@ impl Engine {
         result
     }
 
-    /// `EXPLAIN`-style rendering of every candidate plan for a query.
-    pub fn explain_sql(&self, sql: &str) -> Result<String, EngineError> {
-        let plans = self.plan_candidates(sql)?;
-        let mut out = String::new();
-        for (i, p) in plans.iter().enumerate() {
-            out.push_str(&format!("-- plan {i} --\n"));
-            out.push_str(&p.explain());
-        }
-        Ok(out)
-    }
-
-    /// `EXPLAIN ANALYZE`-style rendering of a plan: executes it for true
-    /// cardinalities, simulates it under `resources`, and annotates each
-    /// node with estimated vs. actual rows plus the per-stage times.
-    pub fn explain_analyze(
-        &self,
-        plan: &PhysicalPlan,
-        resources: &ResourceConfig,
-        seed: u64,
-    ) -> Result<String, EngineError> {
-        let result = self.execute_plan(plan)?;
-        let report = self.simulator.simulate_report(plan, &result.metrics, resources, seed);
-        let mut out = String::new();
-        for id in (0..plan.len()).rev() {
-            let node = plan.node(id);
-            out.push_str(&format!(
-                "[{id:>2}] {:<70} est_rows={:<12.0} actual_rows={:<12.0}
-",
-                plan.statement(id),
-                node.est_rows,
-                result.metrics[id].rows_out
-            ));
-        }
-        out.push_str(&format!(
-            "simulated: {:.2}s over {} stages {:?}; spill {:.1} MB; gc {:.2}s; cache hit {:.0}%
-",
-            report.seconds,
-            report.stage_seconds.len(),
-            report
-                .stage_seconds
-                .iter()
-                .map(|s| (s * 100.0).round() / 100.0)
-                .collect::<Vec<_>>(),
-            report.spill_bytes / 1e6,
-            report.gc_seconds,
-            report.cache_hit * 100.0
-        ));
-        Ok(out)
-    }
-
     /// Executes the default plan of a query.
     pub fn run_sql(&self, sql: &str) -> Result<ExecResult, EngineError> {
         let plans = self.plan_candidates(sql)?;
@@ -290,28 +240,6 @@ mod tests {
         let res = ResourceConfig::default_for(e.simulator().cluster());
         let run = e.observe(&plans[0], &res, 42).unwrap();
         assert!(run.seconds() > 0.0);
-    }
-
-    #[test]
-    fn explain_renders_all_candidates() {
-        let e = engine();
-        let text = e
-            .explain_sql("SELECT COUNT(*) FROM t, u WHERE t.id = u.t_id")
-            .unwrap();
-        assert!(text.contains("-- plan 0 --"));
-        assert!(text.contains("FileScan"));
-        assert!(text.matches("-- plan").count() >= 2);
-    }
-
-    #[test]
-    fn explain_analyze_annotates_estimates_and_actuals() {
-        let e = engine();
-        let plans = e.plan_candidates("SELECT COUNT(*) FROM t WHERE t.x < 5").unwrap();
-        let res = ResourceConfig::default_for(e.simulator().cluster());
-        let text = e.explain_analyze(&plans[0], &res, 3).unwrap();
-        assert!(text.contains("actual_rows"));
-        assert!(text.contains("simulated:"));
-        assert!(text.contains("FileScan"));
     }
 
     /// Queries over `t` and `u` that vary in literals, shape and, from

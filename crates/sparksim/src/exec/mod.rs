@@ -78,26 +78,20 @@ pub(crate) fn exec_err<T>(message: impl Into<String>) -> Result<T, ExecError> {
     Err(ExecError { message: message.into() })
 }
 
-/// Default cap on rows materialised by any single operator.
+/// Cap on rows materialised by any single operator (guards against
+/// runaway join fan-out on skewed keys).
 pub const DEFAULT_ROW_LIMIT: usize = 20_000_000;
 
 /// Executes physical plans against a catalog.
 #[derive(Debug)]
 pub struct Executor<'a> {
     catalog: &'a Catalog,
-    row_limit: usize,
 }
 
 impl<'a> Executor<'a> {
-    /// Creates an executor over a catalog with the default row limit.
+    /// Creates an executor over a catalog.
     pub fn new(catalog: &'a Catalog) -> Self {
-        Self { catalog, row_limit: DEFAULT_ROW_LIMIT }
-    }
-
-    /// Overrides the per-operator output-row cap (guards against runaway
-    /// join fan-out on skewed keys).
-    pub fn with_row_limit(catalog: &'a Catalog, row_limit: usize) -> Self {
-        Self { catalog, row_limit }
+        Self { catalog }
     }
 
     /// Executes a plan bottom-up and collects per-node metrics.
@@ -205,13 +199,13 @@ impl<'a> Executor<'a> {
                 .ok_or_else(|| missing(0)),
             PhysicalOp::Sort { keys } => Ok(sort_batch(child(0)?, keys)),
             PhysicalOp::SortMergeJoin { left_key, right_key } => {
-                merge_join(child(0)?, child(1)?, left_key, right_key, self.row_limit)
+                merge_join(child(0)?, child(1)?, left_key, right_key, DEFAULT_ROW_LIMIT)
             }
             PhysicalOp::BroadcastHashJoin { probe_key, build_key } => {
-                hash_join(child(0)?, child(1)?, probe_key, build_key, self.row_limit)
+                hash_join(child(0)?, child(1)?, probe_key, build_key, DEFAULT_ROW_LIMIT)
             }
             PhysicalOp::ShuffledHashJoin { left_key, right_key } => {
-                hash_join(child(0)?, child(1)?, left_key, right_key, self.row_limit)
+                hash_join(child(0)?, child(1)?, left_key, right_key, DEFAULT_ROW_LIMIT)
             }
             PhysicalOp::HashAggregate { mode, group_by, aggs } => {
                 execute_aggregate(child(0)?, *mode, group_by, aggs)

@@ -33,17 +33,6 @@ pub struct JoinEdge {
 }
 
 impl JoinEdge {
-    /// The edge's key for `binding`, if it touches it.
-    pub fn key_for(&self, binding: &str) -> Option<&ColumnRef> {
-        if self.left.table == binding {
-            Some(&self.left)
-        } else if self.right.table == binding {
-            Some(&self.right)
-        } else {
-            None
-        }
-    }
-
     /// Whether the edge connects the two given bindings.
     pub fn connects(&self, a: &str, b: &str) -> bool {
         (self.left.table == a && self.right.table == b)

@@ -51,25 +51,15 @@ pub struct SimulatorConfig {
     /// Multiplier applied to executed rows/bytes, so a scaled-down
     /// in-memory dataset stands in for the paper's full-size one.
     pub data_scale: f64,
-    /// Target bytes per scan partition (Spark's input split size).
-    pub bytes_per_partition: f64,
     /// Fraction of executor memory usable by tasks
     /// (`spark.memory.fraction`).
     pub memory_fraction: f64,
-    /// Per-executor JVM overhead, GB (counts against node memory).
-    pub executor_overhead_gb: f64,
     /// GC overhead per GB of heap at full occupancy (fraction of CPU time).
     pub gc_per_gb: f64,
     /// Fraction of executor memory a broadcast relation may occupy.
     pub broadcast_cap_fraction: f64,
     /// Effective page-cache read throughput, MB/s.
     pub cache_throughput_mbps: f64,
-    /// Fixed scheduling overhead per stage, seconds.
-    pub stage_overhead_s: f64,
-    /// Scheduling overhead per wave, seconds.
-    pub wave_overhead_s: f64,
-    /// Fixed driver/setup overhead per query, seconds.
-    pub driver_overhead_s: f64,
     /// Log-normal noise sigma (0 disables noise).
     pub noise_sigma: f64,
 }
@@ -78,19 +68,25 @@ impl Default for SimulatorConfig {
     fn default() -> Self {
         Self {
             data_scale: 1.0,
-            bytes_per_partition: 512.0 * MB,
             memory_fraction: 0.6,
-            executor_overhead_gb: 0.35,
             gc_per_gb: 0.045,
             broadcast_cap_fraction: 0.2,
             cache_throughput_mbps: 2500.0,
-            stage_overhead_s: 0.12,
-            wave_overhead_s: 0.05,
-            driver_overhead_s: 0.35,
             noise_sigma: 0.05,
         }
     }
 }
+
+/// Target bytes per scan partition (Spark's input split size).
+pub const BYTES_PER_PARTITION: f64 = 512.0 * MB;
+/// Per-executor JVM overhead, GB (counts against node memory).
+const EXECUTOR_OVERHEAD_GB: f64 = 0.35;
+/// Fixed scheduling overhead per stage, seconds.
+const STAGE_OVERHEAD_S: f64 = 0.12;
+/// Scheduling overhead per wave, seconds.
+const WAVE_OVERHEAD_S: f64 = 0.05;
+/// Fixed driver/setup overhead per query, seconds.
+const DRIVER_OVERHEAD_S: f64 = 0.35;
 
 /// Per-row CPU costs in nanoseconds (single core).
 #[derive(Debug, Clone, Copy)]
@@ -199,7 +195,7 @@ impl CostSimulator {
 
         // ---- Placement: which executors actually fit. ----
         let usable_node_gb = self.cluster.memory_per_node_gb * 0.92;
-        let per_executor_gb = res.memory_per_executor_gb + self.cfg.executor_overhead_gb;
+        let per_executor_gb = res.memory_per_executor_gb + EXECUTOR_OVERHEAD_GB;
         let max_per_node = (usable_node_gb / per_executor_gb).floor() as usize;
         if max_per_node == 0 {
             // Executors cannot start at all: model as a failed/blocked run.
@@ -414,10 +410,7 @@ impl CostSimulator {
             let write_pt = disk_write / tasks as f64 / disk_bw;
             let net_pt = net_read / tasks as f64 / net_bw;
             let task_s = cpu_pt + read_pt + write_pt + net_pt;
-            let stage_s = waves * task_s
-                + self.cfg.stage_overhead_s
-                + waves * self.cfg.wave_overhead_s
-                + fixed_s;
+            let stage_s = waves * task_s + STAGE_OVERHEAD_S + waves * WAVE_OVERHEAD_S + fixed_s;
             stage_seconds.push(stage_s);
 
             if let Some(job_id) = job_id {
@@ -456,7 +449,7 @@ impl CostSimulator {
             }
         }
 
-        let mut seconds: f64 = self.cfg.driver_overhead_s + stage_seconds.iter().sum::<f64>();
+        let mut seconds: f64 = DRIVER_OVERHEAD_S + stage_seconds.iter().sum::<f64>();
         if self.cfg.noise_sigma > 0.0 {
             seconds *= lognormal_noise(seed, self.cfg.noise_sigma);
         }
@@ -519,7 +512,7 @@ impl CostSimulator {
             .filter(|&&id| matches!(*plan.node(id).op, PhysicalOp::FileScan { .. }))
             .map(|&id| metrics[id].bytes_in * scale)
             .sum();
-        ((scan_bytes / self.cfg.bytes_per_partition).ceil() as usize).max(1)
+        ((scan_bytes / BYTES_PER_PARTITION).ceil() as usize).max(1)
     }
 }
 

@@ -210,7 +210,7 @@ mod simulator_props {
             // (more concurrent tasks, more aggregate bandwidth) — exactly
             // as in Spark. Bound the allowed speedup by the concurrency
             // gain; beyond that, bigger inputs must not be faster.
-            let split = SimulatorConfig::default().bytes_per_partition;
+            let split = sparksim::simulator::BYTES_PER_PARTITION;
             let slots = res.total_slots() as f64;
             let conc = |r: f64| ((r * 8.0 / split).ceil().max(1.0)).min(slots);
             let allowed = conc(rows) / conc(rows * factor); // <= 1

@@ -57,7 +57,7 @@ pub mod schema;
 mod value;
 
 pub use hist::Histogram;
-pub use monitor::{DriftAlarm, MonitorConfig, QualityMonitor};
+pub use monitor::{DriftAlarm, QualityMonitor};
 pub use registry::MetricsSnapshot;
 pub use value::Value;
 

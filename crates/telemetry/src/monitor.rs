@@ -35,32 +35,17 @@ use crate::Value;
 use std::collections::BTreeMap;
 use std::collections::VecDeque;
 
-/// Tuning for [`QualityMonitor`].
-#[derive(Debug, Clone)]
-pub struct MonitorConfig {
-    /// Rolling-window length per class (pairs kept for MAE / Q-error).
-    pub window: usize,
-    /// Page–Hinkley tolerated magnitude δ: drift smaller than this in
-    /// the Q-error mean never alarms.
-    pub ph_delta: f64,
-    /// Page–Hinkley alarm threshold λ: accumulated positive deviation
-    /// (in Q-error units) required to fire.
-    pub ph_lambda: f64,
-    /// Samples a class must see before its detector may fire (the mean
-    /// estimate is meaningless at n = 1).
-    pub min_samples: u64,
-}
-
-impl Default for MonitorConfig {
-    fn default() -> Self {
-        Self {
-            window: 64,
-            ph_delta: 0.05,
-            ph_lambda: 2.0,
-            min_samples: 8,
-        }
-    }
-}
+/// Rolling-window length per class (pairs kept for MAE / Q-error).
+const WINDOW: usize = 64;
+/// Page–Hinkley tolerated magnitude δ: drift smaller than this in the
+/// Q-error mean never alarms.
+const PH_DELTA: f64 = 0.05;
+/// Page–Hinkley alarm threshold λ: accumulated positive deviation (in
+/// Q-error units) required to fire.
+const PH_LAMBDA: f64 = 2.0;
+/// Samples a class must see before its detector may fire (the mean
+/// estimate is meaningless at n = 1).
+const MIN_SAMPLES: u64 = 8;
 
 /// A drift alarm: the Page–Hinkley statistic for `class` crossed λ.
 #[derive(Debug, Clone, PartialEq)]
@@ -94,7 +79,7 @@ pub struct ClassStats {
 
 #[derive(Debug, Default)]
 struct ClassState {
-    /// Recent (|pred − obs|, q-error) pairs, capped at `window`.
+    /// Recent (|pred − obs|, q-error) pairs, capped at [`WINDOW`].
     recent: VecDeque<(f64, f64)>,
     samples: u64,
     /// Incremental mean of the Q-error stream (all samples).
@@ -129,9 +114,9 @@ impl ClassState {
 /// per-class verdicts — no telemetry required:
 ///
 /// ```
-/// use telemetry::monitor::{MonitorConfig, QualityMonitor};
+/// use telemetry::monitor::QualityMonitor;
 ///
-/// let mut monitor = QualityMonitor::new(MonitorConfig::default());
+/// let mut monitor = QualityMonitor::new();
 ///
 /// // A healthy class: predictions track observations.
 /// for i in 0..100u64 {
@@ -160,7 +145,6 @@ impl ClassState {
 /// ```
 #[derive(Debug, Default)]
 pub struct QualityMonitor {
-    cfg: MonitorConfig,
     classes: BTreeMap<String, ClassState>,
 }
 
@@ -180,35 +164,35 @@ pub fn q_error(predicted: f64, observed: f64) -> f64 {
 }
 
 impl QualityMonitor {
-    /// A monitor with the given tuning.
-    pub fn new(cfg: MonitorConfig) -> Self {
-        Self { cfg, classes: BTreeMap::new() }
+    /// An empty monitor.
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Feeds one `(predicted, observed)` pair for `class`. Returns the
     /// drift alarm if this sample fired the class's detector (each
-    /// detector fires once until [`reset`](Self::reset)).
+    /// detector fires once until [`reset`](Self::reset)). A pair with a
+    /// non-finite side is skipped: it returns `None` and leaves the
+    /// class as it was, since one `inf` would turn the detector's mean
+    /// into `inf`, then `NaN`, and disarm it for good.
     pub fn record(&mut self, class: &str, predicted: f64, observed: f64) -> Option<DriftAlarm> {
+        if !(predicted.is_finite() && observed.is_finite()) {
+            return None;
+        }
         let q = q_error(predicted, observed);
         let abs_err = (predicted - observed).abs();
-        let (window, delta, lambda, min_samples) = (
-            self.cfg.window.max(1),
-            self.cfg.ph_delta,
-            self.cfg.ph_lambda,
-            self.cfg.min_samples,
-        );
         let st = self.classes.entry(class.to_string()).or_default();
         st.samples += 1;
         st.recent.push_back((abs_err, q));
-        while st.recent.len() > window {
+        while st.recent.len() > WINDOW {
             st.recent.pop_front();
         }
         // Page–Hinkley update on the Q-error stream.
         st.mean += (q - st.mean) / st.samples as f64;
-        st.ph_m += q - st.mean - delta;
+        st.ph_m += q - st.mean - PH_DELTA;
         st.ph_min = st.ph_min.min(st.ph_m);
         let ph_stat = st.ph_m - st.ph_min;
-        let fired = !st.drifted && st.samples >= min_samples && ph_stat > lambda;
+        let fired = !st.drifted && st.samples >= MIN_SAMPLES && ph_stat > PH_LAMBDA;
         if fired {
             st.drifted = true;
         }
@@ -299,7 +283,7 @@ mod tests {
 
     #[test]
     fn stationary_noise_never_alarms() {
-        let mut m = QualityMonitor::new(MonitorConfig::default());
+        let mut m = QualityMonitor::new();
         for i in 0..2_000u64 {
             // Predictions within ±10% of the observation: a healthy,
             // noisy, *stationary* model.
@@ -314,7 +298,7 @@ mod tests {
 
     #[test]
     fn upward_error_shift_fires_once() {
-        let mut m = QualityMonitor::new(MonitorConfig::default());
+        let mut m = QualityMonitor::new();
         for i in 0..200u64 {
             let obs = 10.0 + noise(3, i);
             let pred = obs * (1.0 + 0.05 * noise(5, i));
@@ -346,7 +330,7 @@ mod tests {
 
     #[test]
     fn classes_are_isolated() {
-        let mut m = QualityMonitor::new(MonitorConfig::default());
+        let mut m = QualityMonitor::new();
         for i in 0..100u64 {
             let obs = 10.0 + noise(3, i);
             m.record("healthy", obs * 1.02, obs);
@@ -359,7 +343,7 @@ mod tests {
 
     #[test]
     fn reset_rearms_the_detector() {
-        let mut m = QualityMonitor::new(MonitorConfig::default());
+        let mut m = QualityMonitor::new();
         for i in 0..60u64 {
             m.record("c", 10.0, 10.0 + i as f64); // runaway error
         }
@@ -377,11 +361,30 @@ mod tests {
 
     #[test]
     fn warmup_suppresses_early_alarms() {
-        let cfg = MonitorConfig { min_samples: 10, ..MonitorConfig::default() };
-        let mut m = QualityMonitor::new(cfg);
-        for i in 0..9u64 {
+        let mut m = QualityMonitor::new();
+        for i in 0..MIN_SAMPLES - 1 {
             // Violent errors, but under the warmup count.
             assert!(m.record("w", 1.0, 100.0 + i as f64).is_none());
         }
+    }
+
+    #[test]
+    fn a_non_finite_pair_is_skipped_and_leaves_the_detector_armed() {
+        let mut m = QualityMonitor::new();
+        for _ in 0..50 {
+            assert!(m.record("c", 10.0, 10.0).is_none());
+        }
+        let before = m.stats("c");
+        for (predicted, observed) in
+            [(10.0, f64::INFINITY), (f64::NAN, 10.0), (f64::NEG_INFINITY, f64::NAN)]
+        {
+            assert!(m.record("c", predicted, observed).is_none());
+        }
+        assert!(m.record("fresh", f64::INFINITY, 1.0).is_none());
+        assert_eq!(m.stats("c"), before);
+        assert_eq!(m.classes(), vec!["c"]);
+        // Ten times the error: the detector still fires.
+        let fired = (0..500).filter(|_| m.record("c", 10.0, 100.0).is_some()).count();
+        assert_eq!(fired, 1);
     }
 }

@@ -94,7 +94,7 @@ fn disabled_registry_stays_empty_and_emits_nothing() {
 fn monitor_drift_alarm_reaches_log_and_registry() {
     let mut alarm_class = None;
     let lines = capture(|| {
-        let mut m = telemetry::QualityMonitor::new(telemetry::MonitorConfig::default());
+        let mut m = telemetry::QualityMonitor::new();
         // Healthy phase, then a hard upward error shift.
         for i in 0..50u64 {
             m.record("scan_join", 10.0, 10.0 + (i % 3) as f64 * 0.01);

@@ -59,43 +59,30 @@ pub struct FkGraph {
     pub tables: Vec<TableMeta>,
 }
 
-impl FkGraph {
-    /// Index of a table by name.
-    pub fn index_of(&self, name: &str) -> Option<usize> {
-        self.tables.iter().position(|t| t.name == name)
-    }
-}
-
 /// Query-generation knobs.
 #[derive(Debug, Clone)]
 pub struct QueryGenConfig {
     /// Maximum joins per query (the paper uses 0–5).
     pub max_joins: usize,
-    /// Inclusive range for the number of filter predicates.
-    pub min_predicates: usize,
-    /// Upper bound (inclusive) on predicates.
-    pub max_predicates: usize,
-    /// Probability a generated predicate is a string predicate (the
-    /// paper's second workload type).
-    pub string_predicate_prob: f64,
-    /// Probability of extra aggregates (SUM/MIN/MAX/AVG) beyond COUNT(*).
-    pub extra_aggregate_prob: f64,
-    /// Probability of a GROUP BY query.
-    pub group_by_prob: f64,
 }
 
 impl Default for QueryGenConfig {
     fn default() -> Self {
-        Self {
-            max_joins: 5,
-            min_predicates: 1,
-            max_predicates: 4,
-            string_predicate_prob: 0.3,
-            extra_aggregate_prob: 0.2,
-            group_by_prob: 0.1,
-        }
+        Self { max_joins: 5 }
     }
 }
+
+/// Inclusive range for the number of filter predicates.
+const MIN_PREDICATES: usize = 1;
+/// Upper bound (inclusive) on predicates.
+const MAX_PREDICATES: usize = 4;
+/// Probability a generated predicate is a string predicate (the paper's
+/// second workload type).
+const STRING_PREDICATE_PROB: f64 = 0.3;
+/// Probability of extra aggregates (SUM/MIN/MAX/AVG) beyond COUNT(*).
+const EXTRA_AGGREGATE_PROB: f64 = 0.2;
+/// Probability of a GROUP BY query.
+const GROUP_BY_PROB: f64 = 0.1;
 
 /// Generates `n` SQL queries over the FK graph.
 pub fn generate_queries(
@@ -151,12 +138,12 @@ pub fn generate_query(graph: &FkGraph, cfg: &QueryGenConfig, rng: &mut impl Rng)
     }
 
     // Filter predicates.
-    let num_preds = rng.gen_range(cfg.min_predicates..=cfg.max_predicates);
+    let num_preds = rng.gen_range(MIN_PREDICATES..=MAX_PREDICATES);
     for _ in 0..num_preds {
         let &ti = &tables[rng.gen_range(0..tables.len())];
         let t = &graph.tables[ti];
         let use_string = !t.string_preds.is_empty()
-            && (t.numeric_preds.is_empty() || rng.gen::<f64>() < cfg.string_predicate_prob);
+            && (t.numeric_preds.is_empty() || rng.gen::<f64>() < STRING_PREDICATE_PROB);
         if use_string {
             let sp = &t.string_preds[rng.gen_range(0..t.string_preds.len())];
             if sp.values.is_empty() {
@@ -192,7 +179,7 @@ pub fn generate_query(graph: &FkGraph, cfg: &QueryGenConfig, rng: &mut impl Rng)
 
     // Select list: COUNT(*) always, occasionally more.
     let mut select = vec!["COUNT(*)".to_string()];
-    if rng.gen::<f64>() < cfg.extra_aggregate_prob {
+    if rng.gen::<f64>() < EXTRA_AGGREGATE_PROB {
         let &ti = &tables[rng.gen_range(0..tables.len())];
         let t = &graph.tables[ti];
         if let Some(np) = t.numeric_preds.first() {
@@ -201,7 +188,7 @@ pub fn generate_query(graph: &FkGraph, cfg: &QueryGenConfig, rng: &mut impl Rng)
         }
     }
     let mut group_by = String::new();
-    if rng.gen::<f64>() < cfg.group_by_prob {
+    if rng.gen::<f64>() < GROUP_BY_PROB {
         let &ti = &tables[rng.gen_range(0..tables.len())];
         let t = &graph.tables[ti];
         if let Some(g) = t.group_cols.first() {
@@ -327,7 +314,7 @@ mod tests {
     fn join_queries_carry_join_conditions() {
         let g = tiny_graph();
         let mut rng = StdRng::seed_from_u64(2);
-        let cfg = QueryGenConfig { max_joins: 1, ..Default::default() };
+        let cfg = QueryGenConfig { max_joins: 1 };
         let queries = generate_queries(&g, &cfg, 100, &mut rng);
         let joined: Vec<&String> = queries
             .iter()
@@ -354,7 +341,7 @@ mod tests {
     fn join_count_respects_cap() {
         let g = tiny_graph();
         let mut rng = StdRng::seed_from_u64(3);
-        let cfg = QueryGenConfig { max_joins: 0, ..Default::default() };
+        let cfg = QueryGenConfig { max_joins: 0 };
         for q in generate_queries(&g, &cfg, 30, &mut rng) {
             let from = q.split(" FROM ").nth(1).unwrap();
             let from = from.split(" WHERE ").next().unwrap();

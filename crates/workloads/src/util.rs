@@ -1,5 +1,5 @@
 //! Sampling utilities for the synthetic data generators: Zipf-distributed
-//! categorical values (IMDB-style skew) and convenience builders.
+//! categorical values (IMDB-style skew).
 
 use rand::Rng;
 
@@ -44,11 +44,6 @@ impl Zipf {
             Err(i) => i.min(self.cdf.len() - 1),
         }
     }
-}
-
-/// Samples `true` with probability `p`.
-pub fn coin(rng: &mut impl Rng, p: f64) -> bool {
-    rng.gen::<f64>() < p
 }
 
 #[cfg(test)]

@@ -65,14 +65,9 @@ proptest! {
     fn imdb_queries_always_plan(
         seed in 0u64..10_000,
         max_joins in 0usize..5,
-        string_prob in 0.0f64..1.0,
     ) {
         let data = imdb();
-        let cfg = QueryGenConfig {
-            max_joins,
-            string_predicate_prob: string_prob,
-            ..QueryGenConfig::default()
-        };
+        let cfg = QueryGenConfig { max_joins };
         let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(seed);
         for sql in generate_queries(&data.graph, &cfg, 6, &mut rng) {
             let q = parse(&sql).map_err(|e| TestCaseError::fail(format!("{sql}: {e}")))?;

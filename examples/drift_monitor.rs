@@ -56,7 +56,7 @@ fn main() {
     };
     let collection = collect(&engine, &graph, &cfg);
     let encoder = collection.build_encoder(
-        &encoding::W2vConfig { dim: 16, epochs: 2, ..Default::default() },
+        &encoding::W2vConfig { dim: 16, epochs: 2 },
         encoding::EncoderConfig::default(),
     );
     let samples = collection.encode(&encoder, &engine);
@@ -83,7 +83,7 @@ fn main() {
     let corrupt = dir.join("corrupt.json");
     std::fs::write(&corrupt, "{\"model\": \"bit rot\"}").expect("write");
 
-    let gpsj = GpsjModel::new(GpsjParams { data_scale: scale, ..GpsjParams::default() });
+    let gpsj = GpsjModel::new(GpsjParams { data_scale: scale });
     println!("\nserving through ServingModel (GPSJ analytical fallback):");
     for (label, path) in [("intact checkpoint", &good), ("corrupt checkpoint", &corrupt)] {
         let mut serving =
@@ -103,7 +103,7 @@ fn main() {
     // The monitor sees (predicted, observed) pairs exactly as a serving
     // deployment would; the simulator supplies the ground truth.
     println!("\nonline prediction-quality monitor (Page-Hinkley on q-error):");
-    let mut monitor = telemetry::QualityMonitor::new(telemetry::MonitorConfig::default());
+    let mut monitor = telemetry::QualityMonitor::new();
     let class = "agg_join";
     for seed in 0..40u64 {
         let observed = engine.resimulate(plan, &exec, &resources, seed).seconds;

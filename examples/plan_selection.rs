@@ -50,12 +50,7 @@ fn main() {
 
     // Select plans for fresh queries under two different resource states.
     let mut rng = StdRng::seed_from_u64(99);
-    let queries = generate_queries(
-        &graph,
-        &QueryGenConfig { max_joins: 2, ..QueryGenConfig::default() },
-        6,
-        &mut rng,
-    );
+    let queries = generate_queries(&graph, &QueryGenConfig { max_joins: 2 }, 6, &mut rng);
     for res in [
         ResourceConfig {
             executors: 2,

@@ -67,7 +67,7 @@ fn main() {
     };
     let collection = collect(&engine, &graph, &cfg);
     let encoder = collection.build_encoder(
-        &encoding::W2vConfig { dim: 16, epochs: 2, ..Default::default() },
+        &encoding::W2vConfig { dim: 16, epochs: 2 },
         encoding::EncoderConfig::default(),
     );
     let samples = collection.encode(&encoder, &engine);

@@ -14,7 +14,7 @@ use encoding::tokenizer::plan_sentences;
 use encoding::{EncoderConfig, PlanEncoder, W2vConfig, Word2Vec};
 use sparksim::plan::planner::PlannerOptions;
 use sparksim::{ClusterConfig, Engine, PhysicalPlan, SimulatorConfig};
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use workloads::imdb::{generate, ImdbConfig};
 use workloads::querygen::{generate_queries, QueryGenConfig};
 
@@ -35,19 +35,19 @@ fn candidate_sets(seed: u64, queries: usize) -> Vec<Vec<PhysicalPlan>> {
         .collect()
 }
 
-/// Embeddings over `plans` with rare words pruned, so the mean meets
-/// tokens it must skip without counting them.
+/// Embeddings trained on `plans`' statements with their rare words left
+/// out, so the mean meets tokens it must skip without counting them.
 fn pruned_word2vec(plans: &[PhysicalPlan]) -> Word2Vec {
     let corpus: Vec<Vec<String>> = plans.iter().flat_map(plan_sentences).collect();
-    let w2v = encoding::train_word2vec(
-        &corpus,
-        &W2vConfig {
-            dim: 16,
-            epochs: 1,
-            min_count: 40,
-            ..Default::default()
-        },
-    );
+    let mut counts: HashMap<&str, usize> = HashMap::new();
+    for token in corpus.iter().flatten() {
+        *counts.entry(token).or_default() += 1;
+    }
+    let common: Vec<Vec<String>> = corpus
+        .iter()
+        .map(|s| s.iter().filter(|t| counts[t.as_str()] >= 40).cloned().collect())
+        .collect();
+    let w2v = encoding::train_word2vec(&common, &W2vConfig { dim: 16, epochs: 1 });
     let unknown = corpus.iter().flatten().filter(|t| w2v.vector(t).is_none()).count();
     assert!(unknown > 100 && unknown < corpus.iter().map(Vec::len).sum::<usize>() / 2);
     w2v

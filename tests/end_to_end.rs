@@ -35,7 +35,7 @@ fn full_pipeline_trains_and_predicts() {
     assert!(collection.num_records() >= 20, "collection too small");
 
     let encoder = collection.build_encoder(
-        &encoding::W2vConfig { dim: 8, epochs: 1, ..Default::default() },
+        &encoding::W2vConfig { dim: 8, epochs: 1 },
         encoding::EncoderConfig::default(),
     );
     let samples = collection.encode(&encoder, &engine);
@@ -87,7 +87,7 @@ fn candidate_plans_agree_on_results_across_workload() {
     let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(5);
     let queries = workloads::querygen::generate_queries(
         &graph,
-        &workloads::querygen::QueryGenConfig { max_joins: 2, ..Default::default() },
+        &workloads::querygen::QueryGenConfig { max_joins: 2 },
         15,
         &mut rng,
     );
@@ -143,7 +143,7 @@ fn whole_pipeline_is_deterministic_under_seeds() {
         };
         let collection = collect(&engine, &graph, &cfg);
         let encoder = collection.build_encoder(
-            &encoding::W2vConfig { dim: 8, epochs: 1, ..Default::default() },
+            &encoding::W2vConfig { dim: 8, epochs: 1 },
             encoding::EncoderConfig::default(),
         );
         let samples = collection.encode(&encoder, &engine);

@@ -48,7 +48,7 @@ fn micro_model_beats_gpsj_but_not_by_structure() {
         cluster,
         baselines::micro::DEFAULT_RIDGE,
     );
-    let gpsj = GpsjModel::new(GpsjParams { data_scale: scale, ..GpsjParams::default() });
+    let gpsj = GpsjModel::new(GpsjParams { data_scale: scale });
     let mut micro_eval = EvalSet::new();
     let mut gpsj_eval = EvalSet::new();
     for run in collection.plan_runs.iter().filter(|r| r.query_idx >= cut) {

@@ -54,10 +54,7 @@ fn raac_uses_convolution_not_recurrence() {
 fn ne_lstm_is_an_encoder_level_ablation() {
     // NE-LSTM differs in the *encoder*: same architecture, narrower input.
     let corpus = vec![vec!["filescan".to_string(), "title".to_string()]];
-    let w2v = encoding::train_word2vec(
-        &corpus,
-        &encoding::W2vConfig { dim: 8, epochs: 1, ..Default::default() },
-    );
+    let w2v = encoding::train_word2vec(&corpus, &encoding::W2vConfig { dim: 8, epochs: 1 });
     let with = encoding::PlanEncoder::new(
         w2v.clone(),
         encoding::EncoderConfig { max_nodes: 16, structure: true },

@@ -90,7 +90,7 @@ fn resource_aware_model_beats_resource_blind() {
     };
     let collection = collect(&engine, &graph, &cfg);
     let encoder = collection.build_encoder(
-        &encoding::W2vConfig { dim: 8, epochs: 1, ..Default::default() },
+        &encoding::W2vConfig { dim: 8, epochs: 1 },
         encoding::EncoderConfig::default(),
     );
     let samples = collection.encode(&encoder, &engine);
@@ -129,7 +129,7 @@ fn learned_model_beats_gpsj() {
     };
     let collection = collect(&engine, &graph, &cfg);
     let encoder = collection.build_encoder(
-        &encoding::W2vConfig { dim: 8, epochs: 1, ..Default::default() },
+        &encoding::W2vConfig { dim: 8, epochs: 1 },
         encoding::EncoderConfig::default(),
     );
     let samples = collection.encode(&encoder, &engine);
@@ -152,7 +152,7 @@ fn learned_model_beats_gpsj() {
     );
     let raal_mse = evaluate(&model, &test_set).mse_with(training_transform);
 
-    let gpsj = GpsjModel::new(GpsjParams { data_scale: scale, ..GpsjParams::default() });
+    let gpsj = GpsjModel::new(GpsjParams { data_scale: scale });
     let mut gpsj_eval = EvalSet::new();
     for run in &collection.plan_runs {
         for (res, seconds) in &run.observations {
@@ -175,7 +175,7 @@ fn inference_is_fast() {
     };
     let collection = collect(&engine, &graph, &cfg);
     let encoder = collection.build_encoder(
-        &encoding::W2vConfig { dim: 8, epochs: 1, ..Default::default() },
+        &encoding::W2vConfig { dim: 8, epochs: 1 },
         encoding::EncoderConfig::default(),
     );
     let model = CostModel::new(ModelConfig::raal(encoder.node_dim()));

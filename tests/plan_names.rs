@@ -369,8 +369,7 @@ fn a_full_operator_row_cache_retains_at_most_its_bound() {
         .iter()
         .flat_map(encoding::tokenizer::plan_sentences)
         .collect();
-    let w2v =
-        encoding::train_word2vec(&corpus, &W2vConfig { dim: 32, epochs: 1, ..Default::default() });
+    let w2v = encoding::train_word2vec(&corpus, &W2vConfig { dim: 32, epochs: 1 });
     let encoder = PlanEncoder::new(w2v, EncoderConfig::default());
     // The queries' candidates hold about two thousand distinct operators:
     // an eighth-size cache fills every set, and evicts.

@@ -3,11 +3,12 @@
 //! `max_plans` returns exactly the prefix a far larger budget returns,
 //! de-duplicating by structure returns the lists de-duplicating by
 //! rendered text returned, an engine's shared operator table changes no
-//! candidate, and three folds — over every candidate's text and
-//! estimates, over its executed batch and metrics, and over every field
-//! of its simulated reports — equal the constants recorded before
-//! refactors.
+//! candidate, and four folds — over every candidate's text and
+//! estimates, over its executed batch and metrics, over every field of
+//! its simulated reports and over its GPSJ estimates — equal the
+//! constants recorded before refactors.
 
+use baselines::{GpsjModel, GpsjParams};
 use sparksim::plan::planner::{Planner, PlannerOptions};
 use sparksim::types::Value;
 use sparksim::{ClusterConfig, Engine, PhysicalPlan, ResourceGrid, SimulatorConfig};
@@ -37,6 +38,11 @@ const QUERIES: usize = 640;
 /// self-joins — recorded at commit `a27fd59`, while the planner still
 /// de-duplicated candidates by rendered text.
 const ALL_FOLD: u64 = 0x23b1_dec1_5a54_5ac1;
+/// FNV-1a fold of GPSJ's estimate bits for each candidate of the same
+/// queries under every 7th `ResourceGrid::default()` point — recorded
+/// at commit `e9c810f`, while GPSJ's calibration constants were still
+/// `GpsjParams` fields.
+const GPSJ_FOLD: u64 = 0x36ff_61fe_cc0a_e3b3;
 
 fn fnv(hash: &mut u64, bytes: &[u8]) {
     for &b in bytes {
@@ -271,5 +277,31 @@ fn executed_batches_and_metrics_are_the_same_bits_as_before() {
     assert_eq!(
         fold, EXEC_FOLD,
         "{plans} plans ({rows} root rows) fold to {fold:#018x}: the executor's output changed"
+    );
+}
+
+#[test]
+fn gpsj_estimates_are_the_same_bits_as_before() {
+    let (engine, queries) = engine_and_queries();
+    let data_scale = engine.simulator().config().data_scale;
+    let gpsj = GpsjModel::new(GpsjParams { data_scale });
+    let states: Vec<_> = ResourceGrid::default()
+        .enumerate(engine.simulator().cluster())
+        .into_iter()
+        .step_by(7)
+        .collect();
+    let mut fold = 0xcbf2_9ce4_8422_2325u64;
+    let mut estimates = 0usize;
+    for sql in &queries {
+        for plan in &engine.plan_candidates(sql).unwrap_or_else(|e| panic!("{sql}: {e}")) {
+            for res in &states {
+                fnv(&mut fold, &gpsj.estimate_seconds(plan, res).to_bits().to_le_bytes());
+                estimates += 1;
+            }
+        }
+    }
+    assert_eq!(
+        fold, GPSJ_FOLD,
+        "{estimates} estimates fold to {fold:#018x}: GPSJ's output changed"
     );
 }

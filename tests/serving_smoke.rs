@@ -39,7 +39,7 @@ fn served_predictions_are_the_frozen_models_bits() {
         },
     );
     let encoder = collection.build_encoder(
-        &encoding::W2vConfig { dim: 8, epochs: 1, ..Default::default() },
+        &encoding::W2vConfig { dim: 8, epochs: 1 },
         encoding::EncoderConfig::default(),
     );
     let samples = collection.encode(&encoder, &engine);

@@ -22,7 +22,7 @@ use workloads::imdb::{generate, ImdbConfig};
 fn tiny_encoder_with(structure: bool) -> PlanEncoder {
     let corpus = vec![vec!["filescan".to_string(), "title".to_string()]];
     PlanEncoder::new(
-        encoding::word2vec::train(&corpus, &W2vConfig { dim: 4, epochs: 1, ..Default::default() }),
+        encoding::word2vec::train(&corpus, &W2vConfig { dim: 4, epochs: 1 }),
         EncoderConfig { max_nodes: 8, structure },
     )
 }
@@ -287,7 +287,7 @@ proptest! {
         let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(seed);
         let queries = workloads::querygen::generate_queries(
             &data.graph,
-            &workloads::querygen::QueryGenConfig { max_joins, ..Default::default() },
+            &workloads::querygen::QueryGenConfig { max_joins },
             4,
             &mut rng,
         );
