@@ -6,6 +6,11 @@
 //! resource-aware time simulator converts those metrics into execution
 //! time; the executor itself is resource-agnostic (it computes the *what*,
 //! the simulator computes the *how long*).
+//!
+//! Materialisation is late: a node copies only the output columns some
+//! operator above it reads ([`Reads`]); the rest travel as ghosts that
+//! keep their width. Byte volumes therefore count every output column,
+//! read or not — the metrics are those of a plan that carried them all.
 
 mod aggregate;
 mod join;
@@ -13,7 +18,8 @@ pub mod reference;
 
 use crate::batch::Batch;
 use crate::catalog::Catalog;
-use crate::plan::physical::{NodeId, PhysicalOp, PhysicalPlan};
+use crate::expr::Expr;
+use crate::plan::physical::{AggMode, NodeId, PhysicalOp, PhysicalPlan};
 use crate::schema::ColumnRef;
 use crate::storage::{Column, ColumnData};
 use crate::types::Value;
@@ -82,6 +88,84 @@ pub(crate) fn exec_err<T>(message: impl Into<String>) -> Result<T, ExecError> {
 /// runaway join fan-out on skewed keys).
 pub const DEFAULT_ROW_LIMIT: usize = 20_000_000;
 
+/// The output columns of one plan node that some operator above it reads.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Reads {
+    /// Every column: the root's output, and everything a final aggregate
+    /// merges.
+    All,
+    /// Only these.
+    Only(Vec<ColumnRef>),
+}
+
+impl Reads {
+    /// Whether `re` is read.
+    pub fn contains(&self, re: &ColumnRef) -> bool {
+        match self {
+            Reads::All => true,
+            Reads::Only(refs) => refs.contains(re),
+        }
+    }
+
+    fn add<'a>(&mut self, refs: impl IntoIterator<Item = &'a ColumnRef>) {
+        if let Reads::Only(have) = self {
+            for re in refs {
+                if !have.contains(re) {
+                    have.push(re.clone());
+                }
+            }
+        }
+    }
+
+    fn merge(&mut self, other: &Reads) {
+        match other {
+            Reads::All => *self = Reads::All,
+            Reads::Only(refs) => self.add(refs),
+        }
+    }
+
+    /// Per node, the columns its ancestors read: the root's every column,
+    /// and below it what each operator evaluates — filter predicates, sort
+    /// keys, join keys, a partial aggregate's groups and arguments — plus
+    /// what its own output must carry up.
+    fn of_plan(plan: &PhysicalPlan) -> Vec<Reads> {
+        let mut reads = vec![Reads::Only(Vec::new()); plan.len()];
+        if let Some(root) = reads.last_mut() {
+            *root = Reads::All;
+        }
+        for id in (0..plan.len()).rev() {
+            let node = plan.node(id);
+            let mut below = reads[id].clone();
+            match &*node.op {
+                PhysicalOp::FileScan { .. }
+                | PhysicalOp::ExchangeHash { .. }
+                | PhysicalOp::ExchangeSingle
+                | PhysicalOp::BroadcastExchange
+                | PhysicalOp::Limit { .. } => {}
+                PhysicalOp::Filter { predicate } => below.add(predicate.referenced_columns()),
+                PhysicalOp::Project { columns } => {
+                    below = Reads::Only(
+                        columns.iter().filter(|c| below.contains(c)).cloned().collect(),
+                    );
+                }
+                PhysicalOp::Sort { keys } => below.add(keys.iter().map(|(re, _)| re)),
+                PhysicalOp::SortMergeJoin { left_key: a, right_key: b }
+                | PhysicalOp::BroadcastHashJoin { probe_key: a, build_key: b }
+                | PhysicalOp::ShuffledHashJoin { left_key: a, right_key: b } => below.add([a, b]),
+                PhysicalOp::HashAggregate { mode: AggMode::Partial, group_by, aggs } => {
+                    below = Reads::Only(Vec::new());
+                    below.add(group_by.iter().chain(aggs.iter().filter_map(|a| a.arg.as_ref())));
+                }
+                PhysicalOp::HashAggregate { mode: AggMode::Final, .. } => below = Reads::All,
+            }
+            for &c in &node.children {
+                reads[c].merge(&below);
+            }
+        }
+        reads
+    }
+}
+
 /// Executes physical plans against a catalog.
 #[derive(Debug)]
 pub struct Executor<'a> {
@@ -98,8 +182,9 @@ impl<'a> Executor<'a> {
     pub fn execute(&self, plan: &PhysicalPlan) -> Result<ExecResult, ExecError> {
         let mut metrics = vec![NodeMetrics::default(); plan.len()];
         let mut outputs: Vec<Option<Batch>> = vec![None; plan.len()];
+        let reads = Reads::of_plan(plan);
         for id in 0..plan.len() {
-            let batch = self.exec_node(plan, id, &mut outputs)?;
+            let batch = self.exec_node(plan, id, &reads[id], &mut outputs)?;
             let (rows_in, bytes_in) = match &*plan.node(id).op {
                 PhysicalOp::FileScan { table, output, .. } => {
                     // A scan reads the projected columns of the whole table
@@ -145,6 +230,7 @@ impl<'a> Executor<'a> {
         &self,
         plan: &PhysicalPlan,
         id: NodeId,
+        reads: &Reads,
         outputs: &mut [Option<Batch>],
     ) -> Result<Batch, ExecError> {
         let node = plan.node(id);
@@ -161,31 +247,49 @@ impl<'a> Executor<'a> {
                     .catalog
                     .table(table)
                     .ok_or_else(|| ExecError { message: format!("unknown table '{table}'") })?;
-                let mut batch = Batch::new();
-                for re in output {
-                    let col = t.column(&re.column).ok_or_else(|| ExecError {
+                let scanned = |re: &ColumnRef| {
+                    t.column(&re.column).ok_or_else(|| ExecError {
                         message: format!("table '{table}' has no column '{}'", re.column),
-                    })?;
-                    batch.push(ColumnRef::new(binding.clone(), re.column.clone()), col.clone());
-                }
-                // A scan with no requested columns (e.g. bare COUNT(*))
-                // still needs row positions; carry the narrowest column.
-                if output.is_empty() {
-                    if let Some(first) = t.schema.columns.first() {
-                        let Some(col) = t.column(&first.name) else {
-                            return exec_err(format!(
-                                "table '{table}' has no column '{}'",
-                                first.name
-                            ));
-                        };
-                        batch
-                            .push(ColumnRef::new(binding.clone(), first.name.clone()), col.clone());
+                    })
+                };
+                let qualified = |re: &ColumnRef| ColumnRef::new(binding.clone(), re.column.clone());
+                // The pushed filter sees the output columns it references.
+                let keep = match pushed_filter {
+                    Some(f) => {
+                        let refs = f.referenced_columns();
+                        let mut seen = Batch::with_rows(t.num_rows());
+                        for re in output {
+                            let q = qualified(re);
+                            if refs.contains(&&q) {
+                                seen.push(q, scanned(re)?.clone());
+                            }
+                        }
+                        Some(kept_rows(&seen, f))
+                    }
+                    None => None,
+                };
+                let mut batch = Batch::with_rows(keep.as_ref().map_or(t.num_rows(), Vec::len));
+                for re in output {
+                    let (q, col) = (qualified(re), scanned(re)?);
+                    if !reads.contains(&q) {
+                        batch.push_ghost(q, &col.data);
+                    } else if let Some(keep) = &keep {
+                        batch.push(q, col.take(keep));
+                    } else {
+                        batch.push(q, col.clone());
                     }
                 }
-                match pushed_filter {
-                    Some(f) => Ok(apply_filter(&batch, f)),
-                    None => Ok(batch),
+                // A scan with no requested columns (e.g. bare COUNT(*))
+                // reports its rows as one column wide: the schema's first
+                // column rides along as a ghost, for byte accounting only
+                // (the row count is the batch's own).
+                if output.is_empty() {
+                    if let (Some(def), Some(col)) = (t.schema.columns.first(), t.columns.first()) {
+                        let first = ColumnRef::new(binding.clone(), def.name.clone());
+                        batch.push_ghost(first, &col.data);
+                    }
                 }
+                Ok(batch)
             }
             PhysicalOp::Filter { predicate } => Ok(apply_filter(child(0)?, predicate)),
             PhysicalOp::Project { columns } => Ok(child(0)?.project(columns)),
@@ -199,13 +303,13 @@ impl<'a> Executor<'a> {
                 .ok_or_else(|| missing(0)),
             PhysicalOp::Sort { keys } => Ok(sort_batch(child(0)?, keys)),
             PhysicalOp::SortMergeJoin { left_key, right_key } => {
-                merge_join(child(0)?, child(1)?, left_key, right_key, DEFAULT_ROW_LIMIT)
+                merge_join(child(0)?, child(1)?, left_key, right_key, reads, DEFAULT_ROW_LIMIT)
             }
             PhysicalOp::BroadcastHashJoin { probe_key, build_key } => {
-                hash_join(child(0)?, child(1)?, probe_key, build_key, DEFAULT_ROW_LIMIT)
+                hash_join(child(0)?, child(1)?, probe_key, build_key, reads, DEFAULT_ROW_LIMIT)
             }
             PhysicalOp::ShuffledHashJoin { left_key, right_key } => {
-                hash_join(child(0)?, child(1)?, left_key, right_key, DEFAULT_ROW_LIMIT)
+                hash_join(child(0)?, child(1)?, left_key, right_key, reads, DEFAULT_ROW_LIMIT)
             }
             PhysicalOp::HashAggregate { mode, group_by, aggs } => {
                 execute_aggregate(child(0)?, *mode, group_by, aggs)
@@ -220,14 +324,17 @@ impl<'a> Executor<'a> {
 }
 
 /// Applies a predicate, keeping rows where it evaluates to TRUE.
-pub fn apply_filter(batch: &Batch, predicate: &crate::expr::Expr) -> Batch {
+pub fn apply_filter(batch: &Batch, predicate: &Expr) -> Batch {
+    batch.take(&kept_rows(batch, predicate))
+}
+
+/// The rows of `batch` where `predicate` evaluates to TRUE.
+fn kept_rows(batch: &Batch, predicate: &Expr) -> Vec<usize> {
     let mask = predicate.eval_mask(batch);
-    let keep: Vec<usize> = mask
-        .iter()
+    mask.iter()
         .enumerate()
         .filter_map(|(i, m)| (*m == Some(true)).then_some(i))
-        .collect();
-    batch.take(&keep)
+        .collect()
 }
 
 /// Sorts a batch by keys (ascending flags per key; NULLs sort last). The
@@ -348,6 +455,38 @@ mod tests {
         );
         let err = Executor::new(&catalog).execute(&plan).unwrap_err();
         assert!(err.message.contains("unknown table 'ghost'"), "{}", err.message);
+    }
+
+    /// A scan of no columns (bare `COUNT(*)`) carries no values; its rows
+    /// survive a `Limit`, and both report their rows as one 8-byte
+    /// column wide, as when the schema's first column was copied.
+    #[test]
+    fn a_zero_column_batch_keeps_its_rows_through_limit() {
+        use crate::schema::{ColumnDef, TableSchema};
+        use crate::types::DataType;
+        let mut catalog = Catalog::new();
+        catalog.register(crate::storage::Table::new(
+            TableSchema::new("t", vec![ColumnDef::new("id", DataType::Int, false)]),
+            vec![Column::non_null(ColumnData::Int((0..200).collect()))],
+        ));
+        let mut plan = PhysicalPlan::new();
+        let scan = plan.add(
+            PhysicalOp::FileScan {
+                binding: "t".into(),
+                table: "t".into(),
+                output: vec![],
+                pushed_filter: None,
+            },
+            vec![],
+            200.0,
+            1600.0,
+        );
+        plan.add(PhysicalOp::Limit { n: 7 }, vec![scan], 7.0, 56.0);
+        let result = Executor::new(&catalog).execute(&plan).unwrap();
+        assert_eq!((result.batch.num_rows(), result.batch.num_columns()), (7, 0));
+        let rows_and_bytes = |m: &NodeMetrics| (m.rows_out, m.bytes_out);
+        assert_eq!(rows_and_bytes(&result.metrics[0]), (200.0, 1600.0));
+        assert_eq!(rows_and_bytes(&result.metrics[1]), (7.0, 56.0));
     }
 
     #[test]

@@ -9,6 +9,7 @@
 //! constants recorded before refactors.
 
 use baselines::{GpsjModel, GpsjParams};
+use raal::CollectionConfig;
 use sparksim::plan::planner::{Planner, PlannerOptions};
 use sparksim::types::Value;
 use sparksim::{ClusterConfig, Engine, PhysicalPlan, ResourceGrid, SimulatorConfig};
@@ -43,6 +44,13 @@ const ALL_FOLD: u64 = 0x23b1_dec1_5a54_5ac1;
 /// at commit `e9c810f`, while GPSJ's calibration constants were still
 /// `GpsjParams` fields.
 const GPSJ_FOLD: u64 = 0x36ff_61fe_cc0a_e3b3;
+/// FNV-1a fold of `raal::collect` at the repo benchmark's scale
+/// (`title_rows` 2 000, 120 queries, seed 42): every plan run's
+/// `NodeMetrics` bits, then its observations' seconds bits — recorded at
+/// commit `a51fc90`, while the executor still materialised every column
+/// of every operator's output. At `title_rows` 400 ([`EXEC_FOLD`]) no
+/// join is large enough to take the count-only path.
+const COLLECT_FOLD: u64 = 0xcc61_71aa_0d53_7604;
 
 fn fnv(hash: &mut u64, bytes: &[u8]) {
     for &b in bytes {
@@ -303,5 +311,40 @@ fn gpsj_estimates_are_the_same_bits_as_before() {
     assert_eq!(
         fold, GPSJ_FOLD,
         "{estimates} estimates fold to {fold:#018x}: GPSJ's output changed"
+    );
+}
+
+#[test]
+fn fixture_scale_collection_is_the_same_bits_as_before() {
+    let data = generate(&ImdbConfig { title_rows: 2_000, seed: 42 });
+    let scale = data.simulated_scale();
+    let engine = Engine::with_options(
+        data.catalog,
+        PlannerOptions::scaled_to(scale),
+        ClusterConfig::default(),
+        SimulatorConfig { data_scale: scale, ..SimulatorConfig::default() },
+    );
+    let cfg = CollectionConfig {
+        num_queries: 120,
+        seed: 42,
+        ..CollectionConfig::default()
+    };
+    let collection = raal::collect(&engine, &data.graph, &cfg);
+    let mut fold = 0xcbf2_9ce4_8422_2325u64;
+    for run in &collection.plan_runs {
+        for m in &run.metrics {
+            for x in [m.rows_out, m.bytes_out, m.rows_in, m.bytes_in] {
+                fnv(&mut fold, &x.to_bits().to_le_bytes());
+            }
+        }
+        for (_, seconds) in &run.observations {
+            fnv(&mut fold, &seconds.to_bits().to_le_bytes());
+        }
+    }
+    assert_eq!(
+        fold,
+        COLLECT_FOLD,
+        "{} plan runs fold to {fold:#018x}: collection's metrics or observations changed",
+        collection.plan_runs.len()
     );
 }
