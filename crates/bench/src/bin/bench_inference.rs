@@ -21,8 +21,8 @@
 //! there and no longer measured — the CI perf-ratchet job runs
 //! `--check BENCH_inference.json`.
 
-use bench::{build_model, section, train_config, Metric, Workload};
-use raal::{train, ModelConfig};
+use bench::{section, train_config, Metric, Workload};
+use raal::{train, CostModel, ModelConfig};
 
 /// Tracked-metric regression tolerance: fail `--check` when a ratio
 /// drops below `baseline * (1 - TOLERANCE)`.
@@ -103,7 +103,7 @@ fn main() {
         t
     };
     let train_subset: Vec<_> = samples.iter().take(200).cloned().collect();
-    let mut model = build_model(ModelConfig::raal(encoder.node_dim()));
+    let mut model = CostModel::new(ModelConfig::raal(encoder.node_dim()));
     train(&mut model, &train_subset, &tcfg);
     let cluster = bench.engine.simulator().cluster();
     // The queries `collect` ran: same generator, same seed.

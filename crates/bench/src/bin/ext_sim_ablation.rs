@@ -7,16 +7,17 @@
 //! memory-sweep curve of the paper's three-table query, showing each
 //! mechanism's contribution to the non-monotonic shape.
 
-use bench::{fmt, section, write_tsv, HarnessOpts};
+use bench::{section, HarnessOpts, Rows};
 use sparksim::plan::planner::PlannerOptions;
 use sparksim::{ClusterConfig, Engine, ResourceConfig, SimulatorConfig};
 use workloads::imdb::{generate, paper_section3_queries, ImdbConfig};
 
 fn main() {
     let opts = HarnessOpts::from_env();
+    let seed = opts.seeds[0];
     section("Extension — simulator mechanism ablation (memory sweep)");
     let rows_cfg = if opts.full { 20_000 } else { 4_000 };
-    let data = generate(&ImdbConfig { title_rows: rows_cfg, seed: opts.seed });
+    let data = generate(&ImdbConfig { title_rows: rows_cfg, seed });
     let scale = data.simulated_scale();
     let queries = paper_section3_queries(&data);
 
@@ -32,12 +33,10 @@ fn main() {
             "no broadcast cap",
             SimulatorConfig { broadcast_cap_fraction: 1e9, ..base.clone() },
         ),
+        // Cache reads at the disk's 200 MB/s (`at` below): the cache buys nothing.
         (
             "no page cache",
-            SimulatorConfig {
-                cache_throughput_mbps: base.disk_equivalent(),
-                ..base.clone()
-            },
+            SimulatorConfig { cache_throughput_mbps: 200.0, ..base.clone() },
         ),
         ("no spill", SimulatorConfig { memory_fraction: 1e9, ..base.clone() }),
     ];
@@ -47,6 +46,13 @@ fn main() {
     let engine =
         Engine::with_options(catalog, planner_opts, ClusterConfig::default(), base.clone());
     let memories: Vec<f64> = (1..=8).map(|m| m as f64).collect();
+    let at = |memory_gb: f64| ResourceConfig {
+        executors: 2,
+        cores_per_executor: 2,
+        memory_per_executor_gb: memory_gb,
+        network_throughput_mbps: 120.0,
+        disk_throughput_mbps: 200.0,
+    };
 
     // Pick the (query, plan) whose cost responds most to memory — that is
     // the curve whose mechanisms are worth attributing.
@@ -58,16 +64,7 @@ fn main() {
             let exec = engine.execute_plan(&plan).expect("runs");
             let times: Vec<f64> = memories
                 .iter()
-                .map(|&m| {
-                    let res = ResourceConfig {
-                        executors: 2,
-                        cores_per_executor: 2,
-                        memory_per_executor_gb: m,
-                        network_throughput_mbps: 120.0,
-                        disk_throughput_mbps: 200.0,
-                    };
-                    engine.simulator().simulate(&plan, &exec.metrics, &res, 0)
-                })
+                .map(|&m| engine.simulator().simulate(&plan, &exec.metrics, &at(m), 0))
                 .collect();
             let lo = times.iter().cloned().fold(f64::INFINITY, f64::min);
             let hi = times.iter().cloned().fold(0.0f64, f64::max);
@@ -81,50 +78,21 @@ fn main() {
     let plan = &plan;
     println!("query: {sql}");
     println!("most memory-sensitive plan (x{spread:.1} spread):\n{}", plan.explain());
-    print!("{:>18}", "variant");
-    for m in &memories {
-        print!("{:>9}", format!("{m}GB"));
-    }
-    println!();
-    let mut rows = Vec::new();
+    let columns: Vec<String> = memories.iter().map(|m| format!("{m}GB")).collect();
+    let columns: Vec<&str> = columns.iter().map(String::as_str).collect();
+    let mut table = Rows::new("simulated seconds by executor memory", &["variant"], &columns);
     for (name, cfg) in &variants {
         let sim = sparksim::CostSimulator::new(ClusterConfig::default(), cfg.clone());
-        print!("{name:>18}");
-        let mut row = vec![name.to_string()];
-        for &m in &memories {
-            let res = ResourceConfig {
-                executors: 2,
-                cores_per_executor: 2,
-                memory_per_executor_gb: m,
-                network_throughput_mbps: 120.0,
-                disk_throughput_mbps: 200.0,
-            };
-            let t = sim.simulate(plan, &exec.metrics, &res, 0);
-            print!("{:>9}", fmt(t));
-            row.push(fmt(t));
-        }
-        println!();
-        rows.push(row);
+        let times: Vec<f64> = memories
+            .iter()
+            .map(|&m| sim.simulate(plan, &exec.metrics, &at(m), 0))
+            .collect();
+        table.push(seed, &[name], &times);
     }
     println!(
         "\nreading: removing the broadcast cap flattens the low-memory spike; \
          removing GC flattens the high-memory rise; spill/page-cache shape \
          the middle of the curve."
     );
-    let mut header = vec!["variant".to_string()];
-    header.extend(memories.iter().map(|m| format!("{m}GB")));
-    let header_refs: Vec<&str> = header.iter().map(String::as_str).collect();
-    write_tsv(&opts.out_dir, "ext_sim_ablation.tsv", &header_refs, &rows);
-}
-
-/// Helper so the "no page cache" variant reads as intent: cache reads at
-/// disk speed, i.e. the cache buys nothing.
-trait DiskEquivalent {
-    fn disk_equivalent(&self) -> f64;
-}
-
-impl DiskEquivalent for SimulatorConfig {
-    fn disk_equivalent(&self) -> f64 {
-        200.0
-    }
+    table.write(&opts.out_dir, "ext_sim_ablation.tsv");
 }

@@ -8,28 +8,28 @@
 //! check: plan costs vary non-monotonically with memory, and the *optimal
 //! plan flips* as memory changes.
 
-use bench::{fmt, section, write_tsv, HarnessOpts};
+use bench::{section, HarnessOpts, Rows};
 use sparksim::plan::planner::PlannerOptions;
 use sparksim::{Engine, ResourceConfig, SimulatorConfig};
 
 fn main() {
     let opts = HarnessOpts::from_env();
+    let seed = opts.seeds[0];
     let rows = if opts.full { 20_000 } else { 4_000 };
-    let data = workloads::imdb::generate(&workloads::imdb::ImdbConfig {
-        title_rows: rows,
-        seed: opts.seed,
-    });
+    let data = workloads::imdb::generate(&workloads::imdb::ImdbConfig { title_rows: rows, seed });
     let scale = data.simulated_scale();
     let queries = workloads::imdb::paper_section3_queries(&data);
     let engine = Engine::with_options(
         data.catalog,
-        PlannerOptions { max_plans: 3, ..bench::planner_options(scale) },
+        PlannerOptions { max_plans: 3, ..PlannerOptions::scaled_to(scale) },
         sparksim::ClusterConfig::default(),
         SimulatorConfig { data_scale: scale, ..SimulatorConfig::default() },
     );
 
     let memories: Vec<f64> = (1..=8).map(|m| m as f64).collect();
-    let mut rows_out = Vec::new();
+    let values = ["plan1_s", "plan2_s", "plan3_s", "best_plan"];
+    let mut table =
+        Rows::new("Fig. 2 — plan seconds by executor memory", &["query", "memory_gb"], &values);
 
     for (name, sql) in &queries {
         section(&format!("Fig. 2 — {name}"));
@@ -39,12 +39,6 @@ fn main() {
             .iter()
             .map(|p| engine.execute_plan(p).expect("paper queries must run"))
             .collect();
-
-        print!("{:>8}", "mem(GB)");
-        for i in 0..plans.len() {
-            print!("{:>12}", format!("plan{}(s)", i + 1));
-        }
-        println!("{:>8}", "best");
         let mut flips = Vec::new();
         let mut prev_best = usize::MAX;
         for &mem in &memories {
@@ -64,7 +58,7 @@ fn main() {
                         plan,
                         &execs[i].metrics,
                         &res,
-                        opts.seed ^ (run * 7717 + i as u64 * 131 + mem as u64),
+                        seed ^ (run * 7717 + i as u64 * 131 + mem as u64),
                     );
                 }
                 times.push(t / 3.0);
@@ -79,18 +73,13 @@ fn main() {
                 flips.push(mem);
             }
             prev_best = best;
-            print!("{mem:>8.0}");
-            for t in &times {
-                print!("{:>12}", fmt(*t));
-            }
-            println!("{:>8}", format!("plan{}", best + 1));
-            let mut row = vec![name.to_string(), format!("{mem}")];
-            row.extend(times.iter().map(|t| fmt(*t)));
-            row.push(format!("plan{}", best + 1));
-            while row.len() < 6 {
-                row.insert(row.len() - 1, String::new());
-            }
-            rows_out.push(row);
+            // A query with two candidates leaves plan3_s empty (NaN).
+            times.resize(3, f64::NAN);
+            table.push(
+                seed,
+                &[name, &mem.to_string()],
+                &[&times[..], &[best as f64 + 1.0]].concat(),
+            );
         }
         if flips.is_empty() {
             println!("optimal plan stable across memories");
@@ -99,10 +88,5 @@ fn main() {
         }
     }
 
-    write_tsv(
-        &opts.out_dir,
-        "fig2_memory_impact.tsv",
-        &["query", "memory_gb", "plan1_s", "plan2_s", "plan3_s", "best"],
-        &rows_out,
-    );
+    table.write(&opts.out_dir, "fig2_memory_impact.tsv");
 }

@@ -6,17 +6,17 @@
 //!    do better; if not, the features are the bottleneck.
 //! 2. A long RAAL training run to check convergence behaviour.
 
-use bench::{build_model, fmt, run_pipeline, section, write_tsv, HarnessOpts, Workload};
+use bench::{metrics, run_pipeline, section, HarnessOpts, Rows, Workload, METRICS};
 use raal::model::normalize_seconds;
-use raal::train::training_transform;
-use raal::{evaluate, train, train_test_split, EvalSet, ModelConfig, TrainConfig};
+use raal::{evaluate, train, train_test_split, CostModel, EvalSet, ModelConfig, TrainConfig};
 
 fn main() {
     let opts = HarnessOpts::from_env();
+    let seed = opts.seeds[0];
     section("probe — linear learnability of the encoded features");
-    let bench = bench::build_bench(Workload::Imdb, opts.full, opts.seed);
-    let pipeline = run_pipeline(&bench, opts.full, opts.seed, true);
-    let (train_set, test_set) = train_test_split(pipeline.samples.clone(), 0.8, opts.seed);
+    let bench = bench::build_bench(Workload::Imdb, opts.full, seed);
+    let pipeline = run_pipeline(&bench, opts.full, seed, true);
+    let (train_set, test_set) = train_test_split(pipeline.samples.clone(), 0.8, seed);
     println!("records: train {}, test {}", train_set.len(), test_set.len());
 
     // ---- linear probe ----
@@ -53,17 +53,11 @@ fn main() {
         let pred = ((yhat.clamp(0.0, 1.5)) * (7201.0f64).ln()).exp() - 1.0;
         probe_eval.push(s.seconds, pred);
     }
-    let p = probe_eval.summary(training_transform);
-    println!(
-        "linear probe: RE={} MSE={} COR={} R2={}",
-        fmt(p.re),
-        fmt(p.mse),
-        fmt(p.cor),
-        fmt(p.r2)
-    );
+    let mut table = Rows::new("probe (IMDB test split)", &["model"], &METRICS);
+    table.push(seed, &["linear-probe"], &metrics(&probe_eval.summary()));
 
     // ---- long RAAL run ----
-    let mut model = build_model(ModelConfig::raal(pipeline.encoder.node_dim()));
+    let mut model = CostModel::new(ModelConfig::raal(pipeline.encoder.node_dim()));
     let tcfg = TrainConfig {
         epochs: 40,
         lr: 2e-3,
@@ -72,24 +66,8 @@ fn main() {
     };
     let history = train(&mut model, &train_set, &tcfg);
     println!("RAAL losses: {:?}", history.epoch_losses);
-    let m = evaluate(&model, &test_set).summary(training_transform);
-    println!(
-        "RAAL (40 epochs): RE={} MSE={} COR={} R2={}",
-        fmt(m.re),
-        fmt(m.mse),
-        fmt(m.cor),
-        fmt(m.r2)
-    );
-
-    write_tsv(
-        &opts.out_dir,
-        "probe_learnability.tsv",
-        &["model", "RE", "MSE", "COR", "R2"],
-        &[
-            vec!["linear-probe".into(), fmt(p.re), fmt(p.mse), fmt(p.cor), fmt(p.r2)],
-            vec!["raal-40ep".into(), fmt(m.re), fmt(m.mse), fmt(m.cor), fmt(m.r2)],
-        ],
-    );
+    table.push(seed, &["raal-40ep"], &metrics(&evaluate(&model, &test_set).summary()));
+    table.write(&opts.out_dir, "probe_learnability.tsv");
 }
 
 /// Gaussian elimination with partial pivoting for the small normal system.

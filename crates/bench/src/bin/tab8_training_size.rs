@@ -6,39 +6,32 @@
 //! linearly with the data; test error falls as data grows but is already
 //! reasonable on the smallest subset.
 
-use bench::{
-    build_model, fmt, run_pipeline, section, train_config, write_tsv, HarnessOpts, Workload,
-};
-use raal::{evaluate, train, train_test_split, ModelConfig};
+use bench::{run_pipeline, section, train_config, HarnessOpts, Rows, Workload};
+use raal::{evaluate, train, train_test_split, CostModel, ModelConfig};
 
 fn main() {
     let opts = HarnessOpts::from_env();
+    let seed = opts.seeds[0];
     section("Table VIII — training time / test error vs. data size (IMDB)");
-    let bench = bench::build_bench(Workload::Imdb, opts.full, opts.seed);
-    let pipeline = run_pipeline(&bench, opts.full, opts.seed, true);
-    let (train_all, test_set) = train_test_split(pipeline.samples.clone(), 0.8, opts.seed);
+    let bench = bench::build_bench(Workload::Imdb, opts.full, seed);
+    let pipeline = run_pipeline(&bench, opts.full, seed, true);
+    let (train_all, test_set) = train_test_split(pipeline.samples.clone(), 0.8, seed);
     println!("available training records: {}", train_all.len());
 
     // Paper sizes: 10k..50k. Reduced runs scale to the data we have.
     let fractions = [0.2, 0.4, 0.6, 0.8, 1.0];
-    println!("\n{:>10} {:>12} {:>10}", "records", "train time", "test RE");
-    let mut rows = Vec::new();
+    let values = ["train_seconds", "test_RE"];
+    let mut table = Rows::new("Table VIII — training size", &["train_records"], &values);
     for f in fractions {
         let n = ((train_all.len() as f64) * f) as usize;
         if n < 10 {
             continue;
         }
         let subset = &train_all[..n];
-        let mut model = build_model(ModelConfig::raal(pipeline.encoder.node_dim()));
-        let history = train(&mut model, subset, &train_config(opts.full, opts.seed));
+        let mut model = CostModel::new(ModelConfig::raal(pipeline.encoder.node_dim()));
+        let history = train(&mut model, subset, &train_config(opts.full, seed));
         let re = evaluate(&model, &test_set).relative_error();
-        println!("{n:>10} {:>12} {:>10}", format!("{:.1}s", history.train_seconds), fmt(re));
-        rows.push(vec![n.to_string(), format!("{:.2}", history.train_seconds), fmt(re)]);
+        table.push(seed, &[&n.to_string()], &[history.train_seconds, re]);
     }
-    write_tsv(
-        &opts.out_dir,
-        "tab8_training_size.tsv",
-        &["train_records", "train_seconds", "test_RE"],
-        &rows,
-    );
+    table.write(&opts.out_dir, "tab8_training_size.tsv");
 }

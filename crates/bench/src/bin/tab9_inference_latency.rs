@@ -13,22 +13,23 @@
 
 use baselines::gpsj::{GpsjModel, GpsjParams};
 use baselines::tlstm::{train_tlstm, TlstmConfig, TlstmModel};
-use bench::{build_model, run_pipeline, section, train_config, write_tsv, HarnessOpts, Workload};
-use raal::{train, ModelConfig};
+use bench::{run_pipeline, section, train_config, HarnessOpts, Rows, Workload};
+use raal::{train, CostModel, ModelConfig};
 
 fn main() {
     let opts = HarnessOpts::from_env();
+    let seed = opts.seeds[0];
     section("Table IX — online estimation time for 100 queries");
-    let bench = bench::build_bench(Workload::Imdb, opts.full, opts.seed);
-    let pipeline = run_pipeline(&bench, opts.full, opts.seed, true);
+    let bench = bench::build_bench(Workload::Imdb, opts.full, seed);
+    let pipeline = run_pipeline(&bench, opts.full, seed, true);
     let tcfg = {
-        let mut t = train_config(false, opts.seed);
+        let mut t = train_config(false, seed);
         t.epochs = 3; // weights don't matter for latency
         t
     };
     let train_subset: Vec<_> = pipeline.samples.iter().take(200).cloned().collect();
 
-    let mut raal_model = build_model(ModelConfig::raal(pipeline.encoder.node_dim()));
+    let mut raal_model = CostModel::new(ModelConfig::raal(pipeline.encoder.node_dim()));
     train(&mut raal_model, &train_subset, &tcfg);
     let mut tlstm = TlstmModel::new(TlstmConfig::new(pipeline.encoder.node_dim()));
     train_tlstm(&mut tlstm, &train_subset, &tcfg);
@@ -80,11 +81,11 @@ fn main() {
         }
     });
 
-    println!("{:>8} {:>16} {:>16}", "model", "total(ms)", "per-plan(ms)");
-    let mut rows = Vec::new();
+    let values = ["total_ms_100_queries", "per_plan_ms"];
+    let mut table =
+        Rows::new("Table IX — estimation time", &["model"], &values).cells(|ms| format!("{ms:.5}"));
     for (name, ms) in [("RAAL", raal_ms), ("TLSTM", tlstm_ms), ("GPSJ", gpsj_ms)] {
-        println!("{name:>8} {ms:>16.3} {:>16.5}", ms / n as f64);
-        rows.push(vec![name.to_string(), format!("{ms:.3}"), format!("{:.5}", ms / n as f64)]);
+        table.push(seed, &[name], &[ms, ms / n as f64]);
     }
     println!(
         "\nnote: the paper's GPSJ costs up to 50 ms/plan inside Spark's optimizer; \
@@ -92,12 +93,7 @@ fn main() {
          while the learned models' ~microsecond-scale per-plan cost matches the paper's claim \
          that learned estimation overhead is negligible."
     );
-    write_tsv(
-        &opts.out_dir,
-        "tab9_inference_latency.tsv",
-        &["model", "total_ms_100_queries", "per_plan_ms"],
-        &rows,
-    );
+    table.write(&opts.out_dir, "tab9_inference_latency.tsv");
 
     // Flush counter/histogram summaries so a telemetry-enabled run
     // validates end to end.

@@ -1,10 +1,11 @@
 //! # bench — experiment harnesses
 //!
-//! One binary per table/figure of the paper's evaluation (see DESIGN.md's
-//! per-experiment index). This library holds the shared plumbing: argument
-//! parsing, dataset/engine construction at two scales (`--full` ≈ paper
-//! scale, default = reduced-but-shape-preserving), the standard
-//! collect→encode→train pipeline, TSV output, and the `BENCH_*.json`
+//! One binary per group of tables/figures of the paper's evaluation (see
+//! DESIGN.md's per-experiment index). This library holds the shared
+//! plumbing: argument parsing, dataset/engine construction at two scales
+//! (`--full` ≈ paper scale, default = reduced-but-shape-preserving), the
+//! standard collect→encode→train pipeline, the per-seed result tables with
+//! their spread, the ordering counts, TSV output, and the `BENCH_*.json`
 //! report + `--check` ratchet of `bench_inference`.
 
 #![warn(missing_docs)]
@@ -12,13 +13,17 @@
 use encoding::word2vec::W2vConfig;
 use encoding::{EncoderConfig, PlanEncoder};
 use raal::dataset::{collect, Collection, CollectionConfig};
-use raal::{CostModel, ModelConfig, TrainConfig};
+use raal::{MetricSummary, TrainConfig};
 use serde::Serialize;
 use sparksim::plan::planner::PlannerOptions;
 use sparksim::{ClusterConfig, Engine, SimulatorConfig};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
+use std::sync::Mutex;
 use workloads::FkGraph;
+
+/// The seeds a harness runs: `--seeds N` takes the first `N`.
+pub const SEEDS: [u64; 5] = [42, 1, 7, 13, 99];
 
 /// Command-line options shared by every harness.
 #[derive(Debug, Clone)]
@@ -27,12 +32,14 @@ pub struct HarnessOpts {
     pub full: bool,
     /// Output directory for TSV result files.
     pub out_dir: PathBuf,
-    /// Master seed.
-    pub seed: u64,
+    /// Master seeds, a prefix of [`SEEDS`]. The accuracy tables, Table V
+    /// and Fig. 1 run every one; the other harnesses run the first.
+    pub seeds: Vec<u64>,
 }
 
 impl HarnessOpts {
-    /// Parses `--full`, `--out <dir>` and `--seed <n>` from `std::env`.
+    /// Parses `--full`, `--out <dir>` and `--seeds <n>` (default 5) from
+    /// `std::env`.
     ///
     /// Also activates telemetry from `RAAL_TELEMETRY`/`RAAL_METRICS_OUT`
     /// and stamps the run manifest, so every harness is observable
@@ -42,7 +49,7 @@ impl HarnessOpts {
         let mut opts = Self {
             full: false,
             out_dir: PathBuf::from("results"),
-            seed: 42,
+            seeds: SEEDS.to_vec(),
         };
         let args: Vec<String> = std::env::args().collect();
         let mut i = 1;
@@ -53,21 +60,28 @@ impl HarnessOpts {
                     i += 1;
                     opts.out_dir = PathBuf::from(args.get(i).expect("--out needs a value"));
                 }
-                "--seed" => {
+                "--seeds" => {
                     i += 1;
-                    opts.seed = args
+                    let n: usize = args
                         .get(i)
-                        .expect("--seed needs a value")
+                        .expect("--seeds needs a value")
                         .parse()
-                        .expect("--seed must be an integer");
+                        .expect("--seeds must be an integer");
+                    assert!(
+                        (1..=SEEDS.len()).contains(&n),
+                        "--seeds takes 1 to {} of {SEEDS:?}",
+                        SEEDS.len()
+                    );
+                    opts.seeds = SEEDS[..n].to_vec();
                 }
-                other => panic!("unknown argument '{other}' (use --full / --out DIR / --seed N)"),
+                other => panic!("unknown argument '{other}' (use --full / --out DIR / --seeds N)"),
             }
             i += 1;
         }
+        let seeds: Vec<String> = opts.seeds.iter().map(u64::to_string).collect();
         telemetry::manifest(&[
             ("bench_full", telemetry::Value::Bool(opts.full)),
-            ("bench_seed", telemetry::Value::UInt(opts.seed)),
+            ("bench_seeds", telemetry::Value::Str(seeds.join(","))),
             ("bench_out_dir", telemetry::Value::Str(opts.out_dir.display().to_string())),
         ]);
         opts
@@ -126,16 +140,8 @@ pub fn build_bench(workload: Workload, full: bool, seed: u64) -> Bench {
         }
     };
     let sim_cfg = SimulatorConfig { data_scale: scale, ..SimulatorConfig::default() };
-    let engine = Engine::with_options(catalog, planner_options(scale), cluster, sim_cfg);
+    let engine = Engine::with_options(catalog, PlannerOptions::scaled_to(scale), cluster, sim_cfg);
     Bench { engine, graph, workload }
-}
-
-/// Planner options with the broadcast threshold expressed at the
-/// *deployed* data scale: estimated plan bytes are unscaled (the catalog
-/// holds the scaled-down tables), so Catalyst's 10 MB threshold must be
-/// divided by the simulator's `data_scale`.
-pub fn planner_options(data_scale: f64) -> PlannerOptions {
-    PlannerOptions::scaled_to(data_scale)
 }
 
 /// Standard collection sizes: the paper gathers 63k records (IMDB) and
@@ -194,11 +200,6 @@ pub fn run_pipeline(bench: &Bench, full: bool, seed: u64, structure: bool) -> Pi
     Pipeline { collection, encoder, samples }
 }
 
-/// Builds a RAAL-family model sized for harness runs.
-pub fn build_model(cfg: ModelConfig) -> CostModel {
-    CostModel::new(cfg)
-}
-
 /// Writes a TSV file with a header row, creating the directory as needed.
 ///
 /// A `<name>.manifest.json` sidecar records the run identity (run id, git
@@ -234,9 +235,247 @@ pub fn fmt(x: f64) -> String {
     }
 }
 
+/// A table cell: a count prints as an integer, any other value as [`fmt`].
+fn cell(x: f64) -> String {
+    if x.fract() == 0.0 && x.abs() < 1e9 {
+        format!("{x:.0}")
+    } else {
+        fmt(x)
+    }
+}
+
 /// Prints a boxed section header.
 pub fn section(title: &str) {
     println!("\n=== {title} ===");
+}
+
+/// The metric columns of every accuracy table: Eqs. 12–15, then COR and R²
+/// over `ln(1 + seconds)`.
+pub const METRICS: [&str; 6] = ["RE", "MSE", "COR", "R2", "COR_log", "R2_log"];
+
+/// A summary's values in [`METRICS`] order.
+pub fn metrics(s: &MetricSummary) -> [f64; 6] {
+    [s.re, s.mse, s.cor, s.r2, s.cor_log, s.r2_log]
+}
+
+/// The title and seed of the table line printed last: a table repeats its
+/// header when either changes.
+static LAST_PRINTED: Mutex<String> = Mutex::new(String::new());
+
+/// One result table, one row per seed and key. A row is printed aligned as
+/// it is pushed (unless the title is empty: a curve, a scatter) and kept for
+/// the TSV, whose first column is the seed.
+pub struct Rows {
+    title: &'static str,
+    header: Vec<String>,
+    keys: usize,
+    cell: fn(f64) -> String,
+    rows: Vec<Row>,
+}
+
+struct Row {
+    /// The seed, or `mean` / `min` / `max` over the seeds.
+    seed: String,
+    keys: Vec<String>,
+    values: Vec<f64>,
+    /// A seed's row that [`Rows::spread`] and [`Rows::series`] read.
+    paired: bool,
+}
+
+impl Rows {
+    /// A table whose `keys` columns name a row and whose `values` columns
+    /// hold its numbers.
+    pub fn new(title: &'static str, keys: &[&str], values: &[&str]) -> Self {
+        let header = keys.iter().chain(values).map(|h| h.to_string()).collect();
+        Self {
+            title,
+            header,
+            keys: keys.len(),
+            cell,
+            rows: Vec::new(),
+        }
+    }
+
+    /// Formats every value with `cell` instead of the default (a count as an
+    /// integer, anything else as [`fmt`]).
+    pub fn cells(self, cell: fn(f64) -> String) -> Self {
+        Self { cell, ..self }
+    }
+
+    /// Adds seed `seed`'s row `keys`, which [`Rows::spread`] summarises with
+    /// the other seeds' rows of the same keys.
+    pub fn push(&mut self, seed: u64, keys: &[&str], values: &[f64]) {
+        self.add(seed.to_string(), keys, values, true, true);
+    }
+
+    /// Adds a row only seed `seed` has (a query it generated, a scatter
+    /// point): kept for the TSV, not printed, not in the spread.
+    pub fn detail(&mut self, seed: u64, keys: &[&str], values: &[f64]) {
+        self.add(seed.to_string(), keys, values, false, false);
+    }
+
+    fn add(&mut self, seed: String, keys: &[&str], values: &[f64], paired: bool, print: bool) {
+        let shape_ok = keys.len() == self.keys && keys.len() + values.len() == self.header.len();
+        assert!(
+            shape_ok,
+            "{}: a row of {} keys and {} values",
+            self.title,
+            keys.len(),
+            values.len()
+        );
+        let keys = keys.iter().map(|k| k.to_string()).collect();
+        let row = Row { seed, keys, values: values.to_vec(), paired };
+        if print && !self.title.is_empty() {
+            let group = format!("{} / {}", self.title, if paired { &row.seed } else { "spread" });
+            let mut last = LAST_PRINTED.lock().unwrap_or_else(|e| e.into_inner());
+            if *last != group {
+                println!("\n--- {} ---\n{}", self.title, self.aligned("seed", &self.header));
+                *last = group;
+            }
+            println!("{}", self.aligned(&row.seed, &self.cells_of(&row)));
+        }
+        self.rows.push(row);
+    }
+
+    fn cells_of(&self, row: &Row) -> Vec<String> {
+        let values = row.values.iter().map(|&v| (self.cell)(v));
+        row.keys.iter().cloned().chain(values).collect()
+    }
+
+    fn aligned(&self, seed: &str, cells: &[String]) -> String {
+        let widths = self.header.iter().enumerate();
+        let widths = widths.map(|(i, h)| h.len().max(if i < self.keys { 10 } else { 9 }));
+        let line = format!("{seed:>5}");
+        cells
+            .iter()
+            .zip(widths)
+            .fold(line, |line, (c, w)| line + &format!(" {c:>w$}"))
+    }
+
+    /// Appends a `mean`, a `min` and a `max` row for every key pushed by
+    /// more than one seed. A NaN in any seed makes all three NaN.
+    pub fn spread(&mut self) {
+        let mut groups: Vec<(Vec<String>, Vec<Vec<f64>>)> = Vec::new();
+        for r in self.rows.iter().filter(|r| r.paired) {
+            match groups.iter_mut().find(|(keys, _)| *keys == r.keys) {
+                Some((_, seeds)) => seeds.push(r.values.clone()),
+                None => groups.push((r.keys.clone(), vec![r.values.clone()])),
+            }
+        }
+        for (keys, seeds) in groups.into_iter().filter(|(_, seeds)| seeds.len() > 1) {
+            let keys: Vec<&str> = keys.iter().map(String::as_str).collect();
+            let stat = |f: fn(f64, f64) -> f64, init: f64| -> Vec<f64> {
+                let column = |i: usize| seeds.iter().map(move |v: &Vec<f64>| v[i]);
+                let fold = |i| {
+                    if column(i).any(f64::is_nan) {
+                        f64::NAN
+                    } else {
+                        column(i).fold(init, f)
+                    }
+                };
+                (0..seeds[0].len()).map(fold).collect()
+            };
+            let n = seeds.len() as f64;
+            let mean: Vec<f64> = stat(|a, b| a + b, 0.0).iter().map(|sum| sum / n).collect();
+            self.add("mean".into(), &keys, &mean, false, true);
+            self.add("min".into(), &keys, &stat(f64::min, f64::INFINITY), false, true);
+            self.add("max".into(), &keys, &stat(f64::max, f64::NEG_INFINITY), false, true);
+        }
+    }
+
+    /// `(seed, value)` of column `column` in every seed's row `keys`.
+    ///
+    /// # Panics
+    /// Panics if the table has no column `column`.
+    pub fn series(&self, keys: &[&str], column: &str) -> Vec<(u64, f64)> {
+        let at = self.header.iter().position(|h| h == column);
+        let at = at.unwrap_or_else(|| panic!("{}: no column {column}", self.title)) - self.keys;
+        self.rows
+            .iter()
+            .filter(|r| r.paired && r.keys.iter().map(String::as_str).eq(keys.iter().copied()))
+            .map(|r| (r.seed.parse().expect("a paired row's seed is a number"), r.values[at]))
+            .collect()
+    }
+
+    /// Writes the table to `dir/name` with a leading `seed` column (see
+    /// [`write_tsv`]).
+    pub fn write(&self, dir: &Path, name: &str) -> PathBuf {
+        let header: Vec<&str> = ["seed"]
+            .into_iter()
+            .chain(self.header.iter().map(String::as_str))
+            .collect();
+        let rows: Vec<Vec<String>> = self
+            .rows
+            .iter()
+            .map(|r| [vec![r.seed.clone()], self.cells_of(r)].concat())
+            .collect();
+        write_tsv(dir, name, &header, &rows)
+    }
+}
+
+/// Counts the seeds in which `better` beats `worse`, among the seeds both
+/// have a value for: `(holds, paired)`. Lower wins if `lower_is_better`.
+/// A tie or a NaN on either side does not hold.
+pub fn count_holds(
+    better: &[(u64, f64)],
+    worse: &[(u64, f64)],
+    lower_is_better: bool,
+) -> (usize, usize) {
+    let paired: Vec<(f64, f64)> = better
+        .iter()
+        .filter_map(|(seed, b)| worse.iter().find(|(s, _)| s == seed).map(|(_, w)| (*b, *w)))
+        .collect();
+    let holds = paired
+        .iter()
+        .filter(|(b, w)| if lower_is_better { b < w } else { b > w });
+    (holds.count(), paired.len())
+}
+
+/// `orderings.tsv`'s columns: an ordering the paper claims, and the number
+/// of seeds it holds in out of those both sides ran.
+const ORDERING_HEADER: [&str; 5] = ["table", "claim", "metric", "holds", "seeds"];
+
+/// The orderings a harness counted; [`Orderings::write`] merges them into
+/// `orderings.tsv`.
+#[derive(Default)]
+pub struct Orderings {
+    rows: Vec<Vec<String>>,
+}
+
+impl Orderings {
+    /// Counts the seeds in which `better` beats `worse` on `metric` (see
+    /// [`count_holds`]; COR and R² columns are higher-is-better, every other
+    /// metric lower-is-better), prints the count and keeps the row.
+    pub fn claim(
+        &mut self,
+        table: &str,
+        claim: &str,
+        metric: &str,
+        better: &[(u64, f64)],
+        worse: &[(u64, f64)],
+    ) {
+        let lower_is_better = !(metric.starts_with("COR") || metric.starts_with("R2"));
+        let (holds, seeds) = count_holds(better, worse, lower_is_better);
+        println!("{table:>7} {claim} on {metric}: holds in {holds} of {seeds} seeds");
+        let row = [table, claim, metric, &holds.to_string(), &seeds.to_string()];
+        self.rows.push(row.map(str::to_string).to_vec());
+    }
+
+    /// Writes `dir/orderings.tsv`: the rows already there for tables this
+    /// set does not hold, and this set's, ordered by table.
+    pub fn write(&self, dir: &Path) -> PathBuf {
+        let mine = |table: &str| self.rows.iter().any(|r| r[0] == table);
+        let kept = std::fs::read_to_string(dir.join("orderings.tsv")).unwrap_or_default();
+        let mut rows: Vec<Vec<String>> = kept
+            .lines()
+            .skip(1)
+            .map(|l| l.split('\t').map(str::to_string).collect::<Vec<_>>())
+            .filter(|r| r.len() == ORDERING_HEADER.len() && !mine(&r[0]))
+            .chain(self.rows.iter().cloned())
+            .collect();
+        rows.sort_by(|a, b| a[0].cmp(&b[0]));
+        write_tsv(dir, "orderings.tsv", &ORDERING_HEADER, &rows)
+    }
 }
 
 /// One entry of a `BENCH_*.json` report.
@@ -452,9 +691,47 @@ mod tests {
     #[test]
     fn tsv_writer_round_trips() {
         let dir = std::env::temp_dir().join("raal_bench_test");
-        let path = write_tsv(&dir, "t.tsv", &["a", "b"], &[vec!["1".into(), "2".into()]]);
-        let content = std::fs::read_to_string(path).unwrap();
-        assert_eq!(content, "a\tb\n1\t2\n");
+        let mut rows = Rows::new("", &["model"], &["RE", "n"]);
+        rows.push(42, &["RAAL"], &[0.5, 40.0]);
+        rows.push(1, &["RAAL"], &[0.25, 41.0]);
+        rows.push(1, &["RAAC"], &[0.125, 40.0]);
+        rows.detail(1, &["Q1"], &[1.0, 2.5]);
+        rows.spread();
+        let content = std::fs::read_to_string(rows.write(&dir, "t.tsv")).unwrap();
+        assert_eq!(
+            content,
+            "seed\tmodel\tRE\tn\n42\tRAAL\t0.5000\t40\n1\tRAAL\t0.2500\t41\n\
+             1\tRAAC\t0.1250\t40\n1\tQ1\t1\t2.5000\n\
+             mean\tRAAL\t0.3750\t40.5000\nmin\tRAAL\t0.2500\t40\nmax\tRAAL\t0.5000\t41\n"
+        );
+        assert_eq!(rows.series(&["RAAL"], "n"), vec![(42, 40.0), (1, 41.0)]);
+    }
+
+    #[test]
+    fn orderings_count_paired_seeds_and_a_tie_or_nan_does_not_hold() {
+        let raal = [(42, 0.20), (1, 0.30), (7, 0.25), (13, f64::NAN), (99, 0.10)];
+        // Seed 99 has no ablation row: unpaired, not counted either way.
+        let ablation = [(42, 0.25), (1, 0.28), (7, 0.25), (13, 0.40), (5, 0.01)];
+        // 42 holds, 1 loses, 7 ties, 13 is NaN.
+        assert_eq!(count_holds(&raal, &ablation, true), (1, 4));
+        assert_eq!(count_holds(&raal, &ablation, false), (1, 4));
+        assert_eq!(count_holds(&raal, &[], true), (0, 0));
+
+        let dir = std::env::temp_dir().join("raal_bench_orderings_test");
+        let _ = std::fs::remove_file(dir.join("orderings.tsv"));
+        let mut v = Orderings::default();
+        v.claim("V", "RAAL beats TLSTM", "COR", &[(42, 0.9), (1, 0.5)], &[(42, 0.8), (1, 0.6)]);
+        v.write(&dir);
+        let mut iv = Orderings::default();
+        iv.claim("IV", "RAAL beats RAAC", "RE", &raal, &ablation);
+        iv.write(&dir);
+        // A second run of a harness replaces its own rows only.
+        iv.write(&dir);
+        let content = std::fs::read_to_string(dir.join("orderings.tsv")).unwrap();
+        let lines: Vec<&str> = content.lines().collect();
+        assert_eq!(lines.len(), 3);
+        assert_eq!(lines[1], "IV\tRAAL beats RAAC\tRE\t1\t4");
+        assert_eq!(lines[2], "V\tRAAL beats TLSTM\tCOR\t1\t2");
     }
 
     fn baseline() -> serde::Value {

@@ -1,6 +1,9 @@
 //! Evaluation metrics of the paper's Sec. V-A: relative error (Eq. 12),
 //! mean squared error (Eq. 13), Pearson correlation (Eq. 14) and the
-//! coefficient of determination R² (Eq. 15).
+//! coefficient of determination R² (Eq. 15), plus Eqs. 14–15 over
+//! `ln(1 + seconds)`, where one heavy-tailed plan cannot dominate them.
+
+use crate::train::training_transform;
 
 /// Paired actual/estimated costs for a test set.
 #[derive(Debug, Clone, Default)]
@@ -122,18 +125,31 @@ impl EvalSet {
         1.0 - ss_res / ss_tot
     }
 
-    /// The four headline metrics at once: (RE, MSE-on-transform, COR, R²).
-    pub fn summary(&self, mse_transform: impl Fn(f64) -> f64) -> MetricSummary {
+    /// The same pairs as `ln(1 + seconds)`.
+    pub fn log_space(&self) -> EvalSet {
+        Self {
+            actual: self.actual.iter().map(|x| x.ln_1p()).collect(),
+            estimated: self.estimated.iter().map(|x| x.ln_1p()).collect(),
+        }
+    }
+
+    /// Every table's metrics at once: RE, MSE on the training transform,
+    /// and COR / R² in raw and in log space.
+    pub fn summary(&self) -> MetricSummary {
+        let log = self.log_space();
         MetricSummary {
             re: self.relative_error(),
-            mse: self.mse_with(mse_transform),
+            mse: self.mse_with(training_transform),
             cor: self.correlation(),
             r2: self.r_squared(),
+            cor_log: log.correlation(),
+            r2_log: log.r_squared(),
         }
     }
 }
 
-/// The four metrics the paper reports in every table.
+/// The four metrics the paper reports in every table, and COR / R² over
+/// `ln(1 + seconds)`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MetricSummary {
     /// Relative error.
@@ -144,11 +160,19 @@ pub struct MetricSummary {
     pub cor: f64,
     /// Coefficient of determination.
     pub r2: f64,
+    /// Pearson correlation over `ln(1 + seconds)`.
+    pub cor_log: f64,
+    /// Coefficient of determination over `ln(1 + seconds)`.
+    pub r2_log: f64,
 }
 
 impl std::fmt::Display for MetricSummary {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "RE={:.4} MSE={:.4} COR={:.4} R2={:.4}", self.re, self.mse, self.cor, self.r2)
+        write!(
+            f,
+            "RE={:.4} MSE={:.4} COR={:.4} R2={:.4} COR_log={:.4} R2_log={:.4}",
+            self.re, self.mse, self.cor, self.r2, self.cor_log, self.r2_log
+        )
     }
 }
 
@@ -196,6 +220,20 @@ mod tests {
     fn zero_actuals_skipped_in_re() {
         let e = EvalSet::from_pairs(vec![0.0, 10.0], vec![5.0, 10.0]);
         assert_eq!(e.relative_error(), 0.0);
+    }
+
+    #[test]
+    fn one_outlier_sinks_raw_r2_but_not_log_r2() {
+        // Twenty plans predicted within 10%, and one 1000 s plan predicted
+        // at 3000 s: its squared error outweighs the raw variance.
+        let mut actual: Vec<f64> = (1..=20).map(f64::from).collect();
+        let mut estimated: Vec<f64> = actual.iter().map(|a| a * 1.1).collect();
+        actual.push(1000.0);
+        estimated.push(3000.0);
+        let s = EvalSet::from_pairs(actual, estimated).summary();
+        assert!(s.r2 < 0.0, "raw R² {}", s.r2);
+        assert!(s.r2_log > 0.9, "log R² {}", s.r2_log);
+        assert!(s.cor_log > 0.95, "log COR {}", s.cor_log);
     }
 
     #[test]

@@ -1,9 +1,11 @@
 #!/bin/bash
 # Regenerates every table and figure of the paper (reduced scale by
-# default; pass --full for paper-scale runs).
+# default; pass --full for paper-scale runs, --seeds N for fewer seeds).
+# accuracy_tables, tab5_vs_tlstm and fig1_plan_selection run the 5 seeds
+# of bench::SEEDS, the other harnesses the first.
 set -u
-EXTRA="${1:-}"
-BINS="fig2_memory_impact fig1_plan_selection tab4_fig6_ablation tab5_vs_tlstm tab6_vs_gpsj fig7_scatter fig8_adaptability tab8_training_size tab9_inference_latency tab7_resource_attention ext_sim_ablation ext_coldstart"
+EXTRA="$*"
+BINS="fig2_memory_impact fig1_plan_selection accuracy_tables tab5_vs_tlstm tab8_training_size tab9_inference_latency ext_sim_ablation ext_coldstart probe_learnability"
 for b in $BINS; do
   echo "=== running $b ==="
   cargo run --release -p bench --bin "$b" -- $EXTRA 2>&1 | tee "results/logs/$b.log" | tail -3
