@@ -107,11 +107,17 @@ impl TlstmModel {
     }
 
     /// Forward pass: bottom-up tree recurrence, normalised-log output.
-    pub fn forward(&self, g: &mut Graph, plan: &EncodedPlan) -> Var {
+    pub fn forward<'p>(&'p self, g: &mut Graph<'p>, plan: &EncodedPlan) -> Var {
+        self.forward_in(&self.store, g, plan)
+    }
+
+    /// [`TlstmModel::forward`] over the weights in `store`, which has
+    /// this model's layout.
+    fn forward_in<'p>(&self, store: &'p ParamStore, g: &mut Graph<'p>, plan: &EncodedPlan) -> Var {
         let n = plan.num_nodes();
         assert!(n > 0, "cannot cost an empty plan");
         let x = g.input(node_matrix(plan));
-        let bound = self.cell.bind(g, &self.store);
+        let bound = self.cell.bind(g, store);
         let zero = g.input(Tensor::zeros(1, self.cfg.hidden));
         let mut hs: Vec<Var> = Vec::with_capacity(n);
         let mut cs: Vec<Var> = Vec::with_capacity(n);
@@ -138,13 +144,24 @@ impl TlstmModel {
         let root = hs[n - 1];
         let stats = g.input(Tensor::row(&plan.plan_stats));
         let features = g.concat_cols(&[root, stats]);
-        let z = self.head1.forward(g, &self.store, features);
-        self.out.forward(g, &self.store, z)
+        let z = self.head1.forward(g, store, features);
+        self.out.forward(g, store, z)
     }
 
     /// Training loss for one sample (standardised target).
-    pub fn loss(&self, g: &mut Graph, plan: &EncodedPlan, seconds: f64) -> Var {
-        let pred = self.forward(g, plan);
+    pub fn loss<'p>(&'p self, g: &mut Graph<'p>, plan: &EncodedPlan, seconds: f64) -> Var {
+        self.loss_in(&self.store, g, plan, seconds)
+    }
+
+    /// [`TlstmModel::loss`] over the weights in `store`.
+    fn loss_in<'p>(
+        &self,
+        store: &'p ParamStore,
+        g: &mut Graph<'p>,
+        plan: &EncodedPlan,
+        seconds: f64,
+    ) -> Var {
+        let pred = self.forward_in(store, g, plan);
         let target = (normalize_seconds(seconds) - self.label_mean) / self.label_std;
         g.mse_loss(pred, &Tensor::scalar(target))
     }
@@ -200,7 +217,7 @@ pub fn train_tlstm(
                 let loss = model.loss(&mut g, &s.plan, s.seconds);
                 batch_loss += g.value(loss).item() as f64;
                 let grads = g.backward(loss);
-                g.accumulate_grads(&grads, model.store_mut(), weight);
+                grads.accumulate(model.store_mut(), weight);
             }
             model.store_mut().clip_grad_norm(cfg.clip_norm);
             adam.step(model.store_mut());
@@ -250,7 +267,7 @@ mod tests {
         let mut g = Graph::new();
         let loss = model.loss(&mut g, &toy_plan(0.7), 30.0);
         let grads = g.backward(loss);
-        g.accumulate_grads(&grads, &mut store, 1.0);
+        grads.accumulate(&mut store, 1.0);
         for id in store.ids().collect::<Vec<_>>() {
             assert!(store.grad(id).norm() > 0.0, "dead param {}", store.name(id));
         }
@@ -274,12 +291,7 @@ mod tests {
         let mut store = model.store().clone();
         nn::gradcheck::assert_gradients_close(
             &mut store,
-            move |g, s| {
-                // Rebind the model's forward against the perturbed store.
-                let mut m = model.clone();
-                *m.store_mut() = s.clone();
-                m.loss(g, &plan, 10.0)
-            },
+            move |g, s| model.loss_in(s, g, &plan, 10.0),
             5e-3,
             3e-2,
         );

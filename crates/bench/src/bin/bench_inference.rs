@@ -8,8 +8,10 @@
 //! latencies, which are recorded but not compared). The sweep's naive ÷
 //! cached ratio is recorded too, untracked: it *falls* when the uncached
 //! pass gets faster, and the cache's own gate is the repo benchmark's
-//! `resweep_hot`. Training is priced on the same model: a tape forward,
-//! a backward, and a whole sample-step of `train` on one thread. What
+//! `resweep_hot`. Training is priced on the same model and on the graph
+//! `train` differentiates (`CostModel::loss`, the LSTM and node-aware
+//! attention one fused node each): its forward, its backward, and a
+//! whole sample-step of `train` on one thread. What
 //! runs before any model exists is priced too: `plan_candidates` per
 //! query, and the wall clock of this harness's own `collect` and word2vec.
 //!

@@ -18,7 +18,9 @@
 
 use encoding::plan_encoder::{EncodedPlan, PLAN_STAT_FEATURES};
 use nn::infer::{self, InferArena};
-use nn::layers::{dot_attention, dot_attention_into, Activation, Conv1d, Dense, LstmCell};
+use nn::layers::{
+    child_attention, dot_attention, dot_attention_into, Activation, Conv1d, Dense, LstmCell,
+};
 use nn::{Graph, ParamId, ParamStore, Tensor, Var};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -446,11 +448,14 @@ impl CostModel {
         &mut self.store
     }
 
-    /// Builds the forward graph for one sample, returning the prediction
-    /// in normalised log-space (a `1 x 1` variable).
-    pub fn forward(&self, g: &mut Graph, plan: &EncodedPlan, resources: &[f32]) -> Var {
-        let n = plan.num_nodes();
-        assert!(n > 0, "cannot cost an empty plan");
+    /// Builds the per-step forward graph for one sample, returning the
+    /// prediction in normalised log-space (a `1 x 1` variable): the plan
+    /// layer and node-aware attention as primitive ops, a step and a node
+    /// at a time. It is the independent reference
+    /// [`CostModel::predict_seconds_tape`] evaluates; training
+    /// differentiates [`CostModel::loss`]'s fused graph instead.
+    pub fn forward<'p>(&'p self, g: &mut Graph<'p>, plan: &EncodedPlan, resources: &[f32]) -> Var {
+        let store = &self.store;
         let x = g.input(node_matrix(plan));
 
         // Plan feature layer. The constructor builds exactly the layer
@@ -458,25 +463,20 @@ impl CostModel {
         // pairing on load, so the mismatched arms cannot be reached
         // through any public path.
         let h = match (self.cfg.plan_layer, &self.lstm, &self.cnn) {
-            (PlanLayerKind::Lstm, Some(lstm), _) => lstm.forward_seq(g, &self.store, x),
-            (PlanLayerKind::Cnn, _, Some(cnn)) => cnn.forward_seq(g, &self.store, x),
+            (PlanLayerKind::Lstm, Some(lstm), _) => lstm.forward_seq(g, store, x),
+            (PlanLayerKind::Cnn, _, Some(cnn)) => cnn.forward_seq(g, store, x),
             (kind, _, _) => unreachable!("no layer weights for plan_layer {kind:?}"),
         };
 
         // Node-aware attention (Eq. 8–9): each node attends over its
         // children; the plan representation pools the enriched rows.
-        // Missing attention weights with the flag set cannot happen via
-        // the constructor; if a hand-edited checkpoint produces it, mean
-        // pooling (the attention-off path) is the graceful answer.
-        let p = if let (true, Some((wq_id, wk_id))) =
-            (self.cfg.node_attention, self.wq.zip(self.wk))
-        {
-            let wq = g.param(&self.store, wq_id);
-            let wk = g.param(&self.store, wk_id);
+        let p = if let Some((wq_id, wk_id)) = self.node_attention() {
+            let wq = g.param(store, wq_id);
+            let wk = g.param(store, wk_id);
             let q_all = g.matmul(h, wq);
             let k_all = g.matmul(h, wk);
-            let mut reps = Vec::with_capacity(n);
-            for i in 0..n {
+            let mut reps = Vec::with_capacity(plan.num_nodes());
+            for i in 0..plan.num_nodes() {
                 let hi = g.slice_rows(h, i, 1);
                 let kids = plan.children(i);
                 if kids.is_empty() {
@@ -496,17 +496,85 @@ impl CostModel {
         } else {
             g.mean_rows(h)
         };
+        self.head(g, store, plan, resources, h, p)
+    }
 
-        // Resource-aware attention (Eq. 10–11): the resource vector
-        // queries the node hidden states.
+    /// Builds the training loss graph for one sample (standardised
+    /// target). The LSTM over the plan and node-aware attention are one
+    /// tape node each ([`LstmCell::forward_fused`], [`child_attention`]),
+    /// computed by the inference kernels and differentiated by
+    /// hand-written rules; the resource attention and the head are the
+    /// same ops as in [`CostModel::forward`]. The RAAC ablation's CNN
+    /// stays per-op.
+    pub fn loss<'p>(
+        &'p self,
+        g: &mut Graph<'p>,
+        plan: &EncodedPlan,
+        resources: &[f32],
+        seconds: f64,
+    ) -> Var {
+        self.loss_in(&self.store, g, plan, resources, seconds)
+    }
+
+    /// [`CostModel::loss`] over the weights in `store`, which has this
+    /// model's layout.
+    fn loss_in<'p>(
+        &self,
+        store: &'p ParamStore,
+        g: &mut Graph<'p>,
+        plan: &EncodedPlan,
+        resources: &[f32],
+        seconds: f64,
+    ) -> Var {
+        let x = g.input(node_matrix(plan));
+        let h = match (self.cfg.plan_layer, &self.lstm, &self.cnn) {
+            (PlanLayerKind::Lstm, Some(lstm), _) => lstm.forward_fused(g, store, x),
+            (PlanLayerKind::Cnn, _, Some(cnn)) => cnn.forward_seq(g, store, x),
+            (kind, _, _) => unreachable!("no layer weights for plan_layer {kind:?}"),
+        };
+        let p = if let Some((wq_id, wk_id)) = self.node_attention() {
+            let wq = g.param(store, wq_id);
+            let wk = g.param(store, wk_id);
+            let q_all = g.matmul(h, wq);
+            let k_all = g.matmul(h, wk);
+            let enriched = child_attention(g, q_all, k_all, h, |i| plan.children(i));
+            g.mean_rows(enriched)
+        } else {
+            g.mean_rows(h)
+        };
+        let pred = self.head(g, store, plan, resources, h, p);
+        g.mse_loss(pred, &Tensor::scalar(self.target(seconds)))
+    }
+
+    /// The node-attention projections `(wq, wk)` when the layer is on.
+    /// Missing weights with the flag set cannot happen via the
+    /// constructor; if a hand-edited checkpoint produces it, mean pooling
+    /// (the attention-off path) is the graceful answer.
+    fn node_attention(&self) -> Option<(ParamId, ParamId)> {
+        self.wq.zip(self.wk).filter(|_| self.cfg.node_attention)
+    }
+
+    /// Resource-aware attention (Eq. 10–11) over the plan layer's `h` and
+    /// the dense head over `[p | m | rvec | stats]` (`[p | stats]` for
+    /// resource-blind ablations): what both graphs share.
+    fn head<'p>(
+        &self,
+        g: &mut Graph<'p>,
+        store: &'p ParamStore,
+        plan: &EncodedPlan,
+        resources: &[f32],
+        h: Var,
+        p: Var,
+    ) -> Var {
+        // The resource vector queries the node hidden states.
         let stats = g.input(Tensor::row(&plan.plan_stats));
         let features = if let (true, Some((wr_id, wk_res_id))) =
             (self.cfg.resource_attention, self.wr.zip(self.wk_res))
         {
             assert_eq!(resources.len(), self.cfg.resource_dim, "resource vector width mismatch");
             let rvec = g.input(Tensor::row(resources));
-            let wr = g.param(&self.store, wr_id);
-            let wk_res = g.param(&self.store, wk_res_id);
+            let wr = g.param(store, wr_id);
+            let wk_res = g.param(store, wk_res_id);
             let q = g.matmul(rvec, wr);
             let keys = g.matmul(h, wk_res);
             let m = dot_attention(g, q, keys, h);
@@ -516,15 +584,9 @@ impl CostModel {
         };
 
         // Prediction head.
-        let z = self.head1.forward(g, &self.store, features);
-        let z = self.head2.forward(g, &self.store, z);
-        self.out.forward(g, &self.store, z)
-    }
-
-    /// Builds the training loss graph for one sample (standardised target).
-    pub fn loss(&self, g: &mut Graph, plan: &EncodedPlan, resources: &[f32], seconds: f64) -> Var {
-        let pred = self.forward(g, plan, resources);
-        g.mse_loss(pred, &Tensor::scalar(self.target(seconds)))
+        let z = self.head1.forward(g, store, features);
+        let z = self.head2.forward(g, store, z);
+        self.out.forward(g, store, z)
     }
 
     /// Predicts the execution time of a plan in seconds.
@@ -883,6 +945,7 @@ pub fn thread_arena_stats() -> nn::ArenaStats {
 }
 
 fn node_matrix(plan: &EncodedPlan) -> Tensor {
+    assert!(plan.num_nodes() > 0, "cannot cost an empty plan");
     Tensor::from_vec(plan.num_nodes(), plan.node_dim(), plan.node_features().to_vec())
 }
 
@@ -949,7 +1012,7 @@ mod tests {
         let mut g = Graph::new();
         let loss = model.loss(&mut g, &plan, &resources(), 25.0);
         let grads = g.backward(loss);
-        g.accumulate_grads(&grads, &mut store, 1.0);
+        grads.accumulate(&mut store, 1.0);
         let dead: Vec<String> = store
             .ids()
             .filter(|&id| store.grad(id).norm() == 0.0)
@@ -974,12 +1037,7 @@ mod tests {
         let res = resources();
         nn::gradcheck::assert_gradients_close(
             &mut store,
-            move |g, s| {
-                // Rebind the model's forward against the perturbed store.
-                let mut m = model.clone();
-                *m.store_mut() = s.clone();
-                m.loss(g, &plan, &res, 10.0)
-            },
+            move |g, s| model.loss_in(s, g, &plan, &res, 10.0),
             5e-3,
             3e-2,
         );

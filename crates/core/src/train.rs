@@ -179,7 +179,7 @@ fn batch_gradients(
                         let loss = model.loss(&mut g, &s.plan, &s.resources, s.seconds);
                         loss_sum += g.value(loss).item() as f64;
                         let grads = g.backward(loss);
-                        g.accumulate_grads(&grads, local, weight);
+                        grads.accumulate(local, weight);
                     }
                     loss_sum
                 })

@@ -29,14 +29,14 @@ pub struct GradCheckReport {
 /// use [`assert_gradients_close`] in tests.
 pub fn check_gradients<F>(store: &mut ParamStore, build: F, eps: f32) -> GradCheckReport
 where
-    F: Fn(&mut Graph, &ParamStore) -> Var,
+    F: for<'p> Fn(&mut Graph<'p>, &'p ParamStore) -> Var,
 {
     // Analytic pass.
     store.zero_grads();
     let mut g = Graph::new();
     let loss = build(&mut g, store);
     let grads = g.backward(loss);
-    g.accumulate_grads(&grads, store, 1.0);
+    grads.accumulate(store, 1.0);
 
     let ids: Vec<ParamId> = store.ids().collect();
     let mut report = GradCheckReport {
@@ -73,7 +73,7 @@ where
 
 fn eval_loss<F>(store: &ParamStore, build: &F) -> f32
 where
-    F: Fn(&mut Graph, &ParamStore) -> Var,
+    F: for<'p> Fn(&mut Graph<'p>, &'p ParamStore) -> Var,
 {
     let mut g = Graph::new();
     let loss = build(&mut g, store);
@@ -84,7 +84,7 @@ where
 /// from its finite-difference estimate by more than `tol` (relative).
 pub fn assert_gradients_close<F>(store: &mut ParamStore, build: F, eps: f32, tol: f32)
 where
-    F: Fn(&mut Graph, &ParamStore) -> Var,
+    F: for<'p> Fn(&mut Graph<'p>, &'p ParamStore) -> Var,
 {
     let report = check_gradients(store, build, eps);
     assert!(
@@ -100,7 +100,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::layers::{Activation, Conv1d, Dense, LstmCell};
+    use crate::layers::{child_attention, Activation, Conv1d, Dense, LstmCell};
     use crate::tensor::Tensor;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -233,5 +233,42 @@ mod tests {
             EPS,
             TOL,
         );
+    }
+
+    #[test]
+    fn gradcheck_fused_plan_layer_on_the_infer_kernels() {
+        // The training loss's plan layer: the fused LSTM's states,
+        // projected to queries and keys, through fused node attention and
+        // pooled — over one node, a chain, a node with three children,
+        // and all leaves.
+        let shapes: [&[&[usize]]; 4] = [
+            &[&[]],
+            &[&[], &[0], &[1], &[2]],
+            &[&[], &[], &[], &[0, 1, 2], &[3]],
+            &[&[], &[], &[]],
+        ];
+        for kids in shapes {
+            let n = kids.len();
+            let mut store = ParamStore::new();
+            let mut rng = StdRng::seed_from_u64(37 + n as u64);
+            let cell = LstmCell::new(&mut store, &mut rng, "lstm", 3, 4);
+            let wq = store.register("wq", crate::init::xavier_uniform(&mut rng, 4, 2));
+            let wk = store.register("wk", crate::init::xavier_uniform(&mut rng, 4, 2));
+            let xs = Tensor::from_vec(n, 3, (0..n * 3).map(|i| (i as f32 * 0.9).sin()).collect());
+            assert_gradients_close(
+                &mut store,
+                |g, s| {
+                    let x = g.input(xs.clone());
+                    let h = cell.forward_fused(g, s, x);
+                    let (wq, wk) = (g.param(s, wq), g.param(s, wk));
+                    let (q, k) = (g.matmul(h, wq), g.matmul(h, wk));
+                    let enriched = child_attention(g, q, k, h, |i| kids[i]);
+                    let pooled = g.mean_rows(enriched);
+                    g.mse_loss(pooled, &Tensor::row(&[0.1, 0.0, -0.1, 0.2]))
+                },
+                EPS,
+                TOL,
+            );
+        }
     }
 }

@@ -3,21 +3,32 @@
 //! A [`Graph`] is a tape of operations built freshly for every training
 //! sample (plan sequences have variable length, so static graphs would not
 //! help). [`Graph::backward`] walks the tape in reverse and produces a
-//! gradient for every node a parameter feeds; [`Graph::accumulate_grads`]
+//! gradient for every node a parameter feeds; [`Gradients::accumulate`]
 //! then adds the gradients of parameter leaves into a [`ParamStore`].
 //!
-//! Two rules keep the backward pass at the price of the forward one:
+//! Three rules keep the backward pass at the price of the forward one:
 //! *a leaf that no parameter feeds gets no gradient* (nor does anything
 //! computed from such leaves alone: [`Gradients::get`] answers `None`),
-//! and *a backward rule adds into its target, it does not build and then
-//! add* (no transposed weight, outer product or zeroed carrier is built).
+//! *a backward rule adds into its target, it does not build and then
+//! add* (no outer product or zeroed carrier is built; only a product of
+//! two or more rows transposes an operand, so that its rows share the
+//! SIMD tiles' loads), and *a parameter leaf borrows its value from the
+//! store* (a tape holds no copy of a weight).
+//!
+//! Besides the primitives, two fused nodes cover a whole layer each: the
+//! LSTM over a sequence ([`crate::layers::LstmCell::forward_fused`]) and
+//! node-aware attention over every node's children
+//! ([`crate::layers::child_attention`]). Their backward rules are written
+//! by hand (BPTT and the attention's chain rule) in the layer modules.
 //!
 //! Every operation's backward rule is validated against central finite
 //! differences in `gradcheck` tests, which is the property that makes the
 //! hand-written LSTM/attention layers trustworthy.
 
+use crate::layers::{ChildAttentionTape, LstmTape};
 use crate::params::{ParamId, ParamStore};
 use crate::tensor::Tensor;
+use std::borrow::Cow;
 
 /// Handle to a node in a [`Graph`] tape.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -64,24 +75,33 @@ pub enum Op {
     MeanRows(usize),
     /// Squared-error loss against a constant target, averaged over elements.
     MseLoss(usize, Tensor),
+    /// A whole LSTM sequence: one node, the steps' state kept for BPTT.
+    Lstm(Box<LstmTape>),
+    /// Node-aware attention over every node's children plus the residual.
+    ChildAttention(Box<ChildAttentionTape>),
 }
 
-struct Node {
-    value: Tensor,
+struct Node<'p> {
+    /// Borrowed from the store for a parameter leaf, owned otherwise.
+    value: Cow<'p, Tensor>,
     op: Op,
     /// Whether any [`Op::Param`] feeds this node.
     needs_grad: bool,
 }
 
-/// A tape of tensor operations supporting reverse-mode differentiation.
+/// A tape of tensor operations supporting reverse-mode differentiation,
+/// reading its parameters from a store that outlives it (`'p`).
 #[derive(Default)]
-pub struct Graph {
-    nodes: Vec<Node>,
+pub struct Graph<'p> {
+    nodes: Vec<Node<'p>>,
 }
 
-/// Per-node gradients produced by [`Graph::backward`].
+/// Per-node gradients produced by [`Graph::backward`]. They hold no
+/// borrow of the tape, so the store the tape read can take them.
 pub struct Gradients {
     grads: Vec<Option<Tensor>>,
+    /// The tape's parameter leaves: (tape index, parameter).
+    params: Vec<(usize, ParamId)>,
 }
 
 impl Gradients {
@@ -89,9 +109,20 @@ impl Gradients {
     pub fn get(&self, v: Var) -> Option<&Tensor> {
         self.grads.get(v.0).and_then(|g| g.as_ref())
     }
+
+    /// Adds the gradients of all parameter leaves into the store's
+    /// gradient accumulators (scaled by `weight`, typically
+    /// `1 / batch_size`).
+    pub fn accumulate(&self, store: &mut ParamStore, weight: f32) {
+        for &(idx, id) in &self.params {
+            if let Some(g) = &self.grads[idx] {
+                store.grad_mut(id).axpy(weight, g);
+            }
+        }
+    }
 }
 
-impl Graph {
+impl<'p> Graph<'p> {
     /// Creates an empty tape.
     pub fn new() -> Self {
         Self { nodes: Vec::with_capacity(64) }
@@ -114,7 +145,11 @@ impl Graph {
         &self.nodes[v.0].value
     }
 
-    fn push(&mut self, value: Tensor, op: Op) -> Var {
+    pub(crate) fn push(&mut self, value: Tensor, op: Op) -> Var {
+        self.push_cow(Cow::Owned(value), op)
+    }
+
+    fn push_cow(&mut self, value: Cow<'p, Tensor>, op: Op) -> Var {
         debug_assert!(value.all_finite(), "non-finite value produced by {op:?}");
         let fed = |i: &usize| self.nodes[*i].needs_grad;
         let needs_grad = match &op {
@@ -131,15 +166,22 @@ impl Graph {
                 fed(a)
             }
             Op::Transpose(a) | Op::Sum(a) | Op::Mean(a) | Op::MeanRows(a) => fed(a),
+            Op::Lstm(t) => t.inputs().iter().any(fed),
+            Op::ChildAttention(t) => t.inputs().iter().any(fed),
         };
         self.nodes.push(Node { value, op, needs_grad });
         Var(self.nodes.len() - 1)
     }
 
+    /// Whether no parameter feeds `v`: it gets no gradient.
+    pub(crate) fn is_constant(&self, v: Var) -> bool {
+        !self.nodes[v.0].needs_grad
+    }
+
     /// The operation recorded at tape index `idx`, and its value.
     #[doc(hidden)]
     pub fn node(&self, idx: usize) -> (&Op, &Tensor) {
-        (&self.nodes[idx].op, &self.nodes[idx].value)
+        (&self.nodes[idx].op, &*self.nodes[idx].value)
     }
 
     /// Registers a constant leaf.
@@ -147,11 +189,11 @@ impl Graph {
         self.push(t, Op::Input)
     }
 
-    /// Registers a trainable parameter leaf, copying its current value from
-    /// the store. After `backward`, use [`Graph::accumulate_grads`] to flow
-    /// gradients back into the same store.
-    pub fn param(&mut self, store: &ParamStore, id: ParamId) -> Var {
-        self.push(store.value(id).clone(), Op::Param(id))
+    /// Registers a trainable parameter leaf whose value is the store's
+    /// current one, borrowed, not copied. After `backward`, use
+    /// [`Gradients::accumulate`] to flow gradients back into a store.
+    pub fn param(&mut self, store: &'p ParamStore, id: ParamId) -> Var {
+        self.push_cow(Cow::Borrowed(store.value(id)), Op::Param(id))
     }
 
     /// Matrix product.
@@ -168,8 +210,8 @@ impl Graph {
 
     /// Adds a `1 x c` row vector to every row of an `r x c` matrix.
     pub fn add_row(&mut self, m: Var, row: Var) -> Var {
-        let mv = &self.nodes[m.0].value;
-        let rv = &self.nodes[row.0].value;
+        let mv: &Tensor = &self.nodes[m.0].value;
+        let rv: &Tensor = &self.nodes[row.0].value;
         assert_eq!(rv.rows(), 1, "add_row expects a 1 x c row vector");
         assert_eq!(rv.cols(), mv.cols(), "add_row column mismatch");
         let mut out = mv.clone();
@@ -240,14 +282,14 @@ impl Graph {
 
     /// Stacks parts vertically.
     pub fn concat_rows(&mut self, parts: &[Var]) -> Var {
-        let tensors: Vec<&Tensor> = parts.iter().map(|p| &self.nodes[p.0].value).collect();
+        let tensors: Vec<&Tensor> = parts.iter().map(|p| &*self.nodes[p.0].value).collect();
         let v = Tensor::concat_rows(&tensors);
         self.push(v, Op::ConcatRows(parts.iter().map(|p| p.0).collect()))
     }
 
     /// Stacks parts horizontally.
     pub fn concat_cols(&mut self, parts: &[Var]) -> Var {
-        let tensors: Vec<&Tensor> = parts.iter().map(|p| &self.nodes[p.0].value).collect();
+        let tensors: Vec<&Tensor> = parts.iter().map(|p| &*self.nodes[p.0].value).collect();
         let v = Tensor::concat_cols(&tensors);
         self.push(v, Op::ConcatCols(parts.iter().map(|p| p.0).collect()))
     }
@@ -323,16 +365,47 @@ impl Graph {
             self.backprop_node(idx, &g, &mut grads);
             grads[idx] = Some(g);
         }
-        Gradients { grads }
+        let params = self
+            .nodes
+            .iter()
+            .enumerate()
+            .filter_map(|(idx, node)| match node.op {
+                Op::Param(id) => Some((idx, id)),
+                _ => None,
+            })
+            .collect();
+        Gradients { grads, params }
     }
 
     /// Hands `add` the gradient slot of node `idx` — zeroed on first use —
     /// to add a delta into, unless no parameter feeds the node.
-    fn add_to(&self, grads: &mut [Option<Tensor>], idx: usize, add: impl FnOnce(&mut Tensor)) {
+    pub(crate) fn add_to(
+        &self,
+        grads: &mut [Option<Tensor>],
+        idx: usize,
+        add: impl FnOnce(&mut Tensor),
+    ) {
         let node = &self.nodes[idx];
         if node.needs_grad {
             let (r, c) = node.value.shape();
             add(grads[idx].get_or_insert_with(|| Tensor::zeros(r, c)));
+        }
+    }
+
+    /// Adds `delta()` into node `idx`'s gradient slot, or on first use
+    /// makes it the slot — no zeroed slot to add into — unless no
+    /// parameter feeds the node.
+    pub(crate) fn put(
+        &self,
+        grads: &mut [Option<Tensor>],
+        idx: usize,
+        delta: impl FnOnce() -> Tensor,
+    ) {
+        if self.nodes[idx].needs_grad {
+            match &mut grads[idx] {
+                Some(d) => d.axpy(1.0, &delta()),
+                slot => *slot = Some(delta()),
+            }
         }
     }
 
@@ -342,8 +415,8 @@ impl Graph {
             g.shape(),
             "gradient shape mismatch at node {idx}"
         );
-        let y = &self.nodes[idx].value;
-        let value = |i: &usize| &self.nodes[*i].value;
+        let y: &Tensor = &self.nodes[idx].value;
+        let value = |i: &usize| -> &Tensor { &self.nodes[*i].value };
         match &self.nodes[idx].op {
             Op::Input | Op::Param(_) => {}
             Op::MatMul(a, b) => {
@@ -435,19 +508,8 @@ impl Graph {
                 let scale = 2.0 * g.item() / d.len() as f32;
                 add_zip(d, value(a), target, |p, t| scale * (p - t))
             }),
-        }
-    }
-
-    /// Adds the gradients of all parameter leaves on this tape into the
-    /// store's gradient accumulators (scaled by `weight`, typically
-    /// `1 / batch_size`).
-    pub fn accumulate_grads(&self, grads: &Gradients, store: &mut ParamStore, weight: f32) {
-        for (idx, node) in self.nodes.iter().enumerate() {
-            if let Op::Param(id) = node.op {
-                if let Some(g) = &grads.grads[idx] {
-                    store.grad_mut(id).axpy(weight, g);
-                }
-            }
+            Op::Lstm(t) => t.backward(self, y, g, grads),
+            Op::ChildAttention(t) => t.backward(self, g, grads),
         }
     }
 }
@@ -494,11 +556,19 @@ mod tests {
     use super::*;
     use crate::params::ParamStore;
 
-    /// Registers `t` as a parameter and puts it on the tape: a leaf whose
-    /// gradient `backward` reports.
-    fn leaf(g: &mut Graph, store: &mut ParamStore, t: Tensor) -> Var {
-        let id = store.register(format!("p{}", store.len()), t);
-        g.param(store, id)
+    /// A store holding `ts` as parameters, registered in order.
+    fn store_of(ts: Vec<Tensor>) -> ParamStore {
+        let mut store = ParamStore::new();
+        for t in ts {
+            store.register(format!("p{}", store.len()), t);
+        }
+        store
+    }
+
+    /// The store's `i`-th parameter on the tape: a leaf whose gradient
+    /// `backward` reports.
+    fn leaf<'p>(g: &mut Graph<'p>, store: &'p ParamStore, i: usize) -> Var {
+        g.param(store, store.ids().nth(i).unwrap())
     }
 
     #[test]
@@ -513,10 +583,10 @@ mod tests {
     #[test]
     fn backward_through_matmul_chain() {
         // loss = sum(a @ b) with a = [1 2], b = [[3],[4]] => dloss/da = b^T, dloss/db = a^T
-        let mut g = Graph::new();
         let mut store = ParamStore::new();
         let pa = store.register("a", Tensor::row(&[1.0, 2.0]));
         let pb = store.register("b", Tensor::col(&[3.0, 4.0]));
+        let mut g = Graph::new();
         let a = g.param(&store, pa);
         let b = g.param(&store, pb);
         let c = g.matmul(a, b);
@@ -524,22 +594,22 @@ mod tests {
         let grads = g.backward(loss);
         assert_eq!(grads.get(a).unwrap().data(), &[3.0, 4.0]);
         assert_eq!(grads.get(b).unwrap().data(), &[1.0, 2.0]);
-        g.accumulate_grads(&grads, &mut store, 1.0);
+        grads.accumulate(&mut store, 1.0);
         assert_eq!(store.grad(pa).data(), &[3.0, 4.0]);
     }
 
     #[test]
     fn gradient_accumulates_when_var_reused() {
         // loss = sum(x + x) => dloss/dx = 2 everywhere
-        let mut g = Graph::new();
         let mut store = ParamStore::new();
         let px = store.register("x", Tensor::row(&[1.0, -1.0]));
+        let mut g = Graph::new();
         let x = g.param(&store, px);
         let y = g.add(x, x);
         let loss = g.sum(y);
         let grads = g.backward(loss);
         assert_eq!(grads.get(x).unwrap().data(), &[2.0, 2.0]);
-        g.accumulate_grads(&grads, &mut store, 0.5);
+        grads.accumulate(&mut store, 0.5);
         assert_eq!(store.grad(px).data(), &[1.0, 1.0]);
     }
 
@@ -547,12 +617,12 @@ mod tests {
     fn a_constant_gets_no_gradient() {
         // loss = sum((x @ w) ⊙ c): only `w` is trainable. The inputs, and
         // what is computed from inputs alone, are skipped.
+        let store = store_of(vec![Tensor::col(&[0.5, -0.5])]);
         let mut g = Graph::new();
-        let mut store = ParamStore::new();
         let x = g.input(Tensor::row(&[1.0, 2.0]));
         let c = g.input(Tensor::row(&[3.0]));
         let c2 = g.scale(c, 2.0);
-        let w = leaf(&mut g, &mut store, Tensor::col(&[0.5, -0.5]));
+        let w = leaf(&mut g, &store, 0);
         let xw = g.matmul(x, w);
         let y = g.mul(xw, c2);
         let loss = g.sum(y);
@@ -567,9 +637,9 @@ mod tests {
     #[test]
     fn two_slices_of_one_node_accumulate_in_place() {
         // loss = sum(x[.., 0..2]) + 3 * sum(x[.., 1..3]) + sum(x[1..2, ..])
+        let store = store_of(vec![Tensor::from_vec(2, 3, vec![1., 2., 3., 4., 5., 6.])]);
         let mut g = Graph::new();
-        let mut store = ParamStore::new();
-        let x = leaf(&mut g, &mut store, Tensor::from_vec(2, 3, vec![1., 2., 3., 4., 5., 6.]));
+        let x = leaf(&mut g, &store, 0);
         let left = g.slice_cols(x, 0, 2);
         let right = g.slice_cols(x, 1, 2);
         let right3 = g.scale(right, 3.0);
@@ -584,9 +654,9 @@ mod tests {
     #[test]
     fn matmul_of_a_var_with_itself_accumulates_both_operands() {
         // loss = sum(x @ x) => d/dx = 1·x^T + x^T·1 (row sums + column sums).
+        let store = store_of(vec![Tensor::from_vec(2, 2, vec![1., 2., 3., 4.])]);
         let mut g = Graph::new();
-        let mut store = ParamStore::new();
-        let x = leaf(&mut g, &mut store, Tensor::from_vec(2, 2, vec![1., 2., 3., 4.]));
+        let x = leaf(&mut g, &store, 0);
         let xx = g.matmul(x, x);
         let loss = g.sum(xx);
         let grads = g.backward(loss);
@@ -595,9 +665,9 @@ mod tests {
 
     #[test]
     fn relu_gates_gradient() {
+        let store = store_of(vec![Tensor::row(&[-1.0, 2.0])]);
         let mut g = Graph::new();
-        let mut store = ParamStore::new();
-        let x = leaf(&mut g, &mut store, Tensor::row(&[-1.0, 2.0]));
+        let x = leaf(&mut g, &store, 0);
         let y = g.relu(x);
         let loss = g.sum(y);
         let grads = g.backward(loss);
@@ -606,9 +676,9 @@ mod tests {
 
     #[test]
     fn mse_loss_value_and_gradient() {
+        let store = store_of(vec![Tensor::row(&[1.0, 3.0])]);
         let mut g = Graph::new();
-        let mut store = ParamStore::new();
-        let x = leaf(&mut g, &mut store, Tensor::row(&[1.0, 3.0]));
+        let x = leaf(&mut g, &store, 0);
         let target = Tensor::row(&[0.0, 1.0]);
         let loss = g.mse_loss(x, &target);
         // ((1-0)^2 + (3-1)^2)/2 = 2.5
@@ -628,10 +698,10 @@ mod tests {
 
     #[test]
     fn concat_slice_round_trip_gradient() {
+        let store = store_of(vec![Tensor::row(&[1.0, 2.0]), Tensor::row(&[3.0, 4.0])]);
         let mut g = Graph::new();
-        let mut store = ParamStore::new();
-        let a = leaf(&mut g, &mut store, Tensor::row(&[1.0, 2.0]));
-        let b = leaf(&mut g, &mut store, Tensor::row(&[3.0, 4.0]));
+        let a = leaf(&mut g, &store, 0);
+        let b = leaf(&mut g, &store, 1);
         let cat = g.concat_rows(&[a, b]);
         let top = g.slice_rows(cat, 0, 1);
         let loss = g.sum(top);
@@ -645,10 +715,10 @@ mod tests {
     #[test]
     fn sub_and_scale_gradients() {
         // loss = sum(2*(a - b)) => da = 2, db = -2
+        let store = store_of(vec![Tensor::row(&[1.0, 2.0]), Tensor::row(&[3.0, 5.0])]);
         let mut g = Graph::new();
-        let mut store = ParamStore::new();
-        let a = leaf(&mut g, &mut store, Tensor::row(&[1.0, 2.0]));
-        let b = leaf(&mut g, &mut store, Tensor::row(&[3.0, 5.0]));
+        let a = leaf(&mut g, &store, 0);
+        let b = leaf(&mut g, &store, 1);
         let d = g.sub(a, b);
         let d2 = g.scale(d, 2.0);
         let loss = g.sum(d2);
@@ -660,10 +730,9 @@ mod tests {
 
     #[test]
     fn softmax_rows_gradient_sums_to_zero_per_row() {
+        let store = store_of(vec![Tensor::from_vec(2, 3, vec![0.1, 0.2, 0.3, 1.0, -1.0, 0.0])]);
         let mut g = Graph::new();
-        let mut store = ParamStore::new();
-        let x =
-            leaf(&mut g, &mut store, Tensor::from_vec(2, 3, vec![0.1, 0.2, 0.3, 1.0, -1.0, 0.0]));
+        let x = leaf(&mut g, &store, 0);
         let s = g.softmax_rows(x);
         let first_col = g.slice_cols(s, 0, 1);
         let loss = g.sum(first_col);
@@ -677,9 +746,9 @@ mod tests {
 
     #[test]
     fn transpose_gradient_round_trips() {
+        let store = store_of(vec![Tensor::from_vec(2, 3, vec![1., 2., 3., 4., 5., 6.])]);
         let mut g = Graph::new();
-        let mut store = ParamStore::new();
-        let x = leaf(&mut g, &mut store, Tensor::from_vec(2, 3, vec![1., 2., 3., 4., 5., 6.]));
+        let x = leaf(&mut g, &store, 0);
         let t = g.transpose(x);
         assert_eq!(g.value(t).shape(), (3, 2));
         let loss = g.sum(t);
@@ -689,9 +758,9 @@ mod tests {
 
     #[test]
     fn softmax_col_is_distribution_and_differentiable() {
+        let store = store_of(vec![Tensor::col(&[0.0, 1.0, 2.0])]);
         let mut g = Graph::new();
-        let mut store = ParamStore::new();
-        let x = leaf(&mut g, &mut store, Tensor::col(&[0.0, 1.0, 2.0]));
+        let x = leaf(&mut g, &store, 0);
         let s = g.softmax_col(x);
         let sum: f32 = g.value(s).data().iter().sum();
         assert!((sum - 1.0).abs() < 1e-5);

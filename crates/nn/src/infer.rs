@@ -1,7 +1,7 @@
 //! Tape-free inference kernels.
 //!
-//! The autograd tape in [`crate::graph`] records an `Op` node (and clones
-//! a tensor) for every primitive, which is what training needs and
+//! The autograd tape in [`crate::graph`] records an `Op` node (and
+//! allocates a tensor) for every primitive, which is what training needs and
 //! exactly what inference does not: a forward-only pass through the RAAL
 //! model allocates dozens of small tensors per plan just to throw them
 //! away. The kernels here compute the same math without recording
@@ -37,8 +37,11 @@
 //! divergence from the tape is FMA contraction and the polynomial `exp`
 //! (each ~1e-7 relative). End-to-end agreement within 1e-5 relative
 //! error is the property-tested contract
-//! (`crates/core/tests/prop_infer.rs`); the tape path remains the exact
-//! IEEE-ordered reference used by training.
+//! (`crates/core/tests/prop_infer.rs`); the per-step tape path remains the
+//! exact IEEE-ordered reference. Training runs these kernels too: its
+//! fused LSTM and node-attention tape nodes
+//! ([`crate::layers::LstmCell::forward_fused`],
+//! [`crate::layers::child_attention`]) compute their forward with them.
 //!
 //! Scratch space comes from an [`InferArena`], a free-list of `Vec<f32>`
 //! buffers that callers `take` and `give` back; a steady-state prediction
@@ -180,7 +183,11 @@ pub fn matmul_into(a: &[f32], m: usize, k: usize, b: &[f32], n: usize, out: &mut
 /// The widest kernel tier [`matmul_into`] may dispatch to on this CPU
 /// and build: `"avx512"`, `"avx2"` or `"scalar"` (always the last under
 /// Miri and the `force-scalar` feature). Benchmarks record it beside
-/// their numbers, which depend on it; results do not.
+/// their numbers, which depend on it. So do trained weights, and every
+/// accuracy result read off them: training's fused LSTM and
+/// node-attention nodes run these kernels, whose `avx2` and `avx512`
+/// tiers agree to the bit (`zmm_kernels_are_bit_equal_to_ymm_kernels`)
+/// while `scalar` rounds without FMA.
 pub fn kernel_tier() -> &'static str {
     #[cfg(target_arch = "x86_64")]
     match (x86::avx2_fma_available(), x86::avx512f_available()) {
@@ -216,6 +223,39 @@ pub fn dot(a: &[f32], b: &[f32]) -> f32 {
         acc += x * y;
     }
     acc
+}
+
+/// Dot product in eight interleaved partial sums, which vectorise where
+/// one running sum — a serial chain the compiler may not reorder — cannot
+/// (sixteen are no faster at `k = 256` and 1.6x slower at `k = 32`).
+/// Each lane's sum is the same IEEE operations under any target feature,
+/// so the result is the same bits on every tier.
+#[inline(always)]
+pub(crate) fn dot_lanes(a: &[f32], b: &[f32]) -> f32 {
+    const LANES: usize = 8;
+    let (ca, cb) = (a.chunks_exact(LANES), b.chunks_exact(LANES));
+    let tail: f32 = ca.remainder().iter().zip(cb.remainder()).map(|(&x, &y)| x * y).sum();
+    let mut acc = [0.0f32; LANES];
+    for (x, y) in ca.zip(cb) {
+        for ((s, &x), &y) in acc.iter_mut().zip(x).zip(y) {
+            *s += x * y;
+        }
+    }
+    acc.iter().sum::<f32>() + tail
+}
+
+/// `out[j] = a_j · x` for each of the `out.len()` rows `a_j` of
+/// row-major `a`: the one-row product `x @ aᵀ` without transposing `a`,
+/// each dot in [`dot_lanes`]' partial sums.
+///
+/// # Panics
+/// If `a` is not `out.len()` rows of `x.len()`.
+pub(crate) fn dot_rows(a: &[f32], x: &[f32], out: &mut [f32]) {
+    let k = x.len();
+    assert_eq!(a.len(), out.len() * k, "dot_rows lengths");
+    for (j, o) in out.iter_mut().enumerate() {
+        *o = dot_lanes(&a[j * k..(j + 1) * k], x);
+    }
 }
 
 /// In-place `out += alpha * x`.

@@ -62,7 +62,7 @@ impl Conv1d {
     }
 
     /// Applies the convolution with ReLU to an `n x in_dim` sequence.
-    pub fn forward_seq(&self, g: &mut Graph, store: &ParamStore, xs: Var) -> Var {
+    pub fn forward_seq<'p>(&self, g: &mut Graph<'p>, store: &'p ParamStore, xs: Var) -> Var {
         let n = g.value(xs).rows();
         assert!(n > 0, "Conv1d sequence must be non-empty");
         assert_eq!(g.value(xs).cols(), self.in_dim, "Conv1d input width mismatch");
@@ -203,7 +203,7 @@ mod tests {
         let ys = conv.forward_seq(&mut g, &store, xs);
         let loss = g.mean(ys);
         let grads = g.backward(loss);
-        g.accumulate_grads(&grads, &mut store, 1.0);
+        grads.accumulate(&mut store, 1.0);
         assert!(store.grad(conv.w).norm() > 0.0);
     }
 }

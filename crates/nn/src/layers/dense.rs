@@ -72,7 +72,7 @@ impl Dense {
 
     /// Applies the layer to a `batch x in_dim` variable, producing
     /// `batch x out_dim`.
-    pub fn forward(&self, g: &mut Graph, store: &ParamStore, x: Var) -> Var {
+    pub fn forward<'p>(&self, g: &mut Graph<'p>, store: &'p ParamStore, x: Var) -> Var {
         assert_eq!(g.value(x).cols(), self.in_dim, "dense layer input width mismatch");
         let w = g.param(store, self.w);
         let b = g.param(store, self.b);

@@ -109,7 +109,7 @@ mod tests {
             let wv = g.param(&store, w);
             let loss = g.mse_loss(wv, &Tensor::scalar(3.0));
             let grads = g.backward(loss);
-            g.accumulate_grads(&grads, &mut store, 1.0);
+            grads.accumulate(&mut store, 1.0);
             if use_adam {
                 adam.step(&mut store);
             } else {

@@ -5,6 +5,7 @@
 //! with explicit shapes outperforms anything fancier and keeps the autograd
 //! engine easy to verify against finite differences.
 
+use crate::infer::dot_lanes;
 use serde::{DeError, Deserialize, Serialize, Value};
 use std::fmt;
 
@@ -247,32 +248,43 @@ impl Tensor {
         Tensor::from_vec(m, n, out)
     }
 
-    /// `into += self @ rhs^T` without building the transpose: element
-    /// `(i, j)` is the dot product of row `i` of `self` and row `j` of
-    /// `rhs`. Backward's `dA += g @ B^T`. Panics on shape mismatch.
+    /// `into += self @ rhs^T`. One row builds no transpose: element
+    /// `(0, j)` is the dot product of `self` and row `j` of `rhs`. Two
+    /// or more rows share each load of the transposed `rhs` in
+    /// [`crate::infer::matmul_into`]'s tiles. Backward's `dA += g @ B^T`.
+    /// Panics on shape mismatch.
     pub fn add_matmul_nt(&self, rhs: &Tensor, into: &mut Tensor) {
         assert_eq!(self.cols, rhs.cols, "add_matmul_nt inner-dimension mismatch");
         assert_eq!(into.shape(), (self.rows, rhs.rows), "add_matmul_nt output shape mismatch");
         let (k, n) = (self.cols, rhs.rows);
         let (a, b) = (self.data(), rhs.data());
+        if self.rows >= 2 {
+            let mut product = vec![0.0f32; self.rows * n];
+            crate::infer::matmul_into(a, self.rows, k, &transposed(b, n, k), n, &mut product);
+            return crate::infer::axpy(into.data_mut(), 1.0, &product);
+        }
         for (i, o_row) in into.data_mut().chunks_mut(n.max(1)).enumerate() {
             let a_row = &a[i * k..(i + 1) * k];
             for (j, o) in o_row.iter_mut().enumerate() {
-                *o += dot(a_row, &b[j * k..(j + 1) * k]);
+                *o += dot_lanes(a_row, &b[j * k..(j + 1) * k]);
             }
         }
     }
 
-    /// `into += self^T @ g` without building the transpose or the
-    /// product: row `kk` of `into` gains `self[i][kk] * g[i]` for every
-    /// row `i`. Backward's `dB += A^T @ g`. Exact zeros of `self` are
-    /// skipped — here, unlike in [`Tensor::matmul`], a whole row of work
-    /// hangs on one test, and an encoded plan node is 61% zeros. Panics
-    /// on shape mismatch.
+    /// `into += self^T @ g`. One row builds neither the transpose nor
+    /// the product: row `kk` of `into` gains `self[0][kk] * g`, skipping
+    /// exact zeros of `self` — a whole row of work hangs on one test, and
+    /// an encoded plan node is 61% zeros. Two or more rows go through
+    /// `matmul_tn`'s tiles. Backward's `dB += A^T @ g`. Panics on shape
+    /// mismatch.
     pub fn add_matmul_tn(&self, g: &Tensor, into: &mut Tensor) {
         assert_eq!(self.rows, g.rows, "add_matmul_tn inner-dimension mismatch");
         assert_eq!(into.shape(), (self.cols, g.cols), "add_matmul_tn output shape mismatch");
         let (k, n) = (self.cols, g.cols);
+        if self.rows >= 2 {
+            let product = matmul_tn(self.data(), self.rows, k, g.data(), n);
+            return crate::infer::axpy(into.data_mut(), 1.0, product.data());
+        }
         let out = into.data_mut();
         for (a_row, g_row) in self.data().chunks(k.max(1)).zip(g.data().chunks(n.max(1))) {
             for (kk, &a) in a_row.iter().enumerate() {
@@ -289,21 +301,7 @@ impl Tensor {
     /// and destination writes stay within a few cache lines, instead of
     /// striding the full output column-by-column.
     pub fn transpose(&self) -> Tensor {
-        const BLOCK: usize = 32;
-        let src = self.data();
-        let mut out = vec![0.0f32; src.len()];
-        for rb in (0..self.rows).step_by(BLOCK) {
-            let r_end = (rb + BLOCK).min(self.rows);
-            for cb in (0..self.cols).step_by(BLOCK) {
-                let c_end = (cb + BLOCK).min(self.cols);
-                for r in rb..r_end {
-                    for c in cb..c_end {
-                        out[c * self.rows + r] = src[r * self.cols + c];
-                    }
-                }
-            }
-        }
-        Tensor::from_vec(self.cols, self.rows, out)
+        Tensor::from_vec(self.cols, self.rows, transposed(self.data(), self.rows, self.cols))
     }
 
     /// Element-wise map into a new tensor.
@@ -449,20 +447,31 @@ impl Tensor {
     }
 }
 
-/// Dot product in eight interleaved partial sums, which vectorise where
-/// one running sum — a serial chain the compiler may not reorder — cannot
-/// (sixteen are no faster at `k = 256` and 1.6x slower at `k = 32`).
-fn dot(a: &[f32], b: &[f32]) -> f32 {
-    const LANES: usize = 8;
-    let (ca, cb) = (a.chunks_exact(LANES), b.chunks_exact(LANES));
-    let tail: f32 = ca.remainder().iter().zip(cb.remainder()).map(|(&x, &y)| x * y).sum();
-    let mut acc = [0.0f32; LANES];
-    for (x, y) in ca.zip(cb) {
-        for ((s, &x), &y) in acc.iter_mut().zip(x).zip(y) {
-            *s += x * y;
+/// The transpose of row-major `src` (`rows x cols`), in square blocks.
+fn transposed(src: &[f32], rows: usize, cols: usize) -> Vec<f32> {
+    const BLOCK: usize = 32;
+    let mut out = vec![0.0f32; src.len()];
+    for rb in (0..rows).step_by(BLOCK) {
+        let r_end = (rb + BLOCK).min(rows);
+        for cb in (0..cols).step_by(BLOCK) {
+            let c_end = (cb + BLOCK).min(cols);
+            for r in rb..r_end {
+                for c in cb..c_end {
+                    out[c * rows + r] = src[r * cols + c];
+                }
+            }
         }
     }
-    acc.iter().sum::<f32>() + tail
+    out
+}
+
+/// `a^T @ b` for row-major `a` (`rows x k`) and `b` (`rows x n`), a
+/// `k x n` tensor: the SIMD tiles on the transposed `a`, which skip its
+/// exact zeros.
+pub(crate) fn matmul_tn(a: &[f32], rows: usize, k: usize, b: &[f32], n: usize) -> Tensor {
+    let mut product = vec![0.0f32; k * n];
+    crate::infer::matmul_into(&transposed(a, rows, k), k, rows, b, n, &mut product);
+    Tensor::from_vec(k, n, product)
 }
 
 #[cfg(test)]

@@ -3,7 +3,7 @@
 
 use nn::gradcheck::check_gradients;
 use nn::layers::{Activation, Conv1d, Dense, LstmCell};
-use nn::{ParamStore, Tensor};
+use nn::{Graph, ParamStore, Tensor};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -11,8 +11,74 @@ use rand::SeedableRng;
 const EPS: f32 = 5e-3;
 const TOL: f32 = 3e-2;
 
+/// `n` rows shaped like the plan encoder's: 32 dense embedding entries,
+/// a 12-wide one-hot, 48 signed structure entries (a parent's +1, the
+/// children's -1, else zero) and 2 statistics — 94 columns.
+fn encoder_rows(rng: &mut StdRng, n: usize) -> Tensor {
+    use rand::Rng;
+    let mut xs = vec![0.0f32; n * 94];
+    for (t, row) in xs.chunks_mut(94).enumerate() {
+        row[..32].fill_with(|| rng.gen_range(-1.0f32..1.0));
+        row[32 + rng.gen_range(0..12usize)] = 1.0;
+        if t > 0 {
+            row[44 + (t - 1) % 48] = 1.0;
+        }
+        if t + 1 < n {
+            row[44 + (t + 1) % 48] = -1.0;
+        }
+        row[92..].fill_with(|| rng.gen_range(0.0f32..1.0));
+    }
+    Tensor::from_vec(n, 94, xs)
+}
+
+/// The served LSTM (94 -> 64) over `xs` under a squared error against a
+/// fixed target: the hidden states and every parameter's gradient.
+fn lstm_hidden_and_grads(
+    cell: &LstmCell,
+    store: &ParamStore,
+    xs: &Tensor,
+    fused: bool,
+) -> (Tensor, ParamStore) {
+    let n = xs.rows();
+    let target = Tensor::from_vec(n, 64, (0..n * 64).map(|i| (i as f32 * 0.21).sin()).collect());
+    let mut g = Graph::new();
+    let x = g.input(xs.clone());
+    let hs = match fused {
+        true => cell.forward_fused(&mut g, store, x),
+        false => cell.forward_seq(&mut g, store, x),
+    };
+    let loss = g.mse_loss(hs, &target);
+    let mut grads = store.clone();
+    grads.zero_grads();
+    g.backward(loss).accumulate(&mut grads, 1.0);
+    (g.value(hs).clone(), grads)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
+
+    #[test]
+    fn fused_lstm_tracks_the_step_ops_on_encoder_rows(seed in 0u64..1000, n in 1usize..24) {
+        let mut store = ParamStore::new();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let cell = LstmCell::new(&mut store, &mut rng, "lstm", 94, 64);
+        let xs = encoder_rows(&mut rng, n);
+        let (fused, fused_grads) = lstm_hidden_and_grads(&cell, &store, &xs, true);
+        let (steps, step_grads) = lstm_hidden_and_grads(&cell, &store, &xs, false);
+        for (&a, &b) in fused.data().iter().zip(steps.data()) {
+            prop_assert!((a - b).abs() <= 1e-5, "n = {}: hidden {} vs {}", n, a, b);
+        }
+        for id in store.ids() {
+            let (got, want) = (fused_grads.grad(id), step_grads.grad(id));
+            let scale = want.data().iter().fold(1e-6f32, |m, x| m.max(x.abs()));
+            for (i, (&a, &b)) in got.data().iter().zip(want.data()).enumerate() {
+                prop_assert!(
+                    (a - b).abs() <= 1e-4 * scale,
+                    "n = {}: {}[{}] {} vs {} (scale {})", n, store.name(id), i, a, b, scale
+                );
+            }
+        }
+    }
 
     #[test]
     fn dense_stack_gradients(seed in 0u64..1000, in_dim in 1usize..6, hidden in 1usize..6) {
