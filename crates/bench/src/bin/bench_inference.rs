@@ -21,7 +21,8 @@
 //! `--check FILE` re-measures and exits non-zero if any tracked metric
 //! regressed more than 10% against the baseline in FILE, or is tracked
 //! there and no longer measured — the CI perf-ratchet job runs
-//! `--check BENCH_inference.json`.
+//! `--check BENCH_inference.json`. Every run prints `fast_vs_tape`'s median
+//! and IQR ÷ median over its rounds; `--check` calls a wider one unresolved.
 
 use bench::{section, train_config, Metric, Workload};
 use raal::{train, CostModel, ModelConfig};
@@ -278,8 +279,11 @@ fn main() {
     // the cached sweep takes 1.3 ms, and a best-of-5 over windows that
     // short moved `sweep_cache_speedup` by 10% one run in six.
     let mut best_ms = [f64::INFINITY; 12];
+    // The tracked ratio round by round: its spread is this run's noise floor.
+    let mut round_ratios = Vec::with_capacity(ROUNDS);
     for _ in 0..ROUNDS {
-        for (body, best) in bodies.iter().zip(&mut best_ms) {
+        let mut round_ms = [0.0; 12];
+        for ((body, best), ms) in bodies.iter().zip(&mut best_ms).zip(&mut round_ms) {
             let t0 = telemetry::clock_ns();
             let (mut reps, mut elapsed_ms) = (0.0, 0.0);
             while elapsed_ms < MIN_SAMPLE_MS {
@@ -287,9 +291,17 @@ fn main() {
                 reps += 1.0;
                 elapsed_ms = (telemetry::clock_ns() - t0) as f64 * 1e-6;
             }
-            *best = best.min(elapsed_ms / reps);
+            *ms = elapsed_ms / reps;
+            *best = best.min(*ms);
         }
+        let [_, _, _, tape, fast, ..] = round_ms;
+        round_ratios.push(tape / fast);
     }
+    round_ratios.sort_by(f64::total_cmp);
+    // ROUNDS = 5 puts the quartiles on ranks 1, 2 and 3.
+    let quartile = |q: usize| round_ratios[q * (ROUNDS - 1) / 4];
+    let median = quartile(2);
+    let floor = (quartile(3) - quartile(1)) / median;
     let [encode_ms, cached_encode_ms, select_encode_ms, tape_ms, fast_ms, sweep_naive_ms, sweep_cached_ms, context_ms, gates_ms, _, step_ms, plans_ms] =
         best_ms;
     let (forward_ns, backward_ns) = tape_split.get();
@@ -324,8 +336,12 @@ fn main() {
         Metric::info("sweep_cache_speedup", sweep_naive_ms / sweep_cached_ms, "ratio"),
     ];
     bench::print_metrics(&metrics);
+    println!("\nfast_vs_tape per round: median {median:.3}, IQR / median {floor:.3} (noise floor)");
 
     if let Some(baseline_path) = &opts.check {
+        if floor > TOLERANCE {
+            println!("noise floor {floor:.3} > tolerance {TOLERANCE}: the verdict is unresolved");
+        }
         bench::check_against(baseline_path, &metrics, TOLERANCE);
         return;
     }

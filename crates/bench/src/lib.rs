@@ -19,6 +19,7 @@ use sparksim::plan::planner::PlannerOptions;
 use sparksim::{ClusterConfig, Engine, SimulatorConfig};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
+use std::process::{Command, Stdio};
 use std::sync::Mutex;
 use workloads::FkGraph;
 
@@ -203,7 +204,7 @@ pub fn run_pipeline(bench: &Bench, full: bool, seed: u64, structure: bool) -> Pi
 /// Writes a TSV file with a header row, creating the directory as needed.
 ///
 /// A `<name>.manifest.json` sidecar records the run identity (run id, git
-/// sha, config, and the kernel tier latencies were taken on) next to
+/// sha and whether the tree differed from it, config, kernel tier) next to
 /// each result file — a sidecar rather than a TSV column so downstream
 /// TSV consumers stay untouched. It is written even when telemetry is
 /// disabled: result provenance should not depend on tracing being on.
@@ -219,11 +220,27 @@ pub fn write_tsv(dir: &Path, name: &str, header: &[&str], rows: &[Vec<String>]) 
         ("result_file", telemetry::Value::Str(name.to_string())),
         ("result_rows", telemetry::Value::UInt(rows.len() as u64)),
         ("kernel_tier", telemetry::Value::Str(nn::infer::kernel_tier().to_string())),
+        // A NaN is written as `null`: git could not tell.
+        (
+            "git_dirty",
+            git_dirty().map_or(telemetry::Value::F64(f64::NAN), telemetry::Value::Bool),
+        ),
     ]);
     std::fs::write(dir.join(format!("{name}.manifest.json")), manifest)
         .expect("write manifest sidecar");
     println!("  -> wrote {}", path.display());
     path
+}
+
+/// Whether tracked files outside `results/` differ from `HEAD`; `None`
+/// when `git` cannot tell (not installed, no checkout).
+fn git_dirty() -> Option<bool> {
+    let diff = Command::new("git")
+        .args(["diff", "--quiet", "HEAD", "--", ":(top)", ":(top,exclude)results"])
+        .stdout(Stdio::null())
+        .stderr(Stdio::null())
+        .status();
+    diff.ok()?.code().filter(|c| (0..=1).contains(c)).map(|c| c == 1)
 }
 
 /// Formats a float for tables.
@@ -679,6 +696,16 @@ pub fn check_against(baseline_path: &Path, metrics: &[Metric], tolerance: f64) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn manifest_records_whether_the_tree_was_dirty() {
+        let dir = std::env::temp_dir().join(format!("bench-manifest-{}", std::process::id()));
+        write_tsv(&dir, "t.tsv", &["a"], &[]);
+        let manifest = std::fs::read_to_string(dir.join("t.tsv.manifest.json")).unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
+        let recorded = |v| manifest.contains(&format!("\"git_dirty\":{v}"));
+        assert!(["true", "false", "null"].into_iter().any(recorded), "{manifest}");
+    }
 
     #[test]
     fn reduced_benches_construct() {

@@ -20,7 +20,7 @@
 //!
 //! Quickstart: see `examples/quickstart.rs` at the workspace root.
 
-#![warn(missing_docs)]
+#![warn(missing_docs, clippy::unwrap_used, clippy::expect_used)] // typed errors, not panics
 
 pub mod dataset;
 pub mod metrics;

@@ -11,7 +11,7 @@
 //!   statistics encoding of whole plans, resource normalisation (Eq. 1)
 //!   and assembled training [`plan_encoder::Sample`]s.
 
-#![warn(missing_docs)]
+#![warn(missing_docs, clippy::unwrap_used, clippy::expect_used)] // typed errors, not panics
 
 pub mod onehot;
 pub mod op_cache;

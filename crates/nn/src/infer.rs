@@ -346,10 +346,11 @@ pub fn fast_tanh(x: f32) -> f32 {
 pub fn sigmoid_slice(xs: &mut [f32]) {
     #[cfg(target_arch = "x86_64")]
     if x86::avx2_fma_available() {
-        // SAFETY: the runtime probes verified the tier's target feature,
-        // the only precondition: the body is safe slice iteration.
         match x86::avx512f_available() {
+            // SAFETY: the probes verified the tier's target feature, the
+            // only precondition: the body is safe slice iteration.
             true => unsafe { x86::zmm::sigmoid_slice(xs) },
+            // SAFETY: as above, for the AVX2 + FMA tier.
             false => unsafe { x86::ymm::sigmoid_slice(xs) },
         }
         return;
@@ -364,10 +365,10 @@ pub fn sigmoid_slice(xs: &mut [f32]) {
 pub fn tanh_slice(xs: &mut [f32]) {
     #[cfg(target_arch = "x86_64")]
     if x86::avx2_fma_available() {
-        // SAFETY: as in `sigmoid_slice` — the probed target feature is
-        // the only precondition.
         match x86::avx512f_available() {
+            // SAFETY: as in `sigmoid_slice`, the probed target feature.
             true => unsafe { x86::zmm::tanh_slice(xs) },
+            // SAFETY: as above, for the AVX2 + FMA tier.
             false => unsafe { x86::ymm::tanh_slice(xs) },
         }
         return;

@@ -5,8 +5,8 @@
 //! f32 and was deleted (DESIGN.md §13). The module stays, unchanged,
 //! only because the repo benchmark times `matmul_q8_into` against
 //! `matmul_into`; it goes with the next change to that benchmark. Until
-//! then the unsafe kernel compiles, so its unit tests, the `epi8`
-//! `SAFETY` lint rule and the Miri / AddressSanitizer CI steps stay too.
+//! then the unsafe kernel compiles, so its unit tests, the unsafe-code
+//! lints and the Miri / AddressSanitizer CI steps stay too.
 //!
 //! A weight matrix is snapshot into a [`QuantizedMatrix`] — symmetric
 //! int8 codes with one f32 scale per *row* of the `k x n` right-hand

@@ -31,7 +31,7 @@
 //! assert_eq!(grads.get(wv).unwrap().item(), -2.0);
 //! ```
 
-#![warn(missing_docs)]
+#![warn(missing_docs, clippy::unwrap_used, clippy::expect_used)] // typed errors, not panics
 
 pub mod gradcheck;
 pub mod graph;

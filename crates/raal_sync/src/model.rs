@@ -45,7 +45,7 @@
 //! Atomics are modelled sequentially consistent regardless of the
 //! `Ordering` argument (every access is still a switch point). Weaker
 //! orderings therefore cannot produce model-only failures here; the
-//! static side of the audit — `raal-lint`'s `atomic-ordering` rule —
+//! static side of the audit — the workspace's `tests/source_rules.rs` —
 //! demands a written justification for every `Relaxed` site instead.
 
 use std::collections::HashMap;

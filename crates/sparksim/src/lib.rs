@@ -37,7 +37,7 @@
 //! assert_eq!(result.scalar_i64(), Some(10));
 //! ```
 
-#![warn(missing_docs)]
+#![warn(missing_docs, clippy::unwrap_used, clippy::expect_used)] // typed errors, not panics
 
 pub mod batch;
 pub mod catalog;

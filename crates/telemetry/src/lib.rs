@@ -72,6 +72,7 @@ use std::time::Instant;
 
 // ---------------------------------------------------------------- clock
 
+#[allow(clippy::disallowed_methods, reason = "the one clock origin")]
 fn epoch() -> Instant {
     static EPOCH: OnceLock<Instant> = OnceLock::new();
     *EPOCH.get_or_init(Instant::now)

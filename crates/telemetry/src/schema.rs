@@ -48,10 +48,10 @@ pub const REQUIRED_BY_TYPE: &[(&str, &[&str])] = &[
 /// rollup), `task_end` ≈ `SparkListenerTaskEnd`.
 pub const SPARK_EVENT_NAMES: &[&str] = &["job_start", "stage_completed", "task_end", "job_end"];
 
-/// The closed vocabulary of span names (both `telemetry::span` and
-/// `telemetry::kernel_span`). `raal-lint` rejects any span opened under
-/// a name missing from this table, so event-log consumers can key on
-/// span names without chasing ad-hoc strings through the codebase.
+/// The closed vocabulary of span names (`telemetry::span` and
+/// `kernel_span`). The `source_rules` test rejects a span opened under a
+/// name missing here, so event-log consumers can key on span names
+/// without chasing ad-hoc strings through the codebase.
 ///
 /// Phase spans cover one logical stage of a run; kernel spans (the
 /// `infer.*` names and `serving.encode`) are one per plan stage, always

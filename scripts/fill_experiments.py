@@ -3,10 +3,14 @@
 result TSVs written by ./run_all_experiments.sh.
 
 It refuses (exit 1, EXPERIMENTS.md untouched) a TSV whose
-`<name>.manifest.json` sidecar is missing, or whose manifest's `git_sha` is
-not an ancestor of HEAD: a table is only shown if the commit that made it is
-in this branch's history. A table with a `seed` column shows, per key, its
-`mean [min, max]` rows over the seeds when it has them.
+`<name>.manifest.json` sidecar is missing, whose manifest's `git_sha` is
+not an ancestor of HEAD, or whose manifest says the tree differed from that
+commit (`git_dirty: true`): a table is only shown if a commit in this
+branch's history made it. Each title names the kernel tier the table was
+measured on and the tree's state (`clean`, `unknown` when git could not
+tell, `unrecorded` for manifests older than the field). A table with a
+`seed` column shows, per key, its `mean [min, max]` rows over the seeds when
+it has them.
 """
 
 import json
@@ -47,17 +51,25 @@ TABLES = [
 STATS = ("mean", "min", "max")
 
 
-def provenance_error(path: str):
-    """Why `path` may not be shown, or None."""
+def provenance(path: str):
+    """`(note for the title, None)` if `path` may be shown, else
+    `(None, why not)`."""
     manifest = path + ".manifest.json"
     if not os.path.exists(manifest):
-        return f"{path}: no manifest ({manifest})"
+        return None, f"{path}: no manifest ({manifest})"
     with open(manifest) as f:
-        sha = json.load(f).get("git_sha", "")
+        run = json.load(f)
+    sha, fields = run.get("git_sha", ""), run.get("fields", {})
     ok = subprocess.run(
         ["git", "merge-base", "--is-ancestor", sha, "HEAD"], capture_output=True
     ).returncode == 0
-    return None if ok else f"{path}: git_sha {sha!r} is not an ancestor of HEAD"
+    if not ok:
+        return None, f"{path}: git_sha {sha!r} is not an ancestor of HEAD"
+    dirty = fields.get("git_dirty", "unrecorded")
+    if dirty is True:
+        return None, f"{path}: made from a tree that differed from {sha[:12]} (git_dirty)"
+    tree = {False: "clean", None: "unknown"}.get(dirty, dirty)
+    return f"kernel tier {fields.get('kernel_tier', 'unrecorded')} · tree {tree}", None
 
 
 def spread_rows(header, body, k):
@@ -108,11 +120,11 @@ def main() -> int:
         if not os.path.exists(path):
             sections.append(f"### {title}\n\n_not yet generated ({name})_\n")
             continue
-        error = provenance_error(path)
+        note, error = provenance(path)
         if error:
             refused.append(error)
             continue
-        sections.append(f"### {title}\n\n" + tsv_to_md(path, max_rows, keys, keep))
+        sections.append(f"### {title} · {note}\n\n" + tsv_to_md(path, max_rows, keys, keep))
     if refused:
         print("refusing to fill EXPERIMENTS.md:\n  " + "\n  ".join(refused), file=sys.stderr)
         return 1
