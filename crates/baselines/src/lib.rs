@@ -15,4 +15,4 @@ pub mod tlstm;
 
 pub use gpsj::{evaluate_gpsj, GpsjModel, GpsjParams};
 pub use micro::MicroModel;
-pub use tlstm::{evaluate_tlstm, train_tlstm, TlstmConfig, TlstmModel};
+pub use tlstm::{TlstmConfig, TlstmModel};

@@ -8,10 +8,11 @@
 //! **no resource pathway** — exactly why it trails RAAL when resources
 //! vary (Tables V and VII).
 
-use encoding::plan_encoder::{EncodedPlan, PLAN_STAT_FEATURES};
+use encoding::plan_encoder::{EncodedPlan, Sample, PLAN_STAT_FEATURES};
 use nn::layers::{Activation, Dense, LstmCell};
 use nn::{Graph, ParamStore, Tensor, Var};
-use raal::model::{denormalize_seconds, normalize_seconds};
+use raal::model::{denormalize_seconds, node_matrix, normalize_seconds};
+use raal::train::Trainable;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
@@ -44,7 +45,7 @@ pub struct TlstmModel {
     cell: LstmCell,
     head1: Dense,
     out: Dense,
-    /// Label standardisation (see `raal::CostModel`): set by the trainer.
+    /// Label standardisation (see `raal::CostModel`): set by `raal::train`.
     label_mean: f32,
     label_std: f32,
 }
@@ -85,25 +86,9 @@ impl TlstmModel {
         }
     }
 
-    /// Sets label standardisation constants (normalised-log space).
-    pub fn set_label_stats(&mut self, mean: f32, std: f32) {
-        self.label_mean = mean;
-        self.label_std = std.max(1e-4);
-    }
-
     /// Total trainable weights.
     pub fn num_weights(&self) -> usize {
         self.store.num_weights()
-    }
-
-    /// Parameter store.
-    pub fn store(&self) -> &ParamStore {
-        &self.store
-    }
-
-    /// Mutable parameter store.
-    pub fn store_mut(&mut self) -> &mut ParamStore {
-        &mut self.store
     }
 
     /// Forward pass: bottom-up tree recurrence, normalised-log output.
@@ -115,7 +100,6 @@ impl TlstmModel {
     /// this model's layout.
     fn forward_in<'p>(&self, store: &'p ParamStore, g: &mut Graph<'p>, plan: &EncodedPlan) -> Var {
         let n = plan.num_nodes();
-        assert!(n > 0, "cannot cost an empty plan");
         let x = g.input(node_matrix(plan));
         let bound = self.cell.bind(g, store);
         let zero = g.input(Tensor::zeros(1, self.cfg.hidden));
@@ -176,74 +160,32 @@ impl TlstmModel {
     }
 }
 
-fn node_matrix(plan: &EncodedPlan) -> Tensor {
-    Tensor::from_vec(plan.num_nodes(), plan.node_dim(), plan.node_features().to_vec())
-}
+impl Trainable for TlstmModel {
+    fn store(&self) -> &ParamStore {
+        &self.store
+    }
 
-/// Trains a TLSTM model with mini-batch Adam (the raal trainer's loop,
-/// specialised to a resource-free model).
-pub fn train_tlstm(
-    model: &mut TlstmModel,
-    samples: &[encoding::plan_encoder::Sample],
-    cfg: &raal::TrainConfig,
-) -> raal::TrainHistory {
-    use nn::optim::Adam;
-    use rand::seq::SliceRandom;
-    assert!(!samples.is_empty(), "training set must be non-empty");
-    let mut run = telemetry::span("baselines.train_tlstm");
-    run.record("epochs", cfg.epochs as u64);
-    run.record("samples", samples.len() as u64);
-    {
-        let ys: Vec<f32> = samples.iter().map(|s| normalize_seconds(s.seconds)).collect();
-        let mean = ys.iter().sum::<f32>() / ys.len() as f32;
-        let var = ys.iter().map(|y| (y - mean) * (y - mean)).sum::<f32>() / ys.len() as f32;
-        model.set_label_stats(mean, var.sqrt());
+    fn store_mut(&mut self) -> &mut ParamStore {
+        &mut self.store
     }
-    let mut adam = Adam::new(cfg.lr);
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let mut order: Vec<usize> = (0..samples.len()).collect();
-    let mut epoch_losses = Vec::with_capacity(cfg.epochs);
-    for epoch in 0..cfg.epochs {
-        adam.lr = cfg.lr * (1.0 - 0.8 * epoch as f32 / cfg.epochs.max(1) as f32);
-        order.shuffle(&mut rng);
-        let mut epoch_loss = 0.0;
-        for batch in order.chunks(cfg.batch_size) {
-            let weight = 1.0 / batch.len() as f32;
-            model.store_mut().zero_grads();
-            let mut batch_loss = 0.0;
-            for &i in batch {
-                let s = &samples[i];
-                let mut g = Graph::new();
-                let loss = model.loss(&mut g, &s.plan, s.seconds);
-                batch_loss += g.value(loss).item() as f64;
-                let grads = g.backward(loss);
-                grads.accumulate(model.store_mut(), weight);
-            }
-            model.store_mut().clip_grad_norm(cfg.clip_norm);
-            adam.step(model.store_mut());
-            epoch_loss += batch_loss;
-        }
-        epoch_losses.push(epoch_loss / samples.len() as f64);
-    }
-    raal::TrainHistory { epoch_losses, train_seconds: run.elapsed_seconds() }
-}
 
-/// Evaluates a TLSTM model against actual costs.
-pub fn evaluate_tlstm(
-    model: &TlstmModel,
-    samples: &[encoding::plan_encoder::Sample],
-) -> raal::EvalSet {
-    let mut set = raal::EvalSet::new();
-    for s in samples {
-        set.push(s.seconds, model.predict_seconds(&s.plan));
+    fn set_label_stats(&mut self, mean: f32, std: f32) {
+        self.label_mean = mean;
+        self.label_std = std.max(1e-4);
     }
-    set
+
+    fn sample_loss<'p>(&'p self, g: &mut Graph<'p>, s: &Sample) -> Var {
+        self.loss(g, &s.plan, s.seconds)
+    }
+
+    fn predict_sample(&self, s: &Sample) -> f64 {
+        self.predict_seconds(&s.plan)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use encoding::plan_encoder::Sample;
 
     fn toy_plan(v: f32) -> EncodedPlan {
         EncodedPlan::from_rows(
@@ -297,9 +239,9 @@ mod tests {
         );
     }
 
-    #[test]
-    fn learns_a_simple_mapping() {
-        let samples: Vec<Sample> = (0..48)
+    /// A tree-shaped task: cost grows with the plan's feature level.
+    fn toy_samples(n: usize) -> Vec<Sample> {
+        (0..n)
             .map(|i| {
                 let v = (i % 12) as f32 / 12.0;
                 Sample {
@@ -308,13 +250,22 @@ mod tests {
                     seconds: 10.0 + 60.0 * v as f64,
                 }
             })
-            .collect();
-        let mut model = TlstmModel::new(TlstmConfig {
+            .collect()
+    }
+
+    fn small_model() -> TlstmModel {
+        TlstmModel::new(TlstmConfig {
             hidden: 12,
             head_hidden: 12,
             ..TlstmConfig::new(10)
-        });
-        let history = train_tlstm(
+        })
+    }
+
+    #[test]
+    fn learns_a_simple_mapping() {
+        let samples = toy_samples(48);
+        let mut model = small_model();
+        let history = raal::train(
             &mut model,
             &samples,
             &raal::TrainConfig {
@@ -329,8 +280,34 @@ mod tests {
             "losses: {:?}",
             history.epoch_losses
         );
-        let eval = evaluate_tlstm(&model, &samples);
+        let eval = raal::evaluate(&model, &samples);
         assert!(eval.correlation() > 0.7, "cor={}", eval.correlation());
+    }
+
+    #[test]
+    fn the_same_config_trains_the_same_bits() {
+        // `raal::train`'s static chunking fixes the summation order for
+        // TLSTM as for RAAL: the same config gives the same weights.
+        let samples = toy_samples(24);
+        let weights = |threads| {
+            let mut model = small_model();
+            let cfg = raal::TrainConfig {
+                epochs: 2,
+                batch_size: 8,
+                threads,
+                ..Default::default()
+            };
+            let history = raal::train(&mut model, &samples, &cfg);
+            let store = model.store();
+            let bits: Vec<u32> = store
+                .ids()
+                .flat_map(|id| store.value(id).data().iter().map(|w| w.to_bits()))
+                .collect();
+            (bits, history.final_loss().to_bits())
+        };
+        for threads in [1, 2] {
+            assert_eq!(weights(threads), weights(threads), "{threads} threads");
+        }
     }
 
     #[test]

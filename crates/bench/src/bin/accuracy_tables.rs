@@ -1,12 +1,12 @@
-//! **Tables IV, VI, VII and Figs. 6, 7, 8** — the accuracy tables, from one
-//! set of trained models per seed.
+//! **Tables IV, VI, VII, VIII and Figs. 6, 7, 8** — the accuracy tables,
+//! from one set of trained models per seed.
 //!
-//! Per seed and workload it builds the engine once, runs the two pipelines
-//! (with and without the structure embedding), makes one 80/20 record
-//! split, and trains each variant — NE-LSTM (no structure embedding),
-//! NA-LSTM (no node-aware attention), RAAC (CNN plan layer) and RAAL — once
-//! without and once with the resource pathway. Every output reads those
-//! sixteen models:
+//! Per seed and workload it builds the engine once, collects once, encodes
+//! the collection twice (with and without the structure embedding), makes
+//! one 80/20 record split, and trains each variant — NE-LSTM (no structure
+//! embedding), NA-LSTM (no node-aware attention), RAAC (CNN plan layer) and
+//! RAAL — once without and once with the resource pathway. Every output
+//! reads those sixteen models:
 //!
 //! * Table IV + Fig. 6: the IMDB models with resources, their metrics and
 //!   per-epoch training loss. Paper: RAAL best; NA-LSTM's curve least
@@ -20,6 +20,10 @@
 //!   resources.
 //! * Fig. 8: IMDB RAAL's test split sliced by executor memory (1–8 GB).
 //!   Paper: accuracy flat across memory sizes.
+//! * Table VIII: at the first seed, IMDB RAAL's training time and test RE
+//!   on 20–80% of its training split (four more models) beside the
+//!   full-size one Table IV reports. Paper: time grows roughly linearly
+//!   with the data; error falls as it grows.
 //!
 //! `orderings.tsv` counts the seeds in which each ordering holds: RAAL
 //! beats each ablation (IV) and GPSJ (VI) on RE and COR, and resources
@@ -31,7 +35,7 @@ use bench::{
     metrics, run_pipeline, section, train_config, HarnessOpts, Orderings, Pipeline, Rows, Workload,
     METRICS,
 };
-use encoding::Sample;
+use encoding::{PlanEncoder, Sample};
 use raal::{evaluate, train, train_test_split, CostModel, EvalSet, ModelConfig};
 use sparksim::ClusterConfig;
 
@@ -49,7 +53,7 @@ struct Trained {
 
 fn main() {
     let opts = HarnessOpts::from_env();
-    section("Tables IV, VI, VII and Figs. 6, 7, 8 — accuracy, one set of models per seed");
+    section("Tables IV, VI, VII, VIII and Figs. 6, 7, 8 — accuracy, one set of models per seed");
     let train_s = [&METRICS[..], &["train_s"]].concat();
     let mut tab4 = Rows::new("Table IV — module ablation (IMDB)", &["model"], &train_s);
     let mut fig6 = Rows::new("", &["epoch"], &VARIANTS).cells(|l| format!("{l:.6}"));
@@ -69,14 +73,17 @@ fn main() {
     let fig8_values = [&["n"], &METRICS[..]].concat();
     let mut fig8 =
         Rows::new("Fig. 8 — RAAL across executor memory (IMDB)", &["memory_gb"], &fig8_values);
+    let mut tab8 =
+        Rows::new("Table VIII — training size", &["train_records"], &["train_seconds", "test_RE"]);
 
     for &seed in &opts.seeds {
         for workload in [Workload::Imdb, Workload::Tpch] {
             let bench = bench::build_bench(workload, opts.full, seed);
             let structured = run_pipeline(&bench, opts.full, seed, true);
-            let unstructured = run_pipeline(&bench, opts.full, seed, false);
+            let unstructured = bench::encode(&bench, &structured.collection, opts.full, false);
             println!("\n[seed {seed}, {workload}] records: {}", structured.samples.len());
-            let (trained, test) = train_variants(&structured, &unstructured, opts.full, seed);
+            let (trained, [train_set, test]) =
+                train_variants(&structured, &unstructured, opts.full, seed);
 
             let wl = workload.to_string();
             for t in &trained {
@@ -107,6 +114,11 @@ fn main() {
                     .map(|t| *t.losses.get(epoch).unwrap_or(&f64::NAN))
                     .collect();
                 fig6.push(seed, &[&(epoch + 1).to_string()], &losses);
+            }
+
+            if seed == opts.seeds[0] {
+                let dim = structured.encoder.node_dim();
+                training_sizes(&mut tab8, raal, dim, &train_set, &test, opts.full, seed);
             }
 
             for (name, eval) in baselines_on(&bench, &structured) {
@@ -168,22 +180,23 @@ fn main() {
     tab7.write(dir, "tab7_resource_attention.tsv");
     fig7.write(dir, "fig7_scatter.tsv");
     fig8.write(dir, "fig8_adaptability.tsv");
+    tab8.write(dir, "tab8_training_size.tsv");
     orderings.write(dir);
 }
 
 /// Trains every variant without and with resources on one record split of
-/// each pipeline (NE-LSTM reads the one without the structure embedding);
-/// also returns the structured pipeline's test split.
+/// each encoding (NE-LSTM reads the one without the structure embedding);
+/// also returns the structured encoding's train and test splits.
 fn train_variants(
     structured: &Pipeline,
-    unstructured: &Pipeline,
+    (encoder_n, samples_n): &(PlanEncoder, Vec<Sample>),
     full: bool,
     seed: u64,
-) -> (Vec<Trained>, Vec<Sample>) {
+) -> (Vec<Trained>, [Vec<Sample>; 2]) {
     let (tr_s, te_s) = train_test_split(structured.samples.clone(), 0.8, seed);
-    let (tr_n, te_n) = train_test_split(unstructured.samples.clone(), 0.8, seed);
+    let (tr_n, te_n) = train_test_split(samples_n.clone(), 0.8, seed);
     let tcfg = train_config(full, seed);
-    let (dim_s, dim_n) = (structured.encoder.node_dim(), unstructured.encoder.node_dim());
+    let (dim_s, dim_n) = (structured.encoder.node_dim(), encoder_n.node_dim());
     let configs = [
         ModelConfig::raal(dim_n),
         ModelConfig::na_lstm(dim_s),
@@ -213,7 +226,32 @@ fn train_variants(
             }
         })
         .collect();
-    (trained, te_s)
+    (trained, [tr_s, te_s])
+}
+
+/// Table VIII's rows: RAAL trained on the first 20–80% of `train_set` (the
+/// paper's 10k–50k records at `--full`), then the full-size `raal`.
+fn training_sizes(
+    table: &mut Rows,
+    raal: &Trained,
+    node_dim: usize,
+    train_set: &[Sample],
+    test: &[Sample],
+    full: bool,
+    seed: u64,
+) {
+    for f in [0.2, 0.4, 0.6, 0.8] {
+        let n = ((train_set.len() as f64) * f) as usize;
+        if n < 10 {
+            continue;
+        }
+        let mut model = CostModel::new(ModelConfig::raal(node_dim));
+        let history = train(&mut model, &train_set[..n], &train_config(full, seed));
+        let re = evaluate(&model, test).relative_error();
+        table.push(seed, &[&n.to_string()], &[history.train_seconds, re]);
+    }
+    let n = train_set.len().to_string();
+    table.push(seed, &[&n], &[raal.train_seconds, raal.with.relative_error()]);
 }
 
 /// Table VI's untrained and per-operator rows: GPSJ over every record, and

@@ -34,7 +34,9 @@ pub struct HarnessOpts {
     /// Output directory for TSV result files.
     pub out_dir: PathBuf,
     /// Master seeds, a prefix of [`SEEDS`]. The accuracy tables, Table V
-    /// and Fig. 1 run every one; the other harnesses run the first.
+    /// and Fig. 1 run every one; Tables VIII and IX read the models those
+    /// harnesses train at the first, and the other harnesses run the
+    /// first.
     pub seeds: Vec<u64>,
 }
 
@@ -195,10 +197,22 @@ pub struct Pipeline {
 pub fn run_pipeline(bench: &Bench, full: bool, seed: u64, structure: bool) -> Pipeline {
     let cfg = collection_config(bench.workload, full, seed);
     let collection = collect(&bench.engine, &bench.graph, &cfg);
+    let (encoder, samples) = encode(bench, &collection, full, structure);
+    Pipeline { collection, encoder, samples }
+}
+
+/// The pipeline's last two stages over a collection: trains the encoder,
+/// with or without the structure embedding, and encodes every record.
+pub fn encode(
+    bench: &Bench,
+    collection: &Collection,
+    full: bool,
+    structure: bool,
+) -> (PlanEncoder, Vec<encoding::Sample>) {
     let encoder = collection
         .build_encoder(&w2v_config(full), EncoderConfig { structure, ..EncoderConfig::default() });
     let samples = collection.encode(&encoder, &bench.engine);
-    Pipeline { collection, encoder, samples }
+    (encoder, samples)
 }
 
 /// Writes a TSV file with a header row, creating the directory as needed.

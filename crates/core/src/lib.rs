@@ -41,4 +41,4 @@ pub use serving::shard::{ShardConfig, ShardedServing};
 pub use serving::{
     FallbackModel, FallbackReason, PredictionSource, ServingConfig, ServingModel, ServingPrediction,
 };
-pub use train::{evaluate, train, train_test_split, TrainConfig, TrainHistory};
+pub use train::{evaluate, train, train_test_split, TrainConfig, TrainHistory, Trainable};

@@ -944,7 +944,9 @@ pub fn thread_arena_stats() -> nn::ArenaStats {
     INFER_ARENA.with(|cell| cell.borrow().stats())
 }
 
-fn node_matrix(plan: &EncodedPlan) -> Tensor {
+/// A plan's node features as an `n x node_dim` tape input; panics on an
+/// empty plan.
+pub fn node_matrix(plan: &EncodedPlan) -> Tensor {
     assert!(plan.num_nodes() > 0, "cannot cost an empty plan");
     Tensor::from_vec(plan.num_nodes(), plan.node_dim(), plan.node_features().to_vec())
 }

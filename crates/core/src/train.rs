@@ -1,12 +1,14 @@
 //! Training loop: mini-batch Adam on the normalised-log MSE objective,
 //! with multi-threaded gradient computation (samples in a batch are
-//! independent define-by-run graphs).
+//! independent define-by-run graphs). Every learned cost model trains
+//! here: RAAL and its ablations, and any baseline that implements
+//! [`Trainable`].
 
 use crate::metrics::EvalSet;
 use crate::model::{normalize_seconds, CostModel};
 use encoding::plan_encoder::Sample;
 use nn::optim::Adam;
-use nn::{Graph, ParamStore};
+use nn::{Graph, ParamStore, Var};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -78,8 +80,45 @@ impl TrainHistory {
     }
 }
 
+/// What [`train`] and [`evaluate`] read of a cost model.
+pub trait Trainable: Sync {
+    /// The trainable weights.
+    fn store(&self) -> &ParamStore;
+    /// The trainable weights, for the optimizer.
+    fn store_mut(&mut self) -> &mut ParamStore;
+    /// Sets the label standardisation `(mean, std)` in normalised-log
+    /// space; [`train`] passes the training set's.
+    fn set_label_stats(&mut self, mean: f32, std: f32);
+    /// One sample's loss graph against its standardised target.
+    fn sample_loss<'p>(&'p self, g: &mut Graph<'p>, sample: &Sample) -> Var;
+    /// One sample's predicted execution time in seconds.
+    fn predict_sample(&self, sample: &Sample) -> f64;
+}
+
+impl Trainable for CostModel {
+    fn store(&self) -> &ParamStore {
+        CostModel::store(self)
+    }
+
+    fn store_mut(&mut self) -> &mut ParamStore {
+        CostModel::store_mut(self)
+    }
+
+    fn set_label_stats(&mut self, mean: f32, std: f32) {
+        CostModel::set_label_stats(self, mean, std)
+    }
+
+    fn sample_loss<'p>(&'p self, g: &mut Graph<'p>, s: &Sample) -> Var {
+        self.loss(g, &s.plan, &s.resources, s.seconds)
+    }
+
+    fn predict_sample(&self, s: &Sample) -> f64 {
+        self.predict_seconds(&s.plan, &s.resources)
+    }
+}
+
 /// Trains a model in place on the given samples.
-pub fn train(model: &mut CostModel, samples: &[Sample], cfg: &TrainConfig) -> TrainHistory {
+pub fn train<M: Trainable>(model: &mut M, samples: &[Sample], cfg: &TrainConfig) -> TrainHistory {
     assert!(!samples.is_empty(), "training set must be non-empty");
     let threads = cfg.resolved_threads();
     let mut run = telemetry::span("train.run");
@@ -155,36 +194,38 @@ pub fn train(model: &mut CostModel, samples: &[Sample], cfg: &TrainConfig) -> Tr
 
 /// Computes a batch's gradients, parallelised over samples: static chunk
 /// `j` is summed into `workers[j]`'s zeroed gradient half, so the order
-/// of summation is not the scheduler's. Returns (mean loss, workers used).
-fn batch_gradients(
-    model: &CostModel,
+/// of summation is not the scheduler's. Chunk 0 runs on the calling
+/// thread, so a one-worker run spawns none. Returns (mean loss, workers
+/// used).
+fn batch_gradients<M: Trainable>(
+    model: &M,
     samples: &[Sample],
     batch: &[usize],
     weight: f32,
     workers: &mut [ParamStore],
 ) -> (f64, usize) {
     let chunk = batch.len().div_ceil(workers.len());
+    let chunk_gradients = |ids: &[usize], local: &mut ParamStore| {
+        local.zero_grads();
+        let mut loss_sum = 0.0f64;
+        for &i in ids {
+            let mut g = Graph::new();
+            let loss = model.sample_loss(&mut g, &samples[i]);
+            loss_sum += g.value(loss).item() as f64;
+            g.backward(loss).accumulate(local, weight);
+        }
+        loss_sum
+    };
+    let mut chunks = batch.chunks(chunk).zip(workers.iter_mut());
     let mut total_loss = 0.0;
     std::thread::scope(|scope| {
-        let handles: Vec<_> = batch
-            .chunks(chunk)
-            .zip(workers.iter_mut())
-            .map(|(ids, local)| {
-                scope.spawn(move || {
-                    local.zero_grads();
-                    let mut loss_sum = 0.0f64;
-                    for &i in ids {
-                        let s = &samples[i];
-                        let mut g = Graph::new();
-                        let loss = model.loss(&mut g, &s.plan, &s.resources, s.seconds);
-                        loss_sum += g.value(loss).item() as f64;
-                        let grads = g.backward(loss);
-                        grads.accumulate(local, weight);
-                    }
-                    loss_sum
-                })
-            })
+        let first = chunks.next();
+        let handles: Vec<_> = chunks
+            .map(|(ids, local)| scope.spawn(move || chunk_gradients(ids, local)))
             .collect();
+        if let Some((ids, local)) = first {
+            total_loss += chunk_gradients(ids, local);
+        }
         for h in handles {
             // Re-raise a worker panic with its original payload instead
             // of a generic join failure.
@@ -206,10 +247,10 @@ fn merge_grads(store: &mut ParamStore, workers: &[ParamStore]) {
 }
 
 /// Evaluates a model on a test set, pairing actual and predicted seconds.
-pub fn evaluate(model: &CostModel, samples: &[Sample]) -> EvalSet {
+pub fn evaluate<M: Trainable>(model: &M, samples: &[Sample]) -> EvalSet {
     let mut set = EvalSet::new();
     for s in samples {
-        set.push(s.seconds, model.predict_seconds(&s.plan, &s.resources));
+        set.push(s.seconds, model.predict_sample(s));
     }
     set
 }

@@ -55,13 +55,11 @@ pub enum Op {
     Add(usize, usize),
     /// `matrix + row`: broadcasts a `1 x c` row over every row of a `r x c` matrix.
     AddRow(usize, usize),
-    Sub(usize, usize),
     Mul(usize, usize),
     Scale(usize, f32),
     Sigmoid(usize),
     Tanh(usize),
     Relu(usize),
-    SoftmaxRows(usize),
     /// Softmax over an `n x 1` column vector.
     SoftmaxCol(usize),
     Transpose(usize),
@@ -155,16 +153,12 @@ impl<'p> Graph<'p> {
         let needs_grad = match &op {
             Op::Input => false,
             Op::Param(_) => true,
-            Op::MatMul(a, b) | Op::Add(a, b) | Op::AddRow(a, b) | Op::Sub(a, b) | Op::Mul(a, b) => {
-                fed(a) || fed(b)
-            }
+            Op::MatMul(a, b) | Op::Add(a, b) | Op::AddRow(a, b) | Op::Mul(a, b) => fed(a) || fed(b),
             Op::ConcatRows(parts) | Op::ConcatCols(parts) => parts.iter().any(fed),
             Op::Scale(a, _) | Op::SliceRows(a, ..) | Op::SliceCols(a, ..) | Op::MseLoss(a, _) => {
                 fed(a)
             }
-            Op::Sigmoid(a) | Op::Tanh(a) | Op::Relu(a) | Op::SoftmaxRows(a) | Op::SoftmaxCol(a) => {
-                fed(a)
-            }
+            Op::Sigmoid(a) | Op::Tanh(a) | Op::Relu(a) | Op::SoftmaxCol(a) => fed(a),
             Op::Transpose(a) | Op::Sum(a) | Op::Mean(a) | Op::MeanRows(a) => fed(a),
             Op::Lstm(t) => t.inputs().iter().any(fed),
             Op::ChildAttention(t) => t.inputs().iter().any(fed),
@@ -224,12 +218,6 @@ impl<'p> Graph<'p> {
         self.push(out, Op::AddRow(m.0, row.0))
     }
 
-    /// Element-wise difference.
-    pub fn sub(&mut self, a: Var, b: Var) -> Var {
-        let v = self.nodes[a.0].value.sub(&self.nodes[b.0].value);
-        self.push(v, Op::Sub(a.0, b.0))
-    }
-
     /// Element-wise (Hadamard) product.
     pub fn mul(&mut self, a: Var, b: Var) -> Var {
         let v = self.nodes[a.0].value.hadamard(&self.nodes[b.0].value);
@@ -258,12 +246,6 @@ impl<'p> Graph<'p> {
     pub fn relu(&mut self, a: Var) -> Var {
         let v = self.nodes[a.0].value.map(|x| x.max(0.0));
         self.push(v, Op::Relu(a.0))
-    }
-
-    /// Row-wise softmax.
-    pub fn softmax_rows(&mut self, a: Var) -> Var {
-        let v = self.nodes[a.0].value.softmax_rows();
-        self.push(v, Op::SoftmaxRows(a.0))
     }
 
     /// Softmax over an `n x 1` column vector.
@@ -435,10 +417,6 @@ impl<'p> Graph<'p> {
                     }
                 });
             }
-            Op::Sub(a, b) => {
-                self.add_to(grads, *a, |d| d.axpy(1.0, g));
-                self.add_to(grads, *b, |d| d.axpy(-1.0, g));
-            }
             Op::Mul(a, b) => {
                 self.add_to(grads, *a, |d| add_zip(d, g, value(b), |g, b| g * b));
                 self.add_to(grads, *b, |d| add_zip(d, g, value(a), |g, a| g * a));
@@ -451,11 +429,7 @@ impl<'p> Graph<'p> {
             Op::Relu(a) => self.add_to(grads, *a, |d| {
                 add_zip(d, value(a), g, |x, g| if x > 0.0 { g } else { 0.0 })
             }),
-            Op::SoftmaxRows(a) => {
-                self.add_to(grads, *a, |d| add_softmax_backward(d, y, g, y.cols()))
-            }
-            // An `n x 1` column is laid out like the `1 x n` row.
-            Op::SoftmaxCol(a) => self.add_to(grads, *a, |d| add_softmax_backward(d, y, g, y.len())),
+            Op::SoftmaxCol(a) => self.add_to(grads, *a, |d| add_softmax_backward(d, y, g)),
             Op::Transpose(a) => self.add_to(grads, *a, |d| {
                 for r in 0..g.rows() {
                     for c in 0..g.cols() {
@@ -539,15 +513,11 @@ fn add_block(
     }
 }
 
-/// Softmax Jacobian-vector product over each `width`-long run of `y`:
-/// `dx += y ⊙ (dy − <dy, y>)`.
-fn add_softmax_backward(into: &mut Tensor, y: &Tensor, g: &Tensor, width: usize) {
-    let runs = y.data().chunks(width.max(1)).zip(g.data().chunks(width.max(1)));
-    for (d, (y, g)) in into.data_mut().chunks_mut(width.max(1)).zip(runs) {
-        let dot: f32 = y.iter().zip(g).map(|(&a, &b)| a * b).sum();
-        for ((d, &y), &g) in d.iter_mut().zip(y).zip(g) {
-            *d += y * (g - dot);
-        }
+/// Softmax Jacobian-vector product: `dx += y ⊙ (dy − <dy, y>)`.
+fn add_softmax_backward(into: &mut Tensor, y: &Tensor, g: &Tensor) {
+    let dot: f32 = y.data().iter().zip(g.data()).map(|(&a, &b)| a * b).sum();
+    for ((d, &y), &g) in into.data_mut().iter_mut().zip(y.data()).zip(g.data()) {
+        *d += y * (g - dot);
     }
 }
 
@@ -710,38 +680,6 @@ mod tests {
         // The bottom slice contributes nothing to the loss: its gradient,
         // scattered back through the concat, is identically zero.
         assert_eq!(grads.get(b).unwrap().data(), &[0.0, 0.0]);
-    }
-
-    #[test]
-    fn sub_and_scale_gradients() {
-        // loss = sum(2*(a - b)) => da = 2, db = -2
-        let store = store_of(vec![Tensor::row(&[1.0, 2.0]), Tensor::row(&[3.0, 5.0])]);
-        let mut g = Graph::new();
-        let a = leaf(&mut g, &store, 0);
-        let b = leaf(&mut g, &store, 1);
-        let d = g.sub(a, b);
-        let d2 = g.scale(d, 2.0);
-        let loss = g.sum(d2);
-        assert_eq!(g.value(loss).item(), -10.0);
-        let grads = g.backward(loss);
-        assert_eq!(grads.get(a).unwrap().data(), &[2.0, 2.0]);
-        assert_eq!(grads.get(b).unwrap().data(), &[-2.0, -2.0]);
-    }
-
-    #[test]
-    fn softmax_rows_gradient_sums_to_zero_per_row() {
-        let store = store_of(vec![Tensor::from_vec(2, 3, vec![0.1, 0.2, 0.3, 1.0, -1.0, 0.0])]);
-        let mut g = Graph::new();
-        let x = leaf(&mut g, &store, 0);
-        let s = g.softmax_rows(x);
-        let first_col = g.slice_cols(s, 0, 1);
-        let loss = g.sum(first_col);
-        let grads = g.backward(loss);
-        let gx = grads.get(x).unwrap();
-        for r in 0..2 {
-            let row_sum: f32 = gx.row_slice(r).iter().sum();
-            assert!(row_sum.abs() < 1e-6, "row {r} grad sum {row_sum}");
-        }
     }
 
     #[test]

@@ -194,18 +194,6 @@ fn row_mut(t: &mut Tensor, r: usize) -> &mut [f32] {
     &mut t.data_mut()[r * cols..(r + 1) * cols]
 }
 
-/// Attention weights (without applying them), for models that need the
-/// raw distribution — e.g. to expose which plan nodes a resource vector
-/// attends to.
-pub fn attention_weights(g: &mut Graph, query: Var, keys: Var) -> Var {
-    let k = g.value(query).cols();
-    assert_eq!(g.value(keys).cols(), k, "attention key width mismatch");
-    let q_t = g.transpose(query);
-    let scores = g.matmul(keys, q_t);
-    let scores = g.scale(scores, 1.0 / (k as f32).sqrt());
-    g.softmax_col(scores)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -226,18 +214,20 @@ mod tests {
     }
 
     #[test]
-    fn uniform_keys_give_uniform_weights() {
+    fn uniform_keys_give_the_mean_of_the_values() {
         let mut g = Graph::new();
         let q = g.input(Tensor::row(&[1.0, 1.0]));
         let keys = g.input(Tensor::from_vec(3, 2, vec![0.5; 6]));
-        let w = attention_weights(&mut g, q, keys);
-        for i in 0..3 {
-            assert!((g.value(w).get(i, 0) - 1.0 / 3.0).abs() < 1e-6);
+        let values = g.input(Tensor::from_vec(3, 2, vec![1., -3., 2., 6., 6., 0.]));
+        let ctx = dot_attention(&mut g, q, keys, values);
+        for (got, want) in g.value(ctx).data().iter().zip([3.0, 1.0]) {
+            assert!((got - want).abs() < 1e-6, "{got} vs {want}");
         }
     }
 
     #[test]
-    fn weights_sum_to_one() {
+    fn a_constant_value_column_passes_through() {
+        // The weights sum to one, whatever the query and keys.
         let mut g = Graph::new();
         let q = g.input(Tensor::row(&[0.3, -0.7, 0.1]));
         let keys = g.input(Tensor::from_vec(
@@ -245,9 +235,9 @@ mod tests {
             3,
             vec![0.1, 0.2, 0.3, -0.4, 0.5, -0.6, 0.7, 0.8, 0.9, 0.0, -0.1, 0.2],
         ));
-        let w = attention_weights(&mut g, q, keys);
-        let sum: f32 = g.value(w).data().iter().sum();
-        assert!((sum - 1.0).abs() < 1e-5);
+        let values = g.input(Tensor::from_vec(4, 2, vec![2.5, 1., 2.5, -1., 2.5, 4., 2.5, 0.]));
+        let ctx = dot_attention(&mut g, q, keys, values);
+        assert!((g.value(ctx).get(0, 0) - 2.5).abs() < 1e-5);
     }
 
     #[test]

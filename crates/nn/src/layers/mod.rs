@@ -5,9 +5,7 @@ mod conv1d;
 mod dense;
 mod lstm;
 
-pub use attention::{
-    attention_weights, child_attention, dot_attention, dot_attention_into, ChildAttentionTape,
-};
+pub use attention::{child_attention, dot_attention, dot_attention_into, ChildAttentionTape};
 pub use conv1d::Conv1d;
 pub use dense::{Activation, Dense};
 pub use lstm::{BoundLstm, LstmCell, LstmTape};

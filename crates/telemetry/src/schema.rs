@@ -65,7 +65,6 @@ pub const SPAN_NAMES: &[&str] = &[
     "serving.predict",
     "workload.generate",
     "encode.word2vec",
-    "baselines.train_tlstm",
     // Kernel spans: the stages of a served miss.
     "serving.encode",
     "infer.plan_layer",

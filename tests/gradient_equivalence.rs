@@ -14,7 +14,7 @@ use baselines::{TlstmConfig, TlstmModel};
 use encoding::plan_encoder::{EncodedPlan, PLAN_STAT_FEATURES};
 use nn::graph::Op;
 use nn::{Graph, ParamStore, Tensor, Var};
-use raal::{CostModel, ModelConfig};
+use raal::{CostModel, ModelConfig, Trainable};
 
 /// The pre-PR-21 backward pass, rule for rule.
 fn reference_backward(tape: &Graph, loss: Var) -> Vec<Option<Tensor>> {
@@ -51,10 +51,6 @@ fn reference_backward(tape: &Graph, loss: Var) -> Vec<Option<Tensor>> {
                 }
                 accum(grads_mut, *row, rg);
             }
-            Op::Sub(a, b) => {
-                accum(grads_mut, *a, g.clone());
-                accum(grads_mut, *b, g.scale(-1.0));
-            }
             Op::Mul(a, b) => {
                 accum(grads_mut, *a, g.hadamard(value(*b)));
                 accum(grads_mut, *b, g.hadamard(value(*a)));
@@ -67,7 +63,6 @@ fn reference_backward(tape: &Graph, loss: Var) -> Vec<Option<Tensor>> {
             Op::Relu(a) => {
                 accum(grads_mut, *a, value(*a).zip(&g, |x, g| if x > 0.0 { g } else { 0.0 }));
             }
-            Op::SoftmaxRows(a) => accum(grads_mut, *a, softmax_backward_rows(value(idx), &g)),
             Op::SoftmaxCol(a) => {
                 let (y, gt) = (value(idx).transpose(), g.transpose());
                 accum(grads_mut, *a, softmax_backward_rows(&y, &gt).transpose());
