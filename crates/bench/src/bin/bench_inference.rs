@@ -88,9 +88,8 @@ fn main() {
         nn::infer::kernel_tier()
     ));
 
-    // Same setup as the Table IX harness: a briefly-trained RAAL model
-    // (weights don't matter for latency, but training de-zeroes the
-    // ReLU head) over the IMDB workload.
+    // A briefly-trained RAAL model (weights don't matter for latency,
+    // but training de-zeroes the ReLU head) over the IMDB workload.
     let bench = bench::build_bench(Workload::Imdb, opts.full, opts.seed);
     // `bench::run_pipeline`, with a clock between its stages.
     let collected = bench::collection_config(bench.workload, opts.full, opts.seed);
