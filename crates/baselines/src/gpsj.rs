@@ -123,19 +123,6 @@ impl raal::serving::FallbackModel for GpsjModel {
     }
 }
 
-/// Evaluates GPSJ against a set of (plan, resources, actual seconds)
-/// records.
-pub fn evaluate_gpsj<'a>(
-    model: &GpsjModel,
-    records: impl Iterator<Item = (&'a PhysicalPlan, &'a ResourceConfig, f64)>,
-) -> raal::EvalSet {
-    let mut set = raal::EvalSet::new();
-    for (plan, res, actual) in records {
-        set.push(actual, model.estimate_seconds(plan, res));
-    }
-    set
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -13,6 +13,6 @@ pub mod gpsj;
 pub mod micro;
 pub mod tlstm;
 
-pub use gpsj::{evaluate_gpsj, GpsjModel, GpsjParams};
+pub use gpsj::{GpsjModel, GpsjParams};
 pub use micro::MicroModel;
 pub use tlstm::{TlstmConfig, TlstmModel};

@@ -1,8 +1,9 @@
 //! `bench_inference` — the inference engine's performance contract.
 //!
 //! Measures the serving-relevant latencies of the RAAL cost model —
-//! plan encoding, single-plan p50 and a 64-configuration resource
-//! sweep — and writes `BENCH_inference.json`: a report whose one
+//! plan encoding, the fast path's mean per plan in its fastest window
+//! (`single_plan_p50_us_f32`, a key the committed baseline carries) and
+//! a 64-configuration resource sweep — and writes `BENCH_inference.json`: a report whose one
 //! *tracked* metric is a dimensionless speedup ratio, `fast_vs_tape`
 //! (machine-independent enough to ratchet in CI, unlike absolute
 //! latencies, which are recorded but not compared). The sweep's naive ÷

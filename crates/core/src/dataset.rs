@@ -246,8 +246,12 @@ mod tests {
             coll.build_encoder(&W2vConfig { dim: 8, epochs: 1 }, EncoderConfig::default());
         let samples = coll.encode(&encoder, &engine);
         assert_eq!(samples.len(), coll.num_records());
-        for s in &samples {
+        let cluster = engine.simulator().cluster();
+        let observations = coll.plan_runs.iter().flat_map(|r| &r.observations);
+        for (s, (res, seconds)) in samples.iter().zip(observations) {
             assert!(s.seconds > 0.0 && s.seconds.is_finite());
+            assert_eq!(s.seconds, *seconds);
+            assert_eq!(s.resources, res.feature_vector(cluster));
             assert_eq!(s.resources.len(), ResourceConfig::NUM_FEATURES);
             assert!(s.plan.num_nodes() > 0);
         }

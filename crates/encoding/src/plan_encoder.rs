@@ -19,7 +19,6 @@ use crate::word2vec::{EmbeddingTable, Word2Vec};
 use raal_sync::atomic::{AtomicU64, Ordering};
 use serde::{Deserialize, Serialize};
 use sparksim::plan::physical::{NotATree, PhysicalOp};
-use sparksim::resource::{ClusterConfig, ResourceConfig};
 use sparksim::PhysicalPlan;
 use std::sync::Arc;
 
@@ -337,21 +336,6 @@ impl PlanEncoder {
         };
         Ok((encoded, reused))
     }
-
-    /// Encodes a full training sample.
-    pub fn encode_sample(
-        &self,
-        plan: &PhysicalPlan,
-        resources: &ResourceConfig,
-        cluster: &ClusterConfig,
-        seconds: f64,
-    ) -> Sample {
-        Sample {
-            plan: Arc::new(self.encode(plan)),
-            resources: resources.feature_vector(cluster),
-            seconds,
-        }
-    }
 }
 
 /// `log10(1 + x) / denom`, clamped to [0, 1] — the normalisation used for
@@ -561,15 +545,5 @@ mod tests {
         assert!(log_norm(1e12, 12.0) >= 0.99);
         assert!(log_norm(1e30, 12.0) <= 1.0);
         assert!(log_norm(-5.0, 12.0) >= 0.0);
-    }
-
-    #[test]
-    fn sample_includes_resources_and_label() {
-        let enc = encoder();
-        let cluster = ClusterConfig::default();
-        let res = ResourceConfig::default_for(&cluster);
-        let s = enc.encode_sample(&plan(), &res, &cluster, 12.5);
-        assert_eq!(s.resources.len(), ResourceConfig::NUM_FEATURES);
-        assert_eq!(s.seconds, 12.5);
     }
 }

@@ -338,11 +338,6 @@ impl Tensor {
         self.zip(rhs, |a, b| a + b)
     }
 
-    /// Element-wise difference `self - rhs`.
-    pub fn sub(&self, rhs: &Tensor) -> Tensor {
-        self.zip(rhs, |a, b| a - b)
-    }
-
     /// Element-wise (Hadamard) product.
     pub fn hadamard(&self, rhs: &Tensor) -> Tensor {
         self.zip(rhs, |a, b| a * b)
@@ -548,7 +543,6 @@ mod tests {
         let a = Tensor::row(&[1., 2., 3.]);
         let b = Tensor::row(&[4., 5., 6.]);
         assert_eq!(a.add(&b).data(), &[5., 7., 9.]);
-        assert_eq!(b.sub(&a).data(), &[3., 3., 3.]);
         assert_eq!(a.hadamard(&b).data(), &[4., 10., 18.]);
         assert_eq!(a.scale(2.0).data(), &[2., 4., 6.]);
         assert_eq!(a.sum(), 6.0);

@@ -155,11 +155,6 @@ impl Expr {
         }
     }
 
-    /// True when every referenced column belongs to `table`.
-    pub fn only_references(&self, table: &str) -> bool {
-        self.referenced_columns().iter().all(|c| c.table == table)
-    }
-
     /// Evaluates the expression for a single row of a batch.
     pub fn eval_row(&self, batch: &Batch, row: usize) -> Value {
         match self {
@@ -483,9 +478,6 @@ mod tests {
             }),
         );
         assert_eq!(e.referenced_columns().len(), 3);
-        assert!(!e.only_references("t"));
-        let single = Expr::cmp(col("id"), CmpOp::Gt, Value::Int(0));
-        assert!(single.only_references("t"));
     }
 
     #[test]

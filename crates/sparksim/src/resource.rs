@@ -40,11 +40,6 @@ impl ClusterConfig {
     pub fn total_cores(&self) -> usize {
         self.nodes * self.cores_per_node
     }
-
-    /// Total memory in the cluster, GB.
-    pub fn total_memory_gb(&self) -> f64 {
-        self.nodes as f64 * self.memory_per_node_gb
-    }
 }
 
 /// Resources allocated to one application (Table I): the features the
@@ -79,11 +74,6 @@ impl ResourceConfig {
     /// Total task slots.
     pub fn total_slots(&self) -> usize {
         self.executors * self.cores_per_executor
-    }
-
-    /// Total executor memory, GB.
-    pub fn total_memory_gb(&self) -> f64 {
-        self.executors as f64 * self.memory_per_executor_gb
     }
 
     /// The paper's Eq. 1 encoding: each feature divided by its maximum
@@ -206,7 +196,6 @@ mod tests {
             disk_throughput_mbps: 200.0,
         };
         assert_eq!(r.total_slots(), 6);
-        assert_eq!(r.total_memory_gb(), 12.0);
     }
 
     #[test]

@@ -69,14 +69,6 @@ impl Histogram {
         (acc / total).clamp(0.0, 1.0)
     }
 
-    /// Estimated fraction of rows in `[lo, hi]`.
-    pub fn selectivity_range(&self, lo: f64, hi: f64) -> f64 {
-        if hi < lo {
-            return 0.0;
-        }
-        (self.selectivity_lt(hi + f64::EPSILON) - self.selectivity_lt(lo)).clamp(0.0, 1.0)
-    }
-
     /// Smallest and largest values seen.
     pub fn min_max(&self) -> (f64, f64) {
         (self.bounds[0], self.bounds[self.bounds.len() - 1])
@@ -212,15 +204,6 @@ mod tests {
         let h = Histogram::build(vals, 32).unwrap();
         let s = h.selectivity_lt(10.0);
         assert!(s > 0.8, "skewed mass captured, got {s}");
-    }
-
-    #[test]
-    fn histogram_range_selectivity() {
-        let vals: Vec<f64> = (0..1000).map(|i| i as f64).collect();
-        let h = Histogram::build(vals, 32).unwrap();
-        let s = h.selectivity_range(250.0, 750.0);
-        assert!((s - 0.5).abs() < 0.06, "got {s}");
-        assert_eq!(h.selectivity_range(10.0, 5.0), 0.0);
     }
 
     #[test]

@@ -119,16 +119,6 @@ impl Histogram {
         }
     }
 
-    /// Estimated `q`-quantile (`q` in `[0, 1]`), within the bucket
-    /// quantisation error (~3% relative above 32, exact below).
-    ///
-    /// Legacy all-`u64` interface: an empty histogram reports `0`, which
-    /// is indistinguishable from an observed zero — prefer
-    /// [`Histogram::quantile`], which makes emptiness explicit.
-    pub fn percentile(&self, q: f64) -> u64 {
-        self.quantile(q).unwrap_or(0)
-    }
-
     /// Estimated `q`-quantile (`q` in `[0, 1]`).
     ///
     /// Edge cases are exact rather than bucket artifacts: an empty
@@ -206,7 +196,7 @@ mod tests {
         for v in 0..32u64 {
             h.record(v);
         }
-        assert_eq!(h.percentile(0.5), 15);
+        assert_eq!(h.quantile(0.5), Some(15));
         assert_eq!(h.min(), 0);
         assert_eq!(h.max(), 31);
         assert_eq!(h.mean(), 15.5);
@@ -216,7 +206,6 @@ mod tests {
     fn empty_histogram_reports_zeros() {
         let h = Histogram::new();
         assert_eq!(h.count(), 0);
-        assert_eq!(h.percentile(0.99), 0);
         assert_eq!(h.mean(), 0.0);
     }
 
@@ -236,7 +225,6 @@ mod tests {
         h.record(12_345);
         for q in [0.0, 0.5, 0.95, 0.99, 1.0] {
             assert_eq!(h.quantile(q), Some(12_345), "q={q}");
-            assert_eq!(h.percentile(q), 12_345, "q={q}");
         }
         assert_eq!(h.min(), 12_345);
         assert_eq!(h.max(), 12_345);

@@ -161,11 +161,11 @@ fn histogram_percentiles_track_known_distributions() {
         h.record(v);
     }
     for (q, want) in [(0.5, 5_000.0), (0.95, 9_500.0), (0.99, 9_900.0)] {
-        let got = h.percentile(q) as f64;
+        let got = h.quantile(q).unwrap() as f64;
         let rel = (got - want).abs() / want;
         assert!(rel <= 0.04, "uniform p{q}: got {got}, want {want} (rel {rel})");
     }
-    assert_eq!(h.percentile(1.0), 10_000);
+    assert_eq!(h.quantile(1.0), Some(10_000));
 
     // Two-point mass: 90% at 10, 10% at 1000 — p50 exact, p95/p99 at
     // the heavy tail value.
@@ -176,9 +176,9 @@ fn histogram_percentiles_track_known_distributions() {
     for _ in 0..100 {
         h.record(1000);
     }
-    assert_eq!(h.percentile(0.5), 10);
+    assert_eq!(h.quantile(0.5), Some(10));
     for q in [0.95, 0.99] {
-        let got = h.percentile(q) as f64;
+        let got = h.quantile(q).unwrap() as f64;
         assert!((got - 1000.0).abs() / 1000.0 <= 0.04, "p{q} = {got}");
     }
 }
