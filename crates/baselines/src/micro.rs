@@ -74,26 +74,10 @@ impl MicroModel {
         cluster: &ClusterConfig,
         ridge: f64,
     ) -> Self {
-        let d = NUM_FEATURES;
-        let mut xtx = vec![0.0f64; d * d];
-        let mut xty = vec![0.0f64; d];
-        let mut n = 0usize;
-        for (plan, res, seconds) in records {
-            let x = features(plan, res, cluster);
-            let y = normalize_seconds(seconds) as f64;
-            for i in 0..d {
-                xty[i] += x[i] * y;
-                for j in 0..d {
-                    xtx[i * d + j] += x[i] * x[j];
-                }
-            }
-            n += 1;
-        }
-        assert!(n > 0, "micro-model fit requires at least one record");
-        for i in 0..d {
-            xtx[i * d + i] += ridge;
-        }
-        let weights = solve(&mut xtx, &mut xty, d);
+        let rows = records.map(|(plan, res, seconds)| {
+            (features(plan, res, cluster), normalize_seconds(seconds) as f64)
+        });
+        let weights = ridge_fit(rows, NUM_FEATURES, ridge);
         Self { weights, ridge }
     }
 
@@ -110,37 +94,54 @@ impl MicroModel {
     }
 }
 
-/// Gaussian elimination with partial pivoting (the system is tiny).
-fn solve(a: &mut [f64], b: &mut [f64], n: usize) -> Vec<f64> {
-    for col in 0..n {
+/// Closed-form ridge regression: the `w` of `(XᵀX + ridge·I) w = Xᵀy` over
+/// `rows` of `d` features and a target each, by Gaussian elimination with
+/// partial pivoting (the system is tiny). Panics if `rows` is empty.
+pub fn ridge_fit(rows: impl Iterator<Item = (Vec<f64>, f64)>, d: usize, ridge: f64) -> Vec<f64> {
+    let (mut a, mut b) = (vec![0.0f64; d * d], vec![0.0f64; d]);
+    let mut n = 0usize;
+    for (x, y) in rows {
+        for i in 0..d {
+            b[i] += x[i] * y;
+            for j in 0..d {
+                a[i * d + j] += x[i] * x[j];
+            }
+        }
+        n += 1;
+    }
+    assert!(n > 0, "a ridge fit requires at least one record");
+    for i in 0..d {
+        a[i * d + i] += ridge;
+    }
+    for col in 0..d {
         let mut pivot = col;
-        for r in col + 1..n {
-            if a[r * n + col].abs() > a[pivot * n + col].abs() {
+        for r in col + 1..d {
+            if a[r * d + col].abs() > a[pivot * d + col].abs() {
                 pivot = r;
             }
         }
-        for c in 0..n {
-            a.swap(col * n + c, pivot * n + c);
+        for c in 0..d {
+            a.swap(col * d + c, pivot * d + c);
         }
         b.swap(col, pivot);
-        let p = a[col * n + col];
+        let p = a[col * d + col];
         if p.abs() < 1e-12 {
             continue;
         }
-        for r in 0..n {
+        for r in 0..d {
             if r == col {
                 continue;
             }
-            let f = a[r * n + col] / p;
-            for c in col..n {
-                a[r * n + c] -= f * a[col * n + c];
+            let f = a[r * d + col] / p;
+            for c in col..d {
+                a[r * d + c] -= f * a[col * d + c];
             }
             b[r] -= f * b[col];
         }
     }
-    (0..n)
+    (0..d)
         .map(|i| {
-            let p = a[i * n + i];
+            let p = a[i * d + i];
             if p.abs() < 1e-12 {
                 0.0
             } else {

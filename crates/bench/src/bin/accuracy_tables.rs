@@ -1,45 +1,51 @@
-//! **Tables IV, VI, VII, VIII and Figs. 6, 7, 8** — the accuracy tables,
-//! from one set of trained models per seed.
+//! **Every learned result** — Tables IV–IX, Figs. 1 and 6–8, the cold-start
+//! extension and the learnability probe — from one engine and collection
+//! per seed and workload.
 //!
-//! Per seed and workload it builds the engine once, collects once, encodes
-//! the collection twice (with and without the structure embedding), makes
-//! one 80/20 record split, and trains each variant — NE-LSTM (no structure
-//! embedding), NA-LSTM (no node-aware attention), RAAC (CNN plan layer) and
-//! RAAL — once without and once with the resource pathway. Every output
-//! reads those sixteen models:
+//! Per seed and workload it collects once, encodes the collection with and
+//! without the structure embedding, makes one 80/20 record split, and trains
+//! NE-LSTM (no structure embedding), NA-LSTM (no node-aware attention), RAAC
+//! (CNN plan layer) and RAAL once without and once with resources. Paper
+//! shapes: RAAL best (IV); NA-LSTM's loss curve least stable (Fig. 6);
+//! GPSJ's errors far larger (VI, beside a CLEO-style micro-model); resources
+//! improve every variant, most on TPC-H (VII, Fig. 7); accuracy flat across
+//! executor memory (Fig. 8). On the IMDB engine it also trains a RAAL on
+//! every record to pick plans for 20 fresh queries (Fig. 1: faster than
+//! Catalyst's defaults), and RAAL and TLSTM on a second collection under one
+//! fixed resource state (V: RAAL still ahead, by less). At the first seed:
+//! RAAL on 20–80% of its training split (VIII: time linear in the data,
+//! error falling), the time Table V's models and GPSJ take to price 100
+//! plans (IX), an IMDB RAAL zero-shot and fine-tuned on TPC-H against a
+//! native one (cold start, the paper's Sec. VI future work), and a ridge
+//! regression and a longer RAAL run on Table IV's split (the probe).
 //!
-//! * Table IV + Fig. 6: the IMDB models with resources, their metrics and
-//!   per-epoch training loss. Paper: RAAL best; NA-LSTM's curve least
-//!   stable.
-//! * Table VI: IMDB RAAL beside GPSJ (analytical, evaluated over every
-//!   record) and a CLEO-style per-operator micro-model (fit on the first
-//!   80% of queries). Paper: GPSJ's errors far larger.
-//! * Table VII: all sixteen. Paper: resources improve every variant on
-//!   both workloads, the MSE gap largest on TPC-H.
-//! * Fig. 7: RAAL's (actual, estimated) test pairs without and with
-//!   resources.
-//! * Fig. 8: IMDB RAAL's test split sliced by executor memory (1–8 GB).
-//!   Paper: accuracy flat across memory sizes.
-//! * Table VIII: at the first seed, IMDB RAAL's training time and test RE
-//!   on 20–80% of its training split (four more models) beside the
-//!   full-size one Table IV reports. Paper: time grows roughly linearly
-//!   with the data; error falls as it grows.
-//!
-//! `orderings.tsv` counts the seeds in which each ordering holds: RAAL
-//! beats each ablation (IV) and GPSJ (VI) on RE and COR, and resources
-//! lower MSE and RE for every variant on both workloads (VII).
+//! `orderings.tsv` counts the seeds in which each ordering holds: Fig. 1's
+//! tuned plans beat the default, RAAL beats each ablation (IV), TLSTM (V)
+//! and GPSJ (VI) on RE and COR, and resources lower MSE and RE for every
+//! variant on both workloads (VII).
 
 use baselines::gpsj::{GpsjModel, GpsjParams};
-use baselines::micro::MicroModel;
+use baselines::micro::{ridge_fit, MicroModel};
+use baselines::tlstm::{TlstmConfig, TlstmModel};
 use bench::{
-    metrics, run_pipeline, section, train_config, HarnessOpts, Orderings, Pipeline, Rows, Workload,
-    METRICS,
+    collection_config, metrics, section, train_config, w2v_config, Bench, HarnessOpts, Orderings,
+    Rows, Workload, METRICS,
 };
-use encoding::{PlanEncoder, Sample};
-use raal::{evaluate, train, train_test_split, CostModel, EvalSet, ModelConfig};
-use sparksim::ClusterConfig;
+use encoding::tokenizer::plan_sentences;
+use encoding::{EncoderConfig, PlanEncoder, Sample};
+use raal::dataset::{collect, Collection};
+use raal::model::normalize_seconds;
+use raal::selection::evaluate_selection;
+use raal::{evaluate, train, train_test_split, CostModel, EvalSet, ModelConfig, TrainConfig};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+use sparksim::{ClusterConfig, ResourceConfig, ResourceGrid};
+use workloads::querygen::{generate_queries, QueryGenConfig};
 
 const VARIANTS: [&str; 4] = ["NE-LSTM", "NA-LSTM", "RAAC", "RAAL"];
+
+/// An encoder and the records it encoded.
+type Encoded = (PlanEncoder, Vec<Sample>);
 
 /// One variant trained without and with the resource pathway.
 struct Trained {
@@ -53,7 +59,7 @@ struct Trained {
 
 fn main() {
     let opts = HarnessOpts::from_env();
-    section("Tables IV, VI, VII, VIII and Figs. 6, 7, 8 — accuracy, one set of models per seed");
+    section("Tables IV–IX, Figs. 1, 6, 7, 8, cold start and probe — one pipeline per seed");
     let train_s = [&METRICS[..], &["train_s"]].concat();
     let mut tab4 = Rows::new("Table IV — module ablation (IMDB)", &["model"], &train_s);
     let mut fig6 = Rows::new("", &["epoch"], &VARIANTS).cells(|l| format!("{l:.6}"));
@@ -75,13 +81,28 @@ fn main() {
         Rows::new("Fig. 8 — RAAL across executor memory (IMDB)", &["memory_gb"], &fig8_values);
     let mut tab8 =
         Rows::new("Table VIII — training size", &["train_records"], &["train_seconds", "test_RE"]);
+    let fig1_values = ["default_s", "tuned_s", "speedup", "optimal"];
+    let mut fig1 =
+        Rows::new("Fig. 1 — totals over 20 queries (each in the TSV)", &["query"], &fig1_values);
+    let mut tab5 =
+        Rows::new("Table V — RAAL vs. TLSTM, fixed resources (IMDB)", &["model"], &train_s);
+    let tab9_values = ["total_ms_100_queries", "per_plan_ms"];
+    let mut tab9 = Rows::new("Table IX — estimation time", &["model"], &tab9_values)
+        .cells(|ms| format!("{ms:.5}"));
+    let mut cold = Rows::new("Cold start (TPC-H test split)", &["setting"], &METRICS);
+    let mut probe = Rows::new("Probe (IMDB test split)", &["model"], &METRICS);
 
     for &seed in &opts.seeds {
+        let first = seed == opts.seeds[0];
+        // The first seed's IMDB engine and collection, for cold start.
+        let mut imdb = None;
         for workload in [Workload::Imdb, Workload::Tpch] {
             let bench = bench::build_bench(workload, opts.full, seed);
-            let structured = run_pipeline(&bench, opts.full, seed, true);
-            let unstructured = bench::encode(&bench, &structured.collection, opts.full, false);
-            println!("\n[seed {seed}, {workload}] records: {}", structured.samples.len());
+            let collected = collection_config(workload, opts.full, seed);
+            let collection = collect(&bench.engine, &bench.graph, &collected);
+            let structured = bench::encode(&bench, &collection, opts.full, true);
+            let unstructured = bench::encode(&bench, &collection, opts.full, false);
+            println!("\n[seed {seed}, {workload}] records: {}", structured.1.len());
             let (trained, [train_set, test]) =
                 train_variants(&structured, &unstructured, opts.full, seed);
 
@@ -97,6 +118,10 @@ fn main() {
                 }
             }
             if workload != Workload::Imdb {
+                if let Some((imdb, imdb_collection)) = &imdb {
+                    let tpch = (&bench, &collection);
+                    cold_start(&mut cold, (imdb, imdb_collection), tpch, opts.full, seed);
+                }
                 continue;
             }
 
@@ -116,12 +141,13 @@ fn main() {
                 fig6.push(seed, &[&(epoch + 1).to_string()], &losses);
             }
 
-            if seed == opts.seeds[0] {
-                let dim = structured.encoder.node_dim();
+            if first {
+                let dim = structured.0.node_dim();
                 training_sizes(&mut tab8, raal, dim, &train_set, &test, opts.full, seed);
+                learnability(&mut probe, dim, &train_set, &test, seed);
             }
 
-            for (name, eval) in baselines_on(&bench, &structured) {
+            for (name, eval) in baselines_on(&bench, &collection) {
                 tab6.push(seed, &[name], &metrics(&eval.summary()));
             }
             tab6.push(seed, &["RAAL"], &metrics(&raal.with.summary()));
@@ -144,11 +170,17 @@ fn main() {
                     );
                 }
             }
+
+            plan_selection(&mut fig1, &bench, &structured, opts.full, seed);
+            fixed_resources(&mut tab5, first.then_some(&mut tab9), &bench, opts.full, seed);
+            if first {
+                imdb = Some((bench, collection));
+            }
         }
     }
 
     let mut orderings = Orderings::default();
-    for table in [&mut tab4, &mut fig6, &mut tab6, &mut tab7, &mut fig8] {
+    for table in [&mut tab4, &mut fig6, &mut tab6, &mut tab7, &mut fig8, &mut fig1, &mut tab5] {
         table.spread();
     }
     println!();
@@ -172,6 +204,13 @@ fn main() {
             }
         }
     }
+    let (tuned, default) =
+        (fig1.series(&["total"], "tuned_s"), fig1.series(&["total"], "default_s"));
+    orderings.claim("Fig. 1", "RAAL-tuned plans beat the default", "total_s", &tuned, &default);
+    for metric in ["RE", "COR"] {
+        let (raal, tlstm) = (tab5.series(&["RAAL"], metric), tab5.series(&["TLSTM"], metric));
+        orderings.claim("V", "RAAL beats TLSTM", metric, &raal, &tlstm);
+    }
 
     let dir = &opts.out_dir;
     tab4.write(dir, "tab4_ablation.tsv");
@@ -181,22 +220,31 @@ fn main() {
     fig7.write(dir, "fig7_scatter.tsv");
     fig8.write(dir, "fig8_adaptability.tsv");
     tab8.write(dir, "tab8_training_size.tsv");
+    fig1.write(dir, "fig1_plan_selection.tsv");
+    tab5.write(dir, "tab5_vs_tlstm.tsv");
+    tab9.write(dir, "tab9_inference_latency.tsv");
+    cold.write(dir, "ext_coldstart.tsv");
+    probe.write(dir, "probe_learnability.tsv");
     orderings.write(dir);
+
+    // Flush counter/histogram summaries so a telemetry-enabled run
+    // validates end to end.
+    telemetry::shutdown();
 }
 
 /// Trains every variant without and with resources on one record split of
 /// each encoding (NE-LSTM reads the one without the structure embedding);
 /// also returns the structured encoding's train and test splits.
 fn train_variants(
-    structured: &Pipeline,
-    (encoder_n, samples_n): &(PlanEncoder, Vec<Sample>),
+    (encoder_s, samples_s): &Encoded,
+    (encoder_n, samples_n): &Encoded,
     full: bool,
     seed: u64,
 ) -> (Vec<Trained>, [Vec<Sample>; 2]) {
-    let (tr_s, te_s) = train_test_split(structured.samples.clone(), 0.8, seed);
+    let (tr_s, te_s) = train_test_split(samples_s.clone(), 0.8, seed);
     let (tr_n, te_n) = train_test_split(samples_n.clone(), 0.8, seed);
     let tcfg = train_config(full, seed);
-    let (dim_s, dim_n) = (structured.encoder.node_dim(), encoder_n.node_dim());
+    let (dim_s, dim_n) = (encoder_s.node_dim(), encoder_n.node_dim());
     let configs = [
         ModelConfig::raal(dim_n),
         ModelConfig::na_lstm(dim_s),
@@ -257,8 +305,8 @@ fn training_sizes(
 /// Table VI's untrained and per-operator rows: GPSJ over every record, and
 /// the micro-model fit on the first 80% of queries and evaluated on the
 /// rest (a per-record split would leak plans between train and test).
-fn baselines_on(bench: &bench::Bench, pipeline: &Pipeline) -> [(&'static str, EvalSet); 2] {
-    let runs = &pipeline.collection.plan_runs;
+fn baselines_on(bench: &Bench, collection: &Collection) -> [(&'static str, EvalSet); 2] {
+    let runs = &collection.plan_runs;
     let gpsj = GpsjModel::new(GpsjParams {
         data_scale: bench.engine.simulator().config().data_scale,
     });
@@ -285,4 +333,231 @@ fn baselines_on(bench: &bench::Bench, pipeline: &Pipeline) -> [(&'static str, Ev
         }
     }
     [("GPSJ", gpsj_set), ("MICRO", micro_set)]
+}
+
+/// Fig. 1's rows: RAAL trained on every IMDB record picks a plan for each of
+/// 20 fresh queries (a seed stream apart from the collection's) under the
+/// default resources; each query's default and tuned seconds, then the
+/// totals.
+fn plan_selection(
+    table: &mut Rows,
+    bench: &Bench,
+    (encoder, samples): &Encoded,
+    full: bool,
+    seed: u64,
+) {
+    let mut model = CostModel::new(ModelConfig::raal(encoder.node_dim()));
+    // Ranking plans needs a sharper model than the metric tables: more epochs.
+    let mut tcfg = train_config(full, seed);
+    tcfg.epochs = if full { 30 } else { 60 };
+    train(&mut model, samples, &tcfg);
+
+    let mut rng = StdRng::seed_from_u64(seed ^ 0xF161);
+    let queries = generate_queries(&bench.graph, &QueryGenConfig { max_joins: 3 }, 20, &mut rng);
+    let res = ResourceConfig::default_for(bench.engine.simulator().cluster());
+    let mut total = [0.0f64; 3];
+    for (i, sql) in queries.iter().enumerate() {
+        let Ok(outcome) = evaluate_selection(&bench.engine, &model, encoder, sql, &res, seed)
+        else {
+            continue;
+        };
+        let optimal = f64::from(u8::from(outcome.optimal()));
+        total[0] += outcome.default_seconds;
+        total[1] += outcome.chosen_seconds;
+        total[2] += optimal;
+        let (query, default, tuned) =
+            (format!("Q{}", i + 1), outcome.default_seconds, outcome.chosen_seconds);
+        table.detail(seed, &[&query], &[default, tuned, outcome.speedup(), optimal]);
+    }
+    let speedup = total[0] / total[1].max(1e-9);
+    table.push(seed, &["total"], &[total[0], total[1], speedup, total[2]]);
+}
+
+/// Table V's rows: RAAL and TLSTM on a collection of `bench` under one fixed
+/// resource state (one grid point, no tenancy jitter), so RAAL's resource
+/// input is a constant; then Table IX with those two models, into `latency`.
+fn fixed_resources(
+    table: &mut Rows,
+    latency: Option<&mut Rows>,
+    bench: &Bench,
+    full: bool,
+    seed: u64,
+) {
+    let mut cfg = collection_config(Workload::Imdb, full, seed);
+    cfg.grid = ResourceGrid {
+        executors: vec![2],
+        cores_per_executor: vec![2],
+        memory_gb: vec![4.0],
+        throughput_jitter: 0.0,
+    };
+    cfg.resource_states_per_plan = 1;
+    let collection = collect(&bench.engine, &bench.graph, &cfg);
+    let (encoder, samples) = bench::encode(bench, &collection, full, true);
+    let (train_set, test_set) = train_test_split(samples, 0.8, seed);
+    let tcfg = train_config(full, seed);
+
+    let mut raal = CostModel::new(ModelConfig::raal(encoder.node_dim()));
+    let h_raal = train(&mut raal, &train_set, &tcfg);
+    let mut tlstm = TlstmModel::new(TlstmConfig::new(encoder.node_dim()));
+    let h_tlstm = train(&mut tlstm, &train_set, &tcfg);
+    for (name, eval, seconds) in [
+        ("TLSTM", evaluate(&tlstm, &test_set), h_tlstm.train_seconds),
+        ("RAAL", evaluate(&raal, &test_set), h_raal.train_seconds),
+    ] {
+        table.push(seed, &[name], &[&metrics(&eval.summary())[..], &[seconds]].concat());
+    }
+    if let Some(latency) = latency {
+        estimation_time(latency, bench, &collection, &encoder, &raal, &tlstm, seed);
+    }
+}
+
+/// Table IX: the best of five passes of each model over the first 100 of
+/// the collection's queries, each priced on its first candidate plan.
+fn estimation_time(
+    table: &mut Rows,
+    bench: &Bench,
+    collection: &Collection,
+    encoder: &PlanEncoder,
+    raal: &CostModel,
+    tlstm: &TlstmModel,
+    seed: u64,
+) {
+    let gpsj = GpsjModel::new(GpsjParams {
+        data_scale: bench.engine.simulator().config().data_scale,
+    });
+    let plans: Vec<_> = collection
+        .plan_runs
+        .iter()
+        .filter(|run| run.plan_idx == 0)
+        .take(100)
+        .map(|run| (&run.plan, encoder.encode(&run.plan), &run.observations[0].0))
+        .collect();
+    assert!(plans.len() >= 50, "need enough distinct queries");
+    let n = plans.len();
+
+    // Telemetry's monotonic clock, so these numbers share the timebase of
+    // every span/histogram in the emitted event log.
+    let time_it = |f: &dyn Fn()| -> f64 {
+        let mut best = f64::INFINITY;
+        for _ in 0..5 {
+            let t0 = telemetry::clock_ns();
+            f();
+            best = best.min((telemetry::clock_ns() - t0) as f64 * 1e-6);
+        }
+        best
+    };
+
+    let cluster = bench.engine.simulator().cluster();
+    let raal_ms = time_it(&|| {
+        for (_, enc, res) in &plans {
+            std::hint::black_box(raal.predict_seconds(enc, &res.feature_vector(cluster)));
+        }
+    });
+    let tlstm_ms = time_it(&|| {
+        for (_, enc, _) in &plans {
+            std::hint::black_box(tlstm.predict_seconds(enc));
+        }
+    });
+    let gpsj_ms = time_it(&|| {
+        for (plan, _, res) in &plans {
+            std::hint::black_box(gpsj.estimate_seconds(plan, res));
+        }
+    });
+    for (name, ms) in [("RAAL", raal_ms), ("TLSTM", tlstm_ms), ("GPSJ", gpsj_ms)] {
+        table.push(seed, &[name], &[ms, ms / n as f64]);
+    }
+}
+
+/// The cold-start rows on TPC-H's test split, over one encoder trained on
+/// both collections' plan text (so it can represent TPC-H statements): a
+/// RAAL trained on IMDB alone, then fine-tuned on 10% of TPC-H's training
+/// split, against one trained on that whole split.
+fn cold_start(
+    table: &mut Rows,
+    (imdb, imdb_collection): (&Bench, &Collection),
+    (tpch, tpch_collection): (&Bench, &Collection),
+    full: bool,
+    seed: u64,
+) {
+    let mut corpus = Vec::new();
+    for run in imdb_collection.plan_runs.iter().chain(&tpch_collection.plan_runs) {
+        corpus.extend(plan_sentences(&run.plan));
+    }
+    let encoder = PlanEncoder::new(
+        encoding::train_word2vec(&corpus, &w2v_config(full)),
+        EncoderConfig::default(),
+    );
+    let imdb_samples = imdb_collection.encode(&encoder, &imdb.engine);
+    let (tpch_train, tpch_test) =
+        train_test_split(tpch_collection.encode(&encoder, &tpch.engine), 0.8, seed);
+    let mut tcfg = train_config(full, seed);
+    // Fewer epochs for the run-time budget: three more trainings at the first seed.
+    if !full {
+        tcfg.epochs = 22;
+    }
+
+    let mut model = CostModel::new(ModelConfig::raal(encoder.node_dim()));
+    train(&mut model, &imdb_samples, &tcfg);
+    let zero_shot = evaluate(&model, &tpch_test).summary();
+
+    let few = &tpch_train[..(tpch_train.len() / 10).max(1)];
+    let mut fine_tune = tcfg.clone();
+    fine_tune.epochs = (tcfg.epochs / 2).max(1);
+    fine_tune.lr = tcfg.lr * 0.3;
+    train(&mut model, few, &fine_tune);
+    let fine_tuned = evaluate(&model, &tpch_test).summary();
+
+    let mut native = CostModel::new(ModelConfig::raal(encoder.node_dim()));
+    train(&mut native, &tpch_train, &tcfg);
+    let from_scratch = evaluate(&native, &tpch_test).summary();
+    for (name, s) in [
+        ("zero-shot (IMDB only)", zero_shot),
+        ("fine-tuned (10% TPC-H)", fine_tuned),
+        ("trained on TPC-H", from_scratch),
+    ] {
+        table.push(seed, &[name], &metrics(&s));
+    }
+}
+
+/// The probe's rows on Table IV's split: a ridge regression on `[resources
+/// ++ plan_stats ++ bytes/slots ++ 1]` (if even this linear probe
+/// correlates well, the features are not the bottleneck), and RAAL trained
+/// longer at a higher rate than the tables, to see where it converges.
+fn learnability(
+    table: &mut Rows,
+    node_dim: usize,
+    train_set: &[Sample],
+    test: &[Sample],
+    seed: u64,
+) {
+    let feat = |s: &Sample| -> Vec<f64> {
+        let mut v: Vec<f64> = s.resources.iter().map(|&x| x as f64).collect();
+        v.extend(s.plan.plan_stats.iter().map(|&x| x as f64));
+        // An interaction the simulator obviously has: bytes / slots.
+        let slots = (s.resources[2] * s.resources[3]) as f64;
+        v.push(s.plan.plan_stats[0] as f64 / (slots + 0.05));
+        v.push(1.0);
+        v
+    };
+    let rows = train_set
+        .iter()
+        .map(|s| (feat(s), normalize_seconds(s.seconds) as f64));
+    let w = ridge_fit(rows, feat(&train_set[0]).len(), 1e-4);
+    let mut linear = EvalSet::new();
+    for s in test {
+        let yhat: f64 = feat(s).iter().zip(&w).map(|(a, b)| a * b).sum();
+        linear.push(s.seconds, (yhat.clamp(0.0, 1.5) * 7201.0f64.ln()).exp() - 1.0);
+    }
+    table.push(seed, &["linear-probe"], &metrics(&linear.summary()));
+
+    let mut model = CostModel::new(ModelConfig::raal(node_dim));
+    let tcfg = TrainConfig {
+        epochs: 40,
+        lr: 2e-3,
+        batch_size: 32,
+        ..TrainConfig::default()
+    };
+    let history = train(&mut model, train_set, &tcfg);
+    println!("probe RAAL losses: {:?}", history.epoch_losses);
+    table.push(seed, &["raal-40ep"], &metrics(&evaluate(&model, test).summary()));
 }

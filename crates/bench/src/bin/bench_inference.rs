@@ -92,8 +92,8 @@ fn main() {
     // A briefly-trained RAAL model (weights don't matter for latency,
     // but training de-zeroes the ReLU head) over the IMDB workload.
     let bench = bench::build_bench(Workload::Imdb, opts.full, opts.seed);
-    // `bench::run_pipeline`, with a clock between its stages.
-    let collected = bench::collection_config(bench.workload, opts.full, opts.seed);
+    // The harnesses' collect → word2vec → encode, with a clock between the stages.
+    let collected = bench::collection_config(Workload::Imdb, opts.full, opts.seed);
     let t0 = telemetry::clock_ns();
     let collection = raal::collect(&bench.engine, &bench.graph, &collected);
     let t1 = telemetry::clock_ns();

@@ -10,10 +10,17 @@
 //! the new cheapest plan beats the one last counted optimal by more than
 //! the spread of its own three simulated runs; a smaller change of the
 //! cheapest plan is printed as a tie.
+//!
+//! **Simulator mechanism ablation** (an extension): the most memory-sensitive
+//! of those plans under a noise-free simulator, whole and with GC, the
+//! broadcast cap, the page cache or spill off — which makes which feature.
 
 use bench::{section, HarnessOpts, Rows};
+use sparksim::exec::ExecResult;
 use sparksim::plan::planner::PlannerOptions;
-use sparksim::{Engine, ResourceConfig, SimulatorConfig};
+use sparksim::{
+    ClusterConfig, CostSimulator, Engine, PhysicalPlan, ResourceConfig, SimulatorConfig,
+};
 
 fn main() {
     let opts = HarnessOpts::from_env();
@@ -25,7 +32,7 @@ fn main() {
     let engine = Engine::with_options(
         data.catalog,
         PlannerOptions { max_plans: 3, ..PlannerOptions::scaled_to(scale) },
-        sparksim::ClusterConfig::default(),
+        ClusterConfig::default(),
         SimulatorConfig { data_scale: scale, ..SimulatorConfig::default() },
     );
 
@@ -34,6 +41,7 @@ fn main() {
     let mut table =
         Rows::new("Fig. 2 — plan seconds by executor memory", &["query", "memory_gb"], &values);
 
+    let mut runs = Vec::new();
     for (name, sql) in &queries {
         section(&format!("Fig. 2 — {name}"));
         println!("query: {sql}");
@@ -46,13 +54,7 @@ fn main() {
         // The plan last counted optimal.
         let mut leader = None;
         for &mem in &memories {
-            let res = ResourceConfig {
-                executors: 2,
-                cores_per_executor: 2,
-                memory_per_executor_gb: mem,
-                network_throughput_mbps: 120.0,
-                disk_throughput_mbps: 200.0,
-            };
+            let res = at(mem);
             let (mut times, mut spreads) = (Vec::new(), Vec::new());
             for (i, plan) in plans.iter().enumerate() {
                 // Average of three runs, as in the paper.
@@ -109,7 +111,83 @@ fn main() {
         if !ties.is_empty() {
             println!("cheapest plan changes within its run spread (a tie) at memory {ties:?} GB");
         }
+        runs.extend(plans.into_iter().zip(execs).map(|(plan, exec)| (sql, plan, exec)));
     }
-
     table.write(&opts.out_dir, "fig2_memory_impact.tsv");
+
+    let ablation = mechanisms(&runs, scale, &memories, seed);
+    ablation.write(&opts.out_dir, "ext_sim_ablation.tsv");
+}
+
+/// 2 executors × 2 cores with `memory_gb` each, at the default throughputs.
+fn at(memory_gb: f64) -> ResourceConfig {
+    ResourceConfig {
+        executors: 2,
+        cores_per_executor: 2,
+        memory_per_executor_gb: memory_gb,
+        network_throughput_mbps: 120.0,
+        disk_throughput_mbps: 200.0,
+    }
+}
+
+/// The ablation's rows: the (query, plan) whose noise-free simulated time
+/// spreads most across `memories`, simulated by the full model and by each
+/// variant with one mechanism off.
+fn mechanisms(
+    runs: &[(&String, PhysicalPlan, ExecResult)],
+    scale: f64,
+    memories: &[f64],
+    seed: u64,
+) -> Rows {
+    section("Extension — simulator mechanism ablation (memory sweep)");
+    let base = SimulatorConfig {
+        data_scale: scale,
+        noise_sigma: 0.0,
+        ..SimulatorConfig::default()
+    };
+    let variants = [
+        ("full model", base.clone()),
+        ("no GC term", SimulatorConfig { gc_per_gb: 0.0, ..base.clone() }),
+        (
+            "no broadcast cap",
+            SimulatorConfig { broadcast_cap_fraction: 1e9, ..base.clone() },
+        ),
+        // Cache reads at the disk's 200 MB/s (`at`): the cache buys nothing.
+        (
+            "no page cache",
+            SimulatorConfig { cache_throughput_mbps: 200.0, ..base.clone() },
+        ),
+        ("no spill", SimulatorConfig { memory_fraction: 1e9, ..base.clone() }),
+    ];
+    let curve = |sim: &CostSimulator, plan: &PhysicalPlan, exec: &ExecResult| -> Vec<f64> {
+        memories
+            .iter()
+            .map(|&m| sim.simulate(plan, &exec.metrics, &at(m), 0))
+            .collect()
+    };
+
+    // The curve whose mechanisms are worth attributing: the plan whose cost
+    // responds most to memory.
+    let full = CostSimulator::new(ClusterConfig::default(), base.clone());
+    let mut chosen = None;
+    for (sql, plan, exec) in runs {
+        let (lo, hi) = curve(&full, plan, exec)
+            .into_iter()
+            .fold((f64::INFINITY, 0.0f64), |(lo, hi), t| (lo.min(t), hi.max(t)));
+        let spread = hi / lo.max(1e-9);
+        if chosen.is_none_or(|(_, _, _, best)| spread > best) {
+            chosen = Some((sql, plan, exec, spread));
+        }
+    }
+    let (sql, plan, exec, spread) = chosen.expect("at least one plan");
+    println!("query: {sql}");
+    println!("most memory-sensitive plan (x{spread:.1} spread):\n{}", plan.explain());
+    let columns: Vec<String> = memories.iter().map(|m| format!("{m}GB")).collect();
+    let columns: Vec<&str> = columns.iter().map(String::as_str).collect();
+    let mut table = Rows::new("simulated seconds by executor memory", &["variant"], &columns);
+    for (name, cfg) in variants {
+        let sim = CostSimulator::new(ClusterConfig::default(), cfg);
+        table.push(seed, &[name], &curve(&sim, plan, exec));
+    }
+    table
 }

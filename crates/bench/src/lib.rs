@@ -1,18 +1,19 @@
 //! # bench — experiment harnesses
 //!
-//! One binary per group of tables/figures of the paper's evaluation (see
-//! DESIGN.md's per-experiment index). This library holds the shared
-//! plumbing: argument parsing, dataset/engine construction at two scales
-//! (`--full` ≈ paper scale, default = reduced-but-shape-preserving), the
-//! standard collect→encode→train pipeline, the per-seed result tables with
-//! their spread, the ordering counts, TSV output, and the `BENCH_*.json`
-//! report + `--check` ratchet of `bench_inference`.
+//! Two experiment harnesses, one per substrate (see DESIGN.md's
+//! per-experiment index): `accuracy_tables` trains every model,
+//! `fig2_memory_impact` drives the simulator alone. This library holds the
+//! shared plumbing: argument parsing, dataset/engine construction at two
+//! scales (`--full` ≈ paper scale, default = reduced-but-shape-preserving),
+//! the collection, word2vec and encoding configurations, the per-seed
+//! result tables with their spread, the ordering counts, TSV output, and
+//! the `BENCH_*.json` report + `--check` ratchet of `bench_inference`.
 
 #![warn(missing_docs)]
 
 use encoding::word2vec::W2vConfig;
 use encoding::{EncoderConfig, PlanEncoder};
-use raal::dataset::{collect, Collection, CollectionConfig};
+use raal::dataset::{Collection, CollectionConfig};
 use raal::{MetricSummary, TrainConfig};
 use serde::Serialize;
 use sparksim::plan::planner::PlannerOptions;
@@ -33,10 +34,9 @@ pub struct HarnessOpts {
     pub full: bool,
     /// Output directory for TSV result files.
     pub out_dir: PathBuf,
-    /// Master seeds, a prefix of [`SEEDS`]. The accuracy tables, Table V
-    /// and Fig. 1 run every one; Tables VIII and IX read the models those
-    /// harnesses train at the first, and the other harnesses run the
-    /// first.
+    /// Master seeds, a prefix of [`SEEDS`]. `accuracy_tables` runs every
+    /// one, and Tables VIII and IX, the cold-start run and the probe at the
+    /// first; `fig2_memory_impact` runs the first.
     pub seeds: Vec<u64>,
 }
 
@@ -116,8 +116,6 @@ pub struct Bench {
     pub engine: Engine,
     /// FK graph for query generation.
     pub graph: FkGraph,
-    /// Which workload this is.
-    pub workload: Workload,
 }
 
 /// Builds a workload engine. Reduced scale keeps every harness minutes-
@@ -144,7 +142,7 @@ pub fn build_bench(workload: Workload, full: bool, seed: u64) -> Bench {
     };
     let sim_cfg = SimulatorConfig { data_scale: scale, ..SimulatorConfig::default() };
     let engine = Engine::with_options(catalog, PlannerOptions::scaled_to(scale), cluster, sim_cfg);
-    Bench { engine, graph, workload }
+    Bench { engine, graph }
 }
 
 /// Standard collection sizes: the paper gathers 63k records (IMDB) and
@@ -183,26 +181,8 @@ pub fn w2v_config(full: bool) -> W2vConfig {
     W2vConfig { dim: 32, epochs: if full { 4 } else { 2 } }
 }
 
-/// The standard pipeline: collect → word2vec → encode.
-pub struct Pipeline {
-    /// Raw collection.
-    pub collection: Collection,
-    /// Trained encoder.
-    pub encoder: PlanEncoder,
-    /// Encoded samples.
-    pub samples: Vec<encoding::Sample>,
-}
-
-/// Runs the standard pipeline for a workload.
-pub fn run_pipeline(bench: &Bench, full: bool, seed: u64, structure: bool) -> Pipeline {
-    let cfg = collection_config(bench.workload, full, seed);
-    let collection = collect(&bench.engine, &bench.graph, &cfg);
-    let (encoder, samples) = encode(bench, &collection, full, structure);
-    Pipeline { collection, encoder, samples }
-}
-
-/// The pipeline's last two stages over a collection: trains the encoder,
-/// with or without the structure embedding, and encodes every record.
+/// The pipeline's stages after collection: trains the encoder, with or
+/// without the structure embedding, and encodes every record.
 pub fn encode(
     bench: &Bench,
     collection: &Collection,
@@ -466,8 +446,7 @@ pub fn count_holds(
 /// of seeds it holds in out of those both sides ran.
 const ORDERING_HEADER: [&str; 5] = ["table", "claim", "metric", "holds", "seeds"];
 
-/// The orderings a harness counted; [`Orderings::write`] merges them into
-/// `orderings.tsv`.
+/// The orderings a harness counted, written to `orderings.tsv`.
 #[derive(Default)]
 pub struct Orderings {
     rows: Vec<Vec<String>>,
@@ -492,18 +471,10 @@ impl Orderings {
         self.rows.push(row.map(str::to_string).to_vec());
     }
 
-    /// Writes `dir/orderings.tsv`: the rows already there for tables this
-    /// set does not hold, and this set's, ordered by table.
+    /// Writes `dir/orderings.tsv`: this set's rows, ordered by table (a
+    /// table's rows in the order they were claimed).
     pub fn write(&self, dir: &Path) -> PathBuf {
-        let mine = |table: &str| self.rows.iter().any(|r| r[0] == table);
-        let kept = std::fs::read_to_string(dir.join("orderings.tsv")).unwrap_or_default();
-        let mut rows: Vec<Vec<String>> = kept
-            .lines()
-            .skip(1)
-            .map(|l| l.split('\t').map(str::to_string).collect::<Vec<_>>())
-            .filter(|r| r.len() == ORDERING_HEADER.len() && !mine(&r[0]))
-            .chain(self.rows.iter().cloned())
-            .collect();
+        let mut rows = self.rows.clone();
         rows.sort_by(|a, b| a[0].cmp(&b[0]));
         write_tsv(dir, "orderings.tsv", &ORDERING_HEADER, &rows)
     }
@@ -759,20 +730,28 @@ mod tests {
         assert_eq!(count_holds(&raal, &[], true), (0, 0));
 
         let dir = std::env::temp_dir().join("raal_bench_orderings_test");
-        let _ = std::fs::remove_file(dir.join("orderings.tsv"));
-        let mut v = Orderings::default();
-        v.claim("V", "RAAL beats TLSTM", "COR", &[(42, 0.9), (1, 0.5)], &[(42, 0.8), (1, 0.6)]);
-        v.write(&dir);
-        let mut iv = Orderings::default();
-        iv.claim("IV", "RAAL beats RAAC", "RE", &raal, &ablation);
-        iv.write(&dir);
-        // A second run of a harness replaces its own rows only.
-        iv.write(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        // A row already in the file is not this set's: it goes.
+        let stale = "table\tclaim\tmetric\tholds\tseeds\nVI\tRAAL beats GPSJ\tRE\t5\t5\n";
+        std::fs::write(dir.join("orderings.tsv"), stale).unwrap();
+        let mut orderings = Orderings::default();
+        orderings.claim(
+            "V",
+            "RAAL beats TLSTM",
+            "COR",
+            &[(42, 0.9), (1, 0.5)],
+            &[(42, 0.8), (1, 0.6)],
+        );
+        orderings.claim("IV", "RAAL beats RAAC", "RE", &raal, &ablation);
+        orderings.claim("IV", "RAAL beats RAAC", "COR", &raal, &ablation);
+        orderings.write(&dir);
+        // The file holds this set's rows alone, sorted by table.
         let content = std::fs::read_to_string(dir.join("orderings.tsv")).unwrap();
-        let lines: Vec<&str> = content.lines().collect();
-        assert_eq!(lines.len(), 3);
-        assert_eq!(lines[1], "IV\tRAAL beats RAAC\tRE\t1\t4");
-        assert_eq!(lines[2], "V\tRAAL beats TLSTM\tCOR\t1\t2");
+        assert_eq!(
+            content,
+            "table\tclaim\tmetric\tholds\tseeds\nIV\tRAAL beats RAAC\tRE\t1\t4\n\
+             IV\tRAAL beats RAAC\tCOR\t1\t4\nV\tRAAL beats TLSTM\tCOR\t1\t2\n"
+        );
     }
 
     fn baseline() -> serde::Value {

@@ -468,7 +468,7 @@ mod tests {
     }
 
     #[test]
-    fn referenced_columns_and_table_scoping() {
+    fn referenced_columns_counts_every_reference() {
         let e = Expr::And(
             Box::new(Expr::cmp(col("id"), CmpOp::Gt, Value::Int(0))),
             Box::new(Expr::Cmp {

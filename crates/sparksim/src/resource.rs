@@ -187,7 +187,7 @@ mod tests {
     }
 
     #[test]
-    fn slots_and_memory_totals() {
+    fn total_slots_is_executors_times_cores() {
         let r = ResourceConfig {
             executors: 3,
             cores_per_executor: 2,

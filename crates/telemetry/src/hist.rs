@@ -203,7 +203,7 @@ mod tests {
     }
 
     #[test]
-    fn empty_histogram_reports_zeros() {
+    fn empty_histogram_has_zero_count_and_mean() {
         let h = Histogram::new();
         assert_eq!(h.count(), 0);
         assert_eq!(h.mean(), 0.0);
