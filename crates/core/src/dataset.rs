@@ -70,8 +70,6 @@ pub struct PlanRun {
 pub struct Collection {
     /// All plan runs.
     pub plan_runs: Vec<PlanRun>,
-    /// Queries that failed to plan or execute (kept for accounting).
-    pub skipped_queries: usize,
 }
 
 impl Collection {
@@ -124,14 +122,12 @@ pub fn collect_queries(engine: &Engine, queries: &[String], cfg: &CollectionConf
     // alone, so who runs it changes nothing.
     let next = AtomicUsize::new(0);
     let mut plan_runs = Vec::new();
-    let mut skipped = 0usize;
 
     std::thread::scope(|scope| {
         let handles: Vec<_> = (0..threads.clamp(1, queries.len().max(1)))
             .map(|_| {
                 scope.spawn(|| {
                     let mut local_runs = Vec::new();
-                    let mut local_skipped = 0usize;
                     loop {
                         // ORDERING: Relaxed — the counter only hands out
                         // distinct indices; the results travel through `join`.
@@ -139,27 +135,25 @@ pub fn collect_queries(engine: &Engine, queries: &[String], cfg: &CollectionConf
                         let Some(sql) = queries.get(query_idx) else {
                             break;
                         };
-                        match collect_one(engine, sql, query_idx, cfg) {
-                            Some(runs) => local_runs.extend(runs),
-                            None => local_skipped += 1,
+                        // A query that fails to plan or execute adds no run.
+                        if let Some(runs) = collect_one(engine, sql, query_idx, cfg) {
+                            local_runs.extend(runs);
                         }
                     }
-                    (local_runs, local_skipped)
+                    local_runs
                 })
             })
             .collect();
         for h in handles {
             // Re-raise a worker panic with its original payload instead
             // of a generic join failure.
-            let (runs, s) = h.join().unwrap_or_else(|p| std::panic::resume_unwind(p));
-            plan_runs.extend(runs);
-            skipped += s;
+            plan_runs.extend(h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)));
         }
     });
 
     // Deterministic order regardless of thread interleaving.
     plan_runs.sort_by_key(|r| (r.query_idx, r.plan_idx));
-    Collection { plan_runs, skipped_queries: skipped }
+    Collection { plan_runs }
 }
 
 fn collect_one(
@@ -311,7 +305,6 @@ mod tests {
         assert!(a.plan_runs.len() >= 9, "only {} plan runs", a.plan_runs.len());
         for threads in [2, 1, 3, 7] {
             let b = collect(&engine, &graph, &cfg(threads));
-            assert_eq!(a.skipped_queries, b.skipped_queries, "threads = {threads}");
             assert_eq!(a.plan_runs.len(), b.plan_runs.len(), "threads = {threads}");
             for (ra, rb) in a.plan_runs.iter().zip(&b.plan_runs) {
                 assert_eq!((ra.query_idx, ra.plan_idx), (rb.query_idx, rb.plan_idx));

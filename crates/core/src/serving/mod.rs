@@ -90,10 +90,6 @@ pub struct ServingConfig {
     pub max_plan_nodes: usize,
     /// Cluster used to normalise resource feature vectors.
     pub cluster: ClusterConfig,
-    /// Target fraction of predictions the deep model should answer
-    /// (the serving SLO). The complement is the error budget that
-    /// [`SloStats::error_budget_burn`] meters per fallback reason.
-    pub slo_target: f64,
 }
 
 impl Default for ServingConfig {
@@ -102,7 +98,6 @@ impl Default for ServingConfig {
             deadline: Duration::from_millis(50),
             max_plan_nodes: 64,
             cluster: ClusterConfig::default(),
-            slo_target: 0.99,
         }
     }
 }
@@ -152,19 +147,6 @@ impl FallbackReason {
         }
     }
 
-    /// The registered telemetry gauge for this reason's error-budget
-    /// burn ([`SloStats::error_budget_burn`]).
-    pub fn burn_gauge(self) -> &'static str {
-        match self {
-            FallbackReason::Checkpoint => "serving.slo.burn.checkpoint",
-            FallbackReason::Admission => "serving.slo.burn.admission",
-            FallbackReason::Deadline => "serving.slo.burn.deadline",
-            FallbackReason::Busy => "serving.slo.burn.busy",
-            FallbackReason::WorkerLost => "serving.slo.burn.worker_lost",
-            FallbackReason::TenantQuota => "serving.slo.burn.tenant_quota",
-        }
-    }
-
     fn idx(self) -> usize {
         match self {
             FallbackReason::Checkpoint => 0,
@@ -179,9 +161,9 @@ impl FallbackReason {
 
 /// Point-in-time serving-quality statistics: how often the deep model
 /// actually answered, and which guard rail ate the misses. Maintained
-/// by the service itself (plain counters, no telemetry required) and
-/// mirrored into the `serving.slo.*` gauges after every call when
-/// telemetry is enabled.
+/// by the service itself (plain counters, no telemetry required); with
+/// telemetry on, the `serving.predict`, `serving.predict.model` and
+/// `serving.fallback.*` counters carry the same counts.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct SloStats {
     /// Predictions served in total.
@@ -190,8 +172,6 @@ pub struct SloStats {
     pub model: u64,
     /// Fallback counts, indexed per [`FallbackReason::ALL`].
     pub by_reason: [u64; 6],
-    /// The configured [`ServingConfig::slo_target`].
-    pub slo_target: f64,
 }
 
 impl SloStats {
@@ -205,37 +185,11 @@ impl SloStats {
         }
     }
 
-    /// Fraction of predictions answered by the fallback.
-    pub fn fallback_rate(&self) -> f64 {
-        1.0 - self.hit_rate()
-    }
-
     /// Fallbacks attributed to `reason`.
     pub fn count(&self, reason: FallbackReason) -> u64 {
         // idx() enumerates the FallbackReason variants and by_reason is
         // sized to that variant count.
         self.by_reason[reason.idx()]
-    }
-
-    /// Fraction of the error budget consumed by `reason`: the budget is
-    /// `total * (1 - slo_target)` predictions, and each fallback for
-    /// this reason burns one. Exceeds 1.0 once the reason alone has
-    /// blown the SLO; infinite when the target leaves no budget at all.
-    pub fn error_budget_burn(&self, reason: FallbackReason) -> f64 {
-        let burned = self.count(reason);
-        if self.total == 0 {
-            return 0.0;
-        }
-        let budget = self.total as f64 * (1.0 - self.slo_target.clamp(0.0, 1.0));
-        if budget <= 0.0 {
-            if burned == 0 {
-                0.0
-            } else {
-                f64::INFINITY
-            }
-        } else {
-            burned as f64 / budget
-        }
     }
 }
 
@@ -353,13 +307,5 @@ impl ServingModel {
     /// Lifetime serving-quality counters for this server.
     pub fn slo_stats(&self) -> SloStats {
         self.service.slo_stats()
-    }
-
-    /// A consistent snapshot of the process-wide metrics registry —
-    /// serving counters, `serving.slo.*` gauges and the
-    /// `serving.predict_us` latency histogram included. Empty when
-    /// telemetry is disabled; [`Self::slo_stats`] is the always-on view.
-    pub fn metrics_snapshot(&self) -> telemetry::MetricsSnapshot {
-        self.service.metrics_snapshot()
     }
 }

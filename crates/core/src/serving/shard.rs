@@ -700,9 +700,6 @@ impl ShardedServing {
             }
         }
         self.stats.record(out);
-        if telemetry::enabled() && !out.is_empty() {
-            self.publish_slo();
-        }
     }
 
     /// Lifetime serving-quality counters for this service, aggregated
@@ -714,15 +711,7 @@ impl ShardedServing {
             model: self.stats.model.load(Ordering::Relaxed),
             // ORDERING: same monotone statistics counters.
             by_reason: std::array::from_fn(|i| self.stats.by_reason[i].load(Ordering::Relaxed)),
-            slo_target: self.cfg.serving.slo_target,
         }
-    }
-
-    /// A consistent snapshot of the process-wide metrics registry.
-    /// Empty when telemetry is disabled; [`Self::slo_stats`] is the
-    /// always-on view.
-    pub fn metrics_snapshot(&self) -> telemetry::MetricsSnapshot {
-        telemetry::metrics_snapshot()
     }
 
     /// Stops the service: every later call sheds to the fallback
@@ -925,16 +914,6 @@ impl ShardedServing {
         ServingPrediction {
             seconds: self.fallback.estimate_seconds(plan, res),
             source: PredictionSource::Fallback(reason),
-        }
-    }
-
-    /// Mirrors [`SloStats`] into the registered `serving.slo.*` gauges.
-    fn publish_slo(&self) {
-        let slo = self.slo_stats();
-        telemetry::gauge("serving.slo.hit_rate", slo.hit_rate());
-        telemetry::gauge("serving.slo.fallback_rate", slo.fallback_rate());
-        for reason in FallbackReason::ALL {
-            telemetry::gauge(reason.burn_gauge(), slo.error_budget_burn(reason));
         }
     }
 }

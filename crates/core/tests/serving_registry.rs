@@ -11,7 +11,7 @@ mod counting_alloc;
 use common::{engine, resources, some_plan, tiny_bundle};
 use counting_alloc::count_allocs;
 use raal::serving::shard::{ShardConfig, ShardedServing};
-use raal::serving::{PredictionSource, ServingConfig, ServingModel};
+use raal::serving::{FallbackReason, PredictionSource, ServingConfig, ServingModel};
 use sparksim::plan::physical::PhysicalPlan;
 use sparksim::resource::ResourceConfig;
 use std::collections::BTreeMap;
@@ -22,26 +22,37 @@ fn analytical(plan: &PhysicalPlan, _res: &ResourceConfig) -> f64 {
     1.0 + plan.len() as f64
 }
 
+/// A counter's value in `snap`; a counter never bumped is absent.
+fn counter(snap: &telemetry::MetricsSnapshot, name: &str) -> u64 {
+    snap.counters.get(name).copied().unwrap_or(0)
+}
+
+/// `serving.predict.model + Σ serving.fallback.*`: every answer once.
+fn answered(snap: &telemetry::MetricsSnapshot) -> u64 {
+    let fallbacks: u64 = FallbackReason::ALL.iter().map(|r| counter(snap, r.counter())).sum();
+    counter(snap, "serving.predict.model") + fallbacks
+}
+
 #[test]
-fn slo_gauges_and_latency_reach_the_registry() {
+fn fallback_counters_and_latency_reach_the_registry() {
     let engine = engine();
     let plan = some_plan(&engine);
     let cfg = ServingConfig { max_plan_nodes: 1, ..ServingConfig::default() };
     telemetry::testing::capture(|| {
         let mut serving = ServingModel::new(tiny_bundle(), Box::new(analytical), cfg);
         serving.predict(&plan, &resources());
-        let snap = serving.metrics_snapshot();
-        assert_eq!(snap.gauges["serving.slo.hit_rate"], 0.0);
-        assert_eq!(snap.gauges["serving.slo.fallback_rate"], 1.0);
-        assert!(snap.gauges["serving.slo.burn.admission"] > 0.0);
-        assert_eq!(snap.gauges["serving.slo.burn.deadline"], 0.0);
+        let snap = telemetry::metrics_snapshot();
+        assert_eq!(counter(&snap, "serving.predict"), 1);
+        assert_eq!(counter(&snap, "serving.predict"), answered(&snap));
+        assert_eq!(counter(&snap, "serving.predict.model"), 0);
+        assert_eq!(counter(&snap, "serving.fallback.deadline"), 0);
         assert_eq!(snap.counters["serving.fallback.admission"], 1);
-        assert_eq!(snap.hists["serving.predict_us"].all.count, 1);
+        assert_eq!(snap.hists["serving.predict_us"].count, 1);
     });
 }
 
 #[test]
-fn slo_gauges_and_served_counters_reach_the_registry() {
+fn served_and_encode_counters_reach_the_registry() {
     let engine = engine();
     let plan = some_plan(&engine);
     let cfg = ShardConfig {
@@ -56,24 +67,24 @@ fn slo_gauges_and_served_counters_reach_the_registry() {
         // A lone miss counts its nodes, none of them supplied by the
         // service's fresh operator-row cache.
         service.predict("lone", &plan, &resources());
-        let snap = service.metrics_snapshot();
+        let snap = telemetry::metrics_snapshot();
         assert_eq!(snap.counters["serving.encode.nodes"], plan.len() as u64);
         assert_eq!(snap.counters["serving.encode.nodes_reused"], 0);
         let refs = [&plan, &plan];
         let preds = service.predict_many("gauges", &refs, &resources());
         assert_eq!(preds.len(), 2);
         service.shutdown();
-        let snap = service.metrics_snapshot();
+        let snap = telemetry::metrics_snapshot();
         // Seen before, the first is a miss whose rows the cache holds
         // and is admitted; the second is a hit.
         assert_eq!(snap.counters["serving.encode.nodes"], 2 * plan.len() as u64);
         assert_eq!(snap.counters["serving.encode.nodes_reused"], plan.len() as u64);
-        assert_eq!(snap.gauges["serving.slo.hit_rate"], 1.0);
-        assert_eq!(snap.gauges["serving.slo.burn.tenant_quota"], 0.0);
+        assert_eq!(snap.counters["serving.predict"], answered(&snap));
+        assert_eq!(counter(&snap, "serving.fallback.tenant_quota"), 0);
         assert_eq!(snap.counters["serving.predict"], 3);
         assert_eq!(snap.counters["serving.predict.model"], 3);
         assert_eq!(snap.counters["serving.tenant.predict.gauges"], 2);
-        assert_eq!(snap.hists["serving.predict_us"].all.count, 2);
+        assert_eq!(snap.hists["serving.predict_us"].count, 2);
     });
 }
 
@@ -81,7 +92,8 @@ fn slo_gauges_and_served_counters_reach_the_registry() {
 /// length: a short and a long never-seen plan leave the same histogram
 /// observations — one per stage of the request, none per node — and
 /// touch the heap the same number of times, the encoder's four plus the
-/// request's one log line. (A `kernel_span` back in `matmul_into` —
+/// request's one log line. It sets no gauge: ratios are the reader's,
+/// taken over the counters. (A `kernel_span` back in `matmul_into` —
 /// five products and activations per LSTM step — fails the first half;
 /// a span close that builds its metric name per call fails the second.)
 #[test]
@@ -112,7 +124,10 @@ fn a_served_miss_costs_telemetry_the_same_whatever_the_plan_length() {
             let service = ShardedServing::new(bundle, Arc::new(analytical), cfg.clone());
             assert_eq!(service.predict("miss", plan, &res).source, PredictionSource::Model);
             let snap = telemetry::metrics_snapshot();
-            counts = snap.hists.into_iter().map(|(name, h)| (name, h.all.count)).collect();
+            // A first sighting is not admitted, so nothing sets
+            // `serving.plan_cache.bytes` either.
+            assert!(snap.gauges.is_empty(), "a served miss wrote gauges: {:?}", snap.gauges);
+            counts = snap.hists.into_iter().map(|(name, h)| (name, h.count)).collect();
         });
         counts
     };

@@ -76,21 +76,6 @@ impl Histogram {
         self.max = self.max.max(v);
     }
 
-    /// Empties the histogram in place, keeping its bucket allocation.
-    pub(crate) fn clear(&mut self) {
-        self.counts.fill(0);
-        self.count = 0;
-        self.sum = 0;
-        self.min = u64::MAX;
-        self.max = 0;
-    }
-
-    /// Where the bucket counters live, to tell a reset from a realloc.
-    #[cfg(test)]
-    pub(crate) fn buckets_ptr(&self) -> *const u64 {
-        self.counts.as_ptr()
-    }
-
     /// Number of observations.
     pub fn count(&self) -> u64 {
         self.count
@@ -146,23 +131,6 @@ impl Histogram {
             }
         }
         Some(self.max)
-    }
-
-    /// Folds another histogram into this one, bucket by bucket. Used by
-    /// the windowed registry histograms to merge ring slots into one
-    /// "recent" view; both sides must come from this module (the bucket
-    /// layout is a compile-time constant, so they always do).
-    pub fn merge(&mut self, other: &Histogram) {
-        if other.count == 0 {
-            return;
-        }
-        for (dst, src) in self.counts.iter_mut().zip(other.counts.iter()) {
-            *dst += src;
-        }
-        self.count += other.count;
-        self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
     }
 }
 
@@ -238,25 +206,5 @@ mod tests {
         }
         assert_eq!(h.quantile(0.5), Some(9_999));
         assert_eq!(h.quantile(0.99), Some(9_999));
-    }
-
-    #[test]
-    fn merge_combines_counts_and_extremes() {
-        let mut a = Histogram::new();
-        let mut b = Histogram::new();
-        for v in [10u64, 20, 30] {
-            a.record(v);
-        }
-        for v in [1_000u64, 2_000] {
-            b.record(v);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), 5);
-        assert_eq!(a.min(), 10);
-        assert_eq!(a.max(), 2_000);
-        assert_eq!(a.mean(), (10.0 + 20.0 + 30.0 + 1000.0 + 2000.0) / 5.0);
-        // Merging an empty histogram is a no-op.
-        a.merge(&Histogram::new());
-        assert_eq!(a.count(), 5);
     }
 }

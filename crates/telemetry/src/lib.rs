@@ -14,8 +14,9 @@
 //!   plan, never once per node;
 //! * **counters, gauges and histograms** — [`count`] / [`gauge`] /
 //!   [`observe`]. Every value lands in the live [`registry`], so
-//!   current rates and windowed p50/p95/p99 can be *read back* while
-//!   the process runs ([`metrics_snapshot`], Prometheus export);
+//!   counts, gauges and all-time p50/p95/p99 can be *read back* while
+//!   the process runs ([`metrics_snapshot`], Prometheus export; rates
+//!   and recent windows are the scraper's);
 //!   [`shutdown`] additionally summarises them as
 //!   `counter`/`gauge`/`histogram` JSONL events;
 //! * **prediction-quality monitoring** — [`monitor::QualityMonitor`]
@@ -322,7 +323,7 @@ impl Drop for Span {
         });
         // Registry first, sink second — the two locks are never held
         // together.
-        registry::global().span_close(self.name, end_us, dur_us);
+        registry::global().span_close(self.name, dur_us);
         let line = Line::new(end_us, "span")
             .str("name", self.name)
             .uint("tid", tid())
@@ -361,7 +362,7 @@ impl Drop for KernelSpan {
             return;
         }
         let end_ns = clock_ns();
-        registry::global().kernel_close(self.name, end_ns / 1000, end_ns - self.start_ns);
+        registry::global().kernel_close(self.name, end_ns - self.start_ns);
     }
 }
 
@@ -383,27 +384,35 @@ pub fn event(name: &str, fields: &[(&str, Value)]) {
 /// Adds `delta` to a named counter in the live [`registry`]
 /// (queryable via [`metrics_snapshot`], summarised at [`shutdown`]).
 pub fn count(name: &str, delta: u64) {
-    registry::counter_add(name, delta);
+    if enabled() {
+        registry::global().counter_add(name, delta);
+    }
 }
 
 /// Sets a named gauge in the live [`registry`] (last write wins;
 /// queryable via [`metrics_snapshot`], summarised at [`shutdown`]).
 pub fn gauge(name: &str, value: f64) {
-    registry::gauge_set(name, value);
+    if enabled() {
+        registry::global().gauge_set(name, value);
+    }
 }
 
-/// Records a value into a named histogram in the live [`registry`] —
-/// both the all-time view and the sliding recent window (queryable via
-/// [`metrics_snapshot`], summarised at [`shutdown`]).
+/// Records a value into a named histogram in the live [`registry`]
+/// (queryable via [`metrics_snapshot`], summarised at [`shutdown`]).
 pub fn observe(name: &str, value: u64) {
-    registry::observe(name, value);
+    if enabled() {
+        registry::global().observe(name, value);
+    }
 }
 
 /// A consistent point-in-time snapshot of every live metric: counters,
-/// gauges and histogram percentiles (all-time and recent window). Empty
-/// when telemetry is disabled.
+/// gauges and histogram percentiles. Empty when telemetry is disabled.
 pub fn metrics_snapshot() -> MetricsSnapshot {
-    registry::snapshot()
+    if enabled() {
+        registry::global().snapshot()
+    } else {
+        MetricsSnapshot::default()
+    }
 }
 
 // -------------------------------------------------------------- manifest
@@ -509,11 +518,11 @@ pub fn shutdown() {
     }
     // Drain the registry before taking the state lock — the two locks
     // are never held together.
-    let snap = registry::drain();
+    let snap = registry::global().drain();
     finalize(&mut lock_state(), snap);
 }
 
-fn finalize(st: &mut State, snap: registry::MetricsSnapshot) {
+fn finalize(st: &mut State, snap: MetricsSnapshot) {
     let ts = clock_us();
     for (name, v) in &snap.counters {
         let line = Line::new(ts, "counter").str("name", name).uint("value", *v).finish();
@@ -526,16 +535,12 @@ fn finalize(st: &mut State, snap: registry::MetricsSnapshot) {
     for (name, h) in &snap.hists {
         let line = Line::new(ts, "histogram")
             .str("name", name)
-            .uint("count", h.all.count)
-            .uint("p50", h.all.p50.unwrap_or(0))
-            .uint("p95", h.all.p95.unwrap_or(0))
-            .uint("p99", h.all.p99.unwrap_or(0))
-            .uint("max", h.all.max)
-            .float("mean", h.all.mean)
-            .uint("recent_count", h.recent.count)
-            .uint("recent_p50", h.recent.p50.unwrap_or(0))
-            .uint("recent_p95", h.recent.p95.unwrap_or(0))
-            .uint("recent_p99", h.recent.p99.unwrap_or(0))
+            .uint("count", h.count)
+            .uint("p50", h.p50.unwrap_or(0))
+            .uint("p95", h.p95.unwrap_or(0))
+            .uint("p99", h.p99.unwrap_or(0))
+            .uint("max", h.max)
+            .float("mean", h.mean)
             .finish();
         emit_line(st, line);
     }
@@ -603,7 +608,7 @@ pub mod testing {
             st.manifest_emitted = false;
             st.metrics_path = None;
         }
-        registry::reset();
+        let _ = registry::global().drain();
         ENABLED.store(enable, Ordering::Release);
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f));
         if enable {

@@ -30,7 +30,6 @@
 //! `monitor.drift.<class>`) and emits a `drift.alarm` event into the
 //! JSONL log the moment a detector fires.
 
-use crate::registry;
 use crate::Value;
 use std::collections::BTreeMap;
 use std::collections::VecDeque;
@@ -200,12 +199,12 @@ impl QualityMonitor {
 
         // Best-effort live publication; every call below is a no-op
         // when telemetry is disabled.
-        registry::counter_add("monitor.samples", 1);
-        registry::gauge_set(&format!("monitor.mae.{class}"), mae);
-        registry::gauge_set(&format!("monitor.qerror.{class}"), q_mean);
+        crate::count("monitor.samples", 1);
+        crate::gauge(&format!("monitor.mae.{class}"), mae);
+        crate::gauge(&format!("monitor.qerror.{class}"), q_mean);
         if fired {
-            registry::gauge_set(&format!("monitor.drift.{class}"), 1.0);
-            registry::counter_add("monitor.drift.alarms", 1);
+            crate::gauge(&format!("monitor.drift.{class}"), 1.0);
+            crate::count("monitor.drift.alarms", 1);
             crate::event(
                 "drift.alarm",
                 &[
@@ -255,7 +254,7 @@ impl QualityMonitor {
     pub fn reset(&mut self, class: &str) {
         if let Some(st) = self.classes.get_mut(class) {
             *st = ClassState::default();
-            registry::gauge_set(&format!("monitor.drift.{class}"), 0.0);
+            crate::gauge(&format!("monitor.drift.{class}"), 0.0);
         }
     }
 }

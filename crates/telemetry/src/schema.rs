@@ -28,8 +28,7 @@ pub const COMMON_REQUIRED: &[&str] = &["ts_us", "type"];
 /// * `event` — a point event; sparksim's Spark-style job/stage/task
 ///   records use this type with names from [`SPARK_EVENT_NAMES`].
 /// * `counter` / `gauge` / `histogram` — end-of-run metric summaries
-///   emitted by `telemetry::shutdown()` from the live registry
-///   (histogram lines also carry the `recent_*` windowed view).
+///   emitted by `telemetry::shutdown()` from the live registry.
 pub const REQUIRED_BY_TYPE: &[(&str, &[&str])] = &[
     ("run_manifest", &["run_id", "git_sha", "clock_origin_unix_ms", "fields"]),
     ("run_manifest_update", &["run_id", "fields"]),
@@ -112,31 +111,16 @@ pub const COUNTER_NAMES: &[&str] = &[
 ];
 
 /// Registered histogram names (`telemetry::observe`). `serving.predict_us`
-/// is the serving layer's end-to-end latency (deadline hit-rate's raw
-/// material); the windowed recent view of it is what an SLO dashboard
-/// scrapes.
-pub const HISTOGRAM_NAMES: &[&str] = &["train.batch_ns", "infer.predict_ns", "serving.predict_us"];
+/// is the serving layer's per-call latency, all-time; a recent view is
+/// the scraper's, from successive exports.
+pub const HISTOGRAM_NAMES: &[&str] = &["train.batch_ns", "serving.predict_us"];
 
 /// Registered gauge names (`telemetry::gauge`): last-write-wins live
-/// values. The `serving.slo.*` family is the serving layer's SLO
-/// tracker — deadline hit-rate, overall fallback rate, and per-reason
-/// error-budget burn (fraction of the configured error budget consumed;
-/// > 1 means the budget is blown).
-///
-/// `serving.plan_cache.bytes` is what the plan-context cache currently
-/// retains (plan keys + contexts).
-pub const GAUGE_NAMES: &[&str] = &[
-    "train.loss",
-    "serving.plan_cache.bytes",
-    "serving.slo.hit_rate",
-    "serving.slo.fallback_rate",
-    "serving.slo.burn.checkpoint",
-    "serving.slo.burn.admission",
-    "serving.slo.burn.deadline",
-    "serving.slo.burn.busy",
-    "serving.slo.burn.worker_lost",
-    "serving.slo.burn.tenant_quota",
-];
+/// values. `serving.plan_cache.bytes` is what the plan-context cache
+/// currently retains (plan keys + contexts). Serving's hit rate and
+/// error-budget burn are not gauges: readers take them as rate ratios
+/// over the `serving.*` counters.
+pub const GAUGE_NAMES: &[&str] = &["train.loss", "serving.plan_cache.bytes"];
 
 /// Registered gauge *families*: per-workload-class gauges published by
 /// `telemetry::monitor` are `<prefix><class>`, where `class` is chosen

@@ -94,7 +94,7 @@ fn metrics_snapshot_is_never_torn() {
                 r2.gauge_set("done.gauge", 1.0);
             }
         });
-        let snap = reg.snapshot_at(0);
+        let snap = reg.snapshot();
         let a = snap.counters.get("a").copied().unwrap_or(0);
         let b = snap.counters.get("b").copied().unwrap_or(0);
         assert!(a >= b, "snapshot tore the a-then-b ordering: a={a} b={b}");
@@ -105,7 +105,7 @@ fn metrics_snapshot_is_never_torn() {
             );
         }
         writer.join().unwrap();
-        let final_snap = reg.snapshot_at(0);
+        let final_snap = reg.snapshot();
         assert_eq!(final_snap.counters["a"], 2);
         assert_eq!(final_snap.counters["b"], 2);
     });
@@ -127,8 +127,8 @@ fn split_reads_are_caught_as_torn() {
             r2.counter_add("b", 1);
         });
         // Torn read: b from a later state than a.
-        let a = reg.snapshot_at(0).counters.get("a").copied().unwrap_or(0);
-        let b = reg.snapshot_at(0).counters.get("b").copied().unwrap_or(0);
+        let a = reg.snapshot().counters.get("a").copied().unwrap_or(0);
+        let b = reg.snapshot().counters.get("b").copied().unwrap_or(0);
         assert!(a >= b, "torn read: a={a} b={b}");
         writer.join().unwrap();
     })
@@ -137,7 +137,7 @@ fn split_reads_are_caught_as_torn() {
     assert!(failure.seed.starts_with("mc1:"));
 }
 
-/// Concurrent histogram writers against one windowed registry metric:
+/// Concurrent histogram writers against one registry metric:
 /// no interleaving may lose an observation or deadlock, and the final
 /// snapshot agrees with the number of records made.
 #[test]
@@ -147,17 +147,16 @@ fn concurrent_observers_never_lose_samples() {
         let reg = Arc::new(Registry::new());
         let (r1, r2) = (reg.clone(), reg.clone());
         let t1 = thread::spawn(move || {
-            r1.observe_at("lat", 0, 10);
-            r1.observe_at("lat", 1, 20);
+            r1.observe("lat", 10);
+            r1.observe("lat", 20);
         });
         let t2 = thread::spawn(move || {
-            r2.observe_at("lat", 2, 30);
+            r2.observe("lat", 30);
         });
         t1.join().unwrap();
         t2.join().unwrap();
-        let snap = reg.snapshot_at(2);
-        assert_eq!(snap.hists["lat"].all.count, 3, "an observation was lost");
-        assert_eq!(snap.hists["lat"].recent.count, 3);
+        let snap = reg.snapshot();
+        assert_eq!(snap.hists["lat"].count, 3, "an observation was lost");
     });
 }
 

@@ -23,22 +23,21 @@ fn get_str<'a>(v: &'a Value, key: &str) -> &'a str {
 fn live_snapshot_is_readable_mid_run() {
     capture(|| {
         telemetry::count("serving.predict", 5);
-        telemetry::gauge("serving.slo.hit_rate", 0.8);
+        telemetry::gauge("serving.plan_cache.bytes", 4096.0);
         telemetry::observe("serving.predict_us", 1_000);
         telemetry::observe("serving.predict_us", 3_000);
         // The whole point of the registry: read back *before* shutdown.
         let snap = telemetry::metrics_snapshot();
         assert_eq!(snap.counters["serving.predict"], 5);
-        assert_eq!(snap.gauges["serving.slo.hit_rate"], 0.8);
+        assert_eq!(snap.gauges["serving.plan_cache.bytes"], 4096.0);
         let h = &snap.hists["serving.predict_us"];
-        assert_eq!(h.all.count, 2);
-        assert_eq!(h.recent.count, 2, "fresh observations are in the window");
-        assert!(h.all.p50.is_some() && h.all.p99.is_some());
+        assert_eq!(h.count, 2);
+        assert!(h.p50.is_some() && h.p99.is_some());
     });
 }
 
 #[test]
-fn shutdown_emits_gauge_and_windowed_histogram_summaries() {
+fn shutdown_emits_gauge_and_histogram_summaries() {
     let lines = capture(|| {
         telemetry::count("c", 1);
         telemetry::gauge("train.loss", 0.25);
@@ -55,24 +54,25 @@ fn shutdown_emits_gauge_and_windowed_histogram_summaries() {
         .iter()
         .find(|e| get_str(e, "type") == "histogram" && get_str(e, "name") == "train.batch_ns")
         .expect("histogram summary line");
-    for key in ["count", "p50", "p95", "p99", "max", "mean", "recent_count", "recent_p95"] {
+    for key in ["count", "p50", "p95", "p99", "max", "mean"] {
         assert!(hist.get(key).is_some(), "missing {key}");
     }
+    assert!(hist.get("recent_count").is_none(), "one summary per histogram");
 }
 
 #[test]
 fn prometheus_export_renders_from_capture() {
     capture(|| {
         telemetry::count("infer.predict.single", 3);
-        telemetry::gauge("serving.slo.fallback_rate", 0.1);
-        telemetry::observe("infer.predict_ns", 42_000);
+        telemetry::gauge("serving.plan_cache.bytes", 128.0);
+        telemetry::observe("serving.predict_us", 42_000);
         let prom = telemetry::metrics_snapshot().to_prometheus();
         assert!(prom.contains("# TYPE raal_infer_predict_single_total counter"));
         assert!(prom.contains("raal_infer_predict_single_total 3"));
-        assert!(prom.contains("# TYPE raal_serving_slo_fallback_rate gauge"));
-        assert!(prom.contains("# TYPE raal_infer_predict_ns summary"));
-        assert!(prom.contains("raal_infer_predict_ns{quantile=\"0.95\"}"));
-        assert!(prom.contains("raal_infer_predict_ns_recent_count 1"));
+        assert!(prom.contains("# TYPE raal_serving_plan_cache_bytes gauge"));
+        assert!(prom.contains("# TYPE raal_serving_predict_us summary"));
+        assert!(prom.contains("raal_serving_predict_us{quantile=\"0.95\"}"));
+        assert!(prom.contains("raal_serving_predict_us_count 1"));
     });
 }
 

@@ -15,7 +15,8 @@ Checks, line by line:
 
 `--require` names (raw RAAL names, e.g. `monitor.drift.agg_join`) must
 be present as a sample with a non-NaN value — CI uses this to assert the
-fault-sweep drift gauge actually flipped.
+drift monitor's gauge flipped and that the serving counters a hit rate
+is read from (`serving.predict`, `serving.predict.model`) were written.
 """
 
 import re

@@ -3,7 +3,9 @@
 //! of a non-test `.rs` file before its first `#[cfg(test)]`, `//` comments cut:
 //! `Relaxed` needs an `// ORDERING:` comment on its line or in the 8 above,
 //! and a literal name passed to `telemetry::{span,kernel_span,count,observe,
-//! event,gauge}` must be in `telemetry::schema`, a closed vocabulary.
+//! event,gauge}` must be in `telemetry::schema`, a closed vocabulary. The
+//! reverse holds too: every exact name the schema registers is a string
+//! literal somewhere in those lines outside the schema.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -20,10 +22,20 @@ const NAME_CHECKS: [(&str, Registered); 6] = [
     ("telemetry::gauge(", schema::gauge_is_registered),
 ];
 
+/// A file's lines before its first `#[cfg(test)]`.
+fn non_test(src: &str) -> Vec<&str> {
+    src.lines().take_while(|l| l.trim_start() != "#[cfg(test)]").collect()
+}
+
+/// A line with its `//` comment cut.
+fn code_of(line: &str) -> &str {
+    line.find("//").map_or(line, |c| &line[..c])
+}
+
 /// Both rules' findings in one file's source, as `(1-based line, message)`.
 fn findings(src: &str) -> Vec<(usize, String)> {
-    let raw: Vec<&str> = src.lines().take_while(|l| l.trim_start() != "#[cfg(test)]").collect();
-    let code: Vec<&str> = raw.iter().map(|l| l.find("//").map_or(*l, |c| &l[..c])).collect();
+    let raw = non_test(src);
+    let code: Vec<&str> = raw.iter().map(|l| code_of(l)).collect();
     let justified = |l: &&str| l.find("//").is_some_and(|c| l[c..].contains("ORDERING:"));
     let mut out = Vec::new();
     for (i, line) in code.iter().enumerate() {
@@ -79,6 +91,34 @@ fn workspace_sources_keep_both_rules() {
         assert!(files.contains(&lib), "the walk missed {}", lib.display());
     }
     assert!(violations.is_empty(), "{}", violations.join("\n"));
+}
+
+#[test]
+fn every_registered_name_has_an_emitter() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut files = Vec::new();
+    collect_rs(root, &mut files);
+    files.retain(|path| !path.ends_with("telemetry/src/schema.rs"));
+    let mut code = String::new();
+    for path in &files {
+        for line in non_test(&fs::read_to_string(path).expect("utf-8 source")) {
+            code.push_str(code_of(line));
+            code.push('\n');
+        }
+    }
+    let registered = [
+        schema::SPAN_NAMES,
+        schema::COUNTER_NAMES,
+        schema::HISTOGRAM_NAMES,
+        schema::GAUGE_NAMES,
+        schema::EVENT_NAMES,
+    ];
+    let unemitted: Vec<&str> = registered
+        .concat()
+        .into_iter()
+        .filter(|n| !code.contains(&format!("\"{n}\"")))
+        .collect();
+    assert!(unemitted.is_empty(), "registered, but no source emits: {unemitted:?}");
 }
 
 fn flagged_lines(src: &str) -> Vec<usize> {
